@@ -5,7 +5,6 @@ delta-stability of pairs, and a brute-force oracle cross-checking it all.
 """
 
 from .canonical import (
-    HNData,
     LeadingTermData,
     canonical_filtration,
     convexify,
@@ -18,6 +17,7 @@ from .canonical import (
 from .invariant import (
     Polytope2,
     b_norm,
+    contributions,
     nu,
     nu_delta,
     polytope,
@@ -35,6 +35,7 @@ from .lattice import (
     graded_pieces,
     make_chain,
     make_filtration,
+    primitive_weights,
     quotient_poly,
     validate_lattice,
 )
@@ -48,7 +49,6 @@ from .pairs import (
     pair_canonical,
     pair_canonical_high_degree,
     pair_semistable,
-    primitive_weights,
 )
 from .ratpoly import (
     EQUAL,

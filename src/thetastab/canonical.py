@@ -35,16 +35,10 @@ from .lattice import (
     WeightedFiltration,
     make_chain,
     make_filtration,
+    primitive_weights,
+    quotient_poly,
 )
-from .ratpoly import (
-    GREATER,
-    LESS,
-    NuValue,
-    RatPoly,
-    eventual_compare,
-    hilbert_stats,
-    nu_compare,
-)
+from .ratpoly import GREATER, LESS, NuValue, RatPoly, eventual_compare, nu_compare
 
 
 def is_semistable(lat: SubobjectLattice) -> tuple[bool, ObjectClass | None]:
@@ -71,21 +65,14 @@ def is_semistable(lat: SubobjectLattice) -> tuple[bool, ObjectClass | None]:
     return witness is None, witness
 
 
-@dataclass(frozen=True)
-class HNData:
-    """HN chain: graded reduced polynomials strictly decrease outward."""
+def hn_filtration(lat: SubobjectLattice) -> UnweightedFiltration:
+    """Greedy HN construction with lexicographic (reduced, rank) selection.
 
-    chain: UnweightedFiltration
-
-    def is_trivial(self) -> bool:
-        return self.chain.is_trivial()
-
-
-def hn_filtration(lat: SubobjectLattice) -> HNData:
-    """Greedy HN construction with lexicographic (reduced, rank) selection."""
+    The graded reduced polynomials of the returned chain strictly decrease
+    outward.
+    """
     picks: list[str] = []  # deepest first
     current = lat.zero_id
-    current_poly = RatPoly.zero()
     while current != lat.top_id:
         best_id: str | None = None
         best_reduced: RatPoly | None = None
@@ -94,7 +81,7 @@ def hn_filtration(lat: SubobjectLattice) -> HNData:
         for cand in lat.nonzero_ids():
             if not lat.lt(current, cand):
                 continue
-            stats = hilbert_stats(lat.member(cand).poly - current_poly, lat.dim)
+            stats = quotient_poly(lat, current, cand)
             if best_id is None:
                 best_id, best_reduced, best_rank = cand, stats.reduced, stats.rank
                 tied_incomparable = None
@@ -113,14 +100,13 @@ def hn_filtration(lat: SubobjectLattice) -> HNData:
             )
         picks.append(best_id)
         current = best_id
-        current_poly = lat.member(best_id).poly
     chain = make_chain(lat, tuple(reversed(picks)))
     for outer, deeper in zip(chain.gradeds, chain.gradeds[1:]):
         if eventual_compare(deeper.reduced, outer.reduced) != GREATER:
             raise InvalidHN(
                 "greedy chain violates strict decrease of graded reduced polynomials"
             )
-    return HNData(chain=chain)
+    return chain
 
 
 @dataclass(frozen=True)
@@ -132,24 +118,12 @@ class LeadingTermData:
     weights: tuple[int, ...]
 
 
-def _primitive(fracs: list[Fraction]) -> tuple[int, ...]:
-    """Scale a rational vector to coprime integers (positive scale)."""
-    from math import gcd, lcm
-
-    denoms = lcm(*(f.denominator for f in fracs))
-    ints = [int(f * denoms) for f in fracs]
-    common = gcd(*ints)
-    if common:
-        ints = [v // common for v in ints]
-    return tuple(ints)
-
-
-def leading_term(hn: HNData) -> LeadingTermData:
+def leading_term(hn: UnweightedFiltration) -> LeadingTermData:
     """Merge HN steps with equal leading slope, attach canonical weights."""
     if hn.is_trivial():
         raise ObjectSemistable("trivial HN chain has no leading term filtration")
-    lat = hn.chain.lattice
-    gradeds = hn.chain.gradeds
+    lat = hn.lattice
+    gradeds = hn.gradeds
     d = lat.dim
     index = None
     for i in reversed(range(d)):
@@ -158,19 +132,19 @@ def leading_term(hn: HNData) -> LeadingTermData:
             break
     if index is None:
         # equal slope vectors mean equal reduced polynomials, which the
-        # HNData invariant already excludes
+        # HN chain's strict decrease already excludes
         raise InvalidHN("HN graded pieces have identical slope vectors")
 
     # keep chain[m] iff the leading slope jumps across step m
     kept = [0]
-    for m in range(1, len(hn.chain.chain)):
+    for m in range(1, len(hn)):
         if gradeds[m - 1].slopes[index] < gradeds[m].slopes[index]:
             kept.append(m)
-    merged = make_chain(lat, tuple(hn.chain.chain[m] for m in kept))
+    merged = make_chain(lat, tuple(hn.chain[m] for m in kept))
 
     top_slope = lat.top.stats.slopes[index]
     raw = [g.slopes[index] - top_slope for g in merged.gradeds]
-    weights = _primitive(raw)
+    weights = primitive_weights(raw)
     return LeadingTermData(chain=merged, index=index, weights=weights)
 
 

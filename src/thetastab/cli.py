@@ -13,8 +13,6 @@ import argparse
 import csv
 import json
 import sys
-from fractions import Fraction
-from pathlib import Path
 
 from . import canonical as canonical_mod
 from . import invariant, oracle, pairs
@@ -27,8 +25,8 @@ from .latfile import (
     parse_delta,
     parse_rational,
 )
-from .lattice import PairObject, WeightedFiltration, make_chain, make_filtration
-from .ratpoly import NuValue, RatPoly
+from .lattice import PairObject, WeightedFiltration, graded_pieces, make_chain, make_filtration
+from .ratpoly import RatPoly
 
 APPROX_POINT = 10**6  # evaluation point for CSV audit values
 
@@ -46,7 +44,7 @@ def _filtration_json(f: WeightedFiltration) -> dict:
 
 def _filtration_text(f: WeightedFiltration) -> list[str]:
     lines = [f"chain (top first): {' > '.join(f.chain)}", f"weights: {list(f.weights)}"]
-    for w, g in reversed(list(zip(f.weights, f.gradeds))):
+    for w, g in graded_pieces(f):
         lines.append(f"  graded piece at weight {w}: {g.poly} (rank {format_rational(g.rank)})")
     return lines
 
@@ -91,8 +89,8 @@ def _cmd_check(args) -> dict:
 def _cmd_hn(args) -> dict:
     lat, _ = load_lattice(args.input)
     hn = canonical_mod.hn_filtration(lat)
-    payload = {"command": "hn", "chain": list(hn.chain.chain)}
-    lines = [f"HN chain (top first): {' > '.join(hn.chain.chain)}"]
+    payload = {"command": "hn", "chain": list(hn.chain)}
+    lines = [f"HN chain (top first): {' > '.join(hn.chain)}"]
     _emit(payload, lines, args.format)
     return payload
 
@@ -139,6 +137,11 @@ def _cmd_polytope(args) -> dict:
     return payload
 
 
+def _require_bound(bound: int) -> None:
+    if bound < 1:
+        raise ParseError(f"--bound must be >= 1, got {bound}")
+
+
 def _require_pair(pair: PairObject | None) -> PairObject:
     if pair is None:
         raise ParseError("this command needs a lattice file with a pair section")
@@ -167,6 +170,7 @@ def _cmd_pair_canonical(args) -> dict:
     lat, pair = load_lattice(args.input)
     pair = _require_pair(pair)
     delta = parse_delta(args.delta)
+    _require_bound(args.bound)
     result = pairs.pair_canonical(pair, delta, bound=args.bound)
     payload = {
         "command": "pair-canonical",
@@ -225,6 +229,7 @@ def _cmd_sweep(args) -> dict:
 def _cmd_oracle(args) -> dict:
     lat, pair = load_lattice(args.input)
     delta = parse_delta(args.delta) if args.delta is not None else None
+    _require_bound(args.bound)
     result = oracle.brute_force_max(lat, pair=pair, delta=delta, bound=args.bound)
     payload = {
         "command": "oracle",

@@ -1,15 +1,20 @@
 """Numerical invariants of weighted filtrations.
 
-The weight of the determinant family at the associated graded is computed
-two independent ways:
+Everything here is read off one kernel, contributions(chain, delta): the
+per-unit-weight contribution of each step of a chain,
 
-* graded form:    sum_m w_m * (reduced(gr_m) - reduced(F)) * rank(gr_m)
-* subobject form: sum over jump intervals of
-                  (w_i - w_{i-1}) * (reduced(G_(i)) - reduced(F)) * rank(G_(i))
+    c_m = (reduced(gr_m) - reduced(F)) * rank(gr_m) - delta * rank(gr_m) / rank(F).
 
-The two agree by summation by parts; the identity is exercised heavily in
-the test suite.  The invariant itself is nu = weight / sqrt(b) with
-b = sum rank(gr_m) * w_m^2, kept exact as a NuValue.
+The invariant of weights w is nu = <w, c> / sqrt(b) with
+b = sum rank(gr_m) * w_m^2, kept exact as a NuValue; the oracle's scores
+and the pair maximizer's top coefficient are read from the same c.
+
+The weight of the determinant family at the associated graded, <w, c> at
+delta = 0, is computed a second, independent way (the subobject form):
+the sum over jump intervals of
+(w_i - w_{i-1}) * (reduced(G_(i)) - reduced(F)) * rank(G_(i)).  The two
+agree by summation by parts; the identity is exercised heavily in the
+test suite.
 
 The trivial filtration with weight zero has b = 0; its nu is defined to be
 the zero NuValue by convention (semistable objects maximize at zero), while
@@ -31,13 +36,35 @@ from .lattice import UnweightedFiltration, WeightedFiltration
 from .ratpoly import NuValue, RatPoly
 
 
+def contributions(
+    chain: UnweightedFiltration | WeightedFiltration, delta: RatPoly | None = None
+) -> tuple[RatPoly, ...]:
+    """Per-unit-weight contribution of each step of the chain, top first:
+    (reduced(gr_m) - reduced(F)) * rank(gr_m) - delta * rank(gr_m) / rank(F).
+    """
+    top = chain.lattice.top.stats
+    twist = None if delta is None or delta.is_zero() else delta
+    contribs = []
+    for g in chain.gradeds:
+        term = (g.reduced - top.reduced) * g.rank
+        if twist is not None:
+            term = term - twist * (g.rank / top.rank)
+        contribs.append(term)
+    return tuple(contribs)
+
+
+def dot(weights: Sequence[int], contribs: Sequence[RatPoly]) -> RatPoly:
+    """The numerator <w, c> of the invariant."""
+    total = RatPoly.zero()
+    for w, c in zip(weights, contribs):
+        if w:
+            total = total + c * w
+    return total
+
+
 def weight_graded(f: WeightedFiltration) -> RatPoly:
     """Determinant weight via the associated graded pieces."""
-    top = f.lattice.top.stats
-    total = RatPoly.zero()
-    for w, g in zip(f.weights, f.gradeds):
-        total = total + (g.reduced - top.reduced) * (w * g.rank)
-    return total
+    return dot(f.weights, contributions(f))
 
 
 def weight_subobject(f: WeightedFiltration) -> RatPoly:
@@ -65,11 +92,7 @@ def b_norm(f: WeightedFiltration) -> Fraction:
 
 def nu(f: WeightedFiltration) -> NuValue:
     """The invariant weight/sqrt(b); zero by convention when degenerate."""
-    try:
-        b = b_norm(f)
-    except DegenerateFiltration:
-        return NuValue.zero()
-    return NuValue(weight_graded(f), b)
+    return nu_delta(f, None)
 
 
 def nu_delta(f: WeightedFiltration, delta: RatPoly | None) -> NuValue:
@@ -78,16 +101,11 @@ def nu_delta(f: WeightedFiltration, delta: RatPoly | None) -> NuValue:
     With delta = 0 (or None) this is exactly nu(f).  Laurent terms in delta
     are allowed; the result is then a Laurent NuValue.
     """
-    if delta is None or delta.is_zero():
-        return nu(f)
     try:
         b = b_norm(f)
     except DegenerateFiltration:
         return NuValue.zero()
-    top = f.lattice.top.stats
-    weight_mass = sum((w * g.rank for w, g in zip(f.weights, f.gradeds)), Fraction(0))
-    twisted = weight_graded(f) - delta * (weight_mass / top.rank)
-    return NuValue(twisted, b)
+    return NuValue(dot(f.weights, contributions(f, delta)), b)
 
 
 # -- exact 2D hull geometry ------------------------------------------------

@@ -13,9 +13,11 @@ A lattice file is a JSON document:
       "pair": {"beta_image": "O2"}        // optional; null beta_image = zero map
     }
 
-Rationals are written "p/q" (or "p"); polynomials map exponent strings to
-rationals, zero coefficients omitted.  Inclusions of the zero object and
-into the ambient object need not be declared.
+Rationals are strings matching [+-]?digits(/digits)?, or plain JSON
+integers; floats, exponents, inf/nan and underscores are rejected.
+Polynomials map exponent strings to rationals, zero coefficients omitted.
+Inclusions of the zero object and into the ambient object need not be
+declared.
 
 Delta literals are one-variable Laurent polynomials in n, e.g. "0", "3/2",
 "n", "-n^2", "2*n - 1/2", "n^-1 + 1".
@@ -33,10 +35,18 @@ from .lattice import PairObject, SubobjectLattice, validate_lattice
 from .ratpoly import NuValue, RatPoly
 
 
+_RATIONAL = re.compile(r"\s*[+-]?[0-9]+(?:/[0-9]+)?\s*")
+
+
 def parse_rational(text: str | int) -> Fraction:
+    """Parse a "p/q" or "p" string (surrounding blanks allowed) or an int."""
+    if isinstance(text, int) and not isinstance(text, bool):
+        return Fraction(text)
+    if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
+        raise ParseError(f"bad rational literal {text!r}")
     try:
-        return Fraction(str(text).strip())
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:  # zero denominator, digit limit
         raise ParseError(f"bad rational literal {text!r}") from exc
 
 
@@ -112,12 +122,13 @@ def load_lattice(path: str | Path) -> tuple[SubobjectLattice, PairObject | None]
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: top-level document must be an object")
 
-    for entry in raw.get("objects", ()):
+    objects = raw.get("objects", ())
+    for entry in objects if isinstance(objects, list) else ():
         if isinstance(entry, dict) and "hilbert" in entry:
             entry["hilbert"] = parse_poly(entry["hilbert"])
     lattice = validate_lattice(raw)
@@ -128,6 +139,8 @@ def load_lattice(path: str | Path) -> tuple[SubobjectLattice, PairObject | None]
         if not isinstance(section, dict) or "beta_image" not in section:
             raise ParseError("pair section must be an object with a beta_image field")
         image = section["beta_image"]
+        if image is not None and str(image) not in lattice.ids():
+            raise ParseError(f"pair.beta_image {image!r} is not a lattice member")
         pair = PairObject(lattice=lattice, beta_image=None if image is None else str(image))
     return lattice, pair
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -100,19 +100,12 @@ class SubobjectLattice:
     def top(self) -> ObjectClass:
         return self._members[self.top_id]
 
-    @property
-    def zero(self) -> ObjectClass:
-        return self._members[self.zero_id]
-
     def lt(self, sub: str, sup: str) -> bool:
         """Strict inclusion in the transitive closure."""
         return (sub, sup) in self._closure
 
     def leq(self, sub: str, sup: str) -> bool:
         return sub == sup or self.lt(sub, sup)
-
-    def strict_pairs(self) -> frozenset[tuple[str, str]]:
-        return self._closure
 
     def structurally_equal(self, other: SubobjectLattice) -> bool:
         return (
@@ -192,8 +185,8 @@ def build_lattice(
 
     declared: set[tuple[str, str]] = set()
     for pair in relations:
-        if len(pair) != 2:
-            raise ParseError(f"relation {pair!r} is not a pair")
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ParseError(f"relation {pair!r} is not a [sub, super] pair")
         sub, sup = str(pair[0]), str(pair[1])
         if sub not in coerced or sup not in coerced:
             raise ParseError(f"relation {pair!r} references an unknown member")
@@ -273,6 +266,8 @@ def validate_lattice(raw: Mapping) -> SubobjectLattice:
         relations = raw.get("relations", ())
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed lattice description: {exc}") from exc
+    if not isinstance(objects, (list, tuple)) or not isinstance(relations, (list, tuple)):
+        raise ParseError("objects and relations must be lists")
     polys: dict[str, RatPoly | Mapping] = {}
     for entry in objects:
         try:
@@ -317,15 +312,15 @@ class UnweightedFiltration:
     def __len__(self) -> int:
         return len(self.chain)
 
-    @property
-    def steps(self) -> int:
-        return len(self.chain)
-
-    def member(self, m: int) -> ObjectClass:
-        return self.lattice.member(self.chain[m])
-
     def is_trivial(self) -> bool:
         return len(self.chain) == 1
+
+
+def quotient_poly(lat: SubobjectLattice, sub: str, sup: str) -> HilbertStats:
+    """Statistics of sup/sub; requires sub strictly inside sup."""
+    if not lat.lt(sub, sup):
+        raise NotComparable(f"{sub!r} is not strictly contained in {sup!r}")
+    return hilbert_stats(lat.member(sup).poly - lat.member(sub).poly, lat.dim)
 
 
 def make_chain(lat: SubobjectLattice, ids: Sequence[str]) -> UnweightedFiltration:
@@ -345,11 +340,11 @@ def make_chain(lat: SubobjectLattice, ids: Sequence[str]) -> UnweightedFiltratio
             raise ChainNotIncreasing(
                 f"{deeper!r} is not strictly contained in {shallower!r}"
             )
-    gradeds = []
-    for m, member_id in enumerate(chain):
-        below = lat.member(chain[m + 1]).poly if m + 1 < len(chain) else RatPoly.zero()
-        gradeds.append(hilbert_stats(lat.member(member_id).poly - below, lat.dim))
-    return UnweightedFiltration(lattice=lat, chain=chain, gradeds=tuple(gradeds))
+    gradeds = tuple(
+        quotient_poly(lat, sub, sup)
+        for sup, sub in zip(chain, chain[1:] + (lat.zero_id,))
+    )
+    return UnweightedFiltration(lattice=lat, chain=chain, gradeds=gradeds)
 
 
 @dataclass(frozen=True)
@@ -410,11 +405,15 @@ def make_filtration(
     return WeightedFiltration(base=base, weights=ws)
 
 
-def quotient_poly(lat: SubobjectLattice, sub: str, sup: str) -> HilbertStats:
-    """Statistics of sup/sub; requires sub strictly inside sup."""
-    if not lat.lt(sub, sup):
-        raise NotComparable(f"{sub!r} is not strictly contained in {sup!r}")
-    return hilbert_stats(lat.member(sup).poly - lat.member(sub).poly, lat.dim)
+def primitive_weights(weights: Sequence[int | Fraction]) -> tuple[int, ...]:
+    """Scale a rational weight vector by a positive factor to coprime
+    integers; the zero vector comes back unchanged."""
+    scale = lcm(*(w.denominator for w in weights))
+    ints = [w.numerator * (scale // w.denominator) for w in weights]
+    common = gcd(*ints)
+    if common > 1:
+        ints = [v // common for v in ints]
+    return tuple(ints)
 
 
 def graded_pieces(f: WeightedFiltration) -> list[tuple[int, HilbertStats]]:

@@ -16,20 +16,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
 from typing import Iterator
 
-from .invariant import nu_delta
+from .invariant import contributions, dot, nu_delta
 from .lattice import (
     PairObject,
     SubobjectLattice,
     UnweightedFiltration,
     WeightedFiltration,
-    make_chain,
     make_filtration,
     pair_pivot_index,
+    primitive_weights,
+    quotient_poly,
 )
-from .ratpoly import GREATER, NuValue, RatPoly, nu_compare
+from .ratpoly import GREATER, HilbertStats, NuValue, RatPoly, nu_compare
 
 
 @dataclass(frozen=True)
@@ -44,23 +44,34 @@ class OracleResult:
 
 def enumerate_chains(lat: SubobjectLattice) -> list[UnweightedFiltration]:
     """All strictly increasing chains of nonzero members ending at top,
-    in lexicographic order of their id tuples."""
-    chains: list[tuple[str, ...]] = []
+    in lexicographic order of their id tuples.
 
-    def extend(prefix: tuple[str, ...]) -> None:
-        chains.append(prefix)
-        for cand in lat.nonzero_ids():
-            if lat.lt(cand, prefix[-1]):
-                extend(prefix + (cand,))
+    A depth-first walk over sorted candidates visits the chains in that
+    order; chains sharing a prefix share its graded pieces, and each
+    quotient is computed once per call.
+    """
+    nonzero = lat.nonzero_ids()
+    below = {sup: [sub for sub in nonzero if lat.lt(sub, sup)] for sup in nonzero}
+    quotients: dict[tuple[str, str], HilbertStats] = {}
 
-    extend((lat.top_id,))
-    chains.sort()
-    return [make_chain(lat, c) for c in chains]
+    def quotient(sub: str, sup: str) -> HilbertStats:
+        stats = quotients.get((sub, sup))
+        if stats is None:
+            stats = quotients[sub, sup] = quotient_poly(lat, sub, sup)
+        return stats
 
+    chains: list[UnweightedFiltration] = []
 
-def _primitive_vector(weights: tuple[int, ...]) -> tuple[int, ...]:
-    common = gcd(*weights)
-    return tuple(w // common for w in weights) if common > 1 else weights
+    def extend(prefix: tuple[str, ...], upper: tuple[HilbertStats, ...]) -> None:
+        # upper holds the graded pieces above the deepest member prefix[-1]
+        deepest = prefix[-1]
+        gradeds = upper + (quotient(lat.zero_id, deepest),)
+        chains.append(UnweightedFiltration(lattice=lat, chain=prefix, gradeds=gradeds))
+        for sub in below[deepest]:
+            extend(prefix + (sub,), upper + (quotient(sub, deepest),))
+
+    extend((lat.top_id,), ())
+    return chains
 
 
 def iter_candidates(
@@ -73,21 +84,10 @@ def iter_candidates(
     candidates, chains in canonical order, weights lexicographic."""
     if bound < 1:
         raise ValueError(f"weight bound must be >= 1, got {bound}")
-    top = lat.top.stats
     beta = pair.beta_image if pair is not None else None
-    twist = None
-    if delta is not None and not delta.is_zero():
-        twist = delta
 
     for chain in enumerate_chains(lat):
-        # per-weight contribution of step m:
-        # (reduced(gr) - delta/rank(F) - reduced(F)) * rank(gr)
-        contribs: list[RatPoly] = []
-        for g in chain.gradeds:
-            term = (g.reduced - top.reduced) * g.rank
-            if twist is not None:
-                term = term - twist * (g.rank / top.rank)
-            contribs.append(term)
+        contribs = contributions(chain, delta)
         ranks = [g.rank for g in chain.gradeds]
         pivot = pair_pivot_index(chain.chain, lat, beta) if beta is not None else None
 
@@ -97,11 +97,7 @@ def iter_candidates(
             b = sum((r * w * w for r, w in zip(ranks, weights)), Fraction(0))
             if b == 0:  # the trivial chain with weight 0
                 continue
-            numerator = RatPoly.zero()
-            for w, contrib in zip(weights, contribs):
-                if w:
-                    numerator = numerator + contrib * w
-            yield chain.chain, weights, NuValue(numerator, b)
+            yield chain.chain, weights, NuValue(dot(weights, contribs), b)
 
 
 def brute_force_max(
@@ -122,9 +118,9 @@ def brute_force_max(
         else:
             verdict = nu_compare(value, best_value)
         if verdict == GREATER:
-            best_chain, best_weights, best_value = chain, _primitive_vector(weights), value
+            best_chain, best_weights, best_value = chain, primitive_weights(weights), value
         elif verdict == 0:
-            key = (len(chain), chain, _primitive_vector(weights))
+            key = (len(chain), chain, primitive_weights(weights))
             if key < (len(best_chain), best_chain, best_weights):
                 best_chain, best_weights, best_value = chain, key[2], value
 

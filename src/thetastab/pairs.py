@@ -27,11 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, lcm
 
 from .canonical import is_semistable
-from .errors import DegreeTooLow, FlatObjective, Semistable
-from .invariant import nu_delta
+from .errors import DegenerateFiltration, DegreeTooLow, FlatObjective, Semistable
+from .invariant import b_norm, contributions, nu_delta
 from .lattice import (
     ObjectClass,
     PairObject,
@@ -40,24 +39,16 @@ from .lattice import (
     make_chain,
     make_filtration,
     pair_pivot_index,
+    primitive_weights,
 )
 from .oracle import brute_force_max, enumerate_chains
-from .ratpoly import (
-    EQUAL,
-    GREATER,
-    LESS,
-    HilbertStats,
-    NuValue,
-    RatPoly,
-    eventual_compare,
-    nu_compare,
-)
+from .ratpoly import EQUAL, GREATER, LESS, NuValue, RatPoly, eventual_compare, nu_compare
 
 
 @dataclass(frozen=True)
 class DeltaParam:
-    """Stability parameter: a rational Laurent polynomial, plus the ambient
-    dimension needed to read off its degree-(d-1) coefficient."""
+    """Stability parameter: a rational Laurent polynomial, tagged with the
+    ambient dimension."""
 
     poly: RatPoly
     dim: int
@@ -71,14 +62,6 @@ class DeltaParam:
     @property
     def deg(self) -> int | float:
         return self.poly.degree()
-
-    @property
-    def leading_coeff(self) -> Fraction:
-        return self.poly.leading_coeff()
-
-    @property
-    def coeff_dminus1(self) -> Fraction:
-        return self.poly.coeff(self.dim - 1)
 
     def sign(self) -> int:
         return eventual_compare(self.poly, RatPoly.zero())
@@ -147,32 +130,23 @@ def pair_canonical_high_degree(
 
 
 def _slope_units(
-    gradeds: tuple[HilbertStats, ...], top: HilbertStats, dp: DeltaParam
+    chain: UnweightedFiltration | WeightedFiltration, dp: DeltaParam
 ) -> list[Fraction]:
-    """Per-unit-weight contributions to the n^(d-1) coefficient of nu*sqrt(b).
-
-    The reduced-polynomial part contributes (slope difference)/(d-1)!; the
-    parameter contributes -delta_{d-1}/rank(F) per unit of graded rank.
-    """
-    d = top.dim
+    """Per-unit-weight contributions to the n^(d-1) coefficient of nu*sqrt(b)."""
+    d = chain.lattice.dim
     if d < 1:
         raise ValueError("slope coefficient needs dimension >= 1")
-    norm = factorial(d - 1)
-    return [
-        g.rank * ((g.slopes[d - 1] - top.slopes[d - 1]) / norm - dp.coeff_dminus1 / top.rank)
-        for g in gradeds
-    ]
+    return [c.coeff(d - 1) for c in contributions(chain, dp.poly)]
 
 
 def nu_slope_coeff(
     f: WeightedFiltration, delta: DeltaParam | RatPoly | None
 ) -> NuValue:
     """Exact degree-(d-1) coefficient of the pair invariant, as a scalar."""
-    lat = f.lattice
-    dp = DeltaParam.coerce(delta, lat.dim)
-    units = _slope_units(f.gradeds, lat.top.stats, dp)
-    b = sum((g.rank * w * w for w, g in zip(f.weights, f.gradeds)), Fraction(0))
-    if b == 0:
+    units = _slope_units(f, DeltaParam.coerce(delta, f.lattice.dim))
+    try:
+        b = b_norm(f)
+    except DegenerateFiltration:
         return NuValue.zero()
     numerator = sum((w * u for w, u in zip(f.weights, units)), Fraction(0))
     return NuValue(RatPoly.const(numerator), b)
@@ -190,17 +164,6 @@ class WeightMaximum:
     weights: tuple[Fraction, ...]
     value: NuValue
     pinned: int | None
-
-
-def primitive_weights(weights) -> tuple[int, ...]:
-    """Scale a rational weight vector to coprime integers."""
-    fracs = [Fraction(w) for w in weights]
-    scale = lcm(*(f.denominator for f in fracs))
-    ints = [int(f * scale) for f in fracs]
-    common = gcd(*ints)
-    if common > 1:
-        ints = [v // common for v in ints]
-    return tuple(ints)
 
 
 def _partitions(n: int):
@@ -230,8 +193,7 @@ def maximize_weights(
     dp = DeltaParam.coerce(delta, lat.dim)
     if dp.deg > lat.dim - 1:
         raise ValueError(f"closed form needs deg(delta) <= {lat.dim - 1}")
-    top = lat.top.stats
-    units = _slope_units(chain.gradeds, top, dp)
+    units = _slope_units(chain, dp)
     ranks = [g.rank for g in chain.gradeds]
     if all(u == 0 for u in units):
         raise FlatObjective("top-coefficient objective vanishes on the whole cone")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from math import factorial
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 from .errors import DegreeMismatch, NonpositiveRank
 
@@ -88,10 +88,6 @@ class RatPoly:
     def const(cls, value: RationalLike) -> RatPoly:
         return cls({0: value})
 
-    @classmethod
-    def variable(cls, exponent: int = 1, coeff: RationalLike = 1) -> RatPoly:
-        return cls({exponent: coeff})
-
     # -- inspectors -------------------------------------------------------
 
     def items(self) -> tuple[tuple[int, Fraction], ...]:
@@ -104,9 +100,6 @@ class RatPoly:
     def degree(self) -> int | float:
         """Highest exponent, or -inf for the zero polynomial."""
         return max(self._coeffs) if self._coeffs else NEG_INFINITY
-
-    def min_exponent(self) -> int | float:
-        return min(self._coeffs) if self._coeffs else NEG_INFINITY
 
     def leading_coeff(self) -> Fraction:
         return self._coeffs[max(self._coeffs)] if self._coeffs else Fraction(0)
@@ -212,14 +205,6 @@ class HilbertStats:
     reduced: RatPoly
     slopes: tuple[Fraction, ...]
 
-    def a_coefficient(self, i: int) -> Fraction:
-        """The factorial-normalized coefficient a_i = i! * [n^i] P."""
-        return self.poly.coeff(i) * factorial(i)
-
-    @property
-    def mumford_slope(self) -> Fraction:
-        return self.slopes[-1]
-
 
 def hilbert_stats(poly: RatPoly, d: int) -> HilbertStats:
     """Rank, reduced polynomial and slopes of a degree-d Hilbert polynomial."""
@@ -271,10 +256,6 @@ class NuValue:
     def zero(cls) -> NuValue:
         return cls(RatPoly.zero(), Fraction(1))
 
-    def sign(self) -> int:
-        """Sign of the represented value in the eventual order."""
-        return nu_compare(self, NuValue.zero())
-
     def approx(self, n: RationalLike) -> float:
         """Float value L(n) / sqrt(b); for display and sanity checks only."""
         return float(self.L(n)) / float(self.b) ** 0.5
@@ -300,14 +281,3 @@ def nu_compare(x: NuValue, y: NuValue) -> int:
         if lhs != rhs:
             return sx if lhs > rhs else -sx
     return EQUAL
-
-
-def nu_max(values: Iterable[NuValue]) -> NuValue:
-    """Largest value under nu_compare; first occurrence wins ties."""
-    best: NuValue | None = None
-    for val in values:
-        if best is None or nu_compare(val, best) == GREATER:
-            best = val
-    if best is None:
-        raise ValueError("nu_max of empty iterable")
-    return best

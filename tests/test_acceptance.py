@@ -290,7 +290,7 @@ def test_criterion_08_polytope_containment(lat_b3, lat_o2_o):
                     assert stats.slopes[level] == lat.top.stats.slopes[level]
             convex_checked += 1
 
-    hull = polytope(hn_filtration(lat_b3).chain, 0)
+    hull = polytope(hn_filtration(lat_b3), 0)
     assert set(hull.vertices) == {(0, 0), (-6, 1), (-8, 2), (-9, 3)}
     report(8, f"polytope containment held for {convex_checked} convex "
               f"filtrations across {len(fixtures)} fixture lattices; the "

@@ -238,3 +238,77 @@ class TestDeltaLiterals:
         for bad in ("", "x", "n^", "1//2", "2**n", "*n"):
             with pytest.raises(ParseError):
                 parse_delta(bad)
+
+
+def _lattice_doc(constant="1", **changes):
+    """A valid two-summand lattice with a pair, edited by `changes`."""
+    doc = {
+        "dimension": 1,
+        "objects": [
+            {"id": "0", "hilbert": {}},
+            {"id": "O", "hilbert": {"1": "1", "0": constant}},
+            {"id": "O1", "hilbert": {"1": "1", "0": "2"}},
+            {"id": "F", "hilbert": {"1": "2", "0": "3"}},
+        ],
+        "relations": [],
+        "pair": {"beta_image": "O"},
+    }
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+_HUGE_INT = (
+    '{"dimension": 1, "objects": [{"id": "0", "hilbert": {}}, '
+    '{"id": "F", "hilbert": {"1": 1, "0": ' + "9" * 5000 + "}}]}"
+)
+
+
+class TestMalformedInput:
+    """Malformed files, literals and flag values exit 2 with a ParseError
+    line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "command,text,flags",
+        [
+            ("oracle", None, ["--bound", "0"]),
+            ("oracle", None, ["--bound=-2"]),
+            ("pair-canonical", None, ["--delta", "1/2", "--bound", "0"]),
+            ("pair-canonical", None, ["--delta", "1/2", "--bound=-1"]),
+            ("check", _lattice_doc(relations=5), []),
+            ("check", _lattice_doc(relations=[5]), []),
+            ("check", _lattice_doc(relations="OF"), []),
+            ("check", _lattice_doc(relations=None), []),
+            ("check", _lattice_doc(objects=5), []),
+            ("pair-check", _lattice_doc(pair={"beta_image": "X"}), ["--delta", "1/2"]),
+            ("check", _lattice_doc(constant=1.5), []),
+            ("check", _lattice_doc(constant=float("inf")), []),
+            ("check", _lattice_doc(constant=float("nan")), []),
+            ("check", _lattice_doc(constant=True), []),
+            ("check", _lattice_doc(constant="1e999999"), []),
+            ("check", _lattice_doc(constant="inf"), []),
+            ("check", _lattice_doc(constant="nan"), []),
+            ("check", _lattice_doc(constant="1_0"), []),
+            ("check", _lattice_doc(constant="1.5"), []),
+            ("check", _HUGE_INT, []),
+            ("sweep", None, ["--sweep-deltas", "1/2,0.75"]),
+        ],
+        ids=[
+            "oracle-bound-0", "oracle-bound-negative",
+            "pair-canonical-bound-0", "pair-canonical-bound-negative",
+            "relations-int", "relations-list-of-int", "relations-string",
+            "relations-null", "objects-int", "unknown-beta-image",
+            "float", "json-infinity", "json-nan", "bool", "exponent-string",
+            "inf-string", "nan-string", "underscore", "decimal-string",
+            "integer-over-digit-limit", "sweep-decimal",
+        ],
+    )
+    def test_exits_2_with_parse_error(self, capsys, tmp_path, command, text, flags):
+        if text is None:
+            path = FIXTURES / "o_o1_pair.lattice"
+        else:
+            path = tmp_path / "input.lattice"
+            path.write_text(text)
+        code, _, err = run(capsys, command, path, *flags)
+        assert code == 2
+        assert err.startswith("error: ParseError: ")
+        assert "Traceback" not in err

@@ -158,7 +158,7 @@ class TestPolytopes:
         assert set(hull.vertices) == {(0, 0), (-3, 1), (-4, 2)}
 
     def test_hn_hull_of_fixture(self, lat_b3):
-        chain = hn_filtration(lat_b3).chain
+        chain = hn_filtration(lat_b3)
         hull = polytope(chain, 0)
         assert set(hull.vertices) == {(0, 0), (-6, 1), (-8, 2), (-9, 3)}
 
@@ -172,17 +172,17 @@ class TestPolytopes:
             polytope(make_chain(lat_b3, ("F",)), 1)
 
     def test_reflexive_subset(self, lat_b3):
-        hull = polytope(hn_filtration(lat_b3).chain, 0)
+        hull = polytope(hn_filtration(lat_b3), 0)
         assert polytope_subset(hull, hull)
 
     def test_segment_inside_hull(self, lat_b3):
-        big = polytope(hn_filtration(lat_b3).chain, 0)
+        big = polytope(hn_filtration(lat_b3), 0)
         segment = Polytope2.hull([(0, 0), (F(-9), F(3))])
         assert polytope_subset(segment, big)
         assert not polytope_subset(big, segment)
 
     def test_subchain_hull_contained(self, lat_b3):
-        big = polytope(hn_filtration(lat_b3).chain, 0)
+        big = polytope(hn_filtration(lat_b3), 0)
         small = polytope(make_chain(lat_b3, ("F", "O5")), 0)
         assert polytope_subset(small, big)
 

@@ -8,6 +8,7 @@ from thetastab import (
     build_lattice,
     graded_pieces,
     make_filtration,
+    primitive_weights,
     quotient_poly,
     validate_lattice,
 )
@@ -172,3 +173,27 @@ class TestGradedPieces:
         filt = make_filtration(lat_b3, ("F", "O5+O", "O"), (-3, 1, 4))
         weights = sorted(w for w, _ in graded_pieces(filt))
         assert tuple(weights) == filt.weights
+
+
+class TestPrimitiveWeights:
+    @pytest.mark.parametrize(
+        "weights,expected",
+        [
+            ((2, 4, 6), (1, 2, 3)),
+            ((-6, 0, 9), (-2, 0, 3)),
+            ((-1, 2, 3), (-1, 2, 3)),
+            ((Fraction(1, 2), Fraction(-3, 4)), (2, -3)),
+            ((Fraction(-2, 3), 1, Fraction(4, 3)), (-2, 3, 4)),
+            ((Fraction(4), Fraction(6)), (2, 3)),
+            ((-4, -2), (-2, -1)),
+            ((0, 0, 0), (0, 0, 0)),
+            ((Fraction(0),), (0,)),
+            ((5,), (1,)),
+            ((-5,), (-1,)),
+            ((Fraction(7, 3),), (1,)),
+        ],
+    )
+    def test_scales_to_coprime_integers(self, weights, expected):
+        result = primitive_weights(weights)
+        assert result == expected
+        assert all(type(v) is int for v in result)

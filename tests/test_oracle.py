@@ -10,11 +10,13 @@ from thetastab import (
     canonical_filtration,
     enumerate_chains,
     iter_candidates,
+    make_chain,
     nu,
     nu_compare,
 )
+from thetastab.latfile import load_lattice
 
-from conftest import coordinate_lattice
+from conftest import FIXTURES, coordinate_lattice
 
 
 def P(mapping):
@@ -37,6 +39,29 @@ class TestEnumerateChains:
     def test_minimal_lattice(self, lat_trivial):
         chains = enumerate_chains(lat_trivial)
         assert [c.chain for c in chains] == [("F",)]
+
+    @staticmethod
+    def assert_matches_make_chain(lat):
+        chains = enumerate_chains(lat)
+        rebuilt = [make_chain(lat, c.chain) for c in chains]
+        assert [c.chain for c in chains] == [r.chain for r in rebuilt]
+        assert [c.gradeds for c in chains] == [r.gradeds for r in rebuilt]
+        assert [c.chain for c in chains] == sorted(c.chain for c in chains)
+        assert len(set(c.chain for c in chains)) == len(chains)
+        return chains
+
+    @pytest.mark.parametrize("d", (1, 2))
+    @pytest.mark.parametrize("k,count", ((3, 13), (4, 75), (5, 541)))
+    def test_matches_make_chain_on_coordinate_lattices(self, k, count, d):
+        # the chains of the sub-sum lattice of k summands are its ordered
+        # set partitions, counted by the Fubini numbers
+        lat = coordinate_lattice({f"L{i}": (i * 7) % 5 - 2 + i for i in range(k)}, d)
+        assert len(self.assert_matches_make_chain(lat)) == count
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.lattice")))
+    def test_matches_make_chain_on_fixtures(self, name):
+        lat, _ = load_lattice(FIXTURES / name)
+        self.assert_matches_make_chain(lat)
 
     def test_three_member_lattice(self):
         from thetastab import build_lattice

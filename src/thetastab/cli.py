@@ -26,7 +26,7 @@ from .latfile import (
     parse_rational,
 )
 from .lattice import PairObject, WeightedFiltration, graded_pieces, make_chain, make_filtration
-from .ratpoly import RatPoly
+from .ratpoly import EQUAL, GREATER, RatPoly, nu_compare
 
 APPROX_POINT = 10**6  # evaluation point for CSV audit values
 
@@ -185,13 +185,16 @@ def _cmd_pair_canonical(args) -> dict:
     ]
     if result.source == "closed-form":
         check = oracle.brute_force_max(lat, pair=pair, delta=delta, bound=args.bound)
-        agrees = (
-            check.best is not None
-            and check.best.chain == result.filtration.chain
-            and check.best.weights == result.filtration.weights
-        )
+        verdict = nu_compare(check.value, result.value)
+        if check.best == result.filtration and verdict == EQUAL:
+            agrees, text = True, "agrees"
+        elif verdict != GREATER and max(map(abs, result.filtration.weights)) > args.bound:
+            # the oracle cannot see weights beyond its bound
+            agrees, text = None, f"inconclusive (closed-form weights exceed W={args.bound})"
+        else:
+            agrees, text = False, "disagrees"
         payload["oracle_agrees"] = agrees
-        lines.append(f"oracle (bound {args.bound}) agrees: {agrees}")
+        lines.append(f"oracle (bound {args.bound}): {text}")
     _emit(payload, lines, args.format)
     return payload
 

@@ -261,11 +261,13 @@ def build_lattice(
 def validate_lattice(raw: Mapping) -> SubobjectLattice:
     """Validate a raw description {dimension, objects, relations}."""
     try:
-        dim = int(raw["dimension"])
+        dim = raw["dimension"]
         objects = raw["objects"]
         relations = raw.get("relations", ())
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed lattice description: {exc}") from exc
+    if type(dim) is not int:
+        raise ParseError(f"dimension must be a JSON integer, got {dim!r}")
     if not isinstance(objects, (list, tuple)) or not isinstance(relations, (list, tuple)):
         raise ParseError("objects and relations must be lists")
     polys: dict[str, RatPoly | Mapping] = {}

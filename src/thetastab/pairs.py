@@ -12,15 +12,23 @@ Regimes:
 * deg(delta) >= d, delta > 0: semistable iff the marked image is the whole
   ambient object; otherwise a unique two-step destabilizer.
 * deg(delta) <= d-1, delta > 0: the Le Potier-style subobject criterion,
-  and the closed-form maximizer of the top (degree d-1) coefficient over
-  the weight cone of a chain, found by face descent.
+  and a closed-form maximizer of the top (degree d-1) coefficient.
 
-maximize_weights is exact: the top-coefficient objective is linear over
-the square root of a positive quadratic, so its maximum over the closed
-polyhedral weight cone is attained at a critical point of some face, or on
-an extreme ray; all of these are enumerated with rational arithmetic.  The
-returned chain may be coarser than the input chain - a boundary maximizer
-merges steps.
+The closed form.  With per-step units u and graded ranks r, the top
+coefficient <w, u> / sqrt(<w, R w>) is <w, x>_R / |w|_R for x = u / r in the
+r-weighted inner product, so (Moreau) its maximum over the weight cone
+{w_0 <= ... <= w_q} is attained, uniquely up to scale, at the projection
+P(x) of x onto the cone whenever P(x) != 0.  P(x) is the r-weighted
+isotonic regression of x, computed exactly by pool-adjacent-violators;
+pooling on >= merges blocks of equal mean, so the level sets of P(x) are
+the steps of the coarser chain the maximizer lives on.  When the
+unconstrained fit violates the pair constraint w_pivot >= 0, P(x) lies on
+the face w_pivot = 0, where the prefix is its own fit clipped to <= 0 and
+the suffix its own fit clipped to >= 0.  P(x) = 0 means the maximum is
+<= 0, attained on an extreme ray.  Refining a chain enlarges its cone (the
+inserted steps repeat the weight of the step they split, the pivot's
+included), so every chain's maximizer is that of its saturated
+refinements, and pair_canonical visits saturated chains only.
 """
 
 from __future__ import annotations
@@ -29,11 +37,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .canonical import is_semistable
-from .errors import DegenerateFiltration, DegreeTooLow, FlatObjective, Semistable
-from .invariant import b_norm, contributions, nu_delta
+from .errors import DegreeTooLow, FlatObjective, Semistable
+from .invariant import contributions, nu_delta
 from .lattice import (
     ObjectClass,
     PairObject,
+    SubobjectLattice,
     UnweightedFiltration,
     WeightedFiltration,
     make_chain,
@@ -47,17 +56,15 @@ from .ratpoly import EQUAL, GREATER, LESS, NuValue, RatPoly, eventual_compare, n
 
 @dataclass(frozen=True)
 class DeltaParam:
-    """Stability parameter: a rational Laurent polynomial, tagged with the
-    ambient dimension."""
+    """Stability parameter: a rational Laurent polynomial."""
 
     poly: RatPoly
-    dim: int
 
     @classmethod
-    def coerce(cls, delta: DeltaParam | RatPoly | None, dim: int) -> DeltaParam:
+    def coerce(cls, delta: DeltaParam | RatPoly | None) -> DeltaParam:
         if isinstance(delta, DeltaParam):
             return delta
-        return cls(poly=delta if delta is not None else RatPoly.zero(), dim=dim)
+        return cls(poly=delta if delta is not None else RatPoly.zero())
 
     @property
     def deg(self) -> int | float:
@@ -77,7 +84,7 @@ def pair_semistable(
     report witness None.
     """
     lat = pair.lattice
-    dp = DeltaParam.coerce(delta, lat.dim)
+    dp = DeltaParam.coerce(delta)
     sign = dp.sign()
     if sign == EQUAL:
         return is_semistable(lat)
@@ -117,7 +124,7 @@ def pair_canonical_high_degree(
 ) -> WeightedFiltration:
     """Unique (up to scale) maximizing filtration when deg(delta) >= d."""
     lat = pair.lattice
-    dp = DeltaParam.coerce(delta, lat.dim)
+    dp = DeltaParam.coerce(delta)
     if dp.deg < lat.dim:
         raise DegreeTooLow(f"need deg(delta) >= {lat.dim}, got {dp.deg}")
     if dp.sign() == LESS:
@@ -143,13 +150,17 @@ def nu_slope_coeff(
     f: WeightedFiltration, delta: DeltaParam | RatPoly | None
 ) -> NuValue:
     """Exact degree-(d-1) coefficient of the pair invariant, as a scalar."""
-    units = _slope_units(f, DeltaParam.coerce(delta, f.lattice.dim))
-    try:
-        b = b_norm(f)
-    except DegenerateFiltration:
+    units = _slope_units(f, DeltaParam.coerce(delta))
+    if not any(f.weights):
         return NuValue.zero()
-    numerator = sum((w * u for w, u in zip(f.weights, units)), Fraction(0))
-    return NuValue(RatPoly.const(numerator), b)
+    return _top_value(f.weights, units, [g.rank for g in f.gradeds])
+
+
+def _top_value(weights, units: list[Fraction], ranks: list[Fraction]) -> NuValue:
+    """<w, u> / sqrt(<w, R w>) for weights that are not all zero."""
+    numerator = sum((w * u for w, u in zip(weights, units)), Fraction(0))
+    norm = sum((r * w * w for w, r in zip(weights, ranks)), Fraction(0))
+    return NuValue(RatPoly.const(numerator), norm)
 
 
 @dataclass(frozen=True)
@@ -166,14 +177,17 @@ class WeightMaximum:
     pinned: int | None
 
 
-def _partitions(n: int):
-    """All splits of range(n) into consecutive groups, as start-index tuples."""
-    for mask in range(1 << max(n - 1, 0)):
-        starts = [0]
-        for cut in range(1, n):
-            if mask >> (cut - 1) & 1:
-                starts.append(cut)
-        yield tuple(starts)
+def _isotonic(units: list[Fraction], ranks: list[Fraction]) -> list[Fraction]:
+    """Weighted isotonic regression of units[i] / ranks[i], weights ranks[i],
+    by pool-adjacent-violators pooling on >=; the fitted value per index."""
+    blocks: list[tuple[Fraction, Fraction, int]] = []  # unit sum, rank sum, size
+    for u, r in zip(units, ranks):
+        size = 1
+        while blocks and blocks[-1][0] * r >= u * blocks[-1][1]:
+            pu, pr, ps = blocks.pop()
+            u, r, size = u + pu, r + pr, size + ps
+        blocks.append((u, r, size))
+    return [u / r for u, r, size in blocks for _ in range(size)]
 
 
 def maximize_weights(
@@ -183,14 +197,15 @@ def maximize_weights(
 ) -> WeightMaximum:
     """Exact maximizer of the degree-(d-1) coefficient over the weight cone.
 
-    The cone is {w_0 < ... < w_q}, intersected with {w_j >= 0} when the
+    The cone is {w_0 <= ... <= w_q}, intersected with {w_j >= 0} when the
     pair has a nonzero framing map and j is the deepest chain index whose
-    member contains the marked image.  Raises FlatObjective when the
+    member contains the marked image; pinned is the index of the step that
+    constraint holds at 0, else None.  Raises FlatObjective when the
     objective vanishes identically (every graded slope sits at the twisted
     ambient slope).
     """
     lat = chain.lattice
-    dp = DeltaParam.coerce(delta, lat.dim)
+    dp = DeltaParam.coerce(delta)
     if dp.deg > lat.dim - 1:
         raise ValueError(f"closed form needs deg(delta) <= {lat.dim - 1}")
     units = _slope_units(chain, dp)
@@ -201,64 +216,49 @@ def maximize_weights(
     pivot = pair_pivot_index(chain.chain, lat, beta) if beta is not None else None
     n = len(chain.chain)
 
-    best: tuple[NuValue, tuple[int, ...], tuple[Fraction, ...], int | None] | None = None
+    fit = _isotonic(units, ranks)
+    pinned = pivot is not None and fit[pivot] < 0
+    if pinned:
+        zero = Fraction(0)
+        fit = (
+            [min(w, zero) for w in _isotonic(units[:pivot], ranks[:pivot])]
+            + [zero]
+            + [max(w, zero) for w in _isotonic(units[pivot + 1:], ranks[pivot + 1:])]
+        )
+    if not any(fit):
+        # P(x) = 0: the maximum is <= 0, on the first best ray (up at k, or down into k)
+        def signed_square(weights: list[Fraction]) -> Fraction:
+            value = _top_value(weights, units, ranks)
+            return value.L.coeff(0) * abs(value.L.coeff(0)) / value.b
 
-    def consider(starts: tuple[int, ...], values: list[Fraction], pinned: int | None):
-        nonlocal best
-        if all(v == 0 for v in values):
-            return
-        if any(b <= a for a, b in zip(values, values[1:])):
-            return
-        group_u = _group_sums(units, starts)
-        group_r = _group_sums(ranks, starts)
-        if pivot is not None:
-            g_of_pivot = _group_of(starts, pivot)
-            if values[g_of_pivot] < 0:
-                return
-        numerator = sum((v * u for v, u in zip(values, group_u)), Fraction(0))
-        norm = sum((r * v * v for v, r in zip(values, group_r)), Fraction(0))
-        value = NuValue(RatPoly.const(numerator), norm)
-        if best is None or nu_compare(value, best[0]) == GREATER:
-            best = (value, starts, tuple(values), pinned)
-
-    for starts in _partitions(n):
-        group_u = _group_sums(units, starts)
-        group_r = _group_sums(ranks, starts)
-        critical = [u / r for u, r in zip(group_u, group_r)]
-        consider(starts, critical, None)
-        if pivot is not None:
-            g_of_pivot = _group_of(starts, pivot)
-            pinned_vals = list(critical)
-            pinned_vals[g_of_pivot] = Fraction(0)
-            consider(starts, pinned_vals, g_of_pivot)
-
-    # extreme rays of the closed cone (a single step up at k, or down into
-    # k) cover the case of a nonpositive maximum; repeated coordinates live
-    # on the merged partition
-    consider((0,), [Fraction(1)], None)
-    consider((0,), [Fraction(-1)], None)
-    for k in range(1, n):
-        consider((0, k), [Fraction(0), Fraction(1)], None)
-        consider((0, k), [Fraction(-1), Fraction(0)], None)
-
-    if best is None:
-        raise FlatObjective("weight cone admits no nonzero direction")
-    value, starts, values, pinned = best
-    merged = make_chain(lat, tuple(chain.chain[s] for s in starts))
-    return WeightMaximum(chain=merged, weights=values, value=value, pinned=pinned)
+        cuts = [(0, 1), (n, -1)] + [(k, s) for k in range(1, n) for s in (1, -1)]
+        rays = [
+            [Fraction(min(s, 0))] * k + [Fraction(max(s, 0))] * (n - k)
+            for k, s in cuts
+            if s > 0 or pivot is None or pivot >= k
+        ]
+        pinned, fit = False, max(rays, key=signed_square)
+    starts = tuple(i for i in range(n) if i == 0 or fit[i] != fit[i - 1])
+    return WeightMaximum(
+        chain=make_chain(lat, tuple(chain.chain[s] for s in starts)),
+        weights=tuple(fit[s] for s in starts),
+        value=_top_value(fit, units, ranks),
+        pinned=sum(s <= pivot for s in starts) - 1 if pinned else None,
+    )
 
 
-def _group_sums(entries, starts: tuple[int, ...]) -> list[Fraction]:
-    ends = list(starts[1:]) + [len(entries)]
-    return [sum(entries[a:b], Fraction(0)) for a, b in zip(starts, ends)]
-
-
-def _group_of(starts: tuple[int, ...], index: int) -> int:
-    group = 0
-    for g, s in enumerate(starts):
-        if s <= index:
-            group = g
-    return group
+def saturated_chains(lat: SubobjectLattice) -> list[UnweightedFiltration]:
+    """The chains of enumerate_chains whose every step, down to the zero
+    object, is a cover (no member lies strictly between its ends)."""
+    ids = lat.ids()
+    below = {sup: {sub for sub in ids if lat.lt(sub, sup)} for sup in ids}
+    covers = {
+        (sub, sup) for sup in ids for sub in below[sup].difference(*map(below.get, below[sup]))
+    }
+    return [
+        c for c in enumerate_chains(lat)
+        if covers.issuperset(zip(c.chain[1:] + (lat.zero_id,), c.chain))
+    ]
 
 
 @dataclass(frozen=True)
@@ -278,41 +278,36 @@ def pair_canonical(
     """Canonical maximizer of the pair invariant.
 
     For deg(delta) >= d the unique closed-form filtration is returned.  For
-    deg(delta) <= d-1, every chain's top-coefficient maximizer is computed
-    in closed form and the candidates are ranked by their full invariant;
-    any weighting with a smaller top coefficient is eventually dominated,
-    so when some chain achieves a positive top coefficient this is the
-    exact global maximizer.  When no chain does (the flat regime), the
+    deg(delta) <= d-1, every saturated chain's top-coefficient maximizer is
+    computed in closed form and the candidates are ranked by their full
+    invariant; any weighting with a smaller top coefficient is eventually
+    dominated, so when some chain achieves a positive top coefficient this
+    is the exact global maximizer.  When no chain does (the flat regime), the
     bounded-weight oracle decides.  Raises Semistable when nothing
     destabilizes.
     """
     lat = pair.lattice
-    dp = DeltaParam.coerce(delta, lat.dim)
+    dp = DeltaParam.coerce(delta)
     if dp.deg >= lat.dim:
         filt = pair_canonical_high_degree(pair, dp)
         return PairCanonicalResult(
             filtration=filt, value=nu_delta(filt, dp.poly), source="high-degree"
         )
 
-    zero = NuValue.zero()
     best: PairCanonicalResult | None = None
     best_key = None
-    for chain in enumerate_chains(lat):
+    for chain in saturated_chains(lat):
         try:
             wm = maximize_weights(chain, pair, dp)
         except FlatObjective:
             continue
-        if nu_compare(wm.value, zero) != GREATER:
+        if nu_compare(wm.value, NuValue.zero()) != GREATER:
             continue
-        weights = primitive_weights(wm.weights)
-        filt = make_filtration(lat, wm.chain.chain, weights, pair)
+        filt = make_filtration(lat, wm.chain.chain, primitive_weights(wm.weights), pair)
         value = nu_delta(filt, dp.poly)
         key = (len(filt.chain), filt.chain, filt.weights)
-        if (
-            best is None
-            or nu_compare(value, best.value) == GREATER
-            or (nu_compare(value, best.value) == EQUAL and key < best_key)
-        ):
+        order = GREATER if best is None else nu_compare(value, best.value)
+        if order == GREATER or (order == EQUAL and key < best_key):
             best = PairCanonicalResult(filtration=filt, value=value, source="closed-form")
             best_key = key
     if best is not None:
@@ -321,6 +316,4 @@ def pair_canonical(
     oracle = brute_force_max(lat, pair=pair, delta=dp.poly, bound=bound)
     if oracle.best is None:
         raise Semistable("no destabilizing filtration exists for this pair")
-    return PairCanonicalResult(
-        filtration=oracle.best, value=oracle.value, source="oracle"
-    )
+    return PairCanonicalResult(filtration=oracle.best, value=oracle.value, source="oracle")

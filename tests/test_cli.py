@@ -114,6 +114,48 @@ class TestPairCommands:
         assert payload["filtration"]["weights"] == [-1, 0, 3]
         assert payload["oracle_agrees"] is True
 
+    def test_pair_canonical_inconclusive_when_weights_exceed_bound(self, capsys, tmp_path):
+        # the closed form (-3, 0, 5, 21) lies beyond the W = 6 oracle and
+        # beats everything it finds
+        from conftest import coordinate_lattice
+
+        lat = coordinate_lattice({f"L{i}": (i * 7) % 5 - 2 + i for i in range(4)})
+        doc = lat.as_dict()
+        for entry in doc["objects"]:
+            entry["hilbert"] = {str(e): str(c) for e, c in entry["hilbert"].items()}
+        doc["pair"] = {"beta_image": "L0"}
+        path = tmp_path / "k4.lattice"
+        path.write_text(json.dumps(doc))
+        argv = ("pair-canonical", path, "--delta", "1/2", "--bound", "6")
+        code, payload, _ = run_json(capsys, *argv)
+        assert code == 0 and payload["source"] == "closed-form"
+        assert payload["filtration"]["weights"] == [-3, 0, 5, 21]
+        assert payload["oracle_agrees"] is None
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert "oracle (bound 6): inconclusive (closed-form weights exceed W=6)" in out
+
+    def test_pair_canonical_text_reports_agreement(self, capsys):
+        code, out, _ = run(
+            capsys, "pair-canonical", FIXTURES / "example_nonconvex.lattice",
+            "--delta", "0", "--bound", "6",
+        )
+        assert code == 0 and "oracle (bound 6): agrees" in out
+
+    def test_pair_canonical_reports_disagreement(self, capsys, monkeypatch):
+        from thetastab import make_filtration, nu_delta, pairs
+
+        def worse(pair, delta, bound):
+            filt = make_filtration(pair.lattice, ("F", "O5"), (0, 1), pair)
+            return pairs.PairCanonicalResult(filt, nu_delta(filt, delta), "closed-form")
+
+        monkeypatch.setattr(pairs, "pair_canonical", worse)
+        code, payload, _ = run_json(
+            capsys, "pair-canonical", FIXTURES / "example_nonconvex.lattice",
+            "--delta", "0", "--bound", "6",
+        )
+        assert code == 0 and payload["oracle_agrees"] is False
+
     def test_pair_canonical_semistable(self, capsys):
         code, _, err = run(
             capsys, "pair-canonical", FIXTURES / "o_o1_pair.lattice", "--delta", "1"
@@ -291,6 +333,9 @@ class TestMalformedInput:
             ("check", _lattice_doc(constant="1.5"), []),
             ("check", _HUGE_INT, []),
             ("sweep", None, ["--sweep-deltas", "1/2,0.75"]),
+            ("check", _lattice_doc(dimension=1.5), []),
+            ("check", _lattice_doc(dimension=True), []),
+            ("check", _lattice_doc(dimension="1"), []),
         ],
         ids=[
             "oracle-bound-0", "oracle-bound-negative",
@@ -300,6 +345,7 @@ class TestMalformedInput:
             "float", "json-infinity", "json-nan", "bool", "exponent-string",
             "inf-string", "nan-string", "underscore", "decimal-string",
             "integer-over-digit-limit", "sweep-decimal",
+            "dimension-float", "dimension-bool", "dimension-string",
         ],
     )
     def test_exits_2_with_parse_error(self, capsys, tmp_path, command, text, flags):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from thetastab import (
     NuValue,
     PairObject,
     RatPoly,
+    enumerate_chains,
     make_chain,
     make_filtration,
     maximize_weights,
@@ -19,9 +21,12 @@ from thetastab import (
     pair_semistable,
     primitive_weights,
 )
+from thetastab import pairs
 from thetastab.errors import DegreeTooLow, FlatObjective, Semistable
+from thetastab.pairs import saturated_chains
 
 from conftest import coordinate_lattice
+from reference_maximizer import all_chains_pair_canonical, face_enumeration_max
 
 
 def P(mapping):
@@ -172,6 +177,94 @@ class TestMaximizeWeights:
         result = maximize_weights(chain, pair_o_o1, const(1))
         assert result.weights == (Fraction(1),)
         assert nu_compare(result.value, NuValue.zero()) != GREATER
+
+
+def _random_pair(rng, max_summands, with_pair=True):
+    d = rng.choice((1, 2))
+    k = rng.randint(2, max_summands)
+    lat = coordinate_lattice({f"L{i}": rng.randint(-3, 3) for i in range(k)}, d)
+    beta = rng.choice(lat.nonzero_ids()) if with_pair else None
+    return lat, PairObject(lattice=lat, beta_image=beta), d
+
+
+def _outcome(maximizer, chain, pair, delta):
+    try:
+        wm = maximizer(chain, pair, delta)
+    except FlatObjective:
+        return "flat"
+    return wm.value, wm.chain.chain, wm.weights, wm.pinned
+
+
+class TestMaximizeWeightsAgainstFaceEnumeration:
+    def test_seeded_chains(self):
+        # PAVA against trying every face: value, merged chain, exact (hence
+        # primitive) weights, pinned group, and FlatObjective, over all three
+        # signs of delta; every fourth lattice has a zero framing map and
+        # every fourth no pair at all
+        rng = random.Random(20240603)
+        seen = {"flat": 0, "pinned": 0, "nonpositive": 0, "no pair": 0}
+        for trial in range(40):
+            lat, pair, d = _random_pair(rng, 5, with_pair=trial % 4 != 0)
+            if trial % 4 == 3:
+                pair = None
+            chains = enumerate_chains(lat)
+            for chain in rng.sample(chains, min(len(chains), 40)):
+                numerator = rng.choice((0, rng.randint(-6, 6)))
+                delta = RatPoly({d - 1: Fraction(numerator, rng.randint(1, 4))})
+                expected = _outcome(face_enumeration_max, chain, pair, delta)
+                assert _outcome(maximize_weights, chain, pair, delta) == expected
+                if expected == "flat":
+                    seen["flat"] += 1
+                    continue
+                seen["pinned"] += expected[3] is not None
+                seen["nonpositive"] += nu_compare(expected[0], NuValue.zero()) != GREATER
+                seen["no pair"] += pair is None or pair.beta_image is None
+        assert all(seen.values()), seen
+
+
+class TestSaturatedChains:
+    @pytest.mark.parametrize("k,expected", [(4, 24), (5, 120), (6, 720)])
+    def test_counts_on_coordinate_lattices(self, k, expected):
+        lat = coordinate_lattice({f"L{i}": (i * 7) % 5 - 2 + i for i in range(k)})
+        chains = saturated_chains(lat)
+        assert len(chains) == expected
+        assert all(len(c.chain) == k for c in chains)
+
+    def test_pair_canonical_visits_only_saturated_chains(self, monkeypatch):
+        lat = coordinate_lattice({f"L{i}": (i * 7) % 5 - 2 + i for i in range(5)})
+        pair = PairObject(lattice=lat, beta_image="L0")
+        calls = []
+        original = pairs.maximize_weights
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].chain)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pairs, "maximize_weights", counting)
+        result = pair_canonical(pair, const(Fraction(1, 2)), bound=4)
+        assert result.source == "closed-form"
+        assert len(calls) == 120 and len(set(calls)) == 120
+        assert len(enumerate_chains(lat)) == 541
+
+    def test_matches_all_chains_reference(self):
+        rng = random.Random(7325)
+        sources = set()
+        for _ in range(40):
+            lat, pair, d = _random_pair(rng, 4, with_pair=rng.random() < 0.8)
+            delta = RatPoly({d - 1: Fraction(rng.randint(-2, 6), rng.randint(1, 3))})
+            outcomes = []
+            for canonical in (pair_canonical, all_chains_pair_canonical):
+                try:
+                    r = canonical(pair, delta, bound=2)
+                except Semistable:
+                    outcomes.append("semistable")
+                else:
+                    outcomes.append(
+                        (r.filtration.chain, r.filtration.weights, r.value, r.source)
+                    )
+            assert outcomes[0] == outcomes[1]
+            sources.add(outcomes[0] if outcomes[0] == "semistable" else outcomes[0][3])
+        assert sources == {"closed-form", "oracle", "semistable"}, sources
 
 
 class TestPairCanonical:

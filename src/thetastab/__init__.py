@@ -41,7 +41,6 @@ from .lattice import (
 )
 from .oracle import OracleResult, brute_force_max, enumerate_chains, iter_candidates
 from .pairs import (
-    DeltaParam,
     PairCanonicalResult,
     WeightMaximum,
     maximize_weights,

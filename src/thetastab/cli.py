@@ -23,10 +23,9 @@ from .latfile import (
     nu_json,
     nu_text,
     parse_delta,
-    parse_rational,
 )
 from .lattice import PairObject, WeightedFiltration, graded_pieces, make_chain, make_filtration
-from .ratpoly import EQUAL, GREATER, RatPoly, nu_compare
+from .ratpoly import EQUAL, GREATER, RatPoly, as_fraction, nu_compare
 
 APPROX_POINT = 10**6  # evaluation point for CSV audit values
 
@@ -204,7 +203,7 @@ def _cmd_sweep(args) -> dict:
     pair = _require_pair(pair)
     if not args.sweep_deltas:
         raise ParseError("sweep requires --sweep-deltas v1,v2,...")
-    values = [parse_rational(part) for part in args.sweep_deltas.split(",")]
+    values = [as_fraction(part) for part in args.sweep_deltas.split(",")]
     rows = []
     previous = None
     for val in values:

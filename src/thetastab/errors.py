@@ -101,4 +101,7 @@ class DegreeTooLow(StabilityError):
 
 
 class FlatObjective(StabilityError):
-    """The top-coefficient objective vanishes identically on the weight cone."""
+    """The top-coefficient objective vanishes identically on the weight cone.
+
+    pairs.maximize_weights reports this case (and every other maximum <= 0)
+    as None; the class stays for callers that name it."""

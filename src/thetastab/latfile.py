@@ -14,8 +14,10 @@ A lattice file is a JSON document:
     }
 
 Rationals are strings matching [+-]?digits(/digits)?, or plain JSON
-integers; floats, exponents, inf/nan and underscores are rejected.
-Polynomials map exponent strings to rationals, zero coefficients omitted.
+integers; floats, exponents, inf/nan, underscores and booleans are
+rejected (ratpoly.as_fraction is the one parser, for files and for
+validate_lattice alike).  Polynomials map exponent strings to rationals,
+zero coefficients omitted.
 Inclusions of the zero object and into the ambient object need not be
 declared.
 
@@ -32,40 +34,12 @@ from pathlib import Path
 
 from .errors import ParseError
 from .lattice import PairObject, SubobjectLattice, validate_lattice
-from .ratpoly import NuValue, RatPoly
-
-
-_RATIONAL = re.compile(r"\s*[+-]?[0-9]+(?:/[0-9]+)?\s*")
-
-
-def parse_rational(text: str | int) -> Fraction:
-    """Parse a "p/q" or "p" string (surrounding blanks allowed) or an int."""
-    if isinstance(text, int) and not isinstance(text, bool):
-        return Fraction(text)
-    if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
-        raise ParseError(f"bad rational literal {text!r}")
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:  # zero denominator, digit limit
-        raise ParseError(f"bad rational literal {text!r}") from exc
+from .ratpoly import NuValue, RatPoly, as_fraction
 
 
 def format_rational(value: Fraction) -> str:
     value = Fraction(value)
     return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
-
-
-def parse_poly(mapping) -> RatPoly:
-    if not isinstance(mapping, dict):
-        raise ParseError(f"polynomial must be an exponent->coefficient map, got {mapping!r}")
-    coeffs = {}
-    for exp, coeff in mapping.items():
-        try:
-            exponent = int(exp)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"bad exponent {exp!r}") from exc
-        coeffs[exponent] = parse_rational(coeff)
-    return RatPoly(coeffs)
 
 
 def format_poly(poly: RatPoly) -> dict[str, str]:
@@ -105,7 +79,7 @@ def parse_delta(literal: str) -> RatPoly:
         ):
             raise ParseError(f"bad term {piece!r} in delta literal {literal!r}")
         coeff_text = match.group("coeff")
-        coeff = sign * (parse_rational(coeff_text) if coeff_text else Fraction(1))
+        coeff = sign * (as_fraction(coeff_text) if coeff_text else Fraction(1))
         if match.group("var"):
             exponent = int(match.group("exp")) if match.group("exp") else 1
         else:
@@ -127,10 +101,6 @@ def load_lattice(path: str | Path) -> tuple[SubobjectLattice, PairObject | None]
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: top-level document must be an object")
 
-    objects = raw.get("objects", ())
-    for entry in objects if isinstance(objects, list) else ():
-        if isinstance(entry, dict) and "hilbert" in entry:
-            entry["hilbert"] = parse_poly(entry["hilbert"])
     lattice = validate_lattice(raw)
 
     pair = None

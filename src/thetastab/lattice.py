@@ -22,6 +22,7 @@ Structural conventions:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, gcd, lcm
@@ -61,12 +62,26 @@ class ObjectClass:
         return self.stats is None
 
 
+_EXPONENT = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
 def _coerce_poly(value: RatPoly | Mapping) -> RatPoly:
+    """A RatPoly, or an exponent -> coefficient map with integer (or
+    integer-string) exponents and coefficients as ratpoly.as_fraction reads
+    them; anything else is a ParseError."""
     if isinstance(value, RatPoly):
         return value
-    if isinstance(value, Mapping):
-        return RatPoly({int(k): v for k, v in value.items()})
-    raise ParseError(f"cannot interpret {value!r} as a polynomial")
+    if not isinstance(value, Mapping):
+        raise ParseError(f"polynomial must be an exponent->coefficient map, got {value!r}")
+    coeffs = {}
+    for exp, coeff in value.items():
+        try:
+            if type(exp) is not int and not _EXPONENT.fullmatch(exp):
+                raise ValueError
+            coeffs[int(exp)] = coeff
+        except (TypeError, ValueError) as exc:  # not a string, not digits, digit limit
+            raise ParseError(f"bad exponent {exp!r}") from exc
+    return RatPoly(coeffs)
 
 
 class SubobjectLattice:
@@ -132,34 +147,6 @@ class SubobjectLattice:
         return f"SubobjectLattice(d={self.dim}, top={self.top_id!r}, members={len(self._members)})"
 
 
-def _find_cycle(nodes: Iterable[str], edges: set[tuple[str, str]]) -> bool:
-    succ: dict[str, list[str]] = {n: [] for n in nodes}
-    for a, b in edges:
-        succ[a].append(b)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in succ}
-    for root in succ:
-        if color[root] != WHITE:
-            continue
-        stack = [(root, iter(succ[root]))]
-        color[root] = GRAY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == GRAY:
-                    return True
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, iter(succ[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
-    return False
-
-
 def build_lattice(
     dim: int,
     polys: Mapping[str, RatPoly | Mapping],
@@ -216,9 +203,6 @@ def build_lattice(
         if i not in (top_id, zero_id):
             edges.add((i, top_id))
 
-    if _find_cycle(coerced, edges):
-        raise CycleInRelation("declared inclusions contain a cycle")
-
     # Transitive closure by DFS from each node; member counts are small.
     succ: dict[str, set[str]] = {n: set() for n in coerced}
     for a, b in edges:
@@ -234,6 +218,8 @@ def build_lattice(
             seen.add(node)
             stack.extend(succ[node])
         closure.update((start, t) for t in seen)
+    if any((n, n) in closure for n in coerced):
+        raise CycleInRelation("declared inclusions contain a cycle")
 
     for sub, sup in sorted(closure):
         if ranks[sub] >= ranks[sup]:

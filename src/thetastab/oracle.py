@@ -42,16 +42,22 @@ class OracleResult:
     explored: int
 
 
-def enumerate_chains(lat: SubobjectLattice) -> list[UnweightedFiltration]:
-    """All strictly increasing chains of nonzero members ending at top,
-    in lexicographic order of their id tuples.
-
-    A depth-first walk over sorted candidates visits the chains in that
-    order; chains sharing a prefix share its graded pieces, and each
-    quotient is computed once per call.
-    """
+def _below(lat: SubobjectLattice) -> dict[str, list[str]]:
+    """Sorted nonzero members strictly below each nonzero member."""
     nonzero = lat.nonzero_ids()
-    below = {sup: [sub for sub in nonzero if lat.lt(sub, sup)] for sup in nonzero}
+    return {sup: [sub for sub in nonzero if lat.lt(sub, sup)] for sup in nonzero}
+
+
+def _walk(
+    lat: SubobjectLattice, children: dict[str, list[str]]
+) -> list[UnweightedFiltration]:
+    """Every chain top > c_1 > ... with each c_(i+1) in children[c_i], in
+    lexicographic order of the id tuples (children lists are sorted).
+
+    A depth-first walk visits the chains in that order; chains sharing a
+    prefix share its graded pieces, and each quotient is computed once per
+    call.
+    """
     quotients: dict[tuple[str, str], HilbertStats] = {}
 
     def quotient(sub: str, sup: str) -> HilbertStats:
@@ -67,11 +73,30 @@ def enumerate_chains(lat: SubobjectLattice) -> list[UnweightedFiltration]:
         deepest = prefix[-1]
         gradeds = upper + (quotient(lat.zero_id, deepest),)
         chains.append(UnweightedFiltration(lattice=lat, chain=prefix, gradeds=gradeds))
-        for sub in below[deepest]:
+        for sub in children[deepest]:
             extend(prefix + (sub,), upper + (quotient(sub, deepest),))
 
     extend((lat.top_id,), ())
     return chains
+
+
+def enumerate_chains(lat: SubobjectLattice) -> list[UnweightedFiltration]:
+    """All strictly increasing chains of nonzero members ending at top,
+    in lexicographic order of their id tuples."""
+    return _walk(lat, _below(lat))
+
+
+def saturated_chains(lat: SubobjectLattice) -> list[UnweightedFiltration]:
+    """The chains of enumerate_chains whose every step, down to the zero
+    object, is a cover (no member lies strictly between its ends), in the
+    same order: the walk follows covers only and keeps the chains whose
+    deepest member has nothing nonzero below it."""
+    below = _below(lat)
+    covers = {
+        sup: [sub for sub in subs if not any(lat.lt(sub, m) for m in subs)]
+        for sup, subs in below.items()
+    }
+    return [c for c in _walk(lat, covers) if not below[c.chain[-1]]]
 
 
 def iter_candidates(

@@ -24,8 +24,10 @@ pooling on >= merges blocks of equal mean, so the level sets of P(x) are
 the steps of the coarser chain the maximizer lives on.  When the
 unconstrained fit violates the pair constraint w_pivot >= 0, P(x) lies on
 the face w_pivot = 0, where the prefix is its own fit clipped to <= 0 and
-the suffix its own fit clipped to >= 0.  P(x) = 0 means the maximum is
-<= 0, attained on an extreme ray.  Refining a chain enlarges its cone (the
+the suffix its own fit clipped to >= 0.  Since <P(x), x>_R = |P(x)|_R^2,
+the maximum is positive exactly when P(x) != 0; a chain with P(x) = 0
+(an identically flat objective among them) offers no destabilizing
+weights and is skipped.  Refining a chain enlarges its cone (the
 inserted steps repeat the weight of the step they split, the pivot's
 included), so every chain's maximizer is that of its saturated
 refinements, and pair_canonical visits saturated chains only.
@@ -37,45 +39,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .canonical import is_semistable
-from .errors import DegreeTooLow, FlatObjective, Semistable
+from .errors import DegreeTooLow, Semistable
 from .invariant import contributions, nu_delta
 from .lattice import (
     ObjectClass,
     PairObject,
-    SubobjectLattice,
     UnweightedFiltration,
     WeightedFiltration,
-    make_chain,
     make_filtration,
     pair_pivot_index,
     primitive_weights,
 )
-from .oracle import brute_force_max, enumerate_chains
+from .oracle import brute_force_max, saturated_chains
 from .ratpoly import EQUAL, GREATER, LESS, NuValue, RatPoly, eventual_compare, nu_compare
 
 
-@dataclass(frozen=True)
-class DeltaParam:
-    """Stability parameter: a rational Laurent polynomial."""
-
-    poly: RatPoly
-
-    @classmethod
-    def coerce(cls, delta: DeltaParam | RatPoly | None) -> DeltaParam:
-        if isinstance(delta, DeltaParam):
-            return delta
-        return cls(poly=delta if delta is not None else RatPoly.zero())
-
-    @property
-    def deg(self) -> int | float:
-        return self.poly.degree()
-
-    def sign(self) -> int:
-        return eventual_compare(self.poly, RatPoly.zero())
-
-
 def pair_semistable(
-    pair: PairObject, delta: DeltaParam | RatPoly | None
+    pair: PairObject, delta: RatPoly | None
 ) -> tuple[bool, ObjectClass | None]:
     """Semistability verdict for the pair at the given delta, with witness.
 
@@ -84,13 +64,13 @@ def pair_semistable(
     report witness None.
     """
     lat = pair.lattice
-    dp = DeltaParam.coerce(delta)
-    sign = dp.sign()
+    delta = RatPoly.zero() if delta is None else delta
+    sign = eventual_compare(delta, RatPoly.zero())
     if sign == EQUAL:
         return is_semistable(lat)
     if sign == LESS:
         return False, None
-    if dp.deg >= lat.dim:
+    if delta.degree() >= lat.dim:
         # big-degree regime: cokernel must vanish in dimension d
         if pair.beta_image == lat.top_id:
             return True, None
@@ -100,14 +80,14 @@ def pair_semistable(
     if pair.beta_image is None:
         return False, None
     top = lat.top.stats
-    threshold = top.reduced + dp.poly * (Fraction(1) / top.rank)
+    threshold = top.reduced + delta * (Fraction(1) / top.rank)
     worst: ObjectClass | None = None
     worst_margin: RatPoly | None = None
     for member_id in lat.proper_nonzero_ids():
         member = lat.member(member_id)
         bound = member.stats.reduced
         if lat.leq(pair.beta_image, member_id):
-            bound = bound + dp.poly * (Fraction(1) / member.stats.rank)
+            bound = bound + delta * (Fraction(1) / member.stats.rank)
         margin = bound - threshold
         if eventual_compare(margin, RatPoly.zero()) != GREATER:
             continue
@@ -120,14 +100,14 @@ def pair_semistable(
 
 
 def pair_canonical_high_degree(
-    pair: PairObject, delta: DeltaParam | RatPoly
+    pair: PairObject, delta: RatPoly | None
 ) -> WeightedFiltration:
     """Unique (up to scale) maximizing filtration when deg(delta) >= d."""
     lat = pair.lattice
-    dp = DeltaParam.coerce(delta)
-    if dp.deg < lat.dim:
-        raise DegreeTooLow(f"need deg(delta) >= {lat.dim}, got {dp.deg}")
-    if dp.sign() == LESS:
+    delta = RatPoly.zero() if delta is None else delta
+    if delta.degree() < lat.dim:
+        raise DegreeTooLow(f"need deg(delta) >= {lat.dim}, got {delta.degree()}")
+    if eventual_compare(delta, RatPoly.zero()) == LESS:
         return make_filtration(lat, (lat.top_id,), (1,), pair)
     if pair.beta_image is None:
         return make_filtration(lat, (lat.top_id,), (-1,), pair)
@@ -137,20 +117,18 @@ def pair_canonical_high_degree(
 
 
 def _slope_units(
-    chain: UnweightedFiltration | WeightedFiltration, dp: DeltaParam
+    chain: UnweightedFiltration | WeightedFiltration, delta: RatPoly | None
 ) -> list[Fraction]:
     """Per-unit-weight contributions to the n^(d-1) coefficient of nu*sqrt(b)."""
     d = chain.lattice.dim
     if d < 1:
         raise ValueError("slope coefficient needs dimension >= 1")
-    return [c.coeff(d - 1) for c in contributions(chain, dp.poly)]
+    return [c.coeff(d - 1) for c in contributions(chain, delta)]
 
 
-def nu_slope_coeff(
-    f: WeightedFiltration, delta: DeltaParam | RatPoly | None
-) -> NuValue:
+def nu_slope_coeff(f: WeightedFiltration, delta: RatPoly | None) -> NuValue:
     """Exact degree-(d-1) coefficient of the pair invariant, as a scalar."""
-    units = _slope_units(f, DeltaParam.coerce(delta))
+    units = _slope_units(f, delta)
     if not any(f.weights):
         return NuValue.zero()
     return _top_value(f.weights, units, [g.rank for g in f.gradeds])
@@ -165,13 +143,15 @@ def _top_value(weights, units: list[Fraction], ranks: list[Fraction]) -> NuValue
 
 @dataclass(frozen=True)
 class WeightMaximum:
-    """Maximizer of the top coefficient over a chain's closed weight cone.
+    """Positive maximizer of the top coefficient over a chain's closed
+    weight cone.
 
-    chain may be coarser than the queried chain (boundary maximizers merge
-    steps); weights are exact rationals, unique up to positive scale.
+    chain holds the member ids of the steps, and may be coarser than the
+    queried chain (boundary maximizers merge steps); weights are exact
+    rationals, unique up to positive scale; value is positive.
     """
 
-    chain: UnweightedFiltration
+    chain: tuple[str, ...]
     weights: tuple[Fraction, ...]
     value: NuValue
     pinned: int | None
@@ -193,28 +173,25 @@ def _isotonic(units: list[Fraction], ranks: list[Fraction]) -> list[Fraction]:
 def maximize_weights(
     chain: UnweightedFiltration,
     pair: PairObject | None,
-    delta: DeltaParam | RatPoly | None,
-) -> WeightMaximum:
-    """Exact maximizer of the degree-(d-1) coefficient over the weight cone.
+    delta: RatPoly | None,
+) -> WeightMaximum | None:
+    """Exact maximizer of the degree-(d-1) coefficient over the weight cone,
+    or None when the maximum is <= 0 (the projection P(x) is zero).
 
     The cone is {w_0 <= ... <= w_q}, intersected with {w_j >= 0} when the
     pair has a nonzero framing map and j is the deepest chain index whose
     member contains the marked image; pinned is the index of the step that
-    constraint holds at 0, else None.  Raises FlatObjective when the
-    objective vanishes identically (every graded slope sits at the twisted
-    ambient slope).
+    constraint holds at 0, else None.  An objective that vanishes
+    identically (every graded slope sits at the twisted ambient slope) has
+    P(x) = 0, so it gives None too.
     """
     lat = chain.lattice
-    dp = DeltaParam.coerce(delta)
-    if dp.deg > lat.dim - 1:
+    if delta is not None and delta.degree() > lat.dim - 1:
         raise ValueError(f"closed form needs deg(delta) <= {lat.dim - 1}")
-    units = _slope_units(chain, dp)
+    units = _slope_units(chain, delta)
     ranks = [g.rank for g in chain.gradeds]
-    if all(u == 0 for u in units):
-        raise FlatObjective("top-coefficient objective vanishes on the whole cone")
     beta = pair.beta_image if pair is not None else None
     pivot = pair_pivot_index(chain.chain, lat, beta) if beta is not None else None
-    n = len(chain.chain)
 
     fit = _isotonic(units, ranks)
     pinned = pivot is not None and fit[pivot] < 0
@@ -226,39 +203,14 @@ def maximize_weights(
             + [max(w, zero) for w in _isotonic(units[pivot + 1:], ranks[pivot + 1:])]
         )
     if not any(fit):
-        # P(x) = 0: the maximum is <= 0, on the first best ray (up at k, or down into k)
-        def signed_square(weights: list[Fraction]) -> Fraction:
-            value = _top_value(weights, units, ranks)
-            return value.L.coeff(0) * abs(value.L.coeff(0)) / value.b
-
-        cuts = [(0, 1), (n, -1)] + [(k, s) for k in range(1, n) for s in (1, -1)]
-        rays = [
-            [Fraction(min(s, 0))] * k + [Fraction(max(s, 0))] * (n - k)
-            for k, s in cuts
-            if s > 0 or pivot is None or pivot >= k
-        ]
-        pinned, fit = False, max(rays, key=signed_square)
-    starts = tuple(i for i in range(n) if i == 0 or fit[i] != fit[i - 1])
+        return None
+    starts = tuple(i for i in range(len(fit)) if i == 0 or fit[i] != fit[i - 1])
     return WeightMaximum(
-        chain=make_chain(lat, tuple(chain.chain[s] for s in starts)),
+        chain=tuple(chain.chain[s] for s in starts),
         weights=tuple(fit[s] for s in starts),
         value=_top_value(fit, units, ranks),
         pinned=sum(s <= pivot for s in starts) - 1 if pinned else None,
     )
-
-
-def saturated_chains(lat: SubobjectLattice) -> list[UnweightedFiltration]:
-    """The chains of enumerate_chains whose every step, down to the zero
-    object, is a cover (no member lies strictly between its ends)."""
-    ids = lat.ids()
-    below = {sup: {sub for sub in ids if lat.lt(sub, sup)} for sup in ids}
-    covers = {
-        (sub, sup) for sup in ids for sub in below[sup].difference(*map(below.get, below[sup]))
-    }
-    return [
-        c for c in enumerate_chains(lat)
-        if covers.issuperset(zip(c.chain[1:] + (lat.zero_id,), c.chain))
-    ]
 
 
 @dataclass(frozen=True)
@@ -272,7 +224,7 @@ class PairCanonicalResult:
 
 def pair_canonical(
     pair: PairObject,
-    delta: DeltaParam | RatPoly | None,
+    delta: RatPoly | None,
     bound: int = 6,
 ) -> PairCanonicalResult:
     """Canonical maximizer of the pair invariant.
@@ -287,24 +239,21 @@ def pair_canonical(
     destabilizes.
     """
     lat = pair.lattice
-    dp = DeltaParam.coerce(delta)
-    if dp.deg >= lat.dim:
-        filt = pair_canonical_high_degree(pair, dp)
+    delta = RatPoly.zero() if delta is None else delta
+    if delta.degree() >= lat.dim:
+        filt = pair_canonical_high_degree(pair, delta)
         return PairCanonicalResult(
-            filtration=filt, value=nu_delta(filt, dp.poly), source="high-degree"
+            filtration=filt, value=nu_delta(filt, delta), source="high-degree"
         )
 
     best: PairCanonicalResult | None = None
     best_key = None
     for chain in saturated_chains(lat):
-        try:
-            wm = maximize_weights(chain, pair, dp)
-        except FlatObjective:
+        wm = maximize_weights(chain, pair, delta)
+        if wm is None:
             continue
-        if nu_compare(wm.value, NuValue.zero()) != GREATER:
-            continue
-        filt = make_filtration(lat, wm.chain.chain, primitive_weights(wm.weights), pair)
-        value = nu_delta(filt, dp.poly)
+        filt = make_filtration(lat, wm.chain, primitive_weights(wm.weights), pair)
+        value = nu_delta(filt, delta)
         key = (len(filt.chain), filt.chain, filt.weights)
         order = GREATER if best is None else nu_compare(value, best.value)
         if order == GREATER or (order == EQUAL and key < best_key):
@@ -313,7 +262,7 @@ def pair_canonical(
     if best is not None:
         return best
 
-    oracle = brute_force_max(lat, pair=pair, delta=dp.poly, bound=bound)
+    oracle = brute_force_max(lat, pair=pair, delta=delta, bound=bound)
     if oracle.best is None:
         raise Semistable("no destabilizing filtration exists for this pair")
     return PairCanonicalResult(filtration=oracle.best, value=oracle.value, source="oracle")

@@ -22,13 +22,14 @@ and the i-th slope is a_i / a_d.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from math import factorial
 from typing import Mapping, Union
 
-from .errors import DegreeMismatch, NonpositiveRank
+from .errors import DegreeMismatch, NonpositiveRank, ParseError
 
 RationalLike = Union[int, str, Fraction]
 
@@ -38,15 +39,23 @@ NEG_INFINITY = float("-inf")
 LESS, EQUAL, GREATER = -1, 0, 1
 
 
+_RATIONAL = re.compile(r"\s*[+-]?[0-9]+(?:/[0-9]+)?\s*")
+
+
 def as_fraction(value: RationalLike) -> Fraction:
-    """Coerce ints, 'p/q' strings and Fractions to an exact Fraction."""
+    """The one rational grammar: a Fraction, a plain int (not a bool), or a
+    "p/q" or "p" string of ASCII digits (blanks around allowed).  Floats,
+    exponent forms, inf/nan and underscores are ParseErrors."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if type(value) is int:
         return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as a rational number")
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:  # zero denominator, digit limit
+            raise ParseError(f"bad rational literal {value!r}") from exc
+    raise ParseError(f"bad rational literal {value!r}")
 
 
 def _sign(x: Fraction) -> int:

@@ -27,7 +27,6 @@ from thetastab import (
     brute_force_max,
     contributions,
     enumerate_chains,
-    make_chain,
     make_filtration,
     nu_compare,
     nu_delta,
@@ -63,7 +62,10 @@ def _group_of(starts: tuple[int, ...], index: int) -> int:
 
 def face_enumeration_max(chain, pair, delta: RatPoly) -> WeightMaximum:
     """Maximizer of the degree-(d-1) coefficient over the chain's weight
-    cone, by trying every face; same contract as maximize_weights."""
+    cone, by trying every face and every extreme ray.  Unlike
+    maximize_weights, which returns None for both, it reports a maximum
+    <= 0 (on the best extreme ray) and raises FlatObjective when the
+    objective vanishes identically."""
     lat = chain.lattice
     if delta.degree() > lat.dim - 1:
         raise ValueError(f"closed form needs deg(delta) <= {lat.dim - 1}")
@@ -111,7 +113,7 @@ def face_enumeration_max(chain, pair, delta: RatPoly) -> WeightMaximum:
         consider((0, k), [Fraction(-1), Fraction(0)], None)
 
     value, starts, values, pinned = best
-    merged = make_chain(lat, tuple(chain.chain[s] for s in starts))
+    merged = tuple(chain.chain[s] for s in starts)
     return WeightMaximum(chain=merged, weights=values, value=value, pinned=pinned)
 
 
@@ -127,7 +129,7 @@ def all_chains_pair_canonical(pair, delta: RatPoly, bound: int) -> PairCanonical
             continue
         if nu_compare(wm.value, zero) != GREATER:
             continue
-        filt = make_filtration(lat, wm.chain.chain, primitive_weights(wm.weights), pair)
+        filt = make_filtration(lat, wm.chain, primitive_weights(wm.weights), pair)
         value = nu_delta(filt, delta)
         key = (len(filt.chain), filt.chain, filt.weights)
         if (

@@ -18,6 +18,7 @@ from thetastab.errors import (
     MissingTopOrZero,
     NotComparable,
     PairConstraintViolated,
+    ParseError,
     QuotientNotPure,
     RankNotIncreasing,
     WeightsNotIncreasing,
@@ -52,6 +53,48 @@ class TestValidateLattice:
                 {"0": RatPoly.zero(), "O2": P({1: 1, 0: 3}), "F": P({1: 2, 0: 4})},
                 [("F", "O2")],
             )
+
+    def test_cycle_between_proper_members(self):
+        # equal ranks would also fail the rank check; the cycle is found first
+        with pytest.raises(CycleInRelation):
+            build_lattice(
+                1,
+                {
+                    "0": RatPoly.zero(),
+                    "A": P({1: 1, 0: 3}),
+                    "B": P({1: 1, 0: 2}),
+                    "F": P({1: 3, 0: 6}),
+                },
+                [("A", "B"), ("B", "A")],
+            )
+
+    @pytest.mark.parametrize(
+        "hilbert",
+        [
+            {"1": 1.5, "0": 3},
+            {"x": 1, "0": 3},
+            {"1": "1e3", "0": 3},
+            {"1": True, "0": 3},
+            {1.0: 1, "0": 3},
+            {True: 1, "0": 3},
+        ],
+        ids=[
+            "float-coefficient",
+            "exponent-x",
+            "exponent-form-coefficient",
+            "bool-coefficient",
+            "float-exponent",
+            "bool-exponent",
+        ],
+    )
+    def test_rational_grammar(self, hilbert):
+        # the grammar of lattice files holds for raw descriptions too
+        raw = {
+            "dimension": 1,
+            "objects": [{"id": "0", "hilbert": {}}, {"id": "F", "hilbert": hilbert}],
+        }
+        with pytest.raises(ParseError):
+            validate_lattice(raw)
 
     def test_rank_must_strictly_increase(self):
         with pytest.raises(RankNotIncreasing):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -23,9 +24,10 @@ from thetastab import (
 )
 from thetastab import pairs
 from thetastab.errors import DegreeTooLow, FlatObjective, Semistable
+from thetastab.latfile import load_lattice
 from thetastab.pairs import saturated_chains
 
-from conftest import coordinate_lattice
+from conftest import FIXTURES, coordinate_lattice
 from reference_maximizer import all_chains_pair_canonical, face_enumeration_max
 
 
@@ -145,7 +147,7 @@ class TestMaximizeWeights:
     def test_pair_example_pins_image_weight(self, lat_b3, pair_b3):
         chain = make_chain(lat_b3, ("F", "O5+O", "O5"))
         result = maximize_weights(chain, pair_b3, RatPoly.zero())
-        assert result.chain.chain == ("F", "O5+O", "O5")
+        assert result.chain == ("F", "O5+O", "O5")
         assert primitive_weights(result.weights) == (-1, 0, 3)
         assert result.pinned == 1
         assert result.value == NuValue(P({0: 10}), Fraction(10))
@@ -160,7 +162,7 @@ class TestMaximizeWeights:
     def test_order_violation_merges_once(self, lat_b3):
         chain = make_chain(lat_b3, ("F", "O5+O", "O5"))
         result = maximize_weights(chain, None, RatPoly.zero())
-        assert result.chain.chain == ("F", "O5")
+        assert result.chain == ("F", "O5")
         assert primitive_weights(result.weights) == (-1, 2)
         # value sqrt(27/2)
         assert nu_compare(result.value, NuValue(P({0: 27}), Fraction(54))) == EQUAL
@@ -168,15 +170,13 @@ class TestMaximizeWeights:
     def test_flat_objective(self):
         lat = coordinate_lattice({"A": 0, "B": 0})
         chain = make_chain(lat, ("F", "A"))
-        with pytest.raises(FlatObjective):
-            maximize_weights(chain, None, RatPoly.zero())
+        assert maximize_weights(chain, None, RatPoly.zero()) is None
 
     def test_trivial_chain_with_pair_negative_max(self, lat_o_o1, pair_o_o1):
-        # only direction is w > 0; objective coefficient is -delta_0 < 0
+        # only direction is w > 0; objective coefficient is -delta_0 < 0,
+        # so no weight is positive and there is no maximizer to report
         chain = make_chain(lat_o_o1, ("F",))
-        result = maximize_weights(chain, pair_o_o1, const(1))
-        assert result.weights == (Fraction(1),)
-        assert nu_compare(result.value, NuValue.zero()) != GREATER
+        assert maximize_weights(chain, pair_o_o1, const(1)) is None
 
 
 def _random_pair(rng, max_summands, with_pair=True):
@@ -187,20 +187,13 @@ def _random_pair(rng, max_summands, with_pair=True):
     return lat, PairObject(lattice=lat, beta_image=beta), d
 
 
-def _outcome(maximizer, chain, pair, delta):
-    try:
-        wm = maximizer(chain, pair, delta)
-    except FlatObjective:
-        return "flat"
-    return wm.value, wm.chain.chain, wm.weights, wm.pinned
-
-
 class TestMaximizeWeightsAgainstFaceEnumeration:
     def test_seeded_chains(self):
-        # PAVA against trying every face: value, merged chain, exact (hence
-        # primitive) weights, pinned group, and FlatObjective, over all three
-        # signs of delta; every fourth lattice has a zero framing map and
-        # every fourth no pair at all
+        # PAVA against trying every face, over all three signs of delta:
+        # None exactly when the reference is flat or its maximum is <= 0,
+        # else the same value, merged chain, exact (hence primitive)
+        # weights and pinned group; every fourth lattice has a zero
+        # framing map and every fourth no pair at all
         rng = random.Random(20240603)
         seen = {"flat": 0, "pinned": 0, "nonpositive": 0, "no pair": 0}
         for trial in range(40):
@@ -211,18 +204,60 @@ class TestMaximizeWeightsAgainstFaceEnumeration:
             for chain in rng.sample(chains, min(len(chains), 40)):
                 numerator = rng.choice((0, rng.randint(-6, 6)))
                 delta = RatPoly({d - 1: Fraction(numerator, rng.randint(1, 4))})
-                expected = _outcome(face_enumeration_max, chain, pair, delta)
-                assert _outcome(maximize_weights, chain, pair, delta) == expected
-                if expected == "flat":
+                wm = maximize_weights(chain, pair, delta)
+                try:
+                    ref = face_enumeration_max(chain, pair, delta)
+                except FlatObjective:
+                    assert wm is None
                     seen["flat"] += 1
                     continue
-                seen["pinned"] += expected[3] is not None
-                seen["nonpositive"] += nu_compare(expected[0], NuValue.zero()) != GREATER
                 seen["no pair"] += pair is None or pair.beta_image is None
+                if nu_compare(ref.value, NuValue.zero()) != GREATER:
+                    assert wm is None
+                    seen["nonpositive"] += 1
+                    continue
+                assert (wm.value, wm.chain, wm.weights, wm.pinned) == (
+                    ref.value, ref.chain, ref.weights, ref.pinned
+                )
+                seen["pinned"] += ref.pinned is not None
         assert all(seen.values()), seen
 
 
+def _cover_filter(lat):
+    """Saturated chains by their definition: the chains of enumerate_chains
+    whose every step, down to the zero object, is a cover."""
+    ids = lat.ids()
+    below = {sup: {sub for sub in ids if lat.lt(sub, sup)} for sup in ids}
+    covers = {
+        (sub, sup) for sup in ids for sub in below[sup].difference(*map(below.get, below[sup]))
+    }
+    return [
+        c for c in enumerate_chains(lat)
+        if covers.issuperset(zip(c.chain[1:] + (lat.zero_id,), c.chain))
+    ]
+
+
 class TestSaturatedChains:
+    @staticmethod
+    def assert_matches_cover_filter(lat):
+        chains, reference = saturated_chains(lat), _cover_filter(lat)
+        assert [c.chain for c in chains] == [c.chain for c in reference]
+        assert [c.gradeds for c in chains] == [c.gradeds for c in reference]
+        return chains
+
+    @pytest.mark.parametrize("d", (1, 2))
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_matches_cover_filter_on_coordinate_lattices(self, k, d):
+        # the saturated chains of the sub-sum lattice of k summands are the
+        # orders in which the summands are added: k! of them
+        lat = coordinate_lattice({f"L{i}": (i * 7) % 5 - 2 + i for i in range(k)}, d)
+        assert len(self.assert_matches_cover_filter(lat)) == factorial(k)
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.lattice")))
+    def test_matches_cover_filter_on_fixtures(self, name):
+        lat, _ = load_lattice(FIXTURES / name)
+        assert self.assert_matches_cover_filter(lat)
+
     @pytest.mark.parametrize("k,expected", [(4, 24), (5, 120), (6, 720)])
     def test_counts_on_coordinate_lattices(self, k, expected):
         lat = coordinate_lattice({f"L{i}": (i * 7) % 5 - 2 + i for i in range(k)})

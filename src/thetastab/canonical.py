@@ -17,8 +17,9 @@ negative, which is exactly why canonical pair filtrations may be nonconvex).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import Callable
 
 from .errors import (
     AmbiguousHN,
@@ -38,30 +39,34 @@ from .lattice import (
     primitive_weights,
     quotient_poly,
 )
-from .ratpoly import GREATER, LESS, NuValue, RatPoly, eventual_compare, nu_compare
+from .ratpoly import EQUAL, GREATER, LESS, NuValue, RatPoly, eventual_compare, nu_compare
+
+
+def destabilizing_member(
+    lat: SubobjectLattice, reduced: Callable[[ObjectClass], RatPoly]
+) -> ObjectClass | None:
+    """The proper nonzero member G whose polynomial reduced(G) most exceeds
+    reduced(top), ties broken by (rank, id), the larger winning; None when
+    no member exceeds the ambient object's polynomial."""
+    witness: ObjectClass | None = None
+    best = reduced(lat.top)  # the polynomial to beat: the ambient's, then the witness's
+    for member_id in lat.proper_nonzero_ids():
+        member = lat.member(member_id)
+        poly = reduced(member)
+        cmp = eventual_compare(poly, best)
+        if cmp == GREATER or (
+            cmp == EQUAL
+            and witness is not None
+            and (member.rank, member.id) > (witness.rank, witness.id)
+        ):
+            witness, best = member, poly
+    return witness
 
 
 def is_semistable(lat: SubobjectLattice) -> tuple[bool, ObjectClass | None]:
-    """Gieseker test: no nonzero proper member may beat the ambient object.
-
-    On failure returns a witness of maximal reduced polynomial (ties broken
-    by rank, then id, for determinism).
-    """
-    top_reduced = lat.top.stats.reduced
-    witness: ObjectClass | None = None
-    for member_id in lat.proper_nonzero_ids():
-        member = lat.member(member_id)
-        if eventual_compare(member.stats.reduced, top_reduced) != GREATER:
-            continue
-        if witness is None:
-            witness = member
-            continue
-        cmp = eventual_compare(member.stats.reduced, witness.stats.reduced)
-        if cmp == GREATER or (
-            cmp == 0
-            and (member.stats.rank, member.id) > (witness.stats.rank, witness.id)
-        ):
-            witness = member
+    """Gieseker test: no nonzero proper member may beat the ambient object's
+    reduced polynomial; on failure the witness is destabilizing_member's."""
+    witness = destabilizing_member(lat, lambda member: member.stats.reduced)
     return witness is None, witness
 
 
@@ -154,29 +159,22 @@ def canonical_filtration(lat: SubobjectLattice) -> WeightedFiltration:
     return make_filtration(lat, lterm.chain.chain, lterm.weights)
 
 
-def _deletion_condition(f: WeightedFiltration, i: int) -> bool:
-    """Lemma hypothesis at step i: deeper graded piece does not dominate."""
-    return (
-        eventual_compare(f.gradeds[i + 1].reduced, f.gradeds[i].reduced) != GREATER
-    )
-
-
 def delete_step(f: WeightedFiltration, i: int) -> WeightedFiltration:
     """Remove G_(i+1) and reweight per the deletion lemma; nu never drops.
 
-    New weights: R*w_l away from the merge, R_i*w_i + R_{i+1}*w_{i+1} at it,
-    with R_i, R_{i+1} the merged graded ranks and R their sum.
+    New weights are primitive integers proportional to the lemma's: R*w_l
+    away from the merge, R_i*w_i + R_{i+1}*w_{i+1} at it, with R_i, R_{i+1}
+    the merged graded ranks and R their sum (formal ranks may be rational;
+    nu is scale invariant).
     """
     if not 0 <= i < len(f.weights) - 1:
         raise PreconditionFailed(f"no step pair at index {i}")
     if nu_compare(nu(f), NuValue.zero()) == LESS:
         raise PreconditionFailed("deletion lemma requires nu(f) >= 0")
-    if not _deletion_condition(f, i):
+    if eventual_compare(f.gradeds[i + 1].reduced, f.gradeds[i].reduced) == GREATER:
         raise PreconditionFailed(
             f"graded piece {i + 1} strictly dominates piece {i}; lemma does not apply"
         )
-    from math import lcm
-
     r_i = f.gradeds[i].rank
     r_next = f.gradeds[i + 1].rank
     total = r_i + r_next
@@ -186,10 +184,7 @@ def delete_step(f: WeightedFiltration, i: int) -> WeightedFiltration:
     for pos in range(len(chain)):
         original = pos if pos <= i else pos + 1
         raw.append(merged_weight if pos == i else total * f.weights[original])
-    # formal ranks may be non-integer rationals; a uniform positive scaling
-    # restores integrality without changing nu
-    scale = lcm(*(Fraction(w).denominator for w in raw))
-    return make_filtration(f.lattice, chain, [int(w * scale) for w in raw])
+    return make_filtration(f.lattice, chain, primitive_weights(raw))
 
 
 def violating_indices(f: WeightedFiltration) -> list[int]:

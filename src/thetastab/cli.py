@@ -25,7 +25,7 @@ from .latfile import (
     parse_delta,
 )
 from .lattice import PairObject, WeightedFiltration, graded_pieces, make_chain, make_filtration
-from .ratpoly import EQUAL, GREATER, RatPoly, as_fraction, nu_compare
+from .ratpoly import EQUAL, GREATER, RatPoly, as_fraction, as_integer, nu_compare
 
 APPROX_POINT = 10**6  # evaluation point for CSV audit values
 
@@ -57,8 +57,8 @@ def _parse_chain_arg(text: str) -> tuple[str, ...]:
 
 def _parse_weights_arg(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
+        return tuple(as_integer(part) for part in text.split(","))
+    except ParseError as exc:
         raise ParseError(f"bad weights literal {text!r}") from exc
 
 

@@ -3,7 +3,8 @@
 Everything here is read off one kernel, contributions(chain, delta): the
 per-unit-weight contribution of each step of a chain,
 
-    c_m = (reduced(gr_m) - reduced(F)) * rank(gr_m) - delta * rank(gr_m) / rank(F).
+    c_m = (reduced(gr_m) - reduced(F)) * rank(gr_m) - delta * rank(gr_m) / rank(F)
+        = P(gr_m) - rank(gr_m) * tau,   tau = reduced(F) + delta / rank(F).
 
 The invariant of weights w is nu = <w, c> / sqrt(b) with
 b = sum rank(gr_m) * w_m^2, kept exact as a NuValue; the oracle's scores
@@ -37,20 +38,13 @@ from .ratpoly import NuValue, RatPoly
 
 
 def contributions(
-    chain: UnweightedFiltration | WeightedFiltration, delta: RatPoly | None = None
+    chain: UnweightedFiltration, delta: RatPoly | None = None
 ) -> tuple[RatPoly, ...]:
     """Per-unit-weight contribution of each step of the chain, top first:
-    (reduced(gr_m) - reduced(F)) * rank(gr_m) - delta * rank(gr_m) / rank(F).
-    """
+    P(gr_m) - rank(gr_m) * tau with tau = reduced(F) + delta / rank(F)."""
     top = chain.lattice.top.stats
-    twist = None if delta is None or delta.is_zero() else delta
-    contribs = []
-    for g in chain.gradeds:
-        term = (g.reduced - top.reduced) * g.rank
-        if twist is not None:
-            term = term - twist * (g.rank / top.rank)
-        contribs.append(term)
-    return tuple(contribs)
+    tau = top.reduced if delta is None else top.reduced + delta * (1 / top.rank)
+    return tuple(g.poly - tau * g.rank for g in chain.gradeds)
 
 
 def dot(weights: Sequence[int], contribs: Sequence[RatPoly]) -> RatPoly:

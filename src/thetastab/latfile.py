@@ -34,7 +34,7 @@ from pathlib import Path
 
 from .errors import ParseError
 from .lattice import PairObject, SubobjectLattice, validate_lattice
-from .ratpoly import NuValue, RatPoly, as_fraction
+from .ratpoly import NuValue, RatPoly, as_fraction, as_integer
 
 
 def format_rational(value: Fraction) -> str:
@@ -47,9 +47,9 @@ def format_poly(poly: RatPoly) -> dict[str, str]:
 
 
 _TERM = re.compile(
-    r"""^(?P<coeff>[+-]?\d+(?:/\d+)?)?      # optional rational coefficient
+    r"""^(?P<coeff>[+-]?[0-9]+(?:/[0-9]+)?)?  # optional rational coefficient
          (?P<star>\*)?
-         (?P<var>n(?:\^(?P<exp>[+-]?\d+))?)?$""",
+         (?P<var>n(?:\^(?P<exp>[+-]?[0-9]+))?)?$""",
     re.VERBOSE,
 )
 
@@ -81,7 +81,7 @@ def parse_delta(literal: str) -> RatPoly:
         coeff_text = match.group("coeff")
         coeff = sign * (as_fraction(coeff_text) if coeff_text else Fraction(1))
         if match.group("var"):
-            exponent = int(match.group("exp")) if match.group("exp") else 1
+            exponent = as_integer(match.group("exp"), "exponent") if match.group("exp") else 1
         else:
             if coeff_text is None:
                 raise ParseError(f"bad term {piece!r} in delta literal {literal!r}")

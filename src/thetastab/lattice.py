@@ -22,7 +22,6 @@ Structural conventions:
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, gcd, lcm
@@ -39,7 +38,7 @@ from .errors import (
     RankNotIncreasing,
     WeightsNotIncreasing,
 )
-from .ratpoly import HilbertStats, RatPoly, hilbert_stats
+from .ratpoly import HilbertStats, RatPoly, as_integer, hilbert_stats
 
 
 @dataclass(frozen=True)
@@ -62,26 +61,15 @@ class ObjectClass:
         return self.stats is None
 
 
-_EXPONENT = re.compile(r"\s*[+-]?[0-9]+\s*")
-
-
 def _coerce_poly(value: RatPoly | Mapping) -> RatPoly:
-    """A RatPoly, or an exponent -> coefficient map with integer (or
-    integer-string) exponents and coefficients as ratpoly.as_fraction reads
-    them; anything else is a ParseError."""
+    """A RatPoly, or an exponent -> coefficient map with exponents as
+    ratpoly.as_integer and coefficients as ratpoly.as_fraction read them;
+    anything else is a ParseError."""
     if isinstance(value, RatPoly):
         return value
     if not isinstance(value, Mapping):
         raise ParseError(f"polynomial must be an exponent->coefficient map, got {value!r}")
-    coeffs = {}
-    for exp, coeff in value.items():
-        try:
-            if type(exp) is not int and not _EXPONENT.fullmatch(exp):
-                raise ValueError
-            coeffs[int(exp)] = coeff
-        except (TypeError, ValueError) as exc:  # not a string, not digits, digit limit
-            raise ParseError(f"bad exponent {exp!r}") from exc
-    return RatPoly(coeffs)
+    return RatPoly({as_integer(exp, "exponent"): coeff for exp, coeff in value.items()})
 
 
 class SubobjectLattice:
@@ -336,26 +324,11 @@ def make_chain(lat: SubobjectLattice, ids: Sequence[str]) -> UnweightedFiltratio
 
 
 @dataclass(frozen=True)
-class WeightedFiltration:
-    """Chain plus strictly increasing integer weights (Rees jump set)."""
+class WeightedFiltration(UnweightedFiltration):
+    """Chain plus strictly increasing integer weights (Rees jump set), one
+    per step; equality compares (chain, weights)."""
 
-    base: UnweightedFiltration
     weights: tuple[int, ...]
-
-    @property
-    def lattice(self) -> SubobjectLattice:
-        return self.base.lattice
-
-    @property
-    def chain(self) -> tuple[str, ...]:
-        return self.base.chain
-
-    @property
-    def gradeds(self) -> tuple[HilbertStats, ...]:
-        return self.base.gradeds
-
-    def __len__(self) -> int:
-        return len(self.weights)
 
 
 def pair_pivot_index(chain: Sequence[str], lat: SubobjectLattice, beta_image: str) -> int:
@@ -390,7 +363,7 @@ def make_filtration(
             raise PairConstraintViolated(
                 f"image subobject sits at index {j} with weight {ws[j]} < 0"
             )
-    return WeightedFiltration(base=base, weights=ws)
+    return WeightedFiltration(lattice=lat, chain=base.chain, gradeds=base.gradeds, weights=ws)
 
 
 def primitive_weights(weights: Sequence[int | Fraction]) -> tuple[int, ...]:

@@ -4,15 +4,26 @@ A pair is an object with a marked saturated image subobject; its invariant
 twists the plain one by -delta/rank(F) per unit weight, for a rational
 Laurent parameter delta.
 
-Regimes:
+Semistability.  With beta the marked image, write
 
-* delta = 0 routes to plain Gieseker semistability of the underlying
-  lattice (weight shifting makes the pair constraint free of charge).
-* delta < 0: always unstable; the scaling filtration destabilizes.
-* deg(delta) >= d, delta > 0: semistable iff the marked image is the whole
-  ambient object; otherwise a unique two-step destabilizer.
-* deg(delta) <= d-1, delta > 0: the Le Potier-style subobject criterion,
-  and a closed-form maximizer of the top (degree d-1) coefficient.
+    p_delta(G) = reduced(G) + [beta <= G] * delta / rank(G),
+    tau = p_delta(F) = reduced(F) + delta / rank(F).
+
+Summation by parts over a chain F = G_0 > G_1 > ... > G_q with weights
+w_0 <= ... <= w_q gives the numerator of the invariant as
+
+    <w, c> = -delta * w_pivot
+             + sum_{i >= 1} (w_i - w_{i-1}) * rank(G_i) * (p_delta(G_i) - tau).
+
+So for delta >= 0 and a nonzero framing map (w_pivot >= 0) the pair is
+semistable iff no proper member has p_delta(G) > tau: Gieseker's test on
+p_delta, which is Le Potier's criterion, and plain Gieseker at delta = 0.
+Otherwise such a G, or the trivial chain when delta < 0 or when delta > 0
+and the framing map vanishes, destabilizes with weights in {-1, 0, 1}.
+For deg(delta) >= d the term delta / rank(G) dominates: every proper G
+containing beta beats F, so the pair is semistable iff beta is the ambient
+object, and otherwise beta, of least rank among them, is the witness and
+gives the unique two-step destabilizer.
 
 The closed form.  With per-step units u and graded ranks r, the top
 coefficient <w, u> / sqrt(<w, R w>) is <w, x>_R / |w|_R for x = u / r in the
@@ -38,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .canonical import is_semistable
+from .canonical import destabilizing_member
 from .errors import DegreeTooLow, Semistable
 from .invariant import contributions, nu_delta
 from .lattice import (
@@ -59,44 +70,24 @@ def pair_semistable(
 ) -> tuple[bool, ObjectClass | None]:
     """Semistability verdict for the pair at the given delta, with witness.
 
-    The witness, when present, is a violating subobject; regimes whose
-    destabilizer is not a subobject (delta < 0, or a vanishing framing map)
-    report witness None.
+    Gieseker's test on the twisted reduced polynomial p_delta (see the
+    module docstring): the witness is canonical.destabilizing_member's.
+    delta < 0, and delta > 0 with a vanishing framing map, are unstable
+    with witness None (their destabilizer is not a subobject).
     """
-    lat = pair.lattice
+    lat, beta = pair.lattice, pair.beta_image
     delta = RatPoly.zero() if delta is None else delta
     sign = eventual_compare(delta, RatPoly.zero())
-    if sign == EQUAL:
-        return is_semistable(lat)
-    if sign == LESS:
+    if sign == LESS or (sign == GREATER and beta is None):
         return False, None
-    if delta.degree() >= lat.dim:
-        # big-degree regime: cokernel must vanish in dimension d
-        if pair.beta_image == lat.top_id:
-            return True, None
-        witness = lat.member(pair.beta_image) if pair.beta_image is not None else None
-        return False, witness
 
-    if pair.beta_image is None:
-        return False, None
-    top = lat.top.stats
-    threshold = top.reduced + delta * (Fraction(1) / top.rank)
-    worst: ObjectClass | None = None
-    worst_margin: RatPoly | None = None
-    for member_id in lat.proper_nonzero_ids():
-        member = lat.member(member_id)
-        bound = member.stats.reduced
-        if lat.leq(pair.beta_image, member_id):
-            bound = bound + delta * (Fraction(1) / member.stats.rank)
-        margin = bound - threshold
-        if eventual_compare(margin, RatPoly.zero()) != GREATER:
-            continue
-        if worst is None or eventual_compare(margin, worst_margin) == GREATER or (
-            margin == worst_margin
-            and (member.stats.rank, member.id) > (worst.stats.rank, worst.id)
-        ):
-            worst, worst_margin = member, margin
-    return worst is None, worst
+    def twisted(member: ObjectClass) -> RatPoly:
+        if beta is None or not lat.leq(beta, member.id):
+            return member.stats.reduced
+        return member.stats.reduced + delta * (1 / member.stats.rank)
+
+    witness = destabilizing_member(lat, twisted)
+    return witness is None, witness
 
 
 def pair_canonical_high_degree(
@@ -117,7 +108,7 @@ def pair_canonical_high_degree(
 
 
 def _slope_units(
-    chain: UnweightedFiltration | WeightedFiltration, delta: RatPoly | None
+    chain: UnweightedFiltration, delta: RatPoly | None
 ) -> list[Fraction]:
     """Per-unit-weight contributions to the n^(d-1) coefficient of nu*sqrt(b)."""
     d = chain.lattice.dim
@@ -230,13 +221,15 @@ def pair_canonical(
     """Canonical maximizer of the pair invariant.
 
     For deg(delta) >= d the unique closed-form filtration is returned.  For
-    deg(delta) <= d-1, every saturated chain's top-coefficient maximizer is
-    computed in closed form and the candidates are ranked by their full
+    deg(delta) <= d-1, a pair that pair_semistable finds semistable raises
+    Semistable at once: by the summation-by-parts identity no weighting is
+    positive.  Otherwise every saturated chain's top-coefficient maximizer
+    is computed in closed form and the candidates are ranked by their full
     invariant; any weighting with a smaller top coefficient is eventually
     dominated, so when some chain achieves a positive top coefficient this
-    is the exact global maximizer.  When no chain does (the flat regime), the
-    bounded-weight oracle decides.  Raises Semistable when nothing
-    destabilizes.
+    is the exact global maximizer.  When no chain does (the flat regime),
+    the bounded-weight oracle decides; an unstable pair has a destabilizer
+    with weights in {-1, 0, 1}, so any bound >= 1 finds one.
     """
     lat = pair.lattice
     delta = RatPoly.zero() if delta is None else delta
@@ -246,6 +239,8 @@ def pair_canonical(
             filtration=filt, value=nu_delta(filt, delta), source="high-degree"
         )
 
+    if pair_semistable(pair, delta)[0]:
+        raise Semistable("no destabilizing filtration exists for this pair")
     best: PairCanonicalResult | None = None
     best_key = None
     for chain in saturated_chains(lat):

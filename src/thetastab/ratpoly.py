@@ -23,6 +23,7 @@ and the i-th slope is a_i / a_d.
 from __future__ import annotations
 
 import re
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
@@ -56,6 +57,19 @@ def as_fraction(value: RationalLike) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:  # zero denominator, digit limit
             raise ParseError(f"bad rational literal {value!r}") from exc
     raise ParseError(f"bad rational literal {value!r}")
+
+
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
+def as_integer(value: int | str, what: str = "integer literal") -> int:
+    """The one integer grammar: a plain int (not a bool) or a string of
+    ASCII digits with an optional sign, blanks around allowed; anything
+    else is a ParseError."""
+    if type(value) is int or isinstance(value, str) and _INTEGER.fullmatch(value):
+        with suppress(ValueError):  # a digit string over Python's int digit limit
+            return int(value)
+    raise ParseError(f"bad {what} {value!r}")
 
 
 def _sign(x: Fraction) -> int:

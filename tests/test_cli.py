@@ -336,6 +336,9 @@ class TestMalformedInput:
             ("check", _lattice_doc(dimension=1.5), []),
             ("check", _lattice_doc(dimension=True), []),
             ("check", _lattice_doc(dimension="1"), []),
+            ("pair-check", None, ["--delta", "n^" + "9" * 5000]),
+            ("pair-check", None, ["--delta", "n^\u0661"]),
+            ("nu", None, ["--chain", "F", "--weights", "1_0"]),
         ],
         ids=[
             "oracle-bound-0", "oracle-bound-negative",
@@ -346,6 +349,8 @@ class TestMalformedInput:
             "inf-string", "nan-string", "underscore", "decimal-string",
             "integer-over-digit-limit", "sweep-decimal",
             "dimension-float", "dimension-bool", "dimension-string",
+            "delta-exponent-over-digit-limit", "delta-exponent-non-ascii-digit",
+            "weights-underscore",
         ],
     )
     def test_exits_2_with_parse_error(self, capsys, tmp_path, command, text, flags):

@@ -29,6 +29,7 @@ from thetastab.pairs import saturated_chains
 
 from conftest import FIXTURES, coordinate_lattice
 from reference_maximizer import all_chains_pair_canonical, face_enumeration_max
+import reference_semistable
 
 
 def P(mapping):
@@ -87,6 +88,133 @@ class TestPairSemistable:
         into_summand = PairObject(lattice=lat, beta_image="A")
         verdict, witness = pair_semistable(into_summand, tiny)
         assert not verdict and witness.id == "A"
+
+
+def _regime(pair, delta):
+    """The branch of the regime-by-regime reference that decides the pair."""
+    if delta is None or delta.is_zero():
+        return "zero"
+    if delta.leading_coeff() < 0:
+        return "negative"
+    if delta.degree() >= pair.lattice.dim:
+        return "big degree"
+    return "Le Potier" if pair.beta_image is not None else "zero framing"
+
+
+def _random_delta(rng, d, form):
+    """A delta of the given form for dimension d; positive unless negative."""
+    def coeff():
+        return Fraction(rng.randint(1, 6), rng.randint(1, 4))
+
+    def lower(top):  # terms of either sign below the leading one
+        return {e: coeff() * rng.choice((-1, 1)) for e in range(top - 2, top) if rng.random() < 0.5}
+
+    if form is None:
+        return None
+    top = {
+        "zero": None,
+        "negative": rng.randint(-1, d + 1),
+        "Laurent": rng.randint(-2, d - 1),
+        "degree <= d-1": rng.randint(0, d - 1),
+        "degree d": d,
+        "degree > d": d + 1,
+    }[form]
+    if top is None:
+        return RatPoly.zero()
+    terms = lower(top)
+    if form == "Laurent":
+        terms[min(top, 0) - 1] = coeff() * rng.choice((-1, 1))
+    terms[top] = -coeff() if form == "negative" else coeff()
+    return RatPoly(terms)
+
+
+class TestPairSemistableAgainstRegimes:
+    def test_seeded_against_reference(self):
+        # one Gieseker test on p_delta against the regime-by-regime
+        # verdict it replaced: same verdict and witness id over coordinate
+        # lattices on P^1..P^3 with 1..5 summands (every third with equal
+        # twists), beta None, the top or a proper member, and every form of
+        # delta; every regime meets every verdict it can give
+        rng = random.Random(20261018)
+        forms = (None, "zero", "negative", "Laurent", "degree <= d-1", "degree d", "degree > d")
+        seen = set()
+        cases = 0
+        for d in (1, 2, 3):
+            for k in range(1, 6):
+                for rep in range(3):
+                    twist = rng.randint(-2, 2)
+                    twists = {
+                        f"L{i}": twist if rep == 0 else rng.randint(-2, 2) for i in range(k)
+                    }
+                    lat = coordinate_lattice(twists, d)
+                    proper = list(lat.proper_nonzero_ids())
+                    betas = [None, lat.top_id] + rng.sample(proper, min(len(proper), 3))
+                    for beta in betas:
+                        pair = PairObject(lattice=lat, beta_image=beta)
+                        for form in forms:
+                            delta = _random_delta(rng, d, form)
+                            verdict, witness = pair_semistable(pair, delta)
+                            ref_verdict, ref_witness = reference_semistable.pair_semistable(
+                                pair, delta
+                            )
+                            assert (verdict, getattr(witness, "id", None)) == (
+                                ref_verdict, getattr(ref_witness, "id", None)
+                            ), (twists, d, beta, delta)
+                            seen.add((_regime(pair, delta), verdict))
+                            cases += 1
+        assert cases > 1000
+        assert seen == {
+            ("zero", True), ("zero", False), ("negative", False),
+            ("big degree", True), ("big degree", False), ("zero framing", False),
+            ("Le Potier", True), ("Le Potier", False),
+        }, seen
+
+    def test_big_degree_witness_is_the_marked_image(self, lat_b3):
+        # for deg(delta) >= d every proper member containing the image
+        # beats the ambient object, and the image, of least rank, wins
+        for beta in ("O", "O5+O1", "O1"):
+            pair = PairObject(lattice=lat_b3, beta_image=beta)
+            for delta in (P({1: Fraction(1, 100)}), P({1: 1, 0: -50}), P({2: 1})):
+                verdict, witness = pair_semistable(pair, delta)
+                assert not verdict and witness.id == beta
+
+
+class TestPairCanonicalAsksFirst:
+    @staticmethod
+    def semistable_pairs():
+        # the o_o1 wall at delta = 1, and built pairs: equal twists at
+        # delta = 0 (Gieseker semistable), and an image equal to the top
+        # with a delta large enough to lift the ambient over every member
+        o_o1 = coordinate_lattice({"O": 0, "O1": 1})
+        equal = coordinate_lattice({"A": 0, "B": 0, "C": 0})
+        equal2 = coordinate_lattice({"A": 1, "B": 1}, 2)
+        spread = coordinate_lattice({"A": 0, "B": 1})
+        spread2 = coordinate_lattice({"A": 0, "B": 1, "C": 2}, 2)
+        return [
+            (PairObject(lattice=o_o1, beta_image="O"), const(1)),
+            (PairObject(lattice=equal, beta_image=None), RatPoly.zero()),
+            (PairObject(lattice=equal, beta_image="A"), None),
+            (PairObject(lattice=equal, beta_image="F"), const(Fraction(1, 2))),
+            (PairObject(lattice=equal, beta_image="F"), P({-1: 1})),
+            (PairObject(lattice=equal2, beta_image="F"), P({1: 1, 0: -3})),
+            (PairObject(lattice=spread, beta_image="F"), const(3)),
+            (PairObject(lattice=spread2, beta_image="F"), P({1: 5})),
+        ]
+
+    def test_raises_semistable_without_walking_chains(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a semistable pair needs no chain and no oracle")
+
+        for pair, delta in self.semistable_pairs():
+            assert pair_semistable(pair, delta) == (True, None)
+            # the path that walks every chain and ends in the oracle agrees
+            with pytest.raises(Semistable):
+                all_chains_pair_canonical(pair, RatPoly.zero() if delta is None else delta, 2)
+        monkeypatch.setattr(pairs, "brute_force_max", fail)
+        monkeypatch.setattr(pairs, "saturated_chains", fail)
+        for pair, delta in self.semistable_pairs():
+            with pytest.raises(Semistable, match="no destabilizing filtration exists"):
+                pair_canonical(pair, delta, bound=2)
 
 
 class TestHighDegreeCanonical:

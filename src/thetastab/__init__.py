@@ -44,9 +44,7 @@ from .pairs import (
     PairCanonicalResult,
     WeightMaximum,
     maximize_weights,
-    nu_slope_coeff,
     pair_canonical,
-    pair_canonical_high_degree,
     pair_semistable,
 )
 from .ratpoly import (

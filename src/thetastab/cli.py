@@ -127,7 +127,7 @@ def _cmd_polytope(args) -> dict:
         chain = make_chain(lat, _parse_chain_arg(args.chain))
     else:
         chain = canonical_mod.leading_term(canonical_mod.hn_filtration(lat)).chain
-    index = args.index if args.index is not None else lat.dim - 1
+    index = lat.dim - 1 if args.index is None else as_integer(args.index, "--index value")
     hull = invariant.polytope(chain, index)
     vertices = [[format_rational(x), format_rational(y)] for x, y in hull.vertices]
     payload = {"command": "polytope", "index": index, "chain": list(chain.chain), "vertices": vertices}
@@ -136,9 +136,11 @@ def _cmd_polytope(args) -> dict:
     return payload
 
 
-def _require_bound(bound: int) -> None:
+def _bound(text: str) -> int:
+    bound = as_integer(text, "--bound value")
     if bound < 1:
         raise ParseError(f"--bound must be >= 1, got {bound}")
+    return bound
 
 
 def _require_pair(pair: PairObject | None) -> PairObject:
@@ -169,8 +171,8 @@ def _cmd_pair_canonical(args) -> dict:
     lat, pair = load_lattice(args.input)
     pair = _require_pair(pair)
     delta = parse_delta(args.delta)
-    _require_bound(args.bound)
-    result = pairs.pair_canonical(pair, delta, bound=args.bound)
+    bound = _bound(args.bound)
+    result = pairs.pair_canonical(pair, delta)
     payload = {
         "command": "pair-canonical",
         "delta": args.delta,
@@ -182,18 +184,17 @@ def _cmd_pair_canonical(args) -> dict:
         f"nu_delta: {nu_text(result.value)}",
         f"found via: {result.source}",
     ]
-    if result.source == "closed-form":
-        check = oracle.brute_force_max(lat, pair=pair, delta=delta, bound=args.bound)
-        verdict = nu_compare(check.value, result.value)
-        if check.best == result.filtration and verdict == EQUAL:
-            agrees, text = True, "agrees"
-        elif verdict != GREATER and max(map(abs, result.filtration.weights)) > args.bound:
-            # the oracle cannot see weights beyond its bound
-            agrees, text = None, f"inconclusive (closed-form weights exceed W={args.bound})"
-        else:
-            agrees, text = False, "disagrees"
-        payload["oracle_agrees"] = agrees
-        lines.append(f"oracle (bound {args.bound}): {text}")
+    check = oracle.brute_force_max(lat, pair=pair, delta=delta, bound=bound)
+    verdict = nu_compare(check.value, result.value)
+    if check.best == result.filtration and verdict == EQUAL:
+        agrees, text = True, "agrees"
+    elif verdict != GREATER and max(map(abs, result.filtration.weights)) > bound:
+        # the oracle cannot see weights beyond its bound
+        agrees, text = None, f"inconclusive (closed-form weights exceed W={bound})"
+    else:
+        agrees, text = False, "disagrees"
+    payload["oracle_agrees"] = agrees
+    lines.append(f"oracle (bound {bound}): {text}")
     _emit(payload, lines, args.format)
     return payload
 
@@ -231,11 +232,11 @@ def _cmd_sweep(args) -> dict:
 def _cmd_oracle(args) -> dict:
     lat, pair = load_lattice(args.input)
     delta = parse_delta(args.delta) if args.delta is not None else None
-    _require_bound(args.bound)
-    result = oracle.brute_force_max(lat, pair=pair, delta=delta, bound=args.bound)
+    bound = _bound(args.bound)
+    result = oracle.brute_force_max(lat, pair=pair, delta=delta, bound=bound)
     payload = {
         "command": "oracle",
-        "bound": args.bound,
+        "bound": bound,
         "explored": result.explored,
         "value": nu_json(result.value),
         "best": None if result.best is None else _filtration_json(result.best),
@@ -250,7 +251,7 @@ def _cmd_oracle(args) -> dict:
         with open(args.csv, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["chain", "weights", "L", "b", f"value_at_{APPROX_POINT}"])
-            for chain, weights, value in oracle.iter_candidates(lat, pair, delta, args.bound):
+            for chain, weights, value in oracle.iter_candidates(lat, pair, delta, bound):
                 writer.writerow(
                     [
                         "|".join(chain),
@@ -293,9 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--delta", default=None if name in ("nu", "oracle") else "0",
                              help="Laurent polynomial literal, e.g. '1/2', 'n', '-n^2'")
         if bound:
-            cmd.add_argument("--bound", type=int, default=6, help="oracle weight bound W")
+            cmd.add_argument("--bound", default="6", help="oracle weight bound W")
         if index:
-            cmd.add_argument("--index", type=int, default=None, help="slope index i")
+            cmd.add_argument("--index", default=None, help="slope index i")
         if chain:
             cmd.add_argument("--chain", default=None, help="comma-separated member ids, top first")
             cmd.add_argument("--weights", default=None, help="comma-separated integers")

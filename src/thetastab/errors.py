@@ -96,12 +96,8 @@ class Semistable(StabilityError):
     """The pair is semistable; no canonical destabilizing filtration exists."""
 
 
-class DegreeTooLow(StabilityError):
-    """The stability parameter's degree is below the requested regime."""
-
-
 class FlatObjective(StabilityError):
     """The top-coefficient objective vanishes identically on the weight cone.
 
-    pairs.maximize_weights reports this case (and every other maximum <= 0)
-    as None; the class stays for callers that name it."""
+    pairs.maximize_weights never raises it: it descends to the next
+    exponent of n instead.  The class stays for callers that name it."""

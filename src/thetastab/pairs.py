@@ -20,37 +20,62 @@ semistable iff no proper member has p_delta(G) > tau: Gieseker's test on
 p_delta, which is Le Potier's criterion, and plain Gieseker at delta = 0.
 Otherwise such a G, or the trivial chain when delta < 0 or when delta > 0
 and the framing map vanishes, destabilizes with weights in {-1, 0, 1}.
-For deg(delta) >= d the term delta / rank(G) dominates: every proper G
-containing beta beats F, so the pair is semistable iff beta is the ambient
-object, and otherwise beta, of least rank among them, is the witness and
-gives the unique two-step destabilizer.
 
-The closed form.  With per-step units u and graded ranks r, the top
-coefficient <w, u> / sqrt(<w, R w>) is <w, x>_R / |w|_R for x = u / r in the
-r-weighted inner product, so (Moreau) its maximum over the weight cone
-{w_0 <= ... <= w_q} is attained, uniquely up to scale, at the projection
-P(x) of x onto the cone whenever P(x) != 0.  P(x) is the r-weighted
-isotonic regression of x, computed exactly by pool-adjacent-violators;
-pooling on >= merges blocks of equal mean, so the level sets of P(x) are
-the steps of the coarser chain the maximizer lives on.  When the
-unconstrained fit violates the pair constraint w_pivot >= 0, P(x) lies on
-the face w_pivot = 0, where the prefix is its own fit clipped to <= 0 and
-the suffix its own fit clipped to >= 0.  Since <P(x), x>_R = |P(x)|_R^2,
-the maximum is positive exactly when P(x) != 0; a chain with P(x) = 0
-(an identically flat objective among them) offers no destabilizing
-weights and is skipped.  Refining a chain enlarges its cone (the
-inserted steps repeat the weight of the step they split, the pivot's
-included), so every chain's maximizer is that of its saturated
-refinements, and pair_canonical visits saturated chains only.
+The maximizer.  nu is compared eventually, so on one chain it is maximized
+lexicographically, one exponent of n at a time, highest first.  With
+per-step units u (the coefficients of c at that exponent) and graded ranks
+r, the coefficient <w, u> / sqrt(<w, R w>) is <w, x>_R / |w|_R for x = u / r
+in the r-weighted inner product, so (Moreau) its maximum over a closed
+convex cone is attained, uniquely up to scale, at the projection P(x) of x
+onto the cone when P(x) != 0, and is <= 0 when P(x) = 0, since
+<P(x), x>_R = |P(x)|_R^2.  On the cone {w_0 <= ... <= w_q}, P(x) is the
+r-weighted isotonic regression of x, computed exactly by
+pool-adjacent-violators; pooling on >= merges blocks of equal mean, so the
+level sets of P(x) are the steps of the coarser chain the maximizer lives
+on.  When the unconstrained fit violates the pair constraint w_pivot >= 0,
+P(x) lies on the face w_pivot = 0, where the prefix is its own fit clipped
+to <= 0 and the suffix its own fit clipped to >= 0.
+
+When P(x) = 0, write w by its increments a_i = w_i - w_{i-1} >= 0 around
+the pivot (index 0, unconstrained, without a framing map):
+
+    <w, u> = S * w_pivot - sum_{1 <= i <= pivot} a_i * (u_0 + ... + u_{i-1})
+             + sum_{i > pivot} a_i * (u_i + ... + u_q),   S = u_0 + ... + u_q.
+
+Every coefficient is then <= 0 (S = 0 without a framing map), and the
+zero maximum is attained on the face where each increment with a nonzero
+coefficient vanishes (its step merges into the one above) and w_pivot = 0
+when S < 0.  That face is again a monotone cone on a coarser chain,
+pinned or not, so the next exponent runs the same projection on summed
+units and ranks.  The descent stops at the first exponent with P(x) != 0;
+when the face shrinks to {0} or the exponents run out, the chain has no
+positive weighting.
+
+For deg(delta) >= d the descent stops at its first step, exponent
+deg(delta), where every unit is -delta_top * r_i / rank(F) and x is
+constant.  For delta_top < 0 the fit is that positive constant: (top,)
+with weight 1.  Without a framing map delta_top > 0 gives (top,) with
+weight -1.  With one, the fit is pinned: -1 above the pivot, 0 from it
+on, valued delta_top * sqrt(rank F - rank G_pivot) / rank F, so the chains
+through beta win with (top, beta) and weights (-1, 0); when beta is the
+top nothing is positive, which is pair_semistable's verdict.
+
+Refining a chain enlarges its cone (the inserted steps repeat the weight
+of the step they split, the pivot's included), so every chain's maximizer
+is that of its saturated refinements, and pair_canonical visits saturated
+chains only.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from typing import Sequence
 
 from .canonical import destabilizing_member
-from .errors import DegreeTooLow, Semistable
+from .errors import Semistable
 from .invariant import contributions, nu_delta
 from .lattice import (
     ObjectClass,
@@ -61,7 +86,7 @@ from .lattice import (
     pair_pivot_index,
     primitive_weights,
 )
-from .oracle import brute_force_max, saturated_chains
+from .oracle import saturated_chains
 from .ratpoly import EQUAL, GREATER, LESS, NuValue, RatPoly, eventual_compare, nu_compare
 
 
@@ -90,62 +115,24 @@ def pair_semistable(
     return witness is None, witness
 
 
-def pair_canonical_high_degree(
-    pair: PairObject, delta: RatPoly | None
-) -> WeightedFiltration:
-    """Unique (up to scale) maximizing filtration when deg(delta) >= d."""
-    lat = pair.lattice
-    delta = RatPoly.zero() if delta is None else delta
-    if delta.degree() < lat.dim:
-        raise DegreeTooLow(f"need deg(delta) >= {lat.dim}, got {delta.degree()}")
-    if eventual_compare(delta, RatPoly.zero()) == LESS:
-        return make_filtration(lat, (lat.top_id,), (1,), pair)
-    if pair.beta_image is None:
-        return make_filtration(lat, (lat.top_id,), (-1,), pair)
-    if pair.beta_image == lat.top_id:
-        raise Semistable("image subobject fills the ambient object")
-    return make_filtration(lat, (lat.top_id, pair.beta_image), (-1, 0), pair)
-
-
-def _slope_units(
-    chain: UnweightedFiltration, delta: RatPoly | None
-) -> list[Fraction]:
-    """Per-unit-weight contributions to the n^(d-1) coefficient of nu*sqrt(b)."""
-    d = chain.lattice.dim
-    if d < 1:
-        raise ValueError("slope coefficient needs dimension >= 1")
-    return [c.coeff(d - 1) for c in contributions(chain, delta)]
-
-
-def nu_slope_coeff(f: WeightedFiltration, delta: RatPoly | None) -> NuValue:
-    """Exact degree-(d-1) coefficient of the pair invariant, as a scalar."""
-    units = _slope_units(f, delta)
-    if not any(f.weights):
-        return NuValue.zero()
-    return _top_value(f.weights, units, [g.rank for g in f.gradeds])
-
-
-def _top_value(weights, units: list[Fraction], ranks: list[Fraction]) -> NuValue:
-    """<w, u> / sqrt(<w, R w>) for weights that are not all zero."""
-    numerator = sum((w * u for w, u in zip(weights, units)), Fraction(0))
-    norm = sum((r * w * w for w, r in zip(weights, ranks)), Fraction(0))
-    return NuValue(RatPoly.const(numerator), norm)
-
-
 @dataclass(frozen=True)
 class WeightMaximum:
-    """Positive maximizer of the top coefficient over a chain's closed
-    weight cone.
+    """Positive lexicographic maximizer of the invariant over a chain's
+    closed weight cone.
 
     chain holds the member ids of the steps, and may be coarser than the
     queried chain (boundary maximizers merge steps); weights are exact
-    rationals, unique up to positive scale; value is positive.
+    rationals, unique up to positive scale; degree is the exponent at
+    which the descent stopped, and value, positive, is the coefficient of
+    n^degree of the invariant; pinned is the index of the step the pair
+    constraint holds at 0, else None.
     """
 
     chain: tuple[str, ...]
     weights: tuple[Fraction, ...]
     value: NuValue
     pinned: int | None
+    degree: int
 
 
 def _isotonic(units: list[Fraction], ranks: list[Fraction]) -> list[Fraction]:
@@ -161,47 +148,67 @@ def _isotonic(units: list[Fraction], ranks: list[Fraction]) -> list[Fraction]:
     return [u / r for u, r, size in blocks for _ in range(size)]
 
 
+def _merge(values: Sequence, keep: list[int]) -> list:
+    """Sums of values over the consecutive blocks beginning at keep."""
+    ends = keep[1:] + [len(values)]
+    return [sum(values[a + 1:b], values[a]) for a, b in zip(keep, ends)]
+
+
 def maximize_weights(
     chain: UnweightedFiltration,
     pair: PairObject | None,
     delta: RatPoly | None,
 ) -> WeightMaximum | None:
-    """Exact maximizer of the degree-(d-1) coefficient over the weight cone,
-    or None when the maximum is <= 0 (the projection P(x) is zero).
+    """Exact lexicographic maximizer of the invariant over the weight cone,
+    or None when no weighting is positive.
 
     The cone is {w_0 <= ... <= w_q}, intersected with {w_j >= 0} when the
     pair has a nonzero framing map and j is the deepest chain index whose
-    member contains the marked image; pinned is the index of the step that
-    constraint holds at 0, else None.  An objective that vanishes
-    identically (every graded slope sits at the twisted ambient slope) has
-    P(x) = 0, so it gives None too.
+    member contains the marked image.  The descent of the module docstring
+    runs over the exponents of the chain's contributions, highest first;
+    each zero maximum merges steps (ids, contributions and ranks together).
     """
-    lat = chain.lattice
-    if delta is not None and delta.degree() > lat.dim - 1:
-        raise ValueError(f"closed form needs deg(delta) <= {lat.dim - 1}")
-    units = _slope_units(chain, delta)
+    ids, contribs = chain.chain, contributions(chain, delta)
     ranks = [g.rank for g in chain.gradeds]
     beta = pair.beta_image if pair is not None else None
-    pivot = pair_pivot_index(chain.chain, lat, beta) if beta is not None else None
-
-    fit = _isotonic(units, ranks)
-    pinned = pivot is not None and fit[pivot] < 0
-    if pinned:
-        zero = Fraction(0)
-        fit = (
-            [min(w, zero) for w in _isotonic(units[:pivot], ranks[:pivot])]
-            + [zero]
-            + [max(w, zero) for w in _isotonic(units[pivot + 1:], ranks[pivot + 1:])]
-        )
-    if not any(fit):
-        return None
-    starts = tuple(i for i in range(len(fit)) if i == 0 or fit[i] != fit[i - 1])
-    return WeightMaximum(
-        chain=tuple(chain.chain[s] for s in starts),
-        weights=tuple(fit[s] for s in starts),
-        value=_top_value(fit, units, ranks),
-        pinned=sum(s <= pivot for s in starts) - 1 if pinned else None,
-    )
+    p = pair_pivot_index(ids, chain.lattice, beta) if beta is not None else None
+    pinned = False
+    for degree in sorted({e for c in contribs for e, _ in c.items()}, reverse=True):
+        units = [c.coeff(degree) for c in contribs]
+        fit = _isotonic(units, ranks)
+        if p is not None and (pinned or fit[p] < 0):
+            pinned, zero = True, Fraction(0)
+            fit = (
+                [min(w, zero) for w in _isotonic(units[:p], ranks[:p])]
+                + [zero]
+                + [max(w, zero) for w in _isotonic(units[p + 1:], ranks[p + 1:])]
+            )
+        if any(fit):
+            keep = [i for i in range(len(fit)) if i == 0 or fit[i] != fit[i - 1]]
+            return WeightMaximum(
+                chain=tuple(ids[i] for i in keep),
+                weights=tuple(fit[i] for i in keep),
+                value=NuValue(
+                    RatPoly.const(sum((w * u for w, u in zip(fit, units)), Fraction(0))),
+                    sum((r * w * w for w, r in zip(fit, ranks)), Fraction(0)),
+                ),
+                pinned=bisect_right(keep, p) - 1 if pinned else None,
+                degree=degree,
+            )
+        # the maximum here is 0: keep the increments whose coefficient
+        # (prefix sum at or above the pivot, suffix sum below it) is 0.  A
+        # negative total has already pinned the pivot: w = -1 scores
+        # -total > 0, so the unconstrained fit was nonzero and broke w_pivot >= 0.
+        prefix = list(accumulate(units))
+        keep = [0] + [
+            i for i in range(1, len(units))
+            if prefix[i - 1] == (0 if p is not None and i <= p else prefix[-1])
+        ]
+        if pinned and len(keep) == 1:  # the face is {0}
+            return None
+        p = None if p is None else bisect_right(keep, p) - 1
+        ids, contribs, ranks = [ids[i] for i in keep], _merge(contribs, keep), _merge(ranks, keep)
+    return None
 
 
 @dataclass(frozen=True)
@@ -210,54 +217,33 @@ class PairCanonicalResult:
 
     filtration: WeightedFiltration
     value: NuValue
-    source: str  # "closed-form", "oracle", or "high-degree"
+    source: str  # always "closed-form"
 
 
-def pair_canonical(
-    pair: PairObject,
-    delta: RatPoly | None,
-    bound: int = 6,
-) -> PairCanonicalResult:
+def pair_canonical(pair: PairObject, delta: RatPoly | None) -> PairCanonicalResult:
     """Canonical maximizer of the pair invariant.
 
-    For deg(delta) >= d the unique closed-form filtration is returned.  For
-    deg(delta) <= d-1, a pair that pair_semistable finds semistable raises
-    Semistable at once: by the summation-by-parts identity no weighting is
-    positive.  Otherwise every saturated chain's top-coefficient maximizer
-    is computed in closed form and the candidates are ranked by their full
-    invariant; any weighting with a smaller top coefficient is eventually
-    dominated, so when some chain achieves a positive top coefficient this
-    is the exact global maximizer.  When no chain does (the flat regime),
-    the bounded-weight oracle decides; an unstable pair has a destabilizer
-    with weights in {-1, 0, 1}, so any bound >= 1 finds one.
+    A pair that pair_semistable finds semistable raises Semistable at once:
+    by the summation-by-parts identity no weighting is positive.  Otherwise
+    every saturated chain's lexicographic maximizer is computed in closed
+    form and the candidates are ranked by their full invariant, ties going
+    to the shorter chain, then the smaller ids, then the smaller weights.
     """
     lat = pair.lattice
-    delta = RatPoly.zero() if delta is None else delta
-    if delta.degree() >= lat.dim:
-        filt = pair_canonical_high_degree(pair, delta)
-        return PairCanonicalResult(
-            filtration=filt, value=nu_delta(filt, delta), source="high-degree"
-        )
-
-    if pair_semistable(pair, delta)[0]:
-        raise Semistable("no destabilizing filtration exists for this pair")
     best: PairCanonicalResult | None = None
     best_key = None
-    for chain in saturated_chains(lat):
-        wm = maximize_weights(chain, pair, delta)
-        if wm is None:
-            continue
-        filt = make_filtration(lat, wm.chain, primitive_weights(wm.weights), pair)
-        value = nu_delta(filt, delta)
-        key = (len(filt.chain), filt.chain, filt.weights)
-        order = GREATER if best is None else nu_compare(value, best.value)
-        if order == GREATER or (order == EQUAL and key < best_key):
-            best = PairCanonicalResult(filtration=filt, value=value, source="closed-form")
-            best_key = key
-    if best is not None:
-        return best
-
-    oracle = brute_force_max(lat, pair=pair, delta=delta, bound=bound)
-    if oracle.best is None:
+    if not pair_semistable(pair, delta)[0]:
+        for chain in saturated_chains(lat):
+            wm = maximize_weights(chain, pair, delta)
+            if wm is None:
+                continue
+            filt = make_filtration(lat, wm.chain, primitive_weights(wm.weights), pair)
+            value = nu_delta(filt, delta)
+            key = (len(filt.chain), filt.chain, filt.weights)
+            order = GREATER if best is None else nu_compare(value, best.value)
+            if order == GREATER or (order == EQUAL and key < best_key):
+                best = PairCanonicalResult(filtration=filt, value=value, source="closed-form")
+                best_key = key
+    if best is None:
         raise Semistable("no destabilizing filtration exists for this pair")
-    return PairCanonicalResult(filtration=oracle.best, value=oracle.value, source="oracle")
+    return best

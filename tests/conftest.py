@@ -18,15 +18,22 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 def coordinate_lattice(twists: dict[str, int], d: int = 1) -> SubobjectLattice:
     """Full sub-sum lattice of line-bundle summands on P^d."""
-    polys: dict[str, RatPoly] = {"0": RatPoly.zero()}
     ids = sorted(twists, key=lambda name: (-twists[name], name))
+    return sum_lattice({name: hilbert_line_bundle_projective(d, twists[name]) for name in ids}, d)
+
+
+def sum_lattice(summands: dict[str, RatPoly], d: int) -> SubobjectLattice:
+    """Full sub-sum lattice of a direct sum with the given summand classes
+    on P^d; members join summand ids in the given order, the whole sum is F."""
+    polys: dict[str, RatPoly] = {"0": RatPoly.zero()}
+    ids = list(summands)
     full = tuple(ids)
     for r in range(1, len(ids) + 1):
         for combo in itertools.combinations(ids, r):
             key = "F" if combo == full else "+".join(combo)
             poly = RatPoly.zero()
             for name in combo:
-                poly = poly + hilbert_line_bundle_projective(d, twists[name])
+                poly = poly + summands[name]
             polys[key] = poly
     relations = []
     for r in range(1, len(ids)):

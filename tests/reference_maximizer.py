@@ -13,11 +13,16 @@ tried, exactly.
 all_chains_pair_canonical is pair_canonical over every chain of the
 lattice, not only the saturated ones, with face_enumeration_max as the
 per-chain maximizer.
+
+chain_search_max is the full invariant's maximum over one chain's bounded
+integer weight cone, by trying every nondecreasing weight vector: the
+oracle's search, kept to one chain and compared on every coefficient.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from thetastab import (
     EQUAL,
@@ -33,6 +38,7 @@ from thetastab import (
     primitive_weights,
 )
 from thetastab.errors import FlatObjective, Semistable
+from thetastab.invariant import dot
 from thetastab.lattice import pair_pivot_index
 from thetastab.pairs import PairCanonicalResult, WeightMaximum
 
@@ -114,7 +120,9 @@ def face_enumeration_max(chain, pair, delta: RatPoly) -> WeightMaximum:
 
     value, starts, values, pinned = best
     merged = tuple(chain.chain[s] for s in starts)
-    return WeightMaximum(chain=merged, weights=values, value=value, pinned=pinned)
+    return WeightMaximum(
+        chain=merged, weights=values, value=value, pinned=pinned, degree=lat.dim - 1
+    )
 
 
 def all_chains_pair_canonical(pair, delta: RatPoly, bound: int) -> PairCanonicalResult:
@@ -145,3 +153,22 @@ def all_chains_pair_canonical(pair, delta: RatPoly, bound: int) -> PairCanonical
     if oracle.best is None:
         raise Semistable("no destabilizing filtration exists for this pair")
     return PairCanonicalResult(filtration=oracle.best, value=oracle.value, source="oracle")
+
+
+def chain_search_max(chain, pair, delta: RatPoly, bound: int) -> NuValue:
+    """Maximum of the invariant over the chain's weights w_0 <= ... <= w_q
+    in [-bound, bound] (w_pivot >= 0 with a nonzero framing map), not all
+    zero."""
+    contribs = contributions(chain, delta)
+    ranks = [g.rank for g in chain.gradeds]
+    beta = pair.beta_image if pair is not None else None
+    pivot = pair_pivot_index(chain.chain, chain.lattice, beta) if beta is not None else None
+    best = None
+    for weights in combinations_with_replacement(range(-bound, bound + 1), len(ranks)):
+        if (pivot is not None and weights[pivot] < 0) or not any(weights):
+            continue
+        norm = sum((r * w * w for w, r in zip(weights, ranks)), Fraction(0))
+        value = NuValue(dot(weights, contribs), norm)
+        if best is None or nu_compare(value, best) == GREATER:
+            best = value
+    return best

@@ -30,9 +30,7 @@ from thetastab import (
     make_chain,
     nu,
     nu_compare,
-    nu_delta,
     pair_canonical,
-    pair_canonical_high_degree,
     pair_semistable,
     polytope,
     polytope_subset,
@@ -41,6 +39,7 @@ from thetastab.errors import Semistable
 
 from conftest import coordinate_lattice
 from randgen import random_coordinate_lattice, random_path_filtration
+from reference_high_degree import pair_canonical_high_degree
 
 
 def report(criterion: int, message: str) -> None:
@@ -70,7 +69,7 @@ def fixture_pairs() -> list[PairObject]:
 def test_criterion_01_nonconvex_pair_example(lat_b3, pair_b3):
     start = time.perf_counter()
     oracle = brute_force_max(lat_b3, pair=pair_b3, delta=RatPoly.zero(), bound=6)
-    closed = pair_canonical(pair_b3, RatPoly.zero(), bound=6)
+    closed = pair_canonical(pair_b3, RatPoly.zero())
     elapsed = time.perf_counter() - start
 
     expected_chain = ("F", "O5+O", "O5")
@@ -208,25 +207,27 @@ def test_criterion_07_big_degree_classification():
         # destabilized by the one-step scaling filtration
         verdict, _ = pair_semistable(pair, neg_delta)
         assert verdict is False
-        filt = pair_canonical_high_degree(pair, neg_delta)
+        result = pair_canonical(pair, neg_delta)
+        filt = result.filtration
+        assert filt == pair_canonical_high_degree(pair, neg_delta)
         assert (filt.chain, filt.weights) == ((lat.top_id,), (1,))
-        assert nu_compare(nu_delta(filt, neg_delta), NuValue.zero()) == GREATER
+        assert nu_compare(result.value, NuValue.zero()) == GREATER
 
-        # delta = n on the curve fixtures: semistable iff the image fills F
-        if lat.dim == 1:
-            pos_delta = RatPoly({1: 1})
-            verdict, _ = pair_semistable(pair, pos_delta)
-            assert verdict == (pair.beta_image == lat.top_id)
-            if verdict:
+        # delta = n^d: semistable iff the image fills F, and otherwise
+        # destabilized by the image (or, without one, by scaling)
+        pos_delta = RatPoly({lat.dim: 1})
+        verdict, _ = pair_semistable(pair, pos_delta)
+        assert verdict == (pair.beta_image == lat.top_id)
+        if verdict:
+            for canonical in (pair_canonical, pair_canonical_high_degree):
                 try:
-                    pair_canonical_high_degree(pair, pos_delta)
+                    canonical(pair, pos_delta)
                     raise AssertionError("expected Semistable")
                 except Semistable:
                     pass
         else:
-            pos_delta = RatPoly({2: 1})
-            verdict, _ = pair_semistable(pair, pos_delta)
-            assert verdict == (pair.beta_image == lat.top_id)
+            filt = pair_canonical(pair, pos_delta).filtration
+            assert filt == pair_canonical_high_degree(pair, pos_delta)
 
         # Cauchy-Schwarz bounds on every enumerated pair-admissible filtration
         for delta in (neg_delta, pos_delta):

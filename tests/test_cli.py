@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetastab.cli import main
 
@@ -145,7 +149,7 @@ class TestPairCommands:
     def test_pair_canonical_reports_disagreement(self, capsys, monkeypatch):
         from thetastab import make_filtration, nu_delta, pairs
 
-        def worse(pair, delta, bound):
+        def worse(pair, delta):
             filt = make_filtration(pair.lattice, ("F", "O5"), (0, 1), pair)
             return pairs.PairCanonicalResult(filt, nu_delta(filt, delta), "closed-form")
 
@@ -155,6 +159,15 @@ class TestPairCommands:
             "--delta", "0", "--bound", "6",
         )
         assert code == 0 and payload["oracle_agrees"] is False
+
+    @pytest.mark.parametrize("delta", ["n", "-n^2", "1/2"])
+    def test_pair_canonical_cross_checks_every_delta(self, capsys, delta):
+        # deg(delta) >= d takes the same path, and the oracle confirms it
+        code, payload, _ = run_json(
+            capsys, "pair-canonical", FIXTURES / "o_o1_pair.lattice", f"--delta={delta}"
+        )
+        assert code == 0 and payload["source"] == "closed-form"
+        assert payload["oracle_agrees"] is True
 
     def test_pair_canonical_semistable(self, capsys):
         code, _, err = run(
@@ -314,8 +327,12 @@ class TestMalformedInput:
         [
             ("oracle", None, ["--bound", "0"]),
             ("oracle", None, ["--bound=-2"]),
+            ("oracle", None, ["--bound", "1_0"]),
             ("pair-canonical", None, ["--delta", "1/2", "--bound", "0"]),
             ("pair-canonical", None, ["--delta", "1/2", "--bound=-1"]),
+            ("pair-canonical", None, ["--delta", "1/2", "--bound", "\u0662"]),
+            ("polytope", None, ["--index", "\u0660"]),
+            ("polytope", None, ["--index", "0.5"]),
             ("check", _lattice_doc(relations=5), []),
             ("check", _lattice_doc(relations=[5]), []),
             ("check", _lattice_doc(relations="OF"), []),
@@ -341,8 +358,10 @@ class TestMalformedInput:
             ("nu", None, ["--chain", "F", "--weights", "1_0"]),
         ],
         ids=[
-            "oracle-bound-0", "oracle-bound-negative",
+            "oracle-bound-0", "oracle-bound-negative", "oracle-bound-underscore",
             "pair-canonical-bound-0", "pair-canonical-bound-negative",
+            "pair-canonical-bound-non-ascii-digit",
+            "polytope-index-non-ascii-digit", "polytope-index-decimal",
             "relations-int", "relations-list-of-int", "relations-string",
             "relations-null", "objects-int", "unknown-beta-image",
             "float", "json-infinity", "json-nan", "bool", "exponent-string",
@@ -363,3 +382,50 @@ class TestMalformedInput:
         assert code == 2
         assert err.startswith("error: ParseError: ")
         assert "Traceback" not in err
+
+
+# ASCII and non-ASCII digits, and the characters of the rational, integer
+# and delta grammars; at most 3 of them, so any integer read is <= 999
+FLAG_TEXT = st.text(alphabet="0123456789\u0660\u0663\u06f5\u0969\uff15_+-/n^ ", max_size=3)
+
+
+def _flag_argv(flag: str, path, value: str, command: int) -> list[str]:
+    """A command line that hands value to flag, one of a few per flag."""
+    path = str(path)
+    if flag == "--bound":
+        # the oracle scores 2W + 1 candidates per weight on trivial.lattice;
+        # on o2_o.lattice W = 999 would be about four million, so there the
+        # flag goes to pair-canonical, which stops at the missing pair section
+        if path.endswith("trivial.lattice"):
+            return ["oracle", path, f"--bound={value}"]
+        return ["pair-canonical", path, f"--bound={value}"]
+    if flag == "--index":
+        return ["polytope", path, f"--index={value}"]
+    if flag == "--weights":
+        return ["nu", path, "--chain", "F", f"--weights={value}"]
+    return [
+        ["nu", path, "--chain", "F", "--weights", "1", f"--delta={value}"],
+        ["oracle", path, "--bound", "2", f"--delta={value}"],
+        ["pair-check", path, f"--delta={value}"],
+    ][command]
+
+
+class TestFlagContract:
+    """Any short flag value exits 0, 1 or 2 and never raises."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(["trivial.lattice", "o2_o.lattice"]),
+        st.sampled_from(["--bound", "--index", "--delta", "--weights"]),
+        FLAG_TEXT,
+        st.integers(0, 2),
+    )
+    def test_exit_code_contract(self, fixture, flag, value, command):
+        argv = _flag_argv(flag, FIXTURES / fixture, value, command)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert err.getvalue().startswith("error: ParseError: "), (argv, err.getvalue())

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -10,25 +10,30 @@ from thetastab import (
     NuValue,
     PairObject,
     RatPoly,
+    brute_force_max,
+    canonical_filtration,
     enumerate_chains,
     make_chain,
     make_filtration,
     maximize_weights,
     nu_compare,
     nu_delta,
-    nu_slope_coeff,
     pair_canonical,
-    pair_canonical_high_degree,
     pair_semistable,
     primitive_weights,
 )
-from thetastab import pairs
-from thetastab.errors import DegreeTooLow, FlatObjective, Semistable
+from thetastab import oracle, pairs
+from thetastab.errors import FlatObjective, ObjectSemistable, Semistable
 from thetastab.latfile import load_lattice
 from thetastab.pairs import saturated_chains
 
-from conftest import FIXTURES, coordinate_lattice
-from reference_maximizer import all_chains_pair_canonical, face_enumeration_max
+from conftest import FIXTURES, coordinate_lattice, sum_lattice
+from reference_high_degree import pair_canonical_high_degree
+from reference_maximizer import (
+    all_chains_pair_canonical,
+    chain_search_max,
+    face_enumeration_max,
+)
 import reference_semistable
 
 
@@ -210,65 +215,114 @@ class TestPairCanonicalAsksFirst:
             # the path that walks every chain and ends in the oracle agrees
             with pytest.raises(Semistable):
                 all_chains_pair_canonical(pair, RatPoly.zero() if delta is None else delta, 2)
-        monkeypatch.setattr(pairs, "brute_force_max", fail)
+        monkeypatch.setattr(oracle, "brute_force_max", fail)
         monkeypatch.setattr(pairs, "saturated_chains", fail)
         for pair, delta in self.semistable_pairs():
             with pytest.raises(Semistable, match="no destabilizing filtration exists"):
-                pair_canonical(pair, delta, bound=2)
+                pair_canonical(pair, delta)
 
 
 class TestHighDegreeCanonical:
+    """deg(delta) >= d through the one pair_canonical path, checked against
+    the closed-form branch it replaced (reference_high_degree)."""
+
+    @staticmethod
+    def canonical(pair, delta):
+        result = pair_canonical(pair, delta)
+        assert result.source == "closed-form"
+        assert result.filtration == pair_canonical_high_degree(pair, delta)
+        return result
+
     def test_negative_delta_one_step(self, pair_o_o1):
-        filt = pair_canonical_high_degree(pair_o_o1, P({2: -1}))
-        assert (filt.chain, filt.weights) == (("F",), (1,))
-        value = nu_delta(filt, P({2: -1}))
+        result = self.canonical(pair_o_o1, P({2: -1}))
+        assert (result.filtration.chain, result.filtration.weights) == (("F",), (1,))
         # leading coefficient is -delta_D / sqrt(rank F): here 1/sqrt(2)
-        assert value.L == P({2: 1}) and value.b == 2
-        assert nu_compare(value, NuValue.zero()) == GREATER
+        assert result.value.L == P({2: 1}) and result.value.b == 2
+        assert nu_compare(result.value, NuValue.zero()) == GREATER
 
     def test_positive_delta_two_step(self, lat_b3, pair_b3):
-        filt = pair_canonical_high_degree(pair_b3, P({1: 1}))
-        assert (filt.chain, filt.weights) == (("F", "O"), (-1, 0))
-        value = nu_delta(filt, P({1: 1}))
+        result = self.canonical(pair_b3, P({1: 1}))
+        assert (result.filtration.chain, result.filtration.weights) == (("F", "O"), (-1, 0))
         # (n/3 - 1) * sqrt(2), kept exact as L = (2/3)n - 2 over sqrt(2)
-        assert value == NuValue(P({1: Fraction(2, 3), 0: -2}), Fraction(2))
+        assert result.value == NuValue(P({1: Fraction(2, 3), 0: -2}), Fraction(2))
 
     def test_full_image_semistable(self, lat_o_o1):
         pair = PairObject(lattice=lat_o_o1, beta_image="F")
         with pytest.raises(Semistable):
             pair_canonical_high_degree(pair, P({1: 1}))
+        with pytest.raises(Semistable):
+            pair_canonical(pair, P({1: 1}))
 
     def test_degree_too_low(self, pair_o_o1):
-        with pytest.raises(DegreeTooLow):
-            pair_canonical_high_degree(pair_o_o1, const(1))
+        # the reference covers deg(delta) >= d only; pair_canonical takes
+        # every delta on the same path
+        with pytest.raises(ValueError):
+            pair_canonical_high_degree(pair_o_o1, const(Fraction(1, 2)))
+        result = pair_canonical(pair_o_o1, const(Fraction(1, 2)))
+        assert result.source == "closed-form"
+        assert result.filtration.chain == ("F", "O1")
 
     def test_zero_framing_map(self, lat_o_o1):
         pair = PairObject(lattice=lat_o_o1, beta_image=None)
-        filt = pair_canonical_high_degree(pair, P({1: 1}))
-        assert (filt.chain, filt.weights) == (("F",), (-1,))
-        assert nu_compare(nu_delta(filt, P({1: 1})), NuValue.zero()) == GREATER
+        result = self.canonical(pair, P({1: 1}))
+        assert (result.filtration.chain, result.filtration.weights) == (("F",), (-1,))
+        assert nu_compare(result.value, NuValue.zero()) == GREATER
+
+    def test_seeded_against_reference(self):
+        # coordinate lattices on P^1..P^3, deg(delta) in [d, d + 2] of both
+        # signs, beta None, the top or a proper member: the same filtration,
+        # or Semistable on both sides
+        rng = random.Random(20261019)
+        outcomes = {"unstable": 0, "semistable": 0}
+        for d in (1, 2, 3):
+            for _ in range(12):
+                k = rng.randint(1, 4)
+                lat = coordinate_lattice({f"L{i}": rng.randint(-2, 2) for i in range(k)}, d)
+                beta = rng.choice([None, lat.top_id, *lat.proper_nonzero_ids()])
+                pair = PairObject(lattice=lat, beta_image=beta)
+                top = rng.randint(d, d + 2)
+                terms = {e: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for e in range(-1, top)}
+                terms[top] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3))
+                delta = RatPoly(terms)
+                try:
+                    expected = pair_canonical_high_degree(pair, delta)
+                except Semistable:
+                    with pytest.raises(Semistable):
+                        pair_canonical(pair, delta)
+                    outcomes["semistable"] += 1
+                    continue
+                result = pair_canonical(pair, delta)
+                assert result.filtration == expected, (d, beta, delta)
+                assert result.value == nu_delta(expected, delta)
+                outcomes["unstable"] += 1
+        assert all(outcomes.values()), outcomes
+
+
+def _coefficient(f, delta, exponent):
+    """The n^exponent coefficient of the pair invariant, as a NuValue."""
+    value = nu_delta(f, delta)
+    return NuValue(RatPoly.const(value.L.coeff(exponent)), value.b)
 
 
 class TestNuSlopeCoeff:
+    """The degree-(d-1) coefficient of the invariant, read off nu_delta."""
+
     def test_matches_nu_in_degree_zero(self, lat_o2_o):
         filt = make_filtration(lat_o2_o, ("F", "O2"), (-1, 1))
-        assert nu_slope_coeff(filt, RatPoly.zero()) == NuValue(P({0: 2}), Fraction(2))
+        assert _coefficient(filt, RatPoly.zero(), 0) == NuValue(P({0: 2}), Fraction(2))
 
     def test_flat_when_slopes_sit_at_twisted_ambient(self):
-        # slopes 2 and 1 around ambient slope 3/2: delta with
-        # delta_0/rank = +-1/2 flattens one graded each; equal twists
-        # flatten everything
+        # equal twists put every graded slope at the ambient slope, so the
+        # coefficient vanishes for every weighting
         lat = coordinate_lattice({"A": 0, "B": 0})
         pair = PairObject(lattice=lat, beta_image="A")
-        filt = make_filtration(lat, ("F", "A"), (0, 1), pair)
         for weights in ((0, 1), (-3, 5)):
             f = make_filtration(lat, ("F", "A"), weights, pair)
-            assert nu_slope_coeff(f, RatPoly.zero()) == NuValue(P({}), Fraction(1)) or \
-                nu_slope_coeff(f, RatPoly.zero()).L.is_zero()
+            assert _coefficient(f, RatPoly.zero(), 0).L.is_zero()
 
     def test_fixture_top_coefficient(self, lat_b3, pair_b3):
         filt = make_filtration(lat_b3, ("F", "O5+O", "O5"), (-1, 0, 3), pair_b3)
-        assert nu_slope_coeff(filt, RatPoly.zero()) == NuValue(P({0: 10}), Fraction(10))
+        assert _coefficient(filt, RatPoly.zero(), 0) == NuValue(P({0: 10}), Fraction(10))
 
 
 class TestMaximizeWeights:
@@ -318,10 +372,11 @@ def _random_pair(rng, max_summands, with_pair=True):
 class TestMaximizeWeightsAgainstFaceEnumeration:
     def test_seeded_chains(self):
         # PAVA against trying every face, over all three signs of delta:
-        # None exactly when the reference is flat or its maximum is <= 0,
-        # else the same value, merged chain, exact (hence primitive)
-        # weights and pinned group; every fourth lattice has a zero
-        # framing map and every fourth no pair at all
+        # where the reference's degree-(d-1) maximum is positive, the
+        # descent stops at that degree with the same value, merged chain,
+        # exact (hence primitive) weights and pinned group; where it is
+        # flat or <= 0, the descent finds nothing or goes lower.  Every
+        # fourth lattice has a zero framing map and every fourth no pair
         rng = random.Random(20240603)
         seen = {"flat": 0, "pinned": 0, "nonpositive": 0, "no pair": 0}
         for trial in range(40):
@@ -336,14 +391,15 @@ class TestMaximizeWeightsAgainstFaceEnumeration:
                 try:
                     ref = face_enumeration_max(chain, pair, delta)
                 except FlatObjective:
-                    assert wm is None
+                    assert wm is None or wm.degree < d - 1
                     seen["flat"] += 1
                     continue
                 seen["no pair"] += pair is None or pair.beta_image is None
                 if nu_compare(ref.value, NuValue.zero()) != GREATER:
-                    assert wm is None
+                    assert wm is None or wm.degree < d - 1
                     seen["nonpositive"] += 1
                     continue
+                assert wm.degree == d - 1
                 assert (wm.value, wm.chain, wm.weights, wm.pinned) == (
                     ref.value, ref.chain, ref.weights, ref.pinned
                 )
@@ -404,35 +460,44 @@ class TestSaturatedChains:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(pairs, "maximize_weights", counting)
-        result = pair_canonical(pair, const(Fraction(1, 2)), bound=4)
+        result = pair_canonical(pair, const(Fraction(1, 2)))
         assert result.source == "closed-form"
         assert len(calls) == 120 and len(set(calls)) == 120
         assert len(enumerate_chains(lat)) == 541
 
     def test_matches_all_chains_reference(self):
+        # against pair_canonical over every chain with the face-enumeration
+        # maximizer, which falls back to the oracle (bound 2) when no chain
+        # has a positive degree-(d-1) coefficient: its closed-form answers
+        # are matched exactly, and its oracle answers are never beaten
+        # (and matched whenever they tie)
         rng = random.Random(7325)
         sources = set()
         for _ in range(40):
             lat, pair, d = _random_pair(rng, 4, with_pair=rng.random() < 0.8)
             delta = RatPoly({d - 1: Fraction(rng.randint(-2, 6), rng.randint(1, 3))})
-            outcomes = []
-            for canonical in (pair_canonical, all_chains_pair_canonical):
-                try:
-                    r = canonical(pair, delta, bound=2)
-                except Semistable:
-                    outcomes.append("semistable")
-                else:
-                    outcomes.append(
-                        (r.filtration.chain, r.filtration.weights, r.value, r.source)
-                    )
-            assert outcomes[0] == outcomes[1]
-            sources.add(outcomes[0] if outcomes[0] == "semistable" else outcomes[0][3])
+            try:
+                ref = all_chains_pair_canonical(pair, delta, 2)
+            except Semistable:
+                with pytest.raises(Semistable):
+                    pair_canonical(pair, delta)
+                sources.add("semistable")
+                continue
+            result = pair_canonical(pair, delta)
+            sources.add(ref.source)
+            order = nu_compare(result.value, ref.value)
+            if ref.source == "closed-form" or order == EQUAL:
+                assert (result.filtration, result.value, result.source) == (
+                    ref.filtration, ref.value, "closed-form"
+                )
+            else:
+                assert order == GREATER
         assert sources == {"closed-form", "oracle", "semistable"}, sources
 
 
 class TestPairCanonical:
     def test_nonconvex_example(self, lat_b3, pair_b3):
-        result = pair_canonical(pair_b3, RatPoly.zero(), bound=6)
+        result = pair_canonical(pair_b3, RatPoly.zero())
         assert result.source == "closed-form"
         assert result.filtration.chain == ("F", "O5+O", "O5")
         assert result.filtration.weights == (-1, 0, 3)
@@ -441,16 +506,212 @@ class TestPairCanonical:
     def test_agrees_with_oracle(self, lat_b3, pair_b3):
         from thetastab import brute_force_max
 
-        result = pair_canonical(pair_b3, RatPoly.zero(), bound=6)
+        result = pair_canonical(pair_b3, RatPoly.zero())
         check = brute_force_max(lat_b3, pair=pair_b3, delta=RatPoly.zero(), bound=6)
         assert check.best.chain == result.filtration.chain
         assert check.best.weights == result.filtration.weights
 
     def test_semistable_raises(self, pair_o_o1):
         with pytest.raises(Semistable):
-            pair_canonical(pair_o_o1, const(1), bound=4)
+            pair_canonical(pair_o_o1, const(1))
 
     def test_high_degree_dispatch(self, pair_o_o1):
-        result = pair_canonical(pair_o_o1, P({1: 1}), bound=4)
-        assert result.source == "high-degree"
+        # deg(delta) >= d takes the same path as every other delta
+        result = pair_canonical(pair_o_o1, P({1: 1}))
+        assert result.source == "closed-form"
         assert result.filtration.chain == ("F", "O")
+        assert result.filtration == pair_canonical_high_degree(pair_o_o1, P({1: 1}))
+
+
+def _equal_slope_sum(rng, d, k):
+    """Direct sum of k summands on P^d of rank 1 or 2 with one Mumford
+    slope and random lower terms: the degree-(d-1) coefficient of the
+    invariant vanishes on every chain when deg(delta) <= d - 2."""
+    mu = Fraction(rng.randint(-2, 2))
+    summands = {}
+    for i in range(k):
+        r = rng.randint(1, 2)
+        terms = {d: Fraction(r, factorial(d)), d - 1: r * mu / factorial(d - 1)}
+        for e in range(d - 1):
+            terms[e] = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+        summands[f"E{i}"] = RatPoly(terms)
+    return sum_lattice(summands, d)
+
+
+def _low_delta(rng, d):
+    """A positive delta of degree <= d - 2, Laurent terms included."""
+    top = rng.randint(-2, d - 2)
+    terms = {e: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for e in range(top - 2, top)}
+    terms[top] = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+    return RatPoly(terms)
+
+
+def _oracle_cost(lat, bound):
+    """Candidates brute_force_max scores at the bound, before feasibility."""
+    return sum(comb(2 * bound + 1, len(c.chain)) for c in enumerate_chains(lat))
+
+
+class TestFlatRegime:
+    """No chain has a positive degree-(d-1) coefficient, so the answer comes
+    from lower degrees of the descent."""
+
+    @staticmethod
+    def cases(seed, per_shape):
+        rng = random.Random(seed)
+        for d in (2, 3):
+            for k in (2, 3):
+                for _ in range(per_shape):
+                    lat = _equal_slope_sum(rng, d, k)
+                    beta = rng.choice([None, *lat.nonzero_ids()])
+                    yield PairObject(lattice=lat, beta_image=beta), _low_delta(rng, d)
+
+    def test_matches_oracle_beyond_any_fixed_bound(self):
+        # the oracle at W = max|w| has the same argmax and value wherever it
+        # is affordable; where the weights exceed 6, the bound-6 oracle that
+        # used to decide this regime finds a strictly smaller value
+        seen = {"flat": 0, "matched": 0, "beats bound 6": 0}
+        for pair, delta in self.cases(20261020, 10):
+            lat = pair.lattice
+            try:
+                result = pair_canonical(pair, delta)
+            except Semistable:
+                assert pair_semistable(pair, delta)[0]
+                continue
+            seen["flat"] += result.value.L.degree() < lat.dim - 1
+            bound = max(map(abs, result.filtration.weights))
+            if _oracle_cost(lat, bound) <= 2500:
+                check = brute_force_max(lat, pair=pair, delta=delta, bound=bound)
+                assert check.best == result.filtration, (pair.beta_image, delta)
+                assert nu_compare(check.value, result.value) == EQUAL
+                seen["matched"] += 1
+            if bound > 6 and _oracle_cost(lat, 6) <= 2500:
+                old = brute_force_max(lat, pair=pair, delta=delta, bound=6)
+                assert nu_compare(result.value, old.value) == GREATER
+                seen["beats bound 6"] += 1
+        assert seen["flat"] >= 35 and seen["matched"] >= 20 and seen["beats bound 6"] >= 10, seen
+
+    def test_never_reaches_the_oracle(self, monkeypatch, pair_b3, pair_o_o1):
+        def fail(*args, **kwargs):
+            raise AssertionError("pair_canonical must not call the oracle")
+
+        # iter_candidates is where any brute_force_max binding does its work
+        monkeypatch.setattr(oracle, "brute_force_max", fail)
+        monkeypatch.setattr(oracle, "iter_candidates", fail)
+        assert pair_canonical(pair_b3, RatPoly.zero()).value.L.degree() == 0
+        assert pair_canonical(pair_o_o1, P({1: 1})).filtration.chain == ("F", "O")
+        flat = 0
+        for pair, delta in self.cases(20261021, 3):
+            try:
+                result = pair_canonical(pair, delta)
+            except Semistable:
+                continue
+            flat += result.value.L.degree() < pair.lattice.dim - 1
+        assert flat
+        for pair, delta in TestPairCanonicalAsksFirst.semistable_pairs():
+            with pytest.raises(Semistable):
+                pair_canonical(pair, delta)
+
+
+class TestAgainstCanonicalFiltration:
+    """Without a framing map and at delta = 0 the pair invariant is the
+    object's, so the descent must give canonical_filtration's chain and
+    weights, lower degrees included."""
+
+    @staticmethod
+    def assert_matches(lat):
+        try:
+            expected = canonical_filtration(lat)
+        except ObjectSemistable:
+            with pytest.raises(Semistable):
+                pair_canonical(PairObject(lattice=lat, beta_image=None), RatPoly.zero())
+            return None
+        result = pair_canonical(PairObject(lattice=lat, beta_image=None), RatPoly.zero())
+        assert (result.filtration.chain, result.filtration.weights) == (
+            expected.chain, expected.weights
+        )
+        return result
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.lattice")))
+    def test_fixtures(self, name):
+        self.assert_matches(load_lattice(FIXTURES / name)[0])
+
+    def test_seeded_equal_slope_sums(self):
+        rng = random.Random(20261022)
+        lower = 0
+        for d in (2, 3):
+            for k in (2, 3):
+                for _ in range(8):
+                    lat = _equal_slope_sum(rng, d, k)
+                    result = self.assert_matches(lat)
+                    lower += result is not None and result.value.L.degree() < d - 1
+        assert lower >= 16, lower
+
+
+def _walls(pair):
+    """Positive values of delta's n^(d-1) coefficient at which some proper
+    member's twisted slope ties the ambient's: there the degree-(d-1)
+    maximum is 0, so lower terms of delta decide."""
+    lat, beta, e = pair.lattice, pair.beta_image, pair.lattice.dim - 1
+    top = lat.top.stats
+    walls = set()
+    for member_id in lat.proper_nonzero_ids():
+        member = lat.member(member_id).stats
+        gap = member.reduced.coeff(e) - top.reduced.coeff(e)
+        slope = (1 / member.rank if lat.leq(beta, member_id) else 0) - 1 / top.rank
+        if slope and -gap / slope > 0:
+            walls.add(-gap / slope)
+    return sorted(walls)
+
+
+class TestDescentNearWalls:
+    """delta on a wall of its top coefficient plus a Laurent term: the face
+    of the zero maximum (merged steps, pinned pivot) decides the answer."""
+
+    @staticmethod
+    def cases(seed):
+        rng = random.Random(seed)
+        for _ in range(30):
+            d = rng.choice((1, 2))
+            lat = coordinate_lattice({f"L{i}": rng.randint(-3, 3) for i in range(rng.randint(2, 3))}, d)
+            pair = PairObject(lattice=lat, beta_image=rng.choice(lat.nonzero_ids()))
+            for wall in _walls(pair):
+                for sign in (-1, 1):
+                    terms = {d - 1: wall, -1: Fraction(sign * rng.randint(1, 3), rng.randint(1, 2))}
+                    if d == 2 and rng.random() < 0.5:
+                        terms[0] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                    yield pair, RatPoly(terms)
+
+    def test_pair_canonical_matches_oracle(self):
+        seen = {"semistable": 0, "lower degree": 0}
+        for pair, delta in self.cases(20261023):
+            lat = pair.lattice
+            try:
+                result = pair_canonical(pair, delta)
+            except Semistable:
+                assert brute_force_max(lat, pair=pair, delta=delta, bound=3).best is None
+                seen["semistable"] += 1
+                continue
+            seen["lower degree"] += result.value.L.degree() < lat.dim - 1
+            bound = max(2, *map(abs, result.filtration.weights))
+            check = brute_force_max(lat, pair=pair, delta=delta, bound=bound)
+            assert check.best == result.filtration, (pair.beta_image, delta)
+            assert nu_compare(check.value, result.value) == EQUAL
+        assert seen["semistable"] and seen["lower degree"] >= 10, seen
+
+    def test_each_chain_matches_bounded_search(self):
+        # maximize_weights on every saturated chain against the best
+        # nondecreasing integer weights of that chain
+        lower = 0
+        for pair, delta in self.cases(20261024):
+            for chain in saturated_chains(pair.lattice):
+                wm = maximize_weights(chain, pair, delta)
+                if wm is None:
+                    best = chain_search_max(chain, pair, delta, 3)
+                    assert nu_compare(best, NuValue.zero()) != GREATER
+                    continue
+                filt = make_filtration(pair.lattice, wm.chain, primitive_weights(wm.weights), pair)
+                bound = max(3, *map(abs, filt.weights))
+                best = chain_search_max(chain, pair, delta, bound)
+                assert nu_compare(nu_delta(filt, delta), best) == EQUAL, (chain.chain, delta)
+                lower += wm.degree < pair.lattice.dim - 1
+        assert lower >= 10, lower

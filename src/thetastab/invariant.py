@@ -8,7 +8,7 @@ per-unit-weight contribution of each step of a chain,
 
 The invariant of weights w is nu = <w, c> / sqrt(b) with
 b = sum rank(gr_m) * w_m^2, kept exact as a NuValue; the oracle's scores
-and the pair maximizer's top coefficient are read from the same c.
+and the pair maximizer's values are read from the same c.
 
 The weight of the determinant family at the associated graded, <w, c> at
 delta = 0, is computed a second, independent way (the subobject form):
@@ -47,7 +47,7 @@ def contributions(
     return tuple(g.poly - tau * g.rank for g in chain.gradeds)
 
 
-def dot(weights: Sequence[int], contribs: Sequence[RatPoly]) -> RatPoly:
+def dot(weights: Sequence[int | Fraction], contribs: Sequence[RatPoly]) -> RatPoly:
     """The numerator <w, c> of the invariant."""
     total = RatPoly.zero()
     for w, c in zip(weights, contribs):

@@ -34,7 +34,7 @@ from pathlib import Path
 
 from .errors import ParseError
 from .lattice import PairObject, SubobjectLattice, validate_lattice
-from .ratpoly import NuValue, RatPoly, as_fraction, as_integer
+from .ratpoly import NuValue, RatPoly, _over_root, as_fraction, as_integer
 
 
 def format_rational(value: Fraction) -> str:
@@ -123,8 +123,7 @@ def nu_json(value: NuValue) -> dict:
 
 def nu_text(value: NuValue) -> str:
     """Exact (L, b) plus a 6-place decimal rendering of L/sqrt(b)."""
-    root = float(value.b) ** 0.5
-    approx_terms = {exp: float(c) / root for exp, c in value.L.items()}
+    approx_terms = {exp: _over_root(c, value.b) for exp, c in value.L.items()}
     if not approx_terms:
         approx = "0"
     else:

@@ -135,6 +135,15 @@ class SubobjectLattice:
         return f"SubobjectLattice(d={self.dim}, top={self.top_id!r}, members={len(self._members)})"
 
 
+def _check_quotient(quotient: RatPoly, sup: str, sub: str, dim: int) -> None:
+    """QuotientNotPure unless sup/sub looks pure: degree exactly dim, no
+    Laurent terms and a positive leading coefficient."""
+    if quotient.has_negative_exponents() or quotient.degree() != dim:
+        raise QuotientNotPure(f"quotient {sup!r}/{sub!r} must have degree exactly {dim}")
+    if quotient.leading_coeff() <= 0:
+        raise QuotientNotPure(f"quotient {sup!r}/{sub!r} has nonpositive leading coefficient")
+
+
 def build_lattice(
     dim: int,
     polys: Mapping[str, RatPoly | Mapping],
@@ -169,11 +178,19 @@ def build_lattice(
             raise CycleInRelation(f"member {sub!r} declared strictly inside itself")
         declared.add((sub, sup))
 
+    # Each member is its own quotient by zero: check it before reading
+    # ranks, so the closure below need not revisit (zero, member).
+    nonzero = sorted(i for i in coerced if i != zero_id)
+    if not nonzero:
+        raise MissingTopOrZero("lattice has no nonzero member")
+    for i in nonzero:
+        _check_quotient(coerced[i], i, zero_id, dim)
+
     # The ambient object is the member of maximal rank (every proper
     # saturated subobject has strictly smaller rank); a rank tie is broken
     # against members declared inside something else.
     ranks = {i: p.coeff(dim) * factorial(dim) for i, p in coerced.items()}
-    top_rank = max(r for i, r in ranks.items() if i != zero_id)
+    top_rank = max(ranks[i] for i in nonzero)
     top_ids = [i for i, r in ranks.items() if r == top_rank and i != zero_id]
     if len(top_ids) > 1:
         declared_subs = {sub for sub, _ in declared}
@@ -210,20 +227,14 @@ def build_lattice(
         raise CycleInRelation("declared inclusions contain a cycle")
 
     for sub, sup in sorted(closure):
+        if sub == zero_id:
+            continue
         if ranks[sub] >= ranks[sup]:
             raise RankNotIncreasing(
                 f"rank must grow strictly along {sub!r} < {sup!r}: "
                 f"{ranks[sub]} >= {ranks[sup]}"
             )
-        quotient = coerced[sup] - coerced[sub]
-        if quotient.has_negative_exponents() or quotient.degree() != dim:
-            raise QuotientNotPure(
-                f"quotient {sup!r}/{sub!r} must have degree exactly {dim}"
-            )
-        if quotient.leading_coeff() <= 0:
-            raise QuotientNotPure(
-                f"quotient {sup!r}/{sub!r} has nonpositive leading coefficient"
-            )
+        _check_quotient(coerced[sup] - coerced[sub], sup, sub, dim)
 
     members = {}
     for i, p in coerced.items():

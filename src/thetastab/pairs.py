@@ -49,7 +49,8 @@ when S < 0.  That face is again a monotone cone on a coarser chain,
 pinned or not, so the next exponent runs the same projection on summed
 units and ranks.  The descent stops at the first exponent with P(x) != 0;
 when the face shrinks to {0} or the exponents run out, the chain has no
-positive weighting.
+positive weighting.  The value is nu itself at the fit: the coefficients
+above the stopping exponent vanish on the face, so it leads there.
 
 For deg(delta) >= d the descent stops at its first step, exponent
 deg(delta), where every unit is -delta_top * r_i / rank(F) and x is
@@ -63,7 +64,8 @@ top nothing is positive, which is pair_semistable's verdict.
 Refining a chain enlarges its cone (the inserted steps repeat the weight
 of the step they split, the pivot's included), so every chain's maximizer
 is that of its saturated refinements, and pair_canonical visits saturated
-chains only.
+chains only.  It ranks them on those values (nu is scale-invariant, and a
+merged step contributes its block's sum) and builds the winner alone.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ from typing import Sequence
 
 from .canonical import destabilizing_member
 from .errors import Semistable
-from .invariant import contributions, nu_delta
+from .invariant import contributions, dot, nu_delta
 from .lattice import (
     ObjectClass,
     PairObject,
@@ -87,7 +89,7 @@ from .lattice import (
     primitive_weights,
 )
 from .oracle import saturated_chains
-from .ratpoly import EQUAL, GREATER, LESS, NuValue, RatPoly, eventual_compare, nu_compare
+from .ratpoly import GREATER, LESS, NuValue, RatPoly, eventual_compare, nu_compare
 
 
 def pair_semistable(
@@ -122,9 +124,9 @@ class WeightMaximum:
 
     chain holds the member ids of the steps, and may be coarser than the
     queried chain (boundary maximizers merge steps); weights are exact
-    rationals, unique up to positive scale; degree is the exponent at
-    which the descent stopped, and value, positive, is the coefficient of
-    n^degree of the invariant; pinned is the index of the step the pair
+    rationals, unique up to positive scale; value, positive, is nu at
+    those weights, every exponent included, and its leading exponent is
+    where the descent stopped; pinned is the index of the step the pair
     constraint holds at 0, else None.
     """
 
@@ -132,7 +134,6 @@ class WeightMaximum:
     weights: tuple[Fraction, ...]
     value: NuValue
     pinned: int | None
-    degree: int
 
 
 def _isotonic(units: list[Fraction], ranks: list[Fraction]) -> list[Fraction]:
@@ -173,8 +174,8 @@ def maximize_weights(
     beta = pair.beta_image if pair is not None else None
     p = pair_pivot_index(ids, chain.lattice, beta) if beta is not None else None
     pinned = False
-    for degree in sorted({e for c in contribs for e, _ in c.items()}, reverse=True):
-        units = [c.coeff(degree) for c in contribs]
+    for exponent in sorted({e for c in contribs for e, _ in c.items()}, reverse=True):
+        units = [c.coeff(exponent) for c in contribs]
         fit = _isotonic(units, ranks)
         if p is not None and (pinned or fit[p] < 0):
             pinned, zero = True, Fraction(0)
@@ -188,12 +189,8 @@ def maximize_weights(
             return WeightMaximum(
                 chain=tuple(ids[i] for i in keep),
                 weights=tuple(fit[i] for i in keep),
-                value=NuValue(
-                    RatPoly.const(sum((w * u for w, u in zip(fit, units)), Fraction(0))),
-                    sum((r * w * w for w, r in zip(fit, ranks)), Fraction(0)),
-                ),
+                value=NuValue(dot(fit, contribs), sum(r * w * w for w, r in zip(fit, ranks))),
                 pinned=bisect_right(keep, p) - 1 if pinned else None,
-                degree=degree,
             )
         # the maximum here is 0: keep the increments whose coefficient
         # (prefix sum at or above the pivot, suffix sum below it) is 0.  A
@@ -227,23 +224,24 @@ def pair_canonical(pair: PairObject, delta: RatPoly | None) -> PairCanonicalResu
     by the summation-by-parts identity no weighting is positive.  Otherwise
     every saturated chain's lexicographic maximizer is computed in closed
     form and the candidates are ranked by their full invariant, ties going
-    to the shorter chain, then the smaller ids, then the smaller weights.
+    to the shorter chain, then the smaller ids, then the smaller weights;
+    only the winner's filtration is built.
     """
     lat = pair.lattice
-    best: PairCanonicalResult | None = None
-    best_key = None
+    best: WeightMaximum | None = None
+    best_key: tuple | None = None
     if not pair_semistable(pair, delta)[0]:
         for chain in saturated_chains(lat):
             wm = maximize_weights(chain, pair, delta)
             if wm is None:
                 continue
-            filt = make_filtration(lat, wm.chain, primitive_weights(wm.weights), pair)
-            value = nu_delta(filt, delta)
-            key = (len(filt.chain), filt.chain, filt.weights)
-            order = GREATER if best is None else nu_compare(value, best.value)
-            if order == GREATER or (order == EQUAL and key < best_key):
-                best = PairCanonicalResult(filtration=filt, value=value, source="closed-form")
-                best_key = key
+            order = GREATER if best is None else nu_compare(wm.value, best.value)
+            if order == LESS:
+                continue
+            key = (len(wm.chain), wm.chain, primitive_weights(wm.weights))
+            if order == GREATER or key < best_key:
+                best, best_key = wm, key
     if best is None:
         raise Semistable("no destabilizing filtration exists for this pair")
-    return best
+    filt = make_filtration(lat, best.chain, primitive_weights(best.weights), pair)
+    return PairCanonicalResult(filtration=filt, value=nu_delta(filt, delta), source="closed-form")

@@ -25,9 +25,10 @@ from __future__ import annotations
 import re
 from contextlib import suppress
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from fractions import Fraction
 from functools import total_ordering
-from math import factorial
+from math import factorial, isfinite
 from typing import Mapping, Union
 
 from .errors import DegreeMismatch, NonpositiveRank, ParseError
@@ -279,9 +280,34 @@ class NuValue:
     def zero(cls) -> NuValue:
         return cls(RatPoly.zero(), Fraction(1))
 
-    def approx(self, n: RationalLike) -> float:
-        """Float value L(n) / sqrt(b); for display and sanity checks only."""
-        return float(self.L(n)) / float(self.b) ** 0.5
+    def approx(self, n: RationalLike) -> float | Decimal:
+        """Value L(n) / sqrt(b) for display and sanity checks only: a float,
+        or a Decimal where a float would overflow or underflow."""
+        return _over_root(self.L(n), self.b)
+
+
+def _over_root(x: Fraction, b: Fraction) -> float | Decimal:
+    """x / sqrt(b) as a float when one holds it (nonzero when x is), else
+    as a Decimal of 17 significant digits, like a float's, whose exponent
+    range covers any exact input."""
+    if not x:
+        return 0.0
+    with suppress(OverflowError, ZeroDivisionError):
+        value = float(x) / float(b) ** 0.5
+        if value and isfinite(value):
+            return value
+    with localcontext(Emax=MAX_EMAX, Emin=MIN_EMIN) as ctx:
+        value = _decimal(x.numerator) / _decimal(x.denominator)
+        value /= (_decimal(b.numerator) / _decimal(b.denominator)).sqrt()
+        ctx.prec = 17
+        return value.normalize()
+
+
+def _decimal(m: int) -> Decimal:
+    """m rounded to the current context from its top 160 bits: Decimal(m)
+    itself takes time quadratic in the digits of m."""
+    shift = max(m.bit_length() - 160, 0)
+    return Decimal(m >> shift) * Decimal(2) ** shift
 
 
 def nu_compare(x: NuValue, y: NuValue) -> int:

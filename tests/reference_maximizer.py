@@ -120,9 +120,7 @@ def face_enumeration_max(chain, pair, delta: RatPoly) -> WeightMaximum:
 
     value, starts, values, pinned = best
     merged = tuple(chain.chain[s] for s in starts)
-    return WeightMaximum(
-        chain=merged, weights=values, value=value, pinned=pinned, degree=lat.dim - 1
-    )
+    return WeightMaximum(chain=merged, weights=values, value=value, pinned=pinned)
 
 
 def all_chains_pair_canonical(pair, delta: RatPoly, bound: int) -> PairCanonicalResult:

@@ -1,11 +1,16 @@
 import contextlib
 import io
 import json
+import re
+import tempfile
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thetastab import errors
 from thetastab.cli import main
 
 from conftest import FIXTURES
@@ -20,6 +25,23 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv, "--format", "structured")
     return code, json.loads(out), err
+
+
+def _every_command(path, member: str) -> list[list[str]]:
+    """One command line per subcommand, each reading the lattice file at
+    path; nu takes the trivial chain of member with weight 1."""
+    path = str(path)
+    return [
+        ["check", path],
+        ["hn", path],
+        ["canonical", path],
+        ["nu", path, "--chain", member, "--weights", "1"],
+        ["polytope", path],
+        ["pair-check", path],
+        ["pair-canonical", path, "--bound", "1"],
+        ["sweep", path, "--sweep-deltas", "0,1"],
+        ["oracle", path, "--bound", "1"],
+    ]
 
 
 class TestCheck:
@@ -220,6 +242,62 @@ class TestOracleCommand:
         assert len(lines) == 1 + 4  # weights -2,-1,1,2 on the trivial chain
 
 
+BIG = "1" + "0" * 400
+
+
+class TestBeyondFloatRange:
+    """Exact values beyond a float's range keep their exact L and b, and
+    their approximation is rendered from a Decimal instead of overflowing."""
+
+    @staticmethod
+    def write(tmp_path, sub, top):
+        path = tmp_path / "wide.lattice"
+        path.write_text(json.dumps({
+            "dimension": 1,
+            "objects": [{"id": "0", "hilbert": {}}, {"id": "A", "hilbert": sub}, {"id": "F", "hilbert": top}],
+            "pair": {"beta_image": "A"},
+        }))
+        return path
+
+    def write_big(self, tmp_path):
+        return self.write(tmp_path, {"1": "1", "0": BIG}, {"1": "2", "0": BIG})
+
+    def test_text_output(self, capsys, tmp_path):
+        path = self.write_big(tmp_path)
+        best = f"L = {BIG}, b = 2  (approx 70710678118654752{'0' * 383}.000000)"
+        expected = {
+            ("canonical",): f"nu: {best}",
+            ("nu", "--chain", "F,A", "--weights", "0,1"):
+                f"nu: L = 5{'0' * 399}, b = 1  (approx 5{'0' * 399}.000000)",
+            ("pair-canonical", "--bound", "1"): f"nu_delta: {best}",
+            ("oracle", "--bound", "1"): f"max nu: {best}",
+        }
+        for argv, line in expected.items():
+            code, out, err = run(capsys, argv[0], path, *argv[1:])
+            assert code == 0 and not err, (argv, err)
+            assert line in out.splitlines(), argv
+
+    def test_tiny_norm(self, capsys, tmp_path):
+        # b = 1/10^400 is 0.0 as a float
+        path = self.write(tmp_path, {"1": f"1/{BIG}", "0": "1"}, {"1": f"2/{BIG}", "0": "3"})
+        code, out, _ = run(capsys, "nu", path, "--chain", "F,A", "--weights", "0,1")
+        assert code == 0
+        assert out == f"nu: L = -1/2, b = 1/{BIG}  (approx -5{'0' * 199}.000000)\n"
+
+    def test_csv_dump(self, capsys, tmp_path):
+        target = tmp_path / "dump.csv"
+        code, _, _ = run(capsys, "oracle", self.write_big(tmp_path), "--bound", "1", "--csv", target)
+        assert code == 0
+        rows = [line.split(",") for line in target.read_text().splitlines()[1:]]
+        assert [(row[0], row[1], row[-1]) for row in rows] == [
+            ("F", "1", "0"),
+            ("F|A", "-1|0", "5e+399"),
+            ("F|A", "-1|1", "7.07107e+399"),
+            ("F|A", "0|1", "5e+399"),
+        ]
+        assert rows[2][2:4] == [BIG, "2"]
+
+
 class TestErrorPaths:
     def test_missing_file_is_parse_error(self, capsys):
         code, _, err = run(capsys, "check", "no/such/file.lattice")
@@ -232,18 +310,30 @@ class TestErrorPaths:
         assert code == 2
 
     def test_domain_error_from_lattice(self, capsys, tmp_path):
-        bad = tmp_path / "cycle.lattice"
-        bad.write_text(json.dumps({
-            "dimension": 1,
-            "objects": [
-                {"id": "0", "hilbert": {}},
-                {"id": "E", "hilbert": {"1": "1", "0": "3"}},
-                {"id": "F", "hilbert": {"1": "2", "0": "4"}},
-            ],
-            "relations": [["F", "E"]],
-        }))
-        code, _, err = run(capsys, "check", bad)
-        assert code == 1 and "CycleInRelation" in err
+        # a cycle, a zero member alone, and a dimension far above the only
+        # member's degree (refused by its purity before factorial(dim) runs)
+        cases = {
+            "CycleInRelation": {
+                "dimension": 1,
+                "objects": [
+                    {"id": "0", "hilbert": {}},
+                    {"id": "E", "hilbert": {"1": "1", "0": "3"}},
+                    {"id": "F", "hilbert": {"1": "2", "0": "4"}},
+                ],
+                "relations": [["F", "E"]],
+            },
+            "MissingTopOrZero": {"dimension": 1, "objects": [{"id": "0", "hilbert": {}}]},
+            "QuotientNotPure": {
+                "dimension": 10**6,
+                "objects": [{"id": "0", "hilbert": {}}, {"id": "F", "hilbert": {"1": "1"}}],
+            },
+        }
+        for name, doc in cases.items():
+            bad = tmp_path / "bad.lattice"
+            bad.write_text(json.dumps(doc))
+            for argv in _every_command(bad, "F"):
+                code, _, err = run(capsys, *argv)
+                assert code == 1 and err.startswith(f"error: {name}: "), (argv, err)
 
     def test_bad_delta_literal(self, capsys):
         code, _, err = run(
@@ -429,3 +519,86 @@ class TestFlagContract:
         assert "Traceback" not in err.getvalue()
         if code == 2:
             assert err.getvalue().startswith("error: ParseError: "), (argv, err.getvalue())
+
+
+# member ids, and coefficients: small rationals of either sign, and ones
+# whose floats overflow or underflow
+DOC_IDS = ["0", "A", "B", "C", "F"]
+DOC_COEFF = st.one_of(
+    st.sampled_from(["1", "2", "3", "1/2", "5/3", "-1", "-7/2", "0"]),
+    st.sampled_from([BIG, f"-{BIG}", f"1/{BIG}", f"{BIG}/3"]),
+)
+DOC_LEAD = st.sampled_from(["1", "2", "3", "4", "1/2", "5/3"])
+
+
+@st.composite
+def lattice_documents(draw):
+    """A small lattice document of up to five members: either a direct sum
+    of two or three summands (zero, the summands and their sum F) or a
+    zero member, usually, and up to four random ones.  Members are led by
+    the dimension's exponent (a small one when the dimension is huge, so
+    that none is pure), mostly with a small positive coefficient, and have
+    random lower terms and now and then a Laurent or too-high one.  Now and
+    then random relations are declared, and the pair section is optional."""
+    dim = draw(st.sampled_from([0, 1, 2, 10**6]))
+    lead = dim if dim < 10 else draw(st.integers(0, 2))
+
+    def hilbert() -> dict[str, str]:
+        usual = draw(st.integers(0, 3))
+        poly = {str(lead): draw(DOC_LEAD if usual else DOC_COEFF)}
+        for exponent in range(lead):
+            if draw(st.booleans()):
+                poly[str(exponent)] = draw(DOC_COEFF)
+        if not draw(st.integers(0, 7)):
+            poly[draw(st.sampled_from(["-1", "3"]))] = draw(DOC_COEFF)
+        return poly
+
+    if draw(st.booleans()):
+        members = {i: hilbert() for i in draw(st.lists(st.sampled_from("ABC"), min_size=2, max_size=3, unique=True))}
+        total: dict[str, Fraction] = {}
+        for poly in members.values():
+            for exponent, coeff in poly.items():
+                total[exponent] = total.get(exponent, Fraction(0)) + Fraction(coeff)
+        members = {"0": {}, **members, "F": {e: str(c) for e, c in total.items()}}
+    else:
+        members = {"0": {}} if draw(st.integers(0, 7)) else {}
+        for member in draw(st.lists(st.sampled_from(DOC_IDS[1:]), max_size=4, unique=True)):
+            members[member] = hilbert()
+    doc = {
+        "dimension": dim,
+        "objects": [{"id": i, "hilbert": poly} for i, poly in members.items()],
+        "relations": [],
+    }
+    if not draw(st.integers(0, 3)):
+        doc["relations"] = draw(st.lists(st.lists(st.sampled_from(DOC_IDS), min_size=2, max_size=2), max_size=2))
+    beta = draw(st.sampled_from(["absent", None, *DOC_IDS]))
+    if beta != "absent":
+        doc["pair"] = {"beta_image": beta}
+    return doc
+
+
+class TestDocumentContract:
+    """Any small lattice document, through every subcommand in both
+    formats, exits 0, 1 or 2 without raising, and each failure is one
+    line naming a StabilityError."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(lattice_documents(), st.sampled_from(DOC_IDS))
+    def test_exit_code_contract(self, doc, member):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "doc.lattice"
+            path.write_text(json.dumps(doc))
+            for argv in _every_command(path, member):
+                if argv[0] == "oracle":
+                    argv += ["--csv", str(Path(tmp) / "dump.csv")]
+                for fmt in ("text", "structured"):
+                    out, err = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        code = main([*argv, "--format", fmt])
+                    assert code in (0, 1, 2), argv
+                    if code:
+                        name = re.match(r"error: (\w+): ", err.getvalue())
+                        assert name and err.getvalue().count("\n") == 1, (argv, err.getvalue())
+                        assert issubclass(getattr(errors, name[1]), errors.StabilityError)
+                        assert (code == 2) == (name[1] == "ParseError"), (argv, err.getvalue())
+

@@ -108,6 +108,19 @@ class TestValidateLattice:
         with pytest.raises(MissingTopOrZero):
             build_lattice(1, {"F": P({1: 1, 0: 1})})
 
+    def test_zero_member_only(self):
+        with pytest.raises(MissingTopOrZero, match="no nonzero member"):
+            build_lattice(1, {"0": RatPoly.zero()})
+
+    def test_member_purity_checked_before_ranks(self):
+        # each member is checked as its own quotient by zero before any
+        # rank is read, so a dimension far above every member's degree is
+        # refused at once, by the purity rule rather than by a rank
+        with pytest.raises(QuotientNotPure, match="'F'/'0' must have degree exactly 1000000"):
+            build_lattice(10**6, {"0": RatPoly.zero(), "F": P({1: 1})})
+        with pytest.raises(QuotientNotPure, match="'E'/'0' has nonpositive leading"):
+            build_lattice(1, {"0": RatPoly.zero(), "E": P({1: -1}), "F": P({1: 2})})
+
     def test_ambiguous_top(self):
         with pytest.raises(MissingTopOrZero):
             build_lattice(

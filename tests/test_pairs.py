@@ -361,6 +361,61 @@ class TestMaximizeWeights:
         assert maximize_weights(chain, pair_o_o1, const(1)) is None
 
 
+class TestMaximizerValue:
+    """WeightMaximum.value is the whole invariant at the fitted weights, so
+    it ranks chains exactly as the filtration it names would."""
+
+    @staticmethod
+    def cases(seed):
+        # coordinate lattices at every form of delta, and equal-slope sums
+        # at low-degree deltas, where the descent stops below degree d-1
+        rng = random.Random(seed)
+        forms = ("zero", "negative", "Laurent", "degree <= d-1", "degree d", "degree > d")
+        for trial in range(24):
+            d = rng.choice((1, 2, 3))
+            lat = coordinate_lattice({f"L{i}": rng.randint(-3, 3) for i in range(rng.randint(1, 4))}, d)
+            beta = rng.choice([None, *lat.nonzero_ids()])
+            yield PairObject(lattice=lat, beta_image=beta), _random_delta(rng, d, forms[trial % 6])
+        yield from TestFlatRegime.cases(seed, 2)
+
+    def test_value_is_nu_of_the_primitive_filtration(self):
+        lower = chains = 0
+        for pair, delta in self.cases(20261018):
+            lat = pair.lattice
+            for chain in saturated_chains(lat):
+                wm = maximize_weights(chain, pair, delta)
+                if wm is None:
+                    continue
+                filt = make_filtration(lat, wm.chain, primitive_weights(wm.weights), pair)
+                assert nu_compare(wm.value, nu_delta(filt, delta)) == EQUAL, (chain.chain, delta)
+                assert nu_compare(wm.value, NuValue.zero()) == GREATER
+                chains += 1
+                lower += wm.value.L.degree() < lat.dim - 1
+        assert chains >= 150 and lower >= 20, (chains, lower)
+
+    def test_pair_canonical_builds_only_the_winner(self, monkeypatch):
+        calls = {"maximize_weights": 0, "make_filtration": 0, "nu_delta": 0}
+
+        def counting(name):
+            original = getattr(pairs, name)
+
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(pairs, name, counting(name))
+        lat = coordinate_lattice({f"L{i}": (i * 7) % 5 - 2 + i for i in range(5)})
+        result = pair_canonical(PairObject(lattice=lat, beta_image="L0"), const(Fraction(1, 2)))
+        assert calls == {"maximize_weights": 120, "make_filtration": 1, "nu_delta": 1}
+        assert nu_compare(result.value, nu_delta(result.filtration, const(Fraction(1, 2)))) == EQUAL
+        for pair, delta in TestPairCanonicalAsksFirst.semistable_pairs():
+            with pytest.raises(Semistable):
+                pair_canonical(pair, delta)
+        assert calls == {"maximize_weights": 120, "make_filtration": 1, "nu_delta": 1}
+
+
 def _random_pair(rng, max_summands, with_pair=True):
     d = rng.choice((1, 2))
     k = rng.randint(2, max_summands)
@@ -373,10 +428,11 @@ class TestMaximizeWeightsAgainstFaceEnumeration:
     def test_seeded_chains(self):
         # PAVA against trying every face, over all three signs of delta:
         # where the reference's degree-(d-1) maximum is positive, the
-        # descent stops at that degree with the same value, merged chain,
-        # exact (hence primitive) weights and pinned group; where it is
-        # flat or <= 0, the descent finds nothing or goes lower.  Every
-        # fourth lattice has a zero framing map and every fourth no pair
+        # descent stops at that degree (the value's leading exponent) with
+        # the same n^(d-1) coefficient and norm, merged chain, exact (hence
+        # primitive) weights and pinned group; where it is flat or <= 0,
+        # the descent finds nothing or goes lower.  Every fourth lattice
+        # has a zero framing map and every fourth no pair
         rng = random.Random(20240603)
         seen = {"flat": 0, "pinned": 0, "nonpositive": 0, "no pair": 0}
         for trial in range(40):
@@ -391,16 +447,17 @@ class TestMaximizeWeightsAgainstFaceEnumeration:
                 try:
                     ref = face_enumeration_max(chain, pair, delta)
                 except FlatObjective:
-                    assert wm is None or wm.degree < d - 1
+                    assert wm is None or wm.value.L.degree() < d - 1
                     seen["flat"] += 1
                     continue
                 seen["no pair"] += pair is None or pair.beta_image is None
                 if nu_compare(ref.value, NuValue.zero()) != GREATER:
-                    assert wm is None or wm.degree < d - 1
+                    assert wm is None or wm.value.L.degree() < d - 1
                     seen["nonpositive"] += 1
                     continue
-                assert wm.degree == d - 1
-                assert (wm.value, wm.chain, wm.weights, wm.pinned) == (
+                assert wm.value.L.degree() == d - 1
+                top = NuValue(RatPoly.const(wm.value.L.coeff(d - 1)), wm.value.b)
+                assert (top, wm.chain, wm.weights, wm.pinned) == (
                     ref.value, ref.chain, ref.weights, ref.pinned
                 )
                 seen["pinned"] += ref.pinned is not None
@@ -713,5 +770,5 @@ class TestDescentNearWalls:
                 bound = max(3, *map(abs, filt.weights))
                 best = chain_search_max(chain, pair, delta, bound)
                 assert nu_compare(nu_delta(filt, delta), best) == EQUAL, (chain.chain, delta)
-                lower += wm.degree < pair.lattice.dim - 1
+                lower += wm.value.L.degree() < pair.lattice.dim - 1
         assert lower >= 10, lower

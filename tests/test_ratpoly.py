@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -137,3 +138,17 @@ class TestNuCompare:
     def test_b_must_be_positive(self):
         with pytest.raises(ValueError):
             NuValue(RatPoly.zero(), 0)
+
+
+class TestApprox:
+    def test_float_where_one_suffices(self):
+        value = NuValue(P({1: 3, 0: -1}), Fraction(2)).approx(10)
+        assert type(value) is float and value == 29 / 2**0.5
+
+    def test_decimal_beyond_float_range(self):
+        # an overflowing numerator, a norm that is 0.0 as a float, and a
+        # quotient that a float would round to 0
+        assert NuValue(P({0: 10**400}), Fraction(4)).approx(0) == Decimal("5E+399")
+        assert NuValue(P({1: 1}), Fraction(1, 10**800)).approx(10**300) == Decimal("1E+700")
+        assert NuValue(P({0: Fraction(1, 10**400)}), Fraction(1)).approx(0) == Decimal("1E-400")
+        assert NuValue(RatPoly.zero(), Fraction(1, 10**800)).approx(0) == 0

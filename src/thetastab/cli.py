@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from functools import cache
 
 from . import canonical as canonical_mod
 from . import invariant, oracle, pairs
@@ -279,7 +280,10 @@ _HANDLERS = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged and fills a fresh namespace with the defaults each call."""
     parser = argparse.ArgumentParser(
         prog="thetastab",
         description="Exact stability computations on Hilbert-polynomial lattices.",
@@ -323,11 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = _HANDLERS[args.command]
+    args = build_parser().parse_args(argv)
     try:
-        handler(args)
+        for dest, value in vars(args).items():
+            # argparse hands `--flag=--` over as an empty list
+            if value is not None and not isinstance(value, str):
+                raise ParseError(f"--{dest.replace('_', '-')} needs a value, got {value!r}")
+        _HANDLERS[args.command](args)
     except ParseError as exc:
         print(f"error: ParseError: {exc}", file=sys.stderr)
         return 2

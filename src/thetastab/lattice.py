@@ -18,6 +18,13 @@ Structural conventions:
 * a pair marks the saturated image of the framing map; any filtration of
   the pair must give that member a nonnegative weight (the framing factors
   through the weight-zero subobject).
+
+Validation reads each member as its own quotient by zero, then checks rank
+growth and quotient purity on the generating edges only: the declared
+inclusions and the implicit member -> top ones.  Both properties add up
+along a path of edges (ranks grow strictly, and a sum of quotients of
+degree exactly d with positive leading coefficients and no Laurent terms
+is again one), so the rest of the transitive closure needs no check.
 """
 
 from __future__ import annotations
@@ -153,6 +160,12 @@ def build_lattice(
 
     relations lists declared strict inclusions (sub, super); inclusions of
     the zero object and into the ambient object are implicit.
+
+    Rank growth and quotient purity are checked on the generating edges,
+    not on every closure pair: the quotient along a path is the sum of the
+    quotients along its edges, so when every edge passes, so does every
+    pair.  An invalid description is rejected all the same, though the
+    pair named in the error is then a failing edge.
     """
     if dim < 0:
         raise ParseError(f"dimension must be nonnegative, got {dim}")
@@ -179,7 +192,7 @@ def build_lattice(
         declared.add((sub, sup))
 
     # Each member is its own quotient by zero: check it before reading
-    # ranks, so the closure below need not revisit (zero, member).
+    # ranks, so the edge loop below need not revisit (zero, member).
     nonzero = sorted(i for i in coerced if i != zero_id)
     if not nonzero:
         raise MissingTopOrZero("lattice has no nonzero member")
@@ -189,7 +202,8 @@ def build_lattice(
     # The ambient object is the member of maximal rank (every proper
     # saturated subobject has strictly smaller rank); a rank tie is broken
     # against members declared inside something else.
-    ranks = {i: p.coeff(dim) * factorial(dim) for i, p in coerced.items()}
+    scale = factorial(dim)
+    ranks = {i: p.coeff(dim) * scale for i, p in coerced.items()}
     top_rank = max(ranks[i] for i in nonzero)
     top_ids = [i for i, r in ranks.items() if r == top_rank and i != zero_id]
     if len(top_ids) > 1:
@@ -226,7 +240,7 @@ def build_lattice(
     if any((n, n) in closure for n in coerced):
         raise CycleInRelation("declared inclusions contain a cycle")
 
-    for sub, sup in sorted(closure):
+    for sub, sup in sorted(edges):
         if sub == zero_id:
             continue
         if ranks[sub] >= ranks[sup]:

@@ -94,7 +94,8 @@ class RatPoly:
         clean: dict[int, Fraction] = {}
         if coeffs:
             for exp, val in coeffs.items():
-                frac = as_fraction(val)
+                # exact coefficients, as arithmetic makes them, need no parsing
+                frac = val if type(val) is Fraction else as_fraction(val)
                 if frac != 0:
                     clean[int(exp)] = frac
         object.__setattr__(self, "_coeffs", clean)
@@ -143,13 +144,13 @@ class RatPoly:
     def __add__(self, other: RatPoly) -> RatPoly:
         merged = dict(self._coeffs)
         for exp, val in other._coeffs.items():
-            merged[exp] = merged.get(exp, Fraction(0)) + val
+            merged[exp] = merged.get(exp, 0) + val
         return RatPoly(merged)
 
     def __sub__(self, other: RatPoly) -> RatPoly:
         merged = dict(self._coeffs)
         for exp, val in other._coeffs.items():
-            merged[exp] = merged.get(exp, Fraction(0)) - val
+            merged[exp] = merged.get(exp, 0) - val
         return RatPoly(merged)
 
     def __neg__(self) -> RatPoly:
@@ -161,7 +162,7 @@ class RatPoly:
             for e1, c1 in self._coeffs.items():
                 for e2, c2 in other._coeffs.items():
                     exp = e1 + e2
-                    product[exp] = product.get(exp, Fraction(0)) + c1 * c2
+                    product[exp] = product.get(exp, 0) + c1 * c2
             return RatPoly(product)
         scalar = as_fraction(other)
         return RatPoly({e: c * scalar for e, c in self._coeffs.items()})
@@ -238,11 +239,16 @@ def hilbert_stats(poly: RatPoly, d: int) -> HilbertStats:
         raise DegreeMismatch("Laurent terms are not allowed in Hilbert polynomials")
     if poly.degree() != d:
         raise DegreeMismatch(f"expected degree {d}, got degree {poly.degree()}")
-    rank = poly.coeff(d) * factorial(d)
+    lower = []  # a_i = i! * (coefficient of n^i), one running factorial
+    scale = 1
+    for i in range(d):
+        lower.append(poly.coeff(i) * scale)
+        scale *= i + 1
+    rank = poly.coeff(d) * scale
     if rank <= 0:
         raise NonpositiveRank(f"leading Hilbert coefficient a_{d} = {rank} is not positive")
     reduced = poly * (Fraction(1) / rank)
-    slopes = tuple(poly.coeff(i) * factorial(i) / rank for i in range(d))
+    slopes = tuple(a / rank for a in lower)
     return HilbertStats(dim=d, poly=poly, rank=rank, reduced=reduced, slopes=slopes)
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetastab import errors
-from thetastab.cli import main
+from thetastab.cli import build_parser, main
 
 from conftest import FIXTURES
 
@@ -446,6 +446,15 @@ class TestMalformedInput:
             ("pair-check", None, ["--delta", "n^" + "9" * 5000]),
             ("pair-check", None, ["--delta", "n^\u0661"]),
             ("nu", None, ["--chain", "F", "--weights", "1_0"]),
+            ("nu", None, ["--chain=F", "--weights=--"]),
+            ("nu", None, ["--chain=--", "--weights=1"]),
+            ("nu", None, ["--chain", "F", "--weights", "1", "--delta=--"]),
+            ("pair-check", None, ["--delta=--"]),
+            ("oracle", None, ["--bound=2", "--csv=--"]),
+            ("oracle", None, ["--bound=--"]),
+            ("polytope", None, ["--index=--"]),
+            ("sweep", None, ["--sweep-deltas=--"]),
+            ("check", None, ["--format=--"]),
         ],
         ids=[
             "oracle-bound-0", "oracle-bound-negative", "oracle-bound-underscore",
@@ -460,6 +469,9 @@ class TestMalformedInput:
             "dimension-float", "dimension-bool", "dimension-string",
             "delta-exponent-over-digit-limit", "delta-exponent-non-ascii-digit",
             "weights-underscore",
+            "weights-double-dash", "chain-double-dash", "nu-delta-double-dash",
+            "pair-check-delta-double-dash", "csv-double-dash", "bound-double-dash",
+            "index-double-dash", "sweep-deltas-double-dash", "format-double-dash",
         ],
     )
     def test_exits_2_with_parse_error(self, capsys, tmp_path, command, text, flags):
@@ -472,6 +484,18 @@ class TestMalformedInput:
         assert code == 2
         assert err.startswith("error: ParseError: ")
         assert "Traceback" not in err
+
+
+class TestParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_each_call_gets_its_own_defaults(self, capsys):
+        path = FIXTURES / "o_o1_pair.lattice"
+        code, payload, _ = run_json(capsys, "pair-check", path, "--delta=1")
+        assert code == 0 and payload["delta"] == "1"
+        code, payload, _ = run_json(capsys, "pair-check", path)
+        assert code == 0 and payload["delta"] == "0"
 
 
 # ASCII and non-ASCII digits, and the characters of the rational, integer

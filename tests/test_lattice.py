@@ -1,10 +1,20 @@
+import itertools
+import json
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
+import reference_lattice
+import thetastab.lattice as lattice_mod
+import thetastab.ratpoly as ratpoly_mod
+from conftest import coordinate_lattice
+from randgen import random_graded_poly
 from thetastab import (
     PairObject,
     RatPoly,
+    SubobjectLattice,
     build_lattice,
     graded_pieces,
     make_filtration,
@@ -21,8 +31,10 @@ from thetastab.errors import (
     ParseError,
     QuotientNotPure,
     RankNotIncreasing,
+    StabilityError,
     WeightsNotIncreasing,
 )
+from thetastab.cli import main
 
 
 def P(mapping):
@@ -253,3 +265,129 @@ class TestPrimitiveWeights:
         result = primitive_weights(weights)
         assert result == expected
         assert all(type(v) is int for v in result)
+
+
+def _random_description(rng: random.Random):
+    """A small lattice description (dim, polys, relations): zero, the sum F
+    of 2-4 random summands and some of its partial sums, with a random
+    subset of the inclusions declared, non-covers among them.  Now and then
+    a member's rank stops growing along an inclusion, a member is made
+    impure, or a random relation is declared."""
+    d = rng.choice((1, 2))
+    summands = [random_graded_poly(rng, d) for _ in range(rng.randint(2, 4))]
+    subsets = [
+        combo for size in range(1, len(summands))
+        for combo in itertools.combinations(range(len(summands)), size)
+    ]
+    chosen = rng.sample(subsets, rng.randint(1, min(6, len(subsets))))
+
+    def total(combo) -> RatPoly:
+        poly = RatPoly.zero()
+        for index in combo:
+            poly = poly + summands[index]
+        return poly
+
+    polys = {"0": RatPoly.zero(), "F": total(range(len(summands)))}
+    names = {combo: "+".join(f"L{i}" for i in combo) for combo in chosen}
+    for combo, name in names.items():
+        polys[name] = total(combo)
+    relations = [
+        (names[small], names[big])
+        for small, big in itertools.permutations(chosen, 2)
+        if set(small) < set(big) and rng.random() < 0.6
+    ]
+    member = rng.choice(sorted(names.values()))
+    flaw = rng.randrange(5)
+    if flaw == 1:  # a member reaches the rank of one above it, or one more
+        sub, sup = rng.choice(relations or [(member, "F")])
+        shift = polys[sup].coeff(d) - polys[sub].coeff(d) + Fraction(rng.randint(0, 1), math.factorial(d))
+        polys[sub] = polys[sub] + RatPoly({d: shift})
+    elif flaw == 2:  # impure: a Laurent or a too-high term
+        polys[member] = polys[member] + RatPoly({rng.choice((-1, d + 1)): 1})
+    elif flaw == 3:
+        ids = sorted(polys)
+        relations.append((rng.choice(ids), rng.choice(ids)))
+    return d, polys, relations
+
+
+def _outcome(build, description):
+    try:
+        return build(*description)
+    except StabilityError as exc:
+        return exc
+
+
+PAIR_ERRORS = (RankNotIncreasing, QuotientNotPure)
+
+
+class TestEdgeValidation:
+    """Rank growth and quotient purity are checked on the generating edges;
+    tests/reference_lattice.py keeps the closure-wide check."""
+
+    def test_quotient_checks_on_the_edges_of_a_128_member_lattice(self, monkeypatch):
+        calls = []
+        check = lattice_mod._check_quotient
+
+        def counting(quotient, sup, sub, dim):
+            calls.append((sub, sup))
+            return check(quotient, sup, sub, dim)
+
+        monkeypatch.setattr(lattice_mod, "_check_quotient", counting)
+        lat = coordinate_lattice({f"L{i}": (i * 7) % 5 - 2 + i for i in range(7)})
+        # 127 members by zero, 441 declared covers and 119 undeclared
+        # member -> top edges, against 2059 pairs in the closure
+        assert len(calls) == len(set(calls)) == 687
+        assert len(lat.ids()) == 128
+
+    def test_same_verdicts_as_the_closure_check(self):
+        rng = random.Random(20261018)
+        seen = {"accepted": 0, **{cls.__name__: 0 for cls in PAIR_ERRORS}}
+        for _ in range(400):
+            description = _random_description(rng)
+            expected = _outcome(reference_lattice.build_lattice, description)
+            got = _outcome(lattice_mod.build_lattice, description)
+            if isinstance(expected, SubobjectLattice):
+                assert isinstance(got, SubobjectLattice), (description, got)
+                assert got.structurally_equal(expected)
+                seen["accepted"] += 1
+            elif isinstance(expected, PAIR_ERRORS):
+                assert isinstance(got, PAIR_ERRORS), (description, expected, got)
+                seen[type(expected).__name__] += 1
+            else:
+                assert type(got) is type(expected), (description, expected, got)
+        assert min(seen.values()) >= 20, seen
+
+    def test_only_a_non_edge_pair_fails_first(self, capsys, tmp_path):
+        # A < B < C < F with ranks 2, 3, 1, 4: the closure check reports the
+        # non-edge pair A < C, the edge check the edge B < C; both exit 1
+        description = (
+            1,
+            {"0": {}, "A": {1: 2}, "B": {1: 3}, "C": {1: 1}, "F": {1: 4}},
+            [("A", "B"), ("B", "C")],
+        )
+        with pytest.raises(RankNotIncreasing, match="'A' < 'C'"):
+            reference_lattice.build_lattice(*description)
+        with pytest.raises(RankNotIncreasing, match="'B' < 'C'"):
+            build_lattice(*description)
+        path = tmp_path / "input.lattice"
+        path.write_text(json.dumps({
+            "dimension": 1,
+            "objects": [{"id": i, "hilbert": h} for i, h in description[1].items()],
+            "relations": description[2],
+        }))
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: RankNotIncreasing: ")
+
+    def test_factorial_of_the_dimension_computed_once(self, monkeypatch):
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return math.factorial(n)
+
+        monkeypatch.setattr(lattice_mod, "factorial", counting)
+        monkeypatch.setattr(ratpoly_mod, "factorial", counting)
+        d = 40
+        lat = build_lattice(d, {"0": {}, "A": {d: 1}, "B": {d: 1, 3: 5}, "F": {d: 2, 0: 1}})
+        assert calls == [d]
+        assert lat.member("B").stats.slopes[3] == Fraction(5 * math.factorial(3), math.factorial(d))

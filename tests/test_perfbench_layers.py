@@ -19,6 +19,7 @@ TRACING = PERFBENCH / "tracing.py"
 DIGESTS = {
     "pair_closed_form": "16d8fd0d2da6cf85242cabc0ae95232ebbc5670828a72881ae7818415e1bc6c0",
     "verdict_batch": "f51ff0191837eb61e0ab6a73ff7e587056efb389a656f4665b54667ccb07e260",
+    "oracle_audit": "e4019c92e37366037b98894136ed1e8e4a9d1657847aa9d5c702a6ab89405832",
 }
 
 
@@ -36,7 +37,7 @@ def test_traced_layer_is_a_library_callable(name):
 
 
 
-@pytest.mark.parametrize("workload", ["pair_closed_form", "verdict_batch"])
+@pytest.mark.parametrize("workload", sorted(DIGESTS))
 def test_one_round_passes_the_benchmark_checks(workload, monkeypatch, tmp_path):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     gen = importlib.import_module("gen")

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from thetastab import (
     hilbert_stats,
     nu_compare,
 )
+from thetastab.errors import ParseError
 
 CHECK_POINT = 10**6
 
@@ -61,6 +63,43 @@ class TestEventualOrder:
     @given(ratpolys(), ratpolys(), ratpolys())
     def test_translation_invariant(self, p, q, r):
         assert eventual_compare(p + r, q + r) == eventual_compare(p, q)
+
+
+def _from_text(terms: dict) -> RatPoly:
+    """The polynomial with these terms, each coefficient read from text."""
+    return RatPoly({e: f"{c.numerator}/{c.denominator}" for e, c in terms.items()})
+
+
+class TestArithmetic:
+    """Sums, differences and products keep the exact coefficients they
+    compute: each equals the polynomial read afresh from its terms, and
+    stores only nonzero Fractions."""
+
+    @given(ratpolys(), ratpolys(), rationals)
+    def test_results_equal_the_polynomial_of_their_terms(self, p, q, t):
+        exponents = {e for e, _ in p.items()} | {e for e, _ in q.items()}
+        product: dict[int, Fraction] = {}
+        for e1, c1 in p.items():
+            for e2, c2 in q.items():
+                product[e1 + e2] = product.get(e1 + e2, Fraction(0)) + c1 * c2
+        cases = [
+            (p + q, {e: p.coeff(e) + q.coeff(e) for e in exponents}),
+            (p - q, {e: p.coeff(e) - q.coeff(e) for e in exponents}),
+            (p - p, {}),
+            (p * q, product),
+            (p * t, {e: c * t for e, c in p.items()}),
+            (t * p, {e: t * c for e, c in p.items()}),
+        ]
+        for result, terms in cases:
+            assert result == _from_text(terms)
+            assert all(type(c) is Fraction and c != 0 for _, c in result.items())
+
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, False, "1e3"])
+    def test_constructor_keeps_the_rational_grammar(self, value):
+        with pytest.raises(ParseError):
+            RatPoly({0: value})
+        with pytest.raises(ParseError):
+            RatPoly({1: 1}) * value
 
 
 class TestNuOrder:

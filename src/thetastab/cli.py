@@ -234,6 +234,23 @@ def _cmd_oracle(args) -> dict:
     lat, pair = load_lattice(args.input)
     delta = parse_delta(args.delta) if args.delta is not None else None
     bound = _bound(args.bound)
+    if args.csv:  # before the search, so an unwritable path fails at once
+        try:
+            with open(args.csv, "w", newline="") as handle:
+                writer = csv.writer(handle)
+                writer.writerow(["chain", "weights", "L", "b", f"value_at_{APPROX_POINT}"])
+                for chain, weights, value in oracle.iter_candidates(lat, pair, delta, bound):
+                    writer.writerow(
+                        [
+                            "|".join(chain),
+                            "|".join(str(w) for w in weights),
+                            str(value.L),
+                            format_rational(value.b),
+                            f"{value.approx(APPROX_POINT):.6g}",
+                        ]
+                    )
+        except OSError as exc:
+            raise ParseError(f"cannot write {args.csv}: {exc}") from exc
     result = oracle.brute_force_max(lat, pair=pair, delta=delta, bound=bound)
     payload = {
         "command": "oracle",
@@ -249,19 +266,6 @@ def _cmd_oracle(args) -> dict:
         lines.extend(_filtration_text(result.best))
         lines.append(f"max nu: {nu_text(result.value)}")
     if args.csv:
-        with open(args.csv, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["chain", "weights", "L", "b", f"value_at_{APPROX_POINT}"])
-            for chain, weights, value in oracle.iter_candidates(lat, pair, delta, bound):
-                writer.writerow(
-                    [
-                        "|".join(chain),
-                        "|".join(str(w) for w in weights),
-                        str(value.L),
-                        format_rational(value.b),
-                        f"{value.approx(APPROX_POINT):.6g}",
-                    ]
-                )
         lines.append(f"candidate dump written to {args.csv}")
     _emit(payload, lines, args.format)
     return payload

@@ -19,19 +19,19 @@ Structural conventions:
   the pair must give that member a nonnegative weight (the framing factors
   through the weight-zero subobject).
 
-Validation reads each member as its own quotient by zero, then checks rank
-growth and quotient purity on the generating edges only: the declared
-inclusions and the implicit member -> top ones.  Both properties add up
-along a path of edges (ranks grow strictly, and a sum of quotients of
-degree exactly d with positive leading coefficients and no Laurent terms
-is again one), so the rest of the transitive closure needs no check.
+Validation checks each member as its own quotient by zero, then only rank
+growth on the generating edges: the declared inclusions and the implicit
+member -> top ones.  Ranks add up along a path of edges, so strict growth
+holds on the whole transitive closure.  Purity then follows for every
+quotient: when sub and sup are pure and rank(sub) < rank(sup), sup - sub
+has no Laurent terms and n^d coefficient (rank(sup) - rank(sub)) / d! > 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -88,6 +88,10 @@ class SubobjectLattice:
         self.zero_id: str = zero_id
         self.top_id: str = top_id
         self._closure: frozenset[tuple[str, str]] = closure
+        # quotient_poly's memo, seeded with each member over zero
+        self._quotients: dict[tuple[str, str], HilbertStats] = {
+            (zero_id, i): m.stats for i, m in members.items() if i != zero_id
+        }
 
     # -- access -----------------------------------------------------------
 
@@ -161,11 +165,12 @@ def build_lattice(
     relations lists declared strict inclusions (sub, super); inclusions of
     the zero object and into the ambient object are implicit.
 
-    Rank growth and quotient purity are checked on the generating edges,
-    not on every closure pair: the quotient along a path is the sum of the
-    quotients along its edges, so when every edge passes, so does every
-    pair.  An invalid description is rejected all the same, though the
-    pair named in the error is then a failing edge.
+    Each nonzero member is checked for purity once; its statistics give
+    the ranks and the top.  Edges are checked for rank growth only: the
+    quotient along a path is the sum of the quotients along its edges, so
+    ranks grow on every closure pair, and a pure member over a pure member
+    of smaller rank leaves a pure quotient, so that check could not fail.
+    The pair named in a RankNotIncreasing error is a failing edge.
     """
     if dim < 0:
         raise ParseError(f"dimension must be nonnegative, got {dim}")
@@ -191,21 +196,21 @@ def build_lattice(
             raise CycleInRelation(f"member {sub!r} declared strictly inside itself")
         declared.add((sub, sup))
 
-    # Each member is its own quotient by zero: check it before reading
-    # ranks, so the edge loop below need not revisit (zero, member).
+    # Each member is its own quotient by zero: check it, then read its
+    # statistics, which give the ranks below.
     nonzero = sorted(i for i in coerced if i != zero_id)
     if not nonzero:
         raise MissingTopOrZero("lattice has no nonzero member")
+    stats: dict[str, HilbertStats] = {}
     for i in nonzero:
         _check_quotient(coerced[i], i, zero_id, dim)
+        stats[i] = hilbert_stats(coerced[i], dim)
 
     # The ambient object is the member of maximal rank (every proper
     # saturated subobject has strictly smaller rank); a rank tie is broken
     # against members declared inside something else.
-    scale = factorial(dim)
-    ranks = {i: p.coeff(dim) * scale for i, p in coerced.items()}
-    top_rank = max(ranks[i] for i in nonzero)
-    top_ids = [i for i, r in ranks.items() if r == top_rank and i != zero_id]
+    top_rank = max(stats[i].rank for i in nonzero)
+    top_ids = [i for i in nonzero if stats[i].rank == top_rank]
     if len(top_ids) > 1:
         declared_subs = {sub for sub, _ in declared}
         top_ids = [i for i in top_ids if i not in declared_subs]
@@ -240,20 +245,15 @@ def build_lattice(
     if any((n, n) in closure for n in coerced):
         raise CycleInRelation("declared inclusions contain a cycle")
 
+    # An edge into zero would have closed a cycle above.
     for sub, sup in sorted(edges):
-        if sub == zero_id:
-            continue
-        if ranks[sub] >= ranks[sup]:
+        if sub != zero_id and stats[sub].rank >= stats[sup].rank:
             raise RankNotIncreasing(
                 f"rank must grow strictly along {sub!r} < {sup!r}: "
-                f"{ranks[sub]} >= {ranks[sup]}"
+                f"{stats[sub].rank} >= {stats[sup].rank}"
             )
-        _check_quotient(coerced[sup] - coerced[sub], sup, sub, dim)
 
-    members = {}
-    for i, p in coerced.items():
-        stats = None if i == zero_id else hilbert_stats(p, dim)
-        members[i] = ObjectClass(id=i, poly=p, stats=stats)
+    members = {i: ObjectClass(id=i, poly=p, stats=stats.get(i)) for i, p in coerced.items()}
     return SubobjectLattice(dim, members, zero_id, top_id, frozenset(closure))
 
 
@@ -318,10 +318,14 @@ class UnweightedFiltration:
 
 
 def quotient_poly(lat: SubobjectLattice, sub: str, sup: str) -> HilbertStats:
-    """Statistics of sup/sub; requires sub strictly inside sup."""
-    if not lat.lt(sub, sup):
-        raise NotComparable(f"{sub!r} is not strictly contained in {sup!r}")
-    return hilbert_stats(lat.member(sup).poly - lat.member(sub).poly, lat.dim)
+    """Statistics of sup/sub; requires sub strictly inside sup.  Computed
+    once per lattice and pair, and kept on the lattice."""
+    if (sub, sup) not in lat._quotients:
+        if not lat.lt(sub, sup):
+            raise NotComparable(f"{sub!r} is not strictly contained in {sup!r}")
+        quotient = lat.member(sup).poly - lat.member(sub).poly
+        lat._quotients[sub, sup] = hilbert_stats(quotient, lat.dim)
+    return lat._quotients[sub, sup]
 
 
 def make_chain(lat: SubobjectLattice, ids: Sequence[str]) -> UnweightedFiltration:

@@ -55,26 +55,18 @@ def _walk(
     lexicographic order of the id tuples (children lists are sorted).
 
     A depth-first walk visits the chains in that order; chains sharing a
-    prefix share its graded pieces, and each quotient is computed once per
-    call.
+    prefix share its graded pieces, and quotient_poly computes each
+    quotient once per lattice, not once per call.
     """
-    quotients: dict[tuple[str, str], HilbertStats] = {}
-
-    def quotient(sub: str, sup: str) -> HilbertStats:
-        stats = quotients.get((sub, sup))
-        if stats is None:
-            stats = quotients[sub, sup] = quotient_poly(lat, sub, sup)
-        return stats
-
     chains: list[UnweightedFiltration] = []
 
     def extend(prefix: tuple[str, ...], upper: tuple[HilbertStats, ...]) -> None:
         # upper holds the graded pieces above the deepest member prefix[-1]
         deepest = prefix[-1]
-        gradeds = upper + (quotient(lat.zero_id, deepest),)
+        gradeds = upper + (quotient_poly(lat, lat.zero_id, deepest),)
         chains.append(UnweightedFiltration(lattice=lat, chain=prefix, gradeds=gradeds))
         for sub in children[deepest]:
-            extend(prefix + (sub,), upper + (quotient(sub, deepest),))
+            extend(prefix + (sub,), upper + (quotient_poly(lat, sub, deepest),))
 
     extend((lat.top_id,), ())
     return chains

@@ -455,6 +455,8 @@ class TestMalformedInput:
             ("polytope", None, ["--index=--"]),
             ("sweep", None, ["--sweep-deltas=--"]),
             ("check", None, ["--format=--"]),
+            ("oracle", None, ["--csv", str(FIXTURES / "no-such-dir" / "out.csv")]),
+            ("oracle", None, ["--csv", str(FIXTURES)]),
         ],
         ids=[
             "oracle-bound-0", "oracle-bound-negative", "oracle-bound-underscore",
@@ -472,6 +474,7 @@ class TestMalformedInput:
             "weights-double-dash", "chain-double-dash", "nu-delta-double-dash",
             "pair-check-delta-double-dash", "csv-double-dash", "bound-double-dash",
             "index-double-dash", "sweep-deltas-double-dash", "format-double-dash",
+            "csv-missing-directory", "csv-is-a-directory",
         ],
     )
     def test_exits_2_with_parse_error(self, capsys, tmp_path, command, text, flags):

@@ -10,13 +10,17 @@ import reference_lattice
 import thetastab.lattice as lattice_mod
 import thetastab.ratpoly as ratpoly_mod
 from conftest import coordinate_lattice
-from randgen import random_graded_poly
+from randgen import random_coordinate_lattice, random_graded_poly
 from thetastab import (
     PairObject,
     RatPoly,
     SubobjectLattice,
     build_lattice,
+    canonical_filtration,
+    enumerate_chains,
     graded_pieces,
+    hilbert_stats,
+    hn_filtration,
     make_filtration,
     primitive_weights,
     quotient_poly,
@@ -35,6 +39,7 @@ from thetastab.errors import (
     WeightsNotIncreasing,
 )
 from thetastab.cli import main
+from thetastab.oracle import saturated_chains
 
 
 def P(mapping):
@@ -321,23 +326,36 @@ PAIR_ERRORS = (RankNotIncreasing, QuotientNotPure)
 
 
 class TestEdgeValidation:
-    """Rank growth and quotient purity are checked on the generating edges;
-    tests/reference_lattice.py keeps the closure-wide check."""
+    """Purity is checked once per member and rank growth on the generating
+    edges; tests/reference_lattice.py keeps the closure-wide check."""
 
     def test_quotient_checks_on_the_edges_of_a_128_member_lattice(self, monkeypatch):
-        calls = []
-        check = lattice_mod._check_quotient
+        checks, stats_calls, subtractions = [], [], []
+        check, stats, subtract = lattice_mod._check_quotient, lattice_mod.hilbert_stats, RatPoly.__sub__
 
-        def counting(quotient, sup, sub, dim):
-            calls.append((sub, sup))
+        def counting_check(quotient, sup, sub, dim):
+            checks.append((sub, sup))
             return check(quotient, sup, sub, dim)
 
-        monkeypatch.setattr(lattice_mod, "_check_quotient", counting)
+        def counting_stats(poly, d):
+            stats_calls.append(poly)
+            return stats(poly, d)
+
+        def counting_sub(self, other):
+            subtractions.append((self, other))
+            return subtract(self, other)
+
+        monkeypatch.setattr(lattice_mod, "_check_quotient", counting_check)
+        monkeypatch.setattr(lattice_mod, "hilbert_stats", counting_stats)
+        monkeypatch.setattr(RatPoly, "__sub__", counting_sub)
         lat = coordinate_lattice({f"L{i}": (i * 7) % 5 - 2 + i for i in range(7)})
-        # 127 members by zero, 441 declared covers and 119 undeclared
-        # member -> top edges, against 2059 pairs in the closure
-        assert len(calls) == len(set(calls)) == 687
-        assert len(lat.ids()) == 128
+        # one check and one hilbert_stats per nonzero member, none on the
+        # 441 declared covers, the 119 member -> top edges or the 2059
+        # pairs of the closure
+        assert len(lat.ids()) == 128 and len(checks) == 127
+        assert sorted(checks) == [("0", i) for i in lat.nonzero_ids()]
+        assert stats_calls == [lat.member(i).poly for i in lat.nonzero_ids()]
+        assert subtractions == []
 
     def test_same_verdicts_as_the_closure_check(self):
         rng = random.Random(20261018)
@@ -385,9 +403,91 @@ class TestEdgeValidation:
             calls.append(n)
             return math.factorial(n)
 
-        monkeypatch.setattr(lattice_mod, "factorial", counting)
         monkeypatch.setattr(ratpoly_mod, "factorial", counting)
         d = 40
         lat = build_lattice(d, {"0": {}, "A": {d: 1}, "B": {d: 1, 3: 5}, "F": {d: 2, 0: 1}})
-        assert calls == [d]
+        assert calls == []  # the ranks come from hilbert_stats' running factorial
         assert lat.member("B").stats.slopes[3] == Fraction(5 * math.factorial(3), math.factorial(d))
+
+
+def _k4_lattice(d):
+    return coordinate_lattice({"L0": 2, "L1": 1, "L2": 1, "L3": -1}, d)
+
+
+def _answers(lat, calls):
+    """(chains, gradeds, weights) of each call's answer, or its error."""
+    answers = {}
+    for name, call in calls:
+        try:
+            result = call(lat)
+        except StabilityError as exc:
+            answers[name] = (type(exc), str(exc))
+            continue
+        filtrations = result if isinstance(result, list) else [result]
+        answers[name] = [
+            (f.chain, f.gradeds, getattr(f, "weights", None)) for f in filtrations
+        ]
+    return answers
+
+
+class TestQuotientMemo:
+    """quotient_poly keeps each quotient's statistics on the lattice."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_memo_matches_fresh_statistics(self, d):
+        lat = _k4_lattice(d)
+        pairs = [(a, b) for a in lat.ids() for b in lat.ids() if lat.lt(a, b)]
+        assert len(pairs) == 65
+        first = {}
+        for sub, sup in pairs:
+            first[sub, sup] = quotient_poly(lat, sub, sup)
+            expected = hilbert_stats(lat.member(sup).poly - lat.member(sub).poly, d)
+            assert first[sub, sup] == expected
+        for sub, sup in pairs:
+            assert quotient_poly(lat, sub, sup) is first[sub, sup]
+        for m in lat.nonzero_ids():
+            assert quotient_poly(lat, lat.zero_id, m) is lat.member(m).stats
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_invalid_pairs_raise_cold_and_warm(self, d):
+        lat = _k4_lattice(d)
+        invalid = [("F", "L0"), ("L0+L1", "L0"), ("F", "0"), ("L0", "L1")]
+        invalid += [(m, m) for m in lat.ids()]
+        invalid += [("nowhere", "F"), ("0", "nowhere"), ("nowhere", "nowhere")]
+
+        def assert_all_raise():
+            for sub, sup in invalid:
+                with pytest.raises(NotComparable):
+                    quotient_poly(lat, sub, sup)
+
+        assert_all_raise()
+        for sub in lat.ids():
+            for sup in lat.ids():
+                if lat.lt(sub, sup):
+                    quotient_poly(lat, sub, sup)
+        assert_all_raise()
+
+    def test_answers_do_not_depend_on_the_call_order(self):
+        calls = [
+            ("hn", hn_filtration),
+            ("canonical", canonical_filtration),
+            ("chains", enumerate_chains),
+            ("saturated", saturated_chains),
+        ]
+        rng = random.Random(20261019)
+        for _ in range(100):
+            state = rng.getstate()
+            fresh = random_coordinate_lattice(rng, max_summands=4)
+            rng.setstate(state)
+            warmed = random_coordinate_lattice(rng, max_summands=4)
+            _answers(warmed, calls[::-1])
+            expected = _answers(fresh, calls)
+            assert _answers(warmed, calls) == expected
+            for answer in expected.values():
+                if not isinstance(answer, list):  # an error
+                    continue
+                for chain, gradeds, _ in answer:
+                    polys = [fresh.member(i).poly for i in chain] + [RatPoly.zero()]
+                    assert gradeds == tuple(
+                        hilbert_stats(sup - sub, fresh.dim) for sup, sub in zip(polys, polys[1:])
+                    )

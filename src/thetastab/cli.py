@@ -230,28 +230,28 @@ def _cmd_sweep(args) -> dict:
     return payload
 
 
+def _dumped(candidates, writer):
+    """The oracle's candidates, each written as a CSV row on its way by."""
+    writer.writerow(["chain", "weights", "L", "b", f"value_at_{APPROX_POINT}"])
+    for chain, weights, value in candidates:
+        writer.writerow(["|".join(chain), "|".join(str(w) for w in weights), str(value.L),
+                         format_rational(value.b), f"{value.approx(APPROX_POINT):.6g}"])
+        yield chain, weights, value
+
+
 def _cmd_oracle(args) -> dict:
     lat, pair = load_lattice(args.input)
     delta = parse_delta(args.delta) if args.delta is not None else None
     bound = _bound(args.bound)
-    if args.csv:  # before the search, so an unwritable path fails at once
+    candidates = oracle.iter_candidates(lat, pair, delta, bound)
+    if args.csv:  # opened before the search, so an unwritable path fails at once
         try:
             with open(args.csv, "w", newline="") as handle:
-                writer = csv.writer(handle)
-                writer.writerow(["chain", "weights", "L", "b", f"value_at_{APPROX_POINT}"])
-                for chain, weights, value in oracle.iter_candidates(lat, pair, delta, bound):
-                    writer.writerow(
-                        [
-                            "|".join(chain),
-                            "|".join(str(w) for w in weights),
-                            str(value.L),
-                            format_rational(value.b),
-                            f"{value.approx(APPROX_POINT):.6g}",
-                        ]
-                    )
+                result = oracle.argmax(lat, _dumped(candidates, csv.writer(handle)), pair, delta)
         except OSError as exc:
             raise ParseError(f"cannot write {args.csv}: {exc}") from exc
-    result = oracle.brute_force_max(lat, pair=pair, delta=delta, bound=bound)
+    else:
+        result = oracle.argmax(lat, candidates, pair, delta)
     payload = {
         "command": "oracle",
         "bound": bound,

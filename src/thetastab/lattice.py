@@ -25,6 +25,9 @@ member -> top ones.  Ranks add up along a path of edges, so strict growth
 holds on the whole transitive closure.  Purity then follows for every
 quotient: when sub and sup are pure and rank(sub) < rank(sup), sup - sub
 has no Laurent terms and n^d coefficient (rank(sup) - rank(sub)) / d! > 0.
+The closure itself is built in one pass over a topological order of the
+edges (Kahn's algorithm), each member's up-set the union of its
+successors' up-sets; a member the order cannot place lies on a cycle.
 """
 
 from __future__ import annotations
@@ -88,6 +91,9 @@ class SubobjectLattice:
         self.zero_id: str = zero_id
         self.top_id: str = top_id
         self._closure: frozenset[tuple[str, str]] = closure
+        self._ids = tuple(sorted(members))
+        self._nonzero_ids = tuple(i for i in self._ids if i != zero_id)
+        self._proper_nonzero_ids = tuple(i for i in self._nonzero_ids if i != top_id)
         # quotient_poly's memo, seeded with each member over zero
         self._quotients: dict[tuple[str, str], HilbertStats] = {
             (zero_id, i): m.stats for i, m in members.items() if i != zero_id
@@ -102,13 +108,13 @@ class SubobjectLattice:
             raise NotComparable(f"unknown lattice member {member_id!r}") from None
 
     def ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self._members))
+        return self._ids
 
     def nonzero_ids(self) -> tuple[str, ...]:
-        return tuple(i for i in self.ids() if i != self.zero_id)
+        return self._nonzero_ids
 
     def proper_nonzero_ids(self) -> tuple[str, ...]:
-        return tuple(i for i in self.nonzero_ids() if i != self.top_id)
+        return self._proper_nonzero_ids
 
     @property
     def top(self) -> ObjectClass:
@@ -132,14 +138,15 @@ class SubobjectLattice:
         )
 
     def as_dict(self) -> dict:
-        """Raw description with the same semantics, for round-tripping."""
+        """JSON-ready description with the same semantics, for round-tripping:
+        exponents and coefficients are strings, as in a lattice file."""
         return {
             "dimension": self.dim,
             "objects": [
-                {"id": i, "hilbert": dict(self._members[i].poly.items())}
+                {"id": i, "hilbert": {str(e): str(c) for e, c in self._members[i].poly.items()}}
                 for i in self.ids()
             ],
-            "relations": sorted(self._closure),
+            "relations": [list(pair) for pair in sorted(self._closure)],
         }
 
     def __repr__(self) -> str:
@@ -227,23 +234,25 @@ def build_lattice(
         if i not in (top_id, zero_id):
             edges.add((i, top_id))
 
-    # Transitive closure by DFS from each node; member counts are small.
-    succ: dict[str, set[str]] = {n: set() for n in coerced}
+    # Closure over a topological order (Kahn's algorithm): the strict up-set
+    # of a member is its successors and their up-sets.
+    succ: dict[str, list[str]] = {n: [] for n in coerced}
+    indegree = dict.fromkeys(coerced, 0)
     for a, b in edges:
-        succ[a].add(b)
-    closure: set[tuple[str, str]] = set()
-    for start in coerced:
-        seen: set[str] = set()
-        stack = list(succ[start])
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.extend(succ[node])
-        closure.update((start, t) for t in seen)
-    if any((n, n) in closure for n in coerced):
+        succ[a].append(b)
+        indegree[b] += 1
+    order = [n for n, k in indegree.items() if k == 0]
+    for node in order:  # grows while it is read
+        for nxt in succ[node]:
+            indegree[nxt] -= 1
+            if not indegree[nxt]:
+                order.append(nxt)
+    if len(order) < len(coerced):
         raise CycleInRelation("declared inclusions contain a cycle")
+    above: dict[str, set[str]] = {}
+    for node in reversed(order):
+        above[node] = set(succ[node]).union(*(above[nxt] for nxt in succ[node]))
+    closure = {(sub, sup) for sub, ups in above.items() for sup in ups}
 
     # An edge into zero would have closed a cycle above.
     for sub, sup in sorted(edges):

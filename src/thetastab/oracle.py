@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .invariant import contributions, dot, nu_delta
 from .lattice import (
@@ -124,11 +124,22 @@ def brute_force_max(
     bound: int = 4,
 ) -> OracleResult:
     """Exact maximum of nu (or nu_delta) over bounded integer weights."""
+    return argmax(lat, iter_candidates(lat, pair, delta, bound), pair, delta)
+
+
+def argmax(
+    lat: SubobjectLattice,
+    candidates: Iterable[tuple[tuple[str, ...], tuple[int, ...], NuValue]],
+    pair: PairObject | None = None,
+    delta: RatPoly | None = None,
+) -> OracleResult:
+    """The best of a stream of iter_candidates(lat, pair, delta, W) triples,
+    each scored once as it arrives."""
     best_chain: tuple[str, ...] | None = None
     best_weights: tuple[int, ...] | None = None
     best_value: NuValue | None = None
     explored = 0
-    for chain, weights, value in iter_candidates(lat, pair, delta, bound):
+    for chain, weights, value in candidates:
         explored += 1
         if best_value is None:
             verdict = GREATER

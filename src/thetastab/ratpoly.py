@@ -27,8 +27,8 @@ from contextlib import suppress
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from fractions import Fraction
-from functools import total_ordering
-from math import factorial, isfinite
+from functools import cached_property, total_ordering
+from math import factorial, isfinite, prod
 from typing import Mapping, Union
 
 from .errors import DegreeMismatch, NonpositiveRank, ParseError
@@ -41,7 +41,7 @@ NEG_INFINITY = float("-inf")
 LESS, EQUAL, GREATER = -1, 0, 1
 
 
-_RATIONAL = re.compile(r"\s*[+-]?[0-9]+(?:/[0-9]+)?\s*")
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -52,9 +52,9 @@ def as_fraction(value: RationalLike) -> Fraction:
         return value
     if type(value) is int:
         return Fraction(value)
-    if isinstance(value, str) and _RATIONAL.fullmatch(value):
+    if isinstance(value, str) and (match := _RATIONAL.fullmatch(value)):
         try:
-            return Fraction(value)
+            return Fraction(int(match[1]), int(match[2] or 1))
         except (ValueError, ZeroDivisionError) as exc:  # zero denominator, digit limit
             raise ParseError(f"bad rational literal {value!r}") from exc
     raise ParseError(f"bad rational literal {value!r}")
@@ -209,11 +209,13 @@ def eventual_compare(p: RatPoly, q: RatPoly) -> int:
     Returns GREATER iff the highest nonzero coefficient of p - q is
     positive, EQUAL iff p = q, LESS otherwise.  Works for Laurent
     polynomials as well: what matters is the sign at the top exponent.
+    The exponents are walked from the top down, without forming p - q.
     """
-    diff = p - q
-    if diff.is_zero():
-        return EQUAL
-    return GREATER if diff.leading_coeff() > 0 else LESS
+    for exp in sorted(p._coeffs.keys() | q._coeffs.keys(), reverse=True):
+        a, b = p._coeffs.get(exp, 0), q._coeffs.get(exp, 0)
+        if a != b:
+            return GREATER if a > b else LESS
+    return EQUAL
 
 
 @dataclass(frozen=True)
@@ -221,35 +223,38 @@ class HilbertStats:
     """Derived data of a Hilbert polynomial of an object of dimension d.
 
     With P(n) = sum_k a_k n^k / k!: rank = a_d, reduced = P / rank, and
-    slopes[i] = a_i / a_d for 0 <= i <= d-1.
+    slopes[i] = a_i / a_d for 0 <= i <= d-1.  The slopes are computed on
+    first use and kept, since only leading-term data reads them; being
+    derived from poly, they take no part in equality or hashing.
     """
 
     dim: int
     poly: RatPoly
     rank: Fraction
     reduced: RatPoly
-    slopes: tuple[Fraction, ...]
+
+    @cached_property
+    def slopes(self) -> tuple[Fraction, ...]:
+        coeffs, slopes, scale = self.poly._coeffs, [], 1  # scale = i!
+        for i in range(self.dim):
+            slopes.append(coeffs.get(i, 0) * scale / self.rank)
+            scale *= i + 1
+        return tuple(slopes)
 
 
 def hilbert_stats(poly: RatPoly, d: int) -> HilbertStats:
-    """Rank, reduced polynomial and slopes of a degree-d Hilbert polynomial."""
+    """Rank and reduced polynomial (slopes on first use) of a degree-d Hilbert polynomial."""
     if d < 0:
         raise DegreeMismatch(f"dimension must be nonnegative, got {d}")
     if poly.has_negative_exponents():
         raise DegreeMismatch("Laurent terms are not allowed in Hilbert polynomials")
     if poly.degree() != d:
         raise DegreeMismatch(f"expected degree {d}, got degree {poly.degree()}")
-    lower = []  # a_i = i! * (coefficient of n^i), one running factorial
-    scale = 1
-    for i in range(d):
-        lower.append(poly.coeff(i) * scale)
-        scale *= i + 1
-    rank = poly.coeff(d) * scale
+    rank = poly._coeffs[d] * prod(range(2, d + 1))  # d!, one running product
     if rank <= 0:
         raise NonpositiveRank(f"leading Hilbert coefficient a_{d} = {rank} is not positive")
-    reduced = poly * (Fraction(1) / rank)
-    slopes = tuple(a / rank for a in lower)
-    return HilbertStats(dim=d, poly=poly, rank=rank, reduced=reduced, slopes=slopes)
+    reduced = RatPoly({e: c / rank for e, c in poly._coeffs.items()})
+    return HilbertStats(dim=d, poly=poly, rank=rank, reduced=reduced)
 
 
 def hilbert_line_bundle_projective(d: int, k: int) -> RatPoly:

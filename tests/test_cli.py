@@ -147,8 +147,6 @@ class TestPairCommands:
 
         lat = coordinate_lattice({f"L{i}": (i * 7) % 5 - 2 + i for i in range(4)})
         doc = lat.as_dict()
-        for entry in doc["objects"]:
-            entry["hilbert"] = {str(e): str(c) for e, c in entry["hilbert"].items()}
         doc["pair"] = {"beta_image": "L0"}
         path = tmp_path / "k4.lattice"
         path.write_text(json.dumps(doc))
@@ -240,6 +238,26 @@ class TestOracleCommand:
         lines = target.read_text().strip().splitlines()
         assert lines[0].startswith("chain,weights,L,b")
         assert len(lines) == 1 + 4  # weights -2,-1,1,2 on the trivial chain
+
+    def test_csv_dump_scores_each_candidate_once(self, capsys, tmp_path, monkeypatch):
+        from thetastab import oracle
+
+        scored = []
+        real = oracle.iter_candidates
+
+        def counting(*args, **kwargs):
+            for candidate in real(*args, **kwargs):
+                scored.append(candidate)
+                yield candidate
+
+        argv = ("oracle", FIXTURES / "example_nonconvex.lattice", "--bound", "3")
+        _, plain, _ = run_json(capsys, *argv)
+        monkeypatch.setattr(oracle, "iter_candidates", counting)
+        target = tmp_path / "dump.csv"
+        code, payload, _ = run_json(capsys, *argv, "--csv", target)
+        assert code == 0 and payload == plain
+        rows = target.read_text().splitlines()[1:]
+        assert len(rows) == len(scored) == payload["explored"]
 
 
 BIG = "1" + "0" * 400

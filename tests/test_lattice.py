@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -9,7 +10,7 @@ import pytest
 import reference_lattice
 import thetastab.lattice as lattice_mod
 import thetastab.ratpoly as ratpoly_mod
-from conftest import coordinate_lattice
+from conftest import FIXTURES, coordinate_lattice
 from randgen import random_coordinate_lattice, random_graded_poly
 from thetastab import (
     PairObject,
@@ -39,6 +40,7 @@ from thetastab.errors import (
     WeightsNotIncreasing,
 )
 from thetastab.cli import main
+from thetastab.latfile import load_lattice
 from thetastab.oracle import saturated_chains
 
 
@@ -491,3 +493,76 @@ class TestQuotientMemo:
                     assert gradeds == tuple(
                         hilbert_stats(sup - sub, fresh.dim) for sup, sub in zip(polys, polys[1:])
                     )
+
+
+K7_TWISTS = {f"L{i}": (i * 7) % 5 - 2 + i for i in range(7)}
+
+
+class TestClosureAndDocument:
+    def test_lt_agrees_with_the_dfs_closure_on_128_members(self, monkeypatch):
+        import conftest
+
+        descriptions = []
+
+        def recording(*description):
+            descriptions.append(description)
+            return build_lattice(*description)
+
+        monkeypatch.setattr(conftest, "build_lattice", recording)
+        lat = coordinate_lattice(K7_TWISTS)
+        reference = reference_lattice.build_lattice(*descriptions[0])
+        ids = lat.ids()
+        assert len(ids) == 128 and len(descriptions[0][2]) == 441  # the declared covers
+        assert [(a, b) for a in ids for b in ids if lat.lt(a, b)] == [
+            (a, b) for a in ids for b in ids if reference.lt(a, b)
+        ]
+        assert lat.structurally_equal(reference)
+
+    @pytest.mark.parametrize(
+        "source", ["k7", *sorted(p.name for p in FIXTURES.glob("*.lattice"))]
+    )
+    def test_as_dict_round_trips_through_json(self, source):
+        if source == "k7":
+            lat = coordinate_lattice(K7_TWISTS, 2)
+        else:
+            lat, _ = load_lattice(FIXTURES / source)
+        again = validate_lattice(json.loads(json.dumps(lat.as_dict())))
+        assert again.structurally_equal(lat)
+
+
+class TestSlopesOnDemand:
+    """Only leading-term data reads slopes: loading a lattice and testing
+    it computes none."""
+
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        computed = []
+        original = ratpoly_mod.HilbertStats.slopes.func
+
+        def counting(stats):
+            computed.append(stats)
+            return original(stats)
+
+        slopes = functools.cached_property(counting)
+        slopes.__set_name__(ratpoly_mod.HilbertStats, "slopes")
+        monkeypatch.setattr(ratpoly_mod.HilbertStats, "slopes", slopes)
+        return computed
+
+    @pytest.fixture
+    def k7_file(self, tmp_path):
+        path = tmp_path / "k7.lattice"
+        path.write_text(json.dumps(coordinate_lattice(K7_TWISTS, 2).as_dict()))
+        return path
+
+    @pytest.mark.parametrize("command", ["check", "hn"])
+    def test_verdicts_compute_no_slopes(self, computed, k7_file, capsys, command):
+        assert main([command, str(k7_file)]) == 0
+        assert computed == []
+
+    def test_canonical_computes_slopes_of_the_hn_gradeds_only(self, computed, k7_file, capsys):
+        assert main(["canonical", str(k7_file)]) == 0
+        lat, _ = load_lattice(k7_file)
+        allowed = hn_filtration(lat).gradeds + (lat.top.stats,)  # the top fixes the zero weight
+        assert len(allowed) == 8
+        assert len(computed) == len(allowed)
+        assert all(stats in allowed for stats in computed)

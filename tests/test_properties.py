@@ -1,6 +1,8 @@
 """Algebraic invariants checked on randomized inputs via hypothesis."""
 
+import re
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from thetastab import (
     nu_compare,
 )
 from thetastab.errors import ParseError
+from thetastab.ratpoly import as_fraction
 
 CHECK_POINT = 10**6
 
@@ -63,6 +66,43 @@ class TestEventualOrder:
     @given(ratpolys(), ratpolys(), ratpolys())
     def test_translation_invariant(self, p, q, r):
         assert eventual_compare(p + r, q + r) == eventual_compare(p, q)
+
+
+def _leading_sign(p: RatPoly) -> int:
+    """Sign of the highest nonzero coefficient of p, EQUAL for zero."""
+    if p.is_zero():
+        return EQUAL
+    return GREATER if p.leading_coeff() > 0 else LESS
+
+
+class TestEventualCompareIsTheLeadingDifference:
+    """eventual_compare(p, q) is the sign of the leading coefficient of
+    p - q, though it never forms p - q."""
+
+    @given(ratpolys(), ratpolys())
+    def test_random_pairs(self, p, q):
+        assert eventual_compare(p, q) == _leading_sign(p - q)
+
+    @given(ratpolys(), ratpolys(min_exp=-6, max_exp=1))
+    def test_shared_top_terms(self, p, r):
+        # p + r agrees with p at the exponents above r's support
+        assert eventual_compare(p + r, p) == _leading_sign(r)
+
+    @given(ratpolys())
+    def test_equal_inputs_and_zero(self, p):
+        zero = RatPoly.zero()
+        assert eventual_compare(p, RatPoly(dict(p.items()))) == EQUAL
+        assert eventual_compare(p, zero) == _leading_sign(p)
+        assert eventual_compare(zero, p) == -_leading_sign(p)
+        assert eventual_compare(zero, zero) == EQUAL
+
+    @given(st.lists(st.integers(-4, 5), max_size=8, unique=True), st.data())
+    def test_disjoint_supports(self, exponents, data):
+        split = data.draw(st.integers(0, len(exponents)))
+        nonzero = rationals.filter(bool)
+        p = RatPoly({e: data.draw(nonzero) for e in exponents[:split]})
+        q = RatPoly({e: data.draw(nonzero) for e in exponents[split:]})
+        assert eventual_compare(p, q) == _leading_sign(p - q)
 
 
 def _from_text(terms: dict) -> RatPoly:
@@ -145,3 +185,65 @@ class TestHilbertStats:
         assert stats.reduced * stats.rank == poly
         assert stats.rank > 0
         assert len(stats.slopes) == d
+
+    @given(
+        st.integers(0, 3),
+        st.fractions(min_value=Fraction(1, 6), max_value=Fraction(8), max_denominator=6),
+        st.data(),
+    )
+    def test_slopes_from_the_definition(self, d, lead, data):
+        # P(n) = sum_k a_k n^k / k!, so a_k = k! * (coefficient of n^k)
+        coeffs = {k: data.draw(rationals) for k in range(d)}
+        coeffs[d] = lead
+        stats = hilbert_stats(RatPoly(coeffs), d)
+        a = [factorial(k) * coeffs[k] for k in range(d + 1)]
+        assert stats.rank == a[d]
+        assert stats.slopes == tuple(a[i] / a[d] for i in range(d))
+
+
+_PARENT_RATIONAL = re.compile(r"\s*[+-]?[0-9]+(?:/[0-9]+)?\s*")
+
+
+def _parent_as_fraction(text: str) -> Fraction:
+    """as_fraction on a string as it stood when Fraction(str) did the
+    reading after the grammar check."""
+    if _PARENT_RATIONAL.fullmatch(text):
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(text) from exc
+    raise ParseError(text)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError:
+        return ParseError
+
+
+OVER_DIGIT_LIMIT = "9" * 5000  # past CPython's default int string limit of 4300 digits
+
+
+class TestRationalLiterals:
+    """as_fraction accepts and rejects exactly the strings that the
+    grammar check followed by Fraction(str) did, with the same values."""
+
+    @pytest.mark.parametrize("text", [
+        "", " ", "\t", "+", "-", "-0", "+0", " -0/5 ", "0/0", "1/0", "-1/0", "3/6", "-3/6",
+        " 7 ", "\u20037\u2003", "1/-2", "1//2", "1/2/3", "/2", "2/", "1_0", "1.5",
+        "1e3", "\u0661", "0x10", "--1", "+-1", OVER_DIGIT_LIMIT, "-" + OVER_DIGIT_LIMIT,
+        "1/" + OVER_DIGIT_LIMIT, OVER_DIGIT_LIMIT + "/3",
+    ])
+    def test_edge_literals(self, text):
+        expected = _outcome(_parent_as_fraction, text)
+        got = _outcome(as_fraction, text)
+        assert got == expected and type(got) is type(expected)
+        if OVER_DIGIT_LIMIT in text:
+            assert got is ParseError
+
+    @given(st.text(alphabet=" \t+-/0123456789_.e\u0661", max_size=12))
+    def test_fuzzed_literals(self, text):
+        expected = _outcome(_parent_as_fraction, text)
+        got = _outcome(as_fraction, text)
+        assert got == expected and type(got) is type(expected)

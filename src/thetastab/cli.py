@@ -26,7 +26,7 @@ from .latfile import (
     parse_delta,
 )
 from .lattice import PairObject, WeightedFiltration, graded_pieces, make_chain, make_filtration
-from .ratpoly import EQUAL, GREATER, RatPoly, as_fraction, as_integer, nu_compare
+from .ratpoly import EQUAL, GREATER, NuValue, RatPoly, as_fraction, as_integer, nu_compare
 
 APPROX_POINT = 10**6  # evaluation point for CSV audit values
 
@@ -233,17 +233,18 @@ def _cmd_sweep(args) -> dict:
 def _dumped(candidates, writer):
     """The oracle's candidates, each written as a CSV row on its way by."""
     writer.writerow(["chain", "weights", "L", "b", f"value_at_{APPROX_POINT}"])
-    for chain, weights, value in candidates:
+    for chain, weights, terms, b in candidates:
+        value = NuValue(RatPoly(terms), b)
         writer.writerow(["|".join(chain), "|".join(str(w) for w in weights), str(value.L),
                          format_rational(value.b), f"{value.approx(APPROX_POINT):.6g}"])
-        yield chain, weights, value
+        yield chain, weights, terms, b
 
 
 def _cmd_oracle(args) -> dict:
     lat, pair = load_lattice(args.input)
     delta = parse_delta(args.delta) if args.delta is not None else None
     bound = _bound(args.bound)
-    candidates = oracle.iter_candidates(lat, pair, delta, bound)
+    candidates = oracle.iter_terms(lat, pair, delta, bound)
     if args.csv:  # opened before the search, so an unwritable path fails at once
         try:
             with open(args.csv, "w", newline="") as handle:

@@ -5,6 +5,14 @@ increasing integer weight vector with entries bounded by W, applies the
 pair constraint when one is given, and maximizes the invariant exactly.
 No pruning beyond feasibility: correctness over speed.
 
+Each chain's step contributions are tabulated once, one row of
+coefficients per exponent of n, next to its ranks and pivot; a
+candidate's norm b = sum rank * w^2 and numerator coefficients are dot
+products of its weights with those rows, and it is compared with the
+incumbent by ratpoly.terms_compare, the rule nu_compare applies to
+NuValues.  A NuValue is built only for the result (and, in iter_candidates,
+for each candidate a caller asks to see).
+
 Since nu is scale invariant, proportional weight vectors represent the same
 candidate; the argmax is always reported in primitive form (weights divided
 by their gcd), and ties are broken deterministically by
@@ -16,9 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Iterable, Iterator
 
-from .invariant import contributions, dot, nu_delta
+from .invariant import contributions, nu_delta
 from .lattice import (
     PairObject,
     SubobjectLattice,
@@ -29,7 +38,7 @@ from .lattice import (
     primitive_weights,
     quotient_poly,
 )
-from .ratpoly import GREATER, HilbertStats, NuValue, RatPoly, nu_compare
+from .ratpoly import GREATER, HilbertStats, NuValue, RatPoly, terms_compare
 
 
 @dataclass(frozen=True)
@@ -91,30 +100,47 @@ def saturated_chains(lat: SubobjectLattice) -> list[UnweightedFiltration]:
     return [c for c in _walk(lat, covers) if not below[c.chain[-1]]]
 
 
-def iter_candidates(
+def iter_terms(
     lat: SubobjectLattice,
     pair: PairObject | None = None,
     delta: RatPoly | None = None,
     bound: int = 4,
-) -> Iterator[tuple[tuple[str, ...], tuple[int, ...], NuValue]]:
-    """Yield (chain ids, weights, value) over all feasible nondegenerate
-    candidates, chains in canonical order, weights lexicographic."""
+) -> Iterator[tuple[tuple[str, ...], tuple[int, ...], dict[int, Fraction], Fraction]]:
+    """Yield (chain ids, weights, terms, b) over all feasible nondegenerate
+    candidates, chains in canonical order, weights lexicographic: the value
+    of a candidate is sum_e terms[e] n^e / sqrt(b), with terms[e] read off
+    the chain's table of step contributions at exponent e (zero
+    coefficients kept)."""
     if bound < 1:
         raise ValueError(f"weight bound must be >= 1, got {bound}")
     beta = pair.beta_image if pair is not None else None
 
     for chain in enumerate_chains(lat):
         contribs = contributions(chain, delta)
+        exponents = sorted({e for c in contribs for e, _ in c.items()}, reverse=True)
+        table = [(e, [c.coeff(e) for c in contribs]) for e in exponents]
         ranks = [g.rank for g in chain.gradeds]
         pivot = pair_pivot_index(chain.chain, lat, beta) if beta is not None else None
 
         for weights in combinations(range(-bound, bound + 1), len(chain.chain)):
             if pivot is not None and weights[pivot] < 0:
                 continue
-            b = sum((r * w * w for r, w in zip(ranks, weights)), Fraction(0))
+            b = sum(map(mul, ranks, (w * w for w in weights)))
             if b == 0:  # the trivial chain with weight 0
                 continue
-            yield chain.chain, weights, NuValue(dot(weights, contribs), b)
+            yield chain.chain, weights, {e: sum(map(mul, weights, col)) for e, col in table}, b
+
+
+def iter_candidates(
+    lat: SubobjectLattice,
+    pair: PairObject | None = None,
+    delta: RatPoly | None = None,
+    bound: int = 4,
+) -> Iterator[tuple[tuple[str, ...], tuple[int, ...], NuValue]]:
+    """Yield (chain ids, weights, value) over the candidates of iter_terms,
+    in its order."""
+    for chain, weights, terms, b in iter_terms(lat, pair, delta, bound):
+        yield chain, weights, NuValue(RatPoly(terms), b)
 
 
 def brute_force_max(
@@ -124,39 +150,40 @@ def brute_force_max(
     bound: int = 4,
 ) -> OracleResult:
     """Exact maximum of nu (or nu_delta) over bounded integer weights."""
-    return argmax(lat, iter_candidates(lat, pair, delta, bound), pair, delta)
+    return argmax(lat, iter_terms(lat, pair, delta, bound), pair, delta)
 
 
 def argmax(
     lat: SubobjectLattice,
-    candidates: Iterable[tuple[tuple[str, ...], tuple[int, ...], NuValue]],
+    candidates: Iterable[tuple[tuple[str, ...], tuple[int, ...], dict[int, Fraction], Fraction]],
     pair: PairObject | None = None,
     delta: RatPoly | None = None,
 ) -> OracleResult:
-    """The best of a stream of iter_candidates(lat, pair, delta, W) triples,
-    each scored once as it arrives."""
+    """The best of a stream of iter_terms(lat, pair, delta, W) quadruples,
+    each compared with the incumbent once as it arrives; the one NuValue
+    built is the result's."""
     best_chain: tuple[str, ...] | None = None
     best_weights: tuple[int, ...] | None = None
-    best_value: NuValue | None = None
+    best_terms: dict[int, Fraction] = {}
+    best_b: Fraction | None = None
     explored = 0
-    for chain, weights, value in candidates:
+    for chain, weights, terms, b in candidates:
         explored += 1
-        if best_value is None:
+        if best_b is None:
             verdict = GREATER
         else:
-            verdict = nu_compare(value, best_value)
+            verdict = terms_compare(terms, b, best_terms, best_b)
         if verdict == GREATER:
-            best_chain, best_weights, best_value = chain, primitive_weights(weights), value
+            best_chain, best_weights, best_terms, best_b = chain, primitive_weights(weights), terms, b
         elif verdict == 0:
             key = (len(chain), chain, primitive_weights(weights))
             if key < (len(best_chain), best_chain, best_weights):
-                best_chain, best_weights, best_value = chain, key[2], value
+                best_chain, best_weights, best_terms, best_b = chain, key[2], terms, b
 
-    zero = NuValue.zero()
-    if best_value is None:
-        return OracleResult(best=None, value=zero, explored=0)
-    if nu_compare(best_value, zero) != GREATER:
-        return OracleResult(best=None, value=best_value, explored=explored)
+    if best_b is None:
+        return OracleResult(best=None, value=NuValue.zero(), explored=0)
+    if terms_compare(best_terms, best_b, {}, 1) != GREATER:
+        return OracleResult(best=None, value=NuValue(RatPoly(best_terms), best_b), explored=explored)
     best = make_filtration(lat, best_chain, best_weights, pair)
     # report the value of the primitive representative (same nu_compare class)
     return OracleResult(best=best, value=nu_delta(best, delta), explored=explored)

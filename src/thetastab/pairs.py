@@ -47,10 +47,12 @@ zero maximum is attained on the face where each increment with a nonzero
 coefficient vanishes (its step merges into the one above) and w_pivot = 0
 when S < 0.  That face is again a monotone cone on a coarser chain,
 pinned or not, so the next exponent runs the same projection on summed
-units and ranks.  The descent stops at the first exponent with P(x) != 0;
-when the face shrinks to {0} or the exponents run out, the chain has no
-positive weighting.  The value is nu itself at the fit: the coefficients
-above the stopping exponent vanish on the face, so it leads there.
+units and ranks.  The descent stops at the first exponent e* with
+P(x) != 0; when the face shrinks to {0} or the exponents run out, the
+chain has no positive weighting.  The value is nu itself at the fit: the
+coefficients above e* vanish on the face, so it leads there, and its
+coefficient at e* is <fit, u> = <P(x), x>_R = |P(x)|_R^2 = b, the norm.  So
+nu at the fit leads with sqrt(b) n^(e*).
 
 For deg(delta) >= d the descent stops at its first step, exponent
 deg(delta), where every unit is -delta_top * r_i / rank(F) and x is
@@ -65,14 +67,17 @@ Refining a chain enlarges its cone (the inserted steps repeat the weight
 of the step they split, the pivot's included), so every chain's maximizer
 is that of its saturated refinements, and pair_canonical visits saturated
 chains only.  It ranks them on those values (nu is scale-invariant, and a
-merged step contributes its block's sum) and builds the winner alone.
+merged step contributes its block's sum): first on the leading term, that
+is on (e*, b), and on the full value only between chains that tie on
+both; it builds the winner alone.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from typing import Sequence
 
@@ -124,16 +129,27 @@ class WeightMaximum:
 
     chain holds the member ids of the steps, and may be coarser than the
     queried chain (boundary maximizers merge steps); weights are exact
-    rationals, unique up to positive scale; value, positive, is nu at
-    those weights, every exponent included, and its leading exponent is
-    where the descent stopped; pinned is the index of the step the pair
-    constraint holds at 0, else None.
+    rationals, unique up to positive scale; exponent is where the descent
+    stopped and b = sum rank * weight^2 is the norm, which are the leading
+    exponent and coefficient of value's numerator; pinned is the index of
+    the step the pair constraint holds at 0, else None.  value, positive,
+    is nu at those weights, every exponent included, computed on first use
+    from steps (weight and contribution of each step of the descent's
+    chain, a refinement of chain) and kept; being derived, steps takes no
+    part in equality.
     """
 
     chain: tuple[str, ...]
     weights: tuple[Fraction, ...]
-    value: NuValue
+    exponent: int
+    b: Fraction
     pinned: int | None
+    steps: tuple[tuple[Fraction, RatPoly], ...] = field(repr=False, compare=False)
+
+    @cached_property
+    def value(self) -> NuValue:
+        fit, contribs = zip(*self.steps)
+        return NuValue(dot(fit, contribs), self.b)
 
 
 def _isotonic(units: list[Fraction], ranks: list[Fraction]) -> list[Fraction]:
@@ -189,8 +205,10 @@ def maximize_weights(
             return WeightMaximum(
                 chain=tuple(ids[i] for i in keep),
                 weights=tuple(fit[i] for i in keep),
-                value=NuValue(dot(fit, contribs), sum(r * w * w for w, r in zip(fit, ranks))),
+                exponent=exponent,
+                b=sum(r * w * w for w, r in zip(fit, ranks)),
                 pinned=bisect_right(keep, p) - 1 if pinned else None,
+                steps=tuple(zip(fit, contribs)),
             )
         # the maximum here is 0: keep the increments whose coefficient
         # (prefix sum at or above the pivot, suffix sum below it) is 0.  A
@@ -223,7 +241,8 @@ def pair_canonical(pair: PairObject, delta: RatPoly | None) -> PairCanonicalResu
     A pair that pair_semistable finds semistable raises Semistable at once:
     by the summation-by-parts identity no weighting is positive.  Otherwise
     every saturated chain's lexicographic maximizer is computed in closed
-    form and the candidates are ranked by their full invariant, ties going
+    form and the candidates are ranked by their full invariant, read off
+    its leading term (exponent, b) unless two chains tie on it, ties going
     to the shorter chain, then the smaller ids, then the smaller weights;
     only the winner's filtration is built.
     """
@@ -235,7 +254,11 @@ def pair_canonical(pair: PairObject, delta: RatPoly | None) -> PairCanonicalResu
             wm = maximize_weights(chain, pair, delta)
             if wm is None:
                 continue
-            order = GREATER if best is None else nu_compare(wm.value, best.value)
+            if best is None:
+                order = GREATER
+            else:  # nu leads with sqrt(b) n^exponent: the full values only settle a tie
+                lead, best_lead = (wm.exponent, wm.b), (best.exponent, best.b)
+                order = (lead > best_lead) - (lead < best_lead) or nu_compare(wm.value, best.value)
             if order == LESS:
                 continue
             key = (len(wm.chain), wm.chain, primitive_weights(wm.weights))

@@ -13,7 +13,8 @@ Two total orders live here:
 * the order on values L / sqrt(b) (NuValue): decided coefficientwise from
   the highest exponent down, using sign analysis plus the squared
   comparison c_x^2 * b_y vs c_y^2 * b_x.  No radicals or floats are ever
-  formed.
+  formed.  terms_compare applies this rule to exponent -> coefficient
+  maps, so callers scoring many values need not build a NuValue for each.
 
 Hilbert-polynomial statistics use the factorial normalization
 P(n) = sum_k a_k n^k / k!, so the rank is a_d = d! * (coefficient of n^d)
@@ -23,12 +24,13 @@ and the i-th slope is a_i / a_d.
 from __future__ import annotations
 
 import re
+import sys
 from contextlib import suppress
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, getcontext, localcontext
 from fractions import Fraction
 from functools import cached_property, total_ordering
-from math import factorial, isfinite, prod
+from math import factorial, isfinite, log10, prod
 from typing import Mapping, Union
 
 from .errors import DegreeMismatch, NonpositiveRank, ParseError
@@ -293,8 +295,53 @@ class NuValue:
 
     def approx(self, n: RationalLike) -> float | Decimal:
         """Value L(n) / sqrt(b) for display and sanity checks only: a float,
-        or a Decimal where a float would overflow or underflow."""
-        return _over_root(self.L(n), self.b)
+        or a Decimal where a float would overflow or underflow.
+
+        L(n) is evaluated exactly unless some power n^e alone is beyond a
+        float's range; then term by term in Decimal, since the exact value
+        has about |e| * log10(n) digits."""
+        point, coeffs = as_fraction(n), self.L._coeffs
+        digits = abs(log10(abs(point.numerator)) - log10(point.denominator)) if point else 0
+        if coeffs and max(map(abs, coeffs)) * digits > sys.float_info.max_10_exp:
+            value = _decimal_over_root(coeffs, point, self.b)
+            if value is not None:
+                return value
+        return _over_root(self.L(point), self.b)
+
+
+#: Working precision, in digits, past which _decimal_over_root gives up on
+#: cancelling terms and NuValue.approx evaluates exactly.
+_MAX_DIGITS = 4000
+
+
+def _decimal_over_root(
+    coeffs: Mapping[int, Fraction], point: Fraction, b: Fraction
+) -> float | Decimal | None:
+    """sum_e coeffs[e] * point^e / sqrt(b) as _over_root gives it, from Decimal
+    terms, or None when the terms cancel beyond _MAX_DIGITS of precision.
+
+    Each term is within (|e| + 4) units of its last working digit, so for
+    a few terms the sum is off by less than size * 10^(k + 2 - prec), with
+    size the sum of |term| and k the digits of the largest |e|.  The sum
+    is kept once it exceeds size * 10^(20 + k - prec), that is to within
+    10^-18 of itself, enough for 17 significant digits; otherwise the
+    precision doubles."""
+    margin = 20 + len(str(max(map(abs, coeffs))))
+    prec = 2 * margin
+    with localcontext(Emax=MAX_EMAX, Emin=MIN_EMIN) as ctx:
+        while prec <= _MAX_DIGITS:
+            ctx.prec = prec
+            base = _decimal(point.numerator) / _decimal(point.denominator)
+            terms = [_decimal(c.numerator) / _decimal(c.denominator) * base**e for e, c in coeffs.items()]
+            total, size = sum(terms), sum(map(abs, terms))
+            if abs(total) > size.scaleb(margin - prec):
+                total /= (_decimal(b.numerator) / _decimal(b.denominator)).sqrt()
+                ctx.prec = 17
+                value = total.normalize()
+                as_float = float(value)
+                return as_float if as_float and isfinite(as_float) else value
+            prec *= 2
+    return None
 
 
 def _over_root(x: Fraction, b: Fraction) -> float | Decimal:
@@ -315,29 +362,39 @@ def _over_root(x: Fraction, b: Fraction) -> float | Decimal:
 
 
 def _decimal(m: int) -> Decimal:
-    """m rounded to the current context from its top 160 bits: Decimal(m)
-    itself takes time quadratic in the digits of m."""
-    shift = max(m.bit_length() - 160, 0)
+    """m rounded to the current context from its top bits (160, or 4 per
+    digit of precision beyond 40): Decimal(m) itself takes time quadratic
+    in the digits of m."""
+    shift = max(m.bit_length() - max(160, 4 * getcontext().prec), 0)
     return Decimal(m >> shift) * Decimal(2) ** shift
 
 
 def nu_compare(x: NuValue, y: NuValue) -> int:
-    """Compare L_x / sqrt(b_x) and L_y / sqrt(b_y) exactly.
+    """Compare L_x / sqrt(b_x) and L_y / sqrt(b_y) exactly (terms_compare
+    on the coefficient maps of L_x and L_y)."""
+    return terms_compare(x.L._coeffs, x.b, y.L._coeffs, y.b)
+
+
+def terms_compare(
+    x: Mapping[int, Fraction], bx: Fraction, y: Mapping[int, Fraction], by: Fraction
+) -> int:
+    """Compare the values sum_e x[e] n^e / sqrt(bx) and sum_e y[e] n^e / sqrt(by)
+    exactly, given as exponent -> coefficient maps (zero coefficients allowed)
+    and positive norms.
 
     Coefficients are compared from the highest exponent down; each pair is
     decided by signs and, when the signs agree, by comparing
     c_x^2 * b_y with c_y^2 * b_x.  This realizes the eventual-dominance
     order on the represented real-coefficient polynomials.
     """
-    exponents = sorted({e for e, _ in x.L.items()} | {e for e, _ in y.L.items()}, reverse=True)
-    for exp in exponents:
-        cx, cy = x.L.coeff(exp), y.L.coeff(exp)
+    for exp in sorted(x.keys() | y.keys(), reverse=True):
+        cx, cy = x.get(exp, 0), y.get(exp, 0)
         sx, sy = _sign(cx), _sign(cy)
         if sx != sy:
             return GREATER if sx > sy else LESS
         if sx == 0:
             continue
-        lhs, rhs = cx * cx * y.b, cy * cy * x.b
+        lhs, rhs = cx * cx * by, cy * cy * bx
         if lhs != rhs:
             return sx if lhs > rhs else -sx
     return EQUAL

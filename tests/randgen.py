@@ -8,6 +8,9 @@ Randomized lattices come in two flavors:
 * coordinate lattices: full sub-sum lattices of line bundles on P^d.  These
   are closed under sums, which the leading-term theory presumes, so the
   canonical filtration provably attains the oracle maximum on them.
+* sub-poset lattices: coordinate lattices with random proper members
+  dropped and the order restricted to the rest.  They are in general not
+  closed under sums, so they catch a shortcut that silently assumes it.
 """
 
 from __future__ import annotations
@@ -68,3 +71,43 @@ def random_coordinate_lattice(
     count = rng.randint(2, max_summands)
     twists = {f"L{i}": rng.randint(-2, 2) for i in range(count)}
     return coordinate_lattice(twists, d)
+
+
+def random_delta(rng: random.Random, d: int, form: str | None) -> RatPoly | None:
+    """A delta of the given form for dimension d; positive unless negative."""
+    def coeff():
+        return Fraction(rng.randint(1, 6), rng.randint(1, 4))
+
+    def lower(top):  # terms of either sign below the leading one
+        return {e: coeff() * rng.choice((-1, 1)) for e in range(top - 2, top) if rng.random() < 0.5}
+
+    if form is None:
+        return None
+    top = {
+        "zero": None,
+        "negative": rng.randint(-1, d + 1),
+        "Laurent": rng.randint(-2, d - 1),
+        "degree <= d-1": rng.randint(0, d - 1),
+        "degree d": d,
+        "degree > d": d + 1,
+    }[form]
+    if top is None:
+        return RatPoly.zero()
+    terms = lower(top)
+    if form == "Laurent":
+        terms[min(top, 0) - 1] = coeff() * rng.choice((-1, 1))
+    terms[top] = -coeff() if form == "negative" else coeff()
+    return RatPoly(terms)
+
+
+def random_subposet_lattice(
+    rng: random.Random, k: int, d: int, keep: float
+) -> SubobjectLattice:
+    """The coordinate lattice of k random twists on P^d with each proper
+    nonzero member kept with probability keep; zero and top are always
+    kept, and the order is the full lattice's, restricted."""
+    full = coordinate_lattice({f"L{i}": rng.randint(-3, 3) for i in range(k)}, d)
+    kept = [m for m in full.proper_nonzero_ids() if rng.random() < keep]
+    polys = {m: full.member(m).poly for m in (full.zero_id, full.top_id, *kept)}
+    relations = [(sub, sup) for sub in kept for sup in kept if full.lt(sub, sup)]
+    return build_lattice(d, polys, relations)

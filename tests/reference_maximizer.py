@@ -21,6 +21,7 @@ oracle's search, kept to one chain and compared on every coefficient.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -40,7 +41,18 @@ from thetastab import (
 from thetastab.errors import FlatObjective, Semistable
 from thetastab.invariant import dot
 from thetastab.lattice import pair_pivot_index
-from thetastab.pairs import PairCanonicalResult, WeightMaximum
+from thetastab.pairs import PairCanonicalResult
+
+
+@dataclass(frozen=True)
+class FaceMaximum:
+    """The best face's merged chain, exact weights, value of the
+    degree-(d-1) coefficient alone, and pinned group (or None)."""
+
+    chain: tuple[str, ...]
+    weights: tuple[Fraction, ...]
+    value: NuValue
+    pinned: int | None
 
 
 def _partitions(n: int):
@@ -66,7 +78,7 @@ def _group_of(starts: tuple[int, ...], index: int) -> int:
     return group
 
 
-def face_enumeration_max(chain, pair, delta: RatPoly) -> WeightMaximum:
+def face_enumeration_max(chain, pair, delta: RatPoly) -> FaceMaximum:
     """Maximizer of the degree-(d-1) coefficient over the chain's weight
     cone, by trying every face and every extreme ray.  Unlike
     maximize_weights, which returns None for both, it reports a maximum
@@ -120,7 +132,7 @@ def face_enumeration_max(chain, pair, delta: RatPoly) -> WeightMaximum:
 
     value, starts, values, pinned = best
     merged = tuple(chain.chain[s] for s in starts)
-    return WeightMaximum(chain=merged, weights=values, value=value, pinned=pinned)
+    return FaceMaximum(chain=merged, weights=values, value=value, pinned=pinned)
 
 
 def all_chains_pair_canonical(pair, delta: RatPoly, bound: int) -> PairCanonicalResult:

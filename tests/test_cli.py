@@ -243,7 +243,7 @@ class TestOracleCommand:
         from thetastab import oracle
 
         scored = []
-        real = oracle.iter_candidates
+        real = oracle.iter_terms
 
         def counting(*args, **kwargs):
             for candidate in real(*args, **kwargs):
@@ -252,7 +252,7 @@ class TestOracleCommand:
 
         argv = ("oracle", FIXTURES / "example_nonconvex.lattice", "--bound", "3")
         _, plain, _ = run_json(capsys, *argv)
-        monkeypatch.setattr(oracle, "iter_candidates", counting)
+        monkeypatch.setattr(oracle, "iter_terms", counting)
         target = tmp_path / "dump.csv"
         code, payload, _ = run_json(capsys, *argv, "--csv", target)
         assert code == 0 and payload == plain

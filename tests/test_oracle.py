@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from thetastab import (
     EQUAL,
     NuValue,
+    PairObject,
     RatPoly,
     brute_force_max,
     canonical_filtration,
@@ -17,6 +19,8 @@ from thetastab import (
 from thetastab.latfile import load_lattice
 
 from conftest import FIXTURES, coordinate_lattice
+from randgen import random_delta, random_subposet_lattice
+from reference_oracle import reference_max, scored_candidates
 
 
 def P(mapping):
@@ -155,3 +159,65 @@ class TestIterCandidates:
     def test_bound_validation(self, lat_trivial):
         with pytest.raises(ValueError):
             brute_force_max(lat_trivial, bound=0)
+
+
+class TestAgainstReferenceOracle:
+    """brute_force_max, scoring candidates on per-chain coefficient
+    tables, against the per-candidate NuValue scorer it replaced: best
+    chain, weights, value and explored all equal."""
+
+    FORMS = (None, "zero", "negative", "Laurent", "degree <= d-1", "degree d", "degree > d")
+
+    @staticmethod
+    def lattices(rng):
+        for path in sorted(FIXTURES.glob("*.lattice")):
+            yield load_lattice(path)[0]
+        for k in (1, 2, 3, 3, 4):
+            yield coordinate_lattice({f"L{i}": rng.randint(-3, 3) for i in range(k)}, rng.choice((1, 2)))
+        for k in (3, 3, 4, 4, 4):
+            yield random_subposet_lattice(rng, k, rng.choice((1, 2)), 0.5)
+
+    def test_seeded(self):
+        rng = random.Random(20261018)
+        seen = {"forms": set(), "bounds": set(), "pair": 0, "no pair": 0, "semistable": 0}
+        for trial, lat in enumerate(self.lattices(rng)):
+            for beta in (None, rng.choice(lat.nonzero_ids())):
+                pair = None if beta is None else PairObject(lattice=lat, beta_image=beta)
+                for form in self.FORMS:
+                    delta = random_delta(rng, lat.dim, form)
+                    bound = rng.randint(1, 2 if len(lat.ids()) > 8 else 4)
+                    result = brute_force_max(lat, pair, delta, bound)
+                    assert result == reference_max(lat, pair, delta, bound), (lat, beta, delta, bound)
+                    seen["forms"].add(form)
+                    seen["bounds"].add(bound)
+                    seen["pair" if pair else "no pair"] += 1
+                    seen["semistable"] += result.best is None
+        assert seen["forms"] == set(self.FORMS) and seen["bounds"] == {1, 2, 3, 4}, seen
+        assert seen["pair"] and seen["no pair"] and seen["semistable"], seen
+
+    def test_iter_candidates_matches_reference_stream(self, lat_b3, pair_b3):
+        delta = P({0: Fraction(1, 2), -1: -3})
+        assert list(iter_candidates(lat_b3, pair_b3, delta, 3)) == list(
+            scored_candidates(lat_b3, pair_b3, delta, 3)
+        )
+
+
+class TestWorkCounts:
+    def test_k4_pair_explores_and_builds_few_values(self, monkeypatch):
+        # the scorer compares coefficient maps; a NuValue is built only for
+        # the result (and the zero it is checked against), however many of
+        # the 15 378 candidates become the incumbent on the way
+        lat = coordinate_lattice({f"L{i}": (i * 7) % 5 - 2 + i for i in range(4)})
+        pair = PairObject(lattice=lat, beta_image="L0")
+        built = []
+        real = NuValue.__post_init__
+
+        def counting(self):
+            built.append(self)
+            real(self)
+
+        monkeypatch.setattr(NuValue, "__post_init__", counting)
+        result = brute_force_max(lat, pair=pair, delta=P({0: Fraction(1, 2)}), bound=6)
+        assert result.explored == 15378
+        assert result.best.chain == ("F", "L2+L3+L0", "L2+L3", "L2")
+        assert len(built) <= 2, len(built)

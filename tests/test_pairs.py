@@ -11,6 +11,7 @@ from thetastab import (
     PairObject,
     RatPoly,
     brute_force_max,
+    build_lattice,
     canonical_filtration,
     enumerate_chains,
     make_chain,
@@ -28,6 +29,7 @@ from thetastab.latfile import load_lattice
 from thetastab.pairs import saturated_chains
 
 from conftest import FIXTURES, coordinate_lattice, sum_lattice
+from randgen import random_delta, random_subposet_lattice
 from reference_high_degree import pair_canonical_high_degree
 from reference_maximizer import (
     all_chains_pair_canonical,
@@ -106,33 +108,6 @@ def _regime(pair, delta):
     return "Le Potier" if pair.beta_image is not None else "zero framing"
 
 
-def _random_delta(rng, d, form):
-    """A delta of the given form for dimension d; positive unless negative."""
-    def coeff():
-        return Fraction(rng.randint(1, 6), rng.randint(1, 4))
-
-    def lower(top):  # terms of either sign below the leading one
-        return {e: coeff() * rng.choice((-1, 1)) for e in range(top - 2, top) if rng.random() < 0.5}
-
-    if form is None:
-        return None
-    top = {
-        "zero": None,
-        "negative": rng.randint(-1, d + 1),
-        "Laurent": rng.randint(-2, d - 1),
-        "degree <= d-1": rng.randint(0, d - 1),
-        "degree d": d,
-        "degree > d": d + 1,
-    }[form]
-    if top is None:
-        return RatPoly.zero()
-    terms = lower(top)
-    if form == "Laurent":
-        terms[min(top, 0) - 1] = coeff() * rng.choice((-1, 1))
-    terms[top] = -coeff() if form == "negative" else coeff()
-    return RatPoly(terms)
-
-
 class TestPairSemistableAgainstRegimes:
     def test_seeded_against_reference(self):
         # one Gieseker test on p_delta against the regime-by-regime
@@ -157,7 +132,7 @@ class TestPairSemistableAgainstRegimes:
                     for beta in betas:
                         pair = PairObject(lattice=lat, beta_image=beta)
                         for form in forms:
-                            delta = _random_delta(rng, d, form)
+                            delta = random_delta(rng, d, form)
                             verdict, witness = pair_semistable(pair, delta)
                             ref_verdict, ref_witness = reference_semistable.pair_semistable(
                                 pair, delta
@@ -375,7 +350,7 @@ class TestMaximizerValue:
             d = rng.choice((1, 2, 3))
             lat = coordinate_lattice({f"L{i}": rng.randint(-3, 3) for i in range(rng.randint(1, 4))}, d)
             beta = rng.choice([None, *lat.nonzero_ids()])
-            yield PairObject(lattice=lat, beta_image=beta), _random_delta(rng, d, forms[trial % 6])
+            yield PairObject(lattice=lat, beta_image=beta), random_delta(rng, d, forms[trial % 6])
         yield from TestFlatRegime.cases(seed, 2)
 
     def test_value_is_nu_of_the_primitive_filtration(self):
@@ -393,8 +368,54 @@ class TestMaximizerValue:
                 lower += wm.value.L.degree() < lat.dim - 1
         assert chains >= 150 and lower >= 20, (chains, lower)
 
+    @staticmethod
+    def subposet_cases(seed):
+        rng = random.Random(seed)
+        forms = ("zero", "negative", "Laurent", "degree <= d-1", "degree d", "degree > d")
+        for trial in range(18):
+            d = rng.choice((1, 2))
+            lat = random_subposet_lattice(rng, rng.randint(2, 4), d, 0.6)
+            beta = rng.choice([None, *lat.nonzero_ids()])
+            yield PairObject(lattice=lat, beta_image=beta), random_delta(rng, d, forms[trial % 6])
+
+    def test_leading_term_is_the_norm_at_the_stopping_exponent(self):
+        # the fit is the R-orthogonal projection of x = u / r onto a closed
+        # convex cone, so <fit, u> = |fit|_R^2 = b: nu leads with
+        # sqrt(b) n^exponent, the key pair_canonical ranks chains on
+        pinned = lower = 0
+        cases = [*self.cases(20261018), *self.subposet_cases(20261019)]
+        for pair, delta in cases:
+            lat = pair.lattice
+            for chain in saturated_chains(lat):
+                wm = maximize_weights(chain, pair, delta)
+                if wm is None:
+                    continue
+                assert wm.value.L.degree() == wm.exponent, (chain.chain, delta)
+                assert wm.value.L.leading_coeff() == wm.value.b == wm.b, (chain.chain, delta)
+                pinned += wm.pinned is not None
+                lower += wm.exponent < lat.dim - 1
+        assert pinned and lower, (pinned, lower)
+
+    def test_the_full_value_breaks_a_tie_on_the_leading_term(self):
+        # A and B have equal ranks and n-coefficients, so (F, A) and (F, B)
+        # tie on (exponent, b); B's larger constant term wins, although the
+        # tie-break on ids alone would pick A
+        lat = build_lattice(2, {
+            "0": {}, "A": {2: 1, 1: 1, 0: -2}, "B": {2: 1, 1: 1, 0: 2}, "F": {2: Fraction(3, 2), 1: 1, 0: 2},
+        })
+        pair = PairObject(lattice=lat, beta_image=None)
+        a, b = (maximize_weights(make_chain(lat, ("F", m)), pair, RatPoly.zero()) for m in "AB")
+        assert (a.exponent, a.b) == (b.exponent, b.b)
+        assert nu_compare(b.value, a.value) == GREATER
+        result = pair_canonical(pair, RatPoly.zero())
+        assert (result.filtration.chain, result.filtration.weights) == (("F", "B"), (-2, 1))
+        oracle_result = brute_force_max(lat, bound=2)
+        assert (oracle_result.best, oracle_result.value) == (result.filtration, result.value)
+
     def test_pair_canonical_builds_only_the_winner(self, monkeypatch):
-        calls = {"maximize_weights": 0, "make_filtration": 0, "nu_delta": 0}
+        # chains are ranked on (exponent, b); the full value (dot) is only
+        # computed for the 12 of 120 chains that tie the incumbent on both
+        calls = {"maximize_weights": 0, "make_filtration": 0, "nu_delta": 0, "dot": 0}
 
         def counting(name):
             original = getattr(pairs, name)
@@ -408,12 +429,12 @@ class TestMaximizerValue:
             monkeypatch.setattr(pairs, name, counting(name))
         lat = coordinate_lattice({f"L{i}": (i * 7) % 5 - 2 + i for i in range(5)})
         result = pair_canonical(PairObject(lattice=lat, beta_image="L0"), const(Fraction(1, 2)))
-        assert calls == {"maximize_weights": 120, "make_filtration": 1, "nu_delta": 1}
+        assert calls == {"maximize_weights": 120, "make_filtration": 1, "nu_delta": 1, "dot": 12}
         assert nu_compare(result.value, nu_delta(result.filtration, const(Fraction(1, 2)))) == EQUAL
         for pair, delta in TestPairCanonicalAsksFirst.semistable_pairs():
             with pytest.raises(Semistable):
                 pair_canonical(pair, delta)
-        assert calls == {"maximize_weights": 120, "make_filtration": 1, "nu_delta": 1}
+        assert calls == {"maximize_weights": 120, "make_filtration": 1, "nu_delta": 1, "dot": 12}
 
 
 def _random_pair(rng, max_summands, with_pair=True):
@@ -522,16 +543,11 @@ class TestSaturatedChains:
         assert len(calls) == 120 and len(set(calls)) == 120
         assert len(enumerate_chains(lat)) == 541
 
-    def test_matches_all_chains_reference(self):
-        # against pair_canonical over every chain with the face-enumeration
-        # maximizer, which falls back to the oracle (bound 2) when no chain
-        # has a positive degree-(d-1) coefficient: its closed-form answers
-        # are matched exactly, and its oracle answers are never beaten
-        # (and matched whenever they tie)
-        rng = random.Random(7325)
+    @staticmethod
+    def assert_matches_all_chains_reference(cases):
+        """The sources of the reference's answers over (pair, d) cases."""
         sources = set()
-        for _ in range(40):
-            lat, pair, d = _random_pair(rng, 4, with_pair=rng.random() < 0.8)
+        for pair, d, rng in cases:
             delta = RatPoly({d - 1: Fraction(rng.randint(-2, 6), rng.randint(1, 3))})
             try:
                 ref = all_chains_pair_canonical(pair, delta, 2)
@@ -549,7 +565,39 @@ class TestSaturatedChains:
                 )
             else:
                 assert order == GREATER
+        return sources
+
+    def test_matches_all_chains_reference(self):
+        # against pair_canonical over every chain with the face-enumeration
+        # maximizer, which falls back to the oracle (bound 2) when no chain
+        # has a positive degree-(d-1) coefficient: its closed-form answers
+        # are matched exactly, and its oracle answers are never beaten
+        # (and matched whenever they tie)
+        rng = random.Random(7325)
+
+        def cases():
+            for _ in range(40):
+                lat, pair, d = _random_pair(rng, 4, with_pair=rng.random() < 0.8)
+                yield pair, d, rng
+
+        sources = self.assert_matches_all_chains_reference(cases())
         assert sources == {"closed-form", "oracle", "semistable"}, sources
+
+    def test_matches_all_chains_reference_on_subposets(self):
+        # the same on coordinate lattices with members dropped, which are
+        # not closed under sums: every chain's maximizer is still that of
+        # its saturated refinements
+        rng = random.Random(7326)
+
+        def cases():
+            for _ in range(40):
+                d = rng.choice((1, 2))
+                lat = random_subposet_lattice(rng, rng.randint(2, 4), d, 0.6)
+                beta = rng.choice(lat.nonzero_ids()) if rng.random() < 0.8 else None
+                yield PairObject(lattice=lat, beta_image=beta), d, rng
+
+        sources = self.assert_matches_all_chains_reference(cases())
+        assert {"closed-form", "semistable"} <= sources, sources
 
 
 class TestPairCanonical:
@@ -651,9 +699,10 @@ class TestFlatRegime:
         def fail(*args, **kwargs):
             raise AssertionError("pair_canonical must not call the oracle")
 
-        # iter_candidates is where any brute_force_max binding does its work
+        # iter_terms is where any brute_force_max or iter_candidates binding
+        # does its work
         monkeypatch.setattr(oracle, "brute_force_max", fail)
-        monkeypatch.setattr(oracle, "iter_candidates", fail)
+        monkeypatch.setattr(oracle, "iter_terms", fail)
         assert pair_canonical(pair_b3, RatPoly.zero()).value.L.degree() == 0
         assert pair_canonical(pair_o_o1, P({1: 1})).filtration.chain == ("F", "O")
         flat = 0

@@ -1,4 +1,5 @@
-from decimal import Decimal
+import sys
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -152,3 +153,38 @@ class TestApprox:
         assert NuValue(P({1: 1}), Fraction(1, 10**800)).approx(10**300) == Decimal("1E+700")
         assert NuValue(P({0: Fraction(1, 10**400)}), Fraction(1)).approx(0) == Decimal("1E-400")
         assert NuValue(RatPoly.zero(), Fraction(1, 10**800)).approx(0) == 0
+
+    @staticmethod
+    def exact(value, n):
+        x, b = value.L(n), value.b
+        with localcontext(Emax=MAX_EMAX, Emin=MIN_EMIN, prec=60):
+            return Decimal(x.numerator) / x.denominator / (Decimal(b.numerator) / b.denominator).sqrt()
+
+    @pytest.mark.parametrize("n", (10**6, Fraction(1, 10**6), Fraction(-7, 3)))
+    @pytest.mark.parametrize("coeffs", (
+        {51: 3, 0: -1},                      # 51 * 6 digits: within a float's range
+        {52: -2, 1: 5},                      # just beyond it at n = 10^6
+        {-60: 5, -1: Fraction(-2, 3)},       # Laurent terms only
+        {400: Fraction(-1, 3), 399: 7, -400: 1},
+        {2000: 1, 3: -5, -2000: Fraction(-3, 7)},
+        {60: 1, 0: -(10**360 - 1)},          # cancels to 1 at n = 10^6
+        {60: 1, 0: -(10**360)},              # cancels to 0 at n = 10^6
+    ))
+    def test_matches_exact_evaluation(self, coeffs, n):
+        # on both sides of the float range, to 15 significant digits
+        value = NuValue(P(coeffs), Fraction(5, 3))
+        approx, exact = value.approx(n), self.exact(value, n)
+        with localcontext(Emax=MAX_EMAX, Emin=MIN_EMIN, prec=60):
+            assert abs(Decimal(approx) - exact) <= abs(exact) * Decimal("1e-15"), (approx, exact)
+        in_range = exact == 0 or sys.float_info.min < abs(exact) < sys.float_info.max
+        assert (type(approx) is float) == in_range
+
+    def test_huge_exponent_without_the_exact_power(self, monkeypatch):
+        # L(10^6) has 1.8 million digits; the terms are summed in Decimal
+        def fail(*args):
+            raise AssertionError("exact evaluation")
+
+        value = NuValue(P({300000: 1, -300000: 1, 0: -1}), Fraction(2))
+        monkeypatch.setattr(RatPoly, "__call__", fail)
+        assert f"{value.approx(10**6):.6g}" == "7.07107e+1799999"
+        assert f"{value.approx(Fraction(1, 10**6)):.6g}" == "7.07107e+1799999"

@@ -17,7 +17,7 @@ from functools import cache
 
 from . import canonical as canonical_mod
 from . import invariant, oracle, pairs
-from .errors import ParseError, StabilityError
+from .errors import ParseError, StabilityError, WorkBudgetExceeded
 from .latfile import (
     format_rational,
     load_lattice,
@@ -137,11 +137,16 @@ def _cmd_polytope(args) -> dict:
     return payload
 
 
-def _bound(text: str) -> int:
-    bound = as_integer(text, "--bound value")
-    if bound < 1:
-        raise ParseError(f"--bound must be >= 1, got {bound}")
-    return bound
+def _at_least(text: str, flag: str, least: int) -> int:
+    value = as_integer(text, f"{flag} value")
+    if value < least:
+        raise ParseError(f"{flag} must be >= {least}, got {value}")
+    return value
+
+
+def _oracle_limits(args) -> tuple[int, int]:
+    """The weight bound W >= 1 and the candidate budget >= 0."""
+    return _at_least(args.bound, "--bound", 1), _at_least(args.max_candidates, "--max-candidates", 0)
 
 
 def _require_pair(pair: PairObject | None) -> PairObject:
@@ -172,7 +177,7 @@ def _cmd_pair_canonical(args) -> dict:
     lat, pair = load_lattice(args.input)
     pair = _require_pair(pair)
     delta = parse_delta(args.delta)
-    bound = _bound(args.bound)
+    bound, budget = _oracle_limits(args)
     result = pairs.pair_canonical(pair, delta)
     payload = {
         "command": "pair-canonical",
@@ -185,15 +190,19 @@ def _cmd_pair_canonical(args) -> dict:
         f"nu_delta: {nu_text(result.value)}",
         f"found via: {result.source}",
     ]
-    check = oracle.brute_force_max(lat, pair=pair, delta=delta, bound=bound)
-    verdict = nu_compare(check.value, result.value)
-    if check.best == result.filtration and verdict == EQUAL:
-        agrees, text = True, "agrees"
-    elif verdict != GREATER and max(map(abs, result.filtration.weights)) > bound:
-        # the oracle cannot see weights beyond its bound
-        agrees, text = None, f"inconclusive (closed-form weights exceed W={bound})"
+    count = oracle.candidate_count(lat, pair, bound)
+    if count > budget:
+        agrees, text = None, f"skipped ({count} candidates > budget {budget})"
     else:
-        agrees, text = False, "disagrees"
+        check = oracle.brute_force_max(lat, pair=pair, delta=delta, bound=bound)
+        verdict = nu_compare(check.value, result.value)
+        if check.best == result.filtration and verdict == EQUAL:
+            agrees, text = True, "agrees"
+        elif verdict != GREATER and max(map(abs, result.filtration.weights)) > bound:
+            # the oracle cannot see weights beyond its bound
+            agrees, text = None, f"inconclusive (closed-form weights exceed W={bound})"
+        else:
+            agrees, text = False, "disagrees"
     payload["oracle_agrees"] = agrees
     lines.append(f"oracle (bound {bound}): {text}")
     _emit(payload, lines, args.format)
@@ -243,7 +252,10 @@ def _dumped(candidates, writer):
 def _cmd_oracle(args) -> dict:
     lat, pair = load_lattice(args.input)
     delta = parse_delta(args.delta) if args.delta is not None else None
-    bound = _bound(args.bound)
+    bound, budget = _oracle_limits(args)
+    count = oracle.candidate_count(lat, pair, bound)
+    if count > budget:
+        raise WorkBudgetExceeded(f"{count} candidates at W={bound} exceed the budget of {budget}")
     candidates = oracle.iter_terms(lat, pair, delta, bound)
     if args.csv:  # opened before the search, so an unwritable path fails at once
         try:
@@ -304,6 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
                              help="Laurent polynomial literal, e.g. '1/2', 'n', '-n^2'")
         if bound:
             cmd.add_argument("--bound", default="6", help="oracle weight bound W")
+            cmd.add_argument("--max-candidates", default="100000",
+                             help="most candidates the oracle may score")
         if index:
             cmd.add_argument("--index", default=None, help="slope index i")
         if chain:
@@ -331,13 +345,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reject_double_dash(argv: list[str]) -> None:
+    """`--flag=--` gives no value: argparse hands it over as [] before
+    Python 3.13 and as the string "--" from 3.13 on, so it is refused
+    before parsing, on every version.  A bare `--` ends the options."""
+    for token in argv:
+        if token == "--":
+            return
+        flag, eq, value = token.partition("=")
+        if flag.startswith("--") and eq and value == "--":
+            raise ParseError(f"{flag} needs a value, got '--'")
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        for dest, value in vars(args).items():
-            # argparse hands `--flag=--` over as an empty list
-            if value is not None and not isinstance(value, str):
-                raise ParseError(f"--{dest.replace('_', '-')} needs a value, got {value!r}")
+        _reject_double_dash(argv)
+        args = build_parser().parse_args(argv)
         _HANDLERS[args.command](args)
     except ParseError as exc:
         print(f"error: ParseError: {exc}", file=sys.stderr)

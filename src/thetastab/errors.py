@@ -90,6 +90,12 @@ class NegativeNu(StabilityError):
     """Convexification requires a filtration with nonnegative invariant."""
 
 
+# --- oracle layer ---
+
+class WorkBudgetExceeded(StabilityError):
+    """The brute-force search would score more candidates than allowed."""
+
+
 # --- pair layer ---
 
 class Semistable(StabilityError):

@@ -1,12 +1,14 @@
 """Numerical invariants of weighted filtrations.
 
-Everything here is read off one kernel, contributions(chain, delta): the
-per-unit-weight contribution of each step of a chain,
+Everything here is read off one step helper, step_contribution(gr, tau):
+the per-unit-weight contribution of a step with graded piece gr,
 
-    c_m = (reduced(gr_m) - reduced(F)) * rank(gr_m) - delta * rank(gr_m) / rank(F)
-        = P(gr_m) - rank(gr_m) * tau,   tau = reduced(F) + delta / rank(F).
+    c = (reduced(gr) - reduced(F)) * rank(gr) - delta * rank(gr) / rank(F)
+      = P(gr) - rank(gr) * tau,   tau = reduced(F) + delta / rank(F),
 
-The invariant of weights w is nu = <w, c> / sqrt(b) with
+with tau from ambient_tau.  contributions(chain, delta) applies it to each
+step of a chain; pair_canonical applies it once per distinct step of its
+walk.  The invariant of weights w is nu = <w, c> / sqrt(b) with
 b = sum rank(gr_m) * w_m^2, kept exact as a NuValue; the oracle's scores
 and the pair maximizer's values are read from the same c.
 
@@ -33,8 +35,21 @@ from math import factorial
 from typing import Iterable, Sequence
 
 from .errors import BadIndex, DegenerateFiltration
-from .lattice import UnweightedFiltration, WeightedFiltration
-from .ratpoly import NuValue, RatPoly
+from .lattice import SubobjectLattice, UnweightedFiltration, WeightedFiltration
+from .ratpoly import HilbertStats, NuValue, RatPoly
+
+
+def ambient_tau(lat: SubobjectLattice, delta: RatPoly | None = None) -> RatPoly:
+    """tau = reduced(F) + delta / rank(F), the twisted reduced polynomial of
+    the ambient object."""
+    top = lat.top.stats
+    return top.reduced if delta is None else top.reduced + delta * (1 / top.rank)
+
+
+def step_contribution(graded: HilbertStats, tau: RatPoly) -> RatPoly:
+    """Per-unit-weight contribution of one step with graded piece gr:
+    P(gr) - rank(gr) * tau."""
+    return graded.poly - tau * graded.rank
 
 
 def contributions(
@@ -42,9 +57,8 @@ def contributions(
 ) -> tuple[RatPoly, ...]:
     """Per-unit-weight contribution of each step of the chain, top first:
     P(gr_m) - rank(gr_m) * tau with tau = reduced(F) + delta / rank(F)."""
-    top = chain.lattice.top.stats
-    tau = top.reduced if delta is None else top.reduced + delta * (1 / top.rank)
-    return tuple(g.poly - tau * g.rank for g in chain.gradeds)
+    tau = ambient_tau(chain.lattice, delta)
+    return tuple(step_contribution(g, tau) for g in chain.gradeds)
 
 
 def dot(weights: Sequence[int | Fraction], contribs: Sequence[RatPoly]) -> RatPoly:

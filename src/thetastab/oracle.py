@@ -21,9 +21,11 @@ by their gcd), and ties are broken deterministically by
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from operator import mul
 from typing import Iterable, Iterator
 
@@ -98,6 +100,42 @@ def saturated_chains(lat: SubobjectLattice) -> list[UnweightedFiltration]:
         for sup, subs in below.items()
     }
     return [c for c in _walk(lat, covers) if not below[c.chain[-1]]]
+
+
+def candidate_count(lat: SubobjectLattice, pair: PairObject | None = None, bound: int = 4) -> int:
+    """The number of candidates brute_force_max(lat, pair, delta, bound)
+    scores (its explored count, for any delta), from chain lengths and
+    pivots alone: no chain is built and no candidate scored.
+
+    A chain of length L admits the strictly increasing weight vectors in
+    [-W, W]; when its pivot (the deepest member containing the marked
+    image) sits at index p, the pair constraint w_p >= 0 keeps those with
+    at most p negative entries, sum over i <= p of C(W, i) C(W + 1, L - i),
+    which is C(2W + 1, L) without a constraint.  The top alone with weight
+    0 has b = 0 and is not a candidate.
+    """
+    if bound < 1:
+        raise ValueError(f"weight bound must be >= 1, got {bound}")
+    beta = pair.beta_image if pair is not None else None
+    # shapes[m]: the chains top > ... > m, counted by (length, members containing beta)
+    shapes: dict[str, Counter] = {}
+    for member in sorted(lat.nonzero_ids(), key=lambda m: lat.member(m).rank, reverse=True):
+        inside = beta is not None and lat.leq(beta, member)
+        shapes[member] = here = Counter()
+        if member == lat.top_id:
+            here[1, inside] = 1
+        for sup, above in shapes.items():
+            if lat.lt(member, sup):
+                for (length, containing), count in above.items():
+                    here[length + 1, containing + inside] += count
+    total = -1
+    for here in shapes.values():
+        for (length, containing), count in here.items():
+            pivot = containing - 1 if beta is not None else length
+            total += count * sum(
+                comb(bound, i) * comb(bound + 1, length - i) for i in range(min(pivot, length) + 1)
+            )
+    return total
 
 
 def iter_terms(

@@ -66,10 +66,15 @@ top nothing is positive, which is pair_semistable's verdict.
 Refining a chain enlarges its cone (the inserted steps repeat the weight
 of the step they split, the pivot's included), so every chain's maximizer
 is that of its saturated refinements, and pair_canonical visits saturated
-chains only.  It ranks them on those values (nu is scale-invariant, and a
-merged step contributes its block's sum): first on the leading term, that
-is on (e*, b), and on the full value only between chains that tie on
-both; it builds the winner alone.
+chains only.  A step's contribution depends on the step and the query
+alone, and saturated chains share their steps (k! chains over k * 2^(k-1)
+steps on the sub-sum lattice of k summands), so pair_canonical computes
+tau once and each distinct step's contribution once per query, in a table
+it keeps for that call only, and each chain reads its contributions from
+it.  It ranks the chains on their maximizers' values (nu is
+scale-invariant, and a merged step contributes its block's sum): first on
+the leading term, that is on (e*, b), and on the full value only between
+chains that tie on both; it builds the winner alone.
 """
 
 from __future__ import annotations
@@ -83,7 +88,7 @@ from typing import Sequence
 
 from .canonical import destabilizing_member
 from .errors import Semistable
-from .invariant import contributions, dot, nu_delta
+from .invariant import ambient_tau, contributions, dot, nu_delta, step_contribution
 from .lattice import (
     ObjectClass,
     PairObject,
@@ -171,6 +176,14 @@ def _merge(values: Sequence, keep: list[int]) -> list:
     return [sum(values[a + 1:b], values[a]) for a, b in zip(keep, ends)]
 
 
+@dataclass(frozen=True)
+class _TabledChain(UnweightedFiltration):
+    """A chain of pair_canonical's walk together with its steps'
+    contributions at the query's delta, read from the query's step table."""
+
+    contribs: tuple[RatPoly, ...] = field(compare=False, repr=False)
+
+
 def maximize_weights(
     chain: UnweightedFiltration,
     pair: PairObject | None,
@@ -184,8 +197,11 @@ def maximize_weights(
     member contains the marked image.  The descent of the module docstring
     runs over the exponents of the chain's contributions, highest first;
     each zero maximum merges steps (ids, contributions and ranks together).
+    The contributions are the chain's own, or, for a chain of
+    pair_canonical's walk, its query's.
     """
-    ids, contribs = chain.chain, contributions(chain, delta)
+    ids = chain.chain
+    contribs = chain.contribs if isinstance(chain, _TabledChain) else contributions(chain, delta)
     ranks = [g.rank for g in chain.gradeds]
     beta = pair.beta_image if pair is not None else None
     p = pair_pivot_index(ids, chain.lattice, beta) if beta is not None else None
@@ -241,7 +257,8 @@ def pair_canonical(pair: PairObject, delta: RatPoly | None) -> PairCanonicalResu
     A pair that pair_semistable finds semistable raises Semistable at once:
     by the summation-by-parts identity no weighting is positive.  Otherwise
     every saturated chain's lexicographic maximizer is computed in closed
-    form and the candidates are ranked by their full invariant, read off
+    form, on contributions computed once per distinct step (sub, sup) of
+    the walk, and the candidates are ranked by their full invariant, read off
     its leading term (exponent, b) unless two chains tie on it, ties going
     to the shorter chain, then the smaller ids, then the smaller weights;
     only the winner's filtration is built.
@@ -250,8 +267,18 @@ def pair_canonical(pair: PairObject, delta: RatPoly | None) -> PairCanonicalResu
     best: WeightMaximum | None = None
     best_key: tuple | None = None
     if not pair_semistable(pair, delta)[0]:
+        tau = ambient_tau(lat, delta)
+        table: dict[tuple[str, str], RatPoly] = {}  # (sub, sup) -> its contribution
+
+        def contribution(step: tuple[str, str], graded) -> RatPoly:
+            if step not in table:
+                table[step] = step_contribution(graded, tau)
+            return table[step]
+
         for chain in saturated_chains(lat):
-            wm = maximize_weights(chain, pair, delta)
+            steps = zip(chain.chain[1:] + (lat.zero_id,), chain.chain)
+            contribs = tuple(map(contribution, steps, chain.gradeds))
+            wm = maximize_weights(_TabledChain(lat, chain.chain, chain.gradeds, contribs), pair, delta)
             if wm is None:
                 continue
             if best is None:

@@ -260,6 +260,65 @@ class TestOracleCommand:
         assert len(rows) == len(scored) == payload["explored"]
 
 
+class TestWorkBudget:
+    """--max-candidates: candidate_count is checked before the oracle
+    scores anything (1182 candidates on example_nonconvex at W = 6)."""
+
+    NONCONVEX = FIXTURES / "example_nonconvex.lattice"
+
+    def test_oracle_over_budget_exits_1_before_any_search(self, capsys, tmp_path, monkeypatch):
+        from thetastab import oracle
+
+        def fail(*args, **kwargs):
+            raise AssertionError("no candidate may be scored over budget")
+
+        monkeypatch.setattr(oracle, "iter_terms", fail)
+        target = tmp_path / "dump.csv"
+        code, out, err = run(capsys, "oracle", self.NONCONVEX, "--max-candidates", "1181", "--csv", target)
+        assert (code, out) == (1, "")
+        assert err == "error: WorkBudgetExceeded: 1182 candidates at W=6 exceed the budget of 1181\n"
+        assert not target.exists()
+
+    def test_oracle_at_budget_runs(self, capsys):
+        code, payload, _ = run_json(capsys, "oracle", self.NONCONVEX, "--max-candidates=1182")
+        assert code == 0 and payload["explored"] == 1182
+        assert payload == run_json(capsys, "oracle", self.NONCONVEX)[1]
+
+    def test_pair_canonical_over_budget_answers_and_skips_the_oracle(self, capsys, monkeypatch):
+        from thetastab import oracle
+
+        argv = ("pair-canonical", self.NONCONVEX, "--delta", "0")
+        _, checked, _ = run_json(capsys, *argv)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the oracle must not run over budget")
+
+        monkeypatch.setattr(oracle, "brute_force_max", fail)
+        code, payload, _ = run_json(capsys, *argv, "--max-candidates", "1000")
+        assert code == 0 and payload["oracle_agrees"] is None
+        assert {**payload, "oracle_agrees": True} == checked
+        code, out, _ = run(capsys, *argv, "--max-candidates", "0")
+        assert code == 0
+        assert out.splitlines()[-1] == "oracle (bound 6): skipped (1182 candidates > budget 0)"
+
+    def test_large_pair_answers_at_once_by_default(self, capsys, tmp_path, monkeypatch):
+        # the k = 6 pair's oracle would score 2 599 050 candidates at W = 6
+        from conftest import coordinate_lattice
+        from thetastab import oracle
+
+        lat = coordinate_lattice({f"L{i}": (i * 7) % 5 - 2 + i for i in range(6)})
+        doc = lat.as_dict()
+        doc["pair"] = {"beta_image": "L0"}
+        path = tmp_path / "k6.lattice"
+        path.write_text(json.dumps(doc))
+        monkeypatch.setattr(oracle, "iter_terms", None)
+        code, out, _ = run(capsys, "pair-canonical", path, "--delta", "1/2")
+        assert code == 0
+        assert out.splitlines()[-1] == "oracle (bound 6): skipped (2599050 candidates > budget 100000)"
+        code, _, err = run(capsys, "oracle", path, "--delta", "1/2")
+        assert code == 1 and err.startswith("error: WorkBudgetExceeded: 2599050 candidates")
+
+
 BIG = "1" + "0" * 400
 
 
@@ -473,6 +532,10 @@ class TestMalformedInput:
             ("polytope", None, ["--index=--"]),
             ("sweep", None, ["--sweep-deltas=--"]),
             ("check", None, ["--format=--"]),
+            ("oracle", None, ["--max-candidates=--"]),
+            ("oracle", None, ["--max-candidates=-1"]),
+            ("pair-canonical", None, ["--delta", "1/2", "--max-candidates", "1_0"]),
+            ("pair-canonical", None, ["--delta", "1/2", "--max-candidates", "1.5"]),
             ("oracle", None, ["--csv", str(FIXTURES / "no-such-dir" / "out.csv")]),
             ("oracle", None, ["--csv", str(FIXTURES)]),
         ],
@@ -492,6 +555,8 @@ class TestMalformedInput:
             "weights-double-dash", "chain-double-dash", "nu-delta-double-dash",
             "pair-check-delta-double-dash", "csv-double-dash", "bound-double-dash",
             "index-double-dash", "sweep-deltas-double-dash", "format-double-dash",
+            "max-candidates-double-dash", "max-candidates-negative",
+            "max-candidates-underscore", "max-candidates-decimal",
             "csv-missing-directory", "csv-is-a-directory",
         ],
     )

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -16,7 +17,9 @@ from thetastab import (
     nu,
     nu_compare,
 )
+from thetastab import oracle
 from thetastab.latfile import load_lattice
+from thetastab.oracle import candidate_count
 
 from conftest import FIXTURES, coordinate_lattice
 from randgen import random_delta, random_subposet_lattice
@@ -221,3 +224,45 @@ class TestWorkCounts:
         assert result.explored == 15378
         assert result.best.chain == ("F", "L2+L3+L0", "L2+L3", "L2")
         assert len(built) <= 2, len(built)
+
+
+class TestCandidateCount:
+    """candidate_count is brute_force_max's explored count, read off chain
+    lengths and pivots without building a chain or scoring a candidate."""
+
+    def test_equals_explored(self):
+        rng = random.Random(20261107)
+        cases = 0
+        for lat in TestAgainstReferenceOracle.lattices(rng):
+            for beta in ("no pair", None, rng.choice(lat.nonzero_ids())):
+                pair = None if beta == "no pair" else PairObject(lattice=lat, beta_image=beta)
+                for bound in (1, 2, 3):
+                    explored = brute_force_max(lat, pair, random_delta(rng, lat.dim, "zero"), bound).explored
+                    assert candidate_count(lat, pair, bound) == explored, (lat, beta, bound)
+                    cases += 1
+        assert cases == 135
+
+    def test_fixtures_stay_small_at_the_default_bound(self):
+        counts = {}
+        for path in sorted(FIXTURES.glob("*.lattice")):
+            lat, pair = load_lattice(path)
+            counts[path.name] = candidate_count(lat, pair, 6)
+        assert max(counts.values()) == counts["example_nonconvex.lattice"] == 1182, counts
+
+    def test_builds_no_chain(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("counting needs no chain")
+
+        lat = coordinate_lattice({f"L{i}": (i * 7) % 5 - 2 + i for i in range(6)})
+        lengths = [len(c.chain) for c in enumerate_chains(lat)]
+        monkeypatch.setattr(oracle, "enumerate_chains", fail)
+        monkeypatch.setattr(oracle, "quotient_poly", fail)
+        assert candidate_count(lat, PairObject(lattice=lat, beta_image="L0"), 6) == 2599050
+        # without a constraint each chain of length L has C(2W + 1, L), so a
+        # bound no search could reach is counted as fast as a small one
+        huge = 10**30
+        assert candidate_count(lat, None, huge) == sum(comb(2 * huge + 1, n) for n in lengths) - 1
+
+    def test_bound_validation(self, lat_trivial):
+        with pytest.raises(ValueError):
+            candidate_count(lat_trivial, None, 0)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
 
@@ -36,6 +37,7 @@ from reference_maximizer import (
     chain_search_max,
     face_enumeration_max,
 )
+import reference_pair_canonical
 import reference_semistable
 
 
@@ -148,6 +150,28 @@ class TestPairSemistableAgainstRegimes:
             ("big degree", True), ("big degree", False), ("zero framing", False),
             ("Le Potier", True), ("Le Potier", False),
         }, seen
+
+    def test_seeded_subposets(self):
+        # the same on coordinate lattices with members dropped, which are
+        # not closed under sums: summation by parts needs none, so the
+        # verdict and witness still match the reference, and an unstable
+        # verdict is the oracle's, found with weights in {-1, 0, 1}
+        rng = random.Random(20261104)
+        forms = (None, "zero", "negative", "Laurent", "degree <= d-1", "degree d", "degree > d")
+        seen = set()
+        for trial in range(60):
+            d = rng.choice((1, 2))
+            lat = random_subposet_lattice(rng, rng.randint(2, 4), d, 0.6)
+            pair = PairObject(lattice=lat, beta_image=rng.choice([None, *lat.nonzero_ids()]))
+            delta = random_delta(rng, d, forms[trial % len(forms)])
+            verdict, witness = pair_semistable(pair, delta)
+            ref_verdict, ref_witness = reference_semistable.pair_semistable(pair, delta)
+            assert (verdict, getattr(witness, "id", None)) == (
+                ref_verdict, getattr(ref_witness, "id", None)
+            ), (lat.ids(), pair.beta_image, delta)
+            assert verdict == (brute_force_max(lat, pair=pair, delta=delta, bound=1).best is None)
+            seen.add((_regime(pair, delta), verdict))
+        assert {("zero", True), ("zero", False), ("Le Potier", True), ("Le Potier", False)} <= seen, seen
 
     def test_big_degree_witness_is_the_marked_image(self, lat_b3):
         # for deg(delta) >= d every proper member containing the image
@@ -414,8 +438,12 @@ class TestMaximizerValue:
 
     def test_pair_canonical_builds_only_the_winner(self, monkeypatch):
         # chains are ranked on (exponent, b); the full value (dot) is only
-        # computed for the 12 of 120 chains that tie the incumbent on both
-        calls = {"maximize_weights": 0, "make_filtration": 0, "nu_delta": 0, "dot": 0}
+        # computed for the 12 of 120 chains that tie the incumbent on both;
+        # each of the 80 steps (sub, sup) of the walk has its contribution
+        # computed once, not once per chain through it (600 chain-steps)
+        calls = {
+            "maximize_weights": 0, "make_filtration": 0, "nu_delta": 0, "dot": 0, "step_contribution": 0,
+        }
 
         def counting(name):
             original = getattr(pairs, name)
@@ -429,12 +457,21 @@ class TestMaximizerValue:
             monkeypatch.setattr(pairs, name, counting(name))
         lat = coordinate_lattice({f"L{i}": (i * 7) % 5 - 2 + i for i in range(5)})
         result = pair_canonical(PairObject(lattice=lat, beta_image="L0"), const(Fraction(1, 2)))
-        assert calls == {"maximize_weights": 120, "make_filtration": 1, "nu_delta": 1, "dot": 12}
+        expected = {
+            "maximize_weights": 120, "make_filtration": 1, "nu_delta": 1, "dot": 12, "step_contribution": 80,
+        }
+        assert calls == expected
         assert nu_compare(result.value, nu_delta(result.filtration, const(Fraction(1, 2)))) == EQUAL
         for pair, delta in TestPairCanonicalAsksFirst.semistable_pairs():
             with pytest.raises(Semistable):
                 pair_canonical(pair, delta)
-        assert calls == {"maximize_weights": 120, "make_filtration": 1, "nu_delta": 1, "dot": 12}
+        assert calls == expected
+        # k * 2^(k-1) steps (the edges of the k-cube) for k! saturated chains
+        for k in (3, 4):
+            calls.update(dict.fromkeys(calls, 0))
+            lat = coordinate_lattice({f"L{i}": (i * 7) % 5 - 2 + i for i in range(k)})
+            pair_canonical(PairObject(lattice=lat, beta_image="L0"), const(Fraction(1, 2)))
+            assert (calls["step_contribution"], calls["maximize_weights"]) == (k * 2 ** (k - 1), factorial(k))
 
 
 def _random_pair(rng, max_summands, with_pair=True):
@@ -600,6 +637,65 @@ class TestSaturatedChains:
         assert {"closed-form", "semistable"} <= sources, sources
 
 
+class TestAgainstReferencePairCanonical:
+    """pair_canonical, on contributions computed once per step of its walk,
+    against the version that recomputed them on every chain
+    (reference_pair_canonical): the same filtration, the identical (L, b)
+    and the same tie-break key, or Semistable from both."""
+
+    FORMS = (None, "zero", "negative", "constant", "high degree", "Laurent")
+
+    @staticmethod
+    def delta(rng, d, form):
+        if form == "constant":
+            return const(Fraction(rng.randint(1, 6), rng.randint(1, 4)))
+        if form == "high degree":
+            return random_delta(rng, d, rng.choice(("degree d", "degree > d")))
+        return random_delta(rng, d, form)
+
+    @staticmethod
+    def assert_matches(pair, delta, seen, form):
+        try:
+            ref, ref_key = reference_pair_canonical.pair_canonical(pair, delta)
+        except Semistable:
+            with pytest.raises(Semistable):
+                pair_canonical(pair, delta)
+            seen["semistable"] += 1
+            return
+        result = pair_canonical(pair, delta)
+        f = result.filtration
+        assert f == ref.filtration, (pair.beta_image, delta)
+        assert nu_compare(result.value, ref.value) == EQUAL
+        assert (result.value.L, result.value.b) == (ref.value.L, ref.value.b)
+        assert (len(f.chain), f.chain, f.weights) == ref_key
+        seen[form] += 1
+
+    def test_seeded_coordinate_lattices(self):
+        # k = 1..5 twice per form of delta, and two k = 6 lattices
+        rng = random.Random(20261102)
+        seen = Counter()
+        shapes = [(k, form) for k in range(1, 6) for form in self.FORMS for _ in range(2)]
+        shapes += [(6, rng.choice(self.FORMS)) for _ in range(2)]
+        for k, form in shapes:
+            d = rng.choice((1, 2, 3))
+            lat = coordinate_lattice({f"L{i}": rng.randint(-3, 3) for i in range(k)}, d)
+            pair = PairObject(lattice=lat, beta_image=rng.choice([None, *lat.nonzero_ids()]))
+            self.assert_matches(pair, self.delta(rng, d, form), seen, form)
+        assert seen["semistable"] and all(seen[form] for form in self.FORMS), seen
+
+    def test_seeded_subposets(self):
+        rng = random.Random(20261103)
+        seen = Counter()
+        for k in range(2, 6):
+            for form in self.FORMS:
+                for _ in range(2):
+                    d = rng.choice((1, 2))
+                    lat = random_subposet_lattice(rng, k, d, 0.6)
+                    pair = PairObject(lattice=lat, beta_image=rng.choice([None, *lat.nonzero_ids()]))
+                    self.assert_matches(pair, self.delta(rng, d, form), seen, form)
+        assert seen["semistable"] and all(seen[form] for form in self.FORMS), seen
+
+
 class TestPairCanonical:
     def test_nonconvex_example(self, lat_b3, pair_b3):
         result = pair_canonical(pair_b3, RatPoly.zero())
@@ -716,6 +812,72 @@ class TestFlatRegime:
         for pair, delta in TestPairCanonicalAsksFirst.semistable_pairs():
             with pytest.raises(Semistable):
                 pair_canonical(pair, delta)
+
+
+class TestAgainstOracleOnSubposets:
+    """maximize_weights and pair_canonical against the oracle on coordinate
+    lattices with members dropped (not closed under sums), at small k and
+    W: saturated chains still carry every chain's maximizer, so the values
+    are the oracle's wherever its bound reaches the closed-form weights."""
+
+    FORMS = ("zero", "negative", "Laurent", "degree <= d-1", "degree d", "degree > d")
+
+    @classmethod
+    def cases(cls, seed):
+        rng = random.Random(seed)
+        for trial in range(36):
+            d = rng.choice((1, 2))
+            lat = random_subposet_lattice(rng, rng.randint(2, 4), d, 0.6)
+            pair = PairObject(lattice=lat, beta_image=rng.choice([None, *lat.nonzero_ids()]))
+            yield pair, random_delta(rng, d, cls.FORMS[trial % len(cls.FORMS)])
+
+    def test_pair_canonical_matches_oracle(self):
+        seen = Counter()
+        for pair, delta in self.cases(20261105):
+            lat = pair.lattice
+            try:
+                result = pair_canonical(pair, delta)
+            except Semistable:
+                assert brute_force_max(lat, pair=pair, delta=delta, bound=2).best is None
+                seen["semistable"] += 1
+                continue
+            bound = max(2, *map(abs, result.filtration.weights))
+            if oracle.candidate_count(lat, pair, bound) > 5000:
+                continue
+            check = brute_force_max(lat, pair=pair, delta=delta, bound=bound)
+            assert check.best == result.filtration, (lat.ids(), pair.beta_image, delta)
+            assert nu_compare(check.value, result.value) == EQUAL
+            seen["matched"] += 1
+        assert seen["semistable"] and seen["matched"] >= 15, seen
+
+    def test_each_chain_matches_oracle_on_its_subchains(self):
+        # the oracle's argmax over the candidates whose chain is made of a
+        # saturated chain's members is that chain's maximizer, or None
+        # with value <= 0 when maximize_weights finds nothing positive
+        seen = Counter()
+        for pair, delta in self.cases(20261106):
+            lat = pair.lattice
+            terms = {}
+            for chain in saturated_chains(lat):
+                wm = maximize_weights(chain, pair, delta)
+                bound = 2 if wm is None else max(2, *map(abs, primitive_weights(wm.weights)))
+                if oracle.candidate_count(lat, pair, bound) > 5000:
+                    continue
+                if bound not in terms:
+                    terms[bound] = list(oracle.iter_terms(lat, pair, delta, bound))
+                members = set(chain.chain)
+                own = (t for t in terms[bound] if members.issuperset(t[0]))
+                check = oracle.argmax(lat, own, pair, delta)
+                if wm is None:
+                    assert check.best is None, (chain.chain, delta)
+                    seen["none"] += 1
+                    continue
+                assert (check.best.chain, check.best.weights) == (
+                    wm.chain, primitive_weights(wm.weights)
+                ), (chain.chain, delta)
+                assert nu_compare(check.value, wm.value) == EQUAL
+                seen["matched"] += 1
+        assert seen["none"] and seen["matched"] >= 40, seen
 
 
 class TestAgainstCanonicalFiltration:

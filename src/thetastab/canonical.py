@@ -2,6 +2,8 @@
 
 The greedy HN construction repeatedly picks, above the current member, the
 member whose quotient maximizes (reduced polynomial, rank) lexicographically.
+Like the semistability test, it compares reduced polynomials on the
+lattice's integer table, never as Fractions.
 A tie between incomparable members is reported as AmbiguousHN rather than
 resolved silently: uniqueness of the HN filtration presumes closure under
 sums, which a user lattice may lack.
@@ -19,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from operator import sub
+from typing import Mapping, Sequence
 
 from .errors import (
     AmbiguousHN,
@@ -37,65 +40,82 @@ from .lattice import (
     make_chain,
     make_filtration,
     primitive_weights,
-    quotient_poly,
 )
-from .ratpoly import EQUAL, GREATER, LESS, NuValue, RatPoly, eventual_compare, nu_compare
+from .ratpoly import (
+    EQUAL,
+    GREATER,
+    LESS,
+    NuValue,
+    eventual_compare,
+    nu_compare,
+    reduced_compare,
+)
 
 
 def destabilizing_member(
-    lat: SubobjectLattice, reduced: Callable[[ObjectClass], RatPoly]
+    lat: SubobjectLattice, numerators: Mapping[str, Sequence[int]] | None = None
 ) -> ObjectClass | None:
-    """The proper nonzero member G whose polynomial reduced(G) most exceeds
-    reduced(top), ties broken by (rank, id), the larger winning; None when
-    no member exceeds the ambient object's polynomial."""
-    witness: ObjectClass | None = None
-    best = reduced(lat.top)  # the polynomial to beat: the ambient's, then the witness's
+    """The proper nonzero member G whose reduced polynomial most exceeds
+    the ambient object's, ties broken by (rank, id), the larger winning;
+    None when no member exceeds it.
+
+    Members are compared on the lattice's integer table by
+    ratpoly.reduced_compare, each numerator over N_G[d], a positive
+    multiple of rank(G): the table's own rows N_G = D * P(G), or the rows
+    numerators gives, all over one range of exponents, lowest first
+    (pair_semistable's twisted polynomials).
+    """
+    table, d = lat.numerators, lat.dim
+    nums = table if numerators is None else numerators
+    witness: str | None = None
+    # the numerator to beat: the ambient's, then the witness's
+    best, best_rank = nums[lat.top_id], table[lat.top_id][d]
     for member_id in lat.proper_nonzero_ids():
-        member = lat.member(member_id)
-        poly = reduced(member)
-        cmp = eventual_compare(poly, best)
+        num, rank = nums[member_id], table[member_id][d]
+        cmp = reduced_compare(num, rank, best, best_rank)
         if cmp == GREATER or (
-            cmp == EQUAL
-            and witness is not None
-            and (member.rank, member.id) > (witness.rank, witness.id)
+            cmp == EQUAL and witness is not None and (rank, member_id) > (best_rank, witness)
         ):
-            witness, best = member, poly
-    return witness
+            witness, best, best_rank = member_id, num, rank
+    return None if witness is None else lat.member(witness)
 
 
 def is_semistable(lat: SubobjectLattice) -> tuple[bool, ObjectClass | None]:
     """Gieseker test: no nonzero proper member may beat the ambient object's
     reduced polynomial; on failure the witness is destabilizing_member's."""
-    witness = destabilizing_member(lat, lambda member: member.stats.reduced)
+    witness = destabilizing_member(lat)
     return witness is None, witness
 
 
 def hn_filtration(lat: SubobjectLattice) -> UnweightedFiltration:
     """Greedy HN construction with lexicographic (reduced, rank) selection.
 
-    The graded reduced polynomials of the returned chain strictly decrease
-    outward.
+    A quotient cand/current is compared through its integer numerators,
+    the difference N_cand - N_current of two rows of the lattice's table,
+    whose top entry is a positive multiple of its rank.  The graded
+    reduced polynomials of the returned chain strictly decrease outward.
     """
+    table, d = lat.numerators, lat.dim
     picks: list[str] = []  # deepest first
+    quotients: list[tuple[int, ...]] = []  # numerators of each pick over the one before
     current = lat.zero_id
     while current != lat.top_id:
+        below = table[current]
         best_id: str | None = None
-        best_reduced: RatPoly | None = None
-        best_rank: Fraction | None = None
+        best: tuple[int, ...] = ()
         tied_incomparable: str | None = None
         for cand in lat.nonzero_ids():
             if not lat.lt(current, cand):
                 continue
-            stats = quotient_poly(lat, current, cand)
+            quotient = tuple(map(sub, table[cand], below))
             if best_id is None:
-                best_id, best_reduced, best_rank = cand, stats.reduced, stats.rank
-                tied_incomparable = None
+                best_id, best = cand, quotient
                 continue
-            cmp = eventual_compare(stats.reduced, best_reduced)
-            if cmp == GREATER or (cmp == 0 and stats.rank > best_rank):
-                best_id, best_reduced, best_rank = cand, stats.reduced, stats.rank
+            cmp = reduced_compare(quotient, quotient[d], best, best[d])
+            if cmp == GREATER or (cmp == EQUAL and quotient[d] > best[d]):
+                best_id, best = cand, quotient
                 tied_incomparable = None
-            elif cmp == 0 and stats.rank == best_rank:
+            elif cmp == EQUAL and quotient[d] == best[d]:
                 # comparable members cannot tie (ranks would differ)
                 tied_incomparable = cand
         if tied_incomparable is not None:
@@ -104,14 +124,14 @@ def hn_filtration(lat: SubobjectLattice) -> UnweightedFiltration:
                 f"above {current!r}; lattice is not closed under sums"
             )
         picks.append(best_id)
+        quotients.append(best)
         current = best_id
-    chain = make_chain(lat, tuple(reversed(picks)))
-    for outer, deeper in zip(chain.gradeds, chain.gradeds[1:]):
-        if eventual_compare(deeper.reduced, outer.reduced) != GREATER:
+    for deeper, outer in zip(quotients, quotients[1:]):
+        if reduced_compare(deeper, deeper[d], outer, outer[d]) != GREATER:
             raise InvalidHN(
                 "greedy chain violates strict decrease of graded reduced polynomials"
             )
-    return chain
+    return make_chain(lat, tuple(reversed(picks)))
 
 
 @dataclass(frozen=True)

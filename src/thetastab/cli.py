@@ -297,11 +297,22 @@ _HANDLERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors (an invalid choice, an unknown
+    flag, a missing subcommand or argument) raise ParseError, so they
+    print one `error: ParseError: ...` line and exit 2 like every other
+    malformed input; -h still prints the help and exits 0.  Subparsers are
+    made of the same class."""
+
+    def error(self, message: str):
+        raise ParseError(message)
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parse_args leaves it
     unchanged and fills a fresh namespace with the defaults each call."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="thetastab",
         description="Exact stability computations on Hilbert-polynomial lattices.",
     )

@@ -19,15 +19,26 @@ Structural conventions:
   the pair must give that member a nonnegative weight (the framing factors
   through the weight-zero subobject).
 
+Every lattice carries an integer table: one common denominator D, the lcm
+of the denominators of all member coefficients, and for each member G the
+integers N_G = D * P(G) over the exponents 0..d.  rank(G) = d! * N_G[d] / D
+is a positive multiple of N_G[d], the same multiple for every member, so
+reduced polynomials and ranks compare by integer cross-multiplication
+(ratpoly.reduced_compare), and the quotient sup/sub has the numerators
+N_sup - N_sub.  The table is built from the members when the lattice is
+constructed, however it is constructed.
+
 Validation checks each member as its own quotient by zero, then only rank
-growth on the generating edges: the declared inclusions and the implicit
-member -> top ones.  Ranks add up along a path of edges, so strict growth
-holds on the whole transitive closure.  Purity then follows for every
-quotient: when sub and sup are pure and rank(sub) < rank(sup), sup - sub
-has no Laurent terms and n^d coefficient (rank(sup) - rank(sub)) / d! > 0.
-The closure itself is built in one pass over a topological order of the
-edges (Kahn's algorithm), each member's up-set the union of its
-successors' up-sets; a member the order cannot place lies on a cycle.
+growth on the generating edges, the declared inclusions and the implicit
+member -> top ones, by comparing the table's top entries.  Ranks add up
+along a path of edges, so strict growth holds on the whole transitive
+closure, and a failure names the first failing edge in sorted order.
+Purity then follows for every quotient: when sub and sup are pure and
+rank(sub) < rank(sup), sup - sub has no Laurent terms and n^d coefficient
+(rank(sup) - rank(sub)) / d! > 0.  The closure itself is built in one pass
+over a topological order of the edges (Kahn's algorithm), each member's
+up-set the union of its successors' up-sets; a member the order cannot
+place lies on a cycle.
 """
 
 from __future__ import annotations
@@ -94,6 +105,17 @@ class SubobjectLattice:
         self._ids = tuple(sorted(members))
         self._nonzero_ids = tuple(i for i in self._ids if i != zero_id)
         self._proper_nonzero_ids = tuple(i for i in self._nonzero_ids if i != top_id)
+        # The integer table (see the module docstring); members are pure,
+        # so no exponent outside 0..dim occurs.
+        self.denominator: int = lcm(
+            *(c.denominator for m in members.values() for c in m.poly._coeffs.values())
+        )
+        self.numerators: dict[str, tuple[int, ...]] = {}
+        for i, m in members.items():
+            row = [0] * (dim + 1)
+            for e, c in m.poly._coeffs.items():
+                row[e] = c.numerator * self.denominator // c.denominator
+            self.numerators[i] = tuple(row)
         # quotient_poly's memo, seeded with each member over zero
         self._quotients: dict[tuple[str, str], HilbertStats] = {
             (zero_id, i): m.stats for i, m in members.items() if i != zero_id
@@ -173,11 +195,12 @@ def build_lattice(
     the zero object and into the ambient object are implicit.
 
     Each nonzero member is checked for purity once; its statistics give
-    the ranks and the top.  Edges are checked for rank growth only: the
-    quotient along a path is the sum of the quotients along its edges, so
-    ranks grow on every closure pair, and a pure member over a pure member
-    of smaller rank leaves a pure quotient, so that check could not fail.
-    The pair named in a RankNotIncreasing error is a failing edge.
+    the ranks and the top.  Edges are checked for rank growth only, on the
+    lattice's integer table: the quotient along a path is the sum of the
+    quotients along its edges, so ranks grow on every closure pair, and a
+    pure member over a pure member of smaller rank leaves a pure quotient,
+    so that check could not fail.  The pair named in a RankNotIncreasing
+    error is the first failing edge in sorted order.
     """
     if dim < 0:
         raise ParseError(f"dimension must be nonnegative, got {dim}")
@@ -254,16 +277,24 @@ def build_lattice(
         above[node] = set(succ[node]).union(*(above[nxt] for nxt in succ[node]))
     closure = {(sub, sup) for sub, ups in above.items() for sup in ups}
 
-    # An edge into zero would have closed a cycle above.
-    for sub, sup in sorted(edges):
-        if sub != zero_id and stats[sub].rank >= stats[sup].rank:
-            raise RankNotIncreasing(
-                f"rank must grow strictly along {sub!r} < {sup!r}: "
-                f"{stats[sub].rank} >= {stats[sup].rank}"
-            )
-
     members = {i: ObjectClass(id=i, poly=p, stats=stats.get(i)) for i, p in coerced.items()}
-    return SubobjectLattice(dim, members, zero_id, top_id, frozenset(closure))
+    lat = SubobjectLattice(dim, members, zero_id, top_id, frozenset(closure))
+
+    # Rank growth compares the integer table's top entries; an edge into
+    # zero would have closed a cycle above.  The error names the first
+    # failing edge in sorted order.
+    numerators = lat.numerators
+    failing = [
+        (sub, sup) for sub, sup in edges
+        if sub != zero_id and numerators[sub][dim] >= numerators[sup][dim]
+    ]
+    if failing:
+        sub, sup = min(failing)
+        raise RankNotIncreasing(
+            f"rank must grow strictly along {sub!r} < {sup!r}: "
+            f"{stats[sub].rank} >= {stats[sup].rank}"
+        )
+    return lat
 
 
 def validate_lattice(raw: Mapping) -> SubobjectLattice:

@@ -84,6 +84,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
+from math import lcm
+from operator import add
 from typing import Sequence
 
 from .canonical import destabilizing_member
@@ -99,7 +101,7 @@ from .lattice import (
     primitive_weights,
 )
 from .oracle import saturated_chains
-from .ratpoly import GREATER, LESS, NuValue, RatPoly, eventual_compare, nu_compare
+from .ratpoly import EQUAL, GREATER, LESS, NuValue, RatPoly, eventual_compare, nu_compare
 
 
 def pair_semistable(
@@ -117,13 +119,26 @@ def pair_semistable(
     sign = eventual_compare(delta, RatPoly.zero())
     if sign == LESS or (sign == GREATER and beta is None):
         return False, None
+    if sign == EQUAL:
+        witness = destabilizing_member(lat)
+        return witness is None, witness
 
-    def twisted(member: ObjectClass) -> RatPoly:
-        if beta is None or not lat.leq(beta, member.id):
-            return member.stats.reduced
-        return member.stats.reduced + delta * (1 / member.stats.rank)
-
-    witness = destabilizing_member(lat, twisted)
+    # p_delta(G) = (P(G) + [beta <= G] * delta) / rank(G): over the table's
+    # N_G[d], its numerator is E * N_G + [beta <= G] * D * (E * delta), with
+    # D the lattice's denominator and E the lcm of delta's, on the exponents
+    # from min(0, lowest of delta) to max(d, deg delta), lowest first.
+    terms = delta._coeffs
+    low, high = min(0, *terms), max(lat.dim, *terms)
+    scale = lcm(*(c.denominator for c in terms.values()))
+    twist = [int(lat.denominator * scale * terms.get(e, 0)) for e in range(low, high + 1)]
+    pad_low, pad_high = (0,) * -low, (0,) * (high - lat.dim)
+    numerators = {}
+    for member_id, row in lat.numerators.items():
+        row = pad_low + tuple(scale * v for v in row) + pad_high
+        if lat.leq(beta, member_id):
+            row = tuple(map(add, row, twist))
+        numerators[member_id] = row
+    witness = destabilizing_member(lat, numerators)
     return witness is None, witness
 
 

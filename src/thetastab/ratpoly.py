@@ -9,7 +9,10 @@ Two total orders live here:
 
 * eventual dominance on polynomials: p > q iff p(n) > q(n) for all large n,
   decided exactly by the sign of the highest nonzero coefficient of p - q.
-  RatPoly's rich comparisons use this order.
+  RatPoly's rich comparisons use this order.  reduced_compare applies it
+  to quotients x / r of integer coefficient tuples by positive integers,
+  by cross-multiplication, which is how the stability verdicts compare
+  reduced Hilbert polynomials.
 * the order on values L / sqrt(b) (NuValue): decided coefficientwise from
   the highest exponent down, using sign analysis plus the squared
   comparison c_x^2 * b_y vs c_y^2 * b_x.  No radicals or floats are ever
@@ -31,7 +34,7 @@ from decimal import MAX_EMAX, MIN_EMIN, Decimal, getcontext, localcontext
 from fractions import Fraction
 from functools import cached_property, total_ordering
 from math import factorial, isfinite, log10, prod
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 from .errors import DegreeMismatch, NonpositiveRank, ParseError
 
@@ -225,15 +228,20 @@ class HilbertStats:
     """Derived data of a Hilbert polynomial of an object of dimension d.
 
     With P(n) = sum_k a_k n^k / k!: rank = a_d, reduced = P / rank, and
-    slopes[i] = a_i / a_d for 0 <= i <= d-1.  The slopes are computed on
-    first use and kept, since only leading-term data reads them; being
-    derived from poly, they take no part in equality or hashing.
+    slopes[i] = a_i / a_d for 0 <= i <= d-1.  The reduced polynomial and
+    the slopes are computed on first use and kept: the stability verdicts
+    compare integer numerators (see reduced_compare), so only the deletion
+    lemma, the invariant and leading-term data read them.  Being derived
+    from poly, they take no part in equality or hashing.
     """
 
     dim: int
     poly: RatPoly
     rank: Fraction
-    reduced: RatPoly
+
+    @cached_property
+    def reduced(self) -> RatPoly:
+        return RatPoly({e: c / self.rank for e, c in self.poly._coeffs.items()})
 
     @cached_property
     def slopes(self) -> tuple[Fraction, ...]:
@@ -245,7 +253,7 @@ class HilbertStats:
 
 
 def hilbert_stats(poly: RatPoly, d: int) -> HilbertStats:
-    """Rank and reduced polynomial (slopes on first use) of a degree-d Hilbert polynomial."""
+    """Rank (reduced polynomial and slopes on first use) of a degree-d Hilbert polynomial."""
     if d < 0:
         raise DegreeMismatch(f"dimension must be nonnegative, got {d}")
     if poly.has_negative_exponents():
@@ -255,8 +263,7 @@ def hilbert_stats(poly: RatPoly, d: int) -> HilbertStats:
     rank = poly._coeffs[d] * prod(range(2, d + 1))  # d!, one running product
     if rank <= 0:
         raise NonpositiveRank(f"leading Hilbert coefficient a_{d} = {rank} is not positive")
-    reduced = RatPoly({e: c / rank for e, c in poly._coeffs.items()})
-    return HilbertStats(dim=d, poly=poly, rank=rank, reduced=reduced)
+    return HilbertStats(dim=d, poly=poly, rank=rank)
 
 
 def hilbert_line_bundle_projective(d: int, k: int) -> RatPoly:
@@ -397,4 +404,21 @@ def terms_compare(
         lhs, rhs = cx * cx * by, cy * cy * bx
         if lhs != rhs:
             return sx if lhs > rhs else -sx
+    return EQUAL
+
+
+def reduced_compare(x: Sequence[int], rx: int, y: Sequence[int], ry: int) -> int:
+    """Compare x / rx and y / ry in the eventual-dominance order, given
+    integer coefficients of x and y over the same exponents, lowest first,
+    and positive integers rx and ry.
+
+    From the top exponent down, the sign of x[e] * ry - y[e] * rx decides,
+    so no Fraction is formed.  With x = D * P(G) for a denominator D common
+    to the lattice and rx = x[d], a positive multiple of rank(G), this is
+    the order of reduced Hilbert polynomials P(G) / rank(G).
+    """
+    for a, b in zip(reversed(x), reversed(y)):
+        lhs, rhs = a * ry, b * rx
+        if lhs != rhs:
+            return GREATER if lhs > rhs else LESS
     return EQUAL

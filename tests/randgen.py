@@ -1,6 +1,6 @@
 """Deterministic random generators for the property and acceptance suites.
 
-Randomized lattices come in two flavors:
+Randomized lattices come in four flavors:
 
 * path lattices: a single chain of partial sums of random positive-rank
   degree-d polynomials; the cheapest valid lattice, used wherever only one
@@ -11,6 +11,9 @@ Randomized lattices come in two flavors:
 * sub-poset lattices: coordinate lattices with random proper members
   dropped and the order restricted to the rest.  They are in general not
   closed under sums, so they catch a shortcut that silently assumes it.
+* coprime lattices: sub-sum lattices of summands whose coefficients have
+  pairwise coprime denominators, rational ranks and 40-digit numerators,
+  so that a lattice's common denominator is a product of several primes.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from thetastab import (
     make_filtration,
 )
 
-from conftest import coordinate_lattice
+from conftest import coordinate_lattice, sum_lattice
 
 
 def random_graded_poly(rng: random.Random, d: int) -> RatPoly:
@@ -107,7 +110,44 @@ def random_subposet_lattice(
     nonzero member kept with probability keep; zero and top are always
     kept, and the order is the full lattice's, restricted."""
     full = coordinate_lattice({f"L{i}": rng.randint(-3, 3) for i in range(k)}, d)
+    return restrict(rng, full, keep)
+
+
+def restrict(rng: random.Random, full: SubobjectLattice, keep: float) -> SubobjectLattice:
+    """full with each proper nonzero member kept with probability keep and
+    the order restricted to the members kept."""
     kept = [m for m in full.proper_nonzero_ids() if rng.random() < keep]
     polys = {m: full.member(m).poly for m in (full.zero_id, full.top_id, *kept)}
     relations = [(sub, sup) for sub in kept for sup in kept if full.lt(sub, sup)]
-    return build_lattice(d, polys, relations)
+    return build_lattice(full.dim, polys, relations)
+
+
+#: pairwise coprime denominators, one per summand of random_coprime_lattice
+COPRIME = (3, 5, 7, 11, 13)
+
+
+def random_coprime_lattice(
+    rng: random.Random, k: int, d: int, proportional: bool = False
+) -> SubobjectLattice:
+    """The full sub-sum lattice of k <= 5 random summands of degree d whose
+    coefficients have pairwise coprime denominators, 3 for the first
+    summand, 5 for the second, and so on: the members' denominators are
+    their products, and ranks d! * a/p are rational.  About a third of the
+    lower coefficients have 40-digit numerators.  With proportional, the
+    summands are rational multiples a/p of one polynomial, so every member
+    has the same reduced polynomial and the lattice is semistable."""
+    def numerator():
+        if rng.random() < 0.3:
+            return rng.choice((-1, 1)) * rng.randint(10**39, 10**40 - 1)
+        return rng.randint(-9, 9)
+
+    shape = RatPoly({d: 1, **{e: numerator() for e in range(d)}})
+    summands = {}
+    for i, p in enumerate(COPRIME[:k]):
+        if proportional:
+            summands[f"S{i}"] = shape * Fraction(rng.randint(1, 4), p)
+        else:
+            terms = {e: Fraction(numerator(), p) for e in range(d)}
+            terms[d] = Fraction(rng.randint(1, 9), p)
+            summands[f"S{i}"] = RatPoly(terms)
+    return sum_lattice(summands, d)

@@ -583,6 +583,37 @@ class TestParser:
         code, payload, _ = run_json(capsys, "pair-check", path)
         assert code == 0 and payload["delta"] == "0"
 
+    TRIVIAL = str(FIXTURES / "trivial.lattice")
+
+    @pytest.mark.parametrize("argv", [
+        # an invalid choice
+        ["check", TRIVIAL, "--format", "xml"],
+        ["pair-check", TRIVIAL, "--format=xml"],
+        # an unknown flag, before and after the input
+        ["check", TRIVIAL, "--bogus"],
+        ["oracle", "--bogus", TRIVIAL],
+        # a missing or unknown subcommand
+        [],
+        ["--format", "text"],
+        [TRIVIAL],
+        # a missing input
+        ["check"],
+        ["sweep", "--sweep-deltas", "0,1"],
+    ])
+    def test_usage_errors_are_one_parse_error_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", (argv, out)
+        assert err.startswith("error: ParseError: ") and err.count("\n") == 1, (argv, err)
+        assert "usage:" not in err
+
+    @pytest.mark.parametrize("argv", [["-h"], ["check", "-h"], ["oracle", TRIVIAL, "--help"]])
+    def test_help_still_prints_and_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 0
+        assert captured.out.startswith("usage: thetastab") and captured.err == ""
+
 
 # ASCII and non-ASCII digits, and the characters of the rational, integer
 # and delta grammars; at most 3 of them, so any integer read is <= 999

@@ -398,6 +398,20 @@ class TestEdgeValidation:
         assert main(["check", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: RankNotIncreasing: ")
 
+    def test_two_failing_edges_name_the_first_in_sorted_order(self):
+        # rational ranks 5/2 >= 3/2 on A < B and 2 >= 1 on C < D: whatever
+        # the order of the relations or the ids' hashes, the error names
+        # the edge A < B, with the two ranks as Fractions print them
+        for tag in "pqrstuvwxyz":
+            a, b, c, d = (f"{tag}{name}" for name in "ABCD")
+            polys = {"0": {}, a: {1: "5/2"}, b: {1: "3/2"}, c: {1: "2"}, d: {1: "1"}, "F": {1: "3"}}
+            for relations in ([(a, b), (c, d)], [(c, d), (a, b)]):
+                with pytest.raises(RankNotIncreasing) as failure:
+                    build_lattice(1, polys, relations)
+                assert str(failure.value) == (
+                    f"rank must grow strictly along {a!r} < {b!r}: 5/2 >= 3/2"
+                )
+
     def test_factorial_of_the_dimension_computed_once(self, monkeypatch):
         calls = []
 

@@ -16,8 +16,10 @@ from .canonical import (
 )
 from .invariant import (
     Polytope2,
+    WeightMaximum,
     b_norm,
     contributions,
+    maximize_weights,
     nu,
     nu_delta,
     polytope,
@@ -40,13 +42,7 @@ from .lattice import (
     validate_lattice,
 )
 from .oracle import OracleResult, brute_force_max, enumerate_chains, iter_candidates
-from .pairs import (
-    PairCanonicalResult,
-    WeightMaximum,
-    maximize_weights,
-    pair_canonical,
-    pair_semistable,
-)
+from .pairs import PairCanonicalResult, pair_canonical, pair_semistable
 from .ratpoly import (
     EQUAL,
     GREATER,

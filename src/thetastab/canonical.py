@@ -8,9 +8,13 @@ A tie between incomparable members is reported as AmbiguousHN rather than
 resolved silently: uniqueness of the HN filtration presumes closure under
 sums, which a user lattice may lack.
 
-The leading term filtration keeps only the HN steps where the leading slope
-jumps, and carries the canonical primitive integer weights proportional to
-slope(graded) - slope(ambient).
+The leading term filtration is the invariant's maximizer on the HN chain,
+maximize_weights without a pair (see invariant).  Its descent stops at the
+highest exponent of n where the graded reduced polynomials differ, the
+filtration's index.  There the graded coefficients already increase
+inward, so the fit is each one minus the ambient's: adjacent HN steps
+with equal coefficients merge, and the weights are the primitive integers
+proportional to the fit.
 
 delete_step and convexify implement the weight-merging deletion lemma; both
 live in the no-pair theory (a deletion can drive the marked image's weight
@@ -24,14 +28,8 @@ from fractions import Fraction
 from operator import sub
 from typing import Mapping, Sequence
 
-from .errors import (
-    AmbiguousHN,
-    InvalidHN,
-    NegativeNu,
-    ObjectSemistable,
-    PreconditionFailed,
-)
-from .invariant import nu
+from .errors import AmbiguousHN, NegativeNu, ObjectSemistable, PreconditionFailed
+from .invariant import maximize_weights, nu
 from .lattice import (
     ObjectClass,
     SubobjectLattice,
@@ -92,12 +90,17 @@ def hn_filtration(lat: SubobjectLattice) -> UnweightedFiltration:
 
     A quotient cand/current is compared through its integer numerators,
     the difference N_cand - N_current of two rows of the lattice's table,
-    whose top entry is a positive multiple of its rank.  The graded
-    reduced polynomials of the returned chain strictly decrease outward.
+    whose top entry is a positive multiple of its rank.
+
+    The graded reduced polynomials of the returned chain strictly decrease
+    outward, with no check needed: G_(m+1)/G_(m-1) was a candidate at the
+    step that picked G_m, and it is the rank-weighted mediant of
+    G_m/G_(m-1) and G_(m+1)/G_m.  Had the outer quotient not fallen
+    strictly below the inner one, the mediant would have matched or beaten
+    G_m/G_(m-1) with a larger rank, and G_(m+1) would have won that step.
     """
     table, d = lat.numerators, lat.dim
     picks: list[str] = []  # deepest first
-    quotients: list[tuple[int, ...]] = []  # numerators of each pick over the one before
     current = lat.zero_id
     while current != lat.top_id:
         below = table[current]
@@ -124,19 +127,13 @@ def hn_filtration(lat: SubobjectLattice) -> UnweightedFiltration:
                 f"above {current!r}; lattice is not closed under sums"
             )
         picks.append(best_id)
-        quotients.append(best)
         current = best_id
-    for deeper, outer in zip(quotients, quotients[1:]):
-        if reduced_compare(deeper, deeper[d], outer, outer[d]) != GREATER:
-            raise InvalidHN(
-                "greedy chain violates strict decrease of graded reduced polynomials"
-            )
     return make_chain(lat, tuple(reversed(picks)))
 
 
 @dataclass(frozen=True)
 class LeadingTermData:
-    """Merged HN chain, leading slope index, canonical primitive weights."""
+    """Leading-term filtration: coarsened HN chain, index, primitive weights."""
 
     chain: UnweightedFiltration
     index: int
@@ -144,33 +141,17 @@ class LeadingTermData:
 
 
 def leading_term(hn: UnweightedFiltration) -> LeadingTermData:
-    """Merge HN steps with equal leading slope, attach canonical weights."""
-    if hn.is_trivial():
+    """maximize_weights on the HN chain, without a pair: the coarser chain
+    it lives on, the exponent where its descent stopped, and its weights
+    scaled to primitive integers."""
+    wm = maximize_weights(hn, None, None)
+    if wm is None:
         raise ObjectSemistable("trivial HN chain has no leading term filtration")
-    lat = hn.lattice
-    gradeds = hn.gradeds
-    d = lat.dim
-    index = None
-    for i in reversed(range(d)):
-        if len({g.slopes[i] for g in gradeds}) > 1:
-            index = i
-            break
-    if index is None:
-        # equal slope vectors mean equal reduced polynomials, which the
-        # HN chain's strict decrease already excludes
-        raise InvalidHN("HN graded pieces have identical slope vectors")
-
-    # keep chain[m] iff the leading slope jumps across step m
-    kept = [0]
-    for m in range(1, len(hn)):
-        if gradeds[m - 1].slopes[index] < gradeds[m].slopes[index]:
-            kept.append(m)
-    merged = make_chain(lat, tuple(hn.chain[m] for m in kept))
-
-    top_slope = lat.top.stats.slopes[index]
-    raw = [g.slopes[index] - top_slope for g in merged.gradeds]
-    weights = primitive_weights(raw)
-    return LeadingTermData(chain=merged, index=index, weights=weights)
+    return LeadingTermData(
+        chain=make_chain(hn.lattice, wm.chain),
+        index=wm.exponent,
+        weights=primitive_weights(wm.weights),
+    )
 
 
 def canonical_filtration(lat: SubobjectLattice) -> WeightedFiltration:

@@ -105,5 +105,5 @@ class Semistable(StabilityError):
 class FlatObjective(StabilityError):
     """The top-coefficient objective vanishes identically on the weight cone.
 
-    pairs.maximize_weights never raises it: it descends to the next
+    invariant.maximize_weights never raises it: it descends to the next
     exponent of n instead.  The class stays for callers that name it."""

@@ -23,19 +23,70 @@ The trivial filtration with weight zero has b = 0; its nu is defined to be
 the zero NuValue by convention (semistable objects maximize at zero), while
 b_norm itself reports the degeneracy.
 
+The maximizer.  nu is compared eventually, so on one chain it is maximized
+lexicographically, one exponent of n at a time, highest first.  With
+per-step units u (the coefficients of c at that exponent) and graded ranks
+r, the coefficient <w, u> / sqrt(<w, R w>) is <w, x>_R / |w|_R for x = u / r
+in the r-weighted inner product, so (Moreau) its maximum over a closed
+convex cone is attained, uniquely up to scale, at the projection P(x) of x
+onto the cone when P(x) != 0, and is <= 0 when P(x) = 0, since
+<P(x), x>_R = |P(x)|_R^2.  On the cone {w_0 <= ... <= w_q}, P(x) is the
+r-weighted isotonic regression of x, computed exactly by
+pool-adjacent-violators; pooling on >= merges blocks of equal mean, so the
+level sets of P(x) are the steps of the coarser chain the maximizer lives
+on.  When the unconstrained fit violates the pair constraint w_pivot >= 0,
+P(x) lies on the face w_pivot = 0, where the prefix is its own fit clipped
+to <= 0 and the suffix its own fit clipped to >= 0.
+
+When P(x) = 0, write w by its increments a_i = w_i - w_{i-1} >= 0 around
+the pivot (index 0, unconstrained, without a framing map):
+
+    <w, u> = S * w_pivot - sum_{1 <= i <= pivot} a_i * (u_0 + ... + u_{i-1})
+             + sum_{i > pivot} a_i * (u_i + ... + u_q),   S = u_0 + ... + u_q.
+
+Every coefficient is then <= 0 (S = 0 without a framing map), and the
+zero maximum is attained on the face where each increment with a nonzero
+coefficient vanishes (its step merges into the one above) and w_pivot = 0
+when S < 0.  That face is again a monotone cone on a coarser chain,
+pinned or not, so the next exponent runs the same projection on summed
+units and ranks.  The descent stops at the first exponent e* with
+P(x) != 0; when the face shrinks to {0} or the exponents run out, the
+chain has no positive weighting.  The value is nu itself at the fit: the
+coefficients above e* vanish on the face, so it leads there, and its
+coefficient at e* is <fit, u> = <P(x), x>_R = |P(x)|_R^2 = b, the norm.  So
+nu at the fit leads with sqrt(b) n^(e*).
+
+For deg(delta) >= d the descent stops at its first step, exponent
+deg(delta), where every unit is -delta_top * r_i / rank(F) and x is
+constant.  For delta_top < 0 the fit is that positive constant: (top,)
+with weight 1.  Without a framing map delta_top > 0 gives (top,) with
+weight -1.  With one, the fit is pinned: -1 above the pivot, 0 from it
+on, valued delta_top * sqrt(rank F - rank G_pivot) / rank F, so the chains
+through beta win with (top, beta) and weights (-1, 0); when beta is the
+top nothing is positive, which is pair_semistable's verdict.
+
 Slope polytopes are handled with exact rational orientation predicates;
 no epsilon geometry anywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from math import factorial
 from typing import Iterable, Sequence
 
 from .errors import BadIndex, DegenerateFiltration
-from .lattice import SubobjectLattice, UnweightedFiltration, WeightedFiltration
+from .lattice import (
+    PairObject,
+    SubobjectLattice,
+    UnweightedFiltration,
+    WeightedFiltration,
+    pair_pivot_index,
+)
 from .ratpoly import HilbertStats, NuValue, RatPoly
 
 
@@ -114,6 +165,123 @@ def nu_delta(f: WeightedFiltration, delta: RatPoly | None) -> NuValue:
     except DegenerateFiltration:
         return NuValue.zero()
     return NuValue(dot(f.weights, contributions(f, delta)), b)
+
+
+# -- the maximizer ---------------------------------------------------------
+
+@dataclass(frozen=True)
+class WeightMaximum:
+    """Positive lexicographic maximizer of the invariant over a chain's
+    closed weight cone.
+
+    chain holds the member ids of the steps, and may be coarser than the
+    queried chain (boundary maximizers merge steps); weights are exact
+    rationals, unique up to positive scale; exponent is where the descent
+    stopped and b = sum rank * weight^2 is the norm, which are the leading
+    exponent and coefficient of value's numerator; pinned is the index of
+    the step the pair constraint holds at 0, else None.  value, positive,
+    is nu at those weights, every exponent included, computed on first use
+    from steps (weight and contribution of each step of the descent's
+    chain, a refinement of chain) and kept; being derived, steps takes no
+    part in equality.
+    """
+
+    chain: tuple[str, ...]
+    weights: tuple[Fraction, ...]
+    exponent: int
+    b: Fraction
+    pinned: int | None
+    steps: tuple[tuple[Fraction, RatPoly], ...] = field(repr=False, compare=False)
+
+    @cached_property
+    def value(self) -> NuValue:
+        fit, contribs = zip(*self.steps)
+        return NuValue(dot(fit, contribs), self.b)
+
+
+def _isotonic(units: list[Fraction], ranks: list[Fraction]) -> list[Fraction]:
+    """Weighted isotonic regression of units[i] / ranks[i], weights ranks[i],
+    by pool-adjacent-violators pooling on >=; the fitted value per index."""
+    blocks: list[tuple[Fraction, Fraction, int]] = []  # unit sum, rank sum, size
+    for u, r in zip(units, ranks):
+        size = 1
+        while blocks and blocks[-1][0] * r >= u * blocks[-1][1]:
+            pu, pr, ps = blocks.pop()
+            u, r, size = u + pu, r + pr, size + ps
+        blocks.append((u, r, size))
+    return [u / r for u, r, size in blocks for _ in range(size)]
+
+
+def _merge(values: Sequence, keep: list[int]) -> list:
+    """Sums of values over the consecutive blocks beginning at keep."""
+    ends = keep[1:] + [len(values)]
+    return [sum(values[a + 1:b], values[a]) for a, b in zip(keep, ends)]
+
+
+@dataclass(frozen=True)
+class _TabledChain(UnweightedFiltration):
+    """A chain of pair_canonical's walk together with its steps'
+    contributions at the query's delta, read from the query's step table."""
+
+    contribs: tuple[RatPoly, ...] = field(compare=False, repr=False)
+
+
+def maximize_weights(
+    chain: UnweightedFiltration,
+    pair: PairObject | None,
+    delta: RatPoly | None,
+) -> WeightMaximum | None:
+    """Exact lexicographic maximizer of the invariant over the weight cone,
+    or None when no weighting is positive.
+
+    The cone is {w_0 <= ... <= w_q}, intersected with {w_j >= 0} when the
+    pair has a nonzero framing map and j is the deepest chain index whose
+    member contains the marked image.  The descent of the module docstring
+    runs over the exponents of the chain's contributions, highest first;
+    each zero maximum merges steps (ids, contributions and ranks together).
+    The contributions are the chain's own, or, for a chain of
+    pair_canonical's walk, its query's.
+    """
+    ids = chain.chain
+    contribs = chain.contribs if isinstance(chain, _TabledChain) else contributions(chain, delta)
+    ranks = [g.rank for g in chain.gradeds]
+    beta = pair.beta_image if pair is not None else None
+    p = pair_pivot_index(ids, chain.lattice, beta) if beta is not None else None
+    pinned = False
+    for exponent in sorted({e for c in contribs for e, _ in c.items()}, reverse=True):
+        units = [c.coeff(exponent) for c in contribs]
+        fit = _isotonic(units, ranks)
+        if p is not None and (pinned or fit[p] < 0):
+            pinned, zero = True, Fraction(0)
+            fit = (
+                [min(w, zero) for w in _isotonic(units[:p], ranks[:p])]
+                + [zero]
+                + [max(w, zero) for w in _isotonic(units[p + 1:], ranks[p + 1:])]
+            )
+        if any(fit):
+            keep = [i for i in range(len(fit)) if i == 0 or fit[i] != fit[i - 1]]
+            return WeightMaximum(
+                chain=tuple(ids[i] for i in keep),
+                weights=tuple(fit[i] for i in keep),
+                exponent=exponent,
+                b=sum(r * w * w for w, r in zip(fit, ranks)),
+                pinned=bisect_right(keep, p) - 1 if pinned else None,
+                steps=tuple(zip(fit, contribs)),
+            )
+        # the maximum here is 0: keep the increments whose coefficient
+        # (prefix sum at or above the pivot, suffix sum below it) is 0.  A
+        # negative total has already pinned the pivot: w = -1 scores
+        # -total > 0, so the unconstrained fit was nonzero and broke w_pivot >= 0.
+        prefix = list(accumulate(units))
+        keep = [0] + [
+            i for i in range(1, len(units))
+            if prefix[i - 1] == (0 if p is not None and i <= p else prefix[-1])
+        ]
+        if pinned and len(keep) == 1:  # the face is {0}
+            return None
+        p = None if p is None else bisect_right(keep, p) - 1
+        ids, contribs, ranks = [ids[i] for i in keep], _merge(contribs, keep), _merge(ranks, keep)
+    return None
 
 
 # -- exact 2D hull geometry ------------------------------------------------

@@ -20,8 +20,7 @@ Two total orders live here:
   maps, so callers scoring many values need not build a NuValue for each.
 
 Hilbert-polynomial statistics use the factorial normalization
-P(n) = sum_k a_k n^k / k!, so the rank is a_d = d! * (coefficient of n^d)
-and the i-th slope is a_i / a_d.
+P(n) = sum_k a_k n^k / k!, so the rank is a_d = d! * (coefficient of n^d).
 """
 
 from __future__ import annotations
@@ -227,12 +226,11 @@ def eventual_compare(p: RatPoly, q: RatPoly) -> int:
 class HilbertStats:
     """Derived data of a Hilbert polynomial of an object of dimension d.
 
-    With P(n) = sum_k a_k n^k / k!: rank = a_d, reduced = P / rank, and
-    slopes[i] = a_i / a_d for 0 <= i <= d-1.  The reduced polynomial and
-    the slopes are computed on first use and kept: the stability verdicts
-    compare integer numerators (see reduced_compare), so only the deletion
-    lemma, the invariant and leading-term data read them.  Being derived
-    from poly, they take no part in equality or hashing.
+    With P(n) = sum_k a_k n^k / k!: rank = a_d and reduced = P / rank.
+    The reduced polynomial is computed on first use and kept: the
+    stability verdicts compare integer numerators (see reduced_compare),
+    so only the deletion lemma and the invariant read it.  Being derived
+    from poly, it takes no part in equality or hashing.
     """
 
     dim: int
@@ -243,17 +241,9 @@ class HilbertStats:
     def reduced(self) -> RatPoly:
         return RatPoly({e: c / self.rank for e, c in self.poly._coeffs.items()})
 
-    @cached_property
-    def slopes(self) -> tuple[Fraction, ...]:
-        coeffs, slopes, scale = self.poly._coeffs, [], 1  # scale = i!
-        for i in range(self.dim):
-            slopes.append(coeffs.get(i, 0) * scale / self.rank)
-            scale *= i + 1
-        return tuple(slopes)
-
 
 def hilbert_stats(poly: RatPoly, d: int) -> HilbertStats:
-    """Rank (reduced polynomial and slopes on first use) of a degree-d Hilbert polynomial."""
+    """Rank (reduced polynomial on first use) of a degree-d Hilbert polynomial."""
     if d < 0:
         raise DegreeMismatch(f"dimension must be nonnegative, got {d}")
     if poly.has_negative_exponents():

@@ -7,6 +7,7 @@ is the 1-second runtime budget in criterion 1.
 
 import random
 import time
+from math import comb
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,10 +36,10 @@ from thetastab import (
     polytope,
     polytope_subset,
 )
-from thetastab.errors import Semistable
+from thetastab.errors import AmbiguousHN, ObjectSemistable, Semistable
 
 from conftest import coordinate_lattice
-from randgen import random_coordinate_lattice, random_path_filtration
+from randgen import random_coordinate_lattice, random_path_filtration, random_subposet_lattice
 from reference_high_degree import pair_canonical_high_degree
 
 
@@ -144,8 +145,49 @@ def test_criterion_04_canonical_equals_oracle():
         assert result.best.weights == can.weights
         assert nu_compare(result.value, nu(can)) == EQUAL
         checked += 1
+
+    # sub-posets are not closed under sums: the HN step may tie between
+    # incomparable members (AmbiguousHN), or, where two incomparable members
+    # share one class, the oracle may pick the other with the same value
+    # and weights.  Lattices the oracle cannot score within the budget are
+    # checked against pair_canonical's maximum over every saturated chain.
+    rng = random.Random(11)
+    outcomes = dict.fromkeys(("matched", "tied", "ambiguous", "semistable", "over budget"), 0)
+    for _ in range(300):
+        lat = random_subposet_lattice(rng, rng.randint(2, 4), rng.randint(1, 2), rng.choice((0.3, 0.6, 0.9)))
+        try:
+            can = canonical_filtration(lat)
+        except AmbiguousHN:
+            outcomes["ambiguous"] += 1
+            continue
+        except ObjectSemistable:
+            assert is_semistable(lat)[0]
+            outcomes["semistable"] += 1
+            continue
+        bound = max(abs(w) for w in can.weights)
+        if sum(comb(2 * bound + 1, len(c.chain)) for c in enumerate_chains(lat)) <= 5000:
+            result = brute_force_max(lat, bound=bound)
+            best, value = result.best, result.value
+        else:
+            found = pair_canonical(PairObject(lattice=lat, beta_image=None), RatPoly.zero())
+            best, value = found.filtration, found.value
+            outcomes["over budget"] += 1
+        assert nu_compare(value, nu(can)) == EQUAL
+        assert best.weights == can.weights
+        if best.chain == can.chain:
+            outcomes["matched"] += 1
+        else:
+            classes = [[lat.member(m).poly for m in f.chain] for f in (best, can)]
+            assert classes[0] == classes[1], (best.chain, can.chain)
+            outcomes["tied"] += 1
+    assert min(outcomes.values()) >= 1 and outcomes["matched"] >= 100, outcomes
     report(4, f"canonical filtration matched the oracle argmax (chain, primitive "
-              f"weights, exact nu) on {checked} randomized unstable lattices")
+              f"weights, exact nu) on {checked} randomized unstable lattices; of "
+              f"300 sub-posets, {outcomes['matched']} matched ("
+              f"{outcomes['over budget']} against pair_canonical), "
+              f"{outcomes['tied']} tied with a chain of equal classes, "
+              f"{outcomes['ambiguous']} raised AmbiguousHN and "
+              f"{outcomes['semistable']} were semistable")
 
 
 def test_criterion_05_semistability_equivalence():
@@ -284,11 +326,13 @@ def test_criterion_08_polytope_containment(lat_b3, lat_o2_o):
             if not _chain_is_convex(chain):
                 continue
             assert polytope_subset(polytope(chain, lterm.index), target)
-            # containment lemma part (i): higher slopes match the ambient's
+            # containment lemma part (i): higher slopes match the ambient's,
+            # that is the reduced polynomials' coefficients above the index
+            top = lat.top.stats.reduced
             for member_id in chain.chain:
-                stats = lat.member(member_id).stats
+                reduced = lat.member(member_id).stats.reduced
                 for level in range(lterm.index + 1, lat.dim):
-                    assert stats.slopes[level] == lat.top.stats.slopes[level]
+                    assert reduced.coeff(level) == top.coeff(level)
             convex_checked += 1
 
     hull = polytope(hn_filtration(lat_b3), 0)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -12,6 +13,7 @@ from thetastab import (
     canonical_filtration,
     convexify,
     delete_step,
+    eventual_compare,
     hn_filtration,
     is_convex,
     is_semistable,
@@ -26,9 +28,26 @@ from thetastab.errors import (
     ObjectSemistable,
     PreconditionFailed,
 )
+from thetastab.latfile import load_lattice
 
-from conftest import coordinate_lattice
-from randgen import random_path_filtration
+from conftest import FIXTURES, coordinate_lattice, sum_lattice
+from randgen import random_coprime_lattice, random_path_filtration, random_subposet_lattice
+import reference_leading_term
+
+
+def seeded_lattices(seed):
+    """Coordinate lattices (k <= 5, d <= 3), sub-posets of them and coprime
+    lattices, in that order, each tagged with its arm."""
+    rng = random.Random(seed)
+    for _ in range(150):
+        twists = {f"L{i}": rng.randint(-2, 2) for i in range(rng.randint(1, 5))}
+        yield "coordinate", coordinate_lattice(twists, rng.randint(1, 3))
+    for _ in range(150):
+        k, d = rng.randint(2, 5), rng.randint(1, 3)
+        yield "sub-poset", random_subposet_lattice(rng, k, d, rng.choice((0.3, 0.6, 0.9)))
+    for trial in range(40):
+        k, d = rng.randint(2, 4), rng.randint(1, 3)
+        yield "coprime", random_coprime_lattice(rng, k, d, proportional=trial % 5 == 0)
 
 
 def P(mapping):
@@ -80,6 +99,79 @@ class TestHNFiltration:
         )
         with pytest.raises(AmbiguousHN):
             hn_filtration(lat)
+
+
+class TestHNStrictDecrease:
+    """hn_filtration has no final check: the mediant argument of its
+    docstring makes every chain it returns strictly decreasing."""
+
+    def test_graded_reduced_polynomials_strictly_decrease_outward(self):
+        seen = dict.fromkeys(("coordinate", "sub-poset", "coprime"), 0)
+        for arm, lat in seeded_lattices(20261201):
+            try:
+                hn = hn_filtration(lat)
+            except AmbiguousHN:
+                continue
+            for outer, deeper in zip(hn.gradeds, hn.gradeds[1:]):
+                assert eventual_compare(deeper.reduced, outer.reduced) == GREATER, (arm, hn.chain)
+            seen[arm] += len(hn.chain) > 1
+        assert min(seen.values()) >= 10, seen
+
+
+class TestLeadingTermAgainstReference:
+    """leading_term, read off maximize_weights on the HN chain, against the
+    slope scan it replaced: the same chain, index and weights, or
+    ObjectSemistable from both."""
+
+    @staticmethod
+    def outcome(leading, hn):
+        try:
+            lterm = leading(hn)
+        except ObjectSemistable as exc:
+            return str(exc)
+        return lterm.chain.chain, lterm.index, lterm.weights
+
+    def assert_matches(self, lat):
+        hn = hn_filtration(lat)
+        expected = self.outcome(reference_leading_term.leading_term, hn)
+        assert self.outcome(leading_term, hn) == expected, lat.ids()
+        return expected
+
+    def test_seeded_lattices(self):
+        seen = {}
+        for arm, lat in seeded_lattices(20261202):
+            try:
+                expected = self.assert_matches(lat)
+            except AmbiguousHN:
+                continue
+            kind = "semistable" if isinstance(expected, str) else "unstable"
+            seen[arm, kind] = seen.get((arm, kind), 0) + 1
+        for arm in ("coordinate", "sub-poset", "coprime"):
+            assert seen.get((arm, "unstable"), 0) >= 10, seen
+            assert seen.get((arm, "semistable"), 0) >= 3, seen
+
+    def test_steps_merge_where_the_leading_coefficient_ties(self):
+        # summands with two Mumford slopes and random lower terms: the HN
+        # chain splits summands of one slope, the leading term merges them
+        rng = random.Random(20261203)
+        merged = 0
+        for _ in range(40):
+            d = rng.randint(1, 3)
+            summands = {}
+            for i in range(rng.randint(2, 4)):
+                r, mu = rng.randint(1, 2), rng.randint(0, 1)
+                terms = {d: Fraction(r, factorial(d)), d - 1: r * mu / Fraction(factorial(d - 1))}
+                for e in range(d - 1):
+                    terms[e] = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+                summands[f"E{i}"] = RatPoly(terms)
+            lat = sum_lattice(summands, d)
+            expected = self.assert_matches(lat)
+            merged += not isinstance(expected, str) and len(expected[0]) < len(hn_filtration(lat).chain)
+        assert merged >= 5, merged
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.lattice")))
+    def test_fixtures(self, name):
+        self.assert_matches(load_lattice(FIXTURES / name)[0])
 
 
 class TestLeadingTerm:

@@ -423,7 +423,7 @@ class TestEdgeValidation:
         d = 40
         lat = build_lattice(d, {"0": {}, "A": {d: 1}, "B": {d: 1, 3: 5}, "F": {d: 2, 0: 1}})
         assert calls == []  # the ranks come from hilbert_stats' running factorial
-        assert lat.member("B").stats.slopes[3] == Fraction(5 * math.factorial(3), math.factorial(d))
+        assert lat.member("B").stats.reduced.coeff(3) == Fraction(5, math.factorial(d))
 
 
 def _k4_lattice(d):
@@ -544,22 +544,23 @@ class TestClosureAndDocument:
         assert again.structurally_equal(lat)
 
 
-class TestSlopesOnDemand:
-    """Only leading-term data reads slopes: loading a lattice and testing
-    it computes none."""
+class TestReducedOnDemand:
+    """The verdicts compare integer numerators, so loading a lattice and
+    testing it computes no reduced polynomial; the leading-term commands
+    compute the top's alone, for the ambient tau."""
 
     @pytest.fixture
     def computed(self, monkeypatch):
         computed = []
-        original = ratpoly_mod.HilbertStats.slopes.func
+        original = ratpoly_mod.HilbertStats.reduced.func
 
         def counting(stats):
             computed.append(stats)
             return original(stats)
 
-        slopes = functools.cached_property(counting)
-        slopes.__set_name__(ratpoly_mod.HilbertStats, "slopes")
-        monkeypatch.setattr(ratpoly_mod.HilbertStats, "slopes", slopes)
+        reduced = functools.cached_property(counting)
+        reduced.__set_name__(ratpoly_mod.HilbertStats, "reduced")
+        monkeypatch.setattr(ratpoly_mod.HilbertStats, "reduced", reduced)
         return computed
 
     @pytest.fixture
@@ -569,14 +570,12 @@ class TestSlopesOnDemand:
         return path
 
     @pytest.mark.parametrize("command", ["check", "hn"])
-    def test_verdicts_compute_no_slopes(self, computed, k7_file, capsys, command):
+    def test_verdicts_compute_no_reduced_polynomial(self, computed, k7_file, capsys, command):
         assert main([command, str(k7_file)]) == 0
         assert computed == []
 
-    def test_canonical_computes_slopes_of_the_hn_gradeds_only(self, computed, k7_file, capsys):
-        assert main(["canonical", str(k7_file)]) == 0
+    @pytest.mark.parametrize("command", ["canonical", "polytope"])
+    def test_leading_term_computes_the_tops_only(self, computed, k7_file, capsys, command):
+        assert main([command, str(k7_file)]) == 0
         lat, _ = load_lattice(k7_file)
-        allowed = hn_filtration(lat).gradeds + (lat.top.stats,)  # the top fixes the zero weight
-        assert len(allowed) == 8
-        assert len(computed) == len(allowed)
-        assert all(stats in allowed for stats in computed)
+        assert computed == [lat.top.stats]

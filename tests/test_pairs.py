@@ -18,13 +18,14 @@ from thetastab import (
     make_chain,
     make_filtration,
     maximize_weights,
+    nu,
     nu_compare,
     nu_delta,
     pair_canonical,
     pair_semistable,
     primitive_weights,
 )
-from thetastab import oracle, pairs
+from thetastab import invariant, oracle, pairs
 from thetastab.errors import FlatObjective, ObjectSemistable, Semistable
 from thetastab.latfile import load_lattice
 from thetastab.pairs import saturated_chains
@@ -445,27 +446,36 @@ class TestMaximizerValue:
             "maximize_weights": 0, "make_filtration": 0, "nu_delta": 0, "dot": 0, "step_contribution": 0,
         }
 
-        def counting(name):
-            original = getattr(pairs, name)
+        # dot is counted where WeightMaximum.value finds it, in invariant,
+        # but not inside nu_delta, which reads it once for the winner
+        in_nu_delta = [0]
+
+        def counting(module, name):
+            original = getattr(module, name)
 
             def wrapped(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
+                calls[name] += not in_nu_delta[0]
+                in_nu_delta[0] += name == "nu_delta"
+                try:
+                    return original(*args, **kwargs)
+                finally:
+                    in_nu_delta[0] -= name == "nu_delta"
             return wrapped
 
         for name in calls:
-            monkeypatch.setattr(pairs, name, counting(name))
+            module = invariant if name == "dot" else pairs
+            monkeypatch.setattr(module, name, counting(module, name))
         lat = coordinate_lattice({f"L{i}": (i * 7) % 5 - 2 + i for i in range(5)})
         result = pair_canonical(PairObject(lattice=lat, beta_image="L0"), const(Fraction(1, 2)))
         expected = {
             "maximize_weights": 120, "make_filtration": 1, "nu_delta": 1, "dot": 12, "step_contribution": 80,
         }
         assert calls == expected
-        assert nu_compare(result.value, nu_delta(result.filtration, const(Fraction(1, 2)))) == EQUAL
         for pair, delta in TestPairCanonicalAsksFirst.semistable_pairs():
             with pytest.raises(Semistable):
                 pair_canonical(pair, delta)
         assert calls == expected
+        assert nu_compare(result.value, nu_delta(result.filtration, const(Fraction(1, 2)))) == EQUAL
         # k * 2^(k-1) steps (the edges of the k-cube) for k! saturated chains
         for k in (3, 4):
             calls.update(dict.fromkeys(calls, 0))
@@ -902,6 +912,21 @@ class TestAgainstCanonicalFiltration:
     @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.lattice")))
     def test_fixtures(self, name):
         self.assert_matches(load_lattice(FIXTURES / name)[0])
+
+    def test_seeded_coordinate_lattices(self):
+        # the paper's claim, with no weight bound: for Lambda-modules the
+        # canonical filtration of the Theta-stratification, the best
+        # saturated chain's maximizer, is the HN filtration's leading term
+        rng = random.Random(20261204)
+        unstable = 0
+        for _ in range(60):
+            twists = {f"L{i}": rng.randint(-2, 2) for i in range(rng.randint(1, 5))}
+            lat = coordinate_lattice(twists, rng.randint(1, 3))
+            result = self.assert_matches(lat)
+            if result is not None:
+                assert nu_compare(result.value, nu(canonical_filtration(lat))) == EQUAL
+                unstable += 1
+        assert unstable >= 30, unstable
 
     def test_seeded_equal_slope_sums(self):
         rng = random.Random(20261022)

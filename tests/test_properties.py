@@ -21,6 +21,8 @@ from thetastab import (
 from thetastab.errors import ParseError
 from thetastab.ratpoly import as_fraction
 
+import reference_leading_term
+
 CHECK_POINT = 10**6
 
 rationals = st.fractions(
@@ -184,7 +186,8 @@ class TestHilbertStats:
         stats = hilbert_stats(poly, d)
         assert stats.reduced * stats.rank == poly
         assert stats.rank > 0
-        assert len(stats.slopes) == d
+        assert stats.reduced.degree() == d
+        assert stats.reduced.coeff(d) == Fraction(1, factorial(d))
 
     @given(
         st.integers(0, 3),
@@ -198,7 +201,7 @@ class TestHilbertStats:
         stats = hilbert_stats(RatPoly(coeffs), d)
         a = [factorial(k) * coeffs[k] for k in range(d + 1)]
         assert stats.rank == a[d]
-        assert stats.slopes == tuple(a[i] / a[d] for i in range(d))
+        assert reference_leading_term.slopes(stats) == tuple(a[i] / a[d] for i in range(d))
 
 
 _PARENT_RATIONAL = re.compile(r"\s*[+-]?[0-9]+(?:/[0-9]+)?\s*")

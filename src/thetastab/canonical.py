@@ -9,7 +9,8 @@ resolved silently: uniqueness of the HN filtration presumes closure under
 sums, which a user lattice may lack.
 
 The leading term filtration is the invariant's maximizer on the HN chain,
-maximize_weights without a pair (see invariant).  Its descent stops at the
+maximize_weights on the chain's own contributions with no pivot (see
+invariant).  Its descent stops at the
 highest exponent of n where the graded reduced polynomials differ, the
 filtration's index.  There the graded coefficients already increase
 inward, so the fit is each one minus the ambient's: adjacent HN steps
@@ -29,7 +30,7 @@ from operator import sub
 from typing import Mapping, Sequence
 
 from .errors import AmbiguousHN, NegativeNu, ObjectSemistable, PreconditionFailed
-from .invariant import maximize_weights, nu
+from .invariant import contributions, maximize_weights, nu
 from .lattice import (
     ObjectClass,
     SubobjectLattice,
@@ -141,10 +142,10 @@ class LeadingTermData:
 
 
 def leading_term(hn: UnweightedFiltration) -> LeadingTermData:
-    """maximize_weights on the HN chain, without a pair: the coarser chain
-    it lives on, the exponent where its descent stopped, and its weights
-    scaled to primitive integers."""
-    wm = maximize_weights(hn, None, None)
+    """maximize_weights on the HN chain's contributions, with no pivot: the
+    coarser chain it lives on, the exponent where its descent stopped, and
+    its weights scaled to primitive integers."""
+    wm = maximize_weights(hn, contributions(hn), None)
     if wm is None:
         raise ObjectSemistable("trivial HN chain has no leading term filtration")
     return LeadingTermData(
@@ -155,7 +156,15 @@ def leading_term(hn: UnweightedFiltration) -> LeadingTermData:
 
 
 def canonical_filtration(lat: SubobjectLattice) -> WeightedFiltration:
-    """Weighted leading-term filtration of an unstable object."""
+    """Weighted leading-term filtration of an unstable object.
+
+    On a lattice not closed under sums it can be one of two filtrations
+    with equal nu: hn_filtration raises AmbiguousHN only for a tie at one
+    of its own greedy steps, so when two incomparable members share one
+    class and only one lies on the HN chain, this returns that one's
+    filtration silently, and brute_force_max, breaking the tie on ids,
+    may name the other.
+    """
     lterm = leading_term(hn_filtration(lat))
     return make_filtration(lat, lterm.chain.chain, lterm.weights)
 

@@ -72,8 +72,9 @@ def _emit(payload: dict, lines: list[str], fmt: str) -> None:
 
 
 # -- subcommand handlers ----------------------------------------------------
+# Each returns its structured payload and its text lines; main emits one.
 
-def _cmd_check(args) -> dict:
+def _cmd_check(args) -> tuple[dict, list[str]]:
     lat, _ = load_lattice(args.input)
     verdict, witness = canonical_mod.is_semistable(lat)
     payload = {
@@ -82,20 +83,18 @@ def _cmd_check(args) -> dict:
         "witness": None if witness is None else witness.id,
     }
     lines = ["semistable" if verdict else f"unstable (witness: {witness.id})"]
-    _emit(payload, lines, args.format)
-    return payload
+    return payload, lines
 
 
-def _cmd_hn(args) -> dict:
+def _cmd_hn(args) -> tuple[dict, list[str]]:
     lat, _ = load_lattice(args.input)
     hn = canonical_mod.hn_filtration(lat)
     payload = {"command": "hn", "chain": list(hn.chain)}
     lines = [f"HN chain (top first): {' > '.join(hn.chain)}"]
-    _emit(payload, lines, args.format)
-    return payload
+    return payload, lines
 
 
-def _cmd_canonical(args) -> dict:
+def _cmd_canonical(args) -> tuple[dict, list[str]]:
     lat, _ = load_lattice(args.input)
     filt = canonical_mod.canonical_filtration(lat)
     value = invariant.nu(filt)
@@ -105,11 +104,10 @@ def _cmd_canonical(args) -> dict:
         "nu": nu_json(value),
     }
     lines = _filtration_text(filt) + [f"nu: {nu_text(value)}"]
-    _emit(payload, lines, args.format)
-    return payload
+    return payload, lines
 
 
-def _cmd_nu(args) -> dict:
+def _cmd_nu(args) -> tuple[dict, list[str]]:
     lat, pair = load_lattice(args.input)
     if args.chain is None or args.weights is None:
         raise ParseError("nu requires --chain and --weights")
@@ -118,11 +116,10 @@ def _cmd_nu(args) -> dict:
     value = invariant.nu_delta(filt, delta)
     payload = {"command": "nu", "nu": nu_json(value), "delta": args.delta}
     lines = [f"nu: {nu_text(value)}"]
-    _emit(payload, lines, args.format)
-    return payload
+    return payload, lines
 
 
-def _cmd_polytope(args) -> dict:
+def _cmd_polytope(args) -> tuple[dict, list[str]]:
     lat, _ = load_lattice(args.input)
     if args.chain is not None:
         chain = make_chain(lat, _parse_chain_arg(args.chain))
@@ -133,8 +130,7 @@ def _cmd_polytope(args) -> dict:
     vertices = [[format_rational(x), format_rational(y)] for x, y in hull.vertices]
     payload = {"command": "polytope", "index": index, "chain": list(chain.chain), "vertices": vertices}
     lines = [f"slope index: {index}", f"hull vertices (ccw): {vertices}"]
-    _emit(payload, lines, args.format)
-    return payload
+    return payload, lines
 
 
 def _at_least(text: str, flag: str, least: int) -> int:
@@ -155,7 +151,7 @@ def _require_pair(pair: PairObject | None) -> PairObject:
     return pair
 
 
-def _cmd_pair_check(args) -> dict:
+def _cmd_pair_check(args) -> tuple[dict, list[str]]:
     lat, pair = load_lattice(args.input)
     delta = parse_delta(args.delta)
     verdict, witness = pairs.pair_semistable(_require_pair(pair), delta)
@@ -169,11 +165,10 @@ def _cmd_pair_check(args) -> dict:
         ("semistable" if verdict else "unstable")
         + (f" (witness: {witness.id})" if witness is not None else "")
     ]
-    _emit(payload, lines, args.format)
-    return payload
+    return payload, lines
 
 
-def _cmd_pair_canonical(args) -> dict:
+def _cmd_pair_canonical(args) -> tuple[dict, list[str]]:
     lat, pair = load_lattice(args.input)
     pair = _require_pair(pair)
     delta = parse_delta(args.delta)
@@ -205,11 +200,10 @@ def _cmd_pair_canonical(args) -> dict:
             agrees, text = False, "disagrees"
     payload["oracle_agrees"] = agrees
     lines.append(f"oracle (bound {bound}): {text}")
-    _emit(payload, lines, args.format)
-    return payload
+    return payload, lines
 
 
-def _cmd_sweep(args) -> dict:
+def _cmd_sweep(args) -> tuple[dict, list[str]]:
     lat, pair = load_lattice(args.input)
     pair = _require_pair(pair)
     if not args.sweep_deltas:
@@ -235,8 +229,7 @@ def _cmd_sweep(args) -> dict:
         marker = "  <-- wall" if row["wall"] else ""
         state = "semistable" if row["semistable"] else f"unstable ({row['witness']})"
         lines.append(f"delta = {row['delta']}: {state}{marker}")
-    _emit(payload, lines, args.format)
-    return payload
+    return payload, lines
 
 
 def _dumped(candidates, writer):
@@ -249,7 +242,7 @@ def _dumped(candidates, writer):
         yield chain, weights, terms, b
 
 
-def _cmd_oracle(args) -> dict:
+def _cmd_oracle(args) -> tuple[dict, list[str]]:
     lat, pair = load_lattice(args.input)
     delta = parse_delta(args.delta) if args.delta is not None else None
     bound, budget = _oracle_limits(args)
@@ -280,8 +273,7 @@ def _cmd_oracle(args) -> dict:
         lines.append(f"max nu: {nu_text(result.value)}")
     if args.csv:
         lines.append(f"candidate dump written to {args.csv}")
-    _emit(payload, lines, args.format)
-    return payload
+    return payload, lines
 
 
 _HANDLERS = {
@@ -373,7 +365,7 @@ def main(argv=None) -> int:
     try:
         _reject_double_dash(argv)
         args = build_parser().parse_args(argv)
-        _HANDLERS[args.command](args)
+        _emit(*_HANDLERS[args.command](args), args.format)
     except ParseError as exc:
         print(f"error: ParseError: {exc}", file=sys.stderr)
         return 2

@@ -10,7 +10,7 @@ with tau from ambient_tau.  contributions(chain, delta) applies it to each
 step of a chain; pair_canonical applies it once per distinct step of its
 walk.  The invariant of weights w is nu = <w, c> / sqrt(b) with
 b = sum rank(gr_m) * w_m^2, kept exact as a NuValue; the oracle's scores
-and the pair maximizer's values are read from the same c.
+and the maximizer's values are read from the same c.
 
 The weight of the determinant family at the associated graded, <w, c> at
 delta = 0, is computed a second, independent way (the subobject form):
@@ -23,7 +23,14 @@ The trivial filtration with weight zero has b = 0; its nu is defined to be
 the zero NuValue by convention (semistable objects maximize at zero), while
 b_norm itself reports the degeneracy.
 
-The maximizer.  nu is compared eventually, so on one chain it is maximized
+The maximizer.  maximize_weights(chain, contribs, pivot) takes the numbers
+it maximizes: the chain's ids and graded ranks, its steps' contributions c
+(the caller's: contributions(chain, delta), or pair_canonical's step
+table), and the pivot, the chain index of the deepest member containing a
+pair's marked image (lattice.pair_pivot_index), or None without a framing
+map.  It never reads delta or the pair.
+
+nu is compared eventually, so on one chain it is maximized
 lexicographically, one exponent of n at a time, highest first.  With
 per-step units u (the coefficients of c at that exponent) and graded ranks
 r, the coefficient <w, u> / sqrt(<w, R w>) is <w, x>_R / |w|_R for x = u / r
@@ -80,13 +87,7 @@ from math import factorial
 from typing import Iterable, Sequence
 
 from .errors import BadIndex, DegenerateFiltration
-from .lattice import (
-    PairObject,
-    SubobjectLattice,
-    UnweightedFiltration,
-    WeightedFiltration,
-    pair_pivot_index,
-)
+from .lattice import SubobjectLattice, UnweightedFiltration, WeightedFiltration
 from .ratpoly import HilbertStats, NuValue, RatPoly
 
 
@@ -218,45 +219,34 @@ def _merge(values: Sequence, keep: list[int]) -> list:
     return [sum(values[a + 1:b], values[a]) for a, b in zip(keep, ends)]
 
 
-@dataclass(frozen=True)
-class _TabledChain(UnweightedFiltration):
-    """A chain of pair_canonical's walk together with its steps'
-    contributions at the query's delta, read from the query's step table."""
-
-    contribs: tuple[RatPoly, ...] = field(compare=False, repr=False)
-
-
 def maximize_weights(
     chain: UnweightedFiltration,
-    pair: PairObject | None,
-    delta: RatPoly | None,
+    contribs: Sequence[RatPoly],
+    pivot: int | None,
 ) -> WeightMaximum | None:
     """Exact lexicographic maximizer of the invariant over the weight cone,
     or None when no weighting is positive.
 
-    The cone is {w_0 <= ... <= w_q}, intersected with {w_j >= 0} when the
-    pair has a nonzero framing map and j is the deepest chain index whose
-    member contains the marked image.  The descent of the module docstring
-    runs over the exponents of the chain's contributions, highest first;
-    each zero maximum merges steps (ids, contributions and ranks together).
-    The contributions are the chain's own, or, for a chain of
-    pair_canonical's walk, its query's.
+    contribs holds the per-unit-weight contribution of each step of the
+    chain, top first (contributions(chain, delta), or a caller's table of
+    the same numbers); pivot is the chain index the pair constraint holds
+    at, or None without one.  The cone is {w_0 <= ... <= w_q}, intersected
+    with {w_pivot >= 0}.  The descent of the module docstring runs over the
+    exponents of the contributions, highest first; each zero maximum
+    merges steps (ids, contributions and ranks together).  Only ids and
+    graded ranks are read from the chain.
     """
-    ids = chain.chain
-    contribs = chain.contribs if isinstance(chain, _TabledChain) else contributions(chain, delta)
-    ranks = [g.rank for g in chain.gradeds]
-    beta = pair.beta_image if pair is not None else None
-    p = pair_pivot_index(ids, chain.lattice, beta) if beta is not None else None
+    ids, ranks = chain.chain, [g.rank for g in chain.gradeds]
     pinned = False
     for exponent in sorted({e for c in contribs for e, _ in c.items()}, reverse=True):
         units = [c.coeff(exponent) for c in contribs]
         fit = _isotonic(units, ranks)
-        if p is not None and (pinned or fit[p] < 0):
+        if pivot is not None and (pinned or fit[pivot] < 0):
             pinned, zero = True, Fraction(0)
             fit = (
-                [min(w, zero) for w in _isotonic(units[:p], ranks[:p])]
+                [min(w, zero) for w in _isotonic(units[:pivot], ranks[:pivot])]
                 + [zero]
-                + [max(w, zero) for w in _isotonic(units[p + 1:], ranks[p + 1:])]
+                + [max(w, zero) for w in _isotonic(units[pivot + 1:], ranks[pivot + 1:])]
             )
         if any(fit):
             keep = [i for i in range(len(fit)) if i == 0 or fit[i] != fit[i - 1]]
@@ -265,7 +255,7 @@ def maximize_weights(
                 weights=tuple(fit[i] for i in keep),
                 exponent=exponent,
                 b=sum(r * w * w for w, r in zip(fit, ranks)),
-                pinned=bisect_right(keep, p) - 1 if pinned else None,
+                pinned=bisect_right(keep, pivot) - 1 if pinned else None,
                 steps=tuple(zip(fit, contribs)),
             )
         # the maximum here is 0: keep the increments whose coefficient
@@ -275,11 +265,11 @@ def maximize_weights(
         prefix = list(accumulate(units))
         keep = [0] + [
             i for i in range(1, len(units))
-            if prefix[i - 1] == (0 if p is not None and i <= p else prefix[-1])
+            if prefix[i - 1] == (0 if pivot is not None and i <= pivot else prefix[-1])
         ]
         if pinned and len(keep) == 1:  # the face is {0}
             return None
-        p = None if p is None else bisect_right(keep, p) - 1
+        pivot = None if pivot is None else bisect_right(keep, pivot) - 1
         ids, contribs, ranks = [ids[i] for i in keep], _merge(contribs, keep), _merge(ranks, keep)
     return None
 

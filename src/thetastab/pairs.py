@@ -22,19 +22,22 @@ Otherwise such a G, or the trivial chain when delta < 0 or when delta > 0
 and the framing map vanishes, destabilizes with weights in {-1, 0, 1}.
 
 The walk.  maximize_weights (see invariant) maximizes nu over one chain's
-weight cone.  Refining a chain enlarges its cone (the inserted steps
-repeat the weight of the step they split, the pivot's included), so every
-chain's maximizer is that of its saturated refinements, and pair_canonical
-visits saturated chains only.  A step's contribution depends on the step
-and the query alone, and saturated chains share their steps (k! chains
-over k * 2^(k-1) steps on the sub-sum lattice of k summands), so
+weight cone, given the chain, its steps' contributions and its pivot.
+Refining a chain enlarges its cone (the inserted steps repeat the weight
+of the step they split, the pivot's included), so every chain's maximizer
+is that of its saturated refinements, and pair_canonical visits saturated
+chains only.  A step's contribution depends on the step and the query
+alone, and saturated chains share their steps (k! chains over
+k * 2^(k-1) steps on the sub-sum lattice of k summands), so
 pair_canonical computes tau once and each distinct step's contribution
-once per query, in a table it keeps for that call only, and each chain
-reads its contributions from it.  It ranks the chains on their
-maximizers' values (nu is scale-invariant, and a merged step contributes
-its block's sum): first on the leading term, that is on (e*, b), and on
-the full value only between chains that tie on both; it builds the
-winner alone.
+once per query, in a table it keeps for that call only.  Each chain reads
+its contributions from the table and hands them to maximize_weights with
+its pivot, pair_pivot_index of the marked image (None when the framing
+map vanishes); the maximizer sees neither delta nor the pair.
+pair_canonical ranks the chains on their maximizers' values (nu is
+scale-invariant, and a merged step contributes its block's sum): first on
+the leading term, that is on (e*, b), and on the full value only between
+chains that tie on both; it builds the winner alone.
 """
 
 from __future__ import annotations
@@ -45,15 +48,15 @@ from operator import add
 
 from .canonical import destabilizing_member
 from .errors import Semistable
-from .invariant import (
-    WeightMaximum,
-    _TabledChain,
-    ambient_tau,
-    maximize_weights,
-    nu_delta,
-    step_contribution,
+from .invariant import WeightMaximum, ambient_tau, maximize_weights, nu_delta, step_contribution
+from .lattice import (
+    ObjectClass,
+    PairObject,
+    WeightedFiltration,
+    make_filtration,
+    pair_pivot_index,
+    primitive_weights,
 )
-from .lattice import ObjectClass, PairObject, WeightedFiltration, make_filtration, primitive_weights
 from .oracle import saturated_chains
 from .ratpoly import EQUAL, GREATER, LESS, NuValue, RatPoly, eventual_compare, nu_compare
 
@@ -129,10 +132,12 @@ def pair_canonical(pair: PairObject, delta: RatPoly | None) -> PairCanonicalResu
                 table[step] = step_contribution(graded, tau)
             return table[step]
 
+        beta = pair.beta_image
         for chain in saturated_chains(lat):
             steps = zip(chain.chain[1:] + (lat.zero_id,), chain.chain)
             contribs = tuple(map(contribution, steps, chain.gradeds))
-            wm = maximize_weights(_TabledChain(lat, chain.chain, chain.gradeds, contribs), pair, delta)
+            pivot = None if beta is None else pair_pivot_index(chain.chain, lat, beta)
+            wm = maximize_weights(chain, contribs, pivot)
             if wm is None:
                 continue
             if best is None:

@@ -233,7 +233,6 @@ class HilbertStats:
     from poly, it takes no part in equality or hashing.
     """
 
-    dim: int
     poly: RatPoly
     rank: Fraction
 
@@ -253,7 +252,7 @@ def hilbert_stats(poly: RatPoly, d: int) -> HilbertStats:
     rank = poly._coeffs[d] * prod(range(2, d + 1))  # d!, one running product
     if rank <= 0:
         raise NonpositiveRank(f"leading Hilbert coefficient a_{d} = {rank} is not positive")
-    return HilbertStats(dim=d, poly=poly, rank=rank)
+    return HilbertStats(poly=poly, rank=rank)
 
 
 def hilbert_line_bundle_projective(d: int, k: int) -> RatPoly:

@@ -24,7 +24,7 @@ from thetastab.errors import InvalidHN, ObjectSemistable
 def slopes(stats: HilbertStats) -> tuple[Fraction, ...]:
     """slopes[i] = a_i / a_d for 0 <= i <= d-1, with P(n) = sum_k a_k n^k / k!."""
     coeffs, out, scale = stats.poly._coeffs, [], 1  # scale = i!
-    for i in range(stats.dim):
+    for i in range(stats.poly.degree()):  # the dimension d, P being pure of degree d
         out.append(coeffs.get(i, 0) * scale / stats.rank)
         scale *= i + 1
     return tuple(out)

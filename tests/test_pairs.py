@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial
 
 import pytest
@@ -14,6 +15,7 @@ from thetastab import (
     brute_force_max,
     build_lattice,
     canonical_filtration,
+    contributions,
     enumerate_chains,
     make_chain,
     make_filtration,
@@ -28,6 +30,7 @@ from thetastab import (
 from thetastab import invariant, oracle, pairs
 from thetastab.errors import FlatObjective, ObjectSemistable, Semistable
 from thetastab.latfile import load_lattice
+from thetastab.lattice import pair_pivot_index
 from thetastab.pairs import saturated_chains
 
 from conftest import FIXTURES, coordinate_lattice, sum_lattice
@@ -48,6 +51,19 @@ def P(mapping):
 
 def const(x):
     return RatPoly.const(Fraction(x))
+
+
+def pivot_of(chain, pair):
+    """The chain index the pair constraint holds at: the deepest member
+    containing the marked image, or None without a framing map."""
+    beta = None if pair is None else pair.beta_image
+    return None if beta is None else pair_pivot_index(chain.chain, chain.lattice, beta)
+
+
+def maximize(chain, pair, delta):
+    """maximize_weights on the chain's own contributions at delta and the
+    pair's pivot, computed as the references compute them."""
+    return maximize_weights(chain, contributions(chain, delta), pivot_of(chain, pair))
 
 
 class TestPairSemistable:
@@ -328,7 +344,7 @@ class TestNuSlopeCoeff:
 class TestMaximizeWeights:
     def test_pair_example_pins_image_weight(self, lat_b3, pair_b3):
         chain = make_chain(lat_b3, ("F", "O5+O", "O5"))
-        result = maximize_weights(chain, pair_b3, RatPoly.zero())
+        result = maximize(chain, pair_b3, RatPoly.zero())
         assert result.chain == ("F", "O5+O", "O5")
         assert primitive_weights(result.weights) == (-1, 0, 3)
         assert result.pinned == 1
@@ -336,14 +352,14 @@ class TestMaximizeWeights:
 
     def test_unconstrained_beats_pair(self, lat_b3):
         chain = make_chain(lat_b3, ("F", "O5+O1", "O5"))
-        result = maximize_weights(chain, None, RatPoly.zero())
+        result = maximize(chain, None, RatPoly.zero())
         assert primitive_weights(result.weights) == (-2, -1, 3)
         # squared value 14 > squared value 10
         assert result.value == NuValue(P({0: 14}), Fraction(14))
 
     def test_order_violation_merges_once(self, lat_b3):
         chain = make_chain(lat_b3, ("F", "O5+O", "O5"))
-        result = maximize_weights(chain, None, RatPoly.zero())
+        result = maximize(chain, None, RatPoly.zero())
         assert result.chain == ("F", "O5")
         assert primitive_weights(result.weights) == (-1, 2)
         # value sqrt(27/2)
@@ -352,13 +368,13 @@ class TestMaximizeWeights:
     def test_flat_objective(self):
         lat = coordinate_lattice({"A": 0, "B": 0})
         chain = make_chain(lat, ("F", "A"))
-        assert maximize_weights(chain, None, RatPoly.zero()) is None
+        assert maximize(chain, None, RatPoly.zero()) is None
 
     def test_trivial_chain_with_pair_negative_max(self, lat_o_o1, pair_o_o1):
         # only direction is w > 0; objective coefficient is -delta_0 < 0,
         # so no weight is positive and there is no maximizer to report
         chain = make_chain(lat_o_o1, ("F",))
-        assert maximize_weights(chain, pair_o_o1, const(1)) is None
+        assert maximize(chain, pair_o_o1, const(1)) is None
 
 
 class TestMaximizerValue:
@@ -383,7 +399,7 @@ class TestMaximizerValue:
         for pair, delta in self.cases(20261018):
             lat = pair.lattice
             for chain in saturated_chains(lat):
-                wm = maximize_weights(chain, pair, delta)
+                wm = maximize(chain, pair, delta)
                 if wm is None:
                     continue
                 filt = make_filtration(lat, wm.chain, primitive_weights(wm.weights), pair)
@@ -412,7 +428,7 @@ class TestMaximizerValue:
         for pair, delta in cases:
             lat = pair.lattice
             for chain in saturated_chains(lat):
-                wm = maximize_weights(chain, pair, delta)
+                wm = maximize(chain, pair, delta)
                 if wm is None:
                     continue
                 assert wm.value.L.degree() == wm.exponent, (chain.chain, delta)
@@ -429,7 +445,7 @@ class TestMaximizerValue:
             "0": {}, "A": {2: 1, 1: 1, 0: -2}, "B": {2: 1, 1: 1, 0: 2}, "F": {2: Fraction(3, 2), 1: 1, 0: 2},
         })
         pair = PairObject(lattice=lat, beta_image=None)
-        a, b = (maximize_weights(make_chain(lat, ("F", m)), pair, RatPoly.zero()) for m in "AB")
+        a, b = (maximize(make_chain(lat, ("F", m)), pair, RatPoly.zero()) for m in "AB")
         assert (a.exponent, a.b) == (b.exponent, b.b)
         assert nu_compare(b.value, a.value) == GREATER
         result = pair_canonical(pair, RatPoly.zero())
@@ -484,6 +500,54 @@ class TestMaximizerValue:
             assert (calls["step_contribution"], calls["maximize_weights"]) == (k * 2 ** (k - 1), factorial(k))
 
 
+class TestPairCanonicalFeedsTheMaximizer:
+    """pair_canonical hands maximize_weights each chain's contributions,
+    read from its per-call step table, and the chain's pivot: on every
+    call they must be the chain's own contributions at delta and the
+    pivot of the marked image, or None without a framing map."""
+
+    FORMS = (None, "zero", "negative", "Laurent", "degree <= d-1", "degree d", "degree > d")
+
+    @classmethod
+    def cases(cls, seed):
+        # coordinate lattices (k <= 5) and sub-posets (k <= 4), at every
+        # form of delta, with and without a marked image
+        rng = random.Random(seed)
+        for form, kind, framed, _ in product(cls.FORMS, ("coordinate", "sub-poset"), (True, False), range(2)):
+            d = rng.choice((1, 2))
+            if kind == "coordinate":
+                lat = coordinate_lattice({f"L{i}": rng.randint(-3, 3) for i in range(rng.randint(2, 5))}, d)
+            else:
+                lat = random_subposet_lattice(rng, rng.randint(2, 4), d, 0.6)
+            beta = rng.choice(lat.nonzero_ids()) if framed else None
+            yield kind, PairObject(lattice=lat, beta_image=beta), random_delta(rng, d, form)
+
+    def test_every_call_gets_the_chains_contributions_and_pivot(self, monkeypatch):
+        calls = []
+        original = pairs.maximize_weights
+
+        def spy(chain, contribs, pivot):
+            calls.append((chain, contribs, pivot))
+            return original(chain, contribs, pivot)
+
+        monkeypatch.setattr(pairs, "maximize_weights", spy)
+        seen = Counter()
+        for kind, pair, delta in self.cases(20261019):
+            calls.clear()
+            try:
+                pair_canonical(pair, delta)
+            except Semistable:
+                seen["semistable"] += 1
+                continue
+            for chain, contribs, pivot in calls:
+                assert tuple(contribs) == contributions(chain, delta), (chain.chain, delta)
+                assert pivot == pivot_of(chain, pair), (chain.chain, pair.beta_image)
+            seen[kind, pair.beta_image is not None] += 1
+            seen["calls"] += len(calls)
+        assert seen["semistable"] and seen["calls"] >= 500, seen
+        assert all(seen[key] for key in product(("coordinate", "sub-poset"), (True, False))), seen
+
+
 def _random_pair(rng, max_summands, with_pair=True):
     d = rng.choice((1, 2))
     k = rng.randint(2, max_summands)
@@ -511,7 +575,7 @@ class TestMaximizeWeightsAgainstFaceEnumeration:
             for chain in rng.sample(chains, min(len(chains), 40)):
                 numerator = rng.choice((0, rng.randint(-6, 6)))
                 delta = RatPoly({d - 1: Fraction(numerator, rng.randint(1, 4))})
-                wm = maximize_weights(chain, pair, delta)
+                wm = maximize(chain, pair, delta)
                 try:
                     ref = face_enumeration_max(chain, pair, delta)
                 except FlatObjective:
@@ -869,7 +933,7 @@ class TestAgainstOracleOnSubposets:
             lat = pair.lattice
             terms = {}
             for chain in saturated_chains(lat):
-                wm = maximize_weights(chain, pair, delta)
+                wm = maximize(chain, pair, delta)
                 bound = 2 if wm is None else max(2, *map(abs, primitive_weights(wm.weights)))
                 if oracle.candidate_count(lat, pair, bound) > 5000:
                     continue
@@ -997,7 +1061,7 @@ class TestDescentNearWalls:
         lower = 0
         for pair, delta in self.cases(20261024):
             for chain in saturated_chains(pair.lattice):
-                wm = maximize_weights(chain, pair, delta)
+                wm = maximize(chain, pair, delta)
                 if wm is None:
                     best = chain_search_max(chain, pair, delta, 3)
                     assert nu_compare(best, NuValue.zero()) != GREATER

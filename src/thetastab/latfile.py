@@ -15,9 +15,13 @@ A lattice file is a JSON document:
 
 Rationals are strings matching [+-]?digits(/digits)?, or plain JSON
 integers; floats, exponents, inf/nan, underscores and booleans are
-rejected (ratpoly.as_fraction is the one parser, for files and for
-validate_lattice alike).  Polynomials map exponent strings to rationals,
-zero coefficients omitted.
+rejected.  ratpoly.as_ratio is the one parser, for files and for
+validate_lattice alike: the loader reads each coefficient literal with it
+once, into an integer numerator and denominator of the lattice's integer
+table, and as_fraction, which reads delta and sweep literals, wraps it.
+Polynomials map exponent strings to rationals, zero coefficients omitted;
+an exponent named twice in one polynomial ("0" beside "00", or "1" beside
+" 1") is a ParseError.
 Inclusions of the zero object and into the ambient object need not be
 declared.
 

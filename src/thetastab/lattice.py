@@ -25,27 +25,42 @@ integers N_G = D * P(G) over the exponents 0..d.  rank(G) = d! * N_G[d] / D
 is a positive multiple of N_G[d], the same multiple for every member, so
 reduced polynomials and ranks compare by integer cross-multiplication
 (ratpoly.reduced_compare), and the quotient sup/sub has the numerators
-N_sup - N_sub.  The table is built from the members when the lattice is
-constructed, however it is constructed.
+N_sup - N_sub.  integer_table is the one way to form it, and a
+SubobjectLattice takes it as given.
 
-Validation checks each member as its own quotient by zero, then only rank
-growth on the generating edges, the declared inclusions and the implicit
-member -> top ones, by comparing the table's top entries.  Ranks add up
-along a path of edges, so strict growth holds on the whole transitive
-closure, and a failure names the first failing edge in sorted order.
-Purity then follows for every quotient: when sub and sup are pure and
-rank(sub) < rank(sup), sup - sub has no Laurent terms and n^d coefficient
-(rank(sup) - rank(sub)) / d! > 0.  The closure itself is built in one pass
-over a topological order of the edges (Kahn's algorithm), each member's
-up-set the union of its successors' up-sets; a member the order cannot
-place lies on a cycle.
+build_lattice reads each member once: every exponent with
+ratpoly.as_integer, then every coefficient literal with ratpoly.as_ratio
+into an integer numerator and denominator, exact types first; an exponent
+named twice is a ParseError.  Then, in this order and on those integers:
+exactly one member is zero; the declared relations name members; each
+nonzero member, in sorted order, is pure as its own quotient by zero
+(degree exactly d, no Laurent term, N_G[d] > 0); the table is formed; the
+top is the member with the largest N_G[d] (a tie is broken against
+members declared inside another); the edges hold no cycle; and rank
+grows along each generating edge, the declared inclusions and the
+implicit member -> top ones.  Ranks add up along a path of edges, so
+strict growth holds on the whole transitive closure, and a failure names
+the first failing edge in sorted order.  Purity then follows for every
+quotient: when sub and sup are pure and rank(sub) < rank(sup), sup - sub
+has no Laurent terms and n^d coefficient (rank(sup) - rank(sub)) / d! > 0.
+The closure itself is built in one pass over a topological order of the
+edges (Kahn's algorithm), each member's up-set the union of its
+successors' up-sets; a member the order cannot place lies on a cycle.
+
+No RatPoly or HilbertStats is built while loading: a member's polynomial
+and statistics (and so the d! of its rank) are built from its row on
+first use and kept on the member, and a quotient's by quotient_poly:
+is_semistable and pair_semistable build none, and hn_filtration only its
+chain's graded pieces.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from functools import cached_property
+from math import factorial, gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -59,19 +74,30 @@ from .errors import (
     RankNotIncreasing,
     WeightsNotIncreasing,
 )
-from .ratpoly import HilbertStats, RatPoly, as_integer, hilbert_stats
+from .ratpoly import HilbertStats, RatPoly, as_integer, as_ratio, hilbert_stats
 
 
 @dataclass(frozen=True)
 class ObjectClass:
-    """A formal pure object of dimension d, identified by its polynomial.
+    """A formal pure object of dimension d, identified by its Hilbert
+    polynomial P = row / denominator: its row of the lattice's integer
+    table, over the exponents 0..d, and the table's denominator D.
 
-    stats is None exactly for the zero object.
+    poly and stats are built from the row on first use and kept; stats is
+    None exactly for the zero object.
     """
 
     id: str
-    poly: RatPoly
-    stats: HilbertStats | None
+    row: tuple[int, ...] = field(repr=False)
+    denominator: int = field(repr=False)
+
+    @cached_property
+    def poly(self) -> RatPoly:
+        return _row_poly(self.row, self.denominator)
+
+    @cached_property
+    def stats(self) -> HilbertStats | None:
+        return None if self.is_zero else hilbert_stats(self.poly, len(self.row) - 1)
 
     @property
     def rank(self) -> Fraction:
@@ -79,47 +105,76 @@ class ObjectClass:
 
     @property
     def is_zero(self) -> bool:
-        return self.stats is None
+        return not self.row[-1]  # a nonzero member's top entry is positive
 
 
-def _coerce_poly(value: RatPoly | Mapping) -> RatPoly:
-    """A RatPoly, or an exponent -> coefficient map with exponents as
-    ratpoly.as_integer and coefficients as ratpoly.as_fraction read them;
-    anything else is a ParseError."""
-    if isinstance(value, RatPoly):
-        return value
-    if not isinstance(value, Mapping):
-        raise ParseError(f"polynomial must be an exponent->coefficient map, got {value!r}")
-    return RatPoly({as_integer(exp, "exponent"): coeff for exp, coeff in value.items()})
+def _row_poly(row: Iterable[int], denominator: int) -> RatPoly:
+    """The polynomial whose coefficients over the exponents 0.. are row / denominator."""
+    return RatPoly({e: Fraction(n, denominator) for e, n in enumerate(row) if n})
+
+
+#: A member's nonzero terms: exponent -> (numerator, positive denominator),
+#: in lowest terms.
+Terms = dict[int, tuple[int, int]]
+
+
+def _parse_terms(member: str, value: RatPoly | Mapping) -> Terms:
+    """The terms of a RatPoly, or of an exponent -> coefficient map: its
+    exponents as ratpoly.as_integer reads them, all before any coefficient,
+    then its coefficients as ratpoly.as_ratio reads them, each once.  An
+    exponent named twice, or a value that is neither, is a ParseError."""
+    if type(value) is not dict:
+        if isinstance(value, RatPoly):
+            return {e: (c.numerator, c.denominator) for e, c in value._coeffs.items()}
+        if not isinstance(value, Mapping):
+            raise ParseError(f"polynomial must be an exponent->coefficient map, got {value!r}")
+    exponents = [as_integer(exp, "exponent") for exp in value]
+    if len(set(exponents)) < len(exponents):
+        repeated = next(e for k, e in enumerate(exponents) if e in exponents[:k])
+        raise ParseError(f"member {member!r} names exponent {repeated} twice")
+    terms: Terms = {}
+    for exp, coeff in zip(exponents, value.values()):
+        num, den = as_ratio(coeff)
+        if num:
+            terms[exp] = num, den
+    return terms
+
+
+def integer_table(dim: int, terms: Mapping[str, Terms]) -> tuple[int, dict[str, tuple[int, ...]]]:
+    """The denominator D, the lcm of every coefficient's denominator, and
+    each member's row D * P(G) over the exponents 0..dim, for members whose
+    terms lie in that range."""
+    denominator = lcm(*(den for member in terms.values() for _, den in member.values()))
+    rows = {}
+    for member_id, member in terms.items():
+        row = [0] * (dim + 1)
+        for e, (num, den) in member.items():
+            row[e] = num * (denominator // den)
+        rows[member_id] = tuple(row)
+    return denominator, rows
 
 
 class SubobjectLattice:
-    """Validated finite poset of object classes; immutable after build."""
+    """Validated finite poset of object classes; immutable after build.
 
-    def __init__(self, dim, members, zero_id, top_id, closure):
+    denominator and numerators are the integer table (see the module
+    docstring), taken as given; members are built on them.
+    """
+
+    def __init__(self, dim, denominator, numerators, zero_id, top_id, closure):
         self.dim: int = dim
-        self._members: dict[str, ObjectClass] = members
+        self.denominator: int = denominator
+        self.numerators: dict[str, tuple[int, ...]] = numerators
+        self._members: dict[str, ObjectClass] = {
+            i: ObjectClass(i, row, denominator) for i, row in numerators.items()
+        }
         self.zero_id: str = zero_id
         self.top_id: str = top_id
         self._closure: frozenset[tuple[str, str]] = closure
-        self._ids = tuple(sorted(members))
+        self._ids = tuple(sorted(numerators))
         self._nonzero_ids = tuple(i for i in self._ids if i != zero_id)
         self._proper_nonzero_ids = tuple(i for i in self._nonzero_ids if i != top_id)
-        # The integer table (see the module docstring); members are pure,
-        # so no exponent outside 0..dim occurs.
-        self.denominator: int = lcm(
-            *(c.denominator for m in members.values() for c in m.poly._coeffs.values())
-        )
-        self.numerators: dict[str, tuple[int, ...]] = {}
-        for i, m in members.items():
-            row = [0] * (dim + 1)
-            for e, c in m.poly._coeffs.items():
-                row[e] = c.numerator * self.denominator // c.denominator
-            self.numerators[i] = tuple(row)
-        # quotient_poly's memo, seeded with each member over zero
-        self._quotients: dict[tuple[str, str], HilbertStats] = {
-            (zero_id, i): m.stats for i, m in members.items() if i != zero_id
-        }
+        self._quotients: dict[tuple[str, str], HilbertStats] = {}  # quotient_poly's memo
 
     # -- access -----------------------------------------------------------
 
@@ -149,16 +204,6 @@ class SubobjectLattice:
     def leq(self, sub: str, sup: str) -> bool:
         return sub == sup or self.lt(sub, sup)
 
-    def structurally_equal(self, other: SubobjectLattice) -> bool:
-        return (
-            self.dim == other.dim
-            and self.zero_id == other.zero_id
-            and self.top_id == other.top_id
-            and self._closure == other._closure
-            and {i: m.poly for i, m in self._members.items()}
-            == {i: m.poly for i, m in other._members.items()}
-        )
-
     def as_dict(self) -> dict:
         """JSON-ready description with the same semantics, for round-tripping:
         exponents and coefficients are strings, as in a lattice file."""
@@ -175,15 +220,6 @@ class SubobjectLattice:
         return f"SubobjectLattice(d={self.dim}, top={self.top_id!r}, members={len(self._members)})"
 
 
-def _check_quotient(quotient: RatPoly, sup: str, sub: str, dim: int) -> None:
-    """QuotientNotPure unless sup/sub looks pure: degree exactly dim, no
-    Laurent terms and a positive leading coefficient."""
-    if quotient.has_negative_exponents() or quotient.degree() != dim:
-        raise QuotientNotPure(f"quotient {sup!r}/{sub!r} must have degree exactly {dim}")
-    if quotient.leading_coeff() <= 0:
-        raise QuotientNotPure(f"quotient {sup!r}/{sub!r} has nonpositive leading coefficient")
-
-
 def build_lattice(
     dim: int,
     polys: Mapping[str, RatPoly | Mapping],
@@ -194,21 +230,22 @@ def build_lattice(
     relations lists declared strict inclusions (sub, super); inclusions of
     the zero object and into the ambient object are implicit.
 
-    Each nonzero member is checked for purity once; its statistics give
-    the ranks and the top.  Edges are checked for rank growth only, on the
-    lattice's integer table: the quotient along a path is the sum of the
-    quotients along its edges, so ranks grow on every closure pair, and a
-    pure member over a pure member of smaller rank leaves a pure quotient,
-    so that check could not fail.  The pair named in a RankNotIncreasing
+    Every check runs on the parsed integers, in the order of the module
+    docstring: each nonzero member is checked for purity once, the
+    integer table then gives the top, and edges are checked for rank
+    growth only.  The quotient along a path is the sum of the quotients
+    along its edges, so ranks grow on every closure pair, and a pure
+    member over a pure member of smaller rank leaves a pure quotient, so
+    that check could not fail.  The pair named in a RankNotIncreasing
     error is the first failing edge in sorted order.
     """
     if dim < 0:
         raise ParseError(f"dimension must be nonnegative, got {dim}")
-    coerced = {str(i): _coerce_poly(p) for i, p in polys.items()}
-    if not coerced:
+    parsed = {str(i): _parse_terms(str(i), p) for i, p in polys.items()}
+    if not parsed:
         raise MissingTopOrZero("lattice has no members")
 
-    zero_ids = [i for i, p in coerced.items() if p.is_zero()]
+    zero_ids = [i for i, terms in parsed.items() if not terms]
     if len(zero_ids) != 1:
         raise MissingTopOrZero(
             f"expected exactly one zero member, found {len(zero_ids)}"
@@ -220,27 +257,31 @@ def build_lattice(
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ParseError(f"relation {pair!r} is not a [sub, super] pair")
         sub, sup = str(pair[0]), str(pair[1])
-        if sub not in coerced or sup not in coerced:
+        if sub not in parsed or sup not in parsed:
             raise ParseError(f"relation {pair!r} references an unknown member")
         if sub == sup:
             raise CycleInRelation(f"member {sub!r} declared strictly inside itself")
         declared.add((sub, sup))
 
-    # Each member is its own quotient by zero: check it, then read its
-    # statistics, which give the ranks below.
-    nonzero = sorted(i for i in coerced if i != zero_id)
+    # Each member is its own quotient by zero, which must look pure: degree
+    # exactly dim, no Laurent terms and a positive leading coefficient.
+    nonzero = sorted(i for i in parsed if i != zero_id)
     if not nonzero:
         raise MissingTopOrZero("lattice has no nonzero member")
-    stats: dict[str, HilbertStats] = {}
     for i in nonzero:
-        _check_quotient(coerced[i], i, zero_id, dim)
-        stats[i] = hilbert_stats(coerced[i], dim)
+        terms = parsed[i]
+        if min(terms) < 0 or max(terms) != dim:
+            raise QuotientNotPure(f"quotient {i!r}/{zero_id!r} must have degree exactly {dim}")
+        if terms[dim][0] <= 0:
+            raise QuotientNotPure(f"quotient {i!r}/{zero_id!r} has nonpositive leading coefficient")
+    denominator, numerators = integer_table(dim, parsed)
 
     # The ambient object is the member of maximal rank (every proper
-    # saturated subobject has strictly smaller rank); a rank tie is broken
-    # against members declared inside something else.
-    top_rank = max(stats[i].rank for i in nonzero)
-    top_ids = [i for i in nonzero if stats[i].rank == top_rank]
+    # saturated subobject has strictly smaller rank), read off the table's
+    # top entries; a rank tie is broken against members declared inside
+    # something else.
+    top_entry = max(numerators[i][dim] for i in nonzero)
+    top_ids = [i for i in nonzero if numerators[i][dim] == top_entry]
     if len(top_ids) > 1:
         declared_subs = {sub for sub, _ in declared}
         top_ids = [i for i in top_ids if i not in declared_subs]
@@ -251,7 +292,7 @@ def build_lattice(
     top_id = top_ids[0]
 
     edges = set(declared)
-    for i in coerced:
+    for i in parsed:
         if i != zero_id:
             edges.add((zero_id, i))
         if i not in (top_id, zero_id):
@@ -259,8 +300,8 @@ def build_lattice(
 
     # Closure over a topological order (Kahn's algorithm): the strict up-set
     # of a member is its successors and their up-sets.
-    succ: dict[str, list[str]] = {n: [] for n in coerced}
-    indegree = dict.fromkeys(coerced, 0)
+    succ: dict[str, list[str]] = {n: [] for n in parsed}
+    indegree = dict.fromkeys(parsed, 0)
     for a, b in edges:
         succ[a].append(b)
         indegree[b] += 1
@@ -270,31 +311,29 @@ def build_lattice(
             indegree[nxt] -= 1
             if not indegree[nxt]:
                 order.append(nxt)
-    if len(order) < len(coerced):
+    if len(order) < len(parsed):
         raise CycleInRelation("declared inclusions contain a cycle")
     above: dict[str, set[str]] = {}
     for node in reversed(order):
         above[node] = set(succ[node]).union(*(above[nxt] for nxt in succ[node]))
     closure = {(sub, sup) for sub, ups in above.items() for sup in ups}
 
-    members = {i: ObjectClass(id=i, poly=p, stats=stats.get(i)) for i, p in coerced.items()}
-    lat = SubobjectLattice(dim, members, zero_id, top_id, frozenset(closure))
-
-    # Rank growth compares the integer table's top entries; an edge into
-    # zero would have closed a cycle above.  The error names the first
-    # failing edge in sorted order.
-    numerators = lat.numerators
+    # Rank growth compares the table's top entries; an edge into zero would
+    # have closed a cycle above.  The error names the first failing edge in
+    # sorted order, with the two ranks d! * N[d] / D.
     failing = [
         (sub, sup) for sub, sup in edges
         if sub != zero_id and numerators[sub][dim] >= numerators[sup][dim]
     ]
     if failing:
         sub, sup = min(failing)
-        raise RankNotIncreasing(
-            f"rank must grow strictly along {sub!r} < {sup!r}: "
-            f"{stats[sub].rank} >= {stats[sup].rank}"
+        rank_sub, rank_sup = (
+            Fraction(numerators[i][dim] * factorial(dim), denominator) for i in (sub, sup)
         )
-    return lat
+        raise RankNotIncreasing(
+            f"rank must grow strictly along {sub!r} < {sup!r}: {rank_sub} >= {rank_sup}"
+        )
+    return SubobjectLattice(dim, denominator, numerators, zero_id, top_id, frozenset(closure))
 
 
 def validate_lattice(raw: Mapping) -> SubobjectLattice:
@@ -353,18 +392,21 @@ class UnweightedFiltration:
     def __len__(self) -> int:
         return len(self.chain)
 
-    def is_trivial(self) -> bool:
-        return len(self.chain) == 1
-
 
 def quotient_poly(lat: SubobjectLattice, sub: str, sup: str) -> HilbertStats:
     """Statistics of sup/sub; requires sub strictly inside sup.  Computed
-    once per lattice and pair, and kept on the lattice."""
+    once per lattice and pair, from the difference of the two rows, and
+    kept on the lattice; over zero they are the member's own statistics."""
     if (sub, sup) not in lat._quotients:
         if not lat.lt(sub, sup):
             raise NotComparable(f"{sub!r} is not strictly contained in {sup!r}")
-        quotient = lat.member(sup).poly - lat.member(sub).poly
-        lat._quotients[sub, sup] = hilbert_stats(quotient, lat.dim)
+        if sub == lat.zero_id:
+            stats = lat.member(sup).stats
+        else:
+            rows = lat.numerators
+            quotient = _row_poly(map(operator.sub, rows[sup], rows[sub]), lat.denominator)
+            stats = hilbert_stats(quotient, lat.dim)
+        lat._quotients[sub, sup] = stats
     return lat._quotients[sub, sup]
 
 

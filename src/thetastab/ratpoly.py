@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, getcontext, localcontext
 from fractions import Fraction
 from functools import cached_property, total_ordering
-from math import factorial, isfinite, log10, prod
+from math import factorial, gcd, isfinite, log10
 from typing import Mapping, Sequence, Union
 
 from .errors import DegreeMismatch, NonpositiveRank, ParseError
@@ -48,20 +48,34 @@ LESS, EQUAL, GREATER = -1, 0, 1
 _RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
 
-def as_fraction(value: RationalLike) -> Fraction:
-    """The one rational grammar: a Fraction, a plain int (not a bool), or a
+def as_ratio(value: RationalLike) -> tuple[int, int]:
+    """The one rational grammar, read into a numerator and a positive
+    denominator in lowest terms: a Fraction, a plain int (not a bool), or a
     "p/q" or "p" string of ASCII digits (blanks around allowed).  Floats,
-    exponent forms, inf/nan and underscores are ParseErrors."""
+    exponent forms, inf/nan and underscores are ParseErrors.  Exact types
+    are tested first, so a literal of a lattice file builds no Fraction."""
+    kind = type(value)
+    if kind is int:
+        return value, 1
+    if kind is Fraction or kind is not str and isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    if isinstance(value, str) and (match := _RATIONAL.fullmatch(value)):
+        try:  # over Python's int digit limit
+            num, den = int(match[1]), int(match[2] or 1)
+        except ValueError as exc:
+            raise ParseError(f"bad rational literal {value!r}") from exc
+        if den:
+            common = gcd(num, den)
+            return num // common, den // common
+    raise ParseError(f"bad rational literal {value!r}")
+
+
+def as_fraction(value: RationalLike) -> Fraction:
+    """as_ratio's grammar, read into a Fraction; a Fraction is returned
+    as it is."""
     if isinstance(value, Fraction):
         return value
-    if type(value) is int:
-        return Fraction(value)
-    if isinstance(value, str) and (match := _RATIONAL.fullmatch(value)):
-        try:
-            return Fraction(int(match[1]), int(match[2] or 1))
-        except (ValueError, ZeroDivisionError) as exc:  # zero denominator, digit limit
-            raise ParseError(f"bad rational literal {value!r}") from exc
-    raise ParseError(f"bad rational literal {value!r}")
+    return Fraction(*as_ratio(value))
 
 
 _INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
@@ -249,7 +263,7 @@ def hilbert_stats(poly: RatPoly, d: int) -> HilbertStats:
         raise DegreeMismatch("Laurent terms are not allowed in Hilbert polynomials")
     if poly.degree() != d:
         raise DegreeMismatch(f"expected degree {d}, got degree {poly.degree()}")
-    rank = poly._coeffs[d] * prod(range(2, d + 1))  # d!, one running product
+    rank = poly._coeffs[d] * factorial(d)
     if rank <= 0:
         raise NonpositiveRank(f"leading Hilbert coefficient a_{d} = {rank} is not positive")
     return HilbertStats(poly=poly, rank=rank)

@@ -20,6 +20,8 @@ from thetastab import (
 )
 from thetastab.errors import InvalidHN, ObjectSemistable
 
+from reference_lattice import is_trivial
+
 
 def slopes(stats: HilbertStats) -> tuple[Fraction, ...]:
     """slopes[i] = a_i / a_d for 0 <= i <= d-1, with P(n) = sum_k a_k n^k / k!."""
@@ -32,7 +34,7 @@ def slopes(stats: HilbertStats) -> tuple[Fraction, ...]:
 
 def leading_term(hn: UnweightedFiltration) -> LeadingTermData:
     """Merge HN steps with equal leading slope, attach canonical weights."""
-    if hn.is_trivial():
+    if is_trivial(hn):
         raise ObjectSemistable("trivial HN chain has no leading term filtration")
     lat = hn.lattice
     graded_slopes = [slopes(g) for g in hn.gradeds]

@@ -520,6 +520,10 @@ class TestMalformedInput:
             ("check", _lattice_doc(dimension=1.5), []),
             ("check", _lattice_doc(dimension=True), []),
             ("check", _lattice_doc(dimension="1"), []),
+            ("check", _lattice_doc(objects=[
+                {"id": "0", "hilbert": {}},
+                {"id": "F", "hilbert": {"1": "1", "0": "3", "00": "5"}},
+            ]), []),
             ("pair-check", None, ["--delta", "n^" + "9" * 5000]),
             ("pair-check", None, ["--delta", "n^\u0661"]),
             ("nu", None, ["--chain", "F", "--weights", "1_0"]),
@@ -549,7 +553,7 @@ class TestMalformedInput:
             "float", "json-infinity", "json-nan", "bool", "exponent-string",
             "inf-string", "nan-string", "underscore", "decimal-string",
             "integer-over-digit-limit", "sweep-decimal",
-            "dimension-float", "dimension-bool", "dimension-string",
+            "dimension-float", "dimension-bool", "dimension-string", "repeated-exponent",
             "delta-exponent-over-digit-limit", "delta-exponent-non-ascii-digit",
             "weights-underscore",
             "weights-double-dash", "chain-double-dash", "nu-delta-double-dash",

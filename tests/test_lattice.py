@@ -12,6 +12,7 @@ import thetastab.lattice as lattice_mod
 import thetastab.ratpoly as ratpoly_mod
 from conftest import FIXTURES, coordinate_lattice
 from randgen import random_coordinate_lattice, random_graded_poly
+from reference_lattice import structurally_equal
 from thetastab import (
     PairObject,
     RatPoly,
@@ -96,6 +97,8 @@ class TestValidateLattice:
             {"1": True, "0": 3},
             {1.0: 1, "0": 3},
             {True: 1, "0": 3},
+            {"1": "1", "0": "3", "00": "5"},
+            {"1": "1", " 1": "1", "0": "3"},
         ],
         ids=[
             "float-coefficient",
@@ -104,6 +107,8 @@ class TestValidateLattice:
             "bool-coefficient",
             "float-exponent",
             "bool-exponent",
+            "repeated-exponent",
+            "repeated-exponent-blank",
         ],
     )
     def test_rational_grammar(self, hilbert):
@@ -168,7 +173,7 @@ class TestValidateLattice:
         }
         lat = validate_lattice(raw)
         again = validate_lattice(lat.as_dict())
-        assert lat.structurally_equal(again)
+        assert structurally_equal(lat, again)
 
 
 class TestQuotientPoly:
@@ -326,18 +331,67 @@ def _outcome(build, description):
 
 PAIR_ERRORS = (RankNotIncreasing, QuotientNotPure)
 
+PARSE_OUTCOMES = ("ParseError", "QuotientNotPure", "RankNotIncreasing")
+BAD_COEFFICIENTS = ["1.5", "1e3", 1.5, True, "1_0", "inf", "nan", "", "1/0", "2/-3", "+-1", "\u0661", None, [1]]
+BAD_EXPONENTS = ["x", "1.0", "", "1_0", 2.5, "\u0661"]
+
+
+def _exponent_form(rng: random.Random, e: int):
+    """e as a raw description may write it: an int, or a string with blanks
+    around, a sign or leading zeros."""
+    sign = "-" if e < 0 else rng.choice(("", "+"))
+    return rng.choice((e, str(e), f" {e}", f"{e} ", f"{sign}0{abs(e)}"))
+
+
+def _coefficient_form(rng: random.Random, c: Fraction):
+    """c as a raw description may write it: an int when it is one, a
+    Fraction, or a "p/q" string with a sign, blanks and a common factor."""
+    forms = [c, f"{c.numerator}/{c.denominator}"]
+    if c.denominator == 1:
+        forms += [c.numerator, str(c.numerator)]
+    k = rng.randint(1, 3)
+    sign = "-" if c < 0 else rng.choice(("", "+"))
+    text = f"{sign}{abs(c.numerator) * k}" + ("" if c.denominator * k == 1 else f"/{c.denominator * k}")
+    forms.append(rng.choice(("", " ", "\t")) + text + rng.choice(("", " ")))
+    return rng.choice(forms)
+
+
+def _literal_description(rng: random.Random):
+    """_random_description with its polynomials written as raw maps of
+    literal forms, zero terms among them now and then; now and then a bad
+    coefficient or exponent, an exponent written twice, or a member that
+    is not a map."""
+    d, polys, relations = _random_description(rng)
+    raw = {}
+    for name, poly in polys.items():
+        terms = {_exponent_form(rng, e): _coefficient_form(rng, c) for e, c in poly.items()}
+        if rng.random() < 0.2:
+            e = rng.choice([e for e in range(-1, d + 2) if e not in poly._coeffs])
+            terms[str(e)] = rng.choice((0, "0", "-0/3", Fraction(0)))
+        raw[name] = terms
+    member = rng.choice(sorted(raw))
+    flaw = rng.randrange(8)
+    if flaw == 1:
+        raw[member][rng.choice(("0", "1", "2"))] = rng.choice(BAD_COEFFICIENTS)
+    elif flaw == 2:
+        raw[member][rng.choice(BAD_EXPONENTS)] = "1"
+    elif flaw == 3 and polys[member]._coeffs:
+        e = rng.choice(sorted(polys[member]._coeffs))
+        raw[member][f" 0{e}" if e >= 0 else f" {e}"] = rng.choice(("1", "0", 2))
+    elif flaw == 4:
+        raw[member] = rng.choice((["1", "2"], "n + 1", 3, None))
+    return d, raw, relations
+
+
+
 
 class TestEdgeValidation:
     """Purity is checked once per member and rank growth on the generating
     edges; tests/reference_lattice.py keeps the closure-wide check."""
 
     def test_quotient_checks_on_the_edges_of_a_128_member_lattice(self, monkeypatch):
-        checks, stats_calls, subtractions = [], [], []
-        check, stats, subtract = lattice_mod._check_quotient, lattice_mod.hilbert_stats, RatPoly.__sub__
-
-        def counting_check(quotient, sup, sub, dim):
-            checks.append((sub, sup))
-            return check(quotient, sup, sub, dim)
+        stats_calls, subtractions, parsed = [], [], []
+        stats, subtract, parse = lattice_mod.hilbert_stats, RatPoly.__sub__, lattice_mod._parse_terms
 
         def counting_stats(poly, d):
             stats_calls.append(poly)
@@ -347,15 +401,24 @@ class TestEdgeValidation:
             subtractions.append((self, other))
             return subtract(self, other)
 
-        monkeypatch.setattr(lattice_mod, "_check_quotient", counting_check)
+        def counting_parse(member, value):
+            parsed.append(member)
+            return parse(member, value)
+
         monkeypatch.setattr(lattice_mod, "hilbert_stats", counting_stats)
         monkeypatch.setattr(RatPoly, "__sub__", counting_sub)
+        monkeypatch.setattr(lattice_mod, "_parse_terms", counting_parse)
         lat = coordinate_lattice({f"L{i}": (i * 7) % 5 - 2 + i for i in range(7)})
-        # one check and one hilbert_stats per nonzero member, none on the
-        # 441 declared covers, the 119 member -> top edges or the 2059
-        # pairs of the closure
-        assert len(lat.ids()) == 128 and len(checks) == 127
-        assert sorted(checks) == [("0", i) for i in lat.nonzero_ids()]
+        # each member is read once, and the checks run on the integer table:
+        # no quotient and no statistics on the 441 declared covers, the 119
+        # member -> top edges or the 2059 pairs of the closure, and none per
+        # member
+        assert len(lat.ids()) == 128 and sorted(parsed) == sorted(lat.ids())
+        assert stats_calls == [] and subtractions == []
+        # a member's statistics are built from its row on first use, once
+        for _ in range(2):
+            for i in lat.nonzero_ids():
+                assert lat.member(i).stats.poly == lat.member(i).poly
         assert stats_calls == [lat.member(i).poly for i in lat.nonzero_ids()]
         assert subtractions == []
 
@@ -368,7 +431,7 @@ class TestEdgeValidation:
             got = _outcome(lattice_mod.build_lattice, description)
             if isinstance(expected, SubobjectLattice):
                 assert isinstance(got, SubobjectLattice), (description, got)
-                assert got.structurally_equal(expected)
+                assert structurally_equal(got, expected)
                 seen["accepted"] += 1
             elif isinstance(expected, PAIR_ERRORS):
                 assert isinstance(got, PAIR_ERRORS), (description, expected, got)
@@ -376,6 +439,47 @@ class TestEdgeValidation:
             else:
                 assert type(got) is type(expected), (description, expected, got)
         assert min(seen.values()) >= 20, seen
+
+    def test_same_errors_and_tables_on_literal_forms(self):
+        # literals written with signs, blanks, common factors, ints and
+        # Fractions, and bad ones, against the reference's Fraction parser:
+        # the same error class and message (a RankNotIncreasing may name
+        # another pair), or lattices with the same table and members
+        rng = random.Random(20261019)
+        seen = {"accepted": 0, **dict.fromkeys(PARSE_OUTCOMES, 0)}
+        for _ in range(600):
+            description = _literal_description(rng)
+            expected = _outcome(reference_lattice.build_lattice, description)
+            got = _outcome(lattice_mod.build_lattice, description)
+            if isinstance(expected, SubobjectLattice):
+                assert isinstance(got, SubobjectLattice), (description, got)
+                assert structurally_equal(got, expected)
+                assert (got.denominator, got.numerators) == (expected.denominator, expected.numerators)
+                for i in expected.ids():
+                    assert got.member(i).poly == expected.member(i).poly
+                    assert got.member(i).rank == expected.member(i).rank
+                seen["accepted"] += 1
+                continue
+            assert type(got) is type(expected), (description, expected, got)
+            if not isinstance(expected, RankNotIncreasing):
+                assert str(got) == str(expected), description
+            name = type(expected).__name__
+            seen[name] = seen.get(name, 0) + 1
+        assert min(seen[k] for k in ("accepted", *PARSE_OUTCOMES)) >= 20, seen
+
+    def test_repeated_exponent_is_a_parse_error(self):
+        for hilbert, exponent in [
+            ({"1": "1", "0": "3", "00": "5"}, 0),
+            ({"1": "1", " 1": "1", "0": "3"}, 1),
+            ({1: "1", "+1": "0", "0": "3"}, 1),
+            ({"1": "1", "-1": "2", "-01": "2"}, -1),
+        ]:
+            with pytest.raises(ParseError) as failure:
+                validate_lattice({
+                    "dimension": 1,
+                    "objects": [{"id": "0", "hilbert": {}}, {"id": "F", "hilbert": hilbert}],
+                })
+            assert str(failure.value) == f"member 'F' names exponent {exponent} twice"
 
     def test_only_a_non_edge_pair_fails_first(self, capsys, tmp_path):
         # A < B < C < F with ranks 2, 3, 1, 4: the closure check reports the
@@ -420,10 +524,16 @@ class TestEdgeValidation:
             return math.factorial(n)
 
         monkeypatch.setattr(ratpoly_mod, "factorial", counting)
+        monkeypatch.setattr(lattice_mod, "factorial", counting)
         d = 40
         lat = build_lattice(d, {"0": {}, "A": {d: 1}, "B": {d: 1, 3: 5}, "F": {d: 2, 0: 1}})
-        assert calls == []  # the ranks come from hilbert_stats' running factorial
+        assert calls == []  # the build reads ranks off the table's top entries
         assert lat.member("B").stats.reduced.coeff(3) == Fraction(5, math.factorial(d))
+        assert calls == [d]  # one factorial(d) per statistics build, none for i < d
+        rank = math.factorial(d)
+        assert lat.member("B").rank == rank and calls == [d]
+        assert [lat.member(i).rank for i in lat.nonzero_ids()] == [rank, rank, 2 * rank]
+        assert calls == [d, d, d]
 
 
 def _k4_lattice(d):
@@ -530,7 +640,7 @@ class TestClosureAndDocument:
         assert [(a, b) for a in ids for b in ids if lat.lt(a, b)] == [
             (a, b) for a in ids for b in ids if reference.lt(a, b)
         ]
-        assert lat.structurally_equal(reference)
+        assert structurally_equal(lat, reference)
 
     @pytest.mark.parametrize(
         "source", ["k7", *sorted(p.name for p in FIXTURES.glob("*.lattice"))]
@@ -541,7 +651,7 @@ class TestClosureAndDocument:
         else:
             lat, _ = load_lattice(FIXTURES / source)
         again = validate_lattice(json.loads(json.dumps(lat.as_dict())))
-        assert again.structurally_equal(lat)
+        assert structurally_equal(again, lat)
 
 
 class TestReducedOnDemand:
@@ -579,3 +689,81 @@ class TestReducedOnDemand:
         assert main([command, str(k7_file)]) == 0
         lat, _ = load_lattice(k7_file)
         assert computed == [lat.top.stats]
+
+
+class TestLoaderWork:
+    """A lattice file's literals are parsed once, into the integer table;
+    member statistics are built on first use, so the verdicts that read
+    the table alone build none, and no rank needs a factorial."""
+
+    @pytest.fixture
+    def k7_pair_file(self, tmp_path):
+        doc = coordinate_lattice(K7_TWISTS, 2).as_dict()
+        doc["pair"] = {"beta_image": "L0"}
+        path = tmp_path / "k7.lattice"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["check"], ["hn"], ["pair-check", "--delta", "1/2"], ["sweep", "--sweep-deltas=-1,0,1/2,2"]],
+        ids=["check", "hn", "pair-check", "sweep"],
+    )
+    def test_verdicts_parse_each_literal_once_and_build_no_member_statistics(
+        self, monkeypatch, capsys, k7_pair_file, argv
+    ):
+        import thetastab.cli as cli_mod
+
+        literals, stats_calls, loaded = [], [], []
+        as_ratio, stats, load = lattice_mod.as_ratio, lattice_mod.hilbert_stats, cli_mod.load_lattice
+
+        def counting_ratio(value):
+            literals.append(value)
+            return as_ratio(value)
+
+        def counting_stats(poly, d):
+            stats_calls.append(poly)
+            return stats(poly, d)
+
+        def recording_load(path):
+            loaded.append(load(path))
+            return loaded[-1]
+
+        monkeypatch.setattr(lattice_mod, "as_ratio", counting_ratio)
+        monkeypatch.setattr(lattice_mod, "hilbert_stats", counting_stats)
+        monkeypatch.setattr(cli_mod, "load_lattice", recording_load)
+        assert main([argv[0], str(k7_pair_file), *argv[1:]]) == 0
+        doc = json.loads(k7_pair_file.read_text())
+        written = [c for entry in doc["objects"] for c in entry["hilbert"].values()]
+        assert len(written) > 2 * 127 and sorted(literals) == sorted(written)
+        [(lat, _)] = loaded
+        built = [i for i in lat.ids() if {"poly", "stats"} & vars(lat.member(i)).keys()]
+        if argv[0] != "hn":
+            assert built == [] and stats_calls == []
+        else:  # the chain's graded pieces alone, the deepest being its member over zero
+            chain = hn_filtration(lat).chain
+            assert len(chain) > 1 and built == [chain[-1]] and len(stats_calls) == len(chain)
+
+    def test_check_at_dimension_1e5_reads_no_rank(self, monkeypatch, capsys, tmp_path):
+        d = 10**5
+        hilberts = {"A": {str(d): "1", "0": "3"}, "B": {str(d): "1", "1": "-2"}}
+        hilberts["F"] = {str(d): "2", "1": "-2", "0": "3"}
+        path = tmp_path / "d1e5.lattice"
+        path.write_text(json.dumps({
+            "dimension": d,
+            "objects": [{"id": "0", "hilbert": {}}]
+            + [{"id": i, "hilbert": h} for i, h in hilberts.items()],
+            "relations": [["A", "F"], ["B", "F"]],
+        }))
+        calls = []
+
+        def refused(*args):
+            calls.append(args)
+            raise AssertionError("no factorial or statistics expected")
+
+        for module in (lattice_mod, ratpoly_mod):
+            monkeypatch.setattr(module, "factorial", refused)
+            monkeypatch.setattr(module, "hilbert_stats", refused)
+        assert main(["check", str(path)]) == 0
+        assert capsys.readouterr().out == "unstable (witness: A)\n"
+        assert calls == []

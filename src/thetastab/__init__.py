@@ -23,7 +23,6 @@ from .invariant import (
     nu,
     nu_delta,
     polytope,
-    polytope_subset,
     weight_graded,
     weight_subobject,
 )
@@ -41,7 +40,7 @@ from .lattice import (
     quotient_poly,
     validate_lattice,
 )
-from .oracle import OracleResult, brute_force_max, enumerate_chains, iter_candidates
+from .oracle import OracleResult, brute_force_max, enumerate_chains
 from .pairs import PairCanonicalResult, pair_canonical, pair_semistable
 from .ratpoly import (
     EQUAL,

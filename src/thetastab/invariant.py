@@ -344,8 +344,3 @@ def polytope(f: UnweightedFiltration, i: int) -> Polytope2:
         stats = f.lattice.member(member_id).stats
         points.append((-stats.poly.coeff(i) * factorial(i), stats.rank))
     return Polytope2.hull(points)
-
-
-def polytope_subset(p: Polytope2, q: Polytope2) -> bool:
-    """True iff every vertex of p lies in q (exact halfplane tests)."""
-    return all(q.contains(v) for v in p.vertices)

@@ -43,9 +43,15 @@ strict growth holds on the whole transitive closure, and a failure names
 the first failing edge in sorted order.  Purity then follows for every
 quotient: when sub and sup are pure and rank(sub) < rank(sup), sup - sub
 has no Laurent terms and n^d coefficient (rank(sup) - rank(sub)) / d! > 0.
-The closure itself is built in one pass over a topological order of the
-edges (Kahn's algorithm), each member's up-set the union of its
-successors' up-sets; a member the order cannot place lies on a cycle.
+
+The order is kept as integer bitmasks, never as a set of pairs.  Kahn's
+algorithm puts the members in a topological order of the edges, and
+member k of that order owns bit k.  Each member's up-set mask, the members
+strictly above it, is the OR of its successors' bits and up-set masks,
+filled in reverse order; a member the order cannot place lies on a cycle.
+lt reads one bit, and down-set masks, the transpose, are built on first
+use: sub is covered by sup exactly when sub < sup and below[sup] &
+above[sub] == 0.
 
 No RatPoly or HilbertStats is built while loading: a member's polynomial
 and statistics (and so the d! of its rank) are built from its row on
@@ -158,10 +164,12 @@ class SubobjectLattice:
     """Validated finite poset of object classes; immutable after build.
 
     denominator and numerators are the integer table (see the module
-    docstring), taken as given; members are built on them.
+    docstring), taken as given; members are built on them.  The order is
+    taken as masks: member order[k] owns bit k, and above[m] is the mask of
+    the members strictly above m.
     """
 
-    def __init__(self, dim, denominator, numerators, zero_id, top_id, closure):
+    def __init__(self, dim, denominator, numerators, zero_id, top_id, order, above):
         self.dim: int = dim
         self.denominator: int = denominator
         self.numerators: dict[str, tuple[int, ...]] = numerators
@@ -170,11 +178,27 @@ class SubobjectLattice:
         }
         self.zero_id: str = zero_id
         self.top_id: str = top_id
-        self._closure: frozenset[tuple[str, str]] = closure
+        self._order: tuple[str, ...] = tuple(order)
+        self.bits: dict[str, int] = {m: 1 << k for k, m in enumerate(self._order)}
+        self.above: dict[str, int] = above
         self._ids = tuple(sorted(numerators))
         self._nonzero_ids = tuple(i for i in self._ids if i != zero_id)
         self._proper_nonzero_ids = tuple(i for i in self._nonzero_ids if i != top_id)
         self._quotients: dict[tuple[str, str], HilbertStats] = {}  # quotient_poly's memo
+
+    @cached_property
+    def below(self) -> dict[str, int]:
+        """Each member's mask of the members strictly below it: the
+        transpose of above."""
+        order = self._order
+        below = dict.fromkeys(order, 0)
+        for sub, mask in self.above.items():
+            bit = self.bits[sub]
+            while mask:
+                low = mask & -mask
+                below[order[low.bit_length() - 1]] |= bit
+                mask ^= low
+        return below
 
     # -- access -----------------------------------------------------------
 
@@ -198,22 +222,30 @@ class SubobjectLattice:
         return self._members[self.top_id]
 
     def lt(self, sub: str, sup: str) -> bool:
-        """Strict inclusion in the transitive closure."""
-        return (sub, sup) in self._closure
+        """Strict inclusion in the transitive closure; False for an unknown id."""
+        return self.above.get(sub, 0) & self.bits.get(sup, 0) != 0
 
     def leq(self, sub: str, sup: str) -> bool:
         return sub == sup or self.lt(sub, sup)
 
     def as_dict(self) -> dict:
         """JSON-ready description with the same semantics, for round-tripping:
-        exponents and coefficients are strings, as in a lattice file."""
+        exponents and coefficients are strings, as in a lattice file, and
+        the relations are the covers between nonzero members (inclusions of
+        zero are implicit)."""
+        below, above, bits = self.below, self.above, self.bits
         return {
             "dimension": self.dim,
             "objects": [
                 {"id": i, "hilbert": {str(e): str(c) for e, c in self._members[i].poly.items()}}
                 for i in self.ids()
             ],
-            "relations": [list(pair) for pair in sorted(self._closure)],
+            "relations": [
+                [sub, sup]
+                for sub in self._nonzero_ids
+                for sup in self._nonzero_ids
+                if above[sub] & bits[sup] and not below[sup] & above[sub]
+            ],
         }
 
     def __repr__(self) -> str:
@@ -252,7 +284,7 @@ def build_lattice(
         )
     zero_id = zero_ids[0]
 
-    declared: set[tuple[str, str]] = set()
+    declared: list[tuple[str, str]] = []
     for pair in relations:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ParseError(f"relation {pair!r} is not a [sub, super] pair")
@@ -261,7 +293,7 @@ def build_lattice(
             raise ParseError(f"relation {pair!r} references an unknown member")
         if sub == sup:
             raise CycleInRelation(f"member {sub!r} declared strictly inside itself")
-        declared.add((sub, sup))
+        declared.append((sub, sup))
 
     # Each member is its own quotient by zero, which must look pure: degree
     # exactly dim, no Laurent terms and a positive leading coefficient.
@@ -291,20 +323,21 @@ def build_lattice(
         )
     top_id = top_ids[0]
 
-    edges = set(declared)
-    for i in parsed:
-        if i != zero_id:
-            edges.add((zero_id, i))
-        if i not in (top_id, zero_id):
-            edges.add((i, top_id))
-
-    # Closure over a topological order (Kahn's algorithm): the strict up-set
-    # of a member is its successors and their up-sets.
+    # Kahn's algorithm over the generating edges (the declared inclusions,
+    # zero -> each nonzero member, each other member -> top) gives the
+    # order whose positions are the bits; a member's up-set mask is its
+    # successors' bits and up-set masks.
     succ: dict[str, list[str]] = {n: [] for n in parsed}
+    for sub, sup in declared:
+        succ[sub].append(sup)
+    succ[zero_id].extend(nonzero)
+    for i in nonzero:
+        if i != top_id:
+            succ[i].append(top_id)
     indegree = dict.fromkeys(parsed, 0)
-    for a, b in edges:
-        succ[a].append(b)
-        indegree[b] += 1
+    for targets in succ.values():
+        for nxt in targets:
+            indegree[nxt] += 1
     order = [n for n, k in indegree.items() if k == 0]
     for node in order:  # grows while it is read
         for nxt in succ[node]:
@@ -313,18 +346,23 @@ def build_lattice(
                 order.append(nxt)
     if len(order) < len(parsed):
         raise CycleInRelation("declared inclusions contain a cycle")
-    above: dict[str, set[str]] = {}
+    bits = {n: 1 << k for k, n in enumerate(order)}
+    above: dict[str, int] = {}
     for node in reversed(order):
-        above[node] = set(succ[node]).union(*(above[nxt] for nxt in succ[node]))
-    closure = {(sub, sup) for sub, ups in above.items() for sup in ups}
+        mask = 0
+        for nxt in succ[node]:
+            mask |= bits[nxt] | above[nxt]
+        above[node] = mask
 
     # Rank growth compares the table's top entries; an edge into zero would
-    # have closed a cycle above.  The error names the first failing edge in
-    # sorted order, with the two ranks d! * N[d] / D.
+    # have closed a cycle above, and zero's own edges cannot fail.  The
+    # error names the first failing edge in sorted order, with the two
+    # ranks d! * N[d] / D.
     failing = [
-        (sub, sup) for sub, sup in edges
+        (sub, sup) for sub, sup in declared
         if sub != zero_id and numerators[sub][dim] >= numerators[sup][dim]
     ]
+    failing += [(i, top_id) for i in nonzero if i != top_id and numerators[i][dim] >= top_entry]
     if failing:
         sub, sup = min(failing)
         rank_sub, rank_sup = (
@@ -333,7 +371,7 @@ def build_lattice(
         raise RankNotIncreasing(
             f"rank must grow strictly along {sub!r} < {sup!r}: {rank_sub} >= {rank_sup}"
         )
-    return SubobjectLattice(dim, denominator, numerators, zero_id, top_id, frozenset(closure))
+    return SubobjectLattice(dim, denominator, numerators, zero_id, top_id, order, above)
 
 
 def validate_lattice(raw: Mapping) -> SubobjectLattice:

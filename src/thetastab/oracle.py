@@ -10,8 +10,7 @@ coefficients per exponent of n, next to its ranks and pivot; a
 candidate's norm b = sum rank * w^2 and numerator coefficients are dot
 products of its weights with those rows, and it is compared with the
 incumbent by ratpoly.terms_compare, the rule nu_compare applies to
-NuValues.  A NuValue is built only for the result (and, in iter_candidates,
-for each candidate a caller asks to see).
+NuValues.  A NuValue is built only for the result.
 
 Since nu is scale invariant, proportional weight vectors represent the same
 candidate; the argmax is always reported in primitive form (weights divided
@@ -55,8 +54,8 @@ class OracleResult:
 
 def _below(lat: SubobjectLattice) -> dict[str, list[str]]:
     """Sorted nonzero members strictly below each nonzero member."""
-    nonzero = lat.nonzero_ids()
-    return {sup: [sub for sub in nonzero if lat.lt(sub, sup)] for sup in nonzero}
+    nonzero, below, bits = lat.nonzero_ids(), lat.below, lat.bits
+    return {sup: [sub for sub in nonzero if below[sup] & bits[sub]] for sup in nonzero}
 
 
 def _walk(
@@ -94,9 +93,9 @@ def saturated_chains(lat: SubobjectLattice) -> list[UnweightedFiltration]:
     object, is a cover (no member lies strictly between its ends), in the
     same order: the walk follows covers only and keeps the chains whose
     deepest member has nothing nonzero below it."""
-    below = _below(lat)
-    covers = {
-        sup: [sub for sub in subs if not any(lat.lt(sub, m) for m in subs)]
+    below, down, up = _below(lat), lat.below, lat.above
+    covers = {  # nothing lies strictly above sub and strictly below sup
+        sup: [sub for sub in subs if not down[sup] & up[sub]]
         for sup, subs in below.items()
     }
     return [c for c in _walk(lat, covers) if not below[c.chain[-1]]]
@@ -119,13 +118,15 @@ def candidate_count(lat: SubobjectLattice, pair: PairObject | None = None, bound
     beta = pair.beta_image if pair is not None else None
     # shapes[m]: the chains top > ... > m, counted by (length, members containing beta)
     shapes: dict[str, Counter] = {}
-    for member in sorted(lat.nonzero_ids(), key=lambda m: lat.member(m).rank, reverse=True):
+    rows, dim, bits = lat.numerators, lat.dim, lat.bits
+    for member in sorted(lat.nonzero_ids(), key=lambda m: rows[m][dim], reverse=True):
         inside = beta is not None and lat.leq(beta, member)
         shapes[member] = here = Counter()
         if member == lat.top_id:
             here[1, inside] = 1
+        up = lat.above[member]
         for sup, above in shapes.items():
-            if lat.lt(member, sup):
+            if up & bits[sup]:
                 for (length, containing), count in above.items():
                     here[length + 1, containing + inside] += count
     total = -1
@@ -167,18 +168,6 @@ def iter_terms(
             if b == 0:  # the trivial chain with weight 0
                 continue
             yield chain.chain, weights, {e: sum(map(mul, weights, col)) for e, col in table}, b
-
-
-def iter_candidates(
-    lat: SubobjectLattice,
-    pair: PairObject | None = None,
-    delta: RatPoly | None = None,
-    bound: int = 4,
-) -> Iterator[tuple[tuple[str, ...], tuple[int, ...], NuValue]]:
-    """Yield (chain ids, weights, value) over the candidates of iter_terms,
-    in its order."""
-    for chain, weights, terms, b in iter_terms(lat, pair, delta, bound):
-        yield chain, weights, NuValue(RatPoly(terms), b)
 
 
 def brute_force_max(

@@ -53,10 +53,16 @@ def as_ratio(value: RationalLike) -> tuple[int, int]:
     denominator in lowest terms: a Fraction, a plain int (not a bool), or a
     "p/q" or "p" string of ASCII digits (blanks around allowed).  Floats,
     exponent forms, inf/nan and underscores are ParseErrors.  Exact types
-    are tested first, so a literal of a lattice file builds no Fraction."""
+    are tested first, so a literal of a lattice file builds no Fraction,
+    and a plain string of ASCII digits is read without the regex."""
     kind = type(value)
     if kind is int:
         return value, 1
+    if kind is str and value.isascii() and value.isdigit():
+        try:
+            return int(value), 1
+        except ValueError:  # over Python's int digit limit: the regex path says so
+            pass
     if kind is Fraction or kind is not str and isinstance(value, Fraction):
         return value.numerator, value.denominator
     if isinstance(value, str) and (match := _RATIONAL.fullmatch(value)):
@@ -84,10 +90,15 @@ _INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
 def as_integer(value: int | str, what: str = "integer literal") -> int:
     """The one integer grammar: a plain int (not a bool) or a string of
     ASCII digits with an optional sign, blanks around allowed; anything
-    else is a ParseError."""
-    if type(value) is int or isinstance(value, str) and _INTEGER.fullmatch(value):
-        with suppress(ValueError):  # a digit string over Python's int digit limit
+    else is a ParseError.  A plain string of ASCII digits is read without
+    the regex."""
+    try:
+        if type(value) is int or isinstance(value, str) and (
+            value.isascii() and value.isdigit() or _INTEGER.fullmatch(value)
+        ):
             return int(value)
+    except ValueError:  # a digit string over Python's int digit limit
+        pass
     raise ParseError(f"bad {what} {value!r}")
 
 

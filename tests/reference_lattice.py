@@ -12,6 +12,10 @@ error may name another pair, the first failing closure pair rather than
 the first failing edge.  It forms the integer table of the lattice it
 returns with thetastab.lattice.integer_table, the one way to form it.
 
+It keeps the closure as a set of pairs, dfs_closure's, and hands the
+lattice the masks read off it, member k of the sorted ids owning bit k.
+relation reads the set of pairs back off any lattice's masks.
+
 structurally_equal and is_trivial are helpers no code under src/ needs.
 """
 
@@ -75,13 +79,18 @@ def _check_quotient(quotient: RatPoly, sup: str, sub: str, dim: int) -> None:
         raise QuotientNotPure(f"quotient {sup!r}/{sub!r} has nonpositive leading coefficient")
 
 
+def relation(lat: SubobjectLattice) -> set[tuple[str, str]]:
+    """The strict inclusions (sub, sup), read off the up-set masks."""
+    return {(sub, sup) for sub in lat.ids() for sup in lat.ids() if lat.above[sub] & lat.bits[sup]}
+
+
 def structurally_equal(lat: SubobjectLattice, other: SubobjectLattice) -> bool:
     """Same dimension, zero, top, closure and member polynomials."""
     return (
         lat.dim == other.dim
         and lat.zero_id == other.zero_id
         and lat.top_id == other.top_id
-        and lat._closure == other._closure
+        and relation(lat) == relation(other)
         and {i: lat.member(i).poly for i in lat.ids()}
         == {i: other.member(i).poly for i in other.ids()}
     )
@@ -90,6 +99,26 @@ def structurally_equal(lat: SubobjectLattice, other: SubobjectLattice) -> bool:
 def is_trivial(f: UnweightedFiltration) -> bool:
     """The chain is the ambient object alone."""
     return len(f.chain) == 1
+
+
+def dfs_closure(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> set[tuple[str, str]]:
+    """The transitive closure of the edges, by a DFS from each node; member
+    counts are small.  A node on a cycle comes out above itself."""
+    succ: dict[str, set[str]] = {n: set() for n in nodes}
+    for a, b in edges:
+        succ[a].add(b)
+    closure: set[tuple[str, str]] = set()
+    for start in succ:
+        seen: set[str] = set()
+        stack = list(succ[start])
+        while stack:
+            node = stack.pop()
+            if node in seen:
+                continue
+            seen.add(node)
+            stack.extend(succ[node])
+        closure.update((start, t) for t in seen)
+    return closure
 
 
 def build_lattice(
@@ -156,21 +185,7 @@ def build_lattice(
         if i not in (top_id, zero_id):
             edges.add((i, top_id))
 
-    # Transitive closure by DFS from each node; member counts are small.
-    succ: dict[str, set[str]] = {n: set() for n in coerced}
-    for a, b in edges:
-        succ[a].add(b)
-    closure: set[tuple[str, str]] = set()
-    for start in coerced:
-        seen: set[str] = set()
-        stack = list(succ[start])
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.extend(succ[node])
-        closure.update((start, t) for t in seen)
+    closure = dfs_closure(coerced, edges)
     if any((n, n) in closure for n in coerced):
         raise CycleInRelation("declared inclusions contain a cycle")
 
@@ -188,4 +203,9 @@ def build_lattice(
         i: {e: (c.numerator, c.denominator) for e, c in p.items()} for i, p in coerced.items()
     }
     denominator, numerators = integer_table(dim, terms)
-    return SubobjectLattice(dim, denominator, numerators, zero_id, top_id, frozenset(closure))
+    order = sorted(coerced)
+    bits = {m: 1 << k for k, m in enumerate(order)}
+    above = dict.fromkeys(order, 0)
+    for sub, sup in closure:
+        above[sub] |= bits[sup]
+    return SubobjectLattice(dim, denominator, numerators, zero_id, top_id, order, above)

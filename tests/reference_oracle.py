@@ -6,6 +6,9 @@ candidate gets its own numerator polynomial <w, c> (invariant.dot) and
 NuValue, and the argmax compares whole NuValues with nu_compare, keeping
 the same tie-break (shorter chain, lexicographic chain ids, lexicographic
 primitive weights) and the same report of a nonpositive maximum.
+
+iter_candidates, formerly thetastab.oracle.iter_candidates, is the stream
+brute_force_max scores, each candidate's terms built into a NuValue.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from thetastab import (
     GREATER,
     NuValue,
     OracleResult,
+    RatPoly,
     contributions,
     enumerate_chains,
     make_filtration,
@@ -26,6 +30,14 @@ from thetastab import (
 )
 from thetastab.invariant import dot
 from thetastab.lattice import pair_pivot_index
+from thetastab.oracle import iter_terms
+
+
+def iter_candidates(lat, pair=None, delta=None, bound=4):
+    """Yield (chain ids, weights, value) over the candidates of
+    thetastab.oracle.iter_terms, in its order."""
+    for chain, weights, terms, b in iter_terms(lat, pair, delta, bound):
+        yield chain, weights, NuValue(RatPoly(terms), b)
 
 
 def scored_candidates(lat, pair, delta, bound):

@@ -26,7 +26,6 @@ from thetastab import (
     eventual_compare,
     hn_filtration,
     is_semistable,
-    iter_candidates,
     leading_term,
     make_chain,
     nu,
@@ -34,13 +33,14 @@ from thetastab import (
     pair_canonical,
     pair_semistable,
     polytope,
-    polytope_subset,
 )
 from thetastab.errors import AmbiguousHN, ObjectSemistable, Semistable
 
 from conftest import coordinate_lattice
 from randgen import random_coordinate_lattice, random_path_filtration, random_subposet_lattice
 from reference_high_degree import pair_canonical_high_degree
+from reference_oracle import iter_candidates
+from reference_polytope import polytope_subset
 
 
 def report(criterion: int, message: str) -> None:

@@ -18,7 +18,6 @@ from thetastab import (
     nu_compare,
     nu_delta,
     polytope,
-    polytope_subset,
     weight_graded,
     weight_subobject,
 )
@@ -26,6 +25,7 @@ from thetastab.canonical import hn_filtration
 from thetastab.errors import BadIndex, DegenerateFiltration
 
 from randgen import random_path_filtration
+from reference_polytope import polytope_subset
 
 
 def P(mapping):

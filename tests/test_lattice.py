@@ -11,7 +11,12 @@ import reference_lattice
 import thetastab.lattice as lattice_mod
 import thetastab.ratpoly as ratpoly_mod
 from conftest import FIXTURES, coordinate_lattice
-from randgen import random_coordinate_lattice, random_graded_poly
+from randgen import (
+    random_coordinate_lattice,
+    random_coprime_lattice,
+    random_graded_poly,
+    random_subposet_lattice,
+)
 from reference_lattice import structurally_equal
 from thetastab import (
     PairObject,
@@ -42,7 +47,8 @@ from thetastab.errors import (
 )
 from thetastab.cli import main
 from thetastab.latfile import load_lattice
-from thetastab.oracle import saturated_chains
+from thetastab import oracle
+from thetastab.oracle import brute_force_max, candidate_count, saturated_chains
 
 
 def P(mapping):
@@ -652,6 +658,148 @@ class TestClosureAndDocument:
             lat, _ = load_lattice(FIXTURES / source)
         again = validate_lattice(json.loads(json.dumps(lat.as_dict())))
         assert structurally_equal(again, lat)
+
+
+def _seeded_lattices(monkeypatch):
+    """(arm, lattice, description) over three arms: coordinate lattices
+    with k = 1..7 summands, 200 random_subposet_lattice draws and coprime
+    lattices with k = 1..5 summands; description is what build_lattice
+    was given."""
+    import conftest
+    import randgen
+
+    built = []
+
+    def recording(*description):
+        built.append((build_lattice(*description), description))
+        return built[-1][0]
+
+    monkeypatch.setattr(conftest, "build_lattice", recording)
+    monkeypatch.setattr(randgen, "build_lattice", recording)
+    rng = random.Random(20261019)
+    draws = [
+        ("coordinate", lambda k=k: coordinate_lattice(
+            {f"L{i}": rng.randint(-3, 3) for i in range(k)}, rng.randint(1, 2)))
+        for k in range(1, 8)
+    ]
+    draws += [
+        ("subposet", lambda: random_subposet_lattice(
+            rng, rng.randint(1, 5), rng.randint(1, 2), rng.random()))
+    ] * 200
+    draws += [
+        ("coprime", functools.partial(random_coprime_lattice, rng, k, 1 + k % 2))
+        for k in range(1, 6)
+    ]
+    lattices = []
+    for arm, draw in draws:
+        lat = draw()
+        assert built[-1][0] is lat
+        lattices.append((arm, lat, built[-1][1]))
+    return lattices
+
+
+def _dfs_closure(lat, description) -> set[tuple[str, str]]:
+    """tests/reference_lattice.py's DFS closure of the generating edges of
+    the description lat was built from."""
+    _, _, relations = description
+    edges = [(str(sub), str(sup)) for sub, sup in relations]
+    edges += [(lat.zero_id, i) for i in lat.nonzero_ids()]
+    edges += [(i, lat.top_id) for i in lat.proper_nonzero_ids()]
+    return reference_lattice.dfs_closure(lat.ids(), edges)
+
+
+def _covers(closure, ids) -> set[tuple[str, str]]:
+    """The pairs of the closure with nothing strictly between them."""
+    return {
+        (sub, sup) for sub, sup in closure
+        if not any((sub, m) in closure and (m, sup) in closure for m in ids)
+    }
+
+
+class TestMaskOrder:
+    """The bitmask order read four ways, each against the DFS closure of
+    tests/reference_lattice.py, on seeded lattices of three arms."""
+
+    @pytest.fixture(scope="class")
+    def lattices(self):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            lattices = _seeded_lattices(monkeypatch)
+        sizes = {arm: sorted(len(lat.ids()) for a, lat, _ in lattices if a == arm) for arm, _, _ in lattices}
+        assert sizes["coordinate"] == [2, 4, 8, 16, 32, 64, 128]
+        assert sizes["coprime"] == [2, 4, 8, 16, 32] and len(sizes["subposet"]) == 200
+        return [(arm, lat, _dfs_closure(lat, description)) for arm, lat, description in lattices]
+
+    def test_lt_and_leq_on_every_pair_and_on_unknown_ids(self, lattices):
+        for arm, lat, closure in lattices:
+            ids = lat.ids()
+            assert [(a, b) for a in ids for b in ids if lat.lt(a, b)] == sorted(closure), arm
+            assert [(a, b) for a in ids for b in ids if lat.leq(a, b)] == sorted(
+                closure | {(a, a) for a in ids}
+            ), arm
+            for a in (*ids, "unknown"):
+                assert not lat.lt(a, "unknown") and not lat.lt("unknown", a)
+                assert lat.leq(a, "unknown") == lat.leq("unknown", a) == (a == "unknown")
+
+    def test_strictly_below_lists(self, lattices):
+        for arm, lat, closure in lattices:
+            nonzero = lat.nonzero_ids()
+            assert oracle._below(lat) == {
+                sup: [sub for sub in nonzero if (sub, sup) in closure] for sup in nonzero
+            }, arm
+
+    def test_saturated_chains_follow_the_covers(self, lattices):
+        for arm, lat, closure in lattices:
+            nonzero, covers = set(lat.nonzero_ids()), _covers(closure, lat.ids())
+            expected, stack = [], [(lat.top_id,)]
+            while stack:
+                chain = stack.pop()
+                if (lat.zero_id, chain[-1]) in covers:
+                    expected.append(chain)
+                stack.extend(chain + (sub,) for sub, sup in covers if sup == chain[-1] and sub in nonzero)
+            assert [c.chain for c in saturated_chains(lat)] == sorted(expected), arm
+
+    def test_candidate_count_is_the_explored_count(self, lattices):
+        rng = random.Random(20261020)
+        cases = 0
+        for arm, lat, _ in lattices:
+            if len(lat.ids()) > 16:
+                continue
+            for beta in (None, rng.choice(lat.nonzero_ids())):
+                pair = None if beta is None else PairObject(lattice=lat, beta_image=beta)
+                for bound in (1, 2):
+                    explored = brute_force_max(lat, pair, None, bound).explored
+                    assert candidate_count(lat, pair, bound) == explored, (arm, lat, beta, bound)
+                    cases += 1
+        assert cases > 400
+
+    def test_as_dict_writes_the_covers_and_round_trips(self, lattices):
+        for arm, lat, closure in lattices:
+            doc = lat.as_dict()
+            ids = lat.ids()
+            assert doc["relations"] == [
+                [sub, sup] for sub, sup in sorted(_covers(closure, ids)) if sub != lat.zero_id
+            ], arm
+            again = validate_lattice(json.loads(json.dumps(doc)))
+            assert again.ids() == ids
+            assert [(a, b) for a in ids for b in ids if again.lt(a, b)] == sorted(closure), arm
+            assert (again.denominator, again.numerators) == (lat.denominator, lat.numerators)
+            assert (again.zero_id, again.top_id) == (lat.zero_id, lat.top_id)
+
+    def test_as_dict_writes_the_441_covers_of_the_k7_lattice(self, monkeypatch):
+        import conftest
+
+        descriptions = []
+
+        def recording(*description):
+            descriptions.append(description)
+            return build_lattice(*description)
+
+        monkeypatch.setattr(conftest, "build_lattice", recording)
+        relations = coordinate_lattice(K7_TWISTS, 2).as_dict()["relations"]
+        # the covers between nonzero members are the sub-sums one summand
+        # apart, the relations the coordinate lattice is declared with
+        assert len(relations) == 441
+        assert relations == sorted(list(pair) for pair in descriptions[0][2])
 
 
 class TestReducedOnDemand:

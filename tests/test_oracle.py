@@ -12,7 +12,6 @@ from thetastab import (
     brute_force_max,
     canonical_filtration,
     enumerate_chains,
-    iter_candidates,
     make_chain,
     nu,
     nu_compare,
@@ -23,7 +22,7 @@ from thetastab.oracle import candidate_count
 
 from conftest import FIXTURES, coordinate_lattice
 from randgen import random_delta, random_subposet_lattice
-from reference_oracle import reference_max, scored_candidates
+from reference_oracle import iter_candidates, reference_max, scored_candidates
 
 
 def P(mapping):

@@ -869,8 +869,7 @@ class TestFlatRegime:
         def fail(*args, **kwargs):
             raise AssertionError("pair_canonical must not call the oracle")
 
-        # iter_terms is where any brute_force_max or iter_candidates binding
-        # does its work
+        # iter_terms is where any brute_force_max binding does its work
         monkeypatch.setattr(oracle, "brute_force_max", fail)
         monkeypatch.setattr(oracle, "iter_terms", fail)
         assert pair_canonical(pair_b3, RatPoly.zero()).value.L.degree() == 0

@@ -19,7 +19,7 @@ from thetastab import (
     nu_compare,
 )
 from thetastab.errors import ParseError
-from thetastab.ratpoly import as_fraction
+from thetastab.ratpoly import as_fraction, as_integer, as_ratio
 
 import reference_leading_term
 
@@ -250,3 +250,61 @@ class TestRationalLiterals:
         expected = _outcome(_parent_as_fraction, text)
         got = _outcome(as_fraction, text)
         assert got == expected and type(got) is type(expected)
+
+
+_PARENT_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
+def _parent_as_integer(value, what="integer literal") -> int:
+    """as_integer as it stood before plain digit strings skipped the regex."""
+    if type(value) is int or isinstance(value, str) and _PARENT_INTEGER.fullmatch(value):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ParseError(f"bad {what} {value!r}")
+
+
+def _outcome_with_message(parse, value):
+    try:
+        return parse(value, "exponent")
+    except ParseError as exc:
+        return str(exc)
+
+
+class _Text(str):
+    pass
+
+
+class TestIntegerLiterals:
+    """as_integer reads plain ASCII digit strings without the regex and
+    every other value through it: the same integers and the same messages
+    as the regex alone; as_ratio's digit fast path gives the same pairs."""
+
+    @pytest.mark.parametrize("value", [
+        "0", "7", "007", "12345678901234567890", "", " ", "+", "-", "-0", "+3", " 7 ",
+        "\u20037", "1_0", "1.5", "1e3", "\u0661", "\u00b2", "x", "0x10", "--1",
+        OVER_DIGIT_LIMIT, "-" + OVER_DIGIT_LIMIT, " " + OVER_DIGIT_LIMIT,
+        _Text("12"), _Text(" 12"), _Text("\u0661"), 3, -3, 0, True, False, 1.0, None, b"1",
+    ])
+    def test_edge_literals(self, value):
+        expected = _outcome_with_message(_parent_as_integer, value)
+        got = _outcome_with_message(as_integer, value)
+        assert got == expected and type(got) is type(expected)
+        if isinstance(value, str) and OVER_DIGIT_LIMIT in value:
+            assert got == f"bad exponent {value!r}"
+
+    @given(st.text(alphabet=" \t+-0123456789_.e\u0661\u00b2", max_size=12))
+    def test_fuzzed_literals(self, text):
+        expected = _outcome_with_message(_parent_as_integer, text)
+        got = _outcome_with_message(as_integer, text)
+        assert got == expected and type(got) is type(expected)
+
+    @pytest.mark.parametrize("text", ["0", "00", "7", "0012", "\u0661", OVER_DIGIT_LIMIT])
+    def test_ratio_digit_strings(self, text):
+        expected = _outcome(_parent_as_fraction, text)
+        got = _outcome(as_ratio, text)
+        if expected is ParseError:
+            assert got is ParseError
+        else:
+            assert got == (expected.numerator, expected.denominator)

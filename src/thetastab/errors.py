@@ -74,10 +74,6 @@ class AmbiguousHN(StabilityError):
     """Two incomparable members tie during the greedy HN construction."""
 
 
-class InvalidHN(StabilityError):
-    """Greedy construction produced a chain violating strict decrease."""
-
-
 class ObjectSemistable(StabilityError):
     """No destabilizing filtration exists; the canonical one is undefined."""
 

@@ -31,29 +31,37 @@ SubobjectLattice takes it as given.
 build_lattice reads each member once: every exponent with
 ratpoly.as_integer, then every coefficient literal with ratpoly.as_ratio
 into an integer numerator and denominator, exact types first; an exponent
-named twice is a ParseError.  Then, in this order and on those integers:
-exactly one member is zero; the declared relations name members; each
-nonzero member, in sorted order, is pure as its own quotient by zero
-(degree exactly d, no Laurent term, N_G[d] > 0); the table is formed; the
-top is the member with the largest N_G[d] (a tie is broken against
-members declared inside another); the edges hold no cycle; and rank
-grows along each generating edge, the declared inclusions and the
-implicit member -> top ones.  Ranks add up along a path of edges, so
-strict growth holds on the whole transitive closure, and a failure names
-the first failing edge in sorted order.  Purity then follows for every
+named twice is a ParseError.  Each load keeps two memos, exponent string
+-> integer and coefficient string -> (numerator, denominator), so a
+literal of type str that repeats across members ("0", "1", "-1/2") is
+parsed once per load; other literals (ints, Fractions) are read each time
+and never share a memo entry with a string.  Nothing is kept across
+loads.  Then, in this order and on those integers: exactly one member is
+zero; the declared relations name members; each nonzero member, in
+sorted order, is pure as its own quotient by zero (degree exactly d, no
+Laurent term, N_G[d] > 0); the table is formed; the top is the member
+with the largest N_G[d] (a tie is broken against members declared inside
+another); and rank grows along each generating edge, the declared
+inclusions and the implicit member -> top ones.  Ranks add up along a
+path of edges, so strict growth holds on the whole transitive closure,
+and a failure names the first failing edge in sorted order, unless the
+edges hold a cycle, which is named first.  Purity then follows for every
 quotient: when sub and sup are pure and rank(sub) < rank(sup), sup - sub
 has no Laurent terms and n^d coefficient (rank(sup) - rank(sub)) / d! > 0.
 
-The order is kept as integer bitmasks, never as a set of pairs.  Kahn's
-algorithm puts the members in a topological order of the edges, and
-member k of that order owns bit k.  Each member's up-set mask, the members
-strictly above it, is the OR of its successors' bits and up-set masks,
-filled in reverse order; a member the order cannot place lies on a cycle.
-lt reads one bit, and down-set masks, the transpose, are built on first
-use: sub is covered by sup exactly when sub < sup and below[sup] &
-above[sub] == 0.
+The order is kept as integer bitmasks, never as a set of pairs.  Once
+rank grows along every edge, the members sorted by N_G[d] are a
+topological order of the edges (a cycle would need the rank to rise all
+the way around it), and member k of that order owns bit k.  Each member's
+up-set mask, the members strictly above it, is the OR of its successors'
+bits and up-set masks, filled in reverse order.  Kahn's algorithm runs
+only when some edge fails rank growth, to tell a cycle from a plain rank
+failure.  lt reads one bit, and down-set masks, the transpose, are built
+on first use: sub is covered by sup exactly when sub < sup and below[sup]
+& above[sub] == 0.
 
-No RatPoly or HilbertStats is built while loading: a member's polynomial
+No ObjectClass, RatPoly or HilbertStats is built while loading: member()
+builds a member's ObjectClass on first use, one per id, and its polynomial
 and statistics (and so the d! of its rank) are built from its row on
 first use and kept on the member, and a quotient's by quotient_poly:
 is_semistable and pair_semistable build none, and hn_filtration only its
@@ -124,25 +132,45 @@ def _row_poly(row: Iterable[int], denominator: int) -> RatPoly:
 Terms = dict[int, tuple[int, int]]
 
 
-def _parse_terms(member: str, value: RatPoly | Mapping) -> Terms:
+def _parse_terms(
+    member: str,
+    value: RatPoly | Mapping,
+    exponent_memo: dict[str, int],
+    ratio_memo: dict[str, tuple[int, int]],
+) -> Terms:
     """The terms of a RatPoly, or of an exponent -> coefficient map: its
     exponents as ratpoly.as_integer reads them, all before any coefficient,
-    then its coefficients as ratpoly.as_ratio reads them, each once.  An
-    exponent named twice, or a value that is neither, is a ParseError."""
+    then its coefficients as ratpoly.as_ratio reads them.  A literal of
+    type str is looked up in the memo first and added to it once read, so
+    each distinct string is parsed once per memo; any other literal is
+    read every time.  An exponent named twice, or a value that is neither,
+    is a ParseError."""
     if type(value) is not dict:
         if isinstance(value, RatPoly):
             return {e: (c.numerator, c.denominator) for e, c in value._coeffs.items()}
         if not isinstance(value, Mapping):
             raise ParseError(f"polynomial must be an exponent->coefficient map, got {value!r}")
-    exponents = [as_integer(exp, "exponent") for exp in value]
+    exponents = []
+    for exp in value:
+        if type(exp) is not str:
+            exponents.append(as_integer(exp, "exponent"))
+            continue
+        if exp not in exponent_memo:
+            exponent_memo[exp] = as_integer(exp, "exponent")
+        exponents.append(exponent_memo[exp])
     if len(set(exponents)) < len(exponents):
         repeated = next(e for k, e in enumerate(exponents) if e in exponents[:k])
         raise ParseError(f"member {member!r} names exponent {repeated} twice")
     terms: Terms = {}
     for exp, coeff in zip(exponents, value.values()):
-        num, den = as_ratio(coeff)
-        if num:
-            terms[exp] = num, den
+        if type(coeff) is not str:
+            ratio = as_ratio(coeff)
+        else:
+            if coeff not in ratio_memo:
+                ratio_memo[coeff] = as_ratio(coeff)
+            ratio = ratio_memo[coeff]
+        if ratio[0]:
+            terms[exp] = ratio
     return terms
 
 
@@ -173,9 +201,7 @@ class SubobjectLattice:
         self.dim: int = dim
         self.denominator: int = denominator
         self.numerators: dict[str, tuple[int, ...]] = numerators
-        self._members: dict[str, ObjectClass] = {
-            i: ObjectClass(i, row, denominator) for i, row in numerators.items()
-        }
+        self._members: dict[str, ObjectClass] = {}  # built by member() on first use
         self.zero_id: str = zero_id
         self.top_id: str = top_id
         self._order: tuple[str, ...] = tuple(order)
@@ -203,10 +229,14 @@ class SubobjectLattice:
     # -- access -----------------------------------------------------------
 
     def member(self, member_id: str) -> ObjectClass:
-        try:
-            return self._members[member_id]
-        except KeyError:
-            raise NotComparable(f"unknown lattice member {member_id!r}") from None
+        """The member's ObjectClass, one object per id, built on first use."""
+        member = self._members.get(member_id)
+        if member is None:
+            if member_id not in self.numerators:
+                raise NotComparable(f"unknown lattice member {member_id!r}")
+            row = self.numerators[member_id]
+            member = self._members[member_id] = ObjectClass(member_id, row, self.denominator)
+        return member
 
     def ids(self) -> tuple[str, ...]:
         return self._ids
@@ -219,7 +249,7 @@ class SubobjectLattice:
 
     @property
     def top(self) -> ObjectClass:
-        return self._members[self.top_id]
+        return self.member(self.top_id)
 
     def lt(self, sub: str, sup: str) -> bool:
         """Strict inclusion in the transitive closure; False for an unknown id."""
@@ -227,6 +257,11 @@ class SubobjectLattice:
 
     def leq(self, sub: str, sup: str) -> bool:
         return sub == sup or self.lt(sub, sup)
+
+    def at_or_above(self, sub: str) -> int:
+        """The mask of the members m with sub <= m: sub's up-set and its own
+        bit; 0 for an unknown id."""
+        return self.above.get(sub, 0) | self.bits.get(sub, 0)
 
     def as_dict(self) -> dict:
         """JSON-ready description with the same semantics, for round-tripping:
@@ -237,7 +272,7 @@ class SubobjectLattice:
         return {
             "dimension": self.dim,
             "objects": [
-                {"id": i, "hilbert": {str(e): str(c) for e, c in self._members[i].poly.items()}}
+                {"id": i, "hilbert": {str(e): str(c) for e, c in self.member(i).poly.items()}}
                 for i in self.ids()
             ],
             "relations": [
@@ -249,7 +284,7 @@ class SubobjectLattice:
         }
 
     def __repr__(self) -> str:
-        return f"SubobjectLattice(d={self.dim}, top={self.top_id!r}, members={len(self._members)})"
+        return f"SubobjectLattice(d={self.dim}, top={self.top_id!r}, members={len(self.numerators)})"
 
 
 def build_lattice(
@@ -273,7 +308,11 @@ def build_lattice(
     """
     if dim < 0:
         raise ParseError(f"dimension must be nonnegative, got {dim}")
-    parsed = {str(i): _parse_terms(str(i), p) for i, p in polys.items()}
+    exponent_memo: dict[str, int] = {}
+    ratio_memo: dict[str, tuple[int, int]] = {}
+    parsed = {
+        str(i): _parse_terms(str(i), p, exponent_memo, ratio_memo) for i, p in polys.items()
+    }
     if not parsed:
         raise MissingTopOrZero("lattice has no members")
 
@@ -307,13 +346,14 @@ def build_lattice(
         if terms[dim][0] <= 0:
             raise QuotientNotPure(f"quotient {i!r}/{zero_id!r} has nonpositive leading coefficient")
     denominator, numerators = integer_table(dim, parsed)
+    entry = {i: row[dim] for i, row in numerators.items()}  # a positive multiple of the rank
 
     # The ambient object is the member of maximal rank (every proper
     # saturated subobject has strictly smaller rank), read off the table's
     # top entries; a rank tie is broken against members declared inside
     # something else.
-    top_entry = max(numerators[i][dim] for i in nonzero)
-    top_ids = [i for i in nonzero if numerators[i][dim] == top_entry]
+    top_entry = max(entry[i] for i in nonzero)
+    top_ids = [i for i in nonzero if entry[i] == top_entry]
     if len(top_ids) > 1:
         declared_subs = {sub for sub, _ in declared}
         top_ids = [i for i in top_ids if i not in declared_subs]
@@ -323,18 +363,57 @@ def build_lattice(
         )
     top_id = top_ids[0]
 
-    # Kahn's algorithm over the generating edges (the declared inclusions,
-    # zero -> each nonzero member, each other member -> top) gives the
-    # order whose positions are the bits; a member's up-set mask is its
-    # successors' bits and up-set masks.
-    succ: dict[str, list[str]] = {n: [] for n in parsed}
+    # Rank growth on the generating edges: the declared inclusions and each
+    # other member -> top (zero's edges cannot fail).  A failure names the
+    # first failing edge in sorted order, with the two ranks d! * N[d] / D,
+    # unless the edges close a cycle, which is named first.
+    failing = [(sub, sup) for sub, sup in declared if sub != zero_id and entry[sub] >= entry[sup]]
+    failing += [(i, top_id) for i in nonzero if i != top_id and entry[i] >= top_entry]
+    if failing:
+        _check_acyclic(parsed, zero_id, nonzero, top_id, declared)
+        sub, sup = min(failing)
+        rank_sub, rank_sup = (Fraction(entry[i] * factorial(dim), denominator) for i in (sub, sup))
+        raise RankNotIncreasing(
+            f"rank must grow strictly along {sub!r} < {sup!r}: {rank_sub} >= {rank_sup}"
+        )
+
+    # Every edge raises the rank, so the members sorted by rank are a
+    # topological order: zero first, top last.  Each up-set mask is filled
+    # in reverse order from the declared successors' bits and masks, with
+    # top's bit for every member other than top.
+    order = sorted(parsed, key=entry.__getitem__)
+    bits = {n: 1 << k for k, n in enumerate(order)}
+    succ: dict[str, list[str]] = {}
+    for sub, sup in declared:
+        succ.setdefault(sub, []).append(sup)
+    top_bit = bits[top_id]
+    above = {zero_id: (1 << len(order)) - 2, top_id: 0}
+    for node in reversed(order[1:-1]):
+        mask = top_bit
+        for nxt in succ.get(node, ()):
+            mask |= bits[nxt] | above[nxt]
+        above[node] = mask
+    return SubobjectLattice(dim, denominator, numerators, zero_id, top_id, order, above)
+
+
+def _check_acyclic(
+    members: Iterable[str],
+    zero_id: str,
+    nonzero: Sequence[str],
+    top_id: str,
+    declared: Sequence[tuple[str, str]],
+) -> None:
+    """CycleInRelation unless Kahn's algorithm places every member on the
+    generating edges: the declared inclusions, zero -> each nonzero member
+    and each other member -> top."""
+    succ: dict[str, list[str]] = {n: [] for n in members}
     for sub, sup in declared:
         succ[sub].append(sup)
     succ[zero_id].extend(nonzero)
     for i in nonzero:
         if i != top_id:
             succ[i].append(top_id)
-    indegree = dict.fromkeys(parsed, 0)
+    indegree = dict.fromkeys(succ, 0)
     for targets in succ.values():
         for nxt in targets:
             indegree[nxt] += 1
@@ -344,34 +423,8 @@ def build_lattice(
             indegree[nxt] -= 1
             if not indegree[nxt]:
                 order.append(nxt)
-    if len(order) < len(parsed):
+    if len(order) < len(succ):
         raise CycleInRelation("declared inclusions contain a cycle")
-    bits = {n: 1 << k for k, n in enumerate(order)}
-    above: dict[str, int] = {}
-    for node in reversed(order):
-        mask = 0
-        for nxt in succ[node]:
-            mask |= bits[nxt] | above[nxt]
-        above[node] = mask
-
-    # Rank growth compares the table's top entries; an edge into zero would
-    # have closed a cycle above, and zero's own edges cannot fail.  The
-    # error names the first failing edge in sorted order, with the two
-    # ranks d! * N[d] / D.
-    failing = [
-        (sub, sup) for sub, sup in declared
-        if sub != zero_id and numerators[sub][dim] >= numerators[sup][dim]
-    ]
-    failing += [(i, top_id) for i in nonzero if i != top_id and numerators[i][dim] >= top_entry]
-    if failing:
-        sub, sup = min(failing)
-        rank_sub, rank_sup = (
-            Fraction(numerators[i][dim] * factorial(dim), denominator) for i in (sub, sup)
-        )
-        raise RankNotIncreasing(
-            f"rank must grow strictly along {sub!r} < {sup!r}: {rank_sub} >= {rank_sup}"
-        )
-    return SubobjectLattice(dim, denominator, numerators, zero_id, top_id, order, above)
 
 
 def validate_lattice(raw: Mapping) -> SubobjectLattice:
@@ -482,9 +535,10 @@ class WeightedFiltration(UnweightedFiltration):
 
 def pair_pivot_index(chain: Sequence[str], lat: SubobjectLattice, beta_image: str) -> int:
     """Largest chain index j with beta_image contained in G_(j)."""
+    bits, beta_up = lat.bits, lat.at_or_above(beta_image)
     pivot = 0
     for j, member_id in enumerate(chain):
-        if lat.leq(beta_image, member_id):
+        if beta_up & bits.get(member_id, 0) or member_id == beta_image:
             pivot = j
     return pivot
 

@@ -119,8 +119,9 @@ def candidate_count(lat: SubobjectLattice, pair: PairObject | None = None, bound
     # shapes[m]: the chains top > ... > m, counted by (length, members containing beta)
     shapes: dict[str, Counter] = {}
     rows, dim, bits = lat.numerators, lat.dim, lat.bits
+    beta_up = lat.at_or_above(beta)  # the members m with beta <= m
     for member in sorted(lat.nonzero_ids(), key=lambda m: rows[m][dim], reverse=True):
-        inside = beta is not None and lat.leq(beta, member)
+        inside = beta_up & bits[member] != 0
         shapes[member] = here = Counter()
         if member == lat.top_id:
             here[1, inside] = 1

@@ -3,8 +3,10 @@
 hn_filtration is thetastab.canonical.hn_filtration as it stood before the
 greedy step compared integer numerators: each candidate quotient gets its
 HilbertStats from quotient_poly, and reduced polynomials are compared as
-RatPolys by eventual_compare.  It raises AmbiguousHN and InvalidHN on the
-same lattices, with the same messages.
+RatPolys by eventual_compare.  It raises AmbiguousHN on the same
+lattices, with the same messages, and InvalidHN, defined here, if its
+chain fails the strict decrease that the library's greedy step
+guarantees without a check.
 """
 
 from __future__ import annotations
@@ -20,7 +22,11 @@ from thetastab import (
     make_chain,
     quotient_poly,
 )
-from thetastab.errors import AmbiguousHN, InvalidHN
+from thetastab.errors import AmbiguousHN, StabilityError
+
+
+class InvalidHN(StabilityError):
+    """Greedy construction produced a chain violating strict decrease."""
 
 
 def hn_filtration(lat: SubobjectLattice) -> UnweightedFiltration:

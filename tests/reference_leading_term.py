@@ -18,8 +18,9 @@ from thetastab import (
     make_chain,
     primitive_weights,
 )
-from thetastab.errors import InvalidHN, ObjectSemistable
+from thetastab.errors import ObjectSemistable
 
+from reference_hn import InvalidHN
 from reference_lattice import is_trivial
 
 

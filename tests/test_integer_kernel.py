@@ -17,7 +17,7 @@ from thetastab import (
     is_semistable,
     pair_semistable,
 )
-from thetastab.errors import AmbiguousHN, InvalidHN
+from thetastab.errors import AmbiguousHN
 from thetastab.ratpoly import reduced_compare
 
 from conftest import coordinate_lattice
@@ -29,6 +29,7 @@ from randgen import (
     restrict,
 )
 import reference_hn
+from reference_hn import InvalidHN
 import reference_lattice
 import reference_semistable
 

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import json
@@ -391,6 +392,49 @@ def _literal_description(rng: random.Random):
 
 
 
+def _order_description(rng: random.Random, kind: str):
+    """(1, polys, relations) on zero and 3-6 members M0.. of ranks 1..5 at
+    d = 1, written as string literals, with relations declared forward
+    along a random permutation of the members, so acyclic.  By kind:
+    "cycle" gives one member rank 6 and declares a cycle of 2-4 members,
+    zero among them now and then, so some edge of it fails rank growth;
+    "failing" gives one member rank 6 and puts it last, so no cycle forms,
+    and half the time declares forward along the ranks instead, so the
+    description may pass; "tie" gives 2-3 members the top rank."""
+    ids = [f"M{k}" for k in range(rng.randint(3, 6))]
+    rank = {i: rng.randint(1, 5) for i in ids}
+    perm = rng.sample(ids, len(ids))
+    if kind == "tie":
+        for i in rng.sample(ids, rng.randint(2, 3)):
+            rank[i] = max(rank.values())
+    else:
+        rank[perm[-1]] = 6
+        if kind == "failing" and rng.random() < 0.5:
+            perm.sort(key=rank.__getitem__)
+    relations = [[a, b] for a, b in itertools.combinations(perm, 2) if rng.random() < 0.4]
+    if kind == "cycle":
+        loop = rng.sample(ids + ["0"], rng.randint(2, 4))
+        relations += [[a, b] for a, b in zip(loop, loop[1:] + loop[:1])]
+    rng.shuffle(relations)
+    polys = {"0": {}, **{i: {"1": str(r), "0": str(rng.randint(-2, 2))} for i, r in rank.items()}}
+    return 1, polys, relations
+
+
+def _first_failing_edge(description) -> str:
+    """The RankNotIncreasing message of a description of _order_description
+    whose top is identifiable: the first generating edge in sorted order
+    (declared, or member -> top) along which the rank does not grow."""
+    _, polys, relations = description
+    rank = {i: Fraction(p["1"]) for i, p in polys.items() if p}
+    tops = [i for i in rank if rank[i] == max(rank.values())]
+    if len(tops) > 1:
+        tops = [i for i in tops if i not in {sub for sub, _ in relations}]
+    [top] = tops
+    edges = [tuple(edge) for edge in relations] + [(i, top) for i in rank if i != top]
+    sub, sup = min(edge for edge in edges if edge[0] != "0" and rank[edge[0]] >= rank[edge[1]])
+    return f"rank must grow strictly along {sub!r} < {sup!r}: {rank[sub]} >= {rank[sup]}"
+
+
 class TestEdgeValidation:
     """Purity is checked once per member and rank growth on the generating
     edges; tests/reference_lattice.py keeps the closure-wide check."""
@@ -407,9 +451,9 @@ class TestEdgeValidation:
             subtractions.append((self, other))
             return subtract(self, other)
 
-        def counting_parse(member, value):
+        def counting_parse(member, value, *memos):
             parsed.append(member)
-            return parse(member, value)
+            return parse(member, value, *memos)
 
         monkeypatch.setattr(lattice_mod, "hilbert_stats", counting_stats)
         monkeypatch.setattr(RatPoly, "__sub__", counting_sub)
@@ -429,22 +473,36 @@ class TestEdgeValidation:
         assert subtractions == []
 
     def test_same_verdicts_as_the_closure_check(self):
-        rng = random.Random(20261018)
-        seen = {"accepted": 0, **{cls.__name__: 0 for cls in PAIR_ERRORS}}
-        for _ in range(400):
-            description = _random_description(rng)
+        # random descriptions, where the closure-wide reference may name
+        # another failing pair, and descriptions of _order_description,
+        # where the error and its message must match: a cycle is named
+        # before any rank failure on its edges, a rank failure names the
+        # first failing generating edge, and a tie at the top is broken, or
+        # refused, as the reference does
+        rng, order_rng = random.Random(20261018), random.Random(20261021)
+        draws = [("random", _random_description(rng)) for _ in range(400)]
+        draws += [(kind, _order_description(order_rng, kind)) for kind in ("cycle", "failing", "tie") * 150]
+        seen = collections.Counter()
+        for source, description in draws:
             expected = _outcome(reference_lattice.build_lattice, description)
             got = _outcome(lattice_mod.build_lattice, description)
             if isinstance(expected, SubobjectLattice):
                 assert isinstance(got, SubobjectLattice), (description, got)
                 assert structurally_equal(got, expected)
-                seen["accepted"] += 1
-            elif isinstance(expected, PAIR_ERRORS):
+            elif isinstance(expected, PAIR_ERRORS) and source == "random":
                 assert isinstance(got, PAIR_ERRORS), (description, expected, got)
-                seen[type(expected).__name__] += 1
             else:
                 assert type(got) is type(expected), (description, expected, got)
-        assert min(seen.values()) >= 20, seen
+                if source != "random":
+                    rank_failure = isinstance(expected, RankNotIncreasing)
+                    message = _first_failing_edge(description) if rank_failure else str(expected)
+                    assert str(got) == message, description
+            seen[source, type(expected).__name__] += 1
+        assert seen["cycle", "CycleInRelation"] == 150, seen
+        outcomes = [("random", "SubobjectLattice"), *(("random", cls.__name__) for cls in PAIR_ERRORS),
+                    ("failing", "SubobjectLattice"), ("failing", "RankNotIncreasing"),
+                    ("tie", "MissingTopOrZero"), ("tie", "RankNotIncreasing")]
+        assert min(seen[outcome] for outcome in outcomes) >= 20, seen
 
     def test_same_errors_and_tables_on_literal_forms(self):
         # literals written with signs, blanks, common factors, ints and
@@ -840,9 +898,10 @@ class TestReducedOnDemand:
 
 
 class TestLoaderWork:
-    """A lattice file's literals are parsed once, into the integer table;
-    member statistics are built on first use, so the verdicts that read
-    the table alone build none, and no rank needs a factorial."""
+    """A lattice file's distinct literals are parsed once each, into the
+    integer table; member statistics are built on first use, so the
+    verdicts that read the table alone build none, and no rank needs a
+    factorial."""
 
     @pytest.fixture
     def k7_pair_file(self, tmp_path):
@@ -883,7 +942,8 @@ class TestLoaderWork:
         assert main([argv[0], str(k7_pair_file), *argv[1:]]) == 0
         doc = json.loads(k7_pair_file.read_text())
         written = [c for entry in doc["objects"] for c in entry["hilbert"].values()]
-        assert len(written) > 2 * 127 and sorted(literals) == sorted(written)
+        # one as_ratio call per distinct literal string, however often it repeats
+        assert len(written) > 2 * 127 and sorted(literals) == sorted(set(written))
         [(lat, _)] = loaded
         built = [i for i in lat.ids() if {"poly", "stats"} & vars(lat.member(i)).keys()]
         if argv[0] != "hn":
@@ -891,6 +951,69 @@ class TestLoaderWork:
         else:  # the chain's graded pieces alone, the deepest being its member over zero
             chain = hn_filtration(lat).chain
             assert len(chain) > 1 and built == [chain[-1]] and len(stats_calls) == len(chain)
+
+    @pytest.mark.parametrize(
+        "second, message",
+        [
+            ({"1": True}, "bad rational literal True"),
+            ({"1": 1.0}, "bad rational literal 1.0"),
+            ({True: "1"}, "bad exponent True"),
+            ({1.0: "1"}, "bad exponent 1.0"),
+        ],
+    )
+    def test_memo_never_reads_a_bool_or_float_as_1(self, second, message):
+        # the first member writes 1 as a string and as an int, exponent
+        # and coefficient; only exact strings share a memo entry, so the
+        # second member's literal, equal to 1 but no integer literal, is
+        # still refused with its own message
+        polys = {"0": {}, "A": {"1": "1", 0: 1}, "B": {1: 1}, "C": second}
+        for build in (lattice_mod.build_lattice, reference_lattice.build_lattice):
+            with pytest.raises(ParseError) as failure:
+                build(1, polys)
+            assert str(failure.value) == message
+
+    @pytest.mark.parametrize(
+        "spied, hilbert, message",
+        [
+            ("as_ratio", {"1": "1", "0": "1.5"}, "bad rational literal '1.5'"),
+            ("as_integer", {"1": "1", "x": "2"}, "bad exponent 'x'"),
+        ],
+    )
+    def test_a_repeated_bad_literal_fails_at_its_first_occurrence(
+        self, monkeypatch, spied, hilbert, message
+    ):
+        calls, parse = [], getattr(lattice_mod, spied)
+
+        def spy(value, *args):
+            calls.append(value)
+            return parse(value, *args)
+
+        monkeypatch.setattr(lattice_mod, spied, spy)
+        polys = {"0": {}, "A": hilbert, "B": dict(hilbert), "F": {"1": "2"}}
+        with pytest.raises(ParseError) as failure:
+            build_lattice(1, polys)
+        assert str(failure.value) == message
+        assert calls == ["1", message.split()[-1].strip("'")]
+
+    def test_members_are_built_on_first_use_one_object_per_id(self, monkeypatch):
+        built, make = [], lattice_mod.ObjectClass
+
+        def counting_make(member_id, *args):
+            built.append(member_id)
+            return make(member_id, *args)
+
+        monkeypatch.setattr(lattice_mod, "ObjectClass", counting_make)
+        lat = coordinate_lattice({f"L{i}": i for i in range(4)})
+        assert built == []
+        first = {i: lat.member(i) for i in reversed(lat.ids())}
+        assert built == list(reversed(lat.ids()))
+        for i in lat.ids():
+            assert lat.member(i) is first[i]
+        assert lat.top is first[lat.top_id] and built == list(reversed(lat.ids()))
+        for unknown in ("X", "", lat.top_id + " "):
+            with pytest.raises(NotComparable, match="unknown lattice member"):
+                lat.member(unknown)
+        assert len(built) == len(lat.ids())
 
     def test_check_at_dimension_1e5_reads_no_rank(self, monkeypatch, capsys, tmp_path):
         d = 10**5

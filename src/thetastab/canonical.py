@@ -100,16 +100,16 @@ def hn_filtration(lat: SubobjectLattice) -> UnweightedFiltration:
     strictly below the inner one, the mediant would have matched or beaten
     G_m/G_(m-1) with a larger rank, and G_(m+1) would have won that step.
     """
-    table, d, bits = lat.numerators, lat.dim, lat.bits
+    table, d = lat.numerators, lat.dim
     picks: list[str] = []  # deepest first
     current = lat.zero_id
     while current != lat.top_id:
-        below, up = table[current], lat.above.get(current, 0)
+        below = table[current]
         best_id: str | None = None
         best: tuple[int, ...] = ()
         tied_incomparable: str | None = None
         for cand in lat.nonzero_ids():
-            if not up & bits[cand]:
+            if not lat.lt(current, cand):
                 continue
             quotient = tuple(map(sub, table[cand], below))
             if best_id is None:

@@ -2,9 +2,10 @@
 
 Subcommands: check, hn, canonical, nu, polytope, pair-check,
 pair-canonical, sweep, oracle.  Exit status 0 on success, 1 on domain
-errors (printing the owning module's error name), 2 on parse errors.
-Structured output (--format structured) is a single JSON document that is
-a pure function of the input file and flags.
+errors (printing the owning module's error name, or IntegerTooLong for an
+integer too long to print), 2 on parse errors.  Structured output
+(--format structured) is a single JSON document that is a pure function
+of the input file and flags.
 """
 
 from __future__ import annotations
@@ -371,6 +372,14 @@ def main(argv=None) -> int:
         return 2
     except StabilityError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        # results, counts and messages become text in the handlers and _emit:
+        # an integer over the int-to-str limit (left as it is) is a domain error
+        if "integer string conversion" not in str(exc):
+            raise
+        print(f"error: IntegerTooLong: an integer to print has over {sys.get_int_max_str_digits()} "
+              "digits, the interpreter's limit (PYTHONINTMAXSTRDIGITS)", file=sys.stderr)
         return 1
     return 0
 

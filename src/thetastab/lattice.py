@@ -49,16 +49,18 @@ edges hold a cycle, which is named first.  Purity then follows for every
 quotient: when sub and sup are pure and rank(sub) < rank(sup), sup - sub
 has no Laurent terms and n^d coefficient (rank(sup) - rank(sub)) / d! > 0.
 
-The order is kept as integer bitmasks, never as a set of pairs.  Once
-rank grows along every edge, the members sorted by N_G[d] are a
+The order is kept as integer bitmasks, never as a set of pairs, and no
+code outside SubobjectLattice reads them: callers ask in member ids.
+Once rank grows along every edge, the members sorted by N_G[d] are a
 topological order of the edges (a cycle would need the rank to rise all
 the way around it), and member k of that order owns bit k.  Each member's
 up-set mask, the members strictly above it, is the OR of its successors'
-bits and up-set masks, filled in reverse order.  Kahn's algorithm runs
-only when some edge fails rank growth, to tell a cycle from a plain rank
-failure.  lt reads one bit, and down-set masks, the transpose, are built
-on first use: sub is covered by sup exactly when sub < sup and below[sup]
-& above[sub] == 0.
+bits and up-set masks, filled in reverse order.  Only when some edge
+fails rank growth is graphlib asked for a topological order, to tell a
+cycle from a plain rank failure.  lt and leq read one bit;
+strictly_below (for each nonzero member, the sorted nonzero members
+strictly below it) and covers (those of them with nothing strictly
+between) are built on first use and kept.
 
 No ObjectClass, RatPoly or HilbertStats is built while loading: member()
 builds a member's ObjectClass on first use, one per id, and its polynomial
@@ -70,6 +72,7 @@ chain's graded pieces.
 
 from __future__ import annotations
 
+import graphlib
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -193,8 +196,8 @@ class SubobjectLattice:
 
     denominator and numerators are the integer table (see the module
     docstring), taken as given; members are built on them.  The order is
-    taken as masks: member order[k] owns bit k, and above[m] is the mask of
-    the members strictly above m.
+    taken as masks, private to the lattice: member order[k] owns bit k, and
+    above[m] is the mask of the members strictly above m.
     """
 
     def __init__(self, dim, denominator, numerators, zero_id, top_id, order, above):
@@ -204,27 +207,32 @@ class SubobjectLattice:
         self._members: dict[str, ObjectClass] = {}  # built by member() on first use
         self.zero_id: str = zero_id
         self.top_id: str = top_id
-        self._order: tuple[str, ...] = tuple(order)
-        self.bits: dict[str, int] = {m: 1 << k for k, m in enumerate(self._order)}
-        self.above: dict[str, int] = above
+        self._bits: dict[str, int] = {m: 1 << k for k, m in enumerate(order)}
+        self._above: dict[str, int] = above
         self._ids = tuple(sorted(numerators))
         self._nonzero_ids = tuple(i for i in self._ids if i != zero_id)
         self._proper_nonzero_ids = tuple(i for i in self._nonzero_ids if i != top_id)
         self._quotients: dict[tuple[str, str], HilbertStats] = {}  # quotient_poly's memo
 
     @cached_property
-    def below(self) -> dict[str, int]:
-        """Each member's mask of the members strictly below it: the
-        transpose of above."""
-        order = self._order
-        below = dict.fromkeys(order, 0)
-        for sub, mask in self.above.items():
-            bit = self.bits[sub]
-            while mask:
-                low = mask & -mask
-                below[order[low.bit_length() - 1]] |= bit
-                mask ^= low
-        return below
+    def strictly_below(self) -> dict[str, list[str]]:
+        """Each nonzero member's sorted list of the nonzero members strictly
+        below it."""
+        nonzero, above, bits = self._nonzero_ids, self._above, self._bits
+        return {sup: [sub for sub in nonzero if above[sub] & bits[sup]] for sup in nonzero}
+
+    @cached_property
+    def covers(self) -> dict[str, list[str]]:
+        """Each nonzero member's sorted lower covers among the nonzero
+        members: the members strictly below it with nothing strictly
+        between."""
+        bits, above = self._bits, self._above
+        covers: dict[str, list[str]] = {}
+        for sup, subs in self.strictly_below.items():
+            down = sum(bits[sub] for sub in subs)  # zero lies above no nonzero sub
+            # sub is covered by sup when nothing strictly below sup lies above it
+            covers[sup] = [sub for sub in subs if not down & above[sub]]
+        return covers
 
     # -- access -----------------------------------------------------------
 
@@ -253,34 +261,23 @@ class SubobjectLattice:
 
     def lt(self, sub: str, sup: str) -> bool:
         """Strict inclusion in the transitive closure; False for an unknown id."""
-        return self.above.get(sub, 0) & self.bits.get(sup, 0) != 0
+        return self._above.get(sub, 0) & self._bits.get(sup, 0) != 0
 
     def leq(self, sub: str, sup: str) -> bool:
         return sub == sup or self.lt(sub, sup)
-
-    def at_or_above(self, sub: str) -> int:
-        """The mask of the members m with sub <= m: sub's up-set and its own
-        bit; 0 for an unknown id."""
-        return self.above.get(sub, 0) | self.bits.get(sub, 0)
 
     def as_dict(self) -> dict:
         """JSON-ready description with the same semantics, for round-tripping:
         exponents and coefficients are strings, as in a lattice file, and
         the relations are the covers between nonzero members (inclusions of
         zero are implicit)."""
-        below, above, bits = self.below, self.above, self.bits
         return {
             "dimension": self.dim,
             "objects": [
                 {"id": i, "hilbert": {str(e): str(c) for e, c in self.member(i).poly.items()}}
                 for i in self.ids()
             ],
-            "relations": [
-                [sub, sup]
-                for sub in self._nonzero_ids
-                for sup in self._nonzero_ids
-                if above[sub] & bits[sup] and not below[sup] & above[sub]
-            ],
+            "relations": sorted([sub, sup] for sup, subs in self.covers.items() for sub in subs),
         }
 
     def __repr__(self) -> str:
@@ -370,7 +367,14 @@ def build_lattice(
     failing = [(sub, sup) for sub, sup in declared if sub != zero_id and entry[sub] >= entry[sup]]
     failing += [(i, top_id) for i in nonzero if i != top_id and entry[i] >= top_entry]
     if failing:
-        _check_acyclic(parsed, zero_id, nonzero, top_id, declared)
+        preds = {i: [zero_id] for i in nonzero}  # zero -> each nonzero member
+        preds[top_id] += (i for i in nonzero if i != top_id)  # each other member -> top
+        for sub, sup in declared:
+            preds.setdefault(sup, []).append(sub)
+        try:
+            graphlib.TopologicalSorter(preds).prepare()
+        except graphlib.CycleError:
+            raise CycleInRelation("declared inclusions contain a cycle") from None
         sub, sup = min(failing)
         rank_sub, rank_sup = (Fraction(entry[i] * factorial(dim), denominator) for i in (sub, sup))
         raise RankNotIncreasing(
@@ -394,37 +398,6 @@ def build_lattice(
             mask |= bits[nxt] | above[nxt]
         above[node] = mask
     return SubobjectLattice(dim, denominator, numerators, zero_id, top_id, order, above)
-
-
-def _check_acyclic(
-    members: Iterable[str],
-    zero_id: str,
-    nonzero: Sequence[str],
-    top_id: str,
-    declared: Sequence[tuple[str, str]],
-) -> None:
-    """CycleInRelation unless Kahn's algorithm places every member on the
-    generating edges: the declared inclusions, zero -> each nonzero member
-    and each other member -> top."""
-    succ: dict[str, list[str]] = {n: [] for n in members}
-    for sub, sup in declared:
-        succ[sub].append(sup)
-    succ[zero_id].extend(nonzero)
-    for i in nonzero:
-        if i != top_id:
-            succ[i].append(top_id)
-    indegree = dict.fromkeys(succ, 0)
-    for targets in succ.values():
-        for nxt in targets:
-            indegree[nxt] += 1
-    order = [n for n, k in indegree.items() if k == 0]
-    for node in order:  # grows while it is read
-        for nxt in succ[node]:
-            indegree[nxt] -= 1
-            if not indegree[nxt]:
-                order.append(nxt)
-    if len(order) < len(succ):
-        raise CycleInRelation("declared inclusions contain a cycle")
 
 
 def validate_lattice(raw: Mapping) -> SubobjectLattice:
@@ -535,10 +508,9 @@ class WeightedFiltration(UnweightedFiltration):
 
 def pair_pivot_index(chain: Sequence[str], lat: SubobjectLattice, beta_image: str) -> int:
     """Largest chain index j with beta_image contained in G_(j)."""
-    bits, beta_up = lat.bits, lat.at_or_above(beta_image)
     pivot = 0
     for j, member_id in enumerate(chain):
-        if beta_up & bits.get(member_id, 0) or member_id == beta_image:
+        if lat.leq(beta_image, member_id):
             pivot = j
     return pivot
 

@@ -52,14 +52,11 @@ class OracleResult:
     explored: int
 
 
-def _below(lat: SubobjectLattice) -> dict[str, list[str]]:
-    """Sorted nonzero members strictly below each nonzero member."""
-    nonzero, below, bits = lat.nonzero_ids(), lat.below, lat.bits
-    return {sup: [sub for sub in nonzero if below[sup] & bits[sub]] for sup in nonzero}
-
-
 def _walk(
-    lat: SubobjectLattice, children: dict[str, list[str]]
+    lat: SubobjectLattice,
+    children: dict[str, list[str]],
+    bound: int | None = None,
+    beta: str | None = None,
 ) -> list[UnweightedFiltration]:
     """Every chain top > c_1 > ... with each c_(i+1) in children[c_i], in
     lexicographic order of the id tuples (children lists are sorted).
@@ -67,38 +64,47 @@ def _walk(
     A depth-first walk visits the chains in that order; chains sharing a
     prefix share its graded pieces, and quotient_poly computes each
     quotient once per lattice, not once per call.
+
+    With a weight bound W it walks only the chains that carry a candidate
+    (strictly increasing weights in [-W, W], w_p >= 0 at beta's pivot p):
+    at most 2W + 1 members, at most W past p.  No other chain's extension does.
     """
     chains: list[UnweightedFiltration] = []
+    if bound is None:  # no chain is longer, nor misses more
+        bound = len(children)
 
-    def extend(prefix: tuple[str, ...], upper: tuple[HilbertStats, ...]) -> None:
+    def extend(prefix: tuple[str, ...], upper: tuple[HilbertStats, ...], misses: int) -> None:
         # upper holds the graded pieces above the deepest member prefix[-1]
         deepest = prefix[-1]
         gradeds = upper + (quotient_poly(lat, lat.zero_id, deepest),)
         chains.append(UnweightedFiltration(lattice=lat, chain=prefix, gradeds=gradeds))
+        if len(prefix) > 2 * bound:
+            return
         for sub in children[deepest]:
-            extend(prefix + (sub,), upper + (quotient_poly(lat, sub, deepest),))
+            missed = misses + (beta is not None and not lat.leq(beta, sub))
+            if missed <= bound:
+                extend(prefix + (sub,), upper + (quotient_poly(lat, sub, deepest),), missed)
 
-    extend((lat.top_id,), ())
+    extend((lat.top_id,), (), 0)
     return chains
 
 
-def enumerate_chains(lat: SubobjectLattice) -> list[UnweightedFiltration]:
+def enumerate_chains(
+    lat: SubobjectLattice, bound: int | None = None, beta: str | None = None
+) -> list[UnweightedFiltration]:
     """All strictly increasing chains of nonzero members ending at top,
-    in lexicographic order of their id tuples."""
-    return _walk(lat, _below(lat))
+    in lexicographic order of their id tuples; with a weight bound W, only
+    those with a candidate of brute_force_max at W and marked image beta."""
+    return _walk(lat, lat.strictly_below, bound, beta)
 
 
 def saturated_chains(lat: SubobjectLattice) -> list[UnweightedFiltration]:
     """The chains of enumerate_chains whose every step, down to the zero
     object, is a cover (no member lies strictly between its ends), in the
     same order: the walk follows covers only and keeps the chains whose
-    deepest member has nothing nonzero below it."""
-    below, down, up = _below(lat), lat.below, lat.above
-    covers = {  # nothing lies strictly above sub and strictly below sup
-        sup: [sub for sub in subs if not down[sup] & up[sub]]
-        for sup, subs in below.items()
-    }
-    return [c for c in _walk(lat, covers) if not below[c.chain[-1]]]
+    deepest member has no lower cover, so nothing nonzero below it."""
+    covers = lat.covers
+    return [c for c in _walk(lat, covers) if not covers[c.chain[-1]]]
 
 
 def candidate_count(lat: SubobjectLattice, pair: PairObject | None = None, bound: int = 4) -> int:
@@ -118,16 +124,14 @@ def candidate_count(lat: SubobjectLattice, pair: PairObject | None = None, bound
     beta = pair.beta_image if pair is not None else None
     # shapes[m]: the chains top > ... > m, counted by (length, members containing beta)
     shapes: dict[str, Counter] = {}
-    rows, dim, bits = lat.numerators, lat.dim, lat.bits
-    beta_up = lat.at_or_above(beta)  # the members m with beta <= m
+    rows, dim = lat.numerators, lat.dim
     for member in sorted(lat.nonzero_ids(), key=lambda m: rows[m][dim], reverse=True):
-        inside = beta_up & bits[member] != 0
+        inside = beta is not None and lat.leq(beta, member)
         shapes[member] = here = Counter()
         if member == lat.top_id:
             here[1, inside] = 1
-        up = lat.above[member]
         for sup, above in shapes.items():
-            if up & bits[sup]:
+            if lat.lt(member, sup):
                 for (length, containing), count in above.items():
                     here[length + 1, containing + inside] += count
     total = -1
@@ -155,7 +159,7 @@ def iter_terms(
         raise ValueError(f"weight bound must be >= 1, got {bound}")
     beta = pair.beta_image if pair is not None else None
 
-    for chain in enumerate_chains(lat):
+    for chain in enumerate_chains(lat, bound, beta):
         contribs = contributions(chain, delta)
         exponents = sorted({e for c in contribs for e, _ in c.items()}, reverse=True)
         table = [(e, [c.coeff(e) for c in contribs]) for e in exponents]

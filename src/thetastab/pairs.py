@@ -89,11 +89,10 @@ def pair_semistable(
     scale = lcm(*(c.denominator for c in terms.values()))
     twist = [int(lat.denominator * scale * terms.get(e, 0)) for e in range(low, high + 1)]
     pad_low, pad_high = (0,) * -low, (0,) * (high - lat.dim)
-    numerators, bits = {}, lat.bits
-    beta_up = lat.at_or_above(beta)  # the members G with beta <= G
+    numerators = {}
     for member_id, row in lat.numerators.items():
         row = pad_low + tuple(scale * v for v in row) + pad_high
-        if beta_up & bits[member_id]:
+        if lat.leq(beta, member_id):
             row = tuple(map(add, row, twist))
         numerators[member_id] = row
     witness = destabilizing_member(lat, numerators)

@@ -80,8 +80,8 @@ def _check_quotient(quotient: RatPoly, sup: str, sub: str, dim: int) -> None:
 
 
 def relation(lat: SubobjectLattice) -> set[tuple[str, str]]:
-    """The strict inclusions (sub, sup), read off the up-set masks."""
-    return {(sub, sup) for sub in lat.ids() for sup in lat.ids() if lat.above[sub] & lat.bits[sup]}
+    """The strict inclusions (sub, sup), as lat.lt answers them."""
+    return {(sub, sup) for sub in lat.ids() for sup in lat.ids() if lat.lt(sub, sup)}
 
 
 def structurally_equal(lat: SubobjectLattice, other: SubobjectLattice) -> bool:

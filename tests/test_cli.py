@@ -2,7 +2,9 @@ import contextlib
 import io
 import json
 import re
+import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from thetastab import errors
 from thetastab.cli import build_parser, main
+from thetastab.latfile import load_lattice
 
 from conftest import FIXTURES
 
@@ -373,6 +376,103 @@ class TestBeyondFloatRange:
             ("F|A", "0|1", "5e+399"),
         ]
         assert rows[2][2:4] == [BIG, "2"]
+
+
+class TestIntegersTooLongToPrint:
+    """At d = 2000 a rank carries d!, 5736 digits, over the interpreter's
+    default int-to-str limit of 4300 digits; so does a candidate count at a
+    2201-digit bound.  Every subcommand then prints its output or one
+    `error: IntegerTooLong: ...` line, exits 0 or 1, and leaves the limit
+    as it was."""
+
+    BIG_BOUND = "9" * 2201
+    EXPECTED = f"error: IntegerTooLong: an integer to print has over {sys.get_int_max_str_digits()} " \
+        "digits, the interpreter's limit (PYTHONINTMAXSTRDIGITS)\n"
+
+    def test_every_command_at_d_2000_and_at_a_huge_bound(self, capsys, tmp_path):
+        path = tmp_path / "d2000.lattice"
+        path.write_text(json.dumps({
+            "dimension": 2000,
+            "objects": [
+                {"id": "0", "hilbert": {}},
+                {"id": "E", "hilbert": {"2000": "1", "0": "5"}},
+                {"id": "F", "hilbert": {"2000": "2", "0": "1"}},
+            ],
+            "relations": [["E", "F"]],
+            "pair": {"beta_image": "E"},
+        }))
+        limit = sys.get_int_max_str_digits()
+        argvs = _every_command(path, "F") + [
+            [command, fixture, "--bound", self.BIG_BOUND]
+            for command in ("oracle", "pair-canonical") for fixture in (path, FIXTURES / "o_o1_pair.lattice")
+        ]
+        too_long = []
+        for argv in argvs:
+            for fmt in ("text", "structured"):
+                code, out, err = run(capsys, *argv, "--format", fmt)
+                if code == 1:
+                    assert (out, err) == ("", self.EXPECTED), argv
+                    too_long.append(argv[0])
+                else:
+                    assert code == 0 and not err, (argv, err)
+        assert sorted(set(too_long)) == ["canonical", "nu", "oracle", "pair-canonical", "polytope"]
+        assert too_long.count("oracle") == too_long.count("pair-canonical") == 6
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_other_value_errors_still_propagate(self, monkeypatch):
+        from thetastab import canonical
+
+        def fail(lat):
+            raise ValueError("not about digits")
+
+        monkeypatch.setattr(canonical, "is_semistable", fail)
+        with pytest.raises(ValueError, match="not about digits"):
+            main(["check", str(FIXTURES / "o2_o.lattice")])
+
+
+def _total_order(path, m: int):
+    """A lattice file at path: zero and a total order G01 < ... < G(m-1) at
+    d = 1, G_k of rank k, with the pair's image at G01, the least nonzero
+    member, so every chain's pivot is its deepest member."""
+    ids = [f"G{k:02d}" for k in range(1, m)]
+    path.write_text(json.dumps({
+        "dimension": 1,
+        "objects": [{"id": "0", "hilbert": {}}] + [{"id": i, "hilbert": {"1": str(k)}} for k, i in enumerate(ids, 1)],
+        "relations": [[a, b] for a, b in zip(ids, ids[1:])],
+        "pair": {"beta_image": "G01"},
+    }))
+    return path
+
+
+class TestChainWalkIsBounded:
+    """The 24-member total order has 2^22 chains, but only the chains with
+    a feasible candidate at W = 2 (at most 5 members) are walked, so the
+    candidate budget bounds the whole search."""
+
+    def test_oracle_walks_only_chains_with_a_candidate(self, capsys, tmp_path, monkeypatch):
+        from thetastab import oracle
+
+        path = _total_order(tmp_path / "total24.lattice", 24)
+        lat, pair = load_lattice(path)
+        walked, enumerate_chains = [], oracle.enumerate_chains
+
+        def counting(*args):
+            chains = enumerate_chains(*args)
+            walked.append(len(chains))
+            return chains
+
+        monkeypatch.setattr(oracle, "enumerate_chains", counting)
+        start = time.perf_counter()
+        code, payload, _ = run_json(capsys, "oracle", path, "--bound", "2")
+        elapsed = time.perf_counter() - start
+        assert code == 0 and payload["explored"] == oracle.candidate_count(lat, pair, 2) == 17525
+        assert walked == [1 + 22 + 231 + 1540 + 7315] and walked[0] <= payload["explored"] + 1
+        assert elapsed < 2.0
+
+    def test_pair_canonical_cross_check_agrees(self, capsys, tmp_path):
+        path = _total_order(tmp_path / "total24.lattice", 24)
+        code, payload, _ = run_json(capsys, "pair-canonical", path, "--delta", "1/2", "--bound", "2")
+        assert code == 0 and payload["oracle_agrees"] is True
 
 
 class TestErrorPaths:

@@ -1,5 +1,6 @@
 import collections
 import functools
+import hashlib
 import itertools
 import json
 import math
@@ -48,7 +49,7 @@ from thetastab.errors import (
 )
 from thetastab.cli import main
 from thetastab.latfile import load_lattice
-from thetastab import oracle
+from thetastab.lattice import pair_pivot_index
 from thetastab.oracle import brute_force_max, candidate_count, saturated_chains
 
 
@@ -397,8 +398,10 @@ def _order_description(rng: random.Random, kind: str):
     d = 1, written as string literals, with relations declared forward
     along a random permutation of the members, so acyclic.  By kind:
     "cycle" gives one member rank 6 and declares a cycle of 2-4 members,
-    zero among them now and then, so some edge of it fails rank growth;
-    "failing" gives one member rank 6 and puts it last, so no cycle forms,
+    zero among them now and then, or a path of them that an implicit edge
+    closes into a cycle, M.. -> zero (closed by zero -> M) or top -> M..
+    (closed by M -> top), so some edge of it fails rank growth; "failing"
+    gives one member rank 6 and puts it last, so no cycle forms,
     and half the time declares forward along the ranks instead, so the
     description may pass; "tie" gives 2-3 members the top rank."""
     ids = [f"M{k}" for k in range(rng.randint(3, 6))]
@@ -413,8 +416,15 @@ def _order_description(rng: random.Random, kind: str):
             perm.sort(key=rank.__getitem__)
     relations = [[a, b] for a, b in itertools.combinations(perm, 2) if rng.random() < 0.4]
     if kind == "cycle":
-        loop = rng.sample(ids + ["0"], rng.randint(2, 4))
-        relations += [[a, b] for a, b in zip(loop, loop[1:] + loop[:1])]
+        closing = rng.randrange(3)
+        if closing == 0:  # a declared cycle
+            loop = rng.sample(ids + ["0"], rng.randint(2, 4))
+            path = loop + loop[:1]
+        elif closing == 1:  # closed by the implicit edge zero -> path[0]
+            path = rng.sample(ids, rng.randint(1, 3)) + ["0"]
+        else:  # closed by the implicit edge path[-1] -> top
+            path = perm[-1:] + rng.sample(perm[:-1], rng.randint(1, 2))
+        relations += [[a, b] for a, b in zip(path, path[1:])]
     rng.shuffle(relations)
     polys = {"0": {}, **{i: {"1": str(r), "0": str(rng.randint(-2, 2))} for i, r in rank.items()}}
     return 1, polys, relations
@@ -775,8 +785,9 @@ def _covers(closure, ids) -> set[tuple[str, str]]:
 
 
 class TestMaskOrder:
-    """The bitmask order read four ways, each against the DFS closure of
-    tests/reference_lattice.py, on seeded lattices of three arms."""
+    """The order queries (lt, leq, strictly_below, covers) and what is built
+    on them, each against the DFS closure of tests/reference_lattice.py, on
+    seeded lattices of three arms."""
 
     @pytest.fixture(scope="class")
     def lattices(self):
@@ -801,13 +812,17 @@ class TestMaskOrder:
     def test_strictly_below_lists(self, lattices):
         for arm, lat, closure in lattices:
             nonzero = lat.nonzero_ids()
-            assert oracle._below(lat) == {
+            assert lat.strictly_below == {
                 sup: [sub for sub in nonzero if (sub, sup) in closure] for sup in nonzero
             }, arm
 
     def test_saturated_chains_follow_the_covers(self, lattices):
         for arm, lat, closure in lattices:
             nonzero, covers = set(lat.nonzero_ids()), _covers(closure, lat.ids())
+            assert lat.covers == {
+                sup: sorted(sub for sub, above in covers if above == sup and sub in nonzero)
+                for sup in lat.nonzero_ids()
+            }, arm
             expected, stack = [], [(lat.top_id,)]
             while stack:
                 chain = stack.pop()
@@ -817,8 +832,11 @@ class TestMaskOrder:
             assert [c.chain for c in saturated_chains(lat)] == sorted(expected), arm
 
     def test_candidate_count_is_the_explored_count(self, lattices):
+        # and the bounded chain walk yields exactly the chains of the full
+        # walk that carry a candidate: strictly increasing weights in
+        # [-W, W], not all zero, with w_p >= 0 at beta's pivot p
         rng = random.Random(20261020)
-        cases = 0
+        cases, cut = 0, 0
         for arm, lat, _ in lattices:
             if len(lat.ids()) > 16:
                 continue
@@ -827,8 +845,19 @@ class TestMaskOrder:
                 for bound in (1, 2):
                     explored = brute_force_max(lat, pair, None, bound).explored
                     assert candidate_count(lat, pair, bound) == explored, (arm, lat, beta, bound)
+                    every = [c.chain for c in enumerate_chains(lat)]
+                    carrying = [
+                        chain for chain in every
+                        if any(
+                            any(weights) and (beta is None or weights[pair_pivot_index(chain, lat, beta)] >= 0)
+                            for weights in itertools.combinations(range(-bound, bound + 1), len(chain))
+                        )
+                    ]
+                    walked = [c.chain for c in enumerate_chains(lat, bound, beta)]
+                    assert walked == carrying and len(walked) <= explored, (arm, lat, beta, bound)
+                    cut += len(every) > len(walked)
                     cases += 1
-        assert cases > 400
+        assert cases > 400 and cut > 50, (cases, cut)
 
     def test_as_dict_writes_the_covers_and_round_trips(self, lattices):
         for arm, lat, closure in lattices:
@@ -842,6 +871,16 @@ class TestMaskOrder:
             assert [(a, b) for a in ids for b in ids if again.lt(a, b)] == sorted(closure), arm
             assert (again.denominator, again.numerators) == (lat.denominator, lat.numerators)
             assert (again.zero_id, again.top_id) == (lat.zero_id, lat.top_id)
+
+    def test_as_dict_relations_are_pinned(self, lattices):
+        # the relations lists of every arm, byte for byte as the bitmask
+        # cover rule (not below[sup] & above[sub]) wrote them before the
+        # covers became a lattice query
+        doc = json.dumps([lat.as_dict()["relations"] for _, lat, _ in lattices])
+        assert sum(len(lat.as_dict()["relations"]) for _, lat, _ in lattices) == 2841
+        assert hashlib.sha256(doc.encode()).hexdigest() == (
+            "f67230fd25a5092d9aedc40ce73edc584d9a59510e804d01520774c7ab9e8812"
+        )
 
     def test_as_dict_writes_the_441_covers_of_the_k7_lattice(self, monkeypatch):
         import conftest

@@ -10,7 +10,6 @@ from .canonical import (
     convexify,
     delete_step,
     hn_filtration,
-    is_convex,
     is_semistable,
     leading_term,
 )

@@ -206,10 +206,6 @@ def violating_indices(f: WeightedFiltration) -> list[int]:
     ]
 
 
-def is_convex(f: WeightedFiltration) -> bool:
-    return not violating_indices(f)
-
-
 def convexify(f: WeightedFiltration) -> WeightedFiltration:
     """Delete at the deepest violating step until convex; nu non-decreasing."""
     if nu_compare(nu(f), NuValue.zero()) == LESS:

@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, help_text: str, *, delta=False, bound=False, index=False,
-            chain=False, sweep=False, csv_flag=False):
+            chain=False, weights=False, sweep=False, csv_flag=False):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("input", help="path to a lattice file")
         if delta:
@@ -326,6 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--index", default=None, help="slope index i")
         if chain:
             cmd.add_argument("--chain", default=None, help="comma-separated member ids, top first")
+        if weights:
             cmd.add_argument("--weights", default=None, help="comma-separated integers")
         if sweep:
             cmd.add_argument("--sweep-deltas", default=None,
@@ -338,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("check", "Gieseker semistability verdict plus witness")
     add("hn", "greedy Harder-Narasimhan chain")
     add("canonical", "weighted leading-term filtration and its nu")
-    add("nu", "invariant of a user-supplied filtration", delta=True, chain=True)
+    add("nu", "invariant of a user-supplied filtration", delta=True, chain=True, weights=True)
     add("polytope", "slope polytope of a chain (default: leading-term chain)",
         index=True, chain=True)
     add("pair-check", "pair semistability at a given delta", delta=True)

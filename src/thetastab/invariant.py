@@ -6,9 +6,11 @@ the per-unit-weight contribution of a step with graded piece gr,
     c = (reduced(gr) - reduced(F)) * rank(gr) - delta * rank(gr) / rank(F)
       = P(gr) - rank(gr) * tau,   tau = reduced(F) + delta / rank(F),
 
-with tau from ambient_tau.  contributions(chain, delta) applies it to each
-step of a chain; pair_canonical applies it once per distinct step of its
-walk.  The invariant of weights w is nu = <w, c> / sqrt(b) with
+for a step (sub, sup) of a chain, with gr = sup/sub, read off the one step
+table of a query, step_table(lat, delta): tau once, each distinct step's c
+once, on first use.  pair_canonical and the oracle's iter_terms build one
+per query; contributions(chain, delta) applies one to a single chain.  The
+invariant of weights w is nu = <w, c> / sqrt(b) with
 b = sum rank(gr_m) * w_m^2, kept exact as a NuValue; the oracle's scores
 and the maximizer's values are read from the same c.
 
@@ -25,10 +27,9 @@ b_norm itself reports the degeneracy.
 
 The maximizer.  maximize_weights(chain, contribs, pivot) takes the numbers
 it maximizes: the chain's ids and graded ranks, its steps' contributions c
-(the caller's: contributions(chain, delta), or pair_canonical's step
-table), and the pivot, the chain index of the deepest member containing a
-pair's marked image (lattice.pair_pivot_index), or None without a framing
-map.  It never reads delta or the pair.
+(a step table's for that chain), and the pivot, the chain index of the
+deepest member containing a pair's marked image (lattice.pair_pivot_index),
+or None without a framing map.  It never reads delta or the pair.
 
 nu is compared eventually, so on one chain it is maximized
 lexicographically, one exponent of n at a time, highest first.  With
@@ -84,18 +85,11 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import factorial
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import BadIndex, DegenerateFiltration
-from .lattice import SubobjectLattice, UnweightedFiltration, WeightedFiltration
+from .lattice import SubobjectLattice, UnweightedFiltration, WeightedFiltration, quotient_poly
 from .ratpoly import HilbertStats, NuValue, RatPoly
-
-
-def ambient_tau(lat: SubobjectLattice, delta: RatPoly | None = None) -> RatPoly:
-    """tau = reduced(F) + delta / rank(F), the twisted reduced polynomial of
-    the ambient object."""
-    top = lat.top.stats
-    return top.reduced if delta is None else top.reduced + delta * (1 / top.rank)
 
 
 def step_contribution(graded: HilbertStats, tau: RatPoly) -> RatPoly:
@@ -104,13 +98,31 @@ def step_contribution(graded: HilbertStats, tau: RatPoly) -> RatPoly:
     return graded.poly - tau * graded.rank
 
 
+def step_table(
+    lat: SubobjectLattice, delta: RatPoly | None = None
+) -> Callable[[UnweightedFiltration], tuple[RatPoly, ...]]:
+    """The map from a chain of lat to its steps' contributions, top first:
+    tau = reduced(F) + delta / rank(F) once, and each distinct step's
+    contribution once, on first use, kept as long as the map is."""
+    top = lat.top.stats
+    tau = top.reduced if delta is None else top.reduced + delta * (1 / top.rank)
+    table: dict[tuple[str, str], RatPoly] = {}  # (sub, sup) -> its contribution
+
+    def contributions_of(chain: UnweightedFiltration) -> tuple[RatPoly, ...]:
+        for step in chain.steps:
+            if step not in table:
+                table[step] = step_contribution(quotient_poly(lat, *step), tau)
+        return tuple(map(table.__getitem__, chain.steps))
+
+    return contributions_of
+
+
 def contributions(
     chain: UnweightedFiltration, delta: RatPoly | None = None
 ) -> tuple[RatPoly, ...]:
     """Per-unit-weight contribution of each step of the chain, top first:
-    P(gr_m) - rank(gr_m) * tau with tau = reduced(F) + delta / rank(F)."""
-    tau = ambient_tau(chain.lattice, delta)
-    return tuple(step_contribution(g, tau) for g in chain.gradeds)
+    P(gr_m) - rank(gr_m) * tau, the step table applied to one chain."""
+    return step_table(chain.lattice, delta)(chain)
 
 
 def dot(weights: Sequence[int | Fraction], contribs: Sequence[RatPoly]) -> RatPoly:
@@ -317,21 +329,6 @@ class Polytope2:
         if not normalized:
             raise ValueError("hull of no points")
         return cls(_hull(normalized))
-
-    def contains(self, point: Point) -> bool:
-        pt = (Fraction(point[0]), Fraction(point[1]))
-        vs = self.vertices
-        if len(vs) == 1:
-            return pt == vs[0]
-        if len(vs) == 2:
-            a, b = vs
-            if _cross(a, b, pt) != 0:
-                return False
-            return min(a, b) <= pt <= max(a, b)
-        for k in range(len(vs)):
-            if _cross(vs[k], vs[(k + 1) % len(vs)], pt) < 0:
-                return False
-        return True
 
 
 def polytope(f: UnweightedFiltration, i: int) -> Polytope2:

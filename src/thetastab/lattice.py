@@ -65,9 +65,9 @@ between) are built on first use and kept.
 No ObjectClass, RatPoly or HilbertStats is built while loading: member()
 builds a member's ObjectClass on first use, one per id, and its polynomial
 and statistics (and so the d! of its rank) are built from its row on
-first use and kept on the member, and a quotient's by quotient_poly:
-is_semistable and pair_semistable build none, and hn_filtration only its
-chain's graded pieces.
+first use and kept on the member, and a quotient's by quotient_poly.  A
+chain reads its graded pieces from that memo when first asked, so
+is_semistable, pair_semistable and hn_filtration build none.
 """
 
 from __future__ import annotations
@@ -362,7 +362,8 @@ def build_lattice(
 
     # Rank growth on the generating edges: the declared inclusions and each
     # other member -> top (zero's edges cannot fail).  A failure names the
-    # first failing edge in sorted order, with the two ranks d! * N[d] / D,
+    # first failing edge in sorted order, with the two ranks d! * N[d] / D
+    # (over d! when a rank has more digits than the interpreter prints),
     # unless the edges close a cycle, which is named first.
     failing = [(sub, sup) for sub, sup in declared if sub != zero_id and entry[sub] >= entry[sup]]
     failing += [(i, top_id) for i in nonzero if i != top_id and entry[i] >= top_entry]
@@ -376,10 +377,12 @@ def build_lattice(
         except graphlib.CycleError:
             raise CycleInRelation("declared inclusions contain a cycle") from None
         sub, sup = min(failing)
-        rank_sub, rank_sup = (Fraction(entry[i] * factorial(dim), denominator) for i in (sub, sup))
-        raise RankNotIncreasing(
-            f"rank must grow strictly along {sub!r} < {sup!r}: {rank_sub} >= {rank_sup}"
-        )
+        leads = [Fraction(entry[i], denominator) for i in (sub, sup)]  # rank / d!: the n^d coefficients
+        try:
+            ranks = " >= ".join(str(lead * factorial(dim)) for lead in leads)
+        except ValueError:  # a rank over the interpreter's int-to-str limit
+            ranks = " >= ".join(f"{dim}! * {lead}" for lead in leads)
+        raise RankNotIncreasing(f"rank must grow strictly along {sub!r} < {sup!r}: {ranks}")
 
     # Every edge raises the rank, so the members sorted by rank are a
     # topological order: zero first, top last.  Each up-set mask is filled
@@ -445,16 +448,24 @@ class PairObject:
 class UnweightedFiltration:
     """Strictly increasing chain G_(q) < ... < G_(0) = top, stored top-first.
 
-    gradeds[m] holds the statistics of G_(m)/G_(m+1), with the implicit
-    G_(q+1) = 0.
+    It stores the member ids alone.  steps[m] is (G_(m+1), G_(m)), with the
+    implicit G_(q+1) = 0, and gradeds[m], the statistics of G_(m)/G_(m+1),
+    is quotient_poly's object for that step; both are read on first use.
     """
 
     lattice: SubobjectLattice = field(compare=False)
     chain: tuple[str, ...]
-    gradeds: tuple[HilbertStats, ...] = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.chain)
+
+    @cached_property
+    def steps(self) -> tuple[tuple[str, str], ...]:
+        return tuple(zip(self.chain[1:] + (self.lattice.zero_id,), self.chain))
+
+    @cached_property
+    def gradeds(self) -> tuple[HilbertStats, ...]:
+        return tuple(quotient_poly(self.lattice, sub, sup) for sub, sup in self.steps)
 
 
 def quotient_poly(lat: SubobjectLattice, sub: str, sup: str) -> HilbertStats:
@@ -475,7 +486,7 @@ def quotient_poly(lat: SubobjectLattice, sub: str, sup: str) -> HilbertStats:
 
 
 def make_chain(lat: SubobjectLattice, ids: Sequence[str]) -> UnweightedFiltration:
-    """Validate a top-first chain of nonzero members."""
+    """Validate a top-first chain of nonzero members; no graded piece is built."""
     chain = tuple(str(i) for i in ids)
     if not chain:
         raise ChainNotIncreasing("chain must contain at least the ambient object")
@@ -491,11 +502,7 @@ def make_chain(lat: SubobjectLattice, ids: Sequence[str]) -> UnweightedFiltratio
             raise ChainNotIncreasing(
                 f"{deeper!r} is not strictly contained in {shallower!r}"
             )
-    gradeds = tuple(
-        quotient_poly(lat, sub, sup)
-        for sup, sub in zip(chain, chain[1:] + (lat.zero_id,))
-    )
-    return UnweightedFiltration(lattice=lat, chain=chain, gradeds=gradeds)
+    return UnweightedFiltration(lattice=lat, chain=chain)
 
 
 @dataclass(frozen=True)
@@ -538,7 +545,7 @@ def make_filtration(
             raise PairConstraintViolated(
                 f"image subobject sits at index {j} with weight {ws[j]} < 0"
             )
-    return WeightedFiltration(lattice=lat, chain=base.chain, gradeds=base.gradeds, weights=ws)
+    return WeightedFiltration(lattice=lat, chain=base.chain, weights=ws)
 
 
 def primitive_weights(weights: Sequence[int | Fraction]) -> tuple[int, ...]:
@@ -554,5 +561,4 @@ def primitive_weights(weights: Sequence[int | Fraction]) -> tuple[int, ...]:
 
 def graded_pieces(f: WeightedFiltration) -> list[tuple[int, HilbertStats]]:
     """(weight, graded statistics) per step, deepest step first."""
-    pieces = [(w, g) for w, g in zip(f.weights, f.gradeds)]
-    return pieces[::-1]
+    return list(zip(f.weights, f.gradeds))[::-1]

@@ -5,12 +5,13 @@ increasing integer weight vector with entries bounded by W, applies the
 pair constraint when one is given, and maximizes the invariant exactly.
 No pruning beyond feasibility: correctness over speed.
 
-Each chain's step contributions are tabulated once, one row of
-coefficients per exponent of n, next to its ranks and pivot; a
-candidate's norm b = sum rank * w^2 and numerator coefficients are dot
-products of its weights with those rows, and it is compared with the
-incumbent by ratpoly.terms_compare, the rule nu_compare applies to
-NuValues.  A NuValue is built only for the result.
+A search reads the chains' step contributions from one step table (see
+invariant), so a step shared by many chains is computed once, and lays
+each chain's out as one row of coefficients per exponent of n, next to
+its ranks and pivot; a candidate's norm b = sum rank * w^2 and numerator
+coefficients are dot products of its weights with those rows, and it is
+compared with the incumbent by ratpoly.terms_compare, the rule
+nu_compare applies to NuValues.  A NuValue is built only for the result.
 
 Since nu is scale invariant, proportional weight vectors represent the same
 candidate; the argmax is always reported in primitive form (weights divided
@@ -28,7 +29,7 @@ from math import comb
 from operator import mul
 from typing import Iterable, Iterator
 
-from .invariant import contributions, nu_delta
+from .invariant import nu_delta, step_table
 from .lattice import (
     PairObject,
     SubobjectLattice,
@@ -37,9 +38,8 @@ from .lattice import (
     make_filtration,
     pair_pivot_index,
     primitive_weights,
-    quotient_poly,
 )
-from .ratpoly import GREATER, HilbertStats, NuValue, RatPoly, terms_compare
+from .ratpoly import GREATER, NuValue, RatPoly, terms_compare
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,8 @@ def _walk(
     """Every chain top > c_1 > ... with each c_(i+1) in children[c_i], in
     lexicographic order of the id tuples (children lists are sorted).
 
-    A depth-first walk visits the chains in that order; chains sharing a
-    prefix share its graded pieces, and quotient_poly computes each
-    quotient once per lattice, not once per call.
+    A depth-first walk visits the chains in that order and builds each
+    chain from its ids alone: no graded piece is read until a caller asks.
 
     With a weight bound W it walks only the chains that carry a candidate
     (strictly increasing weights in [-W, W], w_p >= 0 at beta's pivot p):
@@ -73,19 +72,16 @@ def _walk(
     if bound is None:  # no chain is longer, nor misses more
         bound = len(children)
 
-    def extend(prefix: tuple[str, ...], upper: tuple[HilbertStats, ...], misses: int) -> None:
-        # upper holds the graded pieces above the deepest member prefix[-1]
-        deepest = prefix[-1]
-        gradeds = upper + (quotient_poly(lat, lat.zero_id, deepest),)
-        chains.append(UnweightedFiltration(lattice=lat, chain=prefix, gradeds=gradeds))
+    def extend(prefix: tuple[str, ...], misses: int) -> None:
+        chains.append(UnweightedFiltration(lattice=lat, chain=prefix))
         if len(prefix) > 2 * bound:
             return
-        for sub in children[deepest]:
+        for sub in children[prefix[-1]]:
             missed = misses + (beta is not None and not lat.leq(beta, sub))
             if missed <= bound:
-                extend(prefix + (sub,), upper + (quotient_poly(lat, sub, deepest),), missed)
+                extend(prefix + (sub,), missed)
 
-    extend((lat.top_id,), (), 0)
+    extend((lat.top_id,), 0)
     return chains
 
 
@@ -159,8 +155,9 @@ def iter_terms(
         raise ValueError(f"weight bound must be >= 1, got {bound}")
     beta = pair.beta_image if pair is not None else None
 
+    contributions_of = step_table(lat, delta)
     for chain in enumerate_chains(lat, bound, beta):
-        contribs = contributions(chain, delta)
+        contribs = contributions_of(chain)
         exponents = sorted({e for c in contribs for e, _ in c.items()}, reverse=True)
         table = [(e, [c.coeff(e) for c in contribs]) for e in exponents]
         ranks = [g.rank for g in chain.gradeds]

@@ -26,14 +26,12 @@ weight cone, given the chain, its steps' contributions and its pivot.
 Refining a chain enlarges its cone (the inserted steps repeat the weight
 of the step they split, the pivot's included), so every chain's maximizer
 is that of its saturated refinements, and pair_canonical visits saturated
-chains only.  A step's contribution depends on the step and the query
-alone, and saturated chains share their steps (k! chains over
-k * 2^(k-1) steps on the sub-sum lattice of k summands), so
-pair_canonical computes tau once and each distinct step's contribution
-once per query, in a table it keeps for that call only.  Each chain reads
-its contributions from the table and hands them to maximize_weights with
-its pivot, pair_pivot_index of the marked image (None when the framing
-map vanishes); the maximizer sees neither delta nor the pair.
+chains only.  Saturated chains share their steps (k! chains over
+k * 2^(k-1) steps on the sub-sum lattice of k summands), so each query
+reads every chain's contributions from one step table (see invariant)
+and hands them to maximize_weights with the chain's pivot,
+pair_pivot_index of the marked image (None when the framing map
+vanishes); the maximizer sees neither delta nor the pair.
 pair_canonical ranks the chains on their maximizers' values (nu is
 scale-invariant, and a merged step contributes its block's sum): first on
 the leading term, that is on (e*, b), and on the full value only between
@@ -48,7 +46,7 @@ from operator import add
 
 from .canonical import destabilizing_member
 from .errors import Semistable
-from .invariant import WeightMaximum, ambient_tau, maximize_weights, nu_delta, step_contribution
+from .invariant import WeightMaximum, maximize_weights, nu_delta, step_table
 from .lattice import (
     ObjectClass,
     PairObject,
@@ -114,30 +112,20 @@ def pair_canonical(pair: PairObject, delta: RatPoly | None) -> PairCanonicalResu
     A pair that pair_semistable finds semistable raises Semistable at once:
     by the summation-by-parts identity no weighting is positive.  Otherwise
     every saturated chain's lexicographic maximizer is computed in closed
-    form, on contributions computed once per distinct step (sub, sup) of
-    the walk, and the candidates are ranked by their full invariant, read off
-    its leading term (exponent, b) unless two chains tie on it, ties going
-    to the shorter chain, then the smaller ids, then the smaller weights;
-    only the winner's filtration is built.
+    form, on the query's step table, and the candidates are ranked by
+    their full invariant, read off its leading term (exponent, b) unless
+    two chains tie on it, ties going to the shorter chain, then the smaller
+    ids, then the smaller weights; only the winner's filtration is built.
     """
     lat = pair.lattice
     best: WeightMaximum | None = None
     best_key: tuple | None = None
     if not pair_semistable(pair, delta)[0]:
-        tau = ambient_tau(lat, delta)
-        table: dict[tuple[str, str], RatPoly] = {}  # (sub, sup) -> its contribution
-
-        def contribution(step: tuple[str, str], graded) -> RatPoly:
-            if step not in table:
-                table[step] = step_contribution(graded, tau)
-            return table[step]
-
+        contributions_of = step_table(lat, delta)
         beta = pair.beta_image
         for chain in saturated_chains(lat):
-            steps = zip(chain.chain[1:] + (lat.zero_id,), chain.chain)
-            contribs = tuple(map(contribution, steps, chain.gradeds))
             pivot = None if beta is None else pair_pivot_index(chain.chain, lat, beta)
-            wm = maximize_weights(chain, contribs, pivot)
+            wm = maximize_weights(chain, contributions_of(chain), pivot)
             if wm is None:
                 continue
             if best is None:

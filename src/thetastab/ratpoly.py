@@ -9,7 +9,8 @@ Two total orders live here:
 
 * eventual dominance on polynomials: p > q iff p(n) > q(n) for all large n,
   decided exactly by the sign of the highest nonzero coefficient of p - q.
-  RatPoly's rich comparisons use this order.  reduced_compare applies it
+  eventual_compare decides it; RatPoly has no rich comparisons, so p < q
+  is a TypeError.  reduced_compare applies it
   to quotients x / r of integer coefficient tuples by positive integers,
   by cross-multiplication, which is how the stability verdicts compare
   reduced Hilbert polynomials.
@@ -31,7 +32,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, getcontext, localcontext
 from fractions import Fraction
-from functools import cached_property, total_ordering
+from functools import cached_property
 from math import factorial, gcd, isfinite, log10
 from typing import Mapping, Sequence, Union
 
@@ -110,12 +111,9 @@ def _sign(x: Fraction) -> int:
     return 0
 
 
-@total_ordering
 class RatPoly:
-    """Immutable sparse Laurent polynomial with Fraction coefficients.
-
-    Rich comparisons implement the eventual-dominance total order.
-    """
+    """Immutable sparse Laurent polynomial with Fraction coefficients,
+    ordered by eventual_compare."""
 
     __slots__ = ("_coeffs",)
 
@@ -154,9 +152,6 @@ class RatPoly:
     def degree(self) -> int | float:
         """Highest exponent, or -inf for the zero polynomial."""
         return max(self._coeffs) if self._coeffs else NEG_INFINITY
-
-    def leading_coeff(self) -> Fraction:
-        return self._coeffs[max(self._coeffs)] if self._coeffs else Fraction(0)
 
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -204,9 +199,6 @@ class RatPoly:
         if not isinstance(other, RatPoly):
             return NotImplemented
         return self._coeffs == other._coeffs
-
-    def __lt__(self, other: RatPoly) -> bool:
-        return eventual_compare(self, other) == LESS
 
     def __hash__(self) -> int:
         return hash(self.items())

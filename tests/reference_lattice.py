@@ -16,7 +16,8 @@ It keeps the closure as a set of pairs, dfs_closure's, and hands the
 lattice the masks read off it, member k of the sorted ids owning bit k.
 relation reads the set of pairs back off any lattice's masks.
 
-structurally_equal and is_trivial are helpers no code under src/ needs.
+structurally_equal, is_trivial and is_convex are helpers no code under
+src/ needs.
 """
 
 from __future__ import annotations
@@ -33,8 +34,11 @@ from thetastab.errors import (
     QuotientNotPure,
     RankNotIncreasing,
 )
-from thetastab.lattice import SubobjectLattice, UnweightedFiltration, integer_table
+from thetastab.canonical import violating_indices
+from thetastab.lattice import SubobjectLattice, UnweightedFiltration, WeightedFiltration, integer_table
 from thetastab.ratpoly import RatPoly, as_integer
+
+from reference_ratpoly import leading_coeff
 
 _RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
@@ -75,7 +79,7 @@ def _check_quotient(quotient: RatPoly, sup: str, sub: str, dim: int) -> None:
     Laurent terms and a positive leading coefficient."""
     if quotient.has_negative_exponents() or quotient.degree() != dim:
         raise QuotientNotPure(f"quotient {sup!r}/{sub!r} must have degree exactly {dim}")
-    if quotient.leading_coeff() <= 0:
+    if leading_coeff(quotient) <= 0:
         raise QuotientNotPure(f"quotient {sup!r}/{sub!r} has nonpositive leading coefficient")
 
 
@@ -99,6 +103,11 @@ def structurally_equal(lat: SubobjectLattice, other: SubobjectLattice) -> bool:
 def is_trivial(f: UnweightedFiltration) -> bool:
     """The chain is the ambient object alone."""
     return len(f.chain) == 1
+
+
+def is_convex(f: WeightedFiltration) -> bool:
+    """No step where convexity fails strictly (canonical.violating_indices)."""
+    return not violating_indices(f)
 
 
 def dfs_closure(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> set[tuple[str, str]]:

@@ -41,6 +41,7 @@ from randgen import random_coordinate_lattice, random_path_filtration, random_su
 from reference_high_degree import pair_canonical_high_degree
 from reference_oracle import iter_candidates
 from reference_polytope import polytope_subset
+from reference_ratpoly import leading_coeff
 
 
 def report(criterion: int, message: str) -> None:
@@ -274,7 +275,7 @@ def test_criterion_07_big_degree_classification():
         # Cauchy-Schwarz bounds on every enumerated pair-admissible filtration
         for delta in (neg_delta, pos_delta):
             degree = delta.degree()
-            lead = delta.leading_coeff()
+            lead = leading_coeff(delta)
             for chain, weights, value in iter_candidates(lat, pair, delta, bound=2):
                 coeff = value.L.coeff(degree)
                 # universal bound |nu_D| <= |delta_D| / sqrt(rank F)

@@ -15,7 +15,6 @@ from thetastab import (
     delete_step,
     eventual_compare,
     hn_filtration,
-    is_convex,
     is_semistable,
     leading_term,
     make_filtration,
@@ -33,7 +32,7 @@ from thetastab.latfile import load_lattice
 from conftest import FIXTURES, coordinate_lattice, sum_lattice
 from randgen import random_coprime_lattice, random_path_filtration, random_subposet_lattice
 import reference_leading_term
-from reference_lattice import is_trivial
+from reference_lattice import is_convex, is_trivial
 
 
 def seeded_lattices(seed):

@@ -120,6 +120,12 @@ class TestPolytope:
             [("0", "0"), ("-3", "1"), ("-4", "2")]
         )
 
+    def test_weights_is_not_a_polytope_flag(self, capsys):
+        # a polytope is a chain's alone: --weights is nu's flag
+        code, out, err = run(capsys, "polytope", FIXTURES / "o2_o.lattice", "--weights", "9,9,9")
+        assert code == 2 and out == "" and err.startswith("error: ParseError: ")
+        assert err.count("\n") == 1 and "--weights" in err
+
 
 class TestPairCommands:
     def test_pair_check_wall(self, capsys):
@@ -417,6 +423,25 @@ class TestIntegersTooLongToPrint:
                     assert code == 0 and not err, (argv, err)
         assert sorted(set(too_long)) == ["canonical", "nu", "oracle", "pair-canonical", "polytope"]
         assert too_long.count("oracle") == too_long.count("pair-canonical") == 6
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_a_rank_failure_at_d_2000_keeps_its_name(self, capsys, tmp_path):
+        # the ranks d! * 2 and d! * 1 have over 5700 digits each, so the
+        # message writes them over d!; E of rank 2 is declared inside F
+        path = tmp_path / "rank2000.lattice"
+        path.write_text(json.dumps({
+            "dimension": 2000,
+            "objects": [{"id": "0", "hilbert": {}}] + [
+                {"id": m, "hilbert": {"2000": c}} for m, c in (("E", "2"), ("F", "1"), ("G", "3"))
+            ],
+            "relations": [["E", "F"]],
+        }))
+        limit = sys.get_int_max_str_digits()
+        for fmt in ("text", "structured"):
+            code, out, err = run(capsys, "check", path, "--format", fmt)
+            assert (code, out) == (1, "")
+            assert err == "error: RankNotIncreasing: rank must grow strictly along 'E' < 'F': " \
+                "2000! * 2 >= 2000! * 1\n"
         assert sys.get_int_max_str_digits() == limit
 
     def test_other_value_errors_still_propagate(self, monkeypatch):

@@ -32,6 +32,7 @@ import reference_hn
 from reference_hn import InvalidHN
 import reference_lattice
 import reference_semistable
+from reference_ratpoly import leading_coeff
 
 FORMS = (None, "zero", "negative", "Laurent", "degree <= d-1", "degree d", "degree > d")
 
@@ -93,7 +94,7 @@ class TestReducedCompare:
             x = tuple(int(denominator * p.coeff(e)) for e in range(d + 1))
             y = tuple(int(denominator * q.coeff(e)) for e in range(d + 1))
             expected = eventual_compare(
-                p * (1 / p.leading_coeff()), q * (1 / q.leading_coeff())
+                p * (1 / leading_coeff(p)), q * (1 / leading_coeff(q))
             )
             assert reduced_compare(x, x[d], y, y[d]) == expected
             outcomes.add(expected)

@@ -667,6 +667,37 @@ class TestQuotientMemo:
                     quotient_poly(lat, sub, sup)
         assert_all_raise()
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_gradeds_are_the_memos_objects_built_on_first_read(self, monkeypatch, d):
+        # a chain stores its ids alone: neither make_chain nor the walks
+        # compute a quotient, and the gradeds, once read, are the memo's
+        lat = _k4_lattice(d)
+        quotients, stats_calls = [], []
+        memo, stats = lattice_mod.quotient_poly, lattice_mod.hilbert_stats
+
+        def counting_memo(lat_, sub, sup):
+            quotients.append((sub, sup))
+            return memo(lat_, sub, sup)
+
+        def counting_stats(poly, dim):
+            stats_calls.append(poly)
+            return stats(poly, dim)
+
+        monkeypatch.setattr(lattice_mod, "quotient_poly", counting_memo)
+        monkeypatch.setattr(lattice_mod, "hilbert_stats", counting_stats)
+        chains = enumerate_chains(lat) + saturated_chains(lat)
+        chains += [lattice_mod.make_chain(lat, c.chain) for c in chains]
+        assert len(chains) == 2 * (75 + 24) and quotients == [] and stats_calls == []
+        for chain in chains:
+            ids = chain.chain
+            assert chain.steps == tuple(zip(ids[1:] + ("0",), ids))
+            assert quotients == [] and stats_calls == []
+            gradeds = chain.gradeds
+            assert quotients == list(chain.steps)
+            assert all(g is memo(lat, *step) for g, step in zip(gradeds, chain.steps))
+            assert chain.gradeds is gradeds  # read once, then kept
+            quotients.clear(), stats_calls.clear()
+
     def test_answers_do_not_depend_on_the_call_order(self):
         calls = [
             ("hn", hn_filtration),
@@ -939,8 +970,9 @@ class TestReducedOnDemand:
 class TestLoaderWork:
     """A lattice file's distinct literals are parsed once each, into the
     integer table; member statistics are built on first use, so the
-    verdicts that read the table alone build none, and no rank needs a
-    factorial."""
+    verdicts that read the table alone (and hn, whose chain builds its
+    graded pieces only when they are read) build none, and no rank needs
+    a factorial."""
 
     @pytest.fixture
     def k7_pair_file(self, tmp_path):
@@ -985,11 +1017,8 @@ class TestLoaderWork:
         assert len(written) > 2 * 127 and sorted(literals) == sorted(set(written))
         [(lat, _)] = loaded
         built = [i for i in lat.ids() if {"poly", "stats"} & vars(lat.member(i)).keys()]
-        if argv[0] != "hn":
-            assert built == [] and stats_calls == []
-        else:  # the chain's graded pieces alone, the deepest being its member over zero
-            chain = hn_filtration(lat).chain
-            assert len(chain) > 1 and built == [chain[-1]] and len(stats_calls) == len(chain)
+        # hn included: its chain's graded pieces are built only when read
+        assert built == [] and stats_calls == []
 
     @pytest.mark.parametrize(
         "second, message",

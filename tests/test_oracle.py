@@ -10,13 +10,15 @@ from thetastab import (
     PairObject,
     RatPoly,
     brute_force_max,
+    build_lattice,
     canonical_filtration,
     enumerate_chains,
     make_chain,
     nu,
     nu_compare,
 )
-from thetastab import oracle
+from thetastab import invariant, oracle
+from thetastab import lattice as lattice_mod
 from thetastab.latfile import load_lattice
 from thetastab.oracle import candidate_count
 
@@ -27,6 +29,13 @@ from reference_oracle import iter_candidates, reference_max, scored_candidates
 
 def P(mapping):
     return RatPoly(mapping)
+
+
+def total_order(m):
+    """Zero and a total order G01 < ... < G(m-1) at d = 1, G_k of rank k."""
+    ids = [f"G{k:02d}" for k in range(1, m)]
+    polys = {"0": RatPoly.zero(), **{i: P({1: k}) for k, i in enumerate(ids, 1)}}
+    return build_lattice(1, polys, list(zip(ids, ids[1:])))
 
 
 class TestEnumerateChains:
@@ -225,6 +234,41 @@ class TestWorkCounts:
         assert len(built) <= 2, len(built)
 
 
+    @pytest.mark.parametrize(
+        "lat, beta, bound, explored, steps",
+        [
+            (total_order(24), "G01", 2, 17525, 276),
+            (coordinate_lattice({f"L{i}": (i * 7) % 5 - 2 + i for i in range(4)}), "L0", 6, 15378, 65),
+        ],
+        ids=["total-order-24", "k4-pair"],
+    )
+    def test_each_walked_step_is_contributed_once(self, monkeypatch, lat, beta, bound, explored, steps):
+        # one step table per query: a step shared by many chains (43 473
+        # chain-steps on the total order) is contributed once
+        calls = []
+        real = invariant.step_contribution
+
+        def counting(graded, tau):
+            calls.append(graded)
+            return real(graded, tau)
+
+        pair = PairObject(lattice=lat, beta_image=beta)
+        walked = set()
+        for chain in enumerate_chains(lat, bound, beta):
+            ids = chain.chain
+            walked.update(zip(ids[1:] + (lat.zero_id,), ids))
+        assert len(walked) == steps
+        monkeypatch.setattr(invariant, "step_contribution", counting)
+        search = oracle.iter_terms(lat, pair, P({0: Fraction(1, 2)}), bound)
+        assert sum(1 for _ in search) == explored and len(calls) == steps
+        calls.clear()
+        result = brute_force_max(lat, pair=pair, bound=bound)
+        # beyond the walk's steps, only nu_delta's on the result's chain
+        # (69 calls on the k = 4 pair, whose 4-member winner follows)
+        assert result.explored == explored
+        assert len(calls) == steps + (0 if result.best is None else len(result.best.chain))
+
+
 class TestCandidateCount:
     """candidate_count is brute_force_max's explored count, read off chain
     lengths and pivots without building a chain or scoring a candidate."""
@@ -255,7 +299,7 @@ class TestCandidateCount:
         lat = coordinate_lattice({f"L{i}": (i * 7) % 5 - 2 + i for i in range(6)})
         lengths = [len(c.chain) for c in enumerate_chains(lat)]
         monkeypatch.setattr(oracle, "enumerate_chains", fail)
-        monkeypatch.setattr(oracle, "quotient_poly", fail)
+        monkeypatch.setattr(lattice_mod, "quotient_poly", fail)  # where a chain reads its gradeds
         assert candidate_count(lat, PairObject(lattice=lat, beta_image="L0"), 6) == 2599050
         # without a constraint each chain of length L has C(2W + 1, L), so a
         # bound no search could reach is counted as fast as a small one

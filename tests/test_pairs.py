@@ -43,6 +43,7 @@ from reference_maximizer import (
 )
 import reference_pair_canonical
 import reference_semistable
+from reference_ratpoly import leading_coeff
 
 
 def P(mapping):
@@ -120,7 +121,7 @@ def _regime(pair, delta):
     """The branch of the regime-by-regime reference that decides the pair."""
     if delta is None or delta.is_zero():
         return "zero"
-    if delta.leading_coeff() < 0:
+    if leading_coeff(delta) < 0:
         return "negative"
     if delta.degree() >= pair.lattice.dim:
         return "big degree"
@@ -432,7 +433,7 @@ class TestMaximizerValue:
                 if wm is None:
                     continue
                 assert wm.value.L.degree() == wm.exponent, (chain.chain, delta)
-                assert wm.value.L.leading_coeff() == wm.value.b == wm.b, (chain.chain, delta)
+                assert leading_coeff(wm.value.L) == wm.value.b == wm.b, (chain.chain, delta)
                 pinned += wm.pinned is not None
                 lower += wm.exponent < lat.dim - 1
         assert pinned and lower, (pinned, lower)
@@ -457,7 +458,8 @@ class TestMaximizerValue:
         # chains are ranked on (exponent, b); the full value (dot) is only
         # computed for the 12 of 120 chains that tie the incumbent on both;
         # each of the 80 steps (sub, sup) of the walk has its contribution
-        # computed once, not once per chain through it (600 chain-steps)
+        # computed once by the query's step table, not once per chain
+        # through it (600 chain-steps)
         calls = {
             "maximize_weights": 0, "make_filtration": 0, "nu_delta": 0, "dot": 0, "step_contribution": 0,
         }
@@ -478,8 +480,8 @@ class TestMaximizerValue:
                     in_nu_delta[0] -= name == "nu_delta"
             return wrapped
 
-        for name in calls:
-            module = invariant if name == "dot" else pairs
+        for name in calls:  # dot and step_contribution where the invariant module calls them
+            module = invariant if name in ("dot", "step_contribution") else pairs
             monkeypatch.setattr(module, name, counting(module, name))
         lat = coordinate_lattice({f"L{i}": (i * 7) % 5 - 2 + i for i in range(5)})
         result = pair_canonical(PairObject(lattice=lat, beta_image="L0"), const(Fraction(1, 2)))

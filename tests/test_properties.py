@@ -22,6 +22,7 @@ from thetastab.errors import ParseError
 from thetastab.ratpoly import as_fraction, as_integer, as_ratio
 
 import reference_leading_term
+from reference_ratpoly import leading_coeff
 
 CHECK_POINT = 10**6
 
@@ -74,7 +75,7 @@ def _leading_sign(p: RatPoly) -> int:
     """Sign of the highest nonzero coefficient of p, EQUAL for zero."""
     if p.is_zero():
         return EQUAL
-    return GREATER if p.leading_coeff() > 0 else LESS
+    return GREATER if leading_coeff(p) > 0 else LESS
 
 
 class TestEventualCompareIsTheLeadingDifference:

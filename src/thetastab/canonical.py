@@ -9,7 +9,7 @@ resolved silently: uniqueness of the HN filtration presumes closure under
 sums, which a user lattice may lack.
 
 The leading term filtration is the invariant's maximizer on the HN chain,
-maximize_weights on the chain's own contributions with no pivot (see
+maximize_weights on the chain's step-table entries with no pivot (see
 invariant).  Its descent stops at the
 highest exponent of n where the graded reduced polynomials differ, the
 filtration's index.  There the graded coefficients already increase
@@ -30,7 +30,7 @@ from operator import sub
 from typing import Mapping, Sequence
 
 from .errors import AmbiguousHN, NegativeNu, ObjectSemistable, PreconditionFailed
-from .invariant import contributions, maximize_weights, nu
+from .invariant import maximize_weights, nu, step_table
 from .lattice import (
     ObjectClass,
     SubobjectLattice,
@@ -142,10 +142,10 @@ class LeadingTermData:
 
 
 def leading_term(hn: UnweightedFiltration) -> LeadingTermData:
-    """maximize_weights on the HN chain's contributions, with no pivot: the
-    coarser chain it lives on, the exponent where its descent stopped, and
-    its weights scaled to primitive integers."""
-    wm = maximize_weights(hn, contributions(hn), None)
+    """maximize_weights on the HN chain's step-table entries, with no pivot:
+    the coarser chain it lives on, the exponent where its descent stopped,
+    and its weights scaled to primitive integers."""
+    wm = maximize_weights(hn.chain, *step_table(hn.lattice)(hn.chain), None)
     if wm is None:
         raise ObjectSemistable("trivial HN chain has no leading term filtration")
     return LeadingTermData(

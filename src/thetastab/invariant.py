@@ -6,13 +6,13 @@ the per-unit-weight contribution of a step with graded piece gr,
     c = (reduced(gr) - reduced(F)) * rank(gr) - delta * rank(gr) / rank(F)
       = P(gr) - rank(gr) * tau,   tau = reduced(F) + delta / rank(F),
 
-for a step (sub, sup) of a chain, with gr = sup/sub, read off the one step
-table of a query, step_table(lat, delta): tau once, each distinct step's c
-once, on first use.  pair_canonical and the oracle's iter_terms build one
-per query; contributions(chain, delta) applies one to a single chain.  The
-invariant of weights w is nu = <w, c> / sqrt(b) with
-b = sum rank(gr_m) * w_m^2, kept exact as a NuValue; the oracle's scores
-and the maximizer's values are read from the same c.
+for a step (sub, sup) of a chain, with gr = sup/sub.  A query's step
+table, step_table(lat, delta), makes tau once and one entry (rank(gr), c)
+per distinct step on first use; the searches read a chain's steps from it
+by the chain's ids alone.  The invariant of weights w is
+nu = <w, c> / sqrt(b) with b = sum rank(gr_m) * w_m^2, kept exact as a
+NuValue; the oracle's scores and the maximizer's values are read from the
+same entries.
 
 The weight of the determinant family at the associated graded, <w, c> at
 delta = 0, is computed a second, independent way (the subobject form):
@@ -25,11 +25,11 @@ The trivial filtration with weight zero has b = 0; its nu is defined to be
 the zero NuValue by convention (semistable objects maximize at zero), while
 b_norm itself reports the degeneracy.
 
-The maximizer.  maximize_weights(chain, contribs, pivot) takes the numbers
-it maximizes: the chain's ids and graded ranks, its steps' contributions c
-(a step table's for that chain), and the pivot, the chain index of the
-deepest member containing a pair's marked image (lattice.pair_pivot_index),
-or None without a framing map.  It never reads delta or the pair.
+The maximizer.  maximize_weights(ids, ranks, contribs, pivot) takes the
+numbers it maximizes: a chain's ids and its step-table entries, and the
+pivot, the chain index of the deepest member containing a pair's marked
+image (lattice.pair_pivot_index), or None without a framing map.  It
+never reads a chain, delta or the pair.
 
 nu is compared eventually, so on one chain it is maximized
 lexicographically, one exponent of n at a time, highest first.  With
@@ -100,21 +100,23 @@ def step_contribution(graded: HilbertStats, tau: RatPoly) -> RatPoly:
 
 def step_table(
     lat: SubobjectLattice, delta: RatPoly | None = None
-) -> Callable[[UnweightedFiltration], tuple[RatPoly, ...]]:
-    """The map from a chain of lat to its steps' contributions, top first:
-    tau = reduced(F) + delta / rank(F) once, and each distinct step's
-    contribution once, on first use, kept as long as the map is."""
+) -> Callable[[tuple[str, ...]], tuple[tuple[Fraction, ...], tuple[RatPoly, ...]]]:
+    """The map from a chain's ids, top first, to its steps' graded ranks and
+    contributions: tau once, and each distinct step's entry (rank,
+    contribution) once, on first use, kept as long as the map is."""
     top = lat.top.stats
     tau = top.reduced if delta is None else top.reduced + delta * (1 / top.rank)
-    table: dict[tuple[str, str], RatPoly] = {}  # (sub, sup) -> its contribution
+    table: dict[tuple[str, str], tuple[Fraction, RatPoly]] = {}  # (sub, sup) -> its entry
 
-    def contributions_of(chain: UnweightedFiltration) -> tuple[RatPoly, ...]:
-        for step in chain.steps:
+    def steps_of(ids: tuple[str, ...]) -> tuple[tuple[Fraction, ...], tuple[RatPoly, ...]]:
+        steps = tuple(zip(ids[1:] + (lat.zero_id,), ids))
+        for step in steps:
             if step not in table:
-                table[step] = step_contribution(quotient_poly(lat, *step), tau)
-        return tuple(map(table.__getitem__, chain.steps))
+                graded = quotient_poly(lat, *step)
+                table[step] = graded.rank, step_contribution(graded, tau)
+        return tuple(zip(*map(table.__getitem__, steps)))
 
-    return contributions_of
+    return steps_of
 
 
 def contributions(
@@ -122,7 +124,7 @@ def contributions(
 ) -> tuple[RatPoly, ...]:
     """Per-unit-weight contribution of each step of the chain, top first:
     P(gr_m) - rank(gr_m) * tau, the step table applied to one chain."""
-    return step_table(chain.lattice, delta)(chain)
+    return step_table(chain.lattice, delta)(chain.chain)[1]
 
 
 def dot(weights: Sequence[int | Fraction], contribs: Sequence[RatPoly]) -> RatPoly:
@@ -232,23 +234,22 @@ def _merge(values: Sequence, keep: list[int]) -> list:
 
 
 def maximize_weights(
-    chain: UnweightedFiltration,
+    ids: Sequence[str],
+    ranks: Sequence[Fraction],
     contribs: Sequence[RatPoly],
     pivot: int | None,
 ) -> WeightMaximum | None:
     """Exact lexicographic maximizer of the invariant over the weight cone,
     or None when no weighting is positive.
 
-    contribs holds the per-unit-weight contribution of each step of the
-    chain, top first (contributions(chain, delta), or a caller's table of
-    the same numbers); pivot is the chain index the pair constraint holds
-    at, or None without one.  The cone is {w_0 <= ... <= w_q}, intersected
-    with {w_pivot >= 0}.  The descent of the module docstring runs over the
-    exponents of the contributions, highest first; each zero maximum
-    merges steps (ids, contributions and ranks together).  Only ids and
-    graded ranks are read from the chain.
+    ids are the chain's members, top first, and ranks and contribs its
+    steps' graded ranks and per-unit-weight contributions (a step table's
+    entries for those ids); pivot is the chain index the pair constraint
+    holds at, or None without one.  The cone is {w_0 <= ... <= w_q},
+    intersected with {w_pivot >= 0}.  The descent of the module docstring
+    runs over the exponents of the contributions, highest first; each zero
+    maximum merges steps (ids, contributions and ranks together).
     """
-    ids, ranks = chain.chain, [g.rank for g in chain.gradeds]
     pinned = False
     for exponent in sorted({e for c in contribs for e, _ in c.items()}, reverse=True):
         units = [c.coeff(exponent) for c in contribs]

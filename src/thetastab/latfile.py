@@ -27,7 +27,7 @@ Inclusions of the zero object and into the ambient object need not be
 declared.
 
 Delta literals are one-variable Laurent polynomials in n, e.g. "0", "3/2",
-"n", "-n^2", "2*n - 1/2", "n^-1 + 1".
+"n", "-n^2", "2*n - 1/2", "n^-1 + 1", "n^+2"; an exponent's sign is optional.
 """
 
 from __future__ import annotations
@@ -65,8 +65,7 @@ def parse_delta(literal: str) -> RatPoly:
     if not text:
         raise ParseError("empty delta literal")
     # split into signed terms; a sign directly after '^' is an exponent sign
-    marked = text.replace("^-", "^\x00").replace("^+", "^")
-    pieces = [p.replace("\x00", "-") for p in re.findall(r"[+-]?[^+-]+", marked)]
+    pieces = re.findall(r"[+-]?(?:\^[+-]?|[^-+^])+", text)
     if "".join(pieces) != text:
         raise ParseError(f"bad delta literal {literal!r}")
     coeffs: dict[int, Fraction] = {}

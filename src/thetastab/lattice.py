@@ -449,8 +449,8 @@ class UnweightedFiltration:
     """Strictly increasing chain G_(q) < ... < G_(0) = top, stored top-first.
 
     It stores the member ids alone.  steps[m] is (G_(m+1), G_(m)), with the
-    implicit G_(q+1) = 0, and gradeds[m], the statistics of G_(m)/G_(m+1),
-    is quotient_poly's object for that step; both are read on first use.
+    implicit G_(q+1) = 0, and gradeds[m] is quotient_poly's statistics of
+    G_(m)/G_(m+1); results read both on first use, searches a step table.
     """
 
     lattice: SubobjectLattice = field(compare=False)

@@ -5,13 +5,13 @@ increasing integer weight vector with entries bounded by W, applies the
 pair constraint when one is given, and maximizes the invariant exactly.
 No pruning beyond feasibility: correctness over speed.
 
-A search reads the chains' step contributions from one step table (see
-invariant), so a step shared by many chains is computed once, and lays
-each chain's out as one row of coefficients per exponent of n, next to
-its ranks and pivot; a candidate's norm b = sum rank * w^2 and numerator
-coefficients are dot products of its weights with those rows, and it is
-compared with the incumbent by ratpoly.terms_compare, the rule
-nu_compare applies to NuValues.  A NuValue is built only for the result.
+A search reads each chain's graded ranks and contributions from one step
+table (see invariant) by its ids, so a step shared by many chains is
+computed once, and lays the contributions out as one row per exponent of
+n, next to the ranks and pivot; a candidate's norm b = sum rank * w^2 and
+numerator coefficients are dot products of its weights with those rows,
+and it is compared with the incumbent by ratpoly.terms_compare, the rule
+nu_compare applies to NuValues.  Only the result is built as a NuValue.
 
 Since nu is scale invariant, proportional weight vectors represent the same
 candidate; the argmax is always reported in primitive form (weights divided
@@ -149,27 +149,27 @@ def iter_terms(
     """Yield (chain ids, weights, terms, b) over all feasible nondegenerate
     candidates, chains in canonical order, weights lexicographic: the value
     of a candidate is sum_e terms[e] n^e / sqrt(b), with terms[e] read off
-    the chain's table of step contributions at exponent e (zero
-    coefficients kept)."""
+    the chain's step contributions at exponent e (zero coefficients kept)
+    and b off its graded ranks, both from the query's step table."""
     if bound < 1:
         raise ValueError(f"weight bound must be >= 1, got {bound}")
     beta = pair.beta_image if pair is not None else None
 
-    contributions_of = step_table(lat, delta)
+    steps_of = step_table(lat, delta)
     for chain in enumerate_chains(lat, bound, beta):
-        contribs = contributions_of(chain)
+        ids = chain.chain
+        ranks, contribs = steps_of(ids)
         exponents = sorted({e for c in contribs for e, _ in c.items()}, reverse=True)
         table = [(e, [c.coeff(e) for c in contribs]) for e in exponents]
-        ranks = [g.rank for g in chain.gradeds]
-        pivot = pair_pivot_index(chain.chain, lat, beta) if beta is not None else None
+        pivot = pair_pivot_index(ids, lat, beta) if beta is not None else None
 
-        for weights in combinations(range(-bound, bound + 1), len(chain.chain)):
+        for weights in combinations(range(-bound, bound + 1), len(ids)):
             if pivot is not None and weights[pivot] < 0:
                 continue
             b = sum(map(mul, ranks, (w * w for w in weights)))
             if b == 0:  # the trivial chain with weight 0
                 continue
-            yield chain.chain, weights, {e: sum(map(mul, weights, col)) for e, col in table}, b
+            yield ids, weights, {e: sum(map(mul, weights, col)) for e, col in table}, b
 
 
 def brute_force_max(

@@ -22,16 +22,16 @@ Otherwise such a G, or the trivial chain when delta < 0 or when delta > 0
 and the framing map vanishes, destabilizes with weights in {-1, 0, 1}.
 
 The walk.  maximize_weights (see invariant) maximizes nu over one chain's
-weight cone, given the chain, its steps' contributions and its pivot.
-Refining a chain enlarges its cone (the inserted steps repeat the weight
-of the step they split, the pivot's included), so every chain's maximizer
-is that of its saturated refinements, and pair_canonical visits saturated
-chains only.  Saturated chains share their steps (k! chains over
-k * 2^(k-1) steps on the sub-sum lattice of k summands), so each query
-reads every chain's contributions from one step table (see invariant)
-and hands them to maximize_weights with the chain's pivot,
-pair_pivot_index of the marked image (None when the framing map
-vanishes); the maximizer sees neither delta nor the pair.
+weight cone, given its ids, its steps' graded ranks and contributions,
+and its pivot.  Refining a chain enlarges its cone (the inserted steps
+repeat the weight of the step they split, the pivot's included), so every
+chain's maximizer is that of its saturated refinements, and
+pair_canonical visits saturated chains only.  Saturated chains share
+their steps (k! chains over k * 2^(k-1) steps on the sub-sum lattice of k
+summands), so each query looks every chain's ids up in one step table
+(see invariant) and hands the entries to maximize_weights with the
+chain's pivot, pair_pivot_index of the marked image (None when the
+framing map vanishes); the maximizer sees neither delta nor the pair.
 pair_canonical ranks the chains on their maximizers' values (nu is
 scale-invariant, and a merged step contributes its block's sum): first on
 the leading term, that is on (e*, b), and on the full value only between
@@ -81,15 +81,14 @@ def pair_semistable(
     # p_delta(G) = (P(G) + [beta <= G] * delta) / rank(G): over the table's
     # N_G[d], its numerator is E * N_G + [beta <= G] * D * (E * delta), with
     # D the lattice's denominator and E the lcm of delta's, on the exponents
-    # from min(0, lowest of delta) to max(d, deg delta), lowest first.
+    # that occur (0..d and delta's), lowest first: all rows vanish elsewhere.
     terms = delta._coeffs
-    low, high = min(0, *terms), max(lat.dim, *terms)
+    exponents = sorted({*range(lat.dim + 1), *terms})
     scale = lcm(*(c.denominator for c in terms.values()))
-    twist = [int(lat.denominator * scale * terms.get(e, 0)) for e in range(low, high + 1)]
-    pad_low, pad_high = (0,) * -low, (0,) * (high - lat.dim)
+    twist = [int(lat.denominator * scale * terms.get(e, 0)) for e in exponents]
     numerators = {}
     for member_id, row in lat.numerators.items():
-        row = pad_low + tuple(scale * v for v in row) + pad_high
+        row = tuple(scale * row[e] if 0 <= e <= lat.dim else 0 for e in exponents)
         if lat.leq(beta, member_id):
             row = tuple(map(add, row, twist))
         numerators[member_id] = row
@@ -121,11 +120,12 @@ def pair_canonical(pair: PairObject, delta: RatPoly | None) -> PairCanonicalResu
     best: WeightMaximum | None = None
     best_key: tuple | None = None
     if not pair_semistable(pair, delta)[0]:
-        contributions_of = step_table(lat, delta)
+        steps_of = step_table(lat, delta)
         beta = pair.beta_image
         for chain in saturated_chains(lat):
-            pivot = None if beta is None else pair_pivot_index(chain.chain, lat, beta)
-            wm = maximize_weights(chain, contributions_of(chain), pivot)
+            ids = chain.chain
+            pivot = None if beta is None else pair_pivot_index(ids, lat, beta)
+            wm = maximize_weights(ids, *steps_of(ids), pivot)
             if wm is None:
                 continue
             if best is None:

@@ -568,6 +568,9 @@ class TestDeltaLiterals:
             ("2*n - 1/2", {1: "2", 0: "-1/2"}),
             ("3n+4", {1: "3", 0: "4"}),
             ("n^-1 + 1", {-1: "1", 0: "1"}),
+            ("n^+2", {2: "1"}),
+            ("2*n^+1 - 1", {1: "2", 0: "-1"}),
+            ("-n^+0 + n^-2", {0: "-1", -2: "1"}),
         ],
     )
     def test_grammar(self, literal, expected):
@@ -582,9 +585,69 @@ class TestDeltaLiterals:
         from thetastab.errors import ParseError
         from thetastab.latfile import parse_delta
 
-        for bad in ("", "x", "n^", "1//2", "2**n", "*n"):
+        for bad in ("", "x", "n^", "1//2", "2**n", "*n", "n^+", "n^++2", "n^+-2", "n^-+2", "n+-1"):
             with pytest.raises(ParseError):
                 parse_delta(bad)
+
+    def test_signed_exponent_on_the_command_line(self, capsys):
+        # an exponent's sign is optional: n^+2 is n^2 to every subcommand
+        path = FIXTURES / "o_o1_pair.lattice"
+        for command in (["pair-check"], ["pair-canonical", "--bound", "2"], ["oracle", "--bound", "2"]):
+            assert run(capsys, *command, path, "--delta=n^+2") == run(capsys, *command, path, "--delta=n^2")
+        code, _, err = run(capsys, "pair-check", path, "--delta=n^+")
+        assert code == 2 and err.startswith("error: ParseError: ")
+
+
+class TestTwistAndScale:
+    """Structured canonical and pair-canonical output names the same chain
+    and weights on a lattice file whose classes are twisted and scaled
+    (see transforms), at the transformed delta."""
+
+    @pytest.mark.parametrize("name", ["example_nonconvex.lattice", "o_o1_pair.lattice", "p2_o1_o.lattice"])
+    @pytest.mark.parametrize("twist,scale", [(3, 1), (0, Fraction(5, 2)), (2, Fraction(1, 3))])
+    def test_same_chain_and_weights(self, capsys, tmp_path, name, twist, scale):
+        from thetastab.latfile import parse_delta
+        from transforms import rebuilt, transform
+
+        lat, pair = load_lattice(FIXTURES / name)
+        doc = rebuilt(lat, twist, scale).as_dict()
+        doc["pair"] = {"beta_image": pair.beta_image}
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        runs = [(["canonical"], ["canonical"])]
+        for delta in ["0", "1/2", "2*n - 1/3"] + ([] if twist else ["n^-1 + 1/3"]):
+            moved = str(transform(parse_delta(delta), twist, scale))
+            command = ["pair-canonical", "--bound", "2"]
+            runs.append((command + [f"--delta={delta}"], command + [f"--delta={moved}"]))
+        for original, transformed in runs:
+            code, before, _ = run_json(capsys, original[0], FIXTURES / name, *original[1:])
+            moved_code, after, _ = run_json(capsys, transformed[0], path, *transformed[1:])
+            assert code == moved_code == 0, original
+            assert after["filtration"]["chain"] == before["filtration"]["chain"], original
+            assert after["filtration"]["weights"] == before["filtration"]["weights"], original
+
+
+class TestHugeExponents:
+    """A delta's exponents cost nothing by their size: n^99999999999 and
+    n^-99999999999 answer at once, as n^3 and n^-1 do."""
+
+    @pytest.mark.parametrize("huge,small", [("n^99999999999", "n^3"), ("n^-99999999999", "n^-1")])
+    def test_same_verdict_and_chain_as_a_small_exponent(self, capsys, huge, small):
+        path = FIXTURES / "o_o1_pair.lattice"
+        start = time.perf_counter()
+        answers = {}
+        for delta in (huge, small):
+            for command in (["pair-check"], ["pair-canonical", "--bound", "2"]):
+                code, payload, err = run_json(capsys, *command, path, f"--delta={delta}")
+                assert code == 0 and not err
+                payload.pop("delta")
+                payload.pop("nu_delta", None)  # L carries delta's own exponent
+                answers.setdefault(command[0], []).append(payload)
+        assert time.perf_counter() - start < 5
+        assert answers["pair-check"][0] == answers["pair-check"][1]
+        assert answers["pair-check"][0]["witness"] == ("O" if small == "n^3" else "O1")
+        closed = [payload["filtration"] for payload in answers["pair-canonical"]]
+        assert closed[0] == closed[1]
 
 
 def _lattice_doc(constant="1", **changes):

@@ -62,9 +62,11 @@ def pivot_of(chain, pair):
 
 
 def maximize(chain, pair, delta):
-    """maximize_weights on the chain's own contributions at delta and the
-    pair's pivot, computed as the references compute them."""
-    return maximize_weights(chain, contributions(chain, delta), pivot_of(chain, pair))
+    """maximize_weights on the chain's ids, its own graded ranks and
+    contributions at delta, and the pair's pivot, computed as the
+    references compute them."""
+    ranks = tuple(g.rank for g in chain.gradeds)
+    return maximize_weights(chain.chain, ranks, contributions(chain, delta), pivot_of(chain, pair))
 
 
 class TestPairSemistable:
@@ -115,6 +117,41 @@ class TestPairSemistable:
         into_summand = PairObject(lattice=lat, beta_image="A")
         verdict, witness = pair_semistable(into_summand, tiny)
         assert not verdict and witness.id == "A"
+
+
+class TestPairSemistableRows:
+    """pair_semistable's twisted rows run over the exponents that occur,
+    0..d and delta's own, not over every integer between them."""
+
+    def test_rows_have_one_entry_per_exponent_that_occurs(self, monkeypatch):
+        rows = []
+        original = pairs.destabilizing_member
+
+        def spy(lat, numerators=None):
+            rows.extend(numerators.values())
+            return original(lat, numerators)
+
+        monkeypatch.setattr(pairs, "destabilizing_member", spy)
+        lat = coordinate_lattice({"A": 0, "B": 1, "C": 3}, 2)
+        pair = PairObject(lattice=lat, beta_image="A")
+        for delta in (P({100000: 1}), P({100000: 1, 1: Fraction(-1, 3), -7: 2}), P({-100000: 1})):
+            rows.clear()
+            pair_semistable(pair, delta)
+            width = lat.dim + 1 + sum(e not in range(lat.dim + 1) for e, _ in delta.items())
+            assert rows and all(len(row) == width for row in rows), (delta, width)
+
+    def test_spreading_the_exponents_changes_no_verdict(self):
+        # only the order of the exponents matters: moving delta's exponents
+        # above d up by 1000, and its negative ones down by 1000, leaves
+        # every verdict and witness as it was
+        rng = random.Random(20261019)
+        for _ in range(100):
+            d = rng.choice((1, 2))
+            lat = random_subposet_lattice(rng, rng.randint(2, 4), d, 0.7)
+            pair = PairObject(lattice=lat, beta_image=rng.choice(lat.nonzero_ids()))
+            terms = {rng.randint(-3, d + 3): Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(3)}
+            spread = {e + 1000 * ((e > d) - (e < 0)): c for e, c in terms.items()}
+            assert pair_semistable(pair, P(terms)) == pair_semistable(pair, P(spread)), terms
 
 
 def _regime(pair, delta):
@@ -459,9 +496,10 @@ class TestMaximizerValue:
         # computed for the 12 of 120 chains that tie the incumbent on both;
         # each of the 80 steps (sub, sup) of the walk has its contribution
         # computed once by the query's step table, not once per chain
-        # through it (600 chain-steps)
+        # through it (600 chain-steps), and its graded piece looked up once
         calls = {
             "maximize_weights": 0, "make_filtration": 0, "nu_delta": 0, "dot": 0, "step_contribution": 0,
+            "quotient_poly": 0,
         }
 
         # dot is counted where WeightMaximum.value finds it, in invariant,
@@ -480,13 +518,14 @@ class TestMaximizerValue:
                     in_nu_delta[0] -= name == "nu_delta"
             return wrapped
 
-        for name in calls:  # dot and step_contribution where the invariant module calls them
-            module = invariant if name in ("dot", "step_contribution") else pairs
+        for name in calls:  # dot, step_contribution and quotient_poly where the invariant module calls them
+            module = invariant if name in ("dot", "step_contribution", "quotient_poly") else pairs
             monkeypatch.setattr(module, name, counting(module, name))
         lat = coordinate_lattice({f"L{i}": (i * 7) % 5 - 2 + i for i in range(5)})
         result = pair_canonical(PairObject(lattice=lat, beta_image="L0"), const(Fraction(1, 2)))
         expected = {
             "maximize_weights": 120, "make_filtration": 1, "nu_delta": 1, "dot": 12, "step_contribution": 80,
+            "quotient_poly": 80,
         }
         assert calls == expected
         for pair, delta in TestPairCanonicalAsksFirst.semistable_pairs():
@@ -500,13 +539,15 @@ class TestMaximizerValue:
             lat = coordinate_lattice({f"L{i}": (i * 7) % 5 - 2 + i for i in range(k)})
             pair_canonical(PairObject(lattice=lat, beta_image="L0"), const(Fraction(1, 2)))
             assert (calls["step_contribution"], calls["maximize_weights"]) == (k * 2 ** (k - 1), factorial(k))
+            assert calls["quotient_poly"] == k * 2 ** (k - 1)
 
 
 class TestPairCanonicalFeedsTheMaximizer:
-    """pair_canonical hands maximize_weights each chain's contributions,
-    read from its per-call step table, and the chain's pivot: on every
-    call they must be the chain's own contributions at delta and the
-    pivot of the marked image, or None without a framing map."""
+    """pair_canonical hands maximize_weights each chain's ids, its graded
+    ranks and contributions, read from its per-call step table, and the
+    chain's pivot: on every call they must be the chain's own ranks and
+    contributions at delta and the pivot of the marked image, or None
+    without a framing map."""
 
     FORMS = (None, "zero", "negative", "Laurent", "degree <= d-1", "degree d", "degree > d")
 
@@ -528,9 +569,9 @@ class TestPairCanonicalFeedsTheMaximizer:
         calls = []
         original = pairs.maximize_weights
 
-        def spy(chain, contribs, pivot):
-            calls.append((chain, contribs, pivot))
-            return original(chain, contribs, pivot)
+        def spy(ids, ranks, contribs, pivot):
+            calls.append((ids, ranks, contribs, pivot))
+            return original(ids, ranks, contribs, pivot)
 
         monkeypatch.setattr(pairs, "maximize_weights", spy)
         seen = Counter()
@@ -541,13 +582,60 @@ class TestPairCanonicalFeedsTheMaximizer:
             except Semistable:
                 seen["semistable"] += 1
                 continue
-            for chain, contribs, pivot in calls:
-                assert tuple(contribs) == contributions(chain, delta), (chain.chain, delta)
-                assert pivot == pivot_of(chain, pair), (chain.chain, pair.beta_image)
+            for ids, ranks, contribs, pivot in calls:
+                chain = make_chain(pair.lattice, ids)
+                assert list(ranks) == [g.rank for g in chain.gradeds], ids
+                assert tuple(contribs) == contributions(chain, delta), (ids, delta)
+                assert pivot == pivot_of(chain, pair), (ids, pair.beta_image)
             seen[kind, pair.beta_image is not None] += 1
             seen["calls"] += len(calls)
         assert seen["semistable"] and seen["calls"] >= 500, seen
         assert all(seen[key] for key in product(("coordinate", "sub-poset"), (True, False))), seen
+
+
+class TestSearchesReadOnlyTheStepTable:
+    """The searches look a chain's ranks and contributions up in their
+    query's step table by its ids: no chain a walk hands them has its
+    steps or graded pieces read, in pair_canonical or in the oracle."""
+
+    @staticmethod
+    def capture(monkeypatch, module, name):
+        walked = []
+        original = getattr(module, name)
+
+        def spy(*args, **kwargs):
+            chains = original(*args, **kwargs)
+            walked.extend(chains)
+            return chains
+
+        monkeypatch.setattr(module, name, spy)
+        return walked
+
+    @staticmethod
+    def cases():
+        rng = random.Random(20261019)
+        for path in sorted(FIXTURES.glob("*.lattice")):
+            lat, pair = load_lattice(path)
+            yield PairObject(lattice=lat, beta_image=None) if pair is None else pair, const(Fraction(1, 2))
+        for k in (3, 4):
+            lat = coordinate_lattice({f"L{i}": (i * 7) % 5 - 2 + i for i in range(k)}, 2)
+            for form in ("zero", "degree <= d-1", "degree d", "Laurent"):
+                yield PairObject(lattice=lat, beta_image="L0"), random_delta(rng, 2, form)
+
+    def test_no_walked_chain_has_its_steps_read(self, monkeypatch):
+        saturated = self.capture(monkeypatch, pairs, "saturated_chains")
+        enumerated = self.capture(monkeypatch, oracle, "enumerate_chains")
+        answered = 0
+        for pair, delta in self.cases():
+            try:
+                pair_canonical(pair, delta)
+                answered += 1
+            except Semistable:
+                pass
+            brute_force_max(pair.lattice, pair, delta, 2)
+        assert answered and saturated and enumerated
+        for chain in saturated + enumerated:
+            assert not {"steps", "gradeds"} & vars(chain).keys(), chain.chain
 
 
 def _random_pair(rng, max_summands, with_pair=True):
@@ -647,7 +735,7 @@ class TestSaturatedChains:
         original = pairs.maximize_weights
 
         def counting(*args, **kwargs):
-            calls.append(args[0].chain)
+            calls.append(args[0])
             return original(*args, **kwargs)
 
         monkeypatch.setattr(pairs, "maximize_weights", counting)

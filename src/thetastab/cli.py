@@ -233,11 +233,11 @@ def _cmd_sweep(args) -> tuple[dict, list[str]]:
     return payload, lines
 
 
-def _dumped(candidates, writer):
-    """The oracle's candidates, each written as a CSV row on its way by."""
+def _dumped(candidates, writer, lat):
+    """The oracle's candidates, each written as a CSV row on its way by, b on the ranks' scale."""
     writer.writerow(["chain", "weights", "L", "b", f"value_at_{APPROX_POINT}"])
     for chain, weights, terms, b in candidates:
-        value = NuValue(RatPoly(terms), b)
+        value = NuValue(RatPoly(terms), b * lat.rank_scale)
         writer.writerow(["|".join(chain), "|".join(str(w) for w in weights), str(value.L),
                          format_rational(value.b), f"{value.approx(APPROX_POINT):.6g}"])
         yield chain, weights, terms, b
@@ -254,7 +254,7 @@ def _cmd_oracle(args) -> tuple[dict, list[str]]:
     if args.csv:  # opened before the search, so an unwritable path fails at once
         try:
             with open(args.csv, "w", newline="") as handle:
-                result = oracle.argmax(lat, _dumped(candidates, csv.writer(handle)), pair, delta)
+                result = oracle.argmax(lat, _dumped(candidates, csv.writer(handle), lat), pair, delta)
         except OSError as exc:
             raise ParseError(f"cannot write {args.csv}: {exc}") from exc
     else:

@@ -7,12 +7,14 @@ the per-unit-weight contribution of a step with graded piece gr,
       = P(gr) - rank(gr) * tau,   tau = reduced(F) + delta / rank(F),
 
 for a step (sub, sup) of a chain, with gr = sup/sub.  A query's step
-table, step_table(lat, delta), makes tau once and one entry (rank(gr), c)
+table, step_table(lat, delta), makes tau once and one entry (N_gr[d], c)
 per distinct step on first use; the searches read a chain's steps from it
-by the chain's ids alone.  The invariant of weights w is
-nu = <w, c> / sqrt(b) with b = sum rank(gr_m) * w_m^2, kept exact as a
-NuValue; the oracle's scores and the maximizer's values are read from the
-same entries.
+by the chain's ids alone.  N_gr[d] = N_sup[d] - N_sub[d] is the rank of
+gr on the lattice's integer table, rank(gr) / s for s = lat.rank_scale.
+The invariant of weights w is nu = <w, c> / sqrt(b) with
+b = sum rank(gr_m) * w_m^2, kept exact as a NuValue by nu_delta and
+b_norm, on the gradeds; the oracle's scores and the maximizer's values,
+read from the table, are nu * sqrt(s), in the same order.
 
 The weight of the determinant family at the associated graded, <w, c> at
 delta = 0, is computed a second, independent way (the subobject form):
@@ -100,20 +102,21 @@ def step_contribution(graded: HilbertStats, tau: RatPoly) -> RatPoly:
 
 def step_table(
     lat: SubobjectLattice, delta: RatPoly | None = None
-) -> Callable[[tuple[str, ...]], tuple[tuple[Fraction, ...], tuple[RatPoly, ...]]]:
-    """The map from a chain's ids, top first, to its steps' graded ranks and
-    contributions: tau once, and each distinct step's entry (rank,
+) -> Callable[[tuple[str, ...]], tuple[tuple[int, ...], tuple[RatPoly, ...]]]:
+    """The map from a chain's ids, top first, to its steps' ranks and
+    contributions: tau once, and each distinct step's entry (N_gr[d],
     contribution) once, on first use, kept as long as the map is."""
     top = lat.top.stats
     tau = top.reduced if delta is None else top.reduced + delta * (1 / top.rank)
-    table: dict[tuple[str, str], tuple[Fraction, RatPoly]] = {}  # (sub, sup) -> its entry
+    rows, d = lat.numerators, lat.dim
+    table: dict[tuple[str, str], tuple[int, RatPoly]] = {}  # (sub, sup) -> its entry
 
-    def steps_of(ids: tuple[str, ...]) -> tuple[tuple[Fraction, ...], tuple[RatPoly, ...]]:
+    def steps_of(ids: tuple[str, ...]) -> tuple[tuple[int, ...], tuple[RatPoly, ...]]:
         steps = tuple(zip(ids[1:] + (lat.zero_id,), ids))
-        for step in steps:
-            if step not in table:
-                graded = quotient_poly(lat, *step)
-                table[step] = graded.rank, step_contribution(graded, tau)
+        for sub, sup in steps:
+            if (sub, sup) not in table:
+                graded = quotient_poly(lat, sub, sup)
+                table[sub, sup] = rows[sup][d] - rows[sub][d], step_contribution(graded, tau)
         return tuple(zip(*map(table.__getitem__, steps)))
 
     return steps_of
@@ -198,7 +201,8 @@ class WeightMaximum:
     is nu at those weights, every exponent included, computed on first use
     from steps (weight and contribution of each step of the descent's
     chain, a refinement of chain) and kept; being derived, steps takes no
-    part in equality.
+    part in equality.  On a step table's ranks, weights, b and value are
+    s, s and sqrt(s) times those on the graded ranks, s = lat.rank_scale.
     """
 
     chain: tuple[str, ...]
@@ -214,10 +218,10 @@ class WeightMaximum:
         return NuValue(dot(fit, contribs), self.b)
 
 
-def _isotonic(units: list[Fraction], ranks: list[Fraction]) -> list[Fraction]:
+def _isotonic(units: list[Fraction], ranks: Sequence[int | Fraction]) -> list[Fraction]:
     """Weighted isotonic regression of units[i] / ranks[i], weights ranks[i],
     by pool-adjacent-violators pooling on >=; the fitted value per index."""
-    blocks: list[tuple[Fraction, Fraction, int]] = []  # unit sum, rank sum, size
+    blocks: list[tuple[Fraction, int | Fraction, int]] = []  # unit sum, rank sum, size
     for u, r in zip(units, ranks):
         size = 1
         while blocks and blocks[-1][0] * r >= u * blocks[-1][1]:
@@ -235,7 +239,7 @@ def _merge(values: Sequence, keep: list[int]) -> list:
 
 def maximize_weights(
     ids: Sequence[str],
-    ranks: Sequence[Fraction],
+    ranks: Sequence[int | Fraction],
     contribs: Sequence[RatPoly],
     pivot: int | None,
 ) -> WeightMaximum | None:
@@ -243,9 +247,9 @@ def maximize_weights(
     or None when no weighting is positive.
 
     ids are the chain's members, top first, and ranks and contribs its
-    steps' graded ranks and per-unit-weight contributions (a step table's
-    entries for those ids); pivot is the chain index the pair constraint
-    holds at, or None without one.  The cone is {w_0 <= ... <= w_q},
+    steps' ranks, on any one positive scale, and contributions (a step
+    table's entries for those ids); pivot is the chain index the pair
+    constraint holds at, or None without one.  The cone is {w_0 <= ... <= w_q},
     intersected with {w_pivot >= 0}.  The descent of the module docstring
     runs over the exponents of the contributions, highest first; each zero
     maximum merges steps (ids, contributions and ranks together).

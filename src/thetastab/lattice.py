@@ -22,11 +22,12 @@ Structural conventions:
 Every lattice carries an integer table: one common denominator D, the lcm
 of the denominators of all member coefficients, and for each member G the
 integers N_G = D * P(G) over the exponents 0..d.  rank(G) = d! * N_G[d] / D
-is a positive multiple of N_G[d], the same multiple for every member, so
-reduced polynomials and ranks compare by integer cross-multiplication
-(ratpoly.reduced_compare), and the quotient sup/sub has the numerators
-N_sup - N_sub.  integer_table is the one way to form it, and a
-SubobjectLattice takes it as given.
+is a positive multiple of N_G[d], the same multiple rank_scale = d!/D for
+every member, so reduced polynomials and ranks compare by integer
+cross-multiplication (ratpoly.reduced_compare), the quotient sup/sub has
+the numerators N_sup - N_sub, and a step table weighs it by the integer
+N_sup[d] - N_sub[d] (see invariant).  integer_table is the one way to
+form it, and a SubobjectLattice takes it as given.
 
 build_lattice reads each member once: every exponent with
 ratpoly.as_integer, then every coefficient literal with ratpoly.as_ratio
@@ -213,6 +214,11 @@ class SubobjectLattice:
         self._nonzero_ids = tuple(i for i in self._ids if i != zero_id)
         self._proper_nonzero_ids = tuple(i for i in self._nonzero_ids if i != top_id)
         self._quotients: dict[tuple[str, str], HilbertStats] = {}  # quotient_poly's memo
+
+    @cached_property
+    def rank_scale(self) -> Fraction:
+        """d!/D, for every member and quotient: rank = rank_scale * N[d]."""
+        return Fraction(factorial(self.dim), self.denominator)
 
     @cached_property
     def strictly_below(self) -> dict[str, list[str]]:

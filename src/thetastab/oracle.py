@@ -5,13 +5,14 @@ increasing integer weight vector with entries bounded by W, applies the
 pair constraint when one is given, and maximizes the invariant exactly.
 No pruning beyond feasibility: correctness over speed.
 
-A search reads each chain's graded ranks and contributions from one step
-table (see invariant) by its ids, so a step shared by many chains is
-computed once, and lays the contributions out as one row per exponent of
-n, next to the ranks and pivot; a candidate's norm b = sum rank * w^2 and
-numerator coefficients are dot products of its weights with those rows,
-and it is compared with the incumbent by ratpoly.terms_compare, the rule
-nu_compare applies to NuValues.  Only the result is built as a NuValue.
+A search reads each chain's ranks and contributions from one step table
+(see invariant) by its ids, so a step shared by many chains is computed
+once, and lays the contributions out as one row per exponent of n, next
+to the ranks and pivot.  A candidate's numerator coefficients and its
+norm b, an int on the table's scale, are dot products of its weights with
+those, and it is compared with the incumbent by ratpoly.terms_compare,
+the rule nu_compare applies to NuValues.  Only the result is built as a
+NuValue, on the graded ranks' scale.
 
 Since nu is scale invariant, proportional weight vectors represent the same
 candidate; the argmax is always reported in primitive form (weights divided
@@ -145,12 +146,12 @@ def iter_terms(
     pair: PairObject | None = None,
     delta: RatPoly | None = None,
     bound: int = 4,
-) -> Iterator[tuple[tuple[str, ...], tuple[int, ...], dict[int, Fraction], Fraction]]:
+) -> Iterator[tuple[tuple[str, ...], tuple[int, ...], dict[int, Fraction], int]]:
     """Yield (chain ids, weights, terms, b) over all feasible nondegenerate
     candidates, chains in canonical order, weights lexicographic: the value
-    of a candidate is sum_e terms[e] n^e / sqrt(b), with terms[e] read off
-    the chain's step contributions at exponent e (zero coefficients kept)
-    and b off its graded ranks, both from the query's step table."""
+    of a candidate is sum_e terms[e] n^e / sqrt(b * lat.rank_scale), with
+    terms[e] read off the chain's step contributions at exponent e (zero
+    coefficients kept) and the int b off its ranks, from the step table."""
     if bound < 1:
         raise ValueError(f"weight bound must be >= 1, got {bound}")
     beta = pair.beta_image if pair is not None else None
@@ -184,17 +185,17 @@ def brute_force_max(
 
 def argmax(
     lat: SubobjectLattice,
-    candidates: Iterable[tuple[tuple[str, ...], tuple[int, ...], dict[int, Fraction], Fraction]],
+    candidates: Iterable[tuple[tuple[str, ...], tuple[int, ...], dict[int, Fraction], int]],
     pair: PairObject | None = None,
     delta: RatPoly | None = None,
 ) -> OracleResult:
     """The best of a stream of iter_terms(lat, pair, delta, W) quadruples,
     each compared with the incumbent once as it arrives; the one NuValue
-    built is the result's."""
+    built is the result's, on the graded ranks' scale."""
     best_chain: tuple[str, ...] | None = None
     best_weights: tuple[int, ...] | None = None
     best_terms: dict[int, Fraction] = {}
-    best_b: Fraction | None = None
+    best_b: int | None = None
     explored = 0
     for chain, weights, terms, b in candidates:
         explored += 1
@@ -212,7 +213,7 @@ def argmax(
     if best_b is None:
         return OracleResult(best=None, value=NuValue.zero(), explored=0)
     if terms_compare(best_terms, best_b, {}, 1) != GREATER:
-        return OracleResult(best=None, value=NuValue(RatPoly(best_terms), best_b), explored=explored)
+        return OracleResult(None, NuValue(RatPoly(best_terms), best_b * lat.rank_scale), explored)
     best = make_filtration(lat, best_chain, best_weights, pair)
     # report the value of the primitive representative (same nu_compare class)
     return OracleResult(best=best, value=nu_delta(best, delta), explored=explored)

@@ -14,6 +14,9 @@ Randomized lattices come in four flavors:
 * coprime lattices: sub-sum lattices of summands whose coefficients have
   pairwise coprime denominators, rational ranks and 40-digit numerators,
   so that a lattice's common denominator is a product of several primes.
+* Lambda lattices: the sub-sums of a coordinate lattice that are invariant
+  under a random Lambda-action, the subobjects a Lambda-module is tested
+  on.  Unlike sub-posets they are closed under sums and intersections.
 """
 
 from __future__ import annotations
@@ -151,3 +154,27 @@ def random_coprime_lattice(
             terms[d] = Fraction(rng.randint(1, 9), p)
             summands[f"S{i}"] = RatPoly(terms)
     return sum_lattice(summands, d)
+
+
+def random_lambda_lattice(
+    rng: random.Random, k: int, d: int, density: float
+) -> SubobjectLattice:
+    """The Lambda-invariant members of the coordinate lattice of k >= 2
+    random twists on P^d.  The action is a random digraph on the summands,
+    each ordered pair an edge with probability density, an edge a -> b
+    standing for a nonzero map from a into b (twisted by Lambda); a sub-sum
+    is invariant when it holds the head of every edge whose tail it holds.
+    Invariant sub-sums are closed under sums and intersections, so the
+    lattice is a sublattice of the coordinate lattice, with its order."""
+    full = coordinate_lattice({f"L{i}": rng.randint(-3, 3) for i in range(k)}, d)
+    summands = [m for m in full.proper_nonzero_ids() if "+" not in m]
+    edges = [(a, b) for a in summands for b in summands if a != b and rng.random() < density]
+
+    def invariant(member: str) -> bool:
+        parts = set(member.split("+"))
+        return all(b in parts for a, b in edges if a in parts)
+
+    kept = [m for m in full.proper_nonzero_ids() if invariant(m)]
+    polys = {m: full.member(m).poly for m in (full.zero_id, full.top_id, *kept)}
+    relations = [(sub, sup) for sub in kept for sup in kept if full.lt(sub, sup)]
+    return build_lattice(full.dim, polys, relations)

@@ -8,7 +8,10 @@ the same tie-break (shorter chain, lexicographic chain ids, lexicographic
 primitive weights) and the same report of a nonpositive maximum.
 
 iter_candidates, formerly thetastab.oracle.iter_candidates, is the stream
-brute_force_max scores, each candidate's terms built into a NuValue.
+brute_force_max scores, each candidate's terms built into a NuValue.  The
+stream's b is an int on the lattice's integer table, sum N_gr[d] * w^2,
+the graded norm over lat.rank_scale; iter_candidates multiplies it back,
+so its values are nu itself, as scored_candidates builds them.
 """
 
 from __future__ import annotations
@@ -35,9 +38,10 @@ from thetastab.oracle import iter_terms
 
 def iter_candidates(lat, pair=None, delta=None, bound=4):
     """Yield (chain ids, weights, value) over the candidates of
-    thetastab.oracle.iter_terms, in its order."""
+    thetastab.oracle.iter_terms, in its order, each value on the graded
+    ranks' scale."""
     for chain, weights, terms, b in iter_terms(lat, pair, delta, bound):
-        yield chain, weights, NuValue(RatPoly(terms), b)
+        yield chain, weights, NuValue(RatPoly(terms), b * lat.rank_scale)
 
 
 def scored_candidates(lat, pair, delta, bound):

@@ -33,11 +33,19 @@ from thetastab import (
     pair_canonical,
     pair_semistable,
     polytope,
+    primitive_weights,
 )
 from thetastab.errors import AmbiguousHN, ObjectSemistable, Semistable
+from thetastab.oracle import candidate_count
 
 from conftest import coordinate_lattice
-from randgen import random_coordinate_lattice, random_path_filtration, random_subposet_lattice
+from randgen import (
+    random_coordinate_lattice,
+    random_delta,
+    random_lambda_lattice,
+    random_path_filtration,
+    random_subposet_lattice,
+)
 from reference_high_degree import pair_canonical_high_degree
 from reference_oracle import iter_candidates
 from reference_polytope import polytope_subset
@@ -349,3 +357,55 @@ def test_criterion_09_large_scale_results_out_of_scope():
     report(9, "stack-level results (good moduli spaces, stratifications of the "
               "full stack) are documented as out of scope; coverage is via the "
               "invariant and oracle-equivalence suites on finite lattices")
+
+
+def test_criterion_10_lambda_modules_have_one_maximizer():
+    # A Lambda-module is tested on its Lambda-invariant subobjects, which
+    # are closed under sums and intersections: on that lattice the HN
+    # filtration is unique, so canonical_filtration and pair_canonical must
+    # name the oracle's chain itself (no tie with a chain of equal classes)
+    # and the oracle's maximum is attained by one (chain, primitive weights)
+    rng = random.Random(23)
+    seen = dict.fromkeys(("objects", "pairs", "semistable", "pair semistable", "over budget"), 0)
+
+    def assert_unique_maximum(lat, pair, delta, found):
+        bound = max(map(abs, found.weights))
+        if candidate_count(lat, pair, bound) > 4000:
+            seen["over budget"] += 1
+            return False
+        result = brute_force_max(lat, pair, delta, bound)
+        assert (result.best.chain, result.best.weights) == (found.chain, found.weights)
+        at_max = {
+            (chain, primitive_weights(weights))
+            for chain, weights, value in iter_candidates(lat, pair, delta, bound)
+            if nu_compare(value, result.value) == EQUAL
+        }
+        assert at_max == {(found.chain, found.weights)}, at_max
+        return True
+
+    for trial in range(120):
+        d = rng.choice((1, 2))
+        lat = random_lambda_lattice(rng, rng.randint(2, 4), d, rng.choice((0.2, 0.4, 0.6)))
+        try:
+            can = canonical_filtration(lat)
+        except ObjectSemistable:
+            assert brute_force_max(lat, bound=2).best is None
+            seen["semistable"] += 1
+        else:
+            seen["objects"] += assert_unique_maximum(lat, None, None, can)
+        pair = PairObject(lattice=lat, beta_image=rng.choice((None, *lat.nonzero_ids())))
+        delta = random_delta(rng, d, ("zero", "Laurent", "degree <= d-1")[trial % 3])
+        try:
+            found = pair_canonical(pair, delta).filtration
+        except Semistable:
+            assert brute_force_max(lat, pair, delta, 2).best is None
+            seen["pair semistable"] += 1
+        else:
+            seen["pairs"] += assert_unique_maximum(lat, pair, delta, found)
+    assert min(seen.values()) >= 1 and seen["objects"] >= 30 and seen["pairs"] >= 30, seen
+    report(10, f"on Lambda-invariant lattices, canonical_filtration matched the "
+               f"oracle's chain and weights on {seen['objects']} unstable objects "
+               f"and pair_canonical on {seen['pairs']} unstable pairs, each maximum "
+               f"attained once; {seen['semistable']} objects and "
+               f"{seen['pair semistable']} pairs were semistable, "
+               f"{seen['over budget']} left to the budget")

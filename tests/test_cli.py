@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import re
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from thetastab import errors
 from thetastab.cli import build_parser, main
-from thetastab.latfile import load_lattice
+from thetastab.latfile import format_poly, load_lattice, parse_delta
 
 from conftest import FIXTURES
 
@@ -625,6 +626,82 @@ class TestTwistAndScale:
             assert code == moved_code == 0, original
             assert after["filtration"]["chain"] == before["filtration"]["chain"], original
             assert after["filtration"]["weights"] == before["filtration"]["weights"], original
+
+
+class TestTableScale:
+    """p2_o1_o_twice.lattice is p2_o1_o.lattice with every class doubled.
+    Their integer tables hold the same rows, over D = 1 and D = 2, so the
+    searches' integer ranks and norms are the same on both, while every
+    printed number must move by the scale relation at lam = 2: delta ->
+    2 delta, L -> 2 L, b -> 2 b, with the same chains and weights."""
+
+    ONCE, TWICE = FIXTURES / "p2_o1_o.lattice", FIXTURES / "p2_o1_o_twice.lattice"
+
+    @staticmethod
+    def doubled(delta: str) -> str:
+        return str(parse_delta(delta) * 2)
+
+    @staticmethod
+    def assert_doubled(before: dict, after: dict) -> None:
+        """after is the nu_json of before's value moved by lam = 2."""
+        assert after["b"] == str(2 * Fraction(before["b"])), (before, after)
+        assert after["L"] == {e: str(2 * Fraction(c)) for e, c in before["L"].items()}, (before, after)
+
+    def runs(self, capsys, argv: list[str], delta: str, once=(), twice=()) -> tuple[dict, dict]:
+        """The structured outputs of argv on p2_o1_o at delta, with the flags
+        once, and on its double at 2 delta, with the flags twice."""
+        code, before, _ = run_json(capsys, argv[0], self.ONCE, *argv[1:], f"--delta={delta}", *once)
+        moved_code, after, _ = run_json(
+            capsys, argv[0], self.TWICE, *argv[1:], f"--delta={self.doubled(delta)}", *twice
+        )
+        assert code == moved_code == 0, (argv, delta)
+        return before, after
+
+    @staticmethod
+    def assert_same_filtration(before: dict, after: dict) -> None:
+        assert (after["chain"], after["weights"]) == (before["chain"], before["weights"])
+        for once, twice in zip(before["graded"], after["graded"]):
+            assert Fraction(twice["rank"]) == 2 * Fraction(once["rank"]), (before, after)
+
+    def test_the_table_rows_are_shared(self):
+        (once, _), (twice, _) = load_lattice(self.ONCE), load_lattice(self.TWICE)
+        assert once.numerators == twice.numerators
+        assert (once.rank_scale, twice.rank_scale) == (1, 2)
+
+    @pytest.mark.parametrize("delta", ["0", "1/2", "n", "-1"])
+    def test_oracle_csv(self, capsys, tmp_path, delta):
+        dumps = tmp_path / "once.csv", tmp_path / "twice.csv"
+        before, after = self.runs(capsys, ["oracle", "--bound", "3"], delta, ("--csv", dumps[0]), ("--csv", dumps[1]))
+        assert after["explored"] == before["explored"] > 0
+        self.assert_same_filtration(before["best"], after["best"])
+        self.assert_doubled(before["value"], after["value"])
+        once, twice = (list(csv.reader(dump.open())) for dump in dumps)
+        assert once[0] == twice[0] and len(once) == len(twice) == 1 + before["explored"]
+        for row, moved in zip(once[1:], twice[1:]):
+            assert moved[:2] == row[:2]
+            self.assert_doubled({"L": format_poly(parse_delta(row[2])), "b": row[3]},
+                                {"L": format_poly(parse_delta(moved[2])), "b": moved[3]})
+            assert float(moved[4]) == pytest.approx(float(row[4]) * 2 ** 0.5, rel=1e-5)
+
+    def test_oracle_with_a_nonpositive_maximum(self, capsys):
+        # at delta = n + 2, the wall of the pair, no weighting is positive
+        before, after = self.runs(capsys, ["oracle", "--bound", "3"], "n + 2")
+        assert before["best"] is after["best"] is None
+        assert before["value"] == {"L": {}, "b": "9"}
+        self.assert_doubled(before["value"], after["value"])
+
+    @pytest.mark.parametrize("delta", ["0", "1/2", "n", "-1", "n^3"])
+    def test_pair_canonical(self, capsys, delta):
+        before, after = self.runs(capsys, ["pair-canonical", "--bound", "3"], delta)
+        self.assert_same_filtration(before["filtration"], after["filtration"])
+        self.assert_doubled(before["nu_delta"], after["nu_delta"])
+        assert after["oracle_agrees"] == before["oracle_agrees"]
+
+    @pytest.mark.parametrize("chain,weights", [("F", "1"), ("F,A1", "0,3"), ("F,A0", "-1,2")])
+    def test_nu(self, capsys, chain, weights):
+        for delta in ("0", "1/2", "n - 1/3"):
+            before, after = self.runs(capsys, ["nu", "--chain", chain, f"--weights={weights}"], delta)
+            self.assert_doubled(before["nu"], after["nu"])
 
 
 class TestHugeExponents:

@@ -2,12 +2,12 @@
 
 Neither needs the oracle or the saturated-chain walk to judge an answer,
 so they reach sizes both are too slow for.  On seeded coordinate,
-sub-poset and coprime lattices, at every form of delta, the transformed
-lattice must give the same verdicts and witnesses, HN chain, canonical
-filtration (or error class), pair_canonical chain and weights (or error
-class) and W = 2 oracle argmax, with every value moved exactly as the
-theory says: lam * L over lam * b when scaled, L(n + t) over b when
-twisted.
+sub-poset, coprime and Lambda lattices, at every form of delta, the
+transformed lattice must give the same verdicts and witnesses, HN chain,
+canonical filtration (or error class), pair_canonical chain and weights
+(or error class) and W = 2 oracle argmax, with every value moved exactly
+as the theory says: lam * L over lam * b when scaled, L(n + t) over b
+when twisted.
 """
 
 import random
@@ -29,7 +29,7 @@ from thetastab import (
 from thetastab.errors import StabilityError
 
 from conftest import coordinate_lattice
-from randgen import random_coprime_lattice, random_delta, random_subposet_lattice
+from randgen import random_coprime_lattice, random_delta, random_lambda_lattice, random_subposet_lattice
 from transforms import rebuilt, transform, transform_value
 
 FORMS = (None, "zero", "negative", "Laurent", "degree <= d-1", "degree d", "degree > d")
@@ -99,10 +99,12 @@ def _lattice(family, rng):
         return coordinate_lattice({f"L{i}": rng.randint(-3, 3) for i in range(rng.randint(2, 4))}, d)
     if family == "sub-poset":
         return random_subposet_lattice(rng, rng.randint(2, 5), d, rng.uniform(0.5, 1.0))
+    if family == "Lambda":
+        return random_lambda_lattice(rng, rng.randint(2, 5), d, rng.uniform(0.1, 0.5))
     return random_coprime_lattice(rng, rng.randint(2, 4), d)
 
 
-@pytest.mark.parametrize("family", ("coordinate", "sub-poset", "coprime"))
+@pytest.mark.parametrize("family", ("coordinate", "sub-poset", "coprime", "Lambda"))
 def test_twist_and_scale_change_no_answer(family):
     rng = random.Random(20261019)
     twisted = 0

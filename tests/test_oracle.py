@@ -23,7 +23,7 @@ from thetastab.latfile import load_lattice
 from thetastab.oracle import candidate_count
 
 from conftest import FIXTURES, coordinate_lattice
-from randgen import random_delta, random_subposet_lattice
+from randgen import random_coprime_lattice, random_delta, random_subposet_lattice
 from reference_oracle import iter_candidates, reference_max, scored_candidates
 
 
@@ -207,10 +207,28 @@ class TestAgainstReferenceOracle:
         assert seen["pair"] and seen["no pair"] and seen["semistable"], seen
 
     def test_iter_candidates_matches_reference_stream(self, lat_b3, pair_b3):
+        # iter_terms' b is on the integer table's scale, the graded norm
+        # over rank_scale, which is 1 on lat_b3 and 1/105 on the coprime
+        # lattice; iter_candidates takes it back to the graded ranks'
+        coprime = random_coprime_lattice(random.Random(3), 3, 1)
+        assert (lat_b3.rank_scale, coprime.rank_scale) == (1, Fraction(1, 3 * 5 * 7))
         delta = P({0: Fraction(1, 2), -1: -3})
-        assert list(iter_candidates(lat_b3, pair_b3, delta, 3)) == list(
-            scored_candidates(lat_b3, pair_b3, delta, 3)
-        )
+        for pair in (pair_b3, PairObject(lattice=coprime, beta_image="S1")):
+            lat = pair.lattice
+            assert list(iter_candidates(lat, pair, delta, 3)) == list(scored_candidates(lat, pair, delta, 3))
+
+    def test_every_norm_is_an_int_on_the_table_scale(self):
+        # b = sum N_gr[d] * w^2: an int, the graded norm over rank_scale
+        rng = random.Random(20261019)
+        checked = 0
+        for lat in (random_coprime_lattice(rng, 3, 2), random_subposet_lattice(rng, 3, 1, 0.7),
+                    coordinate_lattice({"A": 0, "B": 1, "C": 3}, 2)):
+            pair = PairObject(lattice=lat, beta_image=rng.choice(lat.nonzero_ids()))
+            for chain, weights, _, b in oracle.iter_terms(lat, pair, random_delta(rng, lat.dim, "degree d"), 2):
+                gradeds = make_chain(lat, chain).gradeds
+                assert type(b) is int and b * lat.rank_scale == sum(g.rank * w * w for g, w in zip(gradeds, weights))
+                checked += 1
+        assert checked > 100, checked
 
 
 class TestWorkCounts:
@@ -283,7 +301,7 @@ class TestCandidateCount:
                     explored = brute_force_max(lat, pair, random_delta(rng, lat.dim, "zero"), bound).explored
                     assert candidate_count(lat, pair, bound) == explored, (lat, beta, bound)
                     cases += 1
-        assert cases == 135
+        assert cases == 153  # 7 fixtures and 10 seeded lattices, 3 framings, 3 bounds
 
     def test_fixtures_stay_small_at_the_default_bound(self):
         counts = {}

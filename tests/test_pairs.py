@@ -34,7 +34,7 @@ from thetastab.lattice import pair_pivot_index
 from thetastab.pairs import saturated_chains
 
 from conftest import FIXTURES, coordinate_lattice, sum_lattice
-from randgen import random_delta, random_subposet_lattice
+from randgen import random_coprime_lattice, random_delta, random_subposet_lattice
 from reference_high_degree import pair_canonical_high_degree
 from reference_maximizer import (
     all_chains_pair_canonical,
@@ -59,6 +59,12 @@ def pivot_of(chain, pair):
     containing the marked image, or None without a framing map."""
     beta = None if pair is None else pair.beta_image
     return None if beta is None else pair_pivot_index(chain.chain, chain.lattice, beta)
+
+
+def table_ranks(chain):
+    """Each step's rank on the lattice's integer table, N_sup[d] - N_sub[d]."""
+    rows, d = chain.lattice.numerators, chain.lattice.dim
+    return [rows[sup][d] - rows[sub][d] for sub, sup in chain.steps]
 
 
 def maximize(chain, pair, delta):
@@ -543,11 +549,12 @@ class TestMaximizerValue:
 
 
 class TestPairCanonicalFeedsTheMaximizer:
-    """pair_canonical hands maximize_weights each chain's ids, its graded
-    ranks and contributions, read from its per-call step table, and the
-    chain's pivot: on every call they must be the chain's own ranks and
-    contributions at delta and the pivot of the marked image, or None
-    without a framing map."""
+    """pair_canonical hands maximize_weights each chain's ids, its ranks
+    and contributions, read from its per-call step table, and the chain's
+    pivot: on every call the ranks must be the integers N_sup[d] -
+    N_sub[d] of the lattice's table, the graded ranks over rank_scale, the
+    contributions the chain's own at delta and the pivot that of the
+    marked image, or None without a framing map."""
 
     FORMS = (None, "zero", "negative", "Laurent", "degree <= d-1", "degree d", "degree > d")
 
@@ -582,15 +589,81 @@ class TestPairCanonicalFeedsTheMaximizer:
             except Semistable:
                 seen["semistable"] += 1
                 continue
+            lat = pair.lattice
             for ids, ranks, contribs, pivot in calls:
-                chain = make_chain(pair.lattice, ids)
-                assert list(ranks) == [g.rank for g in chain.gradeds], ids
+                chain = make_chain(lat, ids)
+                assert all(type(r) is int for r in ranks) and list(ranks) == table_ranks(chain), ids
+                assert [r * lat.rank_scale for r in ranks] == [g.rank for g in chain.gradeds], ids
                 assert tuple(contribs) == contributions(chain, delta), (ids, delta)
                 assert pivot == pivot_of(chain, pair), (ids, pair.beta_image)
             seen[kind, pair.beta_image is not None] += 1
             seen["calls"] += len(calls)
         assert seen["semistable"] and seen["calls"] >= 500, seen
         assert all(seen[key] for key in product(("coordinate", "sub-poset"), (True, False))), seen
+
+
+class TestStepTableScale:
+    """A step table's rank of sup/sub is the integer N_sup[d] - N_sub[d] of
+    the lattice's table, the graded rank over rank_scale = d!/D.  One
+    positive factor for every step of a lattice keeps the maximizer's
+    chain, primitive weights, exponent and pinned step, and moves its
+    weights, b and value exactly."""
+
+    @staticmethod
+    def cases(seed):
+        # coordinate, sub-poset and coprime lattices at every form of
+        # delta, with and without a marked image
+        rng = random.Random(seed)
+        for form, kind in product(TestPairCanonicalFeedsTheMaximizer.FORMS, ("coordinate", "sub-poset", "coprime")):
+            d = rng.choice((1, 2))
+            if kind == "coordinate":
+                lat = coordinate_lattice({f"L{i}": rng.randint(-3, 3) for i in range(rng.randint(2, 4))}, d)
+            elif kind == "sub-poset":
+                lat = random_subposet_lattice(rng, rng.randint(2, 4), d, 0.6)
+            else:
+                lat = random_coprime_lattice(rng, rng.randint(2, 3), d)
+            beta = rng.choice((None, *lat.nonzero_ids()))
+            yield kind, PairObject(lattice=lat, beta_image=beta), random_delta(rng, d, form)
+
+    def test_ranks_are_the_integer_tables(self):
+        scales = set()
+        for _, pair, delta in self.cases(20261020):
+            lat = pair.lattice
+            steps_of = invariant.step_table(lat, delta)
+            for chain in enumerate_chains(lat):
+                ranks, contribs = steps_of(chain.chain)
+                assert all(type(r) is int for r in ranks) and list(ranks) == table_ranks(chain), chain.chain
+                assert [r * lat.rank_scale for r in ranks] == [g.rank for g in chain.gradeds], chain.chain
+                assert contribs == contributions(chain, delta), chain.chain
+            scales.add(lat.rank_scale)
+        assert len(scales) >= 3 and Fraction(1) in scales, scales
+
+    def test_scaling_the_ranks_moves_only_b_and_value(self):
+        rng = random.Random(20261021)
+        seen = Counter()
+        for kind, pair, delta in self.cases(20261021):
+            lat = pair.lattice
+            steps_of = invariant.step_table(lat, delta)
+            for chain in saturated_chains(lat):
+                ids = chain.chain
+                ranks, contribs = steps_of(ids)
+                pivot = pivot_of(chain, pair)
+                wm = maximize_weights(ids, ranks, contribs, pivot)
+                # the graded ranks, and one random positive rational factor
+                for lam in (lat.rank_scale, Fraction(rng.randint(1, 50), rng.randint(1, 50))):
+                    moved = maximize_weights(ids, [r * lam for r in ranks], contribs, pivot)
+                    if wm is None:
+                        assert moved is None, (ids, delta)
+                        continue
+                    assert (moved.chain, primitive_weights(moved.weights), moved.exponent, moved.pinned) == (
+                        wm.chain, primitive_weights(wm.weights), wm.exponent, wm.pinned), (ids, delta)
+                    assert moved.weights == tuple(w / lam for w in wm.weights), (ids, delta)
+                    assert moved.b == wm.b / lam, (ids, delta)
+                    assert moved.value == NuValue(wm.value.L * (1 / lam), wm.value.b / lam), (ids, delta)
+                    seen[kind] += 1
+                seen["pinned"] += wm is not None and wm.pinned is not None
+                seen["none"] += wm is None
+        assert all(seen[key] >= 20 for key in ("coordinate", "sub-poset", "coprime", "pinned", "none")), seen
 
 
 class TestSearchesReadOnlyTheStepTable:

@@ -128,7 +128,7 @@ class ObjectClass:
 
 def _row_poly(row: Iterable[int], denominator: int) -> RatPoly:
     """The polynomial whose coefficients over the exponents 0.. are row / denominator."""
-    return RatPoly({e: Fraction(n, denominator) for e, n in enumerate(row) if n})
+    return RatPoly._of({e: Fraction(n, denominator) for e, n in enumerate(row) if n})
 
 
 #: A member's nonzero terms: exponent -> (numerator, positive denominator),

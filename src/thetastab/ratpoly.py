@@ -1,9 +1,10 @@
 """Exact rational Laurent polynomials in one variable n.
 
-A polynomial is stored as a map from integer exponents (negative exponents
+A polynomial is stored as a clean map: int exponents (negative exponents
 allowed, for Laurent terms) to nonzero Fractions.  The zero polynomial is
 the empty map; its degree is the sentinel -inf, which compares below every
-integer.
+integer.  RatPoly(...) parses outside input into a clean map; arithmetic
+builds its results' clean maps directly and wraps them unchecked (_of).
 
 Two total orders live here:
 
@@ -113,7 +114,9 @@ def _sign(x: Fraction) -> int:
 
 class RatPoly:
     """Immutable sparse Laurent polynomial with Fraction coefficients,
-    ordered by eventual_compare."""
+    ordered by eventual_compare.  _coeffs is the clean map: int exponents
+    to nonzero Fractions.  RatPoly(coeffs) parses outside input into it;
+    _of wraps one that arithmetic built."""
 
     __slots__ = ("_coeffs",)
 
@@ -121,7 +124,7 @@ class RatPoly:
         clean: dict[int, Fraction] = {}
         if coeffs:
             for exp, val in coeffs.items():
-                # exact coefficients, as arithmetic makes them, need no parsing
+                # a Fraction needs no parsing
                 frac = val if type(val) is Fraction else as_fraction(val)
                 if frac != 0:
                     clean[int(exp)] = frac
@@ -133,8 +136,15 @@ class RatPoly:
     # -- constructors ----------------------------------------------------
 
     @classmethod
+    def _of(cls, clean: dict[int, Fraction]) -> RatPoly:
+        """Wrap clean unchecked: it must be a clean map no one else keeps."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "_coeffs", clean)
+        return poly
+
+    @classmethod
     def zero(cls) -> RatPoly:
-        return cls()
+        return cls._of({})
 
     @classmethod
     def const(cls, value: RationalLike) -> RatPoly:
@@ -168,17 +178,21 @@ class RatPoly:
     def __add__(self, other: RatPoly) -> RatPoly:
         merged = dict(self._coeffs)
         for exp, val in other._coeffs.items():
-            merged[exp] = merged.get(exp, 0) + val
-        return RatPoly(merged)
+            total = merged[exp] = merged.get(exp, 0) + val
+            if not total:
+                del merged[exp]
+        return RatPoly._of(merged)
 
     def __sub__(self, other: RatPoly) -> RatPoly:
         merged = dict(self._coeffs)
         for exp, val in other._coeffs.items():
-            merged[exp] = merged.get(exp, 0) - val
-        return RatPoly(merged)
+            total = merged[exp] = merged.get(exp, 0) - val
+            if not total:
+                del merged[exp]
+        return RatPoly._of(merged)
 
     def __neg__(self) -> RatPoly:
-        return RatPoly({e: -c for e, c in self._coeffs.items()})
+        return RatPoly._of({e: -c for e, c in self._coeffs.items()})
 
     def __mul__(self, other: RatPoly | RationalLike) -> RatPoly:
         if isinstance(other, RatPoly):
@@ -187,9 +201,9 @@ class RatPoly:
                 for e2, c2 in other._coeffs.items():
                     exp = e1 + e2
                     product[exp] = product.get(exp, 0) + c1 * c2
-            return RatPoly(product)
+            return RatPoly._of({e: c for e, c in product.items() if c})
         scalar = as_fraction(other)
-        return RatPoly({e: c * scalar for e, c in self._coeffs.items()})
+        return RatPoly._of({e: c * scalar for e, c in self._coeffs.items()} if scalar else {})
 
     __rmul__ = __mul__
 
@@ -255,7 +269,7 @@ class HilbertStats:
 
     @cached_property
     def reduced(self) -> RatPoly:
-        return RatPoly({e: c / self.rank for e, c in self.poly._coeffs.items()})
+        return RatPoly._of({e: c / self.rank for e, c in self.poly._coeffs.items()})
 
 
 def hilbert_stats(poly: RatPoly, d: int) -> HilbertStats:
@@ -276,14 +290,15 @@ def hilbert_line_bundle_projective(d: int, k: int) -> RatPoly:
     """Hilbert polynomial of the twist O(k) on d-dimensional projective space.
 
     This is binomial(n+k+d, d) expanded as a polynomial in n; for d = 1 it
-    is n + k + 1.
+    is n + k + 1.  The integer coefficients of prod_{j=1..d} (n + k + j),
+    lowest exponent first, are built as one row, then divided by d!.
     """
     if d < 1:
         raise ValueError(f"projective dimension must be >= 1, got {d}")
-    result = RatPoly.const(1)
-    for j in range(1, d + 1):
-        result = result * RatPoly({1: 1, 0: k + j})
-    return result * Fraction(1, factorial(d))
+    row, scale = [1], factorial(d)
+    for j in range(1, d + 1):  # times (n + k + j)
+        row = [a * (k + j) + b for a, b in zip(row + [0], [0] + row)]
+    return RatPoly._of({e: Fraction(c, scale) for e, c in enumerate(row) if c})
 
 
 @dataclass(frozen=True)

@@ -180,29 +180,34 @@ class TestAgainstReferenceOracle:
     FORMS = (None, "zero", "negative", "Laurent", "degree <= d-1", "degree d", "degree > d")
 
     @staticmethod
-    def lattices(rng):
-        for path in sorted(FIXTURES.glob("*.lattice")):
-            yield load_lattice(path)[0]
-        for k in (1, 2, 3, 3, 4):
-            yield coordinate_lattice({f"L{i}": rng.randint(-3, 3) for i in range(k)}, rng.choice((1, 2)))
-        for k in (3, 3, 4, 4, 4):
-            yield random_subposet_lattice(rng, k, rng.choice((1, 2)), 0.5)
+    def parts(seed):
+        """The fixture lattices, and lattices drawn from random.Random(seed),
+        each part with a generator of its own for its cases' draws: a
+        fixture file added or removed moves no seeded lattice or case."""
+        fixtures = [load_lattice(path)[0] for path in sorted(FIXTURES.glob("*.lattice"))]
+        rng = random.Random(seed)
+        seeded = [
+            coordinate_lattice({f"L{i}": rng.randint(-3, 3) for i in range(k)}, rng.choice((1, 2)))
+            for k in (1, 2, 3, 3, 4)
+        ]
+        seeded += [random_subposet_lattice(rng, k, rng.choice((1, 2)), 0.5) for k in (3, 3, 4, 4, 4)]
+        return {"fixtures": (fixtures, random.Random(seed)), "seeded": (seeded, rng)}
 
     def test_seeded(self):
-        rng = random.Random(20261018)
         seen = {"forms": set(), "bounds": set(), "pair": 0, "no pair": 0, "semistable": 0}
-        for trial, lat in enumerate(self.lattices(rng)):
-            for beta in (None, rng.choice(lat.nonzero_ids())):
-                pair = None if beta is None else PairObject(lattice=lat, beta_image=beta)
-                for form in self.FORMS:
-                    delta = random_delta(rng, lat.dim, form)
-                    bound = rng.randint(1, 2 if len(lat.ids()) > 8 else 4)
-                    result = brute_force_max(lat, pair, delta, bound)
-                    assert result == reference_max(lat, pair, delta, bound), (lat, beta, delta, bound)
-                    seen["forms"].add(form)
-                    seen["bounds"].add(bound)
-                    seen["pair" if pair else "no pair"] += 1
-                    seen["semistable"] += result.best is None
+        for lattices, rng in self.parts(20261018).values():
+            for lat in lattices:
+                for beta in (None, rng.choice(lat.nonzero_ids())):
+                    pair = None if beta is None else PairObject(lattice=lat, beta_image=beta)
+                    for form in self.FORMS:
+                        delta = random_delta(rng, lat.dim, form)
+                        bound = rng.randint(1, 2 if len(lat.ids()) > 8 else 4)
+                        result = brute_force_max(lat, pair, delta, bound)
+                        assert result == reference_max(lat, pair, delta, bound), (lat, beta, delta, bound)
+                        seen["forms"].add(form)
+                        seen["bounds"].add(bound)
+                        seen["pair" if pair else "no pair"] += 1
+                        seen["semistable"] += result.best is None
         assert seen["forms"] == set(self.FORMS) and seen["bounds"] == {1, 2, 3, 4}, seen
         assert seen["pair"] and seen["no pair"] and seen["semistable"], seen
 
@@ -292,16 +297,18 @@ class TestCandidateCount:
     lengths and pivots without building a chain or scoring a candidate."""
 
     def test_equals_explored(self):
-        rng = random.Random(20261107)
-        cases = 0
-        for lat in TestAgainstReferenceOracle.lattices(rng):
-            for beta in ("no pair", None, rng.choice(lat.nonzero_ids())):
-                pair = None if beta == "no pair" else PairObject(lattice=lat, beta_image=beta)
-                for bound in (1, 2, 3):
-                    explored = brute_force_max(lat, pair, random_delta(rng, lat.dim, "zero"), bound).explored
-                    assert candidate_count(lat, pair, bound) == explored, (lat, beta, bound)
-                    cases += 1
-        assert cases == 153  # 7 fixtures and 10 seeded lattices, 3 framings, 3 bounds
+        cases = {}
+        for part, (lattices, rng) in TestAgainstReferenceOracle.parts(20261107).items():
+            cases[part] = 0
+            for lat in lattices:
+                for beta in ("no pair", None, rng.choice(lat.nonzero_ids())):
+                    pair = None if beta == "no pair" else PairObject(lattice=lat, beta_image=beta)
+                    for bound in (1, 2, 3):
+                        explored = brute_force_max(lat, pair, random_delta(rng, lat.dim, "zero"), bound).explored
+                        assert candidate_count(lat, pair, bound) == explored, (lat, beta, bound)
+                        cases[part] += 1
+        # 7 fixtures and 10 seeded lattices, each 3 framings by 3 bounds
+        assert cases == {"fixtures": 63, "seeded": 90}
 
     def test_fixtures_stay_small_at_the_default_bound(self):
         counts = {}

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from thetastab import (
@@ -19,6 +19,7 @@ from thetastab import (
     nu_compare,
 )
 from thetastab.errors import ParseError
+from thetastab.lattice import _row_poly
 from thetastab.ratpoly import as_fraction, as_integer, as_ratio
 
 import reference_leading_term
@@ -143,6 +144,49 @@ class TestArithmetic:
             RatPoly({0: value})
         with pytest.raises(ParseError):
             RatPoly({1: 1}) * value
+
+
+#: A scalar as a caller may give it: an int, a Fraction or an "a/b" string.
+scalars = st.one_of(
+    st.integers(-20, 20),
+    rationals,
+    rationals.map(lambda t: f"{t.numerator}/{t.denominator}"),
+)
+
+
+def _assert_clean(poly: RatPoly) -> None:
+    """poly's map holds int exponents and nonzero Fractions only, so it is
+    the polynomial RatPoly(...) reads from its terms, hash included."""
+    assert all(type(e) is int and type(c) is Fraction and c for e, c in poly._coeffs.items()), poly
+    parsed = RatPoly(dict(poly.items()))
+    assert poly == parsed and hash(poly) == hash(parsed), poly
+
+
+class TestCleanMaps:
+    """Arithmetic, HilbertStats.reduced and lattice rows wrap the maps they
+    build without the constructor's checks (RatPoly._of): each result must
+    still be clean, cancelling inputs included."""
+
+    @seed(20261019)
+    @settings(max_examples=300, deadline=None)
+    @given(ratpolys(), ratpolys(), scalars)
+    def test_arithmetic_results(self, p, q, t):
+        for result in (
+            p + q, p - q, -p, p * q, p * t, t * p, q * t,
+            p - p, p + (-p), p * 0, 0 * p, p * "0/3", p + (q - p), (p + q) - q, (p - q) * (p + q),
+        ):
+            _assert_clean(result)
+        _assert_clean(RatPoly.zero())
+
+    @seed(20261020)
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-30, 30), max_size=5), st.integers(1, 30), st.integers(1, 12))
+    def test_rows_and_reduced_polynomials(self, row, top, denominator):
+        # row may hold zeros, and be all zeros below a positive top entry
+        _assert_clean(_row_poly(row, denominator))
+        poly = _row_poly(row + [top], denominator)
+        _assert_clean(poly)
+        _assert_clean(hilbert_stats(poly, len(row)).reduced)
 
 
 class TestNuOrder:

@@ -1,7 +1,7 @@
 import sys
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -17,6 +17,8 @@ from thetastab import (
     nu_compare,
 )
 from thetastab.errors import DegreeMismatch, NonpositiveRank
+
+import reference_ratpoly
 
 
 def P(mapping):
@@ -110,13 +112,32 @@ class TestLineBundles:
         )
 
     def test_counts_monomials(self):
-        for d in (1, 2, 3):
-            for k in (-1, 0, 4):
+        # binomial(n+k+d, d) wherever math.comb takes n + k + d, the roots
+        # (0 <= n + k + d < d) included
+        for d in range(1, 13):
+            for k in range(-30, 31):
                 poly = hilbert_line_bundle_projective(d, k)
-                from math import comb
+                for n in (5, 9, 30, 31, 47, 1000):
+                    if n + k + d >= 0:
+                        assert poly(n) == comb(n + k + d, d), (d, k, n)
 
-                for n in (5, 9):
-                    assert poly(n) == comb(n + k + d, d)
+    def test_integer_row_matches_product_form(self):
+        # the clean map of d RatPoly products: no zero coefficient kept
+        for d in range(1, 13):
+            for k in range(-30, 31):
+                poly = hilbert_line_bundle_projective(d, k)
+                assert poly._coeffs == reference_ratpoly.hilbert_line_bundle_projective(d, k)._coeffs, (d, k)
+                assert all(type(e) is int and type(c) is Fraction and c for e, c in poly._coeffs.items())
+
+    def test_cancelled_coefficients_are_dropped(self):
+        # (n - 1) n / 2 and n: the constant terms cancel and are not kept
+        assert hilbert_line_bundle_projective(2, -2) == P({2: Fraction(1, 2), 1: Fraction(-1, 2)})
+        assert hilbert_line_bundle_projective(1, -1) == P({1: 1})
+
+    def test_rejects_dimension_below_one(self):
+        for d in (0, -1):
+            with pytest.raises(ValueError):
+                hilbert_line_bundle_projective(d, 0)
 
 
 class TestNuCompare:

@@ -16,8 +16,6 @@ from .canonical import (
 from .invariant import (
     Polytope2,
     WeightMaximum,
-    b_norm,
-    contributions,
     maximize_weights,
     nu,
     nu_delta,

@@ -27,7 +27,7 @@ from .latfile import (
     parse_delta,
 )
 from .lattice import PairObject, WeightedFiltration, graded_pieces, make_chain, make_filtration
-from .ratpoly import EQUAL, GREATER, NuValue, RatPoly, as_fraction, as_integer, nu_compare
+from .ratpoly import EQUAL, GREATER, RatPoly, as_fraction, as_integer, nu_compare
 
 APPROX_POINT = 10**6  # evaluation point for CSV audit values
 
@@ -234,10 +234,10 @@ def _cmd_sweep(args) -> tuple[dict, list[str]]:
 
 
 def _dumped(candidates, writer, lat):
-    """The oracle's candidates, each written as a CSV row on its way by, b on the ranks' scale."""
+    """The oracle's candidates, each written as a CSV row on its way by, valued as reported."""
     writer.writerow(["chain", "weights", "L", "b", f"value_at_{APPROX_POINT}"])
     for chain, weights, terms, b in candidates:
-        value = NuValue(RatPoly(terms), b * lat.rank_scale)
+        value = invariant.reported_nu(lat, RatPoly(terms), b)
         writer.writerow(["|".join(chain), "|".join(str(w) for w in weights), str(value.L),
                          format_rational(value.b), f"{value.approx(APPROX_POINT):.6g}"])
         yield chain, weights, terms, b
@@ -254,11 +254,11 @@ def _cmd_oracle(args) -> tuple[dict, list[str]]:
     if args.csv:  # opened before the search, so an unwritable path fails at once
         try:
             with open(args.csv, "w", newline="") as handle:
-                result = oracle.argmax(lat, _dumped(candidates, csv.writer(handle), lat), pair, delta)
+                result = oracle.argmax(lat, _dumped(candidates, csv.writer(handle), lat), pair)
         except OSError as exc:
             raise ParseError(f"cannot write {args.csv}: {exc}") from exc
     else:
-        result = oracle.argmax(lat, candidates, pair, delta)
+        result = oracle.argmax(lat, candidates, pair)
     payload = {
         "command": "oracle",
         "bound": bound,

@@ -60,10 +60,6 @@ class PairConstraintViolated(StabilityError):
 
 # --- invariant layer ---
 
-class DegenerateFiltration(StabilityError):
-    """The quadratic norm vanishes (trivial chain with weight zero)."""
-
-
 class BadIndex(StabilityError):
     """Slope index outside the range 0..d-1."""
 

@@ -12,9 +12,11 @@ per distinct step on first use; the searches read a chain's steps from it
 by the chain's ids alone.  N_gr[d] = N_sup[d] - N_sub[d] is the rank of
 gr on the lattice's integer table, rank(gr) / s for s = lat.rank_scale.
 The invariant of weights w is nu = <w, c> / sqrt(b) with
-b = sum rank(gr_m) * w_m^2, kept exact as a NuValue by nu_delta and
-b_norm, on the gradeds; the oracle's scores and the maximizer's values,
-read from the table, are nu * sqrt(s), in the same order.
+b = sum rank(gr_m) * w_m^2.  Every search reads <w, c> and the int
+sum N_gr[d] * w_m^2 = b / s from its table, so its scores are nu * sqrt(s),
+in the same order; reported_nu is the one place that multiplies the int
+back by s into the exact NuValue a caller reports, and nu_on(steps_of, f)
+values a filtration that way on a given table (nu_delta on a new one).
 
 The weight of the determinant family at the associated graded, <w, c> at
 delta = 0, is computed a second, independent way (the subobject form):
@@ -24,8 +26,7 @@ agree by summation by parts; the identity is exercised heavily in the
 test suite.
 
 The trivial filtration with weight zero has b = 0; its nu is defined to be
-the zero NuValue by convention (semistable objects maximize at zero), while
-b_norm itself reports the degeneracy.
+the zero NuValue by convention (semistable objects maximize at zero).
 
 The maximizer.  maximize_weights(ids, ranks, contribs, pivot) takes the
 numbers it maximizes: a chain's ids and its step-table entries, and the
@@ -89,7 +90,7 @@ from itertools import accumulate
 from math import factorial
 from typing import Callable, Iterable, Sequence
 
-from .errors import BadIndex, DegenerateFiltration
+from .errors import BadIndex
 from .lattice import SubobjectLattice, UnweightedFiltration, WeightedFiltration, quotient_poly
 from .ratpoly import HilbertStats, NuValue, RatPoly
 
@@ -122,14 +123,6 @@ def step_table(
     return steps_of
 
 
-def contributions(
-    chain: UnweightedFiltration, delta: RatPoly | None = None
-) -> tuple[RatPoly, ...]:
-    """Per-unit-weight contribution of each step of the chain, top first:
-    P(gr_m) - rank(gr_m) * tau, the step table applied to one chain."""
-    return step_table(chain.lattice, delta)(chain.chain)[1]
-
-
 def dot(weights: Sequence[int | Fraction], contribs: Sequence[RatPoly]) -> RatPoly:
     """The numerator <w, c> of the invariant."""
     total = RatPoly.zero()
@@ -141,7 +134,7 @@ def dot(weights: Sequence[int | Fraction], contribs: Sequence[RatPoly]) -> RatPo
 
 def weight_graded(f: WeightedFiltration) -> RatPoly:
     """Determinant weight via the associated graded pieces."""
-    return dot(f.weights, contributions(f))
+    return dot(f.weights, step_table(f.lattice)(f.chain)[1])
 
 
 def weight_subobject(f: WeightedFiltration) -> RatPoly:
@@ -159,12 +152,18 @@ def weight_subobject(f: WeightedFiltration) -> RatPoly:
     return total
 
 
-def b_norm(f: WeightedFiltration) -> Fraction:
-    """Quadratic norm sum rank(gr) * w^2; positive unless fully trivial."""
-    value = sum((g.rank * w * w for w, g in zip(f.weights, f.gradeds)), Fraction(0))
-    if value == 0:
-        raise DegenerateFiltration("trivial filtration with weight 0 has no norm")
-    return value
+def reported_nu(lat: SubobjectLattice, numerator: RatPoly, b: int) -> NuValue:
+    """The NuValue a caller reports for a value read from a step table:
+    numerator <w, c> and the int b = sum N_gr[d] * w^2, brought to the
+    graded ranks' scale (b times lat.rank_scale); zero when b is 0."""
+    return NuValue(numerator, b * lat.rank_scale) if b else NuValue.zero()
+
+
+def nu_on(steps_of: Callable, f: WeightedFiltration) -> NuValue:
+    """nu_delta of f, read from steps_of = step_table(f.lattice, delta)."""
+    ranks, contribs = steps_of(f.chain)
+    b = sum(r * w * w for r, w in zip(ranks, f.weights))
+    return reported_nu(f.lattice, dot(f.weights, contribs), b)
 
 
 def nu(f: WeightedFiltration) -> NuValue:
@@ -173,16 +172,13 @@ def nu(f: WeightedFiltration) -> NuValue:
 
 
 def nu_delta(f: WeightedFiltration, delta: RatPoly | None) -> NuValue:
-    """The pair invariant: weight twisted by -delta/rank(F) per unit weight.
+    """The pair invariant: weight twisted by -delta/rank(F) per unit weight,
+    read from a new step table.
 
     With delta = 0 (or None) this is exactly nu(f).  Laurent terms in delta
     are allowed; the result is then a Laurent NuValue.
     """
-    try:
-        b = b_norm(f)
-    except DegenerateFiltration:
-        return NuValue.zero()
-    return NuValue(dot(f.weights, contributions(f, delta)), b)
+    return nu_on(step_table(f.lattice, delta), f)
 
 
 # -- the maximizer ---------------------------------------------------------
@@ -202,7 +198,8 @@ class WeightMaximum:
     from steps (weight and contribution of each step of the descent's
     chain, a refinement of chain) and kept; being derived, steps takes no
     part in equality.  On a step table's ranks, weights, b and value are
-    s, s and sqrt(s) times those on the graded ranks, s = lat.rank_scale.
+    s, s and sqrt(s) times those on the graded ranks, s as in the module
+    docstring.
     """
 
     chain: tuple[str, ...]

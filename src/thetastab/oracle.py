@@ -12,7 +12,8 @@ to the ranks and pivot.  A candidate's numerator coefficients and its
 norm b, an int on the table's scale, are dot products of its weights with
 those, and it is compared with the incumbent by ratpoly.terms_compare,
 the rule nu_compare applies to NuValues.  Only the result is built as a
-NuValue, on the graded ranks' scale.
+NuValue, from the incumbent's own terms and b by invariant.reported_nu:
+no second table values it.
 
 Since nu is scale invariant, proportional weight vectors represent the same
 candidate; the argmax is always reported in primitive form (weights divided
@@ -26,11 +27,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 from operator import mul
 from typing import Iterable, Iterator
 
-from .invariant import nu_delta, step_table
+from .invariant import reported_nu, step_table
 from .lattice import (
     PairObject,
     SubobjectLattice,
@@ -40,7 +41,7 @@ from .lattice import (
     pair_pivot_index,
     primitive_weights,
 )
-from .ratpoly import GREATER, NuValue, RatPoly, terms_compare
+from .ratpoly import GREATER, LESS, NuValue, RatPoly, terms_compare
 
 
 @dataclass(frozen=True)
@@ -149,8 +150,8 @@ def iter_terms(
 ) -> Iterator[tuple[tuple[str, ...], tuple[int, ...], dict[int, Fraction], int]]:
     """Yield (chain ids, weights, terms, b) over all feasible nondegenerate
     candidates, chains in canonical order, weights lexicographic: the value
-    of a candidate is sum_e terms[e] n^e / sqrt(b * lat.rank_scale), with
-    terms[e] read off the chain's step contributions at exponent e (zero
+    of a candidate is reported_nu(lat, RatPoly(terms), b), with terms[e]
+    read off the chain's step contributions at exponent e (zero
     coefficients kept) and the int b off its ranks, from the step table."""
     if bound < 1:
         raise ValueError(f"weight bound must be >= 1, got {bound}")
@@ -180,40 +181,37 @@ def brute_force_max(
     bound: int = 4,
 ) -> OracleResult:
     """Exact maximum of nu (or nu_delta) over bounded integer weights."""
-    return argmax(lat, iter_terms(lat, pair, delta, bound), pair, delta)
+    return argmax(lat, iter_terms(lat, pair, delta, bound), pair)
 
 
 def argmax(
     lat: SubobjectLattice,
     candidates: Iterable[tuple[tuple[str, ...], tuple[int, ...], dict[int, Fraction], int]],
     pair: PairObject | None = None,
-    delta: RatPoly | None = None,
 ) -> OracleResult:
     """The best of a stream of iter_terms(lat, pair, delta, W) quadruples,
-    each compared with the incumbent once as it arrives; the one NuValue
-    built is the result's, on the graded ranks' scale."""
-    best_chain: tuple[str, ...] | None = None
-    best_weights: tuple[int, ...] | None = None
-    best_terms: dict[int, Fraction] = {}
-    best_b: int | None = None
+    each compared with the incumbent once as it arrives.  The one NuValue
+    built is the result's, from the incumbent's own terms and b: those of
+    its primitive representative (both over g, g^2 for g the gcd of its
+    weights) for a positive maximum, which is nu_delta of best, and as
+    scored otherwise."""
+    best = best_key = None
     explored = 0
-    for chain, weights, terms, b in candidates:
+    for candidate in candidates:
+        chain, weights, terms, b = candidate
         explored += 1
-        if best_b is None:
-            verdict = GREATER
-        else:
-            verdict = terms_compare(terms, b, best_terms, best_b)
-        if verdict == GREATER:
-            best_chain, best_weights, best_terms, best_b = chain, primitive_weights(weights), terms, b
-        elif verdict == 0:
-            key = (len(chain), chain, primitive_weights(weights))
-            if key < (len(best_chain), best_chain, best_weights):
-                best_chain, best_weights, best_terms, best_b = chain, key[2], terms, b
+        verdict = GREATER if best is None else terms_compare(terms, b, best[2], best[3])
+        if verdict == LESS:
+            continue
+        key = (len(chain), chain, primitive_weights(weights))
+        if verdict == GREATER or key < best_key:
+            best, best_key = candidate, key
 
-    if best_b is None:
+    if best is None:
         return OracleResult(best=None, value=NuValue.zero(), explored=0)
-    if terms_compare(best_terms, best_b, {}, 1) != GREATER:
-        return OracleResult(None, NuValue(RatPoly(best_terms), best_b * lat.rank_scale), explored)
-    best = make_filtration(lat, best_chain, best_weights, pair)
-    # report the value of the primitive representative (same nu_compare class)
-    return OracleResult(best=best, value=nu_delta(best, delta), explored=explored)
+    chain, weights, terms, b = best
+    if terms_compare(terms, b, {}, 1) != GREATER:
+        return OracleResult(None, reported_nu(lat, RatPoly(terms), b), explored)
+    g = gcd(*weights)
+    value = reported_nu(lat, RatPoly({e: t / g for e, t in terms.items()}), b // (g * g))
+    return OracleResult(make_filtration(lat, chain, best_key[2], pair), value, explored)

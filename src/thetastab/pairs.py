@@ -35,7 +35,8 @@ framing map vanishes); the maximizer sees neither delta nor the pair.
 pair_canonical ranks the chains on their maximizers' values (nu is
 scale-invariant, and a merged step contributes its block's sum): first on
 the leading term, that is on (e*, b), and on the full value only between
-chains that tie on both; it builds the winner alone.
+chains that tie on both; it builds the winner alone and values it on the
+same table.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from operator import add
 
 from .canonical import destabilizing_member
 from .errors import Semistable
-from .invariant import WeightMaximum, maximize_weights, nu_delta, step_table
+from .invariant import WeightMaximum, maximize_weights, nu_on, step_table
 from .lattice import (
     ObjectClass,
     PairObject,
@@ -114,7 +115,8 @@ def pair_canonical(pair: PairObject, delta: RatPoly | None) -> PairCanonicalResu
     form, on the query's step table, and the candidates are ranked by
     their full invariant, read off its leading term (exponent, b) unless
     two chains tie on it, ties going to the shorter chain, then the smaller
-    ids, then the smaller weights; only the winner's filtration is built.
+    ids, then the smaller weights; only the winner's filtration is built,
+    and its nu_delta is read from the same table.
     """
     lat = pair.lattice
     best: WeightMaximum | None = None
@@ -141,4 +143,4 @@ def pair_canonical(pair: PairObject, delta: RatPoly | None) -> PairCanonicalResu
     if best is None:
         raise Semistable("no destabilizing filtration exists for this pair")
     filt = make_filtration(lat, best.chain, primitive_weights(best.weights), pair)
-    return PairCanonicalResult(filtration=filt, value=nu_delta(filt, delta), source="closed-form")
+    return PairCanonicalResult(filtration=filt, value=nu_on(steps_of, filt), source="closed-form")

@@ -31,7 +31,6 @@ from thetastab import (
     NuValue,
     RatPoly,
     brute_force_max,
-    contributions,
     enumerate_chains,
     make_filtration,
     nu_compare,
@@ -39,7 +38,7 @@ from thetastab import (
     primitive_weights,
 )
 from thetastab.errors import FlatObjective, Semistable
-from thetastab.invariant import dot
+from thetastab.invariant import dot, step_table
 from thetastab.lattice import pair_pivot_index
 from thetastab.pairs import PairCanonicalResult
 
@@ -87,7 +86,7 @@ def face_enumeration_max(chain, pair, delta: RatPoly) -> FaceMaximum:
     lat = chain.lattice
     if delta.degree() > lat.dim - 1:
         raise ValueError(f"closed form needs deg(delta) <= {lat.dim - 1}")
-    units = [c.coeff(lat.dim - 1) for c in contributions(chain, delta)]
+    units = [c.coeff(lat.dim - 1) for c in step_table(lat, delta)(chain.chain)[1]]
     ranks = [g.rank for g in chain.gradeds]
     if all(u == 0 for u in units):
         raise FlatObjective("top-coefficient objective vanishes on the whole cone")
@@ -169,7 +168,7 @@ def chain_search_max(chain, pair, delta: RatPoly, bound: int) -> NuValue:
     """Maximum of the invariant over the chain's weights w_0 <= ... <= w_q
     in [-bound, bound] (w_pivot >= 0 with a nonzero framing map), not all
     zero."""
-    contribs = contributions(chain, delta)
+    contribs = step_table(chain.lattice, delta)(chain.chain)[1]
     ranks = [g.rank for g in chain.gradeds]
     beta = pair.beta_image if pair is not None else None
     pivot = pair_pivot_index(chain.chain, chain.lattice, beta) if beta is not None else None

@@ -24,14 +24,13 @@ from thetastab import (
     NuValue,
     OracleResult,
     RatPoly,
-    contributions,
     enumerate_chains,
     make_filtration,
     nu_compare,
     nu_delta,
     primitive_weights,
 )
-from thetastab.invariant import dot
+from thetastab.invariant import dot, step_table
 from thetastab.lattice import pair_pivot_index
 from thetastab.oracle import iter_terms
 
@@ -49,7 +48,7 @@ def scored_candidates(lat, pair, delta, bound):
     candidate, chains in canonical order, weights lexicographic."""
     beta = pair.beta_image if pair is not None else None
     for chain in enumerate_chains(lat):
-        contribs = contributions(chain, delta)
+        contribs = step_table(lat, delta)(chain.chain)[1]
         ranks = [g.rank for g in chain.gradeds]
         pivot = pair_pivot_index(chain.chain, lat, beta) if beta is not None else None
         for weights in combinations(range(-bound, bound + 1), len(chain.chain)):

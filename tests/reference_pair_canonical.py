@@ -2,9 +2,9 @@
 
 pair_canonical and maximize_weights as they stood before pair_canonical
 tabulated each step's contribution once per query: here every chain
-recomputes tau and the contribution of each of its steps through
-invariant.contributions.  The descent, the ranking on (exponent, b) with
-the full value settling ties, and the tie-break on (length, ids,
+recomputes tau and the contribution of each of its steps in a new step
+table (invariant.step_table).  The descent, the ranking on (exponent, b)
+with the full value settling ties, and the tie-break on (length, ids,
 primitive weights) are otherwise the same.
 """
 
@@ -20,7 +20,6 @@ from thetastab import (
     LESS,
     PairObject,
     RatPoly,
-    contributions,
     make_filtration,
     nu_compare,
     nu_delta,
@@ -28,6 +27,7 @@ from thetastab import (
     primitive_weights,
 )
 from thetastab.errors import Semistable
+from thetastab.invariant import step_table
 from thetastab.lattice import UnweightedFiltration, pair_pivot_index
 from thetastab.oracle import saturated_chains
 from thetastab.pairs import PairCanonicalResult, WeightMaximum
@@ -56,7 +56,7 @@ def maximize_weights(
 ) -> WeightMaximum | None:
     """The lexicographic maximizer over the chain's weight cone, from the
     chain's own contributions."""
-    ids, contribs = chain.chain, contributions(chain, delta)
+    ids, contribs = chain.chain, step_table(chain.lattice, delta)(chain.chain)[1]
     ranks = [g.rank for g in chain.gradeds]
     beta = pair.beta_image if pair is not None else None
     p = pair_pivot_index(ids, chain.lattice, beta) if beta is not None else None

@@ -30,14 +30,20 @@ from thetastab.errors import (
 from thetastab.latfile import load_lattice
 
 from conftest import FIXTURES, coordinate_lattice, sum_lattice
-from randgen import random_coprime_lattice, random_path_filtration, random_subposet_lattice
+from randgen import (
+    random_coprime_lattice,
+    random_lambda_lattice,
+    random_path_filtration,
+    random_subposet_lattice,
+)
 import reference_leading_term
 from reference_lattice import is_convex, is_trivial
 
 
 def seeded_lattices(seed):
-    """Coordinate lattices (k <= 5, d <= 3), sub-posets of them and coprime
-    lattices, in that order, each tagged with its arm."""
+    """Coordinate lattices (k <= 5, d <= 3), sub-posets of them, coprime
+    lattices and Lambda-module lattices, in that order, each tagged with
+    its arm; the last from a generator of their own."""
     rng = random.Random(seed)
     for _ in range(150):
         twists = {f"L{i}": rng.randint(-2, 2) for i in range(rng.randint(1, 5))}
@@ -48,6 +54,10 @@ def seeded_lattices(seed):
     for trial in range(40):
         k, d = rng.randint(2, 4), rng.randint(1, 3)
         yield "coprime", random_coprime_lattice(rng, k, d, proportional=trial % 5 == 0)
+    rng = random.Random(f"lambda {seed}")
+    for _ in range(100):
+        k, d = rng.randint(2, 5), rng.randint(1, 3)
+        yield "lambda", random_lambda_lattice(rng, k, d, rng.choice((0.2, 0.4, 0.6)))
 
 
 def P(mapping):
@@ -106,7 +116,7 @@ class TestHNStrictDecrease:
     docstring makes every chain it returns strictly decreasing."""
 
     def test_graded_reduced_polynomials_strictly_decrease_outward(self):
-        seen = dict.fromkeys(("coordinate", "sub-poset", "coprime"), 0)
+        seen = dict.fromkeys(("coordinate", "sub-poset", "coprime", "lambda"), 0)
         for arm, lat in seeded_lattices(20261201):
             try:
                 hn = hn_filtration(lat)
@@ -146,7 +156,7 @@ class TestLeadingTermAgainstReference:
                 continue
             kind = "semistable" if isinstance(expected, str) else "unstable"
             seen[arm, kind] = seen.get((arm, kind), 0) + 1
-        for arm in ("coordinate", "sub-poset", "coprime"):
+        for arm in ("coordinate", "sub-poset", "coprime", "lambda"):
             assert seen.get((arm, "unstable"), 0) >= 10, seen
             assert seen.get((arm, "semistable"), 0) >= 3, seen
 

@@ -501,6 +501,22 @@ class TestChainWalkIsBounded:
         assert code == 0 and payload["oracle_agrees"] is True
 
 
+class TestOneTablePerSearch:
+    """Each search values its answer on the step table it read, so a
+    command computes a step's contribution once per search: the closed
+    form and its oracle cross-check keep a table each, and no third table
+    values the result (37 and 22 calls when one did)."""
+
+    @pytest.mark.parametrize("command, calls", [("pair-canonical", 31), ("oracle", 19)])
+    def test_step_contributions_on_example_nonconvex(self, capsys, monkeypatch, command, calls):
+        from thetastab import invariant
+
+        made, real = [], invariant.step_contribution
+        monkeypatch.setattr(invariant, "step_contribution", lambda gr, tau: made.append(gr) or real(gr, tau))
+        code, _, _ = run(capsys, command, FIXTURES / "example_nonconvex.lattice", "--delta", "1/2", "--bound", "2")
+        assert code == 0 and len(made) == calls
+
+
 class TestErrorPaths:
     def test_missing_file_is_parse_error(self, capsys):
         code, _, err = run(capsys, "check", "no/such/file.lattice")

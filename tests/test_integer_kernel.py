@@ -25,6 +25,7 @@ from randgen import (
     random_coprime_lattice,
     random_delta,
     random_graded_poly,
+    random_lambda_lattice,
     random_subposet_lattice,
     restrict,
 )
@@ -137,6 +138,14 @@ class TestHNAgainstReference:
             assert _hn_outcome(hn_filtration, lat) == expected, lat.ids()
             seen["chain" if isinstance(expected[0], str) else expected[0].__name__] += 1
         assert min(seen.values()) >= 10, seen
+        # Lambda-module lattices are closed under sums and intersections:
+        # no greedy step ties between incomparable members
+        rng = random.Random("lambda 20261102")
+        for _ in range(100):
+            d = rng.choice((1, 2, 3))
+            lat = random_lambda_lattice(rng, rng.randint(2, 5), d, rng.choice((0.2, 0.4, 0.6)))
+            expected = _hn_outcome(reference_hn.hn_filtration, lat)
+            assert _hn_outcome(hn_filtration, lat) == expected and isinstance(expected[0], str), lat.ids()
 
     def test_coprime_lattices(self):
         rng = random.Random(20261103)

@@ -10,7 +10,6 @@ from thetastab import (
     NuValue,
     Polytope2,
     RatPoly,
-    b_norm,
     enumerate_chains,
     make_chain,
     make_filtration,
@@ -22,7 +21,7 @@ from thetastab import (
     weight_subobject,
 )
 from thetastab.canonical import hn_filtration
-from thetastab.errors import BadIndex, DegenerateFiltration
+from thetastab.errors import BadIndex
 
 from randgen import random_path_filtration
 from reference_polytope import polytope_subset
@@ -72,22 +71,24 @@ class TestWeightFormulas:
 
 
 class TestBNorm:
+    """The norm b = sum rank(gr) * w^2 of the reported nu."""
+
     def test_unit_ranks(self, lat_o2_o):
         filt = make_filtration(lat_o2_o, ("F", "O2"), (-1, 1))
-        assert b_norm(filt) == 2
+        assert nu(filt).b == 2
 
     def test_fixture(self, lat_b3):
         filt = make_filtration(lat_b3, ("F", "O5+O", "O5"), (-1, 0, 3))
-        assert b_norm(filt) == 10
+        assert nu(filt).b == 10
 
     def test_rank_two_step(self, lat_b3):
         filt = make_filtration(lat_b3, ("F",), (5,))
-        assert b_norm(filt) == 3 * 25  # rank(F) = 3
+        assert nu(filt).b == 3 * 25  # rank(F) = 3
 
     def test_degenerate(self, lat_o2_o):
+        # the trivial filtration with weight 0 has b = 0: nu is the zero value
         filt = make_filtration(lat_o2_o, ("F",), (0,))
-        with pytest.raises(DegenerateFiltration):
-            b_norm(filt)
+        assert nu(filt) == NuValue.zero()
 
 
 class TestNu:

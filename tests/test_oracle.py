@@ -23,7 +23,7 @@ from thetastab.latfile import load_lattice
 from thetastab.oracle import candidate_count
 
 from conftest import FIXTURES, coordinate_lattice
-from randgen import random_coprime_lattice, random_delta, random_subposet_lattice
+from randgen import random_coprime_lattice, random_delta, random_lambda_lattice, random_subposet_lattice
 from reference_oracle import iter_candidates, reference_max, scored_candidates
 
 
@@ -181,9 +181,10 @@ class TestAgainstReferenceOracle:
 
     @staticmethod
     def parts(seed):
-        """The fixture lattices, and lattices drawn from random.Random(seed),
-        each part with a generator of its own for its cases' draws: a
-        fixture file added or removed moves no seeded lattice or case."""
+        """The fixture lattices, lattices drawn from random.Random(seed) and
+        Lambda-module lattices, each part with a generator of its own for
+        its lattices' and cases' draws: a fixture file added or removed,
+        or a part added, moves no other part's lattice or case."""
         fixtures = [load_lattice(path)[0] for path in sorted(FIXTURES.glob("*.lattice"))]
         rng = random.Random(seed)
         seeded = [
@@ -191,7 +192,11 @@ class TestAgainstReferenceOracle:
             for k in (1, 2, 3, 3, 4)
         ]
         seeded += [random_subposet_lattice(rng, k, rng.choice((1, 2)), 0.5) for k in (3, 3, 4, 4, 4)]
-        return {"fixtures": (fixtures, random.Random(seed)), "seeded": (seeded, rng)}
+        lam = random.Random(f"lambda {seed}")
+        lambdas = [random_lambda_lattice(lam, k, lam.choice((1, 2)), 0.3) for k in (2, 3, 3, 4, 4)]
+        return {
+            "fixtures": (fixtures, random.Random(seed)), "seeded": (seeded, rng), "lambda": (lambdas, lam),
+        }
 
     def test_seeded(self):
         seen = {"forms": set(), "bounds": set(), "pair": 0, "no pair": 0, "semistable": 0}
@@ -286,10 +291,9 @@ class TestWorkCounts:
         assert sum(1 for _ in search) == explored and len(calls) == steps
         calls.clear()
         result = brute_force_max(lat, pair=pair, bound=bound)
-        # beyond the walk's steps, only nu_delta's on the result's chain
-        # (69 calls on the k = 4 pair, whose 4-member winner follows)
-        assert result.explored == explored
-        assert len(calls) == steps + (0 if result.best is None else len(result.best.chain))
+        # the result is valued on the search's own terms: no step beyond
+        # the walk's is contributed, though the k = 4 pair has a winner
+        assert result.explored == explored and len(calls) == steps
 
 
 class TestCandidateCount:
@@ -307,8 +311,9 @@ class TestCandidateCount:
                         explored = brute_force_max(lat, pair, random_delta(rng, lat.dim, "zero"), bound).explored
                         assert candidate_count(lat, pair, bound) == explored, (lat, beta, bound)
                         cases[part] += 1
-        # 7 fixtures and 10 seeded lattices, each 3 framings by 3 bounds
-        assert cases == {"fixtures": 63, "seeded": 90}
+        # 7 fixtures, 10 seeded and 5 Lambda-module lattices, each 3
+        # framings by 3 bounds
+        assert cases == {"fixtures": 63, "seeded": 90, "lambda": 45}
 
     def test_fixtures_stay_small_at_the_default_bound(self):
         counts = {}

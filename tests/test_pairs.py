@@ -15,7 +15,6 @@ from thetastab import (
     brute_force_max,
     build_lattice,
     canonical_filtration,
-    contributions,
     enumerate_chains,
     make_chain,
     make_filtration,
@@ -34,7 +33,7 @@ from thetastab.lattice import pair_pivot_index
 from thetastab.pairs import saturated_chains
 
 from conftest import FIXTURES, coordinate_lattice, sum_lattice
-from randgen import random_coprime_lattice, random_delta, random_subposet_lattice
+from randgen import random_coprime_lattice, random_delta, random_lambda_lattice, random_subposet_lattice
 from reference_high_degree import pair_canonical_high_degree
 from reference_maximizer import (
     all_chains_pair_canonical,
@@ -52,6 +51,18 @@ def P(mapping):
 
 def const(x):
     return RatPoly.const(Fraction(x))
+
+
+def subposet_families(seed, keep=0.6):
+    """The two families of each sub-poset arm, as (name, rng, draw) with
+    draw(rng, k, d) a lattice: coordinate lattices with members dropped
+    (kept with probability keep), from random.Random(seed), and
+    Lambda-module lattices (randgen.random_lambda_lattice), from a
+    generator of their own, so the sub-poset draws stay those of seed."""
+    return (
+        ("sub-poset", random.Random(seed), lambda rng, k, d: random_subposet_lattice(rng, k, d, keep)),
+        ("lambda", random.Random(f"lambda {seed}"), lambda rng, k, d: random_lambda_lattice(rng, k, d, 0.3)),
+    )
 
 
 def pivot_of(chain, pair):
@@ -72,7 +83,8 @@ def maximize(chain, pair, delta):
     contributions at delta, and the pair's pivot, computed as the
     references compute them."""
     ranks = tuple(g.rank for g in chain.gradeds)
-    return maximize_weights(chain.chain, ranks, contributions(chain, delta), pivot_of(chain, pair))
+    contribs = invariant.step_table(chain.lattice, delta)(chain.chain)[1]
+    return maximize_weights(chain.chain, ranks, contribs, pivot_of(chain, pair))
 
 
 class TestPairSemistable:
@@ -150,14 +162,14 @@ class TestPairSemistableRows:
         # only the order of the exponents matters: moving delta's exponents
         # above d up by 1000, and its negative ones down by 1000, leaves
         # every verdict and witness as it was
-        rng = random.Random(20261019)
-        for _ in range(100):
-            d = rng.choice((1, 2))
-            lat = random_subposet_lattice(rng, rng.randint(2, 4), d, 0.7)
-            pair = PairObject(lattice=lat, beta_image=rng.choice(lat.nonzero_ids()))
-            terms = {rng.randint(-3, d + 3): Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(3)}
-            spread = {e + 1000 * ((e > d) - (e < 0)): c for e, c in terms.items()}
-            assert pair_semistable(pair, P(terms)) == pair_semistable(pair, P(spread)), terms
+        for _, rng, draw in subposet_families(20261019, 0.7):
+            for _ in range(100):
+                d = rng.choice((1, 2))
+                lat = draw(rng, rng.randint(2, 4), d)
+                pair = PairObject(lattice=lat, beta_image=rng.choice(lat.nonzero_ids()))
+                terms = {rng.randint(-3, d + 3): Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(3)}
+                spread = {e + 1000 * ((e > d) - (e < 0)): c for e, c in terms.items()}
+                assert pair_semistable(pair, P(terms)) == pair_semistable(pair, P(spread)), terms
 
 
 def _regime(pair, delta):
@@ -216,23 +228,24 @@ class TestPairSemistableAgainstRegimes:
         # the same on coordinate lattices with members dropped, which are
         # not closed under sums: summation by parts needs none, so the
         # verdict and witness still match the reference, and an unstable
-        # verdict is the oracle's, found with weights in {-1, 0, 1}
-        rng = random.Random(20261104)
+        # verdict is the oracle's, found with weights in {-1, 0, 1}; and on
+        # Lambda-module lattices, which are
         forms = (None, "zero", "negative", "Laurent", "degree <= d-1", "degree d", "degree > d")
-        seen = set()
-        for trial in range(60):
-            d = rng.choice((1, 2))
-            lat = random_subposet_lattice(rng, rng.randint(2, 4), d, 0.6)
-            pair = PairObject(lattice=lat, beta_image=rng.choice([None, *lat.nonzero_ids()]))
-            delta = random_delta(rng, d, forms[trial % len(forms)])
-            verdict, witness = pair_semistable(pair, delta)
-            ref_verdict, ref_witness = reference_semistable.pair_semistable(pair, delta)
-            assert (verdict, getattr(witness, "id", None)) == (
-                ref_verdict, getattr(ref_witness, "id", None)
-            ), (lat.ids(), pair.beta_image, delta)
-            assert verdict == (brute_force_max(lat, pair=pair, delta=delta, bound=1).best is None)
-            seen.add((_regime(pair, delta), verdict))
-        assert {("zero", True), ("zero", False), ("Le Potier", True), ("Le Potier", False)} <= seen, seen
+        for family, rng, draw in subposet_families(20261104):
+            seen = set()
+            for trial in range(60):
+                d = rng.choice((1, 2))
+                lat = draw(rng, rng.randint(2, 4), d)
+                pair = PairObject(lattice=lat, beta_image=rng.choice([None, *lat.nonzero_ids()]))
+                delta = random_delta(rng, d, forms[trial % len(forms)])
+                verdict, witness = pair_semistable(pair, delta)
+                ref_verdict, ref_witness = reference_semistable.pair_semistable(pair, delta)
+                assert (verdict, getattr(witness, "id", None)) == (
+                    ref_verdict, getattr(ref_witness, "id", None)
+                ), (lat.ids(), pair.beta_image, delta)
+                assert verdict == (brute_force_max(lat, pair=pair, delta=delta, bound=1).best is None)
+                seen.add((_regime(pair, delta), verdict))
+            assert {("zero", True), ("zero", False), ("Le Potier", True), ("Le Potier", False)} <= seen, (family, seen)
 
     def test_big_degree_witness_is_the_marked_image(self, lat_b3):
         # for deg(delta) >= d every proper member containing the image
@@ -455,13 +468,13 @@ class TestMaximizerValue:
 
     @staticmethod
     def subposet_cases(seed):
-        rng = random.Random(seed)
         forms = ("zero", "negative", "Laurent", "degree <= d-1", "degree d", "degree > d")
-        for trial in range(18):
-            d = rng.choice((1, 2))
-            lat = random_subposet_lattice(rng, rng.randint(2, 4), d, 0.6)
-            beta = rng.choice([None, *lat.nonzero_ids()])
-            yield PairObject(lattice=lat, beta_image=beta), random_delta(rng, d, forms[trial % 6])
+        for _, rng, draw in subposet_families(seed):
+            for trial in range(18):
+                d = rng.choice((1, 2))
+                lat = draw(rng, rng.randint(2, 4), d)
+                beta = rng.choice([None, *lat.nonzero_ids()])
+                yield PairObject(lattice=lat, beta_image=beta), random_delta(rng, d, forms[trial % 6])
 
     def test_leading_term_is_the_norm_at_the_stopping_exponent(self):
         # the fit is the R-orthogonal projection of x = u / r onto a closed
@@ -499,29 +512,24 @@ class TestMaximizerValue:
 
     def test_pair_canonical_builds_only_the_winner(self, monkeypatch):
         # chains are ranked on (exponent, b); the full value (dot) is only
-        # computed for the 12 of 120 chains that tie the incumbent on both;
-        # each of the 80 steps (sub, sup) of the walk has its contribution
-        # computed once by the query's step table, not once per chain
-        # through it (600 chain-steps), and its graded piece looked up once
+        # computed for the 12 of 120 chains that tie the incumbent on both,
+        # and once more for the winner's nu.  Each of the 80 steps (sub,
+        # sup) of the walk has its contribution computed once by the
+        # query's step table, not once per chain through it (600
+        # chain-steps), and its graded piece looked up once.  The winner
+        # is valued on the same table; it is saturated here, so it adds no
+        # step (nu_delta's own table made 5 more calls of each)
         calls = {
-            "maximize_weights": 0, "make_filtration": 0, "nu_delta": 0, "dot": 0, "step_contribution": 0,
+            "maximize_weights": 0, "make_filtration": 0, "nu_on": 0, "dot": 0, "step_contribution": 0,
             "quotient_poly": 0,
         }
-
-        # dot is counted where WeightMaximum.value finds it, in invariant,
-        # but not inside nu_delta, which reads it once for the winner
-        in_nu_delta = [0]
 
         def counting(module, name):
             original = getattr(module, name)
 
             def wrapped(*args, **kwargs):
-                calls[name] += not in_nu_delta[0]
-                in_nu_delta[0] += name == "nu_delta"
-                try:
-                    return original(*args, **kwargs)
-                finally:
-                    in_nu_delta[0] -= name == "nu_delta"
+                calls[name] += 1
+                return original(*args, **kwargs)
             return wrapped
 
         for name in calls:  # dot, step_contribution and quotient_poly where the invariant module calls them
@@ -530,7 +538,7 @@ class TestMaximizerValue:
         lat = coordinate_lattice({f"L{i}": (i * 7) % 5 - 2 + i for i in range(5)})
         result = pair_canonical(PairObject(lattice=lat, beta_image="L0"), const(Fraction(1, 2)))
         expected = {
-            "maximize_weights": 120, "make_filtration": 1, "nu_delta": 1, "dot": 12, "step_contribution": 80,
+            "maximize_weights": 120, "make_filtration": 1, "nu_on": 1, "dot": 13, "step_contribution": 80,
             "quotient_poly": 80,
         }
         assert calls == expected
@@ -538,7 +546,7 @@ class TestMaximizerValue:
             with pytest.raises(Semistable):
                 pair_canonical(pair, delta)
         assert calls == expected
-        assert nu_compare(result.value, nu_delta(result.filtration, const(Fraction(1, 2)))) == EQUAL
+        assert result.value == nu_delta(result.filtration, const(Fraction(1, 2)))
         # k * 2^(k-1) steps (the edges of the k-cube) for k! saturated chains
         for k in (3, 4):
             calls.update(dict.fromkeys(calls, 0))
@@ -560,7 +568,8 @@ class TestPairCanonicalFeedsTheMaximizer:
 
     @classmethod
     def cases(cls, seed):
-        # coordinate lattices (k <= 5) and sub-posets (k <= 4), at every
+        # coordinate lattices (k <= 5), sub-posets (k <= 4) and, from a
+        # generator of their own, Lambda-module lattices (k <= 4), at every
         # form of delta, with and without a marked image
         rng = random.Random(seed)
         for form, kind, framed, _ in product(cls.FORMS, ("coordinate", "sub-poset"), (True, False), range(2)):
@@ -571,6 +580,12 @@ class TestPairCanonicalFeedsTheMaximizer:
                 lat = random_subposet_lattice(rng, rng.randint(2, 4), d, 0.6)
             beta = rng.choice(lat.nonzero_ids()) if framed else None
             yield kind, PairObject(lattice=lat, beta_image=beta), random_delta(rng, d, form)
+        _, rng, draw = subposet_families(seed)[1]
+        for form, framed in product(cls.FORMS, (True, False)):
+            d = rng.choice((1, 2))
+            lat = draw(rng, rng.randint(2, 4), d)
+            beta = rng.choice(lat.nonzero_ids()) if framed else None
+            yield "lambda", PairObject(lattice=lat, beta_image=beta), random_delta(rng, d, form)
 
     def test_every_call_gets_the_chains_contributions_and_pivot(self, monkeypatch):
         calls = []
@@ -594,12 +609,12 @@ class TestPairCanonicalFeedsTheMaximizer:
                 chain = make_chain(lat, ids)
                 assert all(type(r) is int for r in ranks) and list(ranks) == table_ranks(chain), ids
                 assert [r * lat.rank_scale for r in ranks] == [g.rank for g in chain.gradeds], ids
-                assert tuple(contribs) == contributions(chain, delta), (ids, delta)
+                assert tuple(contribs) == invariant.step_table(lat, delta)(ids)[1], (ids, delta)
                 assert pivot == pivot_of(chain, pair), (ids, pair.beta_image)
             seen[kind, pair.beta_image is not None] += 1
             seen["calls"] += len(calls)
         assert seen["semistable"] and seen["calls"] >= 500, seen
-        assert all(seen[key] for key in product(("coordinate", "sub-poset"), (True, False))), seen
+        assert all(seen[key] for key in product(("coordinate", "sub-poset", "lambda"), (True, False))), seen
 
 
 class TestStepTableScale:
@@ -611,8 +626,9 @@ class TestStepTableScale:
 
     @staticmethod
     def cases(seed):
-        # coordinate, sub-poset and coprime lattices at every form of
-        # delta, with and without a marked image
+        # coordinate, sub-poset and coprime lattices, and Lambda-module
+        # lattices from a generator of their own, at every form of delta,
+        # with and without a marked image
         rng = random.Random(seed)
         for form, kind in product(TestPairCanonicalFeedsTheMaximizer.FORMS, ("coordinate", "sub-poset", "coprime")):
             d = rng.choice((1, 2))
@@ -624,6 +640,12 @@ class TestStepTableScale:
                 lat = random_coprime_lattice(rng, rng.randint(2, 3), d)
             beta = rng.choice((None, *lat.nonzero_ids()))
             yield kind, PairObject(lattice=lat, beta_image=beta), random_delta(rng, d, form)
+        _, rng, draw = subposet_families(seed)[1]
+        for form, _ in product(TestPairCanonicalFeedsTheMaximizer.FORMS, range(2)):
+            d = rng.choice((1, 2))
+            lat = draw(rng, rng.randint(2, 4), d)
+            beta = rng.choice((None, *lat.nonzero_ids()))
+            yield "lambda", PairObject(lattice=lat, beta_image=beta), random_delta(rng, d, form)
 
     def test_ranks_are_the_integer_tables(self):
         scales = set()
@@ -634,7 +656,7 @@ class TestStepTableScale:
                 ranks, contribs = steps_of(chain.chain)
                 assert all(type(r) is int for r in ranks) and list(ranks) == table_ranks(chain), chain.chain
                 assert [r * lat.rank_scale for r in ranks] == [g.rank for g in chain.gradeds], chain.chain
-                assert contribs == contributions(chain, delta), chain.chain
+                assert contribs == invariant.step_table(lat, delta)(chain.chain)[1], chain.chain
             scales.add(lat.rank_scale)
         assert len(scales) >= 3 and Fraction(1) in scales, scales
 
@@ -663,7 +685,7 @@ class TestStepTableScale:
                     seen[kind] += 1
                 seen["pinned"] += wm is not None and wm.pinned is not None
                 seen["none"] += wm is None
-        assert all(seen[key] >= 20 for key in ("coordinate", "sub-poset", "coprime", "pinned", "none")), seen
+        assert all(seen[key] >= 20 for key in ("coordinate", "sub-poset", "coprime", "lambda", "pinned", "none")), seen
 
 
 class TestSearchesReadOnlyTheStepTable:
@@ -860,18 +882,18 @@ class TestSaturatedChains:
     def test_matches_all_chains_reference_on_subposets(self):
         # the same on coordinate lattices with members dropped, which are
         # not closed under sums: every chain's maximizer is still that of
-        # its saturated refinements
-        rng = random.Random(7326)
+        # its saturated refinements; and on Lambda-module lattices
+        for family, rng, draw in subposet_families(7326):
 
-        def cases():
-            for _ in range(40):
-                d = rng.choice((1, 2))
-                lat = random_subposet_lattice(rng, rng.randint(2, 4), d, 0.6)
-                beta = rng.choice(lat.nonzero_ids()) if rng.random() < 0.8 else None
-                yield PairObject(lattice=lat, beta_image=beta), d, rng
+            def cases():
+                for _ in range(40):
+                    d = rng.choice((1, 2))
+                    lat = draw(rng, rng.randint(2, 4), d)
+                    beta = rng.choice(lat.nonzero_ids()) if rng.random() < 0.8 else None
+                    yield PairObject(lattice=lat, beta_image=beta), d, rng
 
-        sources = self.assert_matches_all_chains_reference(cases())
-        assert {"closed-form", "semistable"} <= sources, sources
+            sources = self.assert_matches_all_chains_reference(cases())
+            assert {"closed-form", "semistable"} <= sources, (family, sources)
 
 
 class TestAgainstReferencePairCanonical:
@@ -921,16 +943,17 @@ class TestAgainstReferencePairCanonical:
         assert seen["semistable"] and all(seen[form] for form in self.FORMS), seen
 
     def test_seeded_subposets(self):
-        rng = random.Random(20261103)
-        seen = Counter()
-        for k in range(2, 6):
-            for form in self.FORMS:
-                for _ in range(2):
-                    d = rng.choice((1, 2))
-                    lat = random_subposet_lattice(rng, k, d, 0.6)
-                    pair = PairObject(lattice=lat, beta_image=rng.choice([None, *lat.nonzero_ids()]))
-                    self.assert_matches(pair, self.delta(rng, d, form), seen, form)
-        assert seen["semistable"] and all(seen[form] for form in self.FORMS), seen
+        # sub-posets, and Lambda-module lattices
+        for family, rng, draw in subposet_families(20261103):
+            seen = Counter()
+            for k in range(2, 6):
+                for form in self.FORMS:
+                    for _ in range(2):
+                        d = rng.choice((1, 2))
+                        lat = draw(rng, k, d)
+                        pair = PairObject(lattice=lat, beta_image=rng.choice([None, *lat.nonzero_ids()]))
+                        self.assert_matches(pair, self.delta(rng, d, form), seen, form)
+            assert seen["semistable"] and all(seen[form] for form in self.FORMS), (family, seen)
 
 
 class TestPairCanonical:
@@ -1060,12 +1083,13 @@ class TestAgainstOracleOnSubposets:
 
     @classmethod
     def cases(cls, seed):
-        rng = random.Random(seed)
-        for trial in range(36):
-            d = rng.choice((1, 2))
-            lat = random_subposet_lattice(rng, rng.randint(2, 4), d, 0.6)
-            pair = PairObject(lattice=lat, beta_image=rng.choice([None, *lat.nonzero_ids()]))
-            yield pair, random_delta(rng, d, cls.FORMS[trial % len(cls.FORMS)])
+        # the sub-posets, then Lambda-module lattices
+        for _, rng, draw in subposet_families(seed):
+            for trial in range(36):
+                d = rng.choice((1, 2))
+                lat = draw(rng, rng.randint(2, 4), d)
+                pair = PairObject(lattice=lat, beta_image=rng.choice([None, *lat.nonzero_ids()]))
+                yield pair, random_delta(rng, d, cls.FORMS[trial % len(cls.FORMS)])
 
     def test_pair_canonical_matches_oracle(self):
         seen = Counter()
@@ -1103,7 +1127,7 @@ class TestAgainstOracleOnSubposets:
                     terms[bound] = list(oracle.iter_terms(lat, pair, delta, bound))
                 members = set(chain.chain)
                 own = (t for t in terms[bound] if members.issuperset(t[0]))
-                check = oracle.argmax(lat, own, pair, delta)
+                check = oracle.argmax(lat, own, pair)
                 if wm is None:
                     assert check.best is None, (chain.chain, delta)
                     seen["none"] += 1

@@ -108,9 +108,7 @@ def hn_filtration(lat: SubobjectLattice) -> UnweightedFiltration:
         best_id: str | None = None
         best: tuple[int, ...] = ()
         tied_incomparable: str | None = None
-        for cand in lat.nonzero_ids():
-            if not lat.lt(current, cand):
-                continue
+        for cand in lat.above(current):
             quotient = tuple(map(sub, table[cand], below))
             if best_id is None:
                 best_id, best = cand, quotient

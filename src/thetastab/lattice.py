@@ -58,7 +58,8 @@ the way around it), and member k of that order owns bit k.  Each member's
 up-set mask, the members strictly above it, is the OR of its successors'
 bits and up-set masks, filled in reverse order.  Only when some edge
 fails rank growth is graphlib asked for a topological order, to tell a
-cycle from a plain rank failure.  lt and leq read one bit;
+cycle from a plain rank failure.  lt and leq read one bit, above(m)
+one mask per nonzero member;
 strictly_below (for each nonzero member, the sorted nonzero members
 strictly below it) and covers (those of them with nothing strictly
 between) are built on first use and kept.
@@ -271,6 +272,12 @@ class SubobjectLattice:
 
     def leq(self, sub: str, sup: str) -> bool:
         return sub == sup or self.lt(sub, sup)
+
+    def above(self, member: str) -> list[str]:
+        """The nonzero members strictly above member, in nonzero_ids()
+        order; empty for an unknown id."""
+        mask, bits = self._above.get(member, 0), self._bits
+        return [m for m in self._nonzero_ids if mask & bits[m]]
 
     def as_dict(self) -> dict:
         """JSON-ready description with the same semantics, for round-tripping:

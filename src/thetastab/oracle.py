@@ -7,13 +7,15 @@ No pruning beyond feasibility: correctness over speed.
 
 A search reads each chain's ranks and contributions from one step table
 (see invariant) by its ids, so a step shared by many chains is computed
-once, and lays the contributions out as one row per exponent of n, next
-to the ranks and pivot.  A candidate's numerator coefficients and its
-norm b, an int on the table's scale, are dot products of its weights with
-those, and it is compared with the incumbent by ratpoly.terms_compare,
-the rule nu_compare applies to NuValues.  Only the result is built as a
-NuValue, from the incumbent's own terms and b by invariant.reported_nu:
-no second table values it.
+once, and lays the contributions out as one column per exponent e of n,
+next to the ranks and pivot: integer numerators over D_e, the lcm of the
+column's denominators.  A candidate's coefficient at e is then one
+integer dot product of its weights with that column over D_e, one
+Fraction per exponent, and its norm b, an int on the table's scale, is
+one with the ranks.  It is compared with the incumbent by
+ratpoly.terms_compare, the rule nu_compare applies to NuValues.  Only
+the result is built as a NuValue, from the incumbent's own terms and b
+by invariant.reported_nu: no second table values it.
 
 Since nu is scale invariant, proportional weight vectors represent the same
 candidate; the argmax is always reported in primitive form (weights divided
@@ -27,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd
+from math import comb, gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator
 
@@ -152,7 +154,11 @@ def iter_terms(
     candidates, chains in canonical order, weights lexicographic: the value
     of a candidate is reported_nu(lat, RatPoly(terms), b), with terms[e]
     read off the chain's step contributions at exponent e (zero
-    coefficients kept) and the int b off its ranks, from the step table."""
+    coefficients kept) and the int b off its ranks, from the step table.
+
+    Each chain's contributions at e become integer numerators over D_e,
+    the lcm of their denominators, once per chain; terms[e] is one integer
+    dot product with the weights over D_e, a Fraction in lowest terms."""
     if bound < 1:
         raise ValueError(f"weight bound must be >= 1, got {bound}")
     beta = pair.beta_image if pair is not None else None
@@ -162,7 +168,11 @@ def iter_terms(
         ids = chain.chain
         ranks, contribs = steps_of(ids)
         exponents = sorted({e for c in contribs for e, _ in c.items()}, reverse=True)
-        table = [(e, [c.coeff(e) for c in contribs]) for e in exponents]
+        table = []  # (e, D_e the lcm of the column's denominators, its numerators over D_e)
+        for e in exponents:
+            column = [c.coeff(e) for c in contribs]
+            den = lcm(*(x.denominator for x in column))
+            table.append((e, den, [x.numerator * (den // x.denominator) for x in column]))
         pivot = pair_pivot_index(ids, lat, beta) if beta is not None else None
 
         for weights in combinations(range(-bound, bound + 1), len(ids)):
@@ -171,7 +181,7 @@ def iter_terms(
             b = sum(map(mul, ranks, (w * w for w in weights)))
             if b == 0:  # the trivial chain with weight 0
                 continue
-            yield ids, weights, {e: sum(map(mul, weights, col)) for e, col in table}, b
+            yield ids, weights, {e: Fraction(sum(map(mul, weights, col)), den) for e, den, col in table}, b
 
 
 def brute_force_max(

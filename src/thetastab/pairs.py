@@ -88,9 +88,10 @@ def pair_semistable(
     scale = lcm(*(c.denominator for c in terms.values()))
     twist = [int(lat.denominator * scale * terms.get(e, 0)) for e in exponents]
     numerators = {}
+    twisted = {beta, *lat.above(beta)}
     for member_id, row in lat.numerators.items():
         row = tuple(scale * row[e] if 0 <= e <= lat.dim else 0 for e in exponents)
-        if lat.leq(beta, member_id):
+        if member_id in twisted:
             row = tuple(map(add, row, twist))
         numerators[member_id] = row
     witness = destabilizing_member(lat, numerators)

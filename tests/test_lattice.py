@@ -17,6 +17,7 @@ from randgen import (
     random_coordinate_lattice,
     random_coprime_lattice,
     random_graded_poly,
+    random_lambda_lattice,
     random_subposet_lattice,
 )
 from reference_lattice import structurally_equal
@@ -839,6 +840,18 @@ class TestMaskOrder:
             for a in (*ids, "unknown"):
                 assert not lat.lt(a, "unknown") and not lat.lt("unknown", a)
                 assert lat.leq(a, "unknown") == lat.leq("unknown", a) == (a == "unknown")
+
+    def test_above_lists_what_lt_and_the_closure_put_above(self, lattices):
+        lambdas = [random_lambda_lattice(random.Random(seed), 4, 1, 0.25) for seed in range(20)]
+        for arm, lat, closure in [*lattices, *(("lambda", lat, None) for lat in lambdas)]:
+            nonzero = lat.nonzero_ids()
+            for member in lat.ids():
+                expected = [sup for sup in nonzero if lat.lt(member, sup)]
+                assert lat.above(member) == expected, (arm, member)
+                if closure is not None:
+                    assert expected == [sup for sup in nonzero if (member, sup) in closure], arm
+            assert lat.above(lat.zero_id) == list(nonzero) and lat.above(lat.top_id) == []
+            assert lat.above("unknown") == []
 
     def test_strictly_below_lists(self, lattices):
         for arm, lat, closure in lattices:

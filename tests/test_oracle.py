@@ -25,6 +25,7 @@ from thetastab.oracle import candidate_count
 from conftest import FIXTURES, coordinate_lattice
 from randgen import random_coprime_lattice, random_delta, random_lambda_lattice, random_subposet_lattice
 from reference_oracle import iter_candidates, reference_max, scored_candidates
+from transforms import rebuilt
 
 
 def P(mapping):
@@ -217,15 +218,41 @@ class TestAgainstReferenceOracle:
         assert seen["pair"] and seen["no pair"] and seen["semistable"], seen
 
     def test_iter_candidates_matches_reference_stream(self, lat_b3, pair_b3):
-        # iter_terms' b is on the integer table's scale, the graded norm
-        # over rank_scale, which is 1 on lat_b3 and 1/105 on the coprime
-        # lattice; iter_candidates takes it back to the graded ranks'
+        # each coefficient is one integer dot product over its column's
+        # common denominator, and the stream is still the per-candidate
+        # scorer's, candidate for candidate, on every family and delta
+        # form, with terms in lowest terms.  iter_terms' b is on the integer
+        # table's scale, the graded norm over rank_scale (1 on lat_b3, 1/105
+        # on the first coprime lattice, 2 on the doubled fixture)
+        rng = random.Random(20261020)
         coprime = random_coprime_lattice(random.Random(3), 3, 1)
         assert (lat_b3.rank_scale, coprime.rank_scale) == (1, Fraction(1, 3 * 5 * 7))
-        delta = P({0: Fraction(1, 2), -1: -3})
-        for pair in (pair_b3, PairObject(lattice=coprime, beta_image="S1")):
-            lat = pair.lattice
-            assert list(iter_candidates(lat, pair, delta, 3)) == list(scored_candidates(lat, pair, delta, 3))
+        big = random_coprime_lattice(rng, 2, 2)
+        families = {
+            "coordinate": [lat_b3, *(coordinate_lattice({f"L{i}": rng.randint(-3, 3) for i in range(k)}, d)
+                                     for k, d in ((2, 2), (3, 1), (3, 2)))],
+            "subposet": [random_subposet_lattice(rng, k, rng.choice((1, 2)), 0.6) for k in (3, 4)],
+            "coprime": [coprime, *(random_coprime_lattice(rng, k, d) for k, d in ((2, 1), (3, 2)))],
+            "lambda": [random_lambda_lattice(rng, k, rng.choice((1, 2)), 0.3) for k in (3, 4)],
+            "twice": [load_lattice(FIXTURES / "p2_o1_o_twice.lattice")[0]],
+            "twisted": [rebuilt(big, 3)],
+        }
+        assert families["twice"][0].rank_scale == 2
+        twisted = families["twisted"][0]
+        assert max(abs(c.numerator) for m in twisted.ids() for _, c in twisted.member(m).poly.items()) > 10**39
+        marked = {id(lat_b3): pair_b3.beta_image, id(coprime): "S1"}
+        for family, lattices in families.items():
+            for lat in lattices:
+                beta = marked.get(id(lat)) or rng.choice(lat.nonzero_ids())
+                bound = 3 if len(lat.ids()) <= 8 else 2
+                deltas = [random_delta(rng, lat.dim, form) for form in self.FORMS]
+                for delta in (P({0: Fraction(1, 2), -1: -3}), *deltas):
+                    for pair in (None, PairObject(lattice=lat, beta_image=beta)):
+                        stream = list(oracle.iter_terms(lat, pair, delta, bound))
+                        assert stream and all(type(t) is Fraction for *_, terms, _ in stream for t in terms.values())
+                        assert [(c, w, RatPoly(t), b * lat.rank_scale) for c, w, t, b in stream] == [
+                            (c, w, v.L, v.b) for c, w, v in scored_candidates(lat, pair, delta, bound)
+                        ], (family, lat, beta, delta)
 
     def test_every_norm_is_an_int_on_the_table_scale(self):
         # b = sum N_gr[d] * w^2: an int, the graded norm over rank_scale
@@ -260,6 +287,29 @@ class TestWorkCounts:
         assert result.explored == 15378
         assert result.best.chain == ("F", "L2+L3+L0", "L2+L3", "L2")
         assert len(built) <= 2, len(built)
+
+    def test_fraction_arithmetic_does_not_grow_with_the_candidates(self, monkeypatch):
+        # each coefficient is one integer dot product over its column's
+        # denominator, so Fraction arithmetic is spent on the step table
+        # alone: the same at W = 4 and W = 6, where every chain of the
+        # k = 4 pair is walked, against 3644 and 15 378 candidates
+        calls = []
+        for name in ("__add__", "__radd__", "__mul__", "__rmul__", "__sub__", "__truediv__"):
+            def counting(self, other, real=getattr(Fraction, name)):
+                calls.append(real)
+                return real(self, other)
+
+            monkeypatch.setattr(Fraction, name, counting)
+        counts, explored = [], []
+        for bound in (4, 6):
+            lat = coordinate_lattice({f"L{i}": (i * 7) % 5 - 2 + i for i in range(4)})
+            pair = PairObject(lattice=lat, beta_image="L0")
+            delta = P({0: Fraction(1, 2)})
+            calls.clear()
+            explored.append(len(list(oracle.iter_terms(lat, pair, delta, bound))))
+            counts.append(len(calls))
+        assert explored == [3644, 15378]
+        assert counts[0] == counts[1] and 10 * counts[0] < explored[0], counts
 
 
     @pytest.mark.parametrize(

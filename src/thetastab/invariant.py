@@ -1,29 +1,29 @@
 """Numerical invariants of weighted filtrations.
 
-Everything here is read off one step helper, step_contribution(gr, tau):
-the per-unit-weight contribution of a step with graded piece gr,
+Everything here is read off one value per member, a(0) = 0 and
+a(G) = P(G) - rank(G) * tau for tau = reduced(F) + delta / rank(F).  P and
+rank add up along a chain, so a step (sub, sup) with graded piece
+gr = sup/sub contributes, per unit weight, with no quotient formed,
 
     c = (reduced(gr) - reduced(F)) * rank(gr) - delta * rank(gr) / rank(F)
-      = P(gr) - rank(gr) * tau,   tau = reduced(F) + delta / rank(F),
+      = P(gr) - rank(gr) * tau = a(sup) - a(sub).
 
-for a step (sub, sup) of a chain, with gr = sup/sub.  A query's step
-table, step_table(lat, delta), makes tau once and one entry (N_gr[d], c)
-per distinct step on first use; the searches read a chain's steps from it
-by the chain's ids alone.  N_gr[d] = N_sup[d] - N_sub[d] is the rank of
-gr on the lattice's integer table, rank(gr) / s for s = lat.rank_scale.
-The invariant of weights w is nu = <w, c> / sqrt(b) with
-b = sum rank(gr_m) * w_m^2.  Every search reads <w, c> and the int
-sum N_gr[d] * w_m^2 = b / s from its table, so its scores are nu * sqrt(s),
-in the same order; reported_nu is the one place that multiplies the int
-back by s into the exact NuValue a caller reports, and nu_on(steps_of, f)
-values a filtration that way on a given table (nu_delta on a new one).
+A query's step table, step_table(lat, delta), makes tau once, a(G) once
+per member and one entry (N_gr[d], c) per distinct step, each on first
+use; the searches read a chain's steps from it by the chain's ids alone.
+N_gr[d] = N_sup[d] - N_sub[d] is the rank of gr on the lattice's integer
+table, rank(gr) / s for s = lat.rank_scale.  The invariant of weights w is
+nu = <w, c> / sqrt(b) with b = sum rank(gr_m) * w_m^2.  Every search reads
+<w, c> and the int sum N_gr[d] * w_m^2 = b / s from its table, so its
+scores are nu * sqrt(s), in the same order; reported_nu is the one place
+that multiplies the int back by s into the exact NuValue a caller
+reports, and nu_on(steps_of, f) values a filtration that way on a given
+table (nu_delta on a new one).
 
-The weight of the determinant family at the associated graded, <w, c> at
-delta = 0, is computed a second, independent way (the subobject form):
-the sum over jump intervals of
-(w_i - w_{i-1}) * (reduced(G_(i)) - reduced(F)) * rank(G_(i)).  The two
-agree by summation by parts; the identity is exercised heavily in the
-test suite.
+weight_subobject computes <w, c> at delta = 0, the weight of the
+determinant family at the associated graded, the subobject way: the sum
+over jump intervals of (w_i - w_{i-1}) * (reduced(G_(i)) - reduced(F)) *
+rank(G_(i)), equal to weight_graded's by summation by parts.
 
 The trivial filtration with weight zero has b = 0; its nu is defined to be
 the zero NuValue by convention (semistable objects maximize at zero).
@@ -91,33 +91,31 @@ from math import factorial
 from typing import Callable, Iterable, Sequence
 
 from .errors import BadIndex
-from .lattice import SubobjectLattice, UnweightedFiltration, WeightedFiltration, quotient_poly
-from .ratpoly import HilbertStats, NuValue, RatPoly
-
-
-def step_contribution(graded: HilbertStats, tau: RatPoly) -> RatPoly:
-    """Per-unit-weight contribution of one step with graded piece gr:
-    P(gr) - rank(gr) * tau."""
-    return graded.poly - tau * graded.rank
+from .lattice import SubobjectLattice, UnweightedFiltration, WeightedFiltration
+from .ratpoly import NuValue, RatPoly
 
 
 def step_table(
     lat: SubobjectLattice, delta: RatPoly | None = None
 ) -> Callable[[tuple[str, ...]], tuple[tuple[int, ...], tuple[RatPoly, ...]]]:
     """The map from a chain's ids, top first, to its steps' ranks and
-    contributions: tau once, and each distinct step's entry (N_gr[d],
-    contribution) once, on first use, kept as long as the map is."""
+    contributions: tau once, then each member's a(G) and each distinct
+    step's entry (N_sup[d] - N_sub[d], a(sup) - a(sub)) once, on first use."""
     top = lat.top.stats
     tau = top.reduced if delta is None else top.reduced + delta * (1 / top.rank)
     rows, d = lat.numerators, lat.dim
+    values = {lat.zero_id: RatPoly.zero()}  # member -> a(member)
     table: dict[tuple[str, str], tuple[int, RatPoly]] = {}  # (sub, sup) -> its entry
 
     def steps_of(ids: tuple[str, ...]) -> tuple[tuple[int, ...], tuple[RatPoly, ...]]:
         steps = tuple(zip(ids[1:] + (lat.zero_id,), ids))
         for sub, sup in steps:
             if (sub, sup) not in table:
-                graded = quotient_poly(lat, sub, sup)
-                table[sub, sup] = rows[sup][d] - rows[sub][d], step_contribution(graded, tau)
+                for member in (sub, sup):
+                    if member not in values:
+                        stats = lat.member(member).stats
+                        values[member] = stats.poly - tau * stats.rank
+                table[sub, sup] = rows[sup][d] - rows[sub][d], values[sup] - values[sub]
         return tuple(zip(*map(table.__getitem__, steps)))
 
     return steps_of

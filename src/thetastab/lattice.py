@@ -67,9 +67,8 @@ between) are built on first use and kept.
 No ObjectClass, RatPoly or HilbertStats is built while loading: member()
 builds a member's ObjectClass on first use, one per id, and its polynomial
 and statistics (and so the d! of its rank) are built from its row on
-first use and kept on the member, and a quotient's by quotient_poly.  A
-chain reads its graded pieces from that memo when first asked, so
-is_semistable, pair_semistable and hn_filtration build none.
+first use and kept on the member.  Only a chain's graded pieces form a
+quotient (quotient_poly), when first read: the verdicts and searches none.
 """
 
 from __future__ import annotations
@@ -214,7 +213,6 @@ class SubobjectLattice:
         self._ids = tuple(sorted(numerators))
         self._nonzero_ids = tuple(i for i in self._ids if i != zero_id)
         self._proper_nonzero_ids = tuple(i for i in self._nonzero_ids if i != top_id)
-        self._quotients: dict[tuple[str, str], HilbertStats] = {}  # quotient_poly's memo
 
     @cached_property
     def rank_scale(self) -> Fraction:
@@ -463,7 +461,7 @@ class UnweightedFiltration:
 
     It stores the member ids alone.  steps[m] is (G_(m+1), G_(m)), with the
     implicit G_(q+1) = 0, and gradeds[m] is quotient_poly's statistics of
-    G_(m)/G_(m+1); results read both on first use, searches a step table.
+    G_(m)/G_(m+1), each kept once read: by results, never by the searches.
     """
 
     lattice: SubobjectLattice = field(compare=False)
@@ -482,20 +480,14 @@ class UnweightedFiltration:
 
 
 def quotient_poly(lat: SubobjectLattice, sub: str, sup: str) -> HilbertStats:
-    """Statistics of sup/sub; requires sub strictly inside sup.  Computed
-    once per lattice and pair, from the difference of the two rows, and
-    kept on the lattice; over zero they are the member's own statistics."""
-    if (sub, sup) not in lat._quotients:
-        if not lat.lt(sub, sup):
-            raise NotComparable(f"{sub!r} is not strictly contained in {sup!r}")
-        if sub == lat.zero_id:
-            stats = lat.member(sup).stats
-        else:
-            rows = lat.numerators
-            quotient = _row_poly(map(operator.sub, rows[sup], rows[sub]), lat.denominator)
-            stats = hilbert_stats(quotient, lat.dim)
-        lat._quotients[sub, sup] = stats
-    return lat._quotients[sub, sup]
+    """Statistics of sup/sub; requires sub strictly inside sup.  Built from
+    the difference of the two rows; over zero they are the member's own."""
+    if not lat.lt(sub, sup):
+        raise NotComparable(f"{sub!r} is not strictly contained in {sup!r}")
+    if sub == lat.zero_id:
+        return lat.member(sup).stats
+    rows = lat.numerators
+    return hilbert_stats(_row_poly(map(operator.sub, rows[sup], rows[sub]), lat.denominator), lat.dim)
 
 
 def make_chain(lat: SubobjectLattice, ids: Sequence[str]) -> UnweightedFiltration:

@@ -5,17 +5,20 @@ increasing integer weight vector with entries bounded by W, applies the
 pair constraint when one is given, and maximizes the invariant exactly.
 No pruning beyond feasibility: correctness over speed.
 
-A search reads each chain's ranks and contributions from one step table
-(see invariant) by its ids, so a step shared by many chains is computed
-once, and lays the contributions out as one column per exponent e of n,
-next to the ranks and pivot: integer numerators over D_e, the lcm of the
-column's denominators.  A candidate's coefficient at e is then one
-integer dot product of its weights with that column over D_e, one
-Fraction per exponent, and its norm b, an int on the table's scale, is
-one with the ranks.  It is compared with the incumbent by
-ratpoly.terms_compare, the rule nu_compare applies to NuValues.  Only
-the result is built as a NuValue, from the incumbent's own terms and b
-by invariant.reported_nu: no second table values it.
+A search reads no step table and forms no quotient.  Once per query it
+lays out each member's value a(G) = P(G) - rank(G) * tau (see invariant)
+as the integer row K * a(G) on the lattice's table N (see lattice),
+
+    A_G = E * (N_F[d] * N_G - N_G[d] * N_F) - D * N_G[d] * (E * delta),
+
+over the members' and delta's exponents, for E the lcm of delta's
+denominators, D the table's and K = D * E * N_F[d].  A chain's column at
+e holds its steps' A_sup[e] - A_sub[e], kept when one is nonzero, and a
+candidate's coefficient there is one integer dot product of its weights
+with the column, over K; its norm b, an int on the table's scale, is one
+with the ranks N_sup[d] - N_sub[d].  It is compared with the incumbent by
+ratpoly.terms_compare, the rule nu_compare applies to NuValues.  Only the
+result is built as a NuValue, by invariant.reported_nu from its own terms.
 
 Since nu is scale invariant, proportional weight vectors represent the same
 candidate; the argmax is always reported in primitive form (weights divided
@@ -30,10 +33,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
-from operator import mul
+from operator import mul, sub
 from typing import Iterable, Iterator
 
-from .invariant import reported_nu, step_table
+from .invariant import reported_nu
 from .lattice import (
     PairObject,
     SubobjectLattice,
@@ -144,6 +147,19 @@ def candidate_count(lat: SubobjectLattice, pair: PairObject | None = None, bound
     return total
 
 
+def member_rows(lat: SubobjectLattice, delta: RatPoly | None = None) -> tuple[list[int], int, dict]:
+    """The members' and delta's exponents, highest first, K and each
+    member's row A_G = K * a(G) over them; the zero member's is zero."""
+    terms = {} if delta is None else delta._coeffs
+    scale = lcm(*(c.denominator for c in terms.values()))
+    rows, d, top = lat.numerators, lat.dim, lat.numerators[lat.top_id]
+    exponents = sorted({e for row in rows.values() for e, n in enumerate(row) if n} | terms.keys(), reverse=True)
+    twist = {e: lat.denominator * c.numerator * (scale // c.denominator) for e, c in terms.items()}
+    return exponents, lat.denominator * scale * top[d], {member: [
+        (scale * (top[d] * n[e] - n[d] * top[e]) if 0 <= e <= d else 0) - n[d] * twist.get(e, 0) for e in exponents
+    ] for member, n in rows.items()}
+
+
 def iter_terms(
     lat: SubobjectLattice,
     pair: PairObject | None = None,
@@ -152,27 +168,21 @@ def iter_terms(
 ) -> Iterator[tuple[tuple[str, ...], tuple[int, ...], dict[int, Fraction], int]]:
     """Yield (chain ids, weights, terms, b) over all feasible nondegenerate
     candidates, chains in canonical order, weights lexicographic: the value
-    of a candidate is reported_nu(lat, RatPoly(terms), b), with terms[e]
-    read off the chain's step contributions at exponent e (zero
-    coefficients kept) and the int b off its ranks, from the step table.
-
-    Each chain's contributions at e become integer numerators over D_e,
-    the lcm of their denominators, once per chain; terms[e] is one integer
-    dot product with the weights over D_e, a Fraction in lowest terms."""
+    of a candidate is reported_nu(lat, RatPoly(terms), b), with terms[e],
+    a Fraction over K, at each exponent e of the chain's columns (zero
+    coefficients kept) and the int b read off its ranks."""
     if bound < 1:
         raise ValueError(f"weight bound must be >= 1, got {bound}")
     beta = pair.beta_image if pair is not None else None
 
-    steps_of = step_table(lat, delta)
+    exponents, den, rows = member_rows(lat, delta)
+    nums, d = lat.numerators, lat.dim
     for chain in enumerate_chains(lat, bound, beta):
         ids = chain.chain
-        ranks, contribs = steps_of(ids)
-        exponents = sorted({e for c in contribs for e, _ in c.items()}, reverse=True)
-        table = []  # (e, D_e the lcm of the column's denominators, its numerators over D_e)
-        for e in exponents:
-            column = [c.coeff(e) for c in contribs]
-            den = lcm(*(x.denominator for x in column))
-            table.append((e, den, [x.numerator * (den // x.denominator) for x in column]))
+        steps = list(zip(ids, ids[1:] + (lat.zero_id,)))  # (sup, sub), top first
+        ranks = [nums[upper][d] - nums[lower][d] for upper, lower in steps]
+        entries = zip(*(map(sub, rows[upper], rows[lower]) for upper, lower in steps))
+        table = [(e, column) for e, column in zip(exponents, entries) if any(column)]
         pivot = pair_pivot_index(ids, lat, beta) if beta is not None else None
 
         for weights in combinations(range(-bound, bound + 1), len(ids)):
@@ -181,7 +191,7 @@ def iter_terms(
             b = sum(map(mul, ranks, (w * w for w in weights)))
             if b == 0:  # the trivial chain with weight 0
                 continue
-            yield ids, weights, {e: Fraction(sum(map(mul, weights, col)), den) for e, den, col in table}, b
+            yield ids, weights, {e: Fraction(sum(map(mul, weights, col)), den) for e, col in table}, b
 
 
 def brute_force_max(

@@ -34,13 +34,13 @@ from thetastab import (
     enumerate_chains,
     make_filtration,
     nu_compare,
-    nu_delta,
     primitive_weights,
 )
 from thetastab.errors import FlatObjective, Semistable
-from thetastab.invariant import dot, step_table
 from thetastab.lattice import pair_pivot_index
 from thetastab.pairs import PairCanonicalResult
+
+from reference_oracle import dot, graded_steps, reference_nu
 
 
 @dataclass(frozen=True)
@@ -86,8 +86,8 @@ def face_enumeration_max(chain, pair, delta: RatPoly) -> FaceMaximum:
     lat = chain.lattice
     if delta.degree() > lat.dim - 1:
         raise ValueError(f"closed form needs deg(delta) <= {lat.dim - 1}")
-    units = [c.coeff(lat.dim - 1) for c in step_table(lat, delta)(chain.chain)[1]]
-    ranks = [g.rank for g in chain.gradeds]
+    ranks, contribs = graded_steps(lat, chain.chain, delta)
+    units = [c.coeff(lat.dim - 1) for c in contribs]
     if all(u == 0 for u in units):
         raise FlatObjective("top-coefficient objective vanishes on the whole cone")
     beta = pair.beta_image if pair is not None else None
@@ -147,7 +147,7 @@ def all_chains_pair_canonical(pair, delta: RatPoly, bound: int) -> PairCanonical
         if nu_compare(wm.value, zero) != GREATER:
             continue
         filt = make_filtration(lat, wm.chain, primitive_weights(wm.weights), pair)
-        value = nu_delta(filt, delta)
+        value = reference_nu(filt, delta)
         key = (len(filt.chain), filt.chain, filt.weights)
         if (
             best is None
@@ -168,8 +168,7 @@ def chain_search_max(chain, pair, delta: RatPoly, bound: int) -> NuValue:
     """Maximum of the invariant over the chain's weights w_0 <= ... <= w_q
     in [-bound, bound] (w_pivot >= 0 with a nonzero framing map), not all
     zero."""
-    contribs = step_table(chain.lattice, delta)(chain.chain)[1]
-    ranks = [g.rank for g in chain.gradeds]
+    ranks, contribs = graded_steps(chain.lattice, chain.chain, delta)
     beta = pair.beta_image if pair is not None else None
     pivot = pair_pivot_index(chain.chain, chain.lattice, beta) if beta is not None else None
     best = None

@@ -2,10 +2,11 @@
 
 pair_canonical and maximize_weights as they stood before pair_canonical
 tabulated each step's contribution once per query: here every chain
-recomputes tau and the contribution of each of its steps in a new step
-table (invariant.step_table).  The descent, the ranking on (exponent, b)
-with the full value settling ties, and the tie-break on (length, ids,
-primitive weights) are otherwise the same.
+recomputes tau and the contribution of each of its steps from its
+quotients (reference_oracle.graded_steps), and the winner is valued the
+same way.  The descent, the ranking on (exponent, b) with the full value
+settling ties, and the tie-break on (length, ids, primitive weights) are
+otherwise the same.
 """
 
 from __future__ import annotations
@@ -22,15 +23,15 @@ from thetastab import (
     RatPoly,
     make_filtration,
     nu_compare,
-    nu_delta,
     pair_semistable,
     primitive_weights,
 )
 from thetastab.errors import Semistable
-from thetastab.invariant import step_table
 from thetastab.lattice import UnweightedFiltration, pair_pivot_index
 from thetastab.oracle import saturated_chains
 from thetastab.pairs import PairCanonicalResult, WeightMaximum
+
+from reference_oracle import graded_steps, reference_nu
 
 
 def _isotonic(units: list[Fraction], ranks: list[Fraction]) -> list[Fraction]:
@@ -56,8 +57,8 @@ def maximize_weights(
 ) -> WeightMaximum | None:
     """The lexicographic maximizer over the chain's weight cone, from the
     chain's own contributions."""
-    ids, contribs = chain.chain, step_table(chain.lattice, delta)(chain.chain)[1]
-    ranks = [g.rank for g in chain.gradeds]
+    ids = chain.chain
+    ranks, contribs = graded_steps(chain.lattice, ids, delta)
     beta = pair.beta_image if pair is not None else None
     p = pair_pivot_index(ids, chain.lattice, beta) if beta is not None else None
     pinned = False
@@ -117,5 +118,5 @@ def pair_canonical(pair: PairObject, delta: RatPoly | None) -> tuple[PairCanonic
     if best is None:
         raise Semistable("no destabilizing filtration exists for this pair")
     filt = make_filtration(lat, best.chain, primitive_weights(best.weights), pair)
-    result = PairCanonicalResult(filtration=filt, value=nu_delta(filt, delta), source="closed-form")
+    result = PairCanonicalResult(filtration=filt, value=reference_nu(filt, delta), source="closed-form")
     return result, best_key

@@ -2,11 +2,13 @@ import contextlib
 import csv
 import io
 import json
+import random
 import re
 import sys
 import tempfile
 import time
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -15,9 +17,11 @@ from hypothesis import strategies as st
 
 from thetastab import errors
 from thetastab.cli import build_parser, main
-from thetastab.latfile import format_poly, load_lattice, parse_delta
+from thetastab.latfile import format_poly, load_lattice, nu_json, parse_delta
 
-from conftest import FIXTURES
+from conftest import FIXTURES, coordinate_lattice
+from randgen import random_delta, random_lambda_lattice, random_subposet_lattice
+from reference_oracle import reference_max
 
 
 def run(capsys, *argv):
@@ -502,19 +506,94 @@ class TestChainWalkIsBounded:
 
 
 class TestOneTablePerSearch:
-    """Each search values its answer on the step table it read, so a
-    command computes a step's contribution once per search: the closed
-    form and its oracle cross-check keep a table each, and no third table
-    values the result (37 and 22 calls when one did)."""
+    """Each search values its answer on what it read: the closed form on
+    its one step table, the oracle on its member rows.  So pair-canonical
+    builds one step table, the closed form's (its oracle cross-check had a
+    second before the oracle read member rows), and oracle none."""
 
-    @pytest.mark.parametrize("command, calls", [("pair-canonical", 31), ("oracle", 19)])
-    def test_step_contributions_on_example_nonconvex(self, capsys, monkeypatch, command, calls):
-        from thetastab import invariant
+    @pytest.mark.parametrize("command, tables", [("pair-canonical", 1), ("oracle", 0)])
+    def test_step_tables_on_example_nonconvex(self, capsys, monkeypatch, command, tables):
+        from thetastab import canonical, invariant, oracle, pairs
 
-        made, real = [], invariant.step_contribution
-        monkeypatch.setattr(invariant, "step_contribution", lambda gr, tau: made.append(gr) or real(gr, tau))
+        made, real = [], invariant.step_table
+        for module in (invariant, pairs, canonical):  # everywhere it is imported
+            monkeypatch.setattr(module, "step_table", lambda *args: made.append(args) or real(*args))
+        assert not hasattr(oracle, "step_table")
         code, _, _ = run(capsys, command, FIXTURES / "example_nonconvex.lattice", "--delta", "1/2", "--bound", "2")
-        assert code == 0 and len(made) == calls
+        assert code == 0 and len(made) == tables
+
+
+class TestTheJudgeReadsNoStepTable:
+    """The oracle reads member rows alone.  With every step table, and
+    quotient_poly while the oracle searches, made to raise, brute_force_max
+    and the oracle command with --csv still answer on every fixture and on
+    seeded pairs, equal to reference_max, which reads the quotients.  The
+    command's graded pieces read the winner's quotients after the search."""
+
+    FORMS = (None, "zero", "negative", "Laurent", "degree <= d-1", "degree d", "degree > d")
+
+    @classmethod
+    def cases(cls, tmp_path):
+        """(lattice file, its lattice and pair, delta literal or None)."""
+        for path in sorted(FIXTURES.glob("*.lattice")):
+            lat, pair = load_lattice(path)
+            for literal in (None, "1/2"):
+                yield path, lat, pair, literal
+        rng = random.Random(20261028)
+        for kind, form in product(("coordinate", "sub-poset", "lambda"), cls.FORMS):
+            d = rng.choice((1, 2))
+            if kind == "coordinate":
+                lat = coordinate_lattice({f"L{i}": rng.randint(-3, 3) for i in range(rng.randint(2, 4))}, d)
+            elif kind == "sub-poset":
+                lat = random_subposet_lattice(rng, rng.randint(2, 4), d, 0.6)
+            else:
+                lat = random_lambda_lattice(rng, rng.randint(2, 4), d, 0.3)
+            path = tmp_path / f"{kind}-{form or 'none'}.lattice"
+            path.write_text(json.dumps({**lat.as_dict(), "pair": {"beta_image": rng.choice(lat.nonzero_ids())}}))
+            delta = random_delta(rng, d, form)
+            yield (path, *load_lattice(path), None if delta is None else str(delta))
+
+    def test_answers_without_a_step_table_or_quotient(self, capsys, monkeypatch, tmp_path):
+        from thetastab import canonical, invariant, oracle, pairs
+        from thetastab import lattice as lattice_mod
+
+        cases = [
+            (path, lat, pair, literal, reference_max(lat, pair, literal and parse_delta(literal), 2))
+            for path, lat, pair, literal in self.cases(tmp_path)
+        ]
+        searching = []
+        real_quotient, real_argmax = lattice_mod.quotient_poly, oracle.argmax
+
+        def refuse(*args):
+            raise AssertionError("the oracle read a step table")
+
+        def quotient(*args):
+            assert not searching, "the oracle formed a quotient"
+            return real_quotient(*args)
+
+        def argmax(*args):  # where a search reads its candidates
+            searching.append(True)
+            try:
+                return real_argmax(*args)
+            finally:
+                searching.clear()
+
+        for module in (invariant, pairs, canonical):
+            monkeypatch.setattr(module, "step_table", refuse)
+        monkeypatch.setattr(lattice_mod, "quotient_poly", quotient)
+        monkeypatch.setattr(oracle, "argmax", argmax)
+        dump, answered = tmp_path / "audit.csv", 0
+        for path, lat, pair, literal, expected in cases:
+            assert oracle.brute_force_max(lat, pair, literal and parse_delta(literal), 2) == expected, (path, literal)
+            flags = [] if literal is None else [f"--delta={literal}"]
+            code, payload, _ = run_json(capsys, "oracle", path, "--bound", "2", "--csv", dump, *flags)
+            best = payload["best"] and (tuple(payload["best"]["chain"]), tuple(payload["best"]["weights"]))
+            assert code == 0 and payload["explored"] == expected.explored, (path, literal)
+            assert payload["value"] == nu_json(expected.value), (path, literal)
+            assert best == (expected.best and (expected.best.chain, expected.best.weights)), (path, literal)
+            assert len(dump.read_text().splitlines()) == expected.explored + 1, (path, literal)
+            answered += expected.best is not None
+        assert len(cases) == 14 + 21 and answered >= 25, (len(cases), answered)
 
 
 class TestErrorPaths:

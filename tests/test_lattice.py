@@ -632,7 +632,8 @@ def _answers(lat, calls):
 
 
 class TestQuotientMemo:
-    """quotient_poly keeps each quotient's statistics on the lattice."""
+    """quotient_poly builds each quotient's statistics from the two rows,
+    and a chain keeps its graded pieces once read."""
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_memo_matches_fresh_statistics(self, d):
@@ -645,9 +646,9 @@ class TestQuotientMemo:
             expected = hilbert_stats(lat.member(sup).poly - lat.member(sub).poly, d)
             assert first[sub, sup] == expected
         for sub, sup in pairs:
-            assert quotient_poly(lat, sub, sup) is first[sub, sup]
+            assert quotient_poly(lat, sub, sup) == first[sub, sup]
         for m in lat.nonzero_ids():
-            assert quotient_poly(lat, lat.zero_id, m) is lat.member(m).stats
+            assert quotient_poly(lat, lat.zero_id, m) == lat.member(m).stats
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_invalid_pairs_raise_cold_and_warm(self, d):
@@ -671,7 +672,8 @@ class TestQuotientMemo:
     @pytest.mark.parametrize("d", [1, 2])
     def test_gradeds_are_the_memos_objects_built_on_first_read(self, monkeypatch, d):
         # a chain stores its ids alone: neither make_chain nor the walks
-        # compute a quotient, and the gradeds, once read, are the memo's
+        # compute a quotient, and the gradeds, once read, are quotient_poly's
+        # statistics of its steps, kept on the chain
         lat = _k4_lattice(d)
         quotients, stats_calls = [], []
         memo, stats = lattice_mod.quotient_poly, lattice_mod.hilbert_stats
@@ -695,7 +697,7 @@ class TestQuotientMemo:
             assert quotients == [] and stats_calls == []
             gradeds = chain.gradeds
             assert quotients == list(chain.steps)
-            assert all(g is memo(lat, *step) for g, step in zip(gradeds, chain.steps))
+            assert all(g == memo(lat, *step) for g, step in zip(gradeds, chain.steps))
             assert chain.gradeds is gradeds  # read once, then kept
             quotients.clear(), stats_calls.clear()
 

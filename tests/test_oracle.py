@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
@@ -24,7 +25,7 @@ from thetastab.oracle import candidate_count
 
 from conftest import FIXTURES, coordinate_lattice
 from randgen import random_coprime_lattice, random_delta, random_lambda_lattice, random_subposet_lattice
-from reference_oracle import iter_candidates, reference_max, scored_candidates
+from reference_oracle import graded_steps, iter_candidates, lcm_terms, reference_max, scored_candidates
 from transforms import rebuilt
 
 
@@ -268,6 +269,63 @@ class TestAgainstReferenceOracle:
         assert checked > 100, checked
 
 
+class TestTwoKernelsOneAnswer:
+    """The library reads members, the references quotients.  A step
+    table's entry, a(sup) - a(sub) with a(G) = P(G) - rank(G) * tau, is
+    the quotient's P(gr) - rank(gr) * tau (reference_oracle.graded_steps),
+    and iter_terms' stream, read off integer member rows over one
+    denominator, is the stream laid out over per-column lcms from the
+    quotients' contributions, terms dicts and their keys included."""
+
+    KINDS = ("coordinate", "sub-poset", "coprime", "lambda", "twice")
+
+    @classmethod
+    def cases(cls, seed):
+        # each kind at every form of delta, with a marked image or none;
+        # "twice" is p2_o1_o_twice.lattice, whose rank_scale is 2
+        rng = random.Random(seed)
+        twice = load_lattice(FIXTURES / "p2_o1_o_twice.lattice")[0]
+        for form, kind in product(TestAgainstReferenceOracle.FORMS, cls.KINDS):
+            d = rng.choice((1, 2))
+            if kind == "coordinate":
+                lat = coordinate_lattice({f"L{i}": rng.randint(-3, 3) for i in range(rng.randint(2, 4))}, d)
+            elif kind == "sub-poset":
+                lat = random_subposet_lattice(rng, rng.randint(2, 4), d, 0.6)
+            elif kind == "coprime":
+                lat = random_coprime_lattice(rng, rng.randint(2, 3), d)
+            elif kind == "lambda":
+                lat = random_lambda_lattice(rng, rng.randint(2, 4), d, 0.3)
+            else:
+                lat = twice
+            beta = rng.choice((None, *lat.nonzero_ids()))
+            pair = None if beta is None else PairObject(lattice=lat, beta_image=beta)
+            yield kind, lat, pair, random_delta(rng, lat.dim, form)
+
+    def test_step_entries_are_the_quotients(self):
+        seen, scales = dict.fromkeys(self.KINDS, 0), set()
+        for kind, lat, _, delta in self.cases(20261026):
+            steps_of = invariant.step_table(lat, delta)
+            for chain in enumerate_chains(lat):
+                ranks, contribs = steps_of(chain.chain)
+                expected_ranks, expected = graded_steps(lat, chain.chain, delta)
+                assert [r * lat.rank_scale for r in ranks] == expected_ranks, (kind, chain.chain)
+                assert list(contribs) == expected, (kind, chain.chain, delta)
+                seen[kind] += 1
+            scales.add(lat.rank_scale)
+        assert all(count >= 20 for count in seen.values()) and {1, 2} <= scales, (seen, scales)
+
+    def test_iter_terms_is_the_lcm_stream(self):
+        seen = dict.fromkeys(self.KINDS, 0)
+        for kind, lat, pair, delta in self.cases(20261027):
+            bound = 3 if len(lat.ids()) <= 8 else 2
+            stream = list(oracle.iter_terms(lat, pair, delta, bound))
+            expected = list(lcm_terms(lat, pair, delta, bound))
+            assert stream == expected, (kind, lat, pair, delta)
+            assert [terms.keys() for *_, terms, _ in stream] == [terms.keys() for *_, terms, _ in expected]
+            seen[kind] += len(stream)
+        assert all(count >= 150 for count in seen.values()), seen
+
+
 class TestWorkCounts:
     def test_k4_pair_explores_and_builds_few_values(self, monkeypatch):
         # the scorer compares coefficient maps; a NuValue is built only for
@@ -289,9 +347,9 @@ class TestWorkCounts:
         assert len(built) <= 2, len(built)
 
     def test_fraction_arithmetic_does_not_grow_with_the_candidates(self, monkeypatch):
-        # each coefficient is one integer dot product over its column's
-        # denominator, so Fraction arithmetic is spent on the step table
-        # alone: the same at W = 4 and W = 6, where every chain of the
+        # the member rows are integers and each coefficient is one integer
+        # dot product over their common denominator, so the search does no
+        # Fraction arithmetic at W = 4 or at W = 6, where every chain of the
         # k = 4 pair is walked, against 3644 and 15 378 candidates
         calls = []
         for name in ("__add__", "__radd__", "__mul__", "__rmul__", "__sub__", "__truediv__"):
@@ -309,7 +367,7 @@ class TestWorkCounts:
             explored.append(len(list(oracle.iter_terms(lat, pair, delta, bound))))
             counts.append(len(calls))
         assert explored == [3644, 15378]
-        assert counts[0] == counts[1] and 10 * counts[0] < explored[0], counts
+        assert counts == [0, 0], counts
 
 
     @pytest.mark.parametrize(
@@ -320,30 +378,42 @@ class TestWorkCounts:
         ],
         ids=["total-order-24", "k4-pair"],
     )
-    def test_each_walked_step_is_contributed_once(self, monkeypatch, lat, beta, bound, explored, steps):
-        # one step table per query: a step shared by many chains (43 473
-        # chain-steps on the total order) is contributed once
-        calls = []
-        real = invariant.step_contribution
+    def test_each_member_gets_one_row_per_query(self, monkeypatch, lat, beta, bound, explored, steps):
+        # one integer row per member per query, laid out before the walk:
+        # the walk reads more steps than there are members (276 against 24
+        # on the total order, 43 473 chain-steps), and no step costs a row
+        queries = []
+        real = oracle.member_rows
 
-        def counting(graded, tau):
-            calls.append(graded)
-            return real(graded, tau)
+        def counting(*args):
+            exponents, den, rows = real(*args)
+            queries.append(len(rows))
+            return exponents, den, rows
 
         pair = PairObject(lattice=lat, beta_image=beta)
         walked = set()
         for chain in enumerate_chains(lat, bound, beta):
             ids = chain.chain
             walked.update(zip(ids[1:] + (lat.zero_id,), ids))
-        assert len(walked) == steps
-        monkeypatch.setattr(invariant, "step_contribution", counting)
+        assert len(walked) == steps > len(lat.ids())
+        monkeypatch.setattr(oracle, "member_rows", counting)
         search = oracle.iter_terms(lat, pair, P({0: Fraction(1, 2)}), bound)
-        assert sum(1 for _ in search) == explored and len(calls) == steps
-        calls.clear()
+        assert sum(1 for _ in search) == explored and queries == [len(lat.ids())]
         result = brute_force_max(lat, pair=pair, bound=bound)
-        # the result is valued on the search's own terms: no step beyond
-        # the walk's is contributed, though the k = 4 pair has a winner
-        assert result.explored == explored and len(calls) == steps
+        # the result is valued on the search's own terms: no second set of
+        # rows, though the k = 4 pair has a winner
+        assert result.explored == explored and queries == [len(lat.ids())] * 2
+
+
+    def test_rows_span_only_the_exponents_that_occur(self):
+        # at d = 2000 the members have two terms each: the rows, and so
+        # every chain's columns, hold those exponents and delta's alone
+        lat = build_lattice(2000, {"0": {}, "E": {2000: 1, 0: 5}, "F": {2000: 2, 0: 1}}, [("E", "F")])
+        pair = PairObject(lattice=lat, beta_image="E")
+        cases = ((None, [2000, 0]), (P({0: Fraction(1, 2)}), [2000, 0]), (P({7: 3, -2: -1}), [2000, 7, 0, -2]))
+        for delta, exponents in cases:
+            assert oracle.member_rows(lat, delta)[0] == exponents
+            assert list(oracle.iter_terms(lat, pair, delta, 3)) == list(lcm_terms(lat, pair, delta, 3)), delta
 
 
 class TestCandidateCount:

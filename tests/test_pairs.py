@@ -27,6 +27,7 @@ from thetastab import (
     primitive_weights,
 )
 from thetastab import invariant, oracle, pairs
+from thetastab import lattice as lattice_mod
 from thetastab.errors import FlatObjective, ObjectSemistable, Semistable
 from thetastab.latfile import load_lattice
 from thetastab.lattice import pair_pivot_index
@@ -513,16 +514,16 @@ class TestMaximizerValue:
     def test_pair_canonical_builds_only_the_winner(self, monkeypatch):
         # chains are ranked on (exponent, b); the full value (dot) is only
         # computed for the 12 of 120 chains that tie the incumbent on both,
-        # and once more for the winner's nu.  Each of the 80 steps (sub,
-        # sup) of the walk has its contribution computed once by the
-        # query's step table, not once per chain through it (600
-        # chain-steps), and its graded piece looked up once.  The winner
-        # is valued on the same table; it is saturated here, so it adds no
-        # step (nu_delta's own table made 5 more calls of each)
-        calls = {
-            "maximize_weights": 0, "make_filtration": 0, "nu_on": 0, "dot": 0, "step_contribution": 0,
-            "quotient_poly": 0,
-        }
+        # and once more for the winner's nu.  The query's step table values
+        # each of the 31 nonzero members once, a(G) = P(G) - rank(G) * tau
+        # from the member's statistics (read once each, the top once more
+        # for tau), and each of the 80 steps (sub, sup) of the walk once,
+        # a(sup) - a(sub), not once per chain through it (600 chain-steps):
+        # one RatPoly subtraction for each, and no quotient.  The winner is
+        # valued on the same table; it is saturated here, so it adds no step
+        calls = {"maximize_weights": 0, "make_filtration": 0, "nu_on": 0, "dot": 0, "subtractions": 0}
+        stats_reads = Counter()
+        requested = set()  # the steps the chains ask their query's table for
 
         def counting(module, name):
             original = getattr(module, name)
@@ -532,28 +533,45 @@ class TestMaximizerValue:
                 return original(*args, **kwargs)
             return wrapped
 
-        for name in calls:  # dot, step_contribution and quotient_poly where the invariant module calls them
-            module = invariant if name in ("dot", "step_contribution", "quotient_poly") else pairs
+        def spied_table(lat, delta):
+            steps_of = real_table(lat, delta)
+            return lambda ids: requested.update(zip(ids[1:] + (lat.zero_id,), ids)) or steps_of(ids)
+
+        def fail(*args):
+            raise AssertionError("a search forms no quotient")
+
+        def subtraction(x, y, real=RatPoly.__sub__):
+            calls["subtractions"] += 1
+            return real(x, y)
+
+        for name in ("maximize_weights", "make_filtration", "nu_on", "dot"):  # dot where invariant calls it
+            module = invariant if name == "dot" else pairs
             monkeypatch.setattr(module, name, counting(module, name))
+        real_table, real_stats = pairs.step_table, lattice_mod.ObjectClass.stats
+        monkeypatch.setattr(pairs, "step_table", spied_table)
+        monkeypatch.setattr(lattice_mod, "quotient_poly", fail)
+        monkeypatch.setattr(RatPoly, "__sub__", subtraction)
+        monkeypatch.setattr(lattice_mod.ObjectClass, "stats", property(
+            lambda member: stats_reads.update([member.id]) or real_stats.__get__(member, lattice_mod.ObjectClass)))
         lat = coordinate_lattice({f"L{i}": (i * 7) % 5 - 2 + i for i in range(5)})
         result = pair_canonical(PairObject(lattice=lat, beta_image="L0"), const(Fraction(1, 2)))
-        expected = {
-            "maximize_weights": 120, "make_filtration": 1, "nu_on": 1, "dot": 13, "step_contribution": 80,
-            "quotient_poly": 80,
-        }
-        assert calls == expected
+        expected = {"maximize_weights": 120, "make_filtration": 1, "nu_on": 1, "dot": 13, "subtractions": 31 + 80}
+        assert calls == expected and len(requested) == 80
+        assert stats_reads == Counter({**dict.fromkeys(lat.nonzero_ids(), 1), lat.top_id: 2})
         for pair, delta in TestPairCanonicalAsksFirst.semistable_pairs():
             with pytest.raises(Semistable):
                 pair_canonical(pair, delta)
         assert calls == expected
         assert result.value == nu_delta(result.filtration, const(Fraction(1, 2)))
-        # k * 2^(k-1) steps (the edges of the k-cube) for k! saturated chains
+        # 2^k - 1 member values and k * 2^(k-1) steps (the edges of the
+        # k-cube) for k! saturated chains
         for k in (3, 4):
             calls.update(dict.fromkeys(calls, 0))
+            stats_reads.clear(), requested.clear()
             lat = coordinate_lattice({f"L{i}": (i * 7) % 5 - 2 + i for i in range(k)})
             pair_canonical(PairObject(lattice=lat, beta_image="L0"), const(Fraction(1, 2)))
-            assert (calls["step_contribution"], calls["maximize_weights"]) == (k * 2 ** (k - 1), factorial(k))
-            assert calls["quotient_poly"] == k * 2 ** (k - 1)
+            assert (len(requested), calls["maximize_weights"]) == (k * 2 ** (k - 1), factorial(k))
+            assert len(stats_reads) == 2 ** k - 1 and calls["subtractions"] == 2 ** k - 1 + k * 2 ** (k - 1)
 
 
 class TestPairCanonicalFeedsTheMaximizer:

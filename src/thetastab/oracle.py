@@ -3,7 +3,9 @@
 Enumerates every chain ending at the ambient object and every strictly
 increasing integer weight vector with entries bounded by W, applies the
 pair constraint when one is given, and maximizes the invariant exactly.
-No pruning beyond feasibility: correctness over speed.
+No pruning beyond feasibility: correctness over speed.  The one walk,
+enumerate_chains, and candidate_count skip by one rule just the chains
+that carry no candidate; the searches judged here walk chains of their own.
 
 A search reads no step table and forms no quotient.  Once per query it
 lays out each member's value a(G) = P(G) - rank(G) * tau (see invariant)
@@ -59,55 +61,31 @@ class OracleResult:
     explored: int
 
 
-def _walk(
-    lat: SubobjectLattice,
-    children: dict[str, list[str]],
-    bound: int | None = None,
-    beta: str | None = None,
-) -> list[UnweightedFiltration]:
-    """Every chain top > c_1 > ... with each c_(i+1) in children[c_i], in
-    lexicographic order of the id tuples (children lists are sorted).
-
-    A depth-first walk visits the chains in that order and builds each
-    chain from its ids alone: no graded piece is read until a caller asks.
-
-    With a weight bound W it walks only the chains that carry a candidate
-    (strictly increasing weights in [-W, W], w_p >= 0 at beta's pivot p):
-    at most 2W + 1 members, at most W past p.  No other chain's extension does.
-    """
-    chains: list[UnweightedFiltration] = []
-    if bound is None:  # no chain is longer, nor misses more
-        bound = len(children)
-
-    def extend(prefix: tuple[str, ...], misses: int) -> None:
-        chains.append(UnweightedFiltration(lattice=lat, chain=prefix))
-        if len(prefix) > 2 * bound:
-            return
-        for sub in children[prefix[-1]]:
-            missed = misses + (beta is not None and not lat.leq(beta, sub))
-            if missed <= bound:
-                extend(prefix + (sub,), missed)
-
-    extend((lat.top_id,), 0)
-    return chains
-
-
 def enumerate_chains(
     lat: SubobjectLattice, bound: int | None = None, beta: str | None = None
 ) -> list[UnweightedFiltration]:
     """All strictly increasing chains of nonzero members ending at top,
-    in lexicographic order of their id tuples; with a weight bound W, only
-    those with a candidate of brute_force_max at W and marked image beta."""
-    return _walk(lat, lat.strictly_below, bound, beta)
-
-
-def saturated_chains(lat: SubobjectLattice) -> list[UnweightedFiltration]:
-    """The chains of enumerate_chains whose every step, down to the zero
-    object, is a cover (no member lies strictly between its ends), in the
-    same order: the walk follows covers only and keeps the chains whose
-    deepest member has no lower cover, so nothing nonzero below it."""
-    covers = lat.covers
-    return [c for c in _walk(lat, covers) if not covers[c.chain[-1]]]
+    in lexicographic order of their id tuples, each built from its ids
+    alone.  With a weight bound W, only those with a candidate of
+    brute_force_max at W and marked image beta (strictly increasing
+    weights in [-W, W], w_p >= 0 at beta's pivot p): at most 2W + 1
+    members, at most W outside beta's up-set.  No other chain's extension
+    has one, and candidate_count counts by the same rule."""
+    below = lat.strictly_below
+    if bound is None:  # no chain is longer, nor misses more
+        bound = len(below)
+    chains: list[UnweightedFiltration] = []
+    stack = [((lat.top_id,), 0)]  # depth first on an explicit stack, subs in sorted order
+    while stack:
+        ids, misses = stack.pop()
+        chains.append(UnweightedFiltration(lattice=lat, chain=ids))
+        if len(ids) > 2 * bound:
+            continue
+        for sub in reversed(below[ids[-1]]):
+            missed = misses + (beta is not None and not lat.leq(beta, sub))
+            if missed <= bound:
+                stack.append((ids + (sub,), missed))
+    return chains
 
 
 def candidate_count(lat: SubobjectLattice, pair: PairObject | None = None, bound: int = 4) -> int:
@@ -125,25 +103,24 @@ def candidate_count(lat: SubobjectLattice, pair: PairObject | None = None, bound
     if bound < 1:
         raise ValueError(f"weight bound must be >= 1, got {bound}")
     beta = pair.beta_image if pair is not None else None
-    # shapes[m]: the chains top > ... > m, counted by (length, members containing beta)
+    # shapes[m]: the chains top > ... > m that enumerate_chains walks, by (length,
+    # members outside beta's up-set); members above m have larger ranks, so come first
     shapes: dict[str, Counter] = {}
     rows, dim = lat.numerators, lat.dim
     for member in sorted(lat.nonzero_ids(), key=lambda m: rows[m][dim], reverse=True):
-        inside = beta is not None and lat.leq(beta, member)
+        outside = beta is not None and not lat.leq(beta, member)
         shapes[member] = here = Counter()
         if member == lat.top_id:
-            here[1, inside] = 1
-        for sup, above in shapes.items():
-            if lat.lt(member, sup):
-                for (length, containing), count in above.items():
-                    here[length + 1, containing + inside] += count
+            here[1, 0] = 1
+        for sup in lat.above(member):
+            for (length, missed), count in shapes[sup].items():
+                if length <= 2 * bound and missed + outside <= bound:
+                    here[length + 1, missed + outside] += count
     total = -1
-    for here in shapes.values():
-        for (length, containing), count in here.items():
-            pivot = containing - 1 if beta is not None else length
-            total += count * sum(
-                comb(bound, i) * comb(bound + 1, length - i) for i in range(min(pivot, length) + 1)
-            )
+    for (length, missed), count in sum(shapes.values(), Counter()).items():  # each shape's vectors once
+        # at most p = length - missed - 1 negative entries with beta, any without
+        negatives = length - missed if beta is not None else length + 1
+        total += count * sum(comb(bound, i) * comb(bound + 1, length - i) for i in range(negatives))
     return total
 
 

@@ -26,8 +26,10 @@ weight cone, given its ids, its steps' graded ranks and contributions,
 and its pivot.  Refining a chain enlarges its cone (the inserted steps
 repeat the weight of the step they split, the pivot's included), so every
 chain's maximizer is that of its saturated refinements, and
-pair_canonical visits saturated chains only.  Saturated chains share
-their steps (k! chains over k * 2^(k-1) steps on the sub-sum lattice of k
+pair_canonical visits saturated chains only: saturated_chains walks them
+here, over the lattice's covers, as id tuples (the oracle, which judges
+the answer, walks chains of its own).  Saturated chains share their
+steps (k! chains over k * 2^(k-1) steps on the sub-sum lattice of k
 summands), so each query looks every chain's ids up in one step table
 (see invariant) and hands the entries to maximize_weights with the
 chain's pivot, pair_pivot_index of the marked image (None when the
@@ -44,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 from operator import add
+from typing import Iterator
 
 from .canonical import destabilizing_member
 from .errors import Semistable
@@ -51,12 +54,12 @@ from .invariant import WeightMaximum, maximize_weights, nu_on, step_table
 from .lattice import (
     ObjectClass,
     PairObject,
+    SubobjectLattice,
     WeightedFiltration,
     make_filtration,
     pair_pivot_index,
     primitive_weights,
 )
-from .oracle import saturated_chains
 from .ratpoly import EQUAL, GREATER, LESS, NuValue, RatPoly, eventual_compare, nu_compare
 
 
@@ -98,6 +101,21 @@ def pair_semistable(
     return witness is None, witness
 
 
+def saturated_chains(lat: SubobjectLattice) -> Iterator[tuple[str, ...]]:
+    """The id tuples of the chains top > c_1 > ... whose every step, down
+    to the zero object, is a cover, in lexicographic order: a depth-first
+    walk over lat.covers on an explicit stack, so no chain is too deep,
+    yielding each chain whose deepest member has no lower cover."""
+    covers = lat.covers
+    stack = [(lat.top_id,)]
+    while stack:
+        ids = stack.pop()
+        below = covers[ids[-1]]
+        if not below:
+            yield ids
+        stack.extend(ids + (sub,) for sub in reversed(below))
+
+
 @dataclass(frozen=True)
 class PairCanonicalResult:
     """Canonical destabilizing filtration of an unstable pair."""
@@ -125,8 +143,7 @@ def pair_canonical(pair: PairObject, delta: RatPoly | None) -> PairCanonicalResu
     if not pair_semistable(pair, delta)[0]:
         steps_of = step_table(lat, delta)
         beta = pair.beta_image
-        for chain in saturated_chains(lat):
-            ids = chain.chain
+        for ids in saturated_chains(lat):
             pivot = None if beta is None else pair_pivot_index(ids, lat, beta)
             wm = maximize_weights(ids, *steps_of(ids), pivot)
             if wm is None:

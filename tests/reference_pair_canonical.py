@@ -6,7 +6,9 @@ recomputes tau and the contribution of each of its steps from its
 quotients (reference_oracle.graded_steps), and the winner is valued the
 same way.  The descent, the ranking on (exponent, b) with the full value
 settling ties, and the tie-break on (length, ids, primitive weights) are
-otherwise the same.
+otherwise the same.  Its saturated chains are those of enumerate_chains
+whose every step down to zero is a cover, read off lt (saturated_chains
+here), so it shares no walk with pairs.saturated_chains, which it judges.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from thetastab import (
     LESS,
     PairObject,
     RatPoly,
+    enumerate_chains,
     make_filtration,
     nu_compare,
     pair_semistable,
@@ -28,7 +31,6 @@ from thetastab import (
 )
 from thetastab.errors import Semistable
 from thetastab.lattice import UnweightedFiltration, pair_pivot_index
-from thetastab.oracle import saturated_chains
 from thetastab.pairs import PairCanonicalResult, WeightMaximum
 
 from reference_oracle import graded_steps, reference_nu
@@ -48,6 +50,15 @@ def _isotonic(units: list[Fraction], ranks: list[Fraction]) -> list[Fraction]:
 def _merge(values: Sequence, keep: list[int]) -> list:
     ends = keep[1:] + [len(values)]
     return [sum(values[a + 1:b], values[a]) for a, b in zip(keep, ends)]
+
+
+def saturated_chains(lat) -> list[UnweightedFiltration]:
+    """Saturated chains by their definition: the chains of enumerate_chains
+    whose every step, down to the zero object, is a cover."""
+    ids = lat.ids()
+    below = {sup: {sub for sub in ids if lat.lt(sub, sup)} for sup in ids}
+    covers = {(sub, sup) for sup in ids for sub in below[sup].difference(*map(below.get, below[sup]))}
+    return [c for c in enumerate_chains(lat) if covers.issuperset(zip(c.chain[1:] + (lat.zero_id,), c.chain))]
 
 
 def maximize_weights(

@@ -477,7 +477,9 @@ def _total_order(path, m: int):
 class TestChainWalkIsBounded:
     """The 24-member total order has 2^22 chains, but only the chains with
     a feasible candidate at W = 2 (at most 5 members) are walked, so the
-    candidate budget bounds the whole search."""
+    candidate budget bounds the whole search.  An order of 1100 members,
+    deeper than the interpreter's recursion limit, is walked and counted
+    in seconds."""
 
     def test_oracle_walks_only_chains_with_a_candidate(self, capsys, tmp_path, monkeypatch):
         from thetastab import oracle
@@ -503,6 +505,23 @@ class TestChainWalkIsBounded:
         path = _total_order(tmp_path / "total24.lattice", 24)
         code, payload, _ = run_json(capsys, "pair-canonical", path, "--delta", "1/2", "--bound", "2")
         assert code == 0 and payload["oracle_agrees"] is True
+        assert (payload["filtration"]["chain"], payload["filtration"]["weights"]) == (["G23", "G01"], [-1, 0])
+        assert payload["nu_delta"] == {"L": {"0": "11/23"}, "b": "22"}  # (n - 1) / 2n and n - 1 at n = 23
+
+    def test_a_deep_order_answers_and_refuses_without_a_traceback(self, capsys, tmp_path):
+        # 1100 nonzero members: pair_canonical walks its one saturated
+        # chain, 1100 deep, to the pattern the oracle confirms above, and
+        # both commands count the candidates at W = 2 before any search
+        path = _total_order(tmp_path / "total1101.lattice", 1101)
+        start = time.perf_counter()
+        code, payload, _ = run_json(capsys, "pair-canonical", path, "--delta", "1/2", "--bound", "2")
+        assert code == 0 and payload["oracle_agrees"] is None
+        assert (payload["filtration"]["chain"], payload["filtration"]["weights"]) == (["G1100", "G01"], [-1, 0])
+        assert payload["nu_delta"] == {"L": {"0": "1099/2200"}, "b": "1099"}
+        code, out, err = run(capsys, "oracle", path, "--bound", "2")
+        assert (code, out) == (1, "")
+        assert err == "error: WorkBudgetExceeded: 61560515774 candidates at W=2 exceed the budget of 100000\n"
+        assert time.perf_counter() - start < 20.0
 
 
 class TestOneTablePerSearch:

@@ -51,7 +51,8 @@ from thetastab.errors import (
 from thetastab.cli import main
 from thetastab.latfile import load_lattice
 from thetastab.lattice import pair_pivot_index
-from thetastab.oracle import brute_force_max, candidate_count, saturated_chains
+from thetastab.oracle import brute_force_max, candidate_count
+from thetastab.pairs import saturated_chains
 
 
 def P(mapping):
@@ -688,9 +689,10 @@ class TestQuotientMemo:
 
         monkeypatch.setattr(lattice_mod, "quotient_poly", counting_memo)
         monkeypatch.setattr(lattice_mod, "hilbert_stats", counting_stats)
-        chains = enumerate_chains(lat) + saturated_chains(lat)
-        chains += [lattice_mod.make_chain(lat, c.chain) for c in chains]
-        assert len(chains) == 2 * (75 + 24) and quotients == [] and stats_calls == []
+        chains = enumerate_chains(lat)
+        walked = [c.chain for c in chains] + list(saturated_chains(lat))
+        chains += [lattice_mod.make_chain(lat, ids) for ids in walked]
+        assert len(chains) == 2 * 75 + 24 and quotients == [] and stats_calls == []
         for chain in chains:
             ids = chain.chain
             assert chain.steps == tuple(zip(ids[1:] + ("0",), ids))
@@ -706,7 +708,7 @@ class TestQuotientMemo:
             ("hn", hn_filtration),
             ("canonical", canonical_filtration),
             ("chains", enumerate_chains),
-            ("saturated", saturated_chains),
+            ("saturated", lambda lat: [lattice_mod.make_chain(lat, ids) for ids in saturated_chains(lat)]),
         ]
         rng = random.Random(20261019)
         for _ in range(100):
@@ -875,7 +877,7 @@ class TestMaskOrder:
                 if (lat.zero_id, chain[-1]) in covers:
                     expected.append(chain)
                 stack.extend(chain + (sub,) for sub, sup in covers if sup == chain[-1] and sub in nonzero)
-            assert [c.chain for c in saturated_chains(lat)] == sorted(expected), arm
+            assert list(saturated_chains(lat)) == sorted(expected), arm
 
     def test_candidate_count_is_the_explored_count(self, lattices):
         # and the bounded chain walk yields exactly the chains of the full

@@ -1,7 +1,9 @@
+import ast
 import random
 from fractions import Fraction
 from itertools import product
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +40,43 @@ def total_order(m):
     ids = [f"G{k:02d}" for k in range(1, m)]
     polys = {"0": RatPoly.zero(), **{i: P({1: k}) for k, i in enumerate(ids, 1)}}
     return build_lattice(1, polys, list(zip(ids, ids[1:])))
+
+
+def package_imports(path: Path) -> set[str]:
+    """The thetastab modules the source file at path imports, by their
+    names in the package, relative imports and any inside a function
+    included."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names if a.name.startswith("thetastab."))
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module if node.level == 0 else ".".join(filter(None, ("thetastab", node.module)))
+            if module == "thetastab":  # from . import oracle
+                found.update(a.name for a in node.names)
+            elif module is not None and module.startswith("thetastab."):
+                found.add(module.split(".")[1])
+    return found
+
+
+class TestTheJudgeStandsApart:
+    """The oracle judges the searches, so none of them may read its code:
+    only the command line and the package's namespace import it."""
+
+    def test_only_the_cli_and_the_package_import_the_oracle(self):
+        sources = sorted(Path(oracle.__file__).parent.glob("*.py"))
+        imports = {path.stem: package_imports(path) for path in sources}
+        assert {"lattice", "ratpoly", "invariant", "canonical", "pairs", "cli", "__init__"} <= imports.keys()
+        assert {name for name, found in imports.items() if "oracle" in found} == {"cli", "__init__"}
+        assert imports["pairs"] >= {"canonical", "invariant", "lattice", "ratpoly"}
+
+    def test_every_import_form_is_read(self, tmp_path):
+        path = tmp_path / "probe.py"
+        path.write_text(
+            "import thetastab.oracle\nfrom . import invariant as inv\nfrom .lattice import make_chain\n"
+            "from thetastab.pairs import pair_canonical\ndef f():\n    from .canonical import nu\nimport json\n"
+        )
+        assert package_imports(path) == {"oracle", "invariant", "lattice", "pairs", "canonical"}
 
 
 class TestEnumerateChains:
@@ -455,6 +494,24 @@ class TestCandidateCount:
         # bound no search could reach is counted as fast as a small one
         huge = 10**30
         assert candidate_count(lat, None, huge) == sum(comb(2 * huge + 1, n) for n in lengths) - 1
+
+    def test_closed_form_on_total_orders(self):
+        # with the image at the bottom of a total order of n nonzero
+        # members, each chain's pivot is its deepest member: the
+        # C(n - 1, L - 1) chains of L members keep every weight vector but
+        # the C(W, L) negative ones, and the longest ones carrying any have
+        # 2W + 1 members however deep the order is
+        for n, bound in ((1, 1), (4, 1), (6, 2), (23, 3), (1100, 2)):
+            lat = total_order(n + 1)
+            pair = PairObject(lattice=lat, beta_image="G01")
+            expected = sum(
+                comb(n - 1, length - 1) * (comb(2 * bound + 1, length) - comb(bound, length))
+                for length in range(1, 2 * bound + 2)
+            ) - 1
+            assert candidate_count(lat, pair, bound) == expected, (n, bound)
+            if n <= 6:
+                assert brute_force_max(lat, pair, None, bound).explored == expected, (n, bound)
+        assert expected == 61_560_515_774
 
     def test_bound_validation(self, lat_trivial):
         with pytest.raises(ValueError):

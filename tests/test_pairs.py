@@ -66,11 +66,11 @@ def subposet_families(seed, keep=0.6):
     )
 
 
-def pivot_of(chain, pair):
+def pivot_of(lat, ids, pair):
     """The chain index the pair constraint holds at: the deepest member
     containing the marked image, or None without a framing map."""
     beta = None if pair is None else pair.beta_image
-    return None if beta is None else pair_pivot_index(chain.chain, chain.lattice, beta)
+    return None if beta is None else pair_pivot_index(ids, lat, beta)
 
 
 def table_ranks(chain):
@@ -79,13 +79,13 @@ def table_ranks(chain):
     return [rows[sup][d] - rows[sub][d] for sub, sup in chain.steps]
 
 
-def maximize(chain, pair, delta):
+def maximize(lat, ids, pair, delta):
     """maximize_weights on the chain's ids, its own graded ranks and
     contributions at delta, and the pair's pivot, computed as the
     references compute them."""
-    ranks = tuple(g.rank for g in chain.gradeds)
-    contribs = invariant.step_table(chain.lattice, delta)(chain.chain)[1]
-    return maximize_weights(chain.chain, ranks, contribs, pivot_of(chain, pair))
+    ranks = tuple(g.rank for g in make_chain(lat, ids).gradeds)
+    contribs = invariant.step_table(lat, delta)(ids)[1]
+    return maximize_weights(ids, ranks, contribs, pivot_of(lat, ids, pair))
 
 
 class TestPairSemistable:
@@ -401,23 +401,20 @@ class TestNuSlopeCoeff:
 
 class TestMaximizeWeights:
     def test_pair_example_pins_image_weight(self, lat_b3, pair_b3):
-        chain = make_chain(lat_b3, ("F", "O5+O", "O5"))
-        result = maximize(chain, pair_b3, RatPoly.zero())
+        result = maximize(lat_b3, ("F", "O5+O", "O5"), pair_b3, RatPoly.zero())
         assert result.chain == ("F", "O5+O", "O5")
         assert primitive_weights(result.weights) == (-1, 0, 3)
         assert result.pinned == 1
         assert result.value == NuValue(P({0: 10}), Fraction(10))
 
     def test_unconstrained_beats_pair(self, lat_b3):
-        chain = make_chain(lat_b3, ("F", "O5+O1", "O5"))
-        result = maximize(chain, None, RatPoly.zero())
+        result = maximize(lat_b3, ("F", "O5+O1", "O5"), None, RatPoly.zero())
         assert primitive_weights(result.weights) == (-2, -1, 3)
         # squared value 14 > squared value 10
         assert result.value == NuValue(P({0: 14}), Fraction(14))
 
     def test_order_violation_merges_once(self, lat_b3):
-        chain = make_chain(lat_b3, ("F", "O5+O", "O5"))
-        result = maximize(chain, None, RatPoly.zero())
+        result = maximize(lat_b3, ("F", "O5+O", "O5"), None, RatPoly.zero())
         assert result.chain == ("F", "O5")
         assert primitive_weights(result.weights) == (-1, 2)
         # value sqrt(27/2)
@@ -425,14 +422,12 @@ class TestMaximizeWeights:
 
     def test_flat_objective(self):
         lat = coordinate_lattice({"A": 0, "B": 0})
-        chain = make_chain(lat, ("F", "A"))
-        assert maximize(chain, None, RatPoly.zero()) is None
+        assert maximize(lat, ("F", "A"), None, RatPoly.zero()) is None
 
     def test_trivial_chain_with_pair_negative_max(self, lat_o_o1, pair_o_o1):
         # only direction is w > 0; objective coefficient is -delta_0 < 0,
         # so no weight is positive and there is no maximizer to report
-        chain = make_chain(lat_o_o1, ("F",))
-        assert maximize(chain, pair_o_o1, const(1)) is None
+        assert maximize(lat_o_o1, ("F",), pair_o_o1, const(1)) is None
 
 
 class TestMaximizerValue:
@@ -456,12 +451,12 @@ class TestMaximizerValue:
         lower = chains = 0
         for pair, delta in self.cases(20261018):
             lat = pair.lattice
-            for chain in saturated_chains(lat):
-                wm = maximize(chain, pair, delta)
+            for ids in saturated_chains(lat):
+                wm = maximize(lat, ids, pair, delta)
                 if wm is None:
                     continue
                 filt = make_filtration(lat, wm.chain, primitive_weights(wm.weights), pair)
-                assert nu_compare(wm.value, nu_delta(filt, delta)) == EQUAL, (chain.chain, delta)
+                assert nu_compare(wm.value, nu_delta(filt, delta)) == EQUAL, (ids, delta)
                 assert nu_compare(wm.value, NuValue.zero()) == GREATER
                 chains += 1
                 lower += wm.value.L.degree() < lat.dim - 1
@@ -485,12 +480,12 @@ class TestMaximizerValue:
         cases = [*self.cases(20261018), *self.subposet_cases(20261019)]
         for pair, delta in cases:
             lat = pair.lattice
-            for chain in saturated_chains(lat):
-                wm = maximize(chain, pair, delta)
+            for ids in saturated_chains(lat):
+                wm = maximize(lat, ids, pair, delta)
                 if wm is None:
                     continue
-                assert wm.value.L.degree() == wm.exponent, (chain.chain, delta)
-                assert leading_coeff(wm.value.L) == wm.value.b == wm.b, (chain.chain, delta)
+                assert wm.value.L.degree() == wm.exponent, (ids, delta)
+                assert leading_coeff(wm.value.L) == wm.value.b == wm.b, (ids, delta)
                 pinned += wm.pinned is not None
                 lower += wm.exponent < lat.dim - 1
         assert pinned and lower, (pinned, lower)
@@ -503,7 +498,7 @@ class TestMaximizerValue:
             "0": {}, "A": {2: 1, 1: 1, 0: -2}, "B": {2: 1, 1: 1, 0: 2}, "F": {2: Fraction(3, 2), 1: 1, 0: 2},
         })
         pair = PairObject(lattice=lat, beta_image=None)
-        a, b = (maximize(make_chain(lat, ("F", m)), pair, RatPoly.zero()) for m in "AB")
+        a, b = (maximize(lat, ("F", m), pair, RatPoly.zero()) for m in "AB")
         assert (a.exponent, a.b) == (b.exponent, b.b)
         assert nu_compare(b.value, a.value) == GREATER
         result = pair_canonical(pair, RatPoly.zero())
@@ -628,7 +623,7 @@ class TestPairCanonicalFeedsTheMaximizer:
                 assert all(type(r) is int for r in ranks) and list(ranks) == table_ranks(chain), ids
                 assert [r * lat.rank_scale for r in ranks] == [g.rank for g in chain.gradeds], ids
                 assert tuple(contribs) == invariant.step_table(lat, delta)(ids)[1], (ids, delta)
-                assert pivot == pivot_of(chain, pair), (ids, pair.beta_image)
+                assert pivot == pivot_of(lat, ids, pair), (ids, pair.beta_image)
             seen[kind, pair.beta_image is not None] += 1
             seen["calls"] += len(calls)
         assert seen["semistable"] and seen["calls"] >= 500, seen
@@ -684,10 +679,9 @@ class TestStepTableScale:
         for kind, pair, delta in self.cases(20261021):
             lat = pair.lattice
             steps_of = invariant.step_table(lat, delta)
-            for chain in saturated_chains(lat):
-                ids = chain.chain
+            for ids in saturated_chains(lat):
                 ranks, contribs = steps_of(ids)
-                pivot = pivot_of(chain, pair)
+                pivot = pivot_of(lat, ids, pair)
                 wm = maximize_weights(ids, ranks, contribs, pivot)
                 # the graded ranks, and one random positive rational factor
                 for lam in (lat.rank_scale, Fraction(rng.randint(1, 50), rng.randint(1, 50))):
@@ -708,21 +702,9 @@ class TestStepTableScale:
 
 class TestSearchesReadOnlyTheStepTable:
     """The searches look a chain's ranks and contributions up in their
-    query's step table by its ids: no chain a walk hands them has its
-    steps or graded pieces read, in pair_canonical or in the oracle."""
-
-    @staticmethod
-    def capture(monkeypatch, module, name):
-        walked = []
-        original = getattr(module, name)
-
-        def spy(*args, **kwargs):
-            chains = original(*args, **kwargs)
-            walked.extend(chains)
-            return chains
-
-        monkeypatch.setattr(module, name, spy)
-        return walked
+    query's step table by its ids: pair_canonical walks id tuples and
+    builds a filtration for its winner alone, and no chain the oracle's
+    walk hands it has its steps or graded pieces read."""
 
     @staticmethod
     def cases():
@@ -735,19 +717,42 @@ class TestSearchesReadOnlyTheStepTable:
             for form in ("zero", "degree <= d-1", "degree d", "Laurent"):
                 yield PairObject(lattice=lat, beta_image="L0"), random_delta(rng, 2, form)
 
-    def test_no_walked_chain_has_its_steps_read(self, monkeypatch):
-        saturated = self.capture(monkeypatch, pairs, "saturated_chains")
-        enumerated = self.capture(monkeypatch, oracle, "enumerate_chains")
-        answered = 0
+    def test_pair_canonical_builds_a_filtration_for_its_winner_alone(self, monkeypatch):
+        built = []
+        for cls in (lattice_mod.UnweightedFiltration, lattice_mod.WeightedFiltration):
+            def spy(self, *args, original=cls.__init__, **kwargs):
+                original(self, *args, **kwargs)
+                built.append((type(self), self.chain))
+
+            monkeypatch.setattr(cls, "__init__", spy)
+        answered = walked = 0
         for pair, delta in self.cases():
+            built.clear()
             try:
-                pair_canonical(pair, delta)
-                answered += 1
+                result = pair_canonical(pair, delta)
             except Semistable:
-                pass
+                assert built == []
+                continue
+            # make_filtration validates the chain (make_chain), then weights it
+            winner = result.filtration.chain
+            assert built == [(lattice_mod.UnweightedFiltration, winner), (lattice_mod.WeightedFiltration, winner)]
+            walked += len(list(saturated_chains(pair.lattice)))
+            answered += 1
+        assert answered >= 8 and walked > 2 * answered, (answered, walked)
+
+    def test_no_chain_the_oracle_walks_has_its_steps_read(self, monkeypatch):
+        walked, enumerate_chains = [], oracle.enumerate_chains
+
+        def spy(*args, **kwargs):
+            chains = enumerate_chains(*args, **kwargs)
+            walked.extend(chains)
+            return chains
+
+        monkeypatch.setattr(oracle, "enumerate_chains", spy)
+        for pair, delta in self.cases():
             brute_force_max(pair.lattice, pair, delta, 2)
-        assert answered and saturated and enumerated
-        for chain in saturated + enumerated:
+        assert walked
+        for chain in walked:
             assert not {"steps", "gradeds"} & vars(chain).keys(), chain.chain
 
 
@@ -778,7 +783,7 @@ class TestMaximizeWeightsAgainstFaceEnumeration:
             for chain in rng.sample(chains, min(len(chains), 40)):
                 numerator = rng.choice((0, rng.randint(-6, 6)))
                 delta = RatPoly({d - 1: Fraction(numerator, rng.randint(1, 4))})
-                wm = maximize(chain, pair, delta)
+                wm = maximize(lat, chain.chain, pair, delta)
                 try:
                     ref = face_enumeration_max(chain, pair, delta)
                 except FlatObjective:
@@ -799,26 +804,11 @@ class TestMaximizeWeightsAgainstFaceEnumeration:
         assert all(seen.values()), seen
 
 
-def _cover_filter(lat):
-    """Saturated chains by their definition: the chains of enumerate_chains
-    whose every step, down to the zero object, is a cover."""
-    ids = lat.ids()
-    below = {sup: {sub for sub in ids if lat.lt(sub, sup)} for sup in ids}
-    covers = {
-        (sub, sup) for sup in ids for sub in below[sup].difference(*map(below.get, below[sup]))
-    }
-    return [
-        c for c in enumerate_chains(lat)
-        if covers.issuperset(zip(c.chain[1:] + (lat.zero_id,), c.chain))
-    ]
-
-
 class TestSaturatedChains:
     @staticmethod
     def assert_matches_cover_filter(lat):
-        chains, reference = saturated_chains(lat), _cover_filter(lat)
-        assert [c.chain for c in chains] == [c.chain for c in reference]
-        assert [c.gradeds for c in chains] == [c.gradeds for c in reference]
+        chains = list(saturated_chains(lat))
+        assert chains == [c.chain for c in reference_pair_canonical.saturated_chains(lat)]
         return chains
 
     @pytest.mark.parametrize("d", (1, 2))
@@ -837,9 +827,9 @@ class TestSaturatedChains:
     @pytest.mark.parametrize("k,expected", [(4, 24), (5, 120), (6, 720)])
     def test_counts_on_coordinate_lattices(self, k, expected):
         lat = coordinate_lattice({f"L{i}": (i * 7) % 5 - 2 + i for i in range(k)})
-        chains = saturated_chains(lat)
+        chains = list(saturated_chains(lat))
         assert len(chains) == expected
-        assert all(len(c.chain) == k for c in chains)
+        assert all(len(ids) == k for ids in chains)
 
     def test_pair_canonical_visits_only_saturated_chains(self, monkeypatch):
         lat = coordinate_lattice({f"L{i}": (i * 7) % 5 - 2 + i for i in range(5)})
@@ -1136,23 +1126,23 @@ class TestAgainstOracleOnSubposets:
         for pair, delta in self.cases(20261106):
             lat = pair.lattice
             terms = {}
-            for chain in saturated_chains(lat):
-                wm = maximize(chain, pair, delta)
+            for ids in saturated_chains(lat):
+                wm = maximize(lat, ids, pair, delta)
                 bound = 2 if wm is None else max(2, *map(abs, primitive_weights(wm.weights)))
                 if oracle.candidate_count(lat, pair, bound) > 5000:
                     continue
                 if bound not in terms:
                     terms[bound] = list(oracle.iter_terms(lat, pair, delta, bound))
-                members = set(chain.chain)
+                members = set(ids)
                 own = (t for t in terms[bound] if members.issuperset(t[0]))
                 check = oracle.argmax(lat, own, pair)
                 if wm is None:
-                    assert check.best is None, (chain.chain, delta)
+                    assert check.best is None, (ids, delta)
                     seen["none"] += 1
                     continue
                 assert (check.best.chain, check.best.weights) == (
                     wm.chain, primitive_weights(wm.weights)
-                ), (chain.chain, delta)
+                ), (ids, delta)
                 assert nu_compare(check.value, wm.value) == EQUAL
                 seen["matched"] += 1
         assert seen["none"] and seen["matched"] >= 40, seen
@@ -1264,8 +1254,9 @@ class TestDescentNearWalls:
         # nondecreasing integer weights of that chain
         lower = 0
         for pair, delta in self.cases(20261024):
-            for chain in saturated_chains(pair.lattice):
-                wm = maximize(chain, pair, delta)
+            for ids in saturated_chains(pair.lattice):
+                chain = make_chain(pair.lattice, ids)
+                wm = maximize(pair.lattice, ids, pair, delta)
                 if wm is None:
                     best = chain_search_max(chain, pair, delta, 3)
                     assert nu_compare(best, NuValue.zero()) != GREATER
@@ -1273,6 +1264,6 @@ class TestDescentNearWalls:
                 filt = make_filtration(pair.lattice, wm.chain, primitive_weights(wm.weights), pair)
                 bound = max(3, *map(abs, filt.weights))
                 best = chain_search_max(chain, pair, delta, bound)
-                assert nu_compare(nu_delta(filt, delta), best) == EQUAL, (chain.chain, delta)
+                assert nu_compare(nu_delta(filt, delta), best) == EQUAL, (ids, delta)
                 lower += wm.value.L.degree() < pair.lattice.dim - 1
         assert lower >= 10, lower

@@ -30,7 +30,7 @@ from operator import sub
 from typing import Mapping, Sequence
 
 from .errors import AmbiguousHN, NegativeNu, ObjectSemistable, PreconditionFailed
-from .invariant import maximize_weights, nu, step_table
+from .invariant import maximize_weights, nu, nu_on, step_table
 from .lattice import (
     ObjectClass,
     SubobjectLattice,
@@ -132,24 +132,32 @@ def hn_filtration(lat: SubobjectLattice) -> UnweightedFiltration:
 
 @dataclass(frozen=True)
 class LeadingTermData:
-    """Leading-term filtration: coarsened HN chain, index, primitive weights."""
+    """Leading-term filtration: coarsened HN chain, index, primitive weights,
+    and value, nu of that weighted chain, read from the step table the
+    maximizer read."""
 
     chain: UnweightedFiltration
     index: int
     weights: tuple[int, ...]
+    value: NuValue
 
 
 def leading_term(hn: UnweightedFiltration) -> LeadingTermData:
     """maximize_weights on the HN chain's step-table entries, with no pivot:
     the coarser chain it lives on, the exponent where its descent stopped,
-    and its weights scaled to primitive integers."""
-    wm = maximize_weights(hn.chain, *step_table(hn.lattice)(hn.chain), None)
+    its weights scaled to primitive integers, and nu there, valued on the
+    same table (nu_on)."""
+    lat = hn.lattice
+    steps_of = step_table(lat)
+    wm = maximize_weights(hn.chain, *steps_of(hn.chain), None)
     if wm is None:
         raise ObjectSemistable("trivial HN chain has no leading term filtration")
+    filt = make_filtration(lat, wm.chain, primitive_weights(wm.weights))
     return LeadingTermData(
-        chain=make_chain(hn.lattice, wm.chain),
+        chain=make_chain(lat, wm.chain),
         index=wm.exponent,
-        weights=primitive_weights(wm.weights),
+        weights=filt.weights,
+        value=nu_on(steps_of, filt),
     )
 
 

@@ -97,8 +97,9 @@ def _cmd_hn(args) -> tuple[dict, list[str]]:
 
 def _cmd_canonical(args) -> tuple[dict, list[str]]:
     lat, _ = load_lattice(args.input)
-    filt = canonical_mod.canonical_filtration(lat)
-    value = invariant.nu(filt)
+    # the leading term is valued on the step table its maximizer read
+    lterm = canonical_mod.leading_term(canonical_mod.hn_filtration(lat))
+    filt, value = make_filtration(lat, lterm.chain.chain, lterm.weights), lterm.value
     payload = {
         "command": "canonical",
         "filtration": _filtration_json(filt),
@@ -146,6 +147,14 @@ def _oracle_limits(args) -> tuple[int, int]:
     return _at_least(args.bound, "--bound", 1), _at_least(args.max_candidates, "--max-candidates", 0)
 
 
+def _over_budget(count: int, budget: int) -> str:
+    """The candidate count of a refusal (count > budget) as text: the count
+    itself where str prints it (at most sys.get_int_max_str_digits()
+    digits), else "more than {budget}"."""
+    limit = sys.get_int_max_str_digits()
+    return str(count) if not limit or count < 10**limit else f"more than {budget}"
+
+
 def _require_pair(pair: PairObject | None) -> PairObject:
     if pair is None:
         raise ParseError("this command needs a lattice file with a pair section")
@@ -188,7 +197,7 @@ def _cmd_pair_canonical(args) -> tuple[dict, list[str]]:
     ]
     count = oracle.candidate_count(lat, pair, bound)
     if count > budget:
-        agrees, text = None, f"skipped ({count} candidates > budget {budget})"
+        agrees, text = None, f"skipped ({_over_budget(count, budget)} candidates > budget {budget})"
     else:
         check = oracle.brute_force_max(lat, pair=pair, delta=delta, bound=bound)
         verdict = nu_compare(check.value, result.value)
@@ -249,7 +258,7 @@ def _cmd_oracle(args) -> tuple[dict, list[str]]:
     bound, budget = _oracle_limits(args)
     count = oracle.candidate_count(lat, pair, bound)
     if count > budget:
-        raise WorkBudgetExceeded(f"{count} candidates at W={bound} exceed the budget of {budget}")
+        raise WorkBudgetExceeded(f"{_over_budget(count, budget)} candidates at W={bound} exceed the budget of {budget}")
     candidates = oracle.iter_terms(lat, pair, delta, bound)
     if args.csv:  # opened before the search, so an unwritable path fails at once
         try:

@@ -34,7 +34,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import mul, sub
 from typing import Iterable, Iterator
 
@@ -116,12 +116,21 @@ def candidate_count(lat: SubobjectLattice, pair: PairObject | None = None, bound
             for (length, missed), count in shapes[sup].items():
                 if length <= 2 * bound and missed + outside <= bound:
                     here[length + 1, missed + outside] += count
-    total = -1
-    for (length, missed), count in sum(shapes.values(), Counter()).items():  # each shape's vectors once
-        # at most p = length - missed - 1 negative entries with beta, any without
-        negatives = length - missed if beta is not None else length + 1
-        total += count * sum(comb(bound, i) * comb(bound + 1, length - i) for i in range(negatives))
-    return total
+    counts = sum(shapes.values(), Counter())  # each shape's vectors once
+    # the rows C(W, i) and C(W + 1, j) up to the longest chain, each binomial once
+    low, high = [1], [1]
+    for i in range(max(length for length, _ in counts)):
+        low.append(low[-1] * (bound - i) // (i + 1))
+        high.append(high[-1] * (bound + 1 - i) // (i + 1))
+    # a shape keeps the vectors with fewer than `negatives` negative entries: at
+    # most p = length - missed - 1 with beta, any without.  Summed over the
+    # shapes first, so each C(W, i), as long as W is, multiplies once
+    kept = [(length, length - missed if beta is not None else length + 1, count)
+            for (length, missed), count in counts.items()]
+    return sum(
+        low_i * sum(count * high[length - i] for length, negatives, count in kept if i < negatives)
+        for i, low_i in enumerate(low)
+    ) - 1
 
 
 def member_rows(lat: SubobjectLattice, delta: RatPoly | None = None) -> tuple[list[int], int, dict]:

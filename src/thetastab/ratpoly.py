@@ -4,7 +4,9 @@ A polynomial is stored as a clean map: int exponents (negative exponents
 allowed, for Laurent terms) to nonzero Fractions.  The zero polynomial is
 the empty map; its degree is the sentinel -inf, which compares below every
 integer.  RatPoly(...) parses outside input into a clean map; arithmetic
-builds its results' clean maps directly and wraps them unchecked (_of).
+builds its results' clean maps directly and wraps them unchecked (_of),
+or hands back an operand (p + 0 is p).  Being immutable, polynomials
+share coefficients, and hilbert_line_bundle_projective shares its results.
 
 Two total orders live here:
 
@@ -33,8 +35,9 @@ from contextlib import suppress
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, getcontext, localcontext
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import factorial, gcd, isfinite, log10
+from operator import add, index, sub
 from typing import Mapping, Sequence, Union
 
 from .errors import DegreeMismatch, NonpositiveRank, ParseError
@@ -112,6 +115,27 @@ def _sign(x: Fraction) -> int:
     return 0
 
 
+def _merged(mine: dict[int, Fraction], theirs: dict[int, Fraction], op) -> dict[int, Fraction]:
+    """The clean map of mine op theirs, for op operator.add or operator.sub:
+    an exponent new to mine takes theirs' coefficient as it is (negated
+    for sub), two coefficients at one exponent combine as ints over the
+    product of their denominators, read into one Fraction, and a result
+    that cancels is dropped.  mine is copied, never changed."""
+    merged = dict(mine)
+    for exp, val in theirs.items():
+        have = merged.get(exp)
+        if have is None:
+            merged[exp] = val if op is add else -val
+            continue
+        hd, vd = have.denominator, val.denominator
+        total = Fraction(op(have.numerator * vd, val.numerator * hd), hd * vd)
+        if total:
+            merged[exp] = total
+        else:
+            del merged[exp]
+    return merged
+
+
 class RatPoly:
     """Immutable sparse Laurent polynomial with Fraction coefficients,
     ordered by eventual_compare.  _coeffs is the clean map: int exponents
@@ -176,20 +200,16 @@ class RatPoly:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: RatPoly) -> RatPoly:
-        merged = dict(self._coeffs)
-        for exp, val in other._coeffs.items():
-            total = merged[exp] = merged.get(exp, 0) + val
-            if not total:
-                del merged[exp]
-        return RatPoly._of(merged)
+        if not other._coeffs:
+            return self
+        if not self._coeffs:
+            return other
+        return RatPoly._of(_merged(self._coeffs, other._coeffs, add))
 
     def __sub__(self, other: RatPoly) -> RatPoly:
-        merged = dict(self._coeffs)
-        for exp, val in other._coeffs.items():
-            total = merged[exp] = merged.get(exp, 0) - val
-            if not total:
-                del merged[exp]
-        return RatPoly._of(merged)
+        if not other._coeffs:
+            return self
+        return RatPoly._of(_merged(self._coeffs, other._coeffs, sub))
 
     def __neg__(self) -> RatPoly:
         return RatPoly._of({e: -c for e, c in self._coeffs.items()})
@@ -290,11 +310,22 @@ def hilbert_line_bundle_projective(d: int, k: int) -> RatPoly:
     """Hilbert polynomial of the twist O(k) on d-dimensional projective space.
 
     This is binomial(n+k+d, d) expanded as a polynomial in n; for d = 1 it
-    is n + k + 1.  The integer coefficients of prod_{j=1..d} (n + k + j),
-    lowest exponent first, are built as one row, then divided by d!.
+    is n + k + 1.  d and k must be integers (operator.index), d >= 1.  Each
+    (d, k) is expanded once per process and the one immutable result
+    shared: a lattice built member by member asks for each summand's class
+    once per member holding it.
     """
+    d, k = index(d), index(k)
     if d < 1:
         raise ValueError(f"projective dimension must be >= 1, got {d}")
+    return _line_bundle(d, k)
+
+
+@lru_cache(maxsize=1024)
+def _line_bundle(d: int, k: int) -> RatPoly:
+    """O(k) on P^d, expanded: the integer coefficients of
+    prod_{j=1..d} (n + k + j), lowest exponent first, built as one row,
+    then divided by d!."""
     row, scale = [1], factorial(d)
     for j in range(1, d + 1):  # times (n + k + j)
         row = [a * (k + j) + b for a, b in zip(row + [0], [0] + row)]

@@ -3,7 +3,8 @@
 leading_term is thetastab.canonical.leading_term as it stood before it was
 read off maximize_weights on the HN chain: a scan for the highest index
 where the graded slopes differ, a merge of the HN steps where that slope
-does not jump, and weights proportional to slope(graded) - slope(ambient).
+does not jump, and weights proportional to slope(graded) - slope(ambient),
+valued by nu on a step table of its own.
 slopes is the slope helper it read, formerly HilbertStats.slopes.
 """
 
@@ -16,6 +17,8 @@ from thetastab import (
     LeadingTermData,
     UnweightedFiltration,
     make_chain,
+    make_filtration,
+    nu,
     primitive_weights,
 )
 from thetastab.errors import ObjectSemistable
@@ -59,4 +62,6 @@ def leading_term(hn: UnweightedFiltration) -> LeadingTermData:
 
     top_slope = slopes(lat.top.stats)[index]
     raw = [slopes(g)[index] - top_slope for g in merged.gradeds]
-    return LeadingTermData(chain=merged, index=index, weights=primitive_weights(raw))
+    weights = primitive_weights(raw)
+    value = nu(make_filtration(lat, merged.chain, weights))
+    return LeadingTermData(chain=merged, index=index, weights=weights, value=value)

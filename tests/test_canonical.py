@@ -130,8 +130,9 @@ class TestHNStrictDecrease:
 
 class TestLeadingTermAgainstReference:
     """leading_term, read off maximize_weights on the HN chain, against the
-    slope scan it replaced: the same chain, index and weights, or
-    ObjectSemistable from both."""
+    slope scan it replaced: the same chain, index, weights and value (the
+    reference's from nu on a table of its own), or ObjectSemistable from
+    both."""
 
     @staticmethod
     def outcome(leading, hn):
@@ -139,7 +140,7 @@ class TestLeadingTermAgainstReference:
             lterm = leading(hn)
         except ObjectSemistable as exc:
             return str(exc)
-        return lterm.chain.chain, lterm.index, lterm.weights
+        return lterm.chain.chain, lterm.index, lterm.weights, lterm.value
 
     def assert_matches(self, lat):
         hn = hn_filtration(lat)

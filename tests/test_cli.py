@@ -391,10 +391,13 @@ class TestBeyondFloatRange:
 
 class TestIntegersTooLongToPrint:
     """At d = 2000 a rank carries d!, 5736 digits, over the interpreter's
-    default int-to-str limit of 4300 digits; so does a candidate count at a
-    2201-digit bound.  Every subcommand then prints its output or one
-    `error: IntegerTooLong: ...` line, exits 0 or 1, and leaves the limit
-    as it was."""
+    default int-to-str limit of 4300 digits.  Every subcommand then prints
+    its output or one `error: IntegerTooLong: ...` line, exits 0 or 1, and
+    leaves the limit as it was.  A candidate count at a 2201-digit bound
+    has more digits too, but it is compared with the budget before it is
+    printed, and a refusal names it "more than" the budget: the oracle
+    refuses with WorkBudgetExceeded, and pair-canonical skips its
+    cross-check and answers wherever its answer prints."""
 
     BIG_BOUND = "9" * 2201
     EXPECTED = f"error: IntegerTooLong: an integer to print has over {sys.get_int_max_str_digits()} " \
@@ -417,17 +420,25 @@ class TestIntegersTooLongToPrint:
             [command, fixture, "--bound", self.BIG_BOUND]
             for command in ("oracle", "pair-canonical") for fixture in (path, FIXTURES / "o_o1_pair.lattice")
         ]
-        too_long = []
+        over_budget = f"error: WorkBudgetExceeded: more than 100000 candidates at W={self.BIG_BOUND} " \
+            "exceed the budget of 100000\n"
+        too_long, refused = [], []
         for argv in argvs:
             for fmt in ("text", "structured"):
                 code, out, err = run(capsys, *argv, "--format", fmt)
-                if code == 1:
+                if code == 1 and err.startswith("error: WorkBudgetExceeded: "):
+                    assert (out, err) == ("", over_budget), argv
+                    refused.append(argv)
+                elif code == 1:
                     assert (out, err) == ("", self.EXPECTED), argv
                     too_long.append(argv[0])
                 else:
                     assert code == 0 and not err, (argv, err)
         assert sorted(set(too_long)) == ["canonical", "nu", "oracle", "pair-canonical", "polytope"]
-        assert too_long.count("oracle") == too_long.count("pair-canonical") == 6
+        # the oracle at W = 6 and pair-canonical's answer at either bound print d!
+        assert too_long.count("oracle") == 2 and too_long.count("pair-canonical") == 4
+        huge = [argv for argv in argvs if argv[0] == "oracle" and self.BIG_BOUND in argv]
+        assert refused == [argv for argv in huge for fmt in ("text", "structured")]
         assert sys.get_int_max_str_digits() == limit
 
     def test_a_rank_failure_at_d_2000_keeps_its_name(self, capsys, tmp_path):
@@ -523,22 +534,67 @@ class TestChainWalkIsBounded:
         assert err == "error: WorkBudgetExceeded: 61560515774 candidates at W=2 exceed the budget of 100000\n"
         assert time.perf_counter() - start < 20.0
 
+    def test_a_huge_bound_answers_and_refuses_on_budget(self, capsys, tmp_path):
+        # at a 2201-digit bound no prune binds on the 23 nonzero members, and
+        # the count, of over 4300 digits, is compared with the budget unprinted
+        path = _total_order(tmp_path / "total24.lattice", 24)
+        bound = "9" * 2201
+        code, payload, _ = run_json(capsys, "pair-canonical", path, "--delta", "1/2", "--bound", bound)
+        assert code == 0 and payload["oracle_agrees"] is None
+        assert (payload["filtration"]["chain"], payload["filtration"]["weights"]) == (["G23", "G01"], [-1, 0])
+        assert payload["nu_delta"] == {"L": {"0": "11/23"}, "b": "22"}
+        code, out, _ = run(capsys, "pair-canonical", path, "--delta", "1/2", "--bound", bound)
+        assert code == 0
+        assert out.splitlines()[-1] == f"oracle (bound {bound}): skipped (more than 100000 candidates > budget 100000)"
+        code, out, err = run(capsys, "oracle", path, "--bound", bound, "--max-candidates", "7")
+        assert (code, out) == (1, "")
+        assert err == f"error: WorkBudgetExceeded: more than 7 candidates at W={bound} exceed the budget of 7\n"
+
+
+class TestCountsOverBudget:
+    """A refused count is printed when str can print it, at most
+    sys.get_int_max_str_digits() digits (0 for no limit), else named as
+    more than the budget."""
+
+    def test_the_count_prints_up_to_the_limit(self, monkeypatch):
+        from thetastab.cli import _over_budget
+
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 5)
+        assert _over_budget(99999, 7) == "99999"
+        assert _over_budget(100000, 7) == "more than 7"
+
+    def test_without_a_limit_every_count_prints(self):
+        from thetastab.cli import _over_budget
+
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert _over_budget(10**5000, 7) == "1" + "0" * 5000
+        finally:
+            sys.set_int_max_str_digits(limit)
+
 
 class TestOneTablePerSearch:
-    """Each search values its answer on what it read: the closed form on
-    its one step table, the oracle on its member rows.  So pair-canonical
-    builds one step table, the closed form's (its oracle cross-check had a
-    second before the oracle read member rows), and oracle none."""
+    """Each search values its answer on what it read: the closed form and
+    the leading term on their one step table, the oracle on its member
+    rows.  So pair-canonical builds one step table, the closed form's (its
+    oracle cross-check had a second before the oracle read member rows),
+    canonical one, its maximizer's (nu of its answer read a second), and
+    oracle none."""
 
-    @pytest.mark.parametrize("command, tables", [("pair-canonical", 1), ("oracle", 0)])
-    def test_step_tables_on_example_nonconvex(self, capsys, monkeypatch, command, tables):
+    @pytest.mark.parametrize("argv, tables", [
+        (("pair-canonical", "--delta", "1/2", "--bound", "2"), 1),
+        (("oracle", "--delta", "1/2", "--bound", "2"), 0),
+        (("canonical",), 1),
+    ], ids=["pair-canonical-1", "oracle-0", "canonical-1"])
+    def test_step_tables_on_example_nonconvex(self, capsys, monkeypatch, argv, tables):
         from thetastab import canonical, invariant, oracle, pairs
 
         made, real = [], invariant.step_table
         for module in (invariant, pairs, canonical):  # everywhere it is imported
             monkeypatch.setattr(module, "step_table", lambda *args: made.append(args) or real(*args))
         assert not hasattr(oracle, "step_table")
-        code, _, _ = run(capsys, command, FIXTURES / "example_nonconvex.lattice", "--delta", "1/2", "--bound", "2")
+        code, _, _ = run(capsys, argv[0], FIXTURES / "example_nonconvex.lattice", *argv[1:])
         assert code == 0 and len(made) == tables
 
 

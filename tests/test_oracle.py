@@ -208,6 +208,18 @@ class TestIterCandidates:
             if "O" in chain:
                 assert weights[chain.index("O")] >= 0
 
+    def test_a_bound_past_the_depth_counts_every_chain(self):
+        # a 2201-digit W prunes no chain of a total order of n nonzero
+        # members, so every length up to n keeps its vectors: the closed
+        # form above, and C(2W + 1, L) per chain without the pair
+        bound = int("9" * 2201)
+        for n in (23, 39):
+            lat = total_order(n + 1)
+            lengths = range(1, n + 1)
+            framed = sum(comb(n - 1, L - 1) * (comb(2 * bound + 1, L) - comb(bound, L)) for L in lengths) - 1
+            assert candidate_count(lat, PairObject(lattice=lat, beta_image="G01"), bound) == framed, n
+            assert candidate_count(lat, None, bound) == sum(comb(n - 1, L - 1) * comb(2 * bound + 1, L) for L in lengths) - 1
+
     def test_bound_validation(self, lat_trivial):
         with pytest.raises(ValueError):
             brute_force_max(lat_trivial, bound=0)
@@ -512,6 +524,18 @@ class TestCandidateCount:
             if n <= 6:
                 assert brute_force_max(lat, pair, None, bound).explored == expected, (n, bound)
         assert expected == 61_560_515_774
+
+    def test_a_bound_past_the_depth_counts_every_chain(self):
+        # a 2201-digit W prunes no chain of a total order of n nonzero
+        # members, so every length up to n keeps its vectors: the closed
+        # form above, and C(2W + 1, L) per chain without the pair
+        bound = int("9" * 2201)
+        for n in (23, 39):
+            lat = total_order(n + 1)
+            lengths = range(1, n + 1)
+            framed = sum(comb(n - 1, L - 1) * (comb(2 * bound + 1, L) - comb(bound, L)) for L in lengths) - 1
+            assert candidate_count(lat, PairObject(lattice=lat, beta_image="G01"), bound) == framed, n
+            assert candidate_count(lat, None, bound) == sum(comb(n - 1, L - 1) * comb(2 * bound + 1, L) for L in lengths) - 1
 
     def test_bound_validation(self, lat_trivial):
         with pytest.raises(ValueError):

@@ -189,6 +189,57 @@ class TestCleanMaps:
         _assert_clean(hilbert_stats(poly, len(row)).reduced)
 
 
+integer_ratpolys = st.dictionaries(st.integers(-3, 4), st.integers(-9, 9).map(Fraction), max_size=5).map(RatPoly)
+
+
+def _termwise(p: RatPoly, q: RatPoly, sign: int) -> RatPoly:
+    """p + sign * q in the constructor form: every exponent of either, its
+    coefficients combined as Fractions, zeros left for RatPoly to drop."""
+    return RatPoly({e: p.coeff(e) + sign * q.coeff(e) for e in {*p._coeffs, *q._coeffs}})
+
+
+class TestSums:
+    """RatPoly + and - take an exponent new to the left operand as the
+    right one's term, combine two coefficients as ints, and hand a zero
+    operand's partner back: each result is the constructor form's, clean,
+    whatever cancels."""
+
+    @seed(20261021)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(ratpolys(), integer_ratpolys),
+        st.one_of(ratpolys(), integer_ratpolys),
+        st.sampled_from(["as drawn", "minus left", "left's top terms cancel"]),
+    )
+    def test_sums_and_differences_match_the_constructor_form(self, p, q, shape):
+        if shape == "minus left":  # every term of p cancels in p + q
+            q = -p
+        elif shape == "left's top terms cancel":
+            q = q + RatPoly({e: -c for e, c in p.items()[:2]})
+        for result, sign in ((p + q, 1), (p - q, -1)):
+            assert result == _termwise(p, q, sign)
+            _assert_clean(result)
+        assert q + p == p + q and q - p == -(p - q)
+        assert p - p == p + (-p) == RatPoly.zero()
+
+    @seed(20261022)
+    @given(st.one_of(ratpolys(), integer_ratpolys))
+    def test_zero_operands(self, p):
+        zero = RatPoly.zero()
+        assert p + zero is p and p - zero is p
+        assert zero + p == p and (p.is_zero() or zero + p is p)
+        assert zero - p == -p == _termwise(zero, p, -1)
+        _assert_clean(zero - p)
+
+    def test_laurent_and_mixed_denominators(self):
+        p = RatPoly({-2: Fraction(1, 3), 0: Fraction(1, 2), 3: 4})
+        q = RatPoly({-2: Fraction(2, 3), 0: Fraction(-1, 2), 1: Fraction(5, 6), 3: -4})
+        assert p + q == RatPoly({-2: 1, 1: Fraction(5, 6)})
+        assert p - q == RatPoly({-2: Fraction(-1, 3), 0: 1, 1: Fraction(-5, 6), 3: 8})
+        _assert_clean(p + q)
+        _assert_clean(p - q)
+
+
 class TestNuOrder:
     @given(nu_values(), nu_values())
     def test_antisymmetric(self, x, y):

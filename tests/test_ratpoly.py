@@ -1,6 +1,7 @@
 import sys
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from fractions import Fraction
+from itertools import combinations
 from math import comb, factorial
 
 import pytest
@@ -16,6 +17,7 @@ from thetastab import (
     hilbert_stats,
     nu_compare,
 )
+from thetastab import ratpoly
 from thetastab.errors import DegreeMismatch, NonpositiveRank
 
 import reference_ratpoly
@@ -138,6 +140,55 @@ class TestLineBundles:
         for d in (0, -1):
             with pytest.raises(ValueError):
                 hilbert_line_bundle_projective(d, 0)
+
+
+class TestLineBundleMemo:
+    """hilbert_line_bundle_projective expands each (d, k) once per process
+    and shares the one immutable result; arguments are checked before the
+    memo is consulted."""
+
+    def test_cold_and_warm_results_match_the_product_form(self):
+        ratpoly._line_bundle.cache_clear()
+        cold = {(d, k): hilbert_line_bundle_projective(d, k) for d in range(1, 13) for k in range(-30, 31)}
+        for (d, k), poly in cold.items():
+            assert poly == reference_ratpoly.hilbert_line_bundle_projective(d, k), (d, k)
+            assert hilbert_line_bundle_projective(d, k) is poly, (d, k)
+        info = ratpoly._line_bundle.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (len(cold), len(cold), len(cold))
+
+    def test_bad_arguments_raise_with_a_valid_key_cached(self):
+        assert hilbert_line_bundle_projective(1, 2) == P({1: 1, 0: 3})
+        for d, k in ((1, 2.0), (1.0, 2), (1, Fraction(2)), (1, "2"), (Fraction(1), 2), (None, 2)):
+            with pytest.raises(TypeError):
+                hilbert_line_bundle_projective(d, k)
+        for d in (0, -1, False):
+            hilbert_line_bundle_projective(1, 0)
+            with pytest.raises(ValueError):
+                hilbert_line_bundle_projective(d, 0)
+        assert hilbert_line_bundle_projective(True, 2) is hilbert_line_bundle_projective(1, 2)
+
+    def test_a_member_by_member_build_expands_each_class_once(self):
+        # as perfbench's generator builds a coordinate lattice: each member's
+        # polynomial is the sum of its summands' classes, one call per
+        # summand it holds, so k summands make k * 2^(k-1) calls
+        ratpoly._line_bundle.cache_clear()
+        calls, classes = 0, set()
+        for d, twists in ((1, (5, 1, 0, 1, -2, 5, 3)), (2, (0, 1, 1, -1, 2))):
+            members = {}
+            for r in range(1, len(twists) + 1):
+                for combo in combinations(range(len(twists)), r):
+                    poly = RatPoly.zero()
+                    for s in combo:
+                        poly = poly + hilbert_line_bundle_projective(d, twists[s])
+                        calls += 1
+                    members[combo] = poly
+            classes |= {(d, k) for k in twists}
+            for combo, poly in members.items():
+                assert poly == sum((reference_ratpoly.hilbert_line_bundle_projective(d, twists[s])
+                                    for s in combo), RatPoly.zero()), (d, combo)
+        info = ratpoly._line_bundle.cache_info()
+        assert calls == 7 * 2**6 + 5 * 2**4
+        assert (info.misses, info.hits) == (len(classes), calls - len(classes)) == (9, calls - 9)
 
 
 class TestNuCompare:

@@ -5,7 +5,6 @@ delta-stability of pairs, and a brute-force oracle cross-checking it all.
 """
 
 from .canonical import (
-    LeadingTermData,
     canonical_filtration,
     convexify,
     delete_step,
@@ -14,6 +13,7 @@ from .canonical import (
     leading_term,
 )
 from .invariant import (
+    CanonicalResult,
     Polytope2,
     WeightMaximum,
     maximize_weights,
@@ -38,7 +38,7 @@ from .lattice import (
     validate_lattice,
 )
 from .oracle import OracleResult, brute_force_max, enumerate_chains
-from .pairs import PairCanonicalResult, pair_canonical, pair_semistable
+from .pairs import pair_canonical, pair_semistable
 from .ratpoly import (
     EQUAL,
     GREATER,

@@ -24,13 +24,12 @@ negative, which is exactly why canonical pair filtrations may be nonconvex).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
 from typing import Mapping, Sequence
 
 from .errors import AmbiguousHN, NegativeNu, ObjectSemistable, PreconditionFailed
-from .invariant import maximize_weights, nu, nu_on, step_table
+from .invariant import CanonicalResult, maximize_weights, nu, step_table
 from .lattice import (
     ObjectClass,
     SubobjectLattice,
@@ -130,35 +129,16 @@ def hn_filtration(lat: SubobjectLattice) -> UnweightedFiltration:
     return make_chain(lat, tuple(reversed(picks)))
 
 
-@dataclass(frozen=True)
-class LeadingTermData:
-    """Leading-term filtration: coarsened HN chain, index, primitive weights,
-    and value, nu of that weighted chain, read from the step table the
-    maximizer read."""
-
-    chain: UnweightedFiltration
-    index: int
-    weights: tuple[int, ...]
-    value: NuValue
-
-
-def leading_term(hn: UnweightedFiltration) -> LeadingTermData:
+def leading_term(hn: UnweightedFiltration) -> CanonicalResult:
     """maximize_weights on the HN chain's step-table entries, with no pivot:
-    the coarser chain it lives on, the exponent where its descent stopped,
-    its weights scaled to primitive integers, and nu there, valued on the
-    same table (nu_on)."""
-    lat = hn.lattice
-    steps_of = step_table(lat)
+    the coarser chain it lives on with its weights scaled to primitive
+    integers, nu there, valued on the same table, and the exponent where
+    its descent stopped (WeightMaximum.result)."""
+    steps_of = step_table(hn.lattice)
     wm = maximize_weights(hn.chain, *steps_of(hn.chain), None)
     if wm is None:
         raise ObjectSemistable("trivial HN chain has no leading term filtration")
-    filt = make_filtration(lat, wm.chain, primitive_weights(wm.weights))
-    return LeadingTermData(
-        chain=make_chain(lat, wm.chain),
-        index=wm.exponent,
-        weights=filt.weights,
-        value=nu_on(steps_of, filt),
-    )
+    return wm.result(hn.lattice, steps_of)
 
 
 def canonical_filtration(lat: SubobjectLattice) -> WeightedFiltration:
@@ -171,8 +151,7 @@ def canonical_filtration(lat: SubobjectLattice) -> WeightedFiltration:
     filtration silently, and brute_force_max, breaking the tie on ids,
     may name the other.
     """
-    lterm = leading_term(hn_filtration(lat))
-    return make_filtration(lat, lterm.chain.chain, lterm.weights)
+    return leading_term(hn_filtration(lat)).filtration
 
 
 def delete_step(f: WeightedFiltration, i: int) -> WeightedFiltration:

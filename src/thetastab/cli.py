@@ -26,7 +26,7 @@ from .latfile import (
     nu_text,
     parse_delta,
 )
-from .lattice import PairObject, WeightedFiltration, graded_pieces, make_chain, make_filtration
+from .lattice import PairObject, SubobjectLattice, WeightedFiltration, graded_pieces, make_chain, make_filtration
 from .ratpoly import EQUAL, GREATER, RatPoly, as_fraction, as_integer, nu_compare
 
 APPROX_POINT = 10**6  # evaluation point for CSV audit values
@@ -98,14 +98,13 @@ def _cmd_hn(args) -> tuple[dict, list[str]]:
 def _cmd_canonical(args) -> tuple[dict, list[str]]:
     lat, _ = load_lattice(args.input)
     # the leading term is valued on the step table its maximizer read
-    lterm = canonical_mod.leading_term(canonical_mod.hn_filtration(lat))
-    filt, value = make_filtration(lat, lterm.chain.chain, lterm.weights), lterm.value
+    result = canonical_mod.leading_term(canonical_mod.hn_filtration(lat))
     payload = {
         "command": "canonical",
-        "filtration": _filtration_json(filt),
-        "nu": nu_json(value),
+        "filtration": _filtration_json(result.filtration),
+        "nu": nu_json(result.value),
     }
-    lines = _filtration_text(filt) + [f"nu: {nu_text(value)}"]
+    lines = _filtration_text(result.filtration) + [f"nu: {nu_text(result.value)}"]
     return payload, lines
 
 
@@ -126,7 +125,7 @@ def _cmd_polytope(args) -> tuple[dict, list[str]]:
     if args.chain is not None:
         chain = make_chain(lat, _parse_chain_arg(args.chain))
     else:
-        chain = canonical_mod.leading_term(canonical_mod.hn_filtration(lat)).chain
+        chain = canonical_mod.leading_term(canonical_mod.hn_filtration(lat)).filtration
     index = lat.dim - 1 if args.index is None else as_integer(args.index, "--index value")
     hull = invariant.polytope(chain, index)
     vertices = [[format_rational(x), format_rational(y)] for x, y in hull.vertices]
@@ -153,6 +152,21 @@ def _over_budget(count: int, budget: int) -> str:
     digits), else "more than {budget}"."""
     limit = sys.get_int_max_str_digits()
     return str(count) if not limit or count < 10**limit else f"more than {budget}"
+
+
+def _refusal(lat: SubobjectLattice, pair: PairObject | None, bound: int, budget: int) -> str | None:
+    """The oracle's candidate count at W = bound as _over_budget words it,
+    or None within the budget.  The count is at least W + p * C(W + 1, 2)
+    for p proper nonzero members: the top alone carries W candidates and
+    each chain (top, m) at least C(W + 1, 2).  When that has more digits
+    than str prints, the count is past the budget (read under the same
+    limit) and is not computed."""
+    limit = sys.get_int_max_str_digits()
+    least = bound + len(lat.proper_nonzero_ids()) * (bound * (bound + 1) // 2)
+    if limit and least >= 10**limit:
+        return f"more than {budget}"
+    count = oracle.candidate_count(lat, pair, bound)
+    return _over_budget(count, budget) if count > budget else None
 
 
 def _require_pair(pair: PairObject | None) -> PairObject:
@@ -195,9 +209,9 @@ def _cmd_pair_canonical(args) -> tuple[dict, list[str]]:
         f"nu_delta: {nu_text(result.value)}",
         f"found via: {result.source}",
     ]
-    count = oracle.candidate_count(lat, pair, bound)
-    if count > budget:
-        agrees, text = None, f"skipped ({_over_budget(count, budget)} candidates > budget {budget})"
+    refused = _refusal(lat, pair, bound, budget)
+    if refused is not None:
+        agrees, text = None, f"skipped ({refused} candidates > budget {budget})"
     else:
         check = oracle.brute_force_max(lat, pair=pair, delta=delta, bound=bound)
         verdict = nu_compare(check.value, result.value)
@@ -256,9 +270,9 @@ def _cmd_oracle(args) -> tuple[dict, list[str]]:
     lat, pair = load_lattice(args.input)
     delta = parse_delta(args.delta) if args.delta is not None else None
     bound, budget = _oracle_limits(args)
-    count = oracle.candidate_count(lat, pair, bound)
-    if count > budget:
-        raise WorkBudgetExceeded(f"{_over_budget(count, budget)} candidates at W={bound} exceed the budget of {budget}")
+    refused = _refusal(lat, pair, bound, budget)
+    if refused is not None:
+        raise WorkBudgetExceeded(f"{refused} candidates at W={bound} exceed the budget of {budget}")
     candidates = oracle.iter_terms(lat, pair, delta, bound)
     if args.csv:  # opened before the search, so an unwritable path fails at once
         try:

@@ -76,6 +76,11 @@ on, valued delta_top * sqrt(rank F - rank G_pivot) / rank F, so the chains
 through beta win with (top, beta) and weights (-1, 0); when beta is the
 top nothing is positive, which is pair_semistable's verdict.
 
+A search's winner becomes its answer once, by WeightMaximum.result: a
+CanonicalResult holding the filtration with primitive integer weights,
+its nu on the table the search read, and the exponent where the descent
+stopped.  canonical.leading_term and pairs.pair_canonical both answer so.
+
 Slope polytopes are handled with exact rational orientation predicates;
 no epsilon geometry anywhere.
 """
@@ -88,10 +93,17 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import factorial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, ClassVar, Iterable, Sequence
 
 from .errors import BadIndex
-from .lattice import SubobjectLattice, UnweightedFiltration, WeightedFiltration
+from .lattice import (
+    PairObject,
+    SubobjectLattice,
+    UnweightedFiltration,
+    WeightedFiltration,
+    make_filtration,
+    primitive_weights,
+)
 from .ratpoly import NuValue, RatPoly
 
 
@@ -211,6 +223,28 @@ class WeightMaximum:
     def value(self) -> NuValue:
         fit, contribs = zip(*self.steps)
         return NuValue(dot(fit, contribs), self.b)
+
+    def result(
+        self, lat: SubobjectLattice, steps_of: Callable, pair: PairObject | None = None
+    ) -> CanonicalResult:
+        """The answer a search reports for this maximizer: its filtration
+        on lat with primitive integer weights (pair's constraint checked),
+        valued by nu_on on steps_of, the table the search read."""
+        filt = make_filtration(lat, self.chain, primitive_weights(self.weights), pair)
+        return CanonicalResult(filtration=filt, value=nu_on(steps_of, filt), index=self.exponent)
+
+
+@dataclass(frozen=True)
+class CanonicalResult:
+    """The canonical destabilizing filtration a closed-form search found:
+    the winner with primitive integer weights, its nu (nu_delta for a
+    pair) read from the step table the search read, and index, the
+    exponent of n where the maximizer's descent stopped."""
+
+    filtration: WeightedFiltration
+    value: NuValue
+    index: int
+    source: ClassVar[str] = "closed-form"
 
 
 def _isotonic(units: list[Fraction], ranks: Sequence[int | Fraction]) -> list[Fraction]:

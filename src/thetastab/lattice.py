@@ -533,9 +533,13 @@ def make_filtration(
     weights: Sequence[int],
     pair: PairObject | None = None,
 ) -> WeightedFiltration:
-    """Validate chain, weights, and (for pairs) the image-weight constraint."""
+    """Validate chain, weights, and (for pairs) the image-weight constraint.
+    Weights are integers, each what operator.index accepts."""
     base = make_chain(lat, chain)
-    ws = tuple(int(w) for w in weights)
+    try:
+        ws = tuple(map(operator.index, weights))
+    except TypeError:
+        raise WeightsNotIncreasing(f"weights must be integers, got {tuple(weights)}") from None
     if len(ws) != len(base.chain):
         raise WeightsNotIncreasing(
             f"{len(base.chain)} chain members need {len(base.chain)} weights, got {len(ws)}"

@@ -43,24 +43,15 @@ same table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 from operator import add
 from typing import Iterator
 
 from .canonical import destabilizing_member
 from .errors import Semistable
-from .invariant import WeightMaximum, maximize_weights, nu_on, step_table
-from .lattice import (
-    ObjectClass,
-    PairObject,
-    SubobjectLattice,
-    WeightedFiltration,
-    make_filtration,
-    pair_pivot_index,
-    primitive_weights,
-)
-from .ratpoly import EQUAL, GREATER, LESS, NuValue, RatPoly, eventual_compare, nu_compare
+from .invariant import CanonicalResult, WeightMaximum, maximize_weights, step_table
+from .lattice import ObjectClass, PairObject, SubobjectLattice, pair_pivot_index, primitive_weights
+from .ratpoly import GREATER, LESS, RatPoly, eventual_compare, nu_compare
 
 
 def pair_semistable(
@@ -78,14 +69,12 @@ def pair_semistable(
     sign = eventual_compare(delta, RatPoly.zero())
     if sign == LESS or (sign == GREATER and beta is None):
         return False, None
-    if sign == EQUAL:
-        witness = destabilizing_member(lat)
-        return witness is None, witness
 
     # p_delta(G) = (P(G) + [beta <= G] * delta) / rank(G): over the table's
     # N_G[d], its numerator is E * N_G + [beta <= G] * D * (E * delta), with
     # D the lattice's denominator and E the lcm of delta's, on the exponents
     # that occur (0..d and delta's), lowest first: all rows vanish elsewhere.
+    # At delta = 0, E = 1 and the twist vanishes: these are the table's rows.
     terms = delta._coeffs
     exponents = sorted({*range(lat.dim + 1), *terms})
     scale = lcm(*(c.denominator for c in terms.values()))
@@ -116,16 +105,7 @@ def saturated_chains(lat: SubobjectLattice) -> Iterator[tuple[str, ...]]:
         stack.extend(ids + (sub,) for sub in reversed(below))
 
 
-@dataclass(frozen=True)
-class PairCanonicalResult:
-    """Canonical destabilizing filtration of an unstable pair."""
-
-    filtration: WeightedFiltration
-    value: NuValue
-    source: str  # always "closed-form"
-
-
-def pair_canonical(pair: PairObject, delta: RatPoly | None) -> PairCanonicalResult:
+def pair_canonical(pair: PairObject, delta: RatPoly | None) -> CanonicalResult:
     """Canonical maximizer of the pair invariant.
 
     A pair that pair_semistable finds semistable raises Semistable at once:
@@ -135,7 +115,7 @@ def pair_canonical(pair: PairObject, delta: RatPoly | None) -> PairCanonicalResu
     their full invariant, read off its leading term (exponent, b) unless
     two chains tie on it, ties going to the shorter chain, then the smaller
     ids, then the smaller weights; only the winner's filtration is built,
-    and its nu_delta is read from the same table.
+    and its nu_delta is read from the same table (WeightMaximum.result).
     """
     lat = pair.lattice
     best: WeightMaximum | None = None
@@ -160,5 +140,4 @@ def pair_canonical(pair: PairObject, delta: RatPoly | None) -> PairCanonicalResu
                 best, best_key = wm, key
     if best is None:
         raise Semistable("no destabilizing filtration exists for this pair")
-    filt = make_filtration(lat, best.chain, primitive_weights(best.weights), pair)
-    return PairCanonicalResult(filtration=filt, value=nu_on(steps_of, filt), source="closed-form")
+    return best.result(lat, steps_of, pair)

@@ -4,7 +4,8 @@ leading_term is thetastab.canonical.leading_term as it stood before it was
 read off maximize_weights on the HN chain: a scan for the highest index
 where the graded slopes differ, a merge of the HN steps where that slope
 does not jump, and weights proportional to slope(graded) - slope(ambient),
-valued by nu on a step table of its own.
+valued by nu on a step table of its own, and returned as a
+ReferenceResult (filtration, value, index).
 slopes is the slope helper it read, formerly HilbertStats.slopes.
 """
 
@@ -14,7 +15,6 @@ from fractions import Fraction
 
 from thetastab import (
     HilbertStats,
-    LeadingTermData,
     UnweightedFiltration,
     make_chain,
     make_filtration,
@@ -25,6 +25,7 @@ from thetastab.errors import ObjectSemistable
 
 from reference_hn import InvalidHN
 from reference_lattice import is_trivial
+from reference_oracle import ReferenceResult
 
 
 def slopes(stats: HilbertStats) -> tuple[Fraction, ...]:
@@ -36,7 +37,7 @@ def slopes(stats: HilbertStats) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def leading_term(hn: UnweightedFiltration) -> LeadingTermData:
+def leading_term(hn: UnweightedFiltration) -> ReferenceResult:
     """Merge HN steps with equal leading slope, attach canonical weights."""
     if is_trivial(hn):
         raise ObjectSemistable("trivial HN chain has no leading term filtration")
@@ -62,6 +63,5 @@ def leading_term(hn: UnweightedFiltration) -> LeadingTermData:
 
     top_slope = slopes(lat.top.stats)[index]
     raw = [slopes(g)[index] - top_slope for g in merged.gradeds]
-    weights = primitive_weights(raw)
-    value = nu(make_filtration(lat, merged.chain, weights))
-    return LeadingTermData(chain=merged, index=index, weights=weights, value=value)
+    filt = make_filtration(lat, merged.chain, primitive_weights(raw))
+    return ReferenceResult(filtration=filt, value=nu(filt), index=index)

@@ -38,9 +38,8 @@ from thetastab import (
 )
 from thetastab.errors import FlatObjective, Semistable
 from thetastab.lattice import pair_pivot_index
-from thetastab.pairs import PairCanonicalResult
 
-from reference_oracle import dot, graded_steps, reference_nu
+from reference_oracle import ReferenceResult, dot, graded_steps, reference_nu
 
 
 @dataclass(frozen=True)
@@ -134,7 +133,7 @@ def face_enumeration_max(chain, pair, delta: RatPoly) -> FaceMaximum:
     return FaceMaximum(chain=merged, weights=values, value=value, pinned=pinned)
 
 
-def all_chains_pair_canonical(pair, delta: RatPoly, bound: int) -> PairCanonicalResult:
+def all_chains_pair_canonical(pair, delta: RatPoly, bound: int) -> ReferenceResult:
     """pair_canonical in the deg(delta) <= d-1 regime, over every chain."""
     lat = pair.lattice
     zero = NuValue.zero()
@@ -154,14 +153,14 @@ def all_chains_pair_canonical(pair, delta: RatPoly, bound: int) -> PairCanonical
             or nu_compare(value, best.value) == GREATER
             or (nu_compare(value, best.value) == EQUAL and key < best_key)
         ):
-            best = PairCanonicalResult(filtration=filt, value=value, source="closed-form")
+            best = ReferenceResult(filtration=filt, value=value)
             best_key = key
     if best is not None:
         return best
     oracle = brute_force_max(lat, pair=pair, delta=delta, bound=bound)
     if oracle.best is None:
         raise Semistable("no destabilizing filtration exists for this pair")
-    return PairCanonicalResult(filtration=oracle.best, value=oracle.value, source="oracle")
+    return ReferenceResult(filtration=oracle.best, value=oracle.value, source="oracle")
 
 
 def chain_search_max(chain, pair, delta: RatPoly, bound: int) -> NuValue:

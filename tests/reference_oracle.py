@@ -6,7 +6,8 @@ step's quotient (lattice.quotient_poly), with a tau of its own,
 (P(F) + delta) / rank(F).  reference_nu values a filtration on it.  The
 references here and in reference_maximizer and reference_pair_canonical
 read no step table, so a defect in the library's kernel does not move
-them with it.
+them with it.  ReferenceResult is the answer the reference searches
+return, a type of their own beside the library's CanonicalResult.
 
 scored_candidates and reference_max are the per-candidate scorer that
 thetastab.oracle.brute_force_max replaced: every feasible nondegenerate
@@ -28,6 +29,7 @@ so its values are nu itself, as scored_candidates builds them.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -43,8 +45,20 @@ from thetastab import (
     nu_compare,
     primitive_weights,
 )
-from thetastab.lattice import UnweightedFiltration, pair_pivot_index
+from thetastab.lattice import UnweightedFiltration, WeightedFiltration, pair_pivot_index
 from thetastab.oracle import iter_terms
+
+
+@dataclass(frozen=True)
+class ReferenceResult:
+    """A reference search's answer: its filtration, the filtration's value,
+    the exponent of n where its search stopped (None where it reads none),
+    and its source, "closed-form", or "oracle" for an oracle fallback."""
+
+    filtration: WeightedFiltration
+    value: NuValue
+    index: int | None = None
+    source: str = "closed-form"
 
 
 def iter_candidates(lat, pair=None, delta=None, bound=4):

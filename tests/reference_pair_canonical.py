@@ -31,9 +31,9 @@ from thetastab import (
 )
 from thetastab.errors import Semistable
 from thetastab.lattice import UnweightedFiltration, pair_pivot_index
-from thetastab.pairs import PairCanonicalResult, WeightMaximum
+from thetastab.pairs import WeightMaximum
 
-from reference_oracle import graded_steps, reference_nu
+from reference_oracle import ReferenceResult, graded_steps, reference_nu
 
 
 def _isotonic(units: list[Fraction], ranks: list[Fraction]) -> list[Fraction]:
@@ -105,7 +105,7 @@ def maximize_weights(
     return None
 
 
-def pair_canonical(pair: PairObject, delta: RatPoly | None) -> tuple[PairCanonicalResult, tuple]:
+def pair_canonical(pair: PairObject, delta: RatPoly | None) -> tuple[ReferenceResult, tuple]:
     """The canonical maximizer and the winner's tie-break key
     (length, ids, primitive weights), every chain on its own."""
     lat = pair.lattice
@@ -129,5 +129,5 @@ def pair_canonical(pair: PairObject, delta: RatPoly | None) -> tuple[PairCanonic
     if best is None:
         raise Semistable("no destabilizing filtration exists for this pair")
     filt = make_filtration(lat, best.chain, primitive_weights(best.weights), pair)
-    result = PairCanonicalResult(filtration=filt, value=reference_nu(filt, delta), source="closed-form")
+    result = ReferenceResult(filtration=filt, value=reference_nu(filt, delta), index=best.exponent)
     return result, best_key

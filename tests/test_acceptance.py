@@ -330,7 +330,7 @@ def test_criterion_08_polytope_containment(lat_b3, lat_o2_o):
     convex_checked = 0
     for lat in fixtures:
         lterm = leading_term(hn_filtration(lat))
-        target = polytope(lterm.chain, lterm.index)
+        target = polytope(lterm.filtration, lterm.index)
         for chain in enumerate_chains(lat):
             if not _chain_is_convex(chain):
                 continue

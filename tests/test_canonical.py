@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -7,6 +8,7 @@ import pytest
 from thetastab import (
     GREATER,
     LESS,
+    CanonicalResult,
     NuValue,
     RatPoly,
     build_lattice,
@@ -18,9 +20,11 @@ from thetastab import (
     is_semistable,
     leading_term,
     make_filtration,
+    maximize_weights,
     nu,
     nu_compare,
 )
+from thetastab.invariant import step_table
 from thetastab.errors import (
     AmbiguousHN,
     NegativeNu,
@@ -140,7 +144,7 @@ class TestLeadingTermAgainstReference:
             lterm = leading(hn)
         except ObjectSemistable as exc:
             return str(exc)
-        return lterm.chain.chain, lterm.index, lterm.weights, lterm.value
+        return lterm.filtration.chain, lterm.index, lterm.filtration.weights, lterm.value
 
     def assert_matches(self, lat):
         hn = hn_filtration(lat)
@@ -189,13 +193,13 @@ class TestLeadingTerm:
     def test_all_slopes_distinct(self, lat_b3):
         lterm = leading_term(hn_filtration(lat_b3))
         assert lterm.index == 0
-        assert lterm.chain.chain == ("F", "O5+O1", "O5")
-        assert lterm.weights == (-2, -1, 3)
+        assert lterm.filtration.chain == ("F", "O5+O1", "O5")
+        assert lterm.filtration.weights == (-2, -1, 3)
 
     def test_two_summands(self, lat_o2_o):
         lterm = leading_term(hn_filtration(lat_o2_o))
-        assert lterm.chain.chain == ("F", "O2")
-        assert lterm.weights == (-1, 1)
+        assert lterm.filtration.chain == ("F", "O2")
+        assert lterm.filtration.weights == (-1, 1)
 
     def test_semistable_rejected(self, lat_trivial):
         with pytest.raises(ObjectSemistable):
@@ -216,8 +220,8 @@ class TestLeadingTerm:
         assert hn.chain == ("F", "A")
         lterm = leading_term(hn)
         assert lterm.index == 0
-        assert lterm.chain.chain == ("F", "A")
-        assert lterm.weights == (-1, 1)  # constant slopes 3 and 5 around 4
+        assert lterm.filtration.chain == ("F", "A")
+        assert lterm.filtration.weights == (-1, 1)  # constant slopes 3 and 5 around 4
 
     def test_weights_primitive_and_deepest_positive(self):
         rng = random.Random(23)
@@ -230,9 +234,41 @@ class TestLeadingTerm:
                 continue
             lat = coordinate_lattice(twists, rng.choice((1, 2)))
             lterm = leading_term(hn_filtration(lat))
-            assert gcd(*lterm.weights) == 1
-            assert lterm.weights[-1] > 0
+            assert gcd(*lterm.filtration.weights) == 1
+            assert lterm.filtration.weights[-1] > 0
             built += 1
+
+
+class TestCanonicalResult:
+    """leading_term answers in the CanonicalResult pair_canonical answers in
+    too: canonical_filtration's filtration, the maximizer's exponent as its
+    index, and the class's one source."""
+
+    def test_seeded_lattices(self):
+        seen = Counter()
+        for arm, lat in seeded_lattices(20261204):
+            try:
+                hn = hn_filtration(lat)
+                result = leading_term(hn)
+            except (AmbiguousHN, ObjectSemistable):
+                continue
+            assert result.filtration == canonical_filtration(lat), lat.ids()
+            wm = maximize_weights(hn.chain, *step_table(lat)(hn.chain), None)
+            assert (result.index, result.filtration.chain) == (wm.exponent, wm.chain)
+            assert result.source == "closed-form"
+            seen[arm] += 1
+        assert set(seen) == {"coordinate", "sub-poset", "coprime", "lambda"}, seen
+        assert min(seen.values()) >= 10, seen
+
+    def test_source_is_a_constant(self, lat_o2_o):
+        result = leading_term(hn_filtration(lat_o2_o))
+        filt, value, index = result.filtration, result.value, result.index
+        assert CanonicalResult(filt, value, index) == result
+        assert CanonicalResult.source == "closed-form"
+        with pytest.raises(TypeError):
+            CanonicalResult(filt, value, index, "oracle")
+        with pytest.raises(TypeError):
+            CanonicalResult(filt, value, index, source="oracle")
 
 
 class TestCanonicalFiltration:

@@ -181,11 +181,11 @@ class TestPairCommands:
         assert code == 0 and "oracle (bound 6): agrees" in out
 
     def test_pair_canonical_reports_disagreement(self, capsys, monkeypatch):
-        from thetastab import make_filtration, nu_delta, pairs
+        from thetastab import CanonicalResult, make_filtration, nu_delta, pairs
 
         def worse(pair, delta):
             filt = make_filtration(pair.lattice, ("F", "O5"), (0, 1), pair)
-            return pairs.PairCanonicalResult(filt, nu_delta(filt, delta), "closed-form")
+            return CanonicalResult(filt, nu_delta(filt, delta), 0)
 
         monkeypatch.setattr(pairs, "pair_canonical", worse)
         code, payload, _ = run_json(
@@ -550,6 +550,40 @@ class TestChainWalkIsBounded:
         assert (code, out) == (1, "")
         assert err == f"error: WorkBudgetExceeded: more than 7 candidates at W={bound} exceed the budget of 7\n"
 
+    def test_a_huge_bound_refuses_without_counting(self, capsys, tmp_path, monkeypatch):
+        # 160 nonzero members at a 2201-digit bound: W + 159 * C(W + 1, 2)
+        # candidates at least, over 4300 digits, so the count is never made
+        # (exactly, it took seconds) and the output is what it printed
+        from thetastab import oracle
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the count is past the budget unmade")
+
+        monkeypatch.setattr(oracle, "candidate_count", fail)
+        path = _total_order(tmp_path / "total161.lattice", 161)
+        bound = "9" * 2201
+        start = time.perf_counter()
+        code, out, err = run(capsys, "oracle", path, "--bound", bound)
+        assert (code, out) == (1, "")
+        assert err == f"error: WorkBudgetExceeded: more than 100000 candidates at W={bound} exceed the budget of 100000\n"
+        code, out, _ = run(capsys, "pair-canonical", path, "--delta", "1/2", "--bound", bound)
+        assert code == 0
+        assert out.splitlines()[-1] == f"oracle (bound {bound}): skipped (more than 100000 candidates > budget 100000)"
+        assert time.perf_counter() - start < 5.0
+
+    def test_a_count_within_the_digit_limit_is_made(self, capsys, tmp_path, monkeypatch):
+        # at W = 10^2149 the lower bound on the 23 nonzero members has 4300
+        # digits, not more: the exact count is made and, too long to print, named
+        from thetastab import oracle
+
+        counted, count = [], oracle.candidate_count
+        monkeypatch.setattr(oracle, "candidate_count", lambda *args: counted.append(args) or count(*args))
+        path = _total_order(tmp_path / "total24.lattice", 24)
+        bound = str(10**2149)
+        code, _, err = run(capsys, "oracle", path, "--bound", bound)
+        assert code == 1 and len(counted) == 1
+        assert err == f"error: WorkBudgetExceeded: more than 100000 candidates at W={bound} exceed the budget of 100000\n"
+
 
 class TestCountsOverBudget:
     """A refused count is printed when str can print it, at most
@@ -596,6 +630,22 @@ class TestOneTablePerSearch:
         assert not hasattr(oracle, "step_table")
         code, _, _ = run(capsys, argv[0], FIXTURES / "example_nonconvex.lattice", *argv[1:])
         assert code == 0 and len(made) == tables
+
+
+class TestOneChainCheckPerAnswer:
+    """canonical and polytope validate two chains, the HN chain and the
+    answer's filtration, and build neither again from the answer."""
+
+    @pytest.mark.parametrize("command", ["canonical", "polytope"])
+    def test_make_chain_calls_on_example_nonconvex(self, capsys, monkeypatch, command):
+        from thetastab import canonical, cli, invariant, lattice, pairs
+
+        made, real = [], lattice.make_chain
+        for module in (lattice, canonical, cli, invariant, pairs):  # everywhere it may be imported
+            if hasattr(module, "make_chain"):
+                monkeypatch.setattr(module, "make_chain", lambda *args: made.append(args) or real(*args))
+        code, _, _ = run(capsys, command, FIXTURES / "example_nonconvex.lattice")
+        assert code == 0 and len(made) == 2
 
 
 class TestTheJudgeReadsNoStepTable:

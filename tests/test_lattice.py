@@ -225,6 +225,15 @@ class TestMakeFiltration:
         with pytest.raises(WeightsNotIncreasing):
             make_filtration(lat_o2_o, ("F", "O2"), (1, 1))
 
+    @pytest.mark.parametrize("weights", [
+        (-1.7, 1.2), (-1.0, 1.0), (Fraction(-1, 2), Fraction(3, 2)), (Fraction(-1), Fraction(1)),
+        ("-1", "1"), (-1, None),
+    ], ids=["floats", "integral-floats", "fractions", "integral-fractions", "strings", "none"])
+    def test_weights_must_be_integers(self, lat_o2_o, weights):
+        # each would once have been truncated by int(), some to another filtration
+        with pytest.raises(WeightsNotIncreasing, match="weights must be integers"):
+            make_filtration(lat_o2_o, ("F", "O2"), weights)
+
 
 class TestGradedPieces:
     def test_two_step_pieces(self, lat_o2_o):

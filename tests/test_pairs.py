@@ -539,8 +539,8 @@ class TestMaximizerValue:
             calls["subtractions"] += 1
             return real(x, y)
 
-        for name in ("maximize_weights", "make_filtration", "nu_on", "dot"):  # dot where invariant calls it
-            module = invariant if name == "dot" else pairs
+        for name in ("maximize_weights", "make_filtration", "nu_on", "dot"):  # each where it is called
+            module = pairs if name == "maximize_weights" else invariant
             monkeypatch.setattr(module, name, counting(module, name))
         real_table, real_stats = pairs.step_table, lattice_mod.ObjectClass.stats
         monkeypatch.setattr(pairs, "step_table", spied_table)
@@ -847,6 +847,17 @@ class TestSaturatedChains:
         assert len(calls) == 120 and len(set(calls)) == 120
         assert len(enumerate_chains(lat)) == 541
 
+    @pytest.mark.parametrize("delta", [Fraction(1, 2), Fraction(-1), Fraction(3)])
+    def test_index_is_the_winners_exponent(self, monkeypatch, delta):
+        lat = coordinate_lattice({f"L{i}": (i * 7) % 5 - 2 + i for i in range(4)}, 2)
+        pair = PairObject(lattice=lat, beta_image="L0")
+        found, original = [], pairs.maximize_weights
+        monkeypatch.setattr(pairs, "maximize_weights", lambda *args: found.append(original(*args)) or found[-1])
+        result = pair_canonical(pair, const(delta))
+        f = result.filtration
+        (winner,) = {wm for wm in found if wm and (wm.chain, primitive_weights(wm.weights)) == (f.chain, f.weights)}
+        assert result.index == winner.exponent and result.source == "closed-form"
+
     @staticmethod
     def assert_matches_all_chains_reference(cases):
         """The sources of the reference's answers over (pair, d) cases."""
@@ -935,6 +946,7 @@ class TestAgainstReferencePairCanonical:
         assert nu_compare(result.value, ref.value) == EQUAL
         assert (result.value.L, result.value.b) == (ref.value.L, ref.value.b)
         assert (len(f.chain), f.chain, f.weights) == ref_key
+        assert result.index == ref.index  # where the winner's descent stopped
         seen[form] += 1
 
     def test_seeded_coordinate_lattices(self):

@@ -8,9 +8,19 @@ gr = sup/sub contributes, per unit weight, with no quotient formed,
     c = (reduced(gr) - reduced(F)) * rank(gr) - delta * rank(gr) / rank(F)
       = P(gr) - rank(gr) * tau = a(sup) - a(sub).
 
-A query's step table, step_table(lat, delta), makes tau once, a(G) once
-per member and one entry (N_gr[d], c) per distinct step, each on first
-use; the searches read a chain's steps from it by the chain's ids alone.
+A query's step table, step_table(lat, delta), reads a(G) off the
+lattice's integer table N (see lattice) as the integer row K * a(G),
+
+    A_G = E * (N_F[d] * N_G - N_G[d] * N_F) - D * N_G[d] * (E * delta)
+        = lead * N_G - N_G[d] * base,   lead = E * N_F[d], base = E * (N_F + D * delta),
+
+over the exponents some member or delta has, for E the lcm of delta's
+denominators, D the table's and K = D * E * N_F[d] = D * lead.  It makes
+each member's row once, on first use, and one entry (N_gr[d], c) per
+distinct step: N_sup[d] - N_sub[d] and the RatPoly (A_sup - A_sub) / K,
+one integer subtraction and one Fraction per nonzero coefficient.  It
+reads no member statistics and does no RatPoly arithmetic; the searches
+read a chain's steps from it by the chain's ids alone.
 N_gr[d] = N_sup[d] - N_sub[d] is the rank of gr on the lattice's integer
 table, rank(gr) / s for s = lat.rank_scale.  The invariant of weights w is
 nu = <w, c> / sqrt(b) with b = sum rank(gr_m) * w_m^2.  Every search reads
@@ -92,7 +102,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from math import factorial
+from math import factorial, lcm
 from typing import Callable, ClassVar, Iterable, Sequence
 
 from .errors import BadIndex
@@ -111,12 +121,19 @@ def step_table(
     lat: SubobjectLattice, delta: RatPoly | None = None
 ) -> Callable[[tuple[str, ...]], tuple[tuple[int, ...], tuple[RatPoly, ...]]]:
     """The map from a chain's ids, top first, to its steps' ranks and
-    contributions: tau once, then each member's a(G) and each distinct
-    step's entry (N_sup[d] - N_sub[d], a(sup) - a(sub)) once, on first use."""
-    top = lat.top.stats
-    tau = top.reduced if delta is None else top.reduced + delta * (1 / top.rank)
+    contributions: each member's row A_G = K * a(G) and each distinct
+    step's entry (N_sup[d] - N_sub[d], (A_sup - A_sub) / K) once, on first
+    use (see the module docstring)."""
+    terms = {} if delta is None else delta._coeffs
+    scale = lcm(*(c.denominator for c in terms.values()))
     rows, d = lat.numerators, lat.dim
-    values = {lat.zero_id: RatPoly.zero()}  # member -> a(member)
+    top = rows[lat.top_id]
+    exponents = sorted({e for row in rows.values() for e, n in enumerate(row) if n} | terms.keys(), reverse=True)
+    twist = {e: lat.denominator * c.numerator * (scale // c.denominator) for e, c in terms.items()}
+    lead = scale * top[d]
+    den = lat.denominator * lead  # K
+    base = [(scale * top[e] if 0 <= e <= d else 0) + twist.get(e, 0) for e in exponents]
+    values = {lat.zero_id: (0,) * len(exponents)}  # member -> A_member
     table: dict[tuple[str, str], tuple[int, RatPoly]] = {}  # (sub, sup) -> its entry
 
     def steps_of(ids: tuple[str, ...]) -> tuple[tuple[int, ...], tuple[RatPoly, ...]]:
@@ -125,12 +142,24 @@ def step_table(
             if (sub, sup) not in table:
                 for member in (sub, sup):
                     if member not in values:
-                        stats = lat.member(member).stats
-                        values[member] = stats.poly - tau * stats.rank
-                table[sub, sup] = rows[sup][d] - rows[sub][d], values[sup] - values[sub]
+                        values[member] = _member_row(rows[member], d, exponents, lead, base)
+                table[sub, sup] = rows[sup][d] - rows[sub][d], _step_poly(values[sup], values[sub], exponents, den)
         return tuple(zip(*map(table.__getitem__, steps)))
 
     return steps_of
+
+
+def _member_row(
+    row: tuple[int, ...], d: int, exponents: list[int], lead: int, base: list[int]
+) -> tuple[int, ...]:
+    """A_G = lead * N_G - N_G[d] * base over exponents, for G's table row N_G."""
+    rank = row[d]
+    return tuple((lead * row[e] if 0 <= e <= d else 0) - rank * b for e, b in zip(exponents, base))
+
+
+def _step_poly(upper: tuple[int, ...], lower: tuple[int, ...], exponents: list[int], den: int) -> RatPoly:
+    """(upper - lower) / den over exponents: one Fraction per nonzero entry."""
+    return RatPoly._of({e: Fraction(a - b, den) for e, a, b in zip(exponents, upper, lower) if a != b})
 
 
 def dot(weights: Sequence[int | Fraction], contribs: Sequence[RatPoly]) -> RatPoly:
@@ -284,7 +313,7 @@ def maximize_weights(
     maximum merges steps (ids, contributions and ranks together).
     """
     pinned = False
-    for exponent in sorted({e for c in contribs for e, _ in c.items()}, reverse=True):
+    for exponent in sorted({e for c in contribs for e in c._coeffs}, reverse=True):
         units = [c.coeff(exponent) for c in contribs]
         fit = _isotonic(units, ranks)
         if pivot is not None and (pinned or fit[pivot] < 0):

@@ -28,7 +28,9 @@ repeat the weight of the step they split, the pivot's included), so every
 chain's maximizer is that of its saturated refinements, and
 pair_canonical visits saturated chains only: saturated_chains walks them
 here, over the lattice's covers, as id tuples (the oracle, which judges
-the answer, walks chains of its own).  Saturated chains share their
+the answer, walks chains of its own), and saturated_chain_count counts
+them in one pass over the covers without walking any, so the CLI can
+refuse a walk past its budget before it starts.  Saturated chains share their
 steps (k! chains over k * 2^(k-1) steps on the sub-sum lattice of k
 summands), so each query looks every chain's ids up in one step table
 (see invariant) and hands the entries to maximize_weights with the
@@ -74,15 +76,19 @@ def pair_semistable(
     # N_G[d], its numerator is E * N_G + [beta <= G] * D * (E * delta), with
     # D the lattice's denominator and E the lcm of delta's, on the exponents
     # that occur (0..d and delta's), lowest first: all rows vanish elsewhere.
-    # At delta = 0, E = 1 and the twist vanishes: these are the table's rows.
+    # When E = 1 and delta lies in 0..d, the table's rows need no rescaling:
+    # each is passed on as it is, and only beta's up-set takes a new row,
+    # row + twist, when the twist is nonzero (delta != 0).
     terms = delta._coeffs
     exponents = sorted({*range(lat.dim + 1), *terms})
     scale = lcm(*(c.denominator for c in terms.values()))
     twist = [int(lat.denominator * scale * terms.get(e, 0)) for e in exponents]
+    rescale = scale != 1 or len(exponents) > lat.dim + 1
+    twisted = {beta, *lat.above(beta)} if any(twist) else set()
     numerators = {}
-    twisted = {beta, *lat.above(beta)}
     for member_id, row in lat.numerators.items():
-        row = tuple(scale * row[e] if 0 <= e <= lat.dim else 0 for e in exponents)
+        if rescale:
+            row = tuple(scale * row[e] if 0 <= e <= lat.dim else 0 for e in exponents)
         if member_id in twisted:
             row = tuple(map(add, row, twist))
         numerators[member_id] = row
@@ -103,6 +109,23 @@ def saturated_chains(lat: SubobjectLattice) -> Iterator[tuple[str, ...]]:
         if not below:
             yield ids
         stack.extend(ids + (sub,) for sub in reversed(below))
+
+
+def saturated_chain_count(lat: SubobjectLattice) -> int:
+    """The number of chains saturated_chains walks, in one pass over
+    lat.covers in rank order, walking none: paths[m] counts the chains of
+    covers from the top down to m, and a chain ends at a member with no
+    lower cover, as in the walk."""
+    rows, d, covers = lat.numerators, lat.dim, lat.covers
+    paths = dict.fromkeys(lat.nonzero_ids(), 0)
+    paths[lat.top_id] = 1
+    total = 0
+    for sup in sorted(paths, key=lambda m: rows[m][d], reverse=True):  # above before below
+        for sub in covers[sup]:
+            paths[sub] += paths[sup]
+        if not covers[sup]:
+            total += paths[sup]
+    return total
 
 
 def pair_canonical(pair: PairObject, delta: RatPoly | None) -> CanonicalResult:

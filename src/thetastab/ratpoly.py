@@ -47,6 +47,9 @@ RationalLike = Union[int, str, Fraction]
 #: Degree of the zero polynomial; compares below every integer.
 NEG_INFINITY = float("-inf")
 
+#: The coefficient coeff reads at an absent exponent, built once.
+_ZERO = Fraction(0)
+
 LESS, EQUAL, GREATER = -1, 0, 1
 
 
@@ -181,7 +184,7 @@ class RatPoly:
         return tuple(sorted(self._coeffs.items(), reverse=True))
 
     def coeff(self, exponent: int) -> Fraction:
-        return self._coeffs.get(exponent, Fraction(0))
+        return self._coeffs.get(exponent, _ZERO)
 
     def degree(self) -> int | float:
         """Highest exponent, or -inf for the zero polynomial."""

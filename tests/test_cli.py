@@ -333,6 +333,36 @@ class TestWorkBudget:
         assert code == 1 and err.startswith("error: WorkBudgetExceeded: 2599050 candidates")
 
 
+    def test_pair_canonical_refuses_past_the_chain_budget(self, capsys, tmp_path, monkeypatch):
+        # the k = 4 pair has 24 saturated chains: under a budget of 23 an
+        # unstable pair is refused before any chain is walked, and a
+        # semistable one (equal twists) still answers Semistable
+        from thetastab import cli, pairs
+
+        paths = {}
+        for name, twists in (("unstable", (-2, 0, 2, 4)), ("semistable", (1, 1, 1, 1))):
+            doc = coordinate_lattice({f"L{i}": t for i, t in enumerate(twists)}).as_dict()
+            paths[name] = tmp_path / f"{name}.lattice"
+            paths[name].write_text(json.dumps({**doc, "pair": {"beta_image": "L0"}}))
+        argv = ("--delta", "1/2", "--bound", "2")
+        code, answered, _ = run_json(capsys, "pair-canonical", paths["unstable"], *argv)
+        assert code == 0 and answered["filtration"]["chain"]
+
+        def fail(*args, **kwargs):
+            raise AssertionError("no chain may be walked over budget")
+
+        monkeypatch.setattr(pairs, "saturated_chains", fail)
+        monkeypatch.setattr(cli, "CHAIN_BUDGET", 23)
+        code, out, err = run(capsys, "pair-canonical", paths["unstable"], *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: WorkBudgetExceeded: 24 saturated chains exceed the budget of 23\n"
+        code, out, err = run(capsys, "pair-canonical", paths["semistable"], "--delta", "0")
+        assert (code, out) == (1, "") and err.startswith("error: Semistable: ")
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "CHAIN_BUDGET", 24)
+        assert run_json(capsys, "pair-canonical", paths["unstable"], *argv)[:2] == (0, answered)
+
+
 BIG = "1" + "0" * 400
 
 

@@ -10,6 +10,7 @@ from thetastab import (
     NuValue,
     Polytope2,
     RatPoly,
+    build_lattice,
     enumerate_chains,
     make_chain,
     make_filtration,
@@ -20,10 +21,14 @@ from thetastab import (
     weight_graded,
     weight_subobject,
 )
+from thetastab import lattice as lattice_mod
+from thetastab import ratpoly as ratpoly_mod
 from thetastab.canonical import hn_filtration
 from thetastab.errors import BadIndex
+from thetastab.invariant import step_table
 
-from randgen import random_path_filtration
+from conftest import coordinate_lattice
+from randgen import random_delta, random_lambda_lattice, random_path_filtration, random_subposet_lattice
 from reference_polytope import polytope_subset
 
 
@@ -204,3 +209,38 @@ class TestPolytopes:
                 for c in hulls:
                     if polytope_subset(a, b) and polytope_subset(b, c):
                         assert polytope_subset(a, c)
+
+
+class TestStepTableReadsTheIntegerTable:
+    """step_table reads each member's integer row off the lattice's table:
+    no member statistics, no reduced polynomial and no RatPoly +, - or *,
+    on any lattice or form of delta, d = 2000 included."""
+
+    FORMS = (None, "zero", "negative", "Laurent", "degree <= d-1", "degree d", "degree > d")
+
+    def test_no_statistics_and_no_ratpoly_arithmetic(self, monkeypatch):
+        rng = random.Random(20261030)
+        cases = []
+        for form in self.FORMS:
+            d = rng.choice((1, 2))
+            for lat in (coordinate_lattice({f"L{i}": rng.randint(-3, 3) for i in range(rng.randint(2, 4))}, d),
+                        random_subposet_lattice(rng, rng.randint(2, 4), d, 0.6),
+                        random_lambda_lattice(rng, rng.randint(2, 4), d, 0.3),
+                        build_lattice(2000, {"0": {}, "E": {2000: 1, 0: 5}, "F": {2000: 2, 0: 1}}, [("E", "F")])):
+                cases.append((lat, random_delta(rng, lat.dim, form), [c.chain for c in enumerate_chains(lat)]))
+
+        def fail(*args):
+            raise AssertionError("the step table read statistics or did RatPoly arithmetic")
+
+        monkeypatch.setattr(lattice_mod.ObjectClass, "stats", property(fail))
+        monkeypatch.setattr(ratpoly_mod.HilbertStats, "reduced", property(fail))
+        for name in ("__add__", "__sub__", "__mul__", "__rmul__", "__neg__"):
+            monkeypatch.setattr(RatPoly, name, fail)
+        entries = 0
+        for lat, delta, chains in cases:
+            steps_of = step_table(lat, delta)
+            for ids in chains:
+                ranks, contribs = steps_of(ids)
+                assert len(ranks) == len(contribs) == len(ids)
+                entries += len(ids)
+        assert entries > 500, entries

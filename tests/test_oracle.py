@@ -322,21 +322,30 @@ class TestAgainstReferenceOracle:
 
 class TestTwoKernelsOneAnswer:
     """The library reads members, the references quotients.  A step
-    table's entry, a(sup) - a(sub) with a(G) = P(G) - rank(G) * tau, is
-    the quotient's P(gr) - rank(gr) * tau (reference_oracle.graded_steps),
-    and iter_terms' stream, read off integer member rows over one
-    denominator, is the stream laid out over per-column lcms from the
-    quotients' contributions, terms dicts and their keys included."""
+    table's entry, (A_sup - A_sub) / K for the integer member rows
+    A_G = K * a(G), a(G) = P(G) - rank(G) * tau, is the quotient's
+    P(gr) - rank(gr) * tau (reference_oracle.graded_steps), and iter_terms'
+    stream, read off integer member rows over one denominator, is the
+    stream laid out over per-column lcms from the quotients'
+    contributions, terms dicts and their keys included."""
 
-    KINDS = ("coordinate", "sub-poset", "coprime", "lambda", "twice")
+    KINDS = ("coordinate", "sub-poset", "coprime", "lambda", "twice", "d2000")
+    # random_delta's forms, and a delta past both ends of 0..d at once:
+    # Laurent, of degree above d and with a term at d
+    FORMS = (*TestAgainstReferenceOracle.FORMS, "both ends")
 
     @classmethod
     def cases(cls, seed):
         # each kind at every form of delta, with a marked image or none;
-        # "twice" is p2_o1_o_twice.lattice, whose rank_scale is 2
+        # "twice" is p2_o1_o_twice.lattice, whose rank_scale is 2, and
+        # "d2000" a two-member lattice at d = 2000, whose rows hold two
+        # exponents each
         rng = random.Random(seed)
-        twice = load_lattice(FIXTURES / "p2_o1_o_twice.lattice")[0]
-        for form, kind in product(TestAgainstReferenceOracle.FORMS, cls.KINDS):
+        fixed = {
+            "twice": load_lattice(FIXTURES / "p2_o1_o_twice.lattice")[0],
+            "d2000": build_lattice(2000, {"0": {}, "E": {2000: 1, 0: 5}, "F": {2000: 2, 0: 1}}, [("E", "F")]),
+        }
+        for form, kind in product(cls.FORMS, cls.KINDS):
             d = rng.choice((1, 2))
             if kind == "coordinate":
                 lat = coordinate_lattice({f"L{i}": rng.randint(-3, 3) for i in range(rng.randint(2, 4))}, d)
@@ -347,10 +356,15 @@ class TestTwoKernelsOneAnswer:
             elif kind == "lambda":
                 lat = random_lambda_lattice(rng, rng.randint(2, 4), d, 0.3)
             else:
-                lat = twice
+                lat = fixed[kind]
             beta = rng.choice((None, *lat.nonzero_ids()))
             pair = None if beta is None else PairObject(lattice=lat, beta_image=beta)
-            yield kind, lat, pair, random_delta(rng, lat.dim, form)
+            if form == "both ends":
+                terms = (lat.dim + rng.randint(1, 3), lat.dim, -rng.randint(1, 3))
+                delta = P({e: Fraction(rng.randint(-6, 6) or 1, rng.randint(1, 4)) for e in terms})
+            else:
+                delta = random_delta(rng, lat.dim, form)
+            yield kind, lat, pair, delta
 
     def test_step_entries_are_the_quotients(self):
         seen, scales = dict.fromkeys(self.KINDS, 0), set()
@@ -363,6 +377,8 @@ class TestTwoKernelsOneAnswer:
                 assert list(contribs) == expected, (kind, chain.chain, delta)
                 seen[kind] += 1
             scales.add(lat.rank_scale)
+        # the d = 2000 lattice has two chains, (F,) and (F, E), at each form
+        assert seen.pop("d2000") == 2 * len(self.FORMS), seen
         assert all(count >= 20 for count in seen.values()) and {1, 2} <= scales, (seen, scales)
 
     def test_iter_terms_is_the_lcm_stream(self):

@@ -159,6 +159,30 @@ class TestPairSemistableRows:
             width = lat.dim + 1 + sum(e not in range(lat.dim + 1) for e, _ in delta.items())
             assert rows and all(len(row) == width for row in rows), (delta, width)
 
+    def test_untwisted_rows_are_the_tables_own(self, monkeypatch):
+        # at delta = 0 and delta = 1 (E = 1, exponents in 0..d) no row needs
+        # rescaling: each member outside beta's up-set hands on its table
+        # tuple itself, and the up-set a new row only when twisted (delta = 1)
+        seen = []
+        original = pairs.destabilizing_member
+
+        def spy(lat, numerators=None):
+            seen.append(numerators)
+            return original(lat, numerators)
+
+        monkeypatch.setattr(pairs, "destabilizing_member", spy)
+        for k, beta in ((3, "L0"), (5, "L2+L0")):
+            lat = coordinate_lattice({f"L{i}": (i * 7) % 5 - 2 + i for i in range(k)})
+            up = {beta, *lat.above(beta)}
+            for delta in (RatPoly.zero(), const(1)):
+                seen.clear()
+                pair_semistable(PairObject(lattice=lat, beta_image=beta), delta)
+                (rows,) = seen
+                assert rows == {m: rows[m] for m in lat.numerators}
+                for member, row in rows.items():
+                    shared = row is lat.numerators[member]
+                    assert shared == (delta.is_zero() or member not in up), (k, delta, member)
+
     def test_spreading_the_exponents_changes_no_verdict(self):
         # only the order of the exponents matters: moving delta's exponents
         # above d up by 1000, and its negative ones down by 1000, leaves
@@ -509,14 +533,15 @@ class TestMaximizerValue:
     def test_pair_canonical_builds_only_the_winner(self, monkeypatch):
         # chains are ranked on (exponent, b); the full value (dot) is only
         # computed for the 12 of 120 chains that tie the incumbent on both,
-        # and once more for the winner's nu.  The query's step table values
-        # each of the 31 nonzero members once, a(G) = P(G) - rank(G) * tau
-        # from the member's statistics (read once each, the top once more
-        # for tau), and each of the 80 steps (sub, sup) of the walk once,
-        # a(sup) - a(sub), not once per chain through it (600 chain-steps):
-        # one RatPoly subtraction for each, and no quotient.  The winner is
-        # valued on the same table; it is saturated here, so it adds no step
-        calls = {"maximize_weights": 0, "make_filtration": 0, "nu_on": 0, "dot": 0, "subtractions": 0}
+        # and once more for the winner's nu.  The query's step table makes
+        # the integer row A_G = K * a(G) of each of the 31 nonzero members
+        # once, from the lattice's table alone (no member statistics), and
+        # the polynomial of each of the 80 steps (sub, sup) of the walk
+        # once, (A_sup - A_sub) / K, not once per chain through it (600
+        # chain-steps): no RatPoly subtraction, and no quotient.  The winner
+        # is valued on the same table; it is saturated here, so it adds no step
+        calls = dict.fromkeys(
+            ("maximize_weights", "make_filtration", "nu_on", "dot", "_member_row", "_step_poly", "subtractions"), 0)
         stats_reads = Counter()
         requested = set()  # the steps the chains ask their query's table for
 
@@ -539,7 +564,8 @@ class TestMaximizerValue:
             calls["subtractions"] += 1
             return real(x, y)
 
-        for name in ("maximize_weights", "make_filtration", "nu_on", "dot"):  # each where it is called
+        # each where it is called
+        for name in ("maximize_weights", "make_filtration", "nu_on", "dot", "_member_row", "_step_poly"):
             module = pairs if name == "maximize_weights" else invariant
             monkeypatch.setattr(module, name, counting(module, name))
         real_table, real_stats = pairs.step_table, lattice_mod.ObjectClass.stats
@@ -550,23 +576,25 @@ class TestMaximizerValue:
             lambda member: stats_reads.update([member.id]) or real_stats.__get__(member, lattice_mod.ObjectClass)))
         lat = coordinate_lattice({f"L{i}": (i * 7) % 5 - 2 + i for i in range(5)})
         result = pair_canonical(PairObject(lattice=lat, beta_image="L0"), const(Fraction(1, 2)))
-        expected = {"maximize_weights": 120, "make_filtration": 1, "nu_on": 1, "dot": 13, "subtractions": 31 + 80}
+        expected = {"maximize_weights": 120, "make_filtration": 1, "nu_on": 1, "dot": 13,
+                    "_member_row": 31, "_step_poly": 80, "subtractions": 0}
         assert calls == expected and len(requested) == 80
-        assert stats_reads == Counter({**dict.fromkeys(lat.nonzero_ids(), 1), lat.top_id: 2})
+        assert not stats_reads
         for pair, delta in TestPairCanonicalAsksFirst.semistable_pairs():
             with pytest.raises(Semistable):
                 pair_canonical(pair, delta)
         assert calls == expected
         assert result.value == nu_delta(result.filtration, const(Fraction(1, 2)))
-        # 2^k - 1 member values and k * 2^(k-1) steps (the edges of the
-        # k-cube) for k! saturated chains
+        # 2^k - 1 member rows and k * 2^(k-1) step polynomials (the edges
+        # of the k-cube) for k! saturated chains
         for k in (3, 4):
             calls.update(dict.fromkeys(calls, 0))
             stats_reads.clear(), requested.clear()
             lat = coordinate_lattice({f"L{i}": (i * 7) % 5 - 2 + i for i in range(k)})
             pair_canonical(PairObject(lattice=lat, beta_image="L0"), const(Fraction(1, 2)))
             assert (len(requested), calls["maximize_weights"]) == (k * 2 ** (k - 1), factorial(k))
-            assert len(stats_reads) == 2 ** k - 1 and calls["subtractions"] == 2 ** k - 1 + k * 2 ** (k - 1)
+            assert (calls["_member_row"], calls["_step_poly"]) == (2 ** k - 1, k * 2 ** (k - 1))
+            assert not stats_reads and calls["subtractions"] == 0
 
 
 class TestPairCanonicalFeedsTheMaximizer:
@@ -830,6 +858,23 @@ class TestSaturatedChains:
         chains = list(saturated_chains(lat))
         assert len(chains) == expected
         assert all(len(ids) == k for ids in chains)
+
+    def test_count_is_the_walks(self):
+        # saturated_chain_count walks no chain, yet counts the walk's: on
+        # seeded coordinate lattices (k <= 6), sub-posets, Lambda-module
+        # lattices, total orders and the fixtures
+        lattices = [load_lattice(path)[0] for path in sorted(FIXTURES.glob("*.lattice"))]
+        rng = random.Random(20261030)
+        lattices += [coordinate_lattice({f"L{i}": rng.randint(-3, 3) for i in range(k)}, rng.choice((1, 2)))
+                     for k in range(1, 7)]
+        for _, family_rng, draw in subposet_families(20261030):
+            lattices += [draw(family_rng, family_rng.randint(2, 5), family_rng.choice((1, 2))) for _ in range(30)]
+        for m in (2, 3, 40):
+            ids = [f"G{k:02d}" for k in range(1, m)]
+            lattices.append(build_lattice(1, {"0": {}, **{i: {1: k} for k, i in enumerate(ids, 1)}}, zip(ids, ids[1:])))
+        counts = [pairs.saturated_chain_count(lat) for lat in lattices]
+        assert counts == [len(list(saturated_chains(lat))) for lat in lattices]
+        assert factorial(6) in counts and len(set(counts)) >= 10, sorted(set(counts))
 
     def test_pair_canonical_visits_only_saturated_chains(self, monkeypatch):
         lat = coordinate_lattice({f"L{i}": (i * 7) % 5 - 2 + i for i in range(5)})

@@ -51,25 +51,24 @@ from .ratpoly import (
 
 
 def destabilizing_member(
-    lat: SubobjectLattice, numerators: Mapping[str, Sequence[int]] | None = None
+    lat: SubobjectLattice, numerators: Mapping[str, Sequence[int]]
 ) -> ObjectClass | None:
-    """The proper nonzero member G whose reduced polynomial most exceeds
-    the ambient object's, ties broken by (rank, id), the larger winning;
-    None when no member exceeds it.
+    """The proper nonzero member G whose numerator row most exceeds the
+    ambient object's, each over N_G[d], a positive multiple of rank(G);
+    ties broken by (rank, id), the larger winning; None when no member
+    exceeds it.
 
-    Members are compared on the lattice's integer table by
-    ratpoly.reduced_compare, each numerator over N_G[d], a positive
-    multiple of rank(G): the table's own rows N_G = D * P(G), or the rows
-    numerators gives, all over one range of exponents, lowest first
-    (pair_semistable's twisted polynomials).
+    The rows are invariant.table_rows', all over one range of exponents,
+    lowest first, compared by ratpoly.reduced_compare: the table's own at
+    delta = 0, where the order is that of reduced polynomials, and
+    pair_semistable's, twisted on the marked image's up-set, for p_delta.
     """
     table, d = lat.numerators, lat.dim
-    nums = table if numerators is None else numerators
     witness: str | None = None
     # the numerator to beat: the ambient's, then the witness's
-    best, best_rank = nums[lat.top_id], table[lat.top_id][d]
+    best, best_rank = numerators[lat.top_id], table[lat.top_id][d]
     for member_id in lat.proper_nonzero_ids():
-        num, rank = nums[member_id], table[member_id][d]
+        num, rank = numerators[member_id], table[member_id][d]
         cmp = reduced_compare(num, rank, best, best_rank)
         if cmp == GREATER or (
             cmp == EQUAL and witness is not None and (rank, member_id) > (best_rank, witness)
@@ -80,8 +79,9 @@ def destabilizing_member(
 
 def is_semistable(lat: SubobjectLattice) -> tuple[bool, ObjectClass | None]:
     """Gieseker test: no nonzero proper member may beat the ambient object's
-    reduced polynomial; on failure the witness is destabilizing_member's."""
-    witness = destabilizing_member(lat)
+    reduced polynomial; on failure the witness is destabilizing_member's,
+    on the table's own rows (the delta = 0 rows)."""
+    witness = destabilizing_member(lat, lat.numerators)
     return witness is None, witness
 
 

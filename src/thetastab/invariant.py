@@ -8,19 +8,21 @@ gr = sup/sub contributes, per unit weight, with no quotient formed,
     c = (reduced(gr) - reduced(F)) * rank(gr) - delta * rank(gr) / rank(F)
       = P(gr) - rank(gr) * tau = a(sup) - a(sub).
 
-A query's step table, step_table(lat, delta), reads a(G) off the
-lattice's integer table N (see lattice) as the integer row K * a(G),
+delta meets the lattice's integer table N (see lattice) in one place,
+table_rows(lat, delta, twisted): over the exponents 0..d and delta's, with
+E the lcm of delta's denominators and D the table's, it lays out the twist
+row D * E * delta and each member's row R_G = E * N_G, the twist added for
+the members in twisted.  A query's step table, step_table(lat, delta),
+makes each distinct step's entry once, on first use, from two such rows:
+with dR = R_sup - R_sub, the rank N_sup[d] - N_sub[d] = dR[d] / E and
 
-    A_G = E * (N_F[d] * N_G - N_G[d] * N_F) - D * N_G[d] * (E * delta)
-        = lead * N_G - N_G[d] * base,   lead = E * N_F[d], base = E * (N_F + D * delta),
+    c = (R_F[d] * dR - dR[d] * (R_F + twist)) / (D * E * R_F[d]),
 
-over the exponents some member or delta has, for E the lcm of delta's
-denominators, D the table's and K = D * E * N_F[d] = D * lead.  It makes
-each member's row once, on first use, and one entry (N_gr[d], c) per
-distinct step: N_sup[d] - N_sub[d] and the RatPoly (A_sup - A_sub) / K,
-one integer subtraction and one Fraction per nonzero coefficient.  It
-reads no member statistics and does no RatPoly arithmetic; the searches
-read a chain's steps from it by the chain's ids alone.
+one Fraction per nonzero coefficient.  It reads no member statistics and
+does no RatPoly arithmetic; the searches read a chain's steps from it by
+the chain's ids alone.  pair_semistable reads the same rows, twisted on
+the marked image's up-set: its verdict is a sign test on the margins
+a(G) + [beta <= G] * delta of these values.
 N_gr[d] = N_sup[d] - N_sub[d] is the rank of gr on the lattice's integer
 table, rank(gr) / s for s = lat.rank_scale.  The invariant of weights w is
 nu = <w, c> / sqrt(b) with b = sum rank(gr_m) * w_m^2.  Every search reads
@@ -103,7 +105,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import factorial, lcm
-from typing import Callable, ClassVar, Iterable, Sequence
+from operator import add, sub
+from typing import Callable, ClassVar, Collection, Iterable, Sequence
 
 from .errors import BadIndex
 from .lattice import (
@@ -117,49 +120,53 @@ from .lattice import (
 from .ratpoly import NuValue, RatPoly
 
 
+def table_rows(
+    lat: SubobjectLattice, delta: RatPoly | None = None, twisted: Collection[str] = ()
+) -> tuple[list[int], int, tuple[int, ...], dict[str, tuple[int, ...]]]:
+    """delta laid over the lattice's integer table: the exponents 0..d and
+    delta's, lowest first; E, the lcm of delta's denominators; the twist
+    row D * E * delta; and each member's row E * N_G, the twist added for
+    the members in twisted.  When E = 1 and delta lies in 0..d, the
+    table's own tuples are handed on, and only twisted members take new
+    rows (none at delta = 0)."""
+    terms = {} if delta is None else delta._coeffs
+    d, scale = lat.dim, lcm(*(c.denominator for c in terms.values()))
+    exponents = sorted({*range(d + 1), *terms})
+    twist = tuple(int(lat.denominator * scale * terms.get(e, 0)) for e in exponents)
+    rows = lat.numerators
+    if scale != 1 or len(exponents) > d + 1:  # pad with delta's exponents below 0 and above d
+        low, high = (0,) * exponents.index(0), (0,) * (len(exponents) - exponents.index(d) - 1)
+        rows = {m: low + tuple([scale * n for n in row]) + high for m, row in rows.items()}
+    if terms and twisted:
+        rows = {**rows, **{m: tuple(map(add, rows[m], twist)) for m in twisted}}
+    return exponents, scale, twist, rows
+
+
 def step_table(
     lat: SubobjectLattice, delta: RatPoly | None = None
 ) -> Callable[[tuple[str, ...]], tuple[tuple[int, ...], tuple[RatPoly, ...]]]:
     """The map from a chain's ids, top first, to its steps' ranks and
-    contributions: each member's row A_G = K * a(G) and each distinct
-    step's entry (N_sup[d] - N_sub[d], (A_sup - A_sub) / K) once, on first
-    use (see the module docstring)."""
-    terms = {} if delta is None else delta._coeffs
-    scale = lcm(*(c.denominator for c in terms.values()))
-    rows, d = lat.numerators, lat.dim
-    top = rows[lat.top_id]
-    exponents = sorted({e for row in rows.values() for e, n in enumerate(row) if n} | terms.keys(), reverse=True)
-    twist = {e: lat.denominator * c.numerator * (scale // c.denominator) for e, c in terms.items()}
-    lead = scale * top[d]
-    den = lat.denominator * lead  # K
-    base = [(scale * top[e] if 0 <= e <= d else 0) + twist.get(e, 0) for e in exponents]
-    values = {lat.zero_id: (0,) * len(exponents)}  # member -> A_member
+    contributions: each distinct step's entry, on first use, from the two
+    rows of table_rows(lat, delta) (see the module docstring)."""
+    exponents, scale, twist, rows = table_rows(lat, delta)
+    top, at_d = rows[lat.top_id], exponents.index(lat.dim)
+    lead = top[at_d]  # R_F[d] = E * N_F[d]
+    den = lat.denominator * scale * lead  # D * E * R_F[d]
+    base = tuple(map(add, top, twist))
     table: dict[tuple[str, str], tuple[int, RatPoly]] = {}  # (sub, sup) -> its entry
 
     def steps_of(ids: tuple[str, ...]) -> tuple[tuple[int, ...], tuple[RatPoly, ...]]:
         steps = tuple(zip(ids[1:] + (lat.zero_id,), ids))
-        for sub, sup in steps:
-            if (sub, sup) not in table:
-                for member in (sub, sup):
-                    if member not in values:
-                        values[member] = _member_row(rows[member], d, exponents, lead, base)
-                table[sub, sup] = rows[sup][d] - rows[sub][d], _step_poly(values[sup], values[sub], exponents, den)
+        for lower, upper in steps:
+            if (lower, upper) not in table:
+                diff = tuple(map(sub, rows[upper], rows[lower]))
+                rank = diff[at_d]
+                coeffs = (lead * g - rank * b for g, b in zip(diff, base))
+                poly = RatPoly._of({e: Fraction(c, den) for e, c in zip(exponents, coeffs) if c})
+                table[lower, upper] = rank // scale, poly
         return tuple(zip(*map(table.__getitem__, steps)))
 
     return steps_of
-
-
-def _member_row(
-    row: tuple[int, ...], d: int, exponents: list[int], lead: int, base: list[int]
-) -> tuple[int, ...]:
-    """A_G = lead * N_G - N_G[d] * base over exponents, for G's table row N_G."""
-    rank = row[d]
-    return tuple((lead * row[e] if 0 <= e <= d else 0) - rank * b for e, b in zip(exponents, base))
-
-
-def _step_poly(upper: tuple[int, ...], lower: tuple[int, ...], exponents: list[int], den: int) -> RatPoly:
-    """(upper - lower) / den over exponents: one Fraction per nonzero entry."""
-    return RatPoly._of({e: Fraction(a - b, den) for e, a, b in zip(exponents, upper, lower) if a != b})
 
 
 def dot(weights: Sequence[int | Fraction], contribs: Sequence[RatPoly]) -> RatPoly:

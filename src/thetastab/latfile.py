@@ -102,6 +102,8 @@ def load_lattice(path: str | Path) -> tuple[SubobjectLattice, PairObject | None]
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # nested deeper than the parser recurses
+        raise ParseError(f"{path} is nested too deeply to parse") from exc
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: top-level document must be an object")
 

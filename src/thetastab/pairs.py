@@ -20,6 +20,11 @@ semistable iff no proper member has p_delta(G) > tau: Gieseker's test on
 p_delta, which is Le Potier's criterion, and plain Gieseker at delta = 0.
 Otherwise such a G, or the trivial chain when delta < 0 or when delta > 0
 and the framing map vanishes, destabilizes with weights in {-1, 0, 1}.
+The numerators the test compares over the table's N_G[d] are
+invariant.table_rows' rows twisted on beta's up-set, the rows the step
+table reads, and rank(G) * (p_delta(G) - tau) = a(G) + [beta <= G] * delta
+is the margin of the invariant's member value a(G): the test asks
+whether some proper member's margin is eventually positive.
 
 The walk.  maximize_weights (see invariant) maximizes nu over one chain's
 weight cone, given its ids, its steps' graded ranks and contributions,
@@ -45,13 +50,11 @@ same table.
 
 from __future__ import annotations
 
-from math import lcm
-from operator import add
 from typing import Iterator
 
 from .canonical import destabilizing_member
 from .errors import Semistable
-from .invariant import CanonicalResult, WeightMaximum, maximize_weights, step_table
+from .invariant import CanonicalResult, WeightMaximum, maximize_weights, step_table, table_rows
 from .lattice import ObjectClass, PairObject, SubobjectLattice, pair_pivot_index, primitive_weights
 from .ratpoly import GREATER, LESS, RatPoly, eventual_compare, nu_compare
 
@@ -73,26 +76,9 @@ def pair_semistable(
         return False, None
 
     # p_delta(G) = (P(G) + [beta <= G] * delta) / rank(G): over the table's
-    # N_G[d], its numerator is E * N_G + [beta <= G] * D * (E * delta), with
-    # D the lattice's denominator and E the lcm of delta's, on the exponents
-    # that occur (0..d and delta's), lowest first: all rows vanish elsewhere.
-    # When E = 1 and delta lies in 0..d, the table's rows need no rescaling:
-    # each is passed on as it is, and only beta's up-set takes a new row,
-    # row + twist, when the twist is nonzero (delta != 0).
-    terms = delta._coeffs
-    exponents = sorted({*range(lat.dim + 1), *terms})
-    scale = lcm(*(c.denominator for c in terms.values()))
-    twist = [int(lat.denominator * scale * terms.get(e, 0)) for e in exponents]
-    rescale = scale != 1 or len(exponents) > lat.dim + 1
-    twisted = {beta, *lat.above(beta)} if any(twist) else set()
-    numerators = {}
-    for member_id, row in lat.numerators.items():
-        if rescale:
-            row = tuple(scale * row[e] if 0 <= e <= lat.dim else 0 for e in exponents)
-        if member_id in twisted:
-            row = tuple(map(add, row, twist))
-        numerators[member_id] = row
-    witness = destabilizing_member(lat, numerators)
+    # N_G[d] its numerator is table_rows' E * N_G, plus the twist on beta's up-set
+    twisted = {beta, *lat.above(beta)} if sign == GREATER else ()
+    witness = destabilizing_member(lat, table_rows(lat, delta, twisted)[3])
     return witness is None, witness
 
 

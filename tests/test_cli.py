@@ -1237,28 +1237,101 @@ def lattice_documents(draw):
     return doc
 
 
+# any JSON value: leaves of every type (NaN and infinities too, which
+# json writes and reads back) nested a few levels deep
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(), st.text(max_size=4),
+              st.sampled_from(DOC_IDS), DOC_COEFF),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def shaped_documents(draw):
+    """A document of any shape: usually an object whose keys dimension,
+    objects, relations and pair are each absent, any JSON value, or a
+    value of the expected shape whose ids, exponents and coefficients are
+    any JSON value.  Integers stay small: the integer table keeps d + 1
+    entries per member."""
+    ids = st.one_of(st.sampled_from(DOC_IDS), JSON_VALUES)
+    hilbert = st.one_of(
+        st.dictionaries(st.one_of(st.sampled_from(["0", "1", "2", "-1", "01"]), st.text(max_size=3)),
+                        st.one_of(DOC_COEFF, JSON_VALUES), max_size=3),
+        JSON_VALUES,
+    )
+    shapes = {
+        "dimension": st.integers(0, 2),
+        "objects": st.lists(st.one_of(st.fixed_dictionaries({"id": ids, "hilbert": hilbert}), JSON_VALUES), max_size=5),
+        "relations": st.lists(st.one_of(st.lists(ids, min_size=2, max_size=2), JSON_VALUES), max_size=3),
+        "pair": st.one_of(st.fixed_dictionaries({"beta_image": ids}), JSON_VALUES),
+    }
+    if not draw(st.integers(0, 7)):
+        return draw(JSON_VALUES)
+    doc = {}
+    for key, shaped in shapes.items():
+        kind = draw(st.integers(0, 3))
+        if kind:
+            doc[key] = draw(JSON_VALUES if kind == 1 else shaped)
+    return doc
+
+
+def _assert_exit_contract(doc, member: str) -> None:
+    """doc, written as a lattice file, through every subcommand in both
+    formats: exit 0, 1 or 2 without raising, each failure one line naming
+    a StabilityError, and exit 2 exactly for a ParseError."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.lattice"
+        path.write_text(json.dumps(doc))
+        for argv in _every_command(path, member):
+            if argv[0] == "oracle":
+                argv += ["--csv", str(Path(tmp) / "dump.csv")]
+            for fmt in ("text", "structured"):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main([*argv, "--format", fmt])
+                assert code in (0, 1, 2), argv
+                if code:
+                    name = re.match(r"error: (\w+): ", err.getvalue())
+                    assert name and err.getvalue().count("\n") == 1, (argv, err.getvalue())
+                    assert issubclass(getattr(errors, name[1]), errors.StabilityError)
+                    assert (code == 2) == (name[1] == "ParseError"), (argv, err.getvalue())
+
+
 class TestDocumentContract:
-    """Any small lattice document, through every subcommand in both
-    formats, exits 0, 1 or 2 without raising, and each failure is one
-    line naming a StabilityError."""
+    """Any lattice document, through every subcommand in both formats,
+    exits 0, 1 or 2 without raising, and each failure is one line naming a
+    StabilityError: small well-shaped documents, documents of any shape,
+    and documents nested deeper than the JSON parser recurses."""
 
     @settings(max_examples=150, deadline=None)
     @given(lattice_documents(), st.sampled_from(DOC_IDS))
     def test_exit_code_contract(self, doc, member):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "doc.lattice"
-            path.write_text(json.dumps(doc))
-            for argv in _every_command(path, member):
-                if argv[0] == "oracle":
-                    argv += ["--csv", str(Path(tmp) / "dump.csv")]
-                for fmt in ("text", "structured"):
-                    out, err = io.StringIO(), io.StringIO()
-                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                        code = main([*argv, "--format", fmt])
-                    assert code in (0, 1, 2), argv
-                    if code:
-                        name = re.match(r"error: (\w+): ", err.getvalue())
-                        assert name and err.getvalue().count("\n") == 1, (argv, err.getvalue())
-                        assert issubclass(getattr(errors, name[1]), errors.StabilityError)
-                        assert (code == 2) == (name[1] == "ParseError"), (argv, err.getvalue())
+        _assert_exit_contract(doc, member)
+
+    @settings(max_examples=100, deadline=None)
+    @given(shaped_documents(), st.sampled_from(DOC_IDS))
+    def test_exit_code_contract_on_any_shape(self, doc, member):
+        _assert_exit_contract(doc, member)
+
+    @pytest.mark.parametrize("opening, closing", [("[", "]"), ('{"a": ', "}")], ids=["array", "object"])
+    def test_deep_nesting_is_a_parse_error(self, tmp_path, opening, closing):
+        path = tmp_path / "deep.lattice"
+        path.write_text(opening * 10_000 + "1" + closing * 10_000)
+        for argv in _every_command(path, "F"):
+            if argv[0] not in ("check", "pair-canonical", "nu"):
+                continue
+            for fmt in ("text", "structured"):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main([*argv, "--format", fmt])
+                assert code == 2, (argv, fmt, err.getvalue())
+                assert err.getvalue().startswith("error: ParseError: ") and err.getvalue().count("\n") == 1, argv
+
+    def test_load_names_a_file_nested_too_deeply(self, tmp_path):
+        path = tmp_path / "deep.lattice"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(errors.ParseError, match="nested too deeply") as caught:
+            load_lattice(path)
+        assert str(path) in str(caught.value)
 

@@ -32,6 +32,7 @@ from thetastab.errors import FlatObjective, ObjectSemistable, Semistable
 from thetastab.latfile import load_lattice
 from thetastab.lattice import pair_pivot_index
 from thetastab.pairs import saturated_chains
+from thetastab.ratpoly import LESS, eventual_compare
 
 from conftest import FIXTURES, coordinate_lattice, sum_lattice
 from randgen import random_coprime_lattice, random_delta, random_lambda_lattice, random_subposet_lattice
@@ -41,6 +42,7 @@ from reference_maximizer import (
     chain_search_max,
     face_enumeration_max,
 )
+import reference_coordinate
 import reference_pair_canonical
 import reference_semistable
 from reference_ratpoly import leading_coeff
@@ -280,6 +282,68 @@ class TestPairSemistableAgainstRegimes:
             for delta in (P({1: Fraction(1, 100)}), P({1: 1, 0: -50}), P({2: 1})):
                 verdict, witness = pair_semistable(pair, delta)
                 assert not verdict and witness.id == beta
+
+
+class TestVerdictIsAMarginSignTest:
+    """pair_semistable and the step table read the same rows
+    (invariant.table_rows), and the verdict is a sign test on the step
+    table's member values.  With a(G) = step_table(lat, delta)((G,))[1][0]
+    and the margin m(G) = a(G) + [beta <= G] * delta = rank(G) * (p_delta(G)
+    - tau), a pair is semistable exactly when no proper member's margin is
+    eventually positive, and an unstable verdict's witness maximizes
+    m(G) / rank(G), ties going to the larger (rank, id)."""
+
+    FORMS = (None, "zero", "negative", "Laurent", "degree <= d-1", "degree d", "degree > d")
+    FAMILIES = ("coordinate", "sub-poset", "coprime", "lambda")
+
+    @classmethod
+    def draws(cls, seed, count):
+        rng = random.Random(seed)
+        _, lambda_rng, draw_lambda = subposet_families(seed)[1]
+        for n in range(count):
+            family, form, d = cls.FAMILIES[n // 7 % 4], cls.FORMS[n % 7], rng.choice((1, 2))
+            if family == "coordinate":
+                lat = coordinate_lattice({f"L{i}": rng.randint(-3, 3) for i in range(rng.randint(2, 4))}, d)
+            elif family == "sub-poset":
+                lat = random_subposet_lattice(rng, rng.randint(2, 4), d, 0.6)
+            elif family == "coprime":
+                lat = random_coprime_lattice(rng, rng.randint(2, 3), d)
+            else:
+                lat = draw_lambda(lambda_rng, rng.randint(2, 4), d)
+            beta = rng.choice((None, *lat.nonzero_ids()))
+            yield family, PairObject(lattice=lat, beta_image=beta), random_delta(rng, d, form)
+
+    def test_verdict_and_witness_from_the_margins(self):
+        seen = Counter()
+        zero = RatPoly.zero()
+        for family, pair, delta in self.draws(13, 600):
+            lat, beta = pair.lattice, pair.beta_image
+            verdict, witness = pair_semistable(pair, delta)
+            twist = zero if delta is None else delta
+            sign = eventual_compare(twist, zero)
+            if sign == LESS or (sign == GREATER and beta is None):  # the trivial chain destabilizes
+                assert (verdict, witness) == (False, None), (family, beta, delta)
+                seen["trivial chain"] += 1
+                continue
+            steps_of = invariant.step_table(lat, delta)
+            up = set() if beta is None else {beta, *lat.above(beta)}
+            margins = {g: steps_of((g,))[1][0] + (twist if g in up else zero) for g in lat.proper_nonzero_ids()}
+            positive = [g for g, m in margins.items() if eventual_compare(m, zero) == GREATER]
+            assert verdict == (not positive), (family, beta, delta, positive)
+            if verdict:
+                seen["semistable"] += 1
+                seen["zero margin"] += any(m.is_zero() for m in margins.values())
+                continue
+            rank = {g: lat.numerators[g][lat.dim] for g in margins}  # positive multiples of the ranks, one scale
+            best = positive[0]
+            for g in positive:
+                order = eventual_compare(margins[g] * rank[best], margins[best] * rank[g])
+                if order == GREATER or (order == EQUAL and (rank[g], g) > (rank[best], best)):
+                    best = g
+            assert witness.id == best, (family, beta, delta, witness.id, best)
+            seen["unstable", family] += 1
+        assert seen["semistable"] and seen["zero margin"] and seen["trivial chain"], seen
+        assert all(seen["unstable", family] for family in self.FAMILIES), seen
 
 
 class TestPairCanonicalAsksFirst:
@@ -533,17 +597,18 @@ class TestMaximizerValue:
     def test_pair_canonical_builds_only_the_winner(self, monkeypatch):
         # chains are ranked on (exponent, b); the full value (dot) is only
         # computed for the 12 of 120 chains that tie the incumbent on both,
-        # and once more for the winner's nu.  The query's step table makes
-        # the integer row A_G = K * a(G) of each of the 31 nonzero members
-        # once, from the lattice's table alone (no member statistics), and
-        # the polynomial of each of the 80 steps (sub, sup) of the walk
-        # once, (A_sup - A_sub) / K, not once per chain through it (600
-        # chain-steps): no RatPoly subtraction, and no quotient.  The winner
-        # is valued on the same table; it is saturated here, so it adds no step
+        # and once more for the winner's nu.  The query's step table lays
+        # delta over the lattice's table once (one table_rows call, from the
+        # table alone: no member statistics), and makes the entry of each
+        # of the 80 steps (sub, sup) of the walk once, from two of its rows,
+        # not once per chain through it (600 chain-steps): no RatPoly
+        # subtraction, and no quotient.  The winner is valued on the same
+        # table; it is saturated here, so it adds no step
         calls = dict.fromkeys(
-            ("maximize_weights", "make_filtration", "nu_on", "dot", "_member_row", "_step_poly", "subtractions"), 0)
+            ("maximize_weights", "make_filtration", "nu_on", "dot", "table_rows", "entries", "subtractions"), 0)
         stats_reads = Counter()
         requested = set()  # the steps the chains ask their query's table for
+        inside = []  # nonempty while a step table answers
 
         def counting(module, name):
             original = getattr(module, name)
@@ -555,7 +620,19 @@ class TestMaximizerValue:
 
         def spied_table(lat, delta):
             steps_of = real_table(lat, delta)
-            return lambda ids: requested.update(zip(ids[1:] + (lat.zero_id,), ids)) or steps_of(ids)
+
+            def spied(ids):
+                requested.update(zip(ids[1:] + (lat.zero_id,), ids))
+                inside.append(ids)
+                try:
+                    return steps_of(ids)
+                finally:
+                    inside.pop()
+            return spied
+
+        def entry(cls, clean, real=RatPoly._of):  # a step's entry is the one RatPoly a table makes
+            calls["entries"] += bool(inside)
+            return real(clean)
 
         def fail(*args):
             raise AssertionError("a search forms no quotient")
@@ -564,12 +641,14 @@ class TestMaximizerValue:
             calls["subtractions"] += 1
             return real(x, y)
 
-        # each where it is called
-        for name in ("maximize_weights", "make_filtration", "nu_on", "dot", "_member_row", "_step_poly"):
+        # each where it is called: table_rows by step_table in invariant,
+        # so pair_semistable's own call (through pairs) is not counted
+        for name in ("maximize_weights", "make_filtration", "nu_on", "dot", "table_rows"):
             module = pairs if name == "maximize_weights" else invariant
             monkeypatch.setattr(module, name, counting(module, name))
         real_table, real_stats = pairs.step_table, lattice_mod.ObjectClass.stats
         monkeypatch.setattr(pairs, "step_table", spied_table)
+        monkeypatch.setattr(RatPoly, "_of", classmethod(entry))
         monkeypatch.setattr(lattice_mod, "quotient_poly", fail)
         monkeypatch.setattr(RatPoly, "__sub__", subtraction)
         monkeypatch.setattr(lattice_mod.ObjectClass, "stats", property(
@@ -577,7 +656,7 @@ class TestMaximizerValue:
         lat = coordinate_lattice({f"L{i}": (i * 7) % 5 - 2 + i for i in range(5)})
         result = pair_canonical(PairObject(lattice=lat, beta_image="L0"), const(Fraction(1, 2)))
         expected = {"maximize_weights": 120, "make_filtration": 1, "nu_on": 1, "dot": 13,
-                    "_member_row": 31, "_step_poly": 80, "subtractions": 0}
+                    "table_rows": 1, "entries": 80, "subtractions": 0}
         assert calls == expected and len(requested) == 80
         assert not stats_reads
         for pair, delta in TestPairCanonicalAsksFirst.semistable_pairs():
@@ -585,15 +664,15 @@ class TestMaximizerValue:
                 pair_canonical(pair, delta)
         assert calls == expected
         assert result.value == nu_delta(result.filtration, const(Fraction(1, 2)))
-        # 2^k - 1 member rows and k * 2^(k-1) step polynomials (the edges
-        # of the k-cube) for k! saturated chains
+        # one table_rows call and k * 2^(k-1) step entries (the edges of
+        # the k-cube) for k! saturated chains
         for k in (3, 4):
             calls.update(dict.fromkeys(calls, 0))
             stats_reads.clear(), requested.clear()
             lat = coordinate_lattice({f"L{i}": (i * 7) % 5 - 2 + i for i in range(k)})
             pair_canonical(PairObject(lattice=lat, beta_image="L0"), const(Fraction(1, 2)))
             assert (len(requested), calls["maximize_weights"]) == (k * 2 ** (k - 1), factorial(k))
-            assert (calls["_member_row"], calls["_step_poly"]) == (2 ** k - 1, k * 2 ** (k - 1))
+            assert (calls["table_rows"], calls["entries"]) == (1, k * 2 ** (k - 1))
             assert not stats_reads and calls["subtractions"] == 0
 
 
@@ -1019,6 +1098,45 @@ class TestAgainstReferencePairCanonical:
                         pair = PairObject(lattice=lat, beta_image=rng.choice([None, *lat.nonzero_ids()]))
                         self.assert_matches(pair, self.delta(rng, d, form), seen, form)
             assert seen["semistable"] and all(seen[form] for form in self.FORMS), (family, seen)
+
+
+class TestAgainstCoordinateReference:
+    """pair_canonical's chain and weights against reference_coordinate's
+    closed form, computed from the twists alone, on coordinate pairs whose
+    marked image is a summand or none, at every form of delta, or
+    Semistable exactly when the reference finds no positive weighting."""
+
+    FORMS = TestVerdictIsAMarginSignTest.FORMS
+
+    @staticmethod
+    def check(rng, k, form, seen):
+        d = rng.choice((1, 2))
+        twists = {f"L{i}": rng.randint(-3, 3) for i in range(k)}
+        beta = rng.choice((None, *twists))
+        delta = random_delta(rng, d, form)
+        expected = reference_coordinate.pair_answer(twists, d, {} if delta is None else dict(delta.items()), beta)
+        lat = coordinate_lattice(twists, d)
+        try:
+            f = pair_canonical(PairObject(lattice=lat, beta_image=beta), delta).filtration
+        except Semistable:
+            assert expected is None, (twists, d, beta, delta)
+            seen["semistable"] += 1
+            return
+        chain = tuple(frozenset(twists) if m == lat.top_id else frozenset(m.split("+")) for m in f.chain)
+        assert (chain, f.weights) == expected, (twists, d, beta, delta)
+        seen[form, beta is not None] += 1
+        seen["pinned"] += beta is not None and 0 in f.weights
+
+    def test_seeded_coordinate_pairs(self):
+        # k = 2..6 three times per form, and three k = 7 pairs
+        rng = random.Random(20261031)
+        seen = Counter()
+        for k, form, _ in product(range(2, 7), self.FORMS, range(3)):
+            self.check(rng, k, form, seen)
+        for _ in range(3):
+            self.check(rng, 7, rng.choice(self.FORMS[3:]), seen)
+        assert seen["semistable"] and seen["pinned"], seen
+        assert all(seen[form, True] + seen[form, False] for form in self.FORMS), seen
 
 
 class TestPairCanonical:

@@ -59,7 +59,14 @@ pool-adjacent-violators; pooling on >= merges blocks of equal mean, so the
 level sets of P(x) are the steps of the coarser chain the maximizer lives
 on.  When the unconstrained fit violates the pair constraint w_pivot >= 0,
 P(x) lies on the face w_pivot = 0, where the prefix is its own fit clipped
-to <= 0 and the suffix its own fit clipped to >= 0.
+to <= 0 and the suffix its own fit clipped to >= 0.  The fit does not
+depend on the order in which adjacent violators are pooled (Best and
+Chakravarti 1990): pooling until none is left gives the one projection.
+The prefix's and the suffix's own poolings pool adjacent violators of the
+whole chain, so the unconstrained fit is the prefix's blocks continued
+with the pivot's step and then the suffix's blocks, and the pinned fit is
+the same two sides' blocks clipped at 0: each step is pooled once per
+exponent, and each block's level costs one division.
 
 When P(x) = 0, write w by its increments a_i = w_i - w_{i-1} >= 0 around
 the pivot (index 0, unconstrained, without a framing map):
@@ -103,7 +110,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import factorial, lcm
 from operator import add, sub
 from typing import Callable, ClassVar, Collection, Iterable, Sequence
@@ -283,17 +290,16 @@ class CanonicalResult:
     source: ClassVar[str] = "closed-form"
 
 
-def _isotonic(units: list[Fraction], ranks: Sequence[int | Fraction]) -> list[Fraction]:
-    """Weighted isotonic regression of units[i] / ranks[i], weights ranks[i],
-    by pool-adjacent-violators pooling on >=; the fitted value per index."""
-    blocks: list[tuple[Fraction, int | Fraction, int]] = []  # unit sum, rank sum, size
-    for u, r in zip(units, ranks):
-        size = 1
+def _pool(blocks: list, points: Iterable[tuple]) -> list:
+    """blocks, a stack of (unit sum, rank sum, size) blocks of increasing
+    mean, continued over (u, r, size) points by pool-adjacent-violators
+    pooling on >=: a raw step (size 1) and a pooled block take the same loop."""
+    for u, r, size in points:
         while blocks and blocks[-1][0] * r >= u * blocks[-1][1]:
             pu, pr, ps = blocks.pop()
             u, r, size = u + pu, r + pr, size + ps
         blocks.append((u, r, size))
-    return [u / r for u, r, size in blocks for _ in range(size)]
+    return blocks
 
 
 def _merge(values: Sequence, keep: list[int]) -> list:
@@ -319,22 +325,31 @@ def maximize_weights(
     runs over the exponents of the contributions, highest first; each zero
     maximum merges steps (ids, contributions and ranks together).
     """
-    pinned = False
+    pinned, zero = False, Fraction(0)
     for exponent in sorted({e for c in contribs for e in c._coeffs}, reverse=True):
         units = [c.coeff(exponent) for c in contribs]
-        fit = _isotonic(units, ranks)
-        if pivot is not None and (pinned or fit[pivot] < 0):
-            pinned, zero = True, Fraction(0)
-            fit = (
-                [min(w, zero) for w in _isotonic(units[:pivot], ranks[:pivot])]
-                + [zero]
-                + [max(w, zero) for w in _isotonic(units[pivot + 1:], ranks[pivot + 1:])]
-            )
-        if any(fit):
-            keep = [i for i in range(len(fit)) if i == 0 or fit[i] != fit[i - 1]]
+        points = list(zip(units, ranks, repeat(1)))
+        if pivot is None:
+            blocks = _pool([], points)
+        else:  # each side pooled once; the whole fit continues the prefix's blocks
+            before, after = _pool([], points[:pivot]), _pool([], points[pivot + 1:])
+            if not pinned:
+                blocks = _pool(before.copy(), [points[pivot], *after])
+                ends = list(accumulate(size for _, _, size in blocks))
+                pinned = blocks[bisect_right(ends, pivot)][0] < 0
+            if pinned:  # the face w_pivot = 0: each side's own fit, clipped
+                blocks = before + [(zero, 1, 1)] + after
+        keep, weights, fit = [], [], []
+        for u, r, size in blocks:
+            w = u / r if not pinned or (u < 0 if len(fit) < pivot else u > 0) else zero
+            if not weights or w != weights[-1]:
+                keep.append(len(fit))
+                weights.append(w)
+            fit += [w] * size
+        if any(weights):
             return WeightMaximum(
                 chain=tuple(ids[i] for i in keep),
-                weights=tuple(fit[i] for i in keep),
+                weights=tuple(weights),
                 exponent=exponent,
                 b=sum(r * w * w for w, r in zip(fit, ranks)),
                 pinned=bisect_right(keep, pivot) - 1 if pinned else None,

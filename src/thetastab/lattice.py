@@ -37,7 +37,8 @@ named twice is a ParseError.  Each load keeps two memos, exponent string
 literal of type str that repeats across members ("0", "1", "-1/2") is
 parsed once per load; other literals (ints, Fractions) are read each time
 and never share a memo entry with a string.  Nothing is kept across
-loads.  Then, in this order and on those integers: exactly one member is
+loads.  A dimension past MAX_DIMENSION is a ParseError before any of
+that.  Then, in this order and on those integers: exactly one member is
 zero; the declared relations name members; each nonzero member, in
 sorted order, is pure as its own quotient by zero (degree exactly d, no
 Laurent term, N_G[d] > 0); the table is formed; the top is the member
@@ -130,6 +131,10 @@ def _row_poly(row: Iterable[int], denominator: int) -> RatPoly:
     """The polynomial whose coefficients over the exponents 0.. are row / denominator."""
     return RatPoly._of({e: Fraction(n, denominator) for e, n in enumerate(row) if n})
 
+
+#: The largest dimension build_lattice accepts: the integer table keeps
+#: d + 1 entries per member, so a larger d is refused before any row.
+MAX_DIMENSION = 10**6
 
 #: A member's nonzero terms: exponent -> (numerator, positive denominator),
 #: in lowest terms.
@@ -316,6 +321,8 @@ def build_lattice(
     """
     if dim < 0:
         raise ParseError(f"dimension must be nonnegative, got {dim}")
+    if dim > MAX_DIMENSION:
+        raise ParseError(f"dimension must be at most {MAX_DIMENSION}, got {dim}")
     exponent_memo: dict[str, int] = {}
     ratio_memo: dict[str, tuple[int, int]] = {}
     parsed = {

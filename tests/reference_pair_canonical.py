@@ -6,9 +6,14 @@ recomputes tau and the contribution of each of its steps from its
 quotients (reference_oracle.graded_steps), and the winner is valued the
 same way.  The descent, the ranking on (exponent, b) with the full value
 settling ties, and the tie-break on (length, ids, primitive weights) are
-otherwise the same.  Its saturated chains are those of enumerate_chains
-whose every step down to zero is a cover, read off lt (saturated_chains
-here), so it shares no walk with pairs.saturated_chains, which it judges.
+otherwise the same.  The maximizer's core, maximize_steps(ids, ranks,
+contribs, pivot), fits one Fraction per step: it pools every step for the
+unconstrained fit, and the prefix's and the suffix's steps again where the
+pivot pins, the three passes that invariant.maximize_weights' one pass
+per side of the pivot is judged against.  Its saturated chains are those
+of enumerate_chains whose every step down to zero is a cover, read off lt
+(saturated_chains here), so it shares no walk with pairs.saturated_chains,
+which it judges.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from thetastab.pairs import WeightMaximum
 from reference_oracle import ReferenceResult, graded_steps, reference_nu
 
 
-def _isotonic(units: list[Fraction], ranks: list[Fraction]) -> list[Fraction]:
+def _isotonic(units: list[Fraction], ranks: Sequence) -> list[Fraction]:
     blocks: list[tuple[Fraction, Fraction, int]] = []  # unit sum, rank sum, size
     for u, r in zip(units, ranks):
         size = 1
@@ -72,6 +77,15 @@ def maximize_weights(
     ranks, contribs = graded_steps(chain.lattice, ids, delta)
     beta = pair.beta_image if pair is not None else None
     p = pair_pivot_index(ids, chain.lattice, beta) if beta is not None else None
+    return maximize_steps(ids, ranks, contribs, p)
+
+
+def maximize_steps(
+    ids: Sequence[str], ranks: Sequence, contribs: Sequence[RatPoly], p: int | None
+) -> WeightMaximum | None:
+    """The descent on given steps, as invariant.maximize_weights takes
+    them, one fitted value per step: the unconstrained fit pools every
+    step, and a pinned pivot pools the prefix and the suffix again."""
     pinned = False
     for exponent in sorted({e for c in contribs for e, _ in c.items()}, reverse=True):
         units = [c.coeff(exponent) for c in contribs]

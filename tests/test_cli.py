@@ -4,6 +4,8 @@ import io
 import json
 import random
 import re
+import resource
+import subprocess
 import sys
 import tempfile
 import time
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 from thetastab import errors
 from thetastab.cli import build_parser, main
 from thetastab.latfile import format_poly, load_lattice, nu_json, parse_delta
+from thetastab.lattice import MAX_DIMENSION
 
 from conftest import FIXTURES, coordinate_lattice
 from randgen import random_delta, random_lambda_lattice, random_subposet_lattice
@@ -794,6 +797,31 @@ class TestErrorPaths:
         )
         assert code == 2 and "ParseError" in err
 
+    def test_a_huge_dimension_is_refused_before_any_row(self, tmp_path):
+        # rows of d + 1 entries would not fit at d = 10^12: under a 1.5 GB
+        # address-space limit each command prints one ParseError line and
+        # exits 2 at once, with no MemoryError traceback
+        bad = tmp_path / "huge.lattice"
+        bad.write_text(json.dumps({"dimension": 10**12, "objects": [
+            {"id": "0", "hilbert": {}}, {"id": "F", "hilbert": {str(10**12): "1"}}]}))
+        limit = 1_500_000 * 1024
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        for argv, fmt in product((["check"], ["pair-check"], ["nu", "--chain", "F", "--weights", "1"]),
+                                 ("text", "structured")):
+            start = time.perf_counter()
+            done = subprocess.run(
+                [sys.executable, "-X", "dev", "-W", "error", "-m", "thetastab.cli", argv[0], str(bad),
+                 *argv[1:], "--format", fmt],
+                capture_output=True, text=True, timeout=30, preexec_fn=cap_memory, env={"PYTHONPATH": src},
+            )
+            assert time.perf_counter() - start < 2, (argv, fmt)
+            assert (done.returncode, done.stdout) == (2, ""), (argv, fmt, done.stderr)
+            assert done.stderr == f"error: ParseError: dimension must be at most {MAX_DIMENSION}, got {10**12}\n"
+
 
 class TestDeterminism:
     def test_structured_output_is_byte_identical(self, capsys):
@@ -1252,8 +1280,9 @@ def shaped_documents(draw):
     """A document of any shape: usually an object whose keys dimension,
     objects, relations and pair are each absent, any JSON value, or a
     value of the expected shape whose ids, exponents and coefficients are
-    any JSON value.  Integers stay small: the integer table keeps d + 1
-    entries per member."""
+    any JSON value.  A dimension is small, or past lattice.MAX_DIMENSION,
+    which is refused before the integer table's d + 1 entries per member
+    are made."""
     ids = st.one_of(st.sampled_from(DOC_IDS), JSON_VALUES)
     hilbert = st.one_of(
         st.dictionaries(st.one_of(st.sampled_from(["0", "1", "2", "-1", "01"]), st.text(max_size=3)),
@@ -1261,7 +1290,7 @@ def shaped_documents(draw):
         JSON_VALUES,
     )
     shapes = {
-        "dimension": st.integers(0, 2),
+        "dimension": st.one_of(st.integers(-2, 2), st.integers(MAX_DIMENSION + 1, 10**15)),
         "objects": st.lists(st.one_of(st.fixed_dictionaries({"id": ids, "hilbert": hilbert}), JSON_VALUES), max_size=5),
         "relations": st.lists(st.one_of(st.lists(ids, min_size=2, max_size=2), JSON_VALUES), max_size=3),
         "pair": st.one_of(st.fixed_dictionaries({"beta_image": ids}), JSON_VALUES),

@@ -911,6 +911,123 @@ class TestMaximizeWeightsAgainstFaceEnumeration:
         assert all(seen.values()), seen
 
 
+class TestBlockMaximizerAgainstPerStepReference:
+    """invariant.maximize_weights, which pools each side of the pivot once
+    and reads its fit off the blocks, against reference_pair_canonical's
+    maximize_steps, which fits one Fraction per step with three passes:
+    the same chain, weights, exponent, b and pinned step, and the same
+    fitted value per step, on the same (ids, ranks, contribs, pivot)."""
+
+    @staticmethod
+    def assert_matches(ids, ranks, contribs, pivot):
+        wm = maximize_weights(ids, ranks, contribs, pivot)
+        ref = reference_pair_canonical.maximize_steps(ids, ranks, contribs, pivot)
+        assert wm == ref, (ranks, contribs, pivot)
+        if wm is not None:
+            assert wm.steps == ref.steps and all(type(w) is Fraction for w in wm.weights), (ranks, contribs, pivot)
+        return wm
+
+    @staticmethod
+    def synthetic(rng, n, kind, pivot):
+        """Steps at the exponents 2, 1 and 0, ranks 1 to 3 (now and then
+        rational), units r * v for v from a few values, so that means
+        repeat.  The top exponent's units are random, or have a zero fit
+        (non-increasing levels of weighted mean zero), or, around a pivot,
+        a zero fit only once the pivot is pinned (prefix units >= 0, a
+        pivot far below, suffix units <= 0, most of them 0, so that the
+        face the descent keeps is not {0})."""
+        ranks = [rng.choice((1, 2, 3)) for _ in range(n)]
+        if rng.random() < 0.2:
+            ranks = [Fraction(r, rng.choice((2, 3))) for r in ranks]
+        values = [Fraction(v, 2) for v in range(-3, 4)]
+        units = {e: [r * rng.choice(values) for r in ranks] for e in (2, 1, 0)}
+        if kind == "zero fit":
+            levels = sorted((rng.choice(values) for _ in ranks), reverse=True)
+            mean = sum(r * v for r, v in zip(ranks, levels)) / sum(ranks)
+            units[2] = [r * (v - mean) for r, v in zip(ranks, levels)]
+        elif kind == "pinned zero fit":
+            sizes = [abs(rng.choice(values)) if rng.random() < 0.3 else 0 for _ in ranks]
+            units[2] = [r * v * (1 if i < pivot else -1) for i, (r, v) in enumerate(zip(ranks, sizes))]
+            units[2][pivot] = -10 * sum(abs(u) for u in units[2]) - 1
+        contribs = [RatPoly({e: units[e][i] for e in units}) for i in range(n)]
+        return tuple(f"G{i}" for i in range(n)), ranks, contribs
+
+    def test_synthetic_chains(self):
+        rng = random.Random(20261105)
+        seen = Counter()
+        for n, _ in product(range(1, 13), range(6)):
+            for pivot in sorted({None, 0, n // 2, n - 1}, key=lambda p: -1 if p is None else p):
+                for kind in ("random", "zero fit", "pinned zero fit"):
+                    if kind == "pinned zero fit" and pivot is None:
+                        continue
+                    ids, ranks, contribs = self.synthetic(rng, n, kind, pivot)
+                    wm = self.assert_matches(ids, ranks, contribs, pivot)
+                    means = [c.coeff(2) / r for c, r in zip(contribs, ranks)]
+                    seen["equal means"] += any(a == b for a, b in zip(means, means[1:]))
+                    seen["none"] += wm is None
+                    if wm is not None:
+                        seen["pinned"] += wm.pinned is not None
+                        seen[kind, "descended"] += wm.exponent < 2
+                        seen["inherited pin"] += kind == "pinned zero fit" and wm.exponent < 2 and wm.pinned is not None
+        assert all(seen[key] >= 20 for key in (
+            "equal means", "none", "pinned", ("zero fit", "descended"), ("pinned zero fit", "descended"), "inherited pin",
+        )), seen
+
+    def test_saturated_chains_of_the_four_families(self):
+        # every saturated chain of seeded coordinate, sub-poset, coprime
+        # and Lambda-module pairs, each family at every form of delta
+        seen = Counter()
+        for family, pair, delta in TestVerdictIsAMarginSignTest.draws(20261106, 84):
+            lat = pair.lattice
+            steps_of = invariant.step_table(lat, delta)
+            for ids in saturated_chains(lat):
+                wm = self.assert_matches(ids, *steps_of(ids), pivot_of(lat, ids, pair))
+                seen[family] += 1
+                seen["pinned"] += wm is not None and wm.pinned is not None
+                seen["none"] += wm is None
+        assert all(seen[key] >= 20 for key in (*TestVerdictIsAMarginSignTest.FAMILIES, "pinned", "none")), seen
+
+    def test_each_step_is_pooled_once_per_chain(self, monkeypatch):
+        # one k = 5 pair_canonical call at d = 1 and constant delta, where
+        # every contribution lives at exponent 0, so each maximize_weights
+        # call fits one exponent with three calls of the pooling helper:
+        # the steps above the pivot, the steps below it, and the whole fit,
+        # which continues the prefix's blocks with the pivot's step and
+        # the suffix's blocks, the very tuples its pass returned.  Each
+        # step is handed over once, where three per-step passes would pool
+        # a pinned chain's steps twice: the whole chain, then each side
+        groups = []  # per chain: its arguments, its pooling calls and its maximum
+
+        def pool(blocks, points):
+            points, start = list(points), list(blocks)
+            out = real_pool(blocks, points)
+            groups[-1][1].append((start, points, list(out)))
+            return out
+
+        def maximize(*args):
+            groups.append([args, []])
+            groups[-1].append(real_maximize(*args))
+            return groups[-1][2]
+
+        real_pool, real_maximize = invariant._pool, pairs.maximize_weights
+        monkeypatch.setattr(invariant, "_pool", pool)
+        monkeypatch.setattr(pairs, "maximize_weights", maximize)
+        lat = coordinate_lattice({f"L{i}": (i * 7) % 5 - 2 + i for i in range(5)})
+        pair_canonical(PairObject(lattice=lat, beta_image="L2"), const(Fraction(1, 2)))
+        seen = Counter()
+        for (_, ranks, contribs, pivot), calls, wm in groups:
+            assert all(set(c._coeffs) <= {0} for c in contribs)
+            steps = [(c.coeff(0), r, 1) for c, r in zip(contribs, ranks)]
+            (start, before, prefix), (start_after, after, suffix), (whole_start, whole, _) = calls
+            assert start == start_after == [] and whole_start == prefix, steps
+            assert (before, after, whole[0]) == (steps[:pivot], steps[pivot + 1:], steps[pivot]), steps
+            assert len(whole) == 1 + len(suffix) and all(p is q for p, q in zip(whole[1:], suffix)), steps
+            seen["pooled suffix block"] += any(size > 1 for _, _, size in suffix)
+            seen["both sides"] += 0 < pivot < len(steps) - 1
+            seen["pinned"] += wm is not None and wm.pinned is not None
+        assert len(groups) == 120 and all(seen[key] for key in ("pooled suffix block", "both sides", "pinned")), seen
+
+
 class TestSaturatedChains:
     @staticmethod
     def assert_matches_cover_filter(lat):
@@ -1137,6 +1254,22 @@ class TestAgainstCoordinateReference:
             self.check(rng, 7, rng.choice(self.FORMS[3:]), seen)
         assert seen["semistable"] and seen["pinned"], seen
         assert all(seen[form, True] + seen[form, False] for form in self.FORMS), seen
+
+    def test_a_k8_pair_whose_pivot_pins(self):
+        # 8! = 40 320 saturated chains of 8 steps, the longest pooling
+        # cascades of the suite: the marked image a summand and delta > 0,
+        # so the unconstrained fit breaks w_beta >= 0 and the answer is
+        # pinned at weight 0
+        rng = random.Random(20261104)
+        twists = {f"L{i}": rng.randint(-3, 3) for i in range(8)}
+        beta = rng.choice(tuple(twists))
+        delta = const(Fraction(rng.randint(1, 6), rng.randint(1, 4)))
+        expected = reference_coordinate.pair_answer(twists, 1, dict(delta.items()), beta)
+        lat = coordinate_lattice(twists, 1)
+        f = pair_canonical(PairObject(lattice=lat, beta_image=beta), delta).filtration
+        chain = tuple(frozenset(twists) if m == lat.top_id else frozenset(m.split("+")) for m in f.chain)
+        assert (chain, f.weights) == expected, (twists, beta, delta)
+        assert 0 in f.weights
 
 
 class TestPairCanonical:

@@ -18,9 +18,17 @@ denominators, D the table's and K = D * E * N_F[d].  A chain's column at
 e holds its steps' A_sup[e] - A_sub[e], kept when one is nonzero, and a
 candidate's coefficient there is one integer dot product of its weights
 with the column, over K; its norm b, an int on the table's scale, is one
-with the ranks N_sup[d] - N_sub[d].  It is compared with the incumbent by
-ratpoly.terms_compare, the rule nu_compare applies to NuValues.  Only the
-result is built as a NuValue, by invariant.reported_nu from its own terms.
+with the ranks N_sup[d] - N_sub[d].
+
+The judge compares candidates by a rule of its own, not through
+ratpoly's: sum_e x_e n^e / sqrt(b_x) is compared with sum_e y_e n^e /
+sqrt(b_y) from the highest exponent down, each coefficient's sign read
+off its numerator, and, where the signs agree and are nonzero, by
+x_e^2 * b_y against y_e^2 * b_x.  The incumbent y's side, its sign and
+y_e^2 at each exponent, is formed once each time the incumbent changes,
+so a candidate costs three Fraction products at an exponent where the
+signs do not decide, and none where they do.  Only the result is built
+as a NuValue, by invariant.reported_nu from its own terms.
 
 Since nu is scale invariant, proportional weight vectors represent the same
 candidate; the argmax is always reported in primitive form (weights divided
@@ -48,7 +56,7 @@ from .lattice import (
     pair_pivot_index,
     primitive_weights,
 )
-from .ratpoly import GREATER, LESS, NuValue, RatPoly, terms_compare
+from .ratpoly import EQUAL, GREATER, LESS, NuValue, RatPoly
 
 
 @dataclass(frozen=True)
@@ -196,28 +204,57 @@ def argmax(
     pair: PairObject | None = None,
 ) -> OracleResult:
     """The best of a stream of iter_terms(lat, pair, delta, W) quadruples,
-    each compared with the incumbent once as it arrives.  The one NuValue
-    built is the result's, from the incumbent's own terms and b: those of
-    its primitive representative (both over g, g^2 for g the gcd of its
-    weights) for a positive maximum, which is nu_delta of best, and as
-    scored otherwise."""
-    best = best_key = None
+    each compared with the incumbent once as it arrives, by the rule of the
+    module docstring.  The one NuValue built is the result's, from the
+    incumbent's own terms and b: those of its primitive representative
+    (both over g, g^2 for g the gcd of its weights) for a positive
+    maximum, which is nu_delta of best, and as scored otherwise."""
+    best = best_key = side = side_b = None
     explored = 0
     for candidate in candidates:
         chain, weights, terms, b = candidate
         explored += 1
-        verdict = GREATER if best is None else terms_compare(terms, b, best[2], best[3])
+        verdict = GREATER if best is None else _compare(terms, b, side, side_b)
         if verdict == LESS:
             continue
         key = (len(chain), chain, primitive_weights(weights))
         if verdict == GREATER or key < best_key:
-            best, best_key = candidate, key
+            best, best_key, side, side_b = candidate, key, _side(terms), b
 
     if best is None:
         return OracleResult(best=None, value=NuValue.zero(), explored=0)
     chain, weights, terms, b = best
-    if terms_compare(terms, b, {}, 1) != GREATER:
+    if _compare(terms, b, {}, 1) != GREATER:
         return OracleResult(None, reported_nu(lat, RatPoly(terms), b), explored)
     g = gcd(*weights)
     value = reported_nu(lat, RatPoly({e: t / g for e, t in terms.items()}), b // (g * g))
     return OracleResult(make_filtration(lat, chain, best_key[2], pair), value, explored)
+
+
+#: An exponent a side does not hold: coefficient zero.
+_ABSENT = (0, None)
+
+
+def _side(terms: dict[int, Fraction]) -> dict[int, tuple[int, Fraction | None]]:
+    """The incumbent's side of every comparison: at each exponent the sign
+    of its coefficient, read off the numerator, and the coefficient's
+    square where it is nonzero."""
+    return {e: (1, c * c) if c.numerator > 0 else (-1, c * c) if c.numerator else _ABSENT
+            for e, c in terms.items()}
+
+
+def _compare(terms: dict[int, Fraction], b: int, side: dict, side_b: int) -> int:
+    """The candidate (terms, b) against the incumbent of side and norm
+    side_b, by the rule of the module docstring."""
+    for e in sorted(terms.keys() | side.keys(), reverse=True):
+        c = terms.get(e)
+        n = 0 if c is None else c.numerator
+        sign = (n > 0) - (n < 0)
+        their_sign, square = side.get(e, _ABSENT)
+        if sign != their_sign:
+            return GREATER if sign > their_sign else LESS
+        if sign:
+            lhs, rhs = c * c * side_b, square * b
+            if lhs != rhs:
+                return sign if lhs > rhs else -sign
+    return EQUAL

@@ -20,8 +20,8 @@ Two total orders live here:
 * the order on values L / sqrt(b) (NuValue): decided coefficientwise from
   the highest exponent down, using sign analysis plus the squared
   comparison c_x^2 * b_y vs c_y^2 * b_x.  No radicals or floats are ever
-  formed.  terms_compare applies this rule to exponent -> coefficient
-  maps, so callers scoring many values need not build a NuValue for each.
+  formed.  nu_compare decides it for the searches; the oracle, which
+  judges them, applies the same rule with code of its own (see oracle).
 
 Hilbert-polynomial statistics use the factorial normalization
 P(n) = sum_k a_k n^k / k!, so the rank is a_d = d! * (coefficient of n^d).
@@ -110,12 +110,8 @@ def as_integer(value: int | str, what: str = "integer literal") -> int:
     raise ParseError(f"bad {what} {value!r}")
 
 
-def _sign(x: Fraction) -> int:
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
+def _sign(n: int) -> int:
+    return (n > 0) - (n < 0)
 
 
 def _merged(mine: dict[int, Fraction], theirs: dict[int, Fraction], op) -> dict[int, Fraction]:
@@ -432,31 +428,23 @@ def _decimal(m: int) -> Decimal:
 
 
 def nu_compare(x: NuValue, y: NuValue) -> int:
-    """Compare L_x / sqrt(b_x) and L_y / sqrt(b_y) exactly (terms_compare
-    on the coefficient maps of L_x and L_y)."""
-    return terms_compare(x.L._coeffs, x.b, y.L._coeffs, y.b)
-
-
-def terms_compare(
-    x: Mapping[int, Fraction], bx: Fraction, y: Mapping[int, Fraction], by: Fraction
-) -> int:
-    """Compare the values sum_e x[e] n^e / sqrt(bx) and sum_e y[e] n^e / sqrt(by)
-    exactly, given as exponent -> coefficient maps (zero coefficients allowed)
-    and positive norms.
+    """Compare L_x / sqrt(b_x) and L_y / sqrt(b_y) exactly.
 
     Coefficients are compared from the highest exponent down; each pair is
-    decided by signs and, when the signs agree, by comparing
-    c_x^2 * b_y with c_y^2 * b_x.  This realizes the eventual-dominance
-    order on the represented real-coefficient polynomials.
+    decided by signs, read off the numerators, and, when the signs agree,
+    by comparing c_x^2 * b_y with c_y^2 * b_x.  This realizes the
+    eventual-dominance order on the represented real-coefficient
+    polynomials.
     """
-    for exp in sorted(x.keys() | y.keys(), reverse=True):
-        cx, cy = x.get(exp, 0), y.get(exp, 0)
-        sx, sy = _sign(cx), _sign(cy)
+    xs, ys = x.L._coeffs, y.L._coeffs
+    for exp in sorted(xs.keys() | ys.keys(), reverse=True):
+        cx, cy = xs.get(exp, _ZERO), ys.get(exp, _ZERO)
+        sx, sy = _sign(cx.numerator), _sign(cy.numerator)
         if sx != sy:
             return GREATER if sx > sy else LESS
         if sx == 0:
             continue
-        lhs, rhs = cx * cx * by, cy * cy * bx
+        lhs, rhs = cx * cx * y.b, cy * cy * x.b
         if lhs != rhs:
             return sx if lhs > rhs else -sx
     return EQUAL

@@ -14,7 +14,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thetastab import errors
@@ -1282,21 +1282,29 @@ def shaped_documents(draw):
     value of the expected shape whose ids, exponents and coefficients are
     any JSON value.  A dimension is small, or past lattice.MAX_DIMENSION,
     which is refused before the integer table's d + 1 entries per member
-    are made."""
+    are made; the dimension's own exponent is among the Hilbert exponents
+    drawn, so a member can be pure at a huge dimension and the document
+    reach that refusal rather than fail purity first."""
+    dim = draw(st.one_of(st.integers(-2, 2), st.integers(MAX_DIMENSION + 1, 10**15)))
     ids = st.one_of(st.sampled_from(DOC_IDS), JSON_VALUES)
     hilbert = st.one_of(
-        st.dictionaries(st.one_of(st.sampled_from(["0", "1", "2", "-1", "01"]), st.text(max_size=3)),
+        st.dictionaries(st.one_of(st.sampled_from(["0", "1", "2", "-1", "01", str(dim)]), st.text(max_size=3)),
                         st.one_of(DOC_COEFF, JSON_VALUES), max_size=3),
         JSON_VALUES,
     )
+    # the zero member and one to three members pure at the dimension drawn
+    pure = st.lists(st.fixed_dictionaries({"id": st.sampled_from(DOC_IDS[1:]), "hilbert": st.fixed_dictionaries(
+        {str(dim): DOC_LEAD})}), min_size=1, max_size=3, unique_by=lambda entry: entry["id"])
     shapes = {
-        "dimension": st.one_of(st.integers(-2, 2), st.integers(MAX_DIMENSION + 1, 10**15)),
+        "dimension": st.just(dim),
         "objects": st.lists(st.one_of(st.fixed_dictionaries({"id": ids, "hilbert": hilbert}), JSON_VALUES), max_size=5),
         "relations": st.lists(st.one_of(st.lists(ids, min_size=2, max_size=2), JSON_VALUES), max_size=3),
         "pair": st.one_of(st.fixed_dictionaries({"beta_image": ids}), JSON_VALUES),
     }
     if not draw(st.integers(0, 7)):
         return draw(JSON_VALUES)
+    if not draw(st.integers(0, 7)):
+        return {"dimension": dim, "objects": [{"id": "0", "hilbert": {}}, *draw(pure)]}
     doc = {}
     for key, shaped in shapes.items():
         kind = draw(st.integers(0, 3))
@@ -1340,6 +1348,8 @@ class TestDocumentContract:
 
     @settings(max_examples=100, deadline=None)
     @given(shaped_documents(), st.sampled_from(DOC_IDS))
+    # a member pure at a dimension whose rows would not fit: refused before any row
+    @example({"dimension": 10**12, "objects": [{"id": "0", "hilbert": {}}, {"id": "F", "hilbert": {str(10**12): "1"}}]}, "F")
     def test_exit_code_contract_on_any_shape(self, doc, member):
         _assert_exit_contract(doc, member)
 

@@ -1,14 +1,18 @@
 import ast
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, gcd
 from pathlib import Path
 
 import pytest
 
 from thetastab import (
     EQUAL,
+    GREATER,
+    LESS,
     NuValue,
     PairObject,
     RatPoly,
@@ -21,6 +25,9 @@ from thetastab import (
     nu_compare,
 )
 from thetastab import invariant, oracle
+from thetastab import ratpoly as ratpoly_mod
+from thetastab.invariant import reported_nu
+from thetastab.lattice import primitive_weights
 from thetastab import lattice as lattice_mod
 from thetastab.latfile import load_lattice
 from thetastab.oracle import candidate_count
@@ -77,6 +84,102 @@ class TestTheJudgeStandsApart:
             "from thetastab.pairs import pair_canonical\ndef f():\n    from .canonical import nu\nimport json\n"
         )
         assert package_imports(path) == {"oracle", "invariant", "lattice", "pairs", "canonical"}
+
+
+class TestTheJudgeComparesOnItsOwn:
+    """The oracle decides which candidate is better with code of its own
+    (finding (o) of the roadmap): it imports no comparison from ratpoly,
+    a wrong nu_compare leaves its answers as they were, and its rule
+    agrees with nu_compare on every two-candidate stream."""
+
+    def test_the_oracle_names_no_comparison_of_ratpoly(self):
+        # every identifier of oracle.py: imported names, names and attributes
+        tree = ast.parse(Path(oracle.__file__).read_text())
+        names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+        names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert "reported_nu" in names and "RatPoly" in names
+        assert not names & {"nu_compare", "terms_compare", "eventual_compare", "reduced_compare"}
+
+    def test_a_wrong_nu_compare_changes_no_answer(self, monkeypatch):
+        rng = random.Random(20261121)
+        cases = []
+        for k in (2, 3, 3, 4):
+            lat = coordinate_lattice({f"L{i}": rng.randint(-3, 3) for i in range(k)}, rng.choice((1, 2)))
+            for beta in (None, rng.choice(lat.nonzero_ids())):
+                pair = None if beta is None else PairObject(lattice=lat, beta_image=beta)
+                delta = random_delta(rng, lat.dim, rng.choice(TestAgainstReferenceOracle.FORMS))
+                cases.append((lat, pair, delta, rng.randint(2, 4 if k < 4 else 3)))
+        cases.append((coordinate_lattice({"A": 0, "B": 0}), None, None, 3))  # semistable
+        answers = [brute_force_max(*case) for case in cases]
+        assert any(a.best is None for a in answers) and any(a.best is not None for a in answers)
+
+        real = ratpoly_mod.nu_compare
+
+        def reversed_rule(x, y):
+            return -real(x, y)
+
+        # every binding of the name in the package, the oracle's module included
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("thetastab") and hasattr(module, "nu_compare"):
+                monkeypatch.setattr(module, "nu_compare", reversed_rule)
+        one = NuValue(P({0: 1}), Fraction(1))
+        assert ratpoly_mod.nu_compare(one, NuValue.zero()) == -1
+        assert [brute_force_max(*case) for case in cases] == answers
+
+    @staticmethod
+    def weights(rng, chain, g):
+        """Strictly increasing weights in g * [-3, 3] for chain, of gcd g."""
+        while True:
+            weights = sorted(rng.sample(range(-3, 4), len(chain)))
+            if gcd(*weights) == 1:
+                return tuple(g * w for w in weights)
+
+    def candidate(self, rng, chains):
+        """A quadruple for argmax on one of chains: random weights of gcd
+        g and random terms over exponents -2..2, zero coefficients among
+        them, and b, as a candidate of those weights has them: terms a
+        multiple of g, b of g^2."""
+        chain, g = rng.choice(chains), rng.choice((1, 1, 2, 3))
+        exponents = rng.sample(range(-2, 3), rng.randint(0, 3))
+        terms = {e: g * Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for e in exponents}
+        return chain, self.weights(rng, chain, g), terms, g * g * rng.randint(1, 12)
+
+    def test_each_winner_of_two_is_nu_compares(self, lat_b3):
+        rng = random.Random(20261122)
+        chains = [c.chain for c in enumerate_chains(lat_b3)]
+        seen = Counter()
+        for _ in range(1500):
+            first = self.candidate(rng, chains)
+            _, _, terms, b = first
+            chain = rng.choice(chains)
+            kind = rng.choice(("drawn", "scaled", "padded"))
+            if kind == "drawn":
+                second = self.candidate(rng, chains)
+            elif kind == "scaled":  # the same value: terms times h, b times h^2
+                h = rng.randint(2, 3)
+                second = chain, self.weights(rng, chain, 1), {e: h * c for e, c in terms.items()}, h * h * b
+            else:  # the same value with one zero coefficient more, or fewer
+                padded = {e: c for e, c in terms.items() if c}
+                padded.setdefault(rng.randint(-2, 2), Fraction(0))
+                second = chain, self.weights(rng, chain, 1), padded, b
+            values = [reported_nu(lat_b3, RatPoly(terms), b) for _, _, terms, b in (first, second)]
+            keys = [(len(c), c, primitive_weights(w)) for c, w, _, _ in (first, second)]
+            order = nu_compare(values[1], values[0])
+            won = 1 if order == GREATER or order == EQUAL and keys[1] < keys[0] else 0
+            result = oracle.argmax(lat_b3, iter([first, second]))
+            assert result.explored == 2
+            if nu_compare(values[won], NuValue.zero()) == GREATER:
+                assert (result.best.chain, result.best.weights) == keys[won][1:], (first, second)
+                assert nu_compare(result.value, values[won]) == EQUAL, (first, second)
+            else:
+                assert result.best is None and result.value == values[won], (first, second)
+            seen[kind, order] += 1
+            seen["Laurent"] += any(e < 0 and c for _, _, terms, _ in (first, second) for e, c in terms.items())
+            seen["zero"] += any(c == 0 for _, _, terms, _ in (first, second) for c in terms.values())
+            seen["positive"] += result.best is not None
+        assert seen["Laurent"] and seen["zero"] and seen["positive"], seen
+        assert seen["scaled", EQUAL] and seen["padded", EQUAL] and seen["drawn", LESS] and seen["drawn", GREATER], seen
 
 
 class TestEnumerateChains:

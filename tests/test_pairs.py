@@ -1220,19 +1220,24 @@ class TestAgainstReferencePairCanonical:
 class TestAgainstCoordinateReference:
     """pair_canonical's chain and weights against reference_coordinate's
     closed form, computed from the twists alone, on coordinate pairs whose
-    marked image is a summand or none, at every form of delta, or
+    marked image is a sub-sum (one summand or several) or none, at every
+    form of delta, or
     Semistable exactly when the reference finds no positive weighting."""
 
     FORMS = TestVerdictIsAMarginSignTest.FORMS
 
     @staticmethod
-    def check(rng, k, form, seen):
+    def check(rng, k, form, seen, size=None):
+        """One drawn pair against the reference: its marked image a
+        summand or none, or, given size, a sub-sum of that many summands."""
         d = rng.choice((1, 2))
         twists = {f"L{i}": rng.randint(-3, 3) for i in range(k)}
-        beta = rng.choice((None, *twists))
+        summands = rng.choice((None, *({i} for i in twists))) if size is None else set(rng.sample(sorted(twists), size))
         delta = random_delta(rng, d, form)
-        expected = reference_coordinate.pair_answer(twists, d, {} if delta is None else dict(delta.items()), beta)
+        expected = reference_coordinate.pair_answer(twists, d, {} if delta is None else dict(delta.items()), summands)
         lat = coordinate_lattice(twists, d)
+        beta = None if summands is None else next(
+            m for m in lat.nonzero_ids() if m != lat.top_id and set(m.split("+")) == summands)
         try:
             f = pair_canonical(PairObject(lattice=lat, beta_image=beta), delta).filtration
         except Semistable:
@@ -1255,6 +1260,17 @@ class TestAgainstCoordinateReference:
         assert seen["semistable"] and seen["pinned"], seen
         assert all(seen[form, True] + seen[form, False] for form in self.FORMS), seen
 
+    def test_seeded_pairs_marking_a_larger_sub_sum(self):
+        # the marked image a sub-sum of 2..k-1 summands, k = 3..6, twice per
+        # size and form: the constraint w_i >= 0 for each of its summands
+        rng = random.Random(20261123)
+        seen = Counter()
+        for k, form, _ in product(range(3, 7), self.FORMS, range(2)):
+            for size in range(2, k):
+                self.check(rng, k, form, seen, size)
+        answered = sum(seen[form, True] for form in self.FORMS)
+        assert all(seen[form, True] for form in self.FORMS) and 0 < seen["pinned"] < answered, seen
+
     def test_a_k8_pair_whose_pivot_pins(self):
         # 8! = 40 320 saturated chains of 8 steps, the longest pooling
         # cascades of the suite: the marked image a summand and delta > 0,
@@ -1264,7 +1280,7 @@ class TestAgainstCoordinateReference:
         twists = {f"L{i}": rng.randint(-3, 3) for i in range(8)}
         beta = rng.choice(tuple(twists))
         delta = const(Fraction(rng.randint(1, 6), rng.randint(1, 4)))
-        expected = reference_coordinate.pair_answer(twists, 1, dict(delta.items()), beta)
+        expected = reference_coordinate.pair_answer(twists, 1, dict(delta.items()), {beta})
         lat = coordinate_lattice(twists, 1)
         f = pair_canonical(PairObject(lattice=lat, beta_image=beta), delta).filtration
         chain = tuple(frozenset(twists) if m == lat.top_id else frozenset(m.split("+")) for m in f.chain)

@@ -12,8 +12,7 @@ delta meets the lattice's integer table N (see lattice) in one place,
 table_rows(lat, delta, twisted): over the exponents 0..d and delta's, with
 E the lcm of delta's denominators and D the table's, it lays out the twist
 row D * E * delta and each member's row R_G = E * N_G, the twist added for
-the members in twisted; untwisted rows that delta pads or rescales are
-made on first read.  A query's step table, step_table(lat, delta),
+the members in twisted.  A query's step table, step_table(lat, delta),
 makes each distinct step's entry once, on first use, from two such rows:
 with dR = R_sup - R_sub, the rank N_sup[d] - N_sub[d] = dR[d] / E and
 
@@ -114,7 +113,7 @@ from functools import cached_property
 from itertools import accumulate, repeat
 from math import factorial, lcm
 from operator import add, sub
-from typing import Callable, ClassVar, Collection, Iterable, Mapping, Sequence
+from typing import Callable, ClassVar, Collection, Iterable, Sequence
 
 from .errors import BadIndex
 from .lattice import (
@@ -128,43 +127,25 @@ from .lattice import (
 from .ratpoly import NuValue, RatPoly
 
 
-class _Rows(dict):
-    """Rows made on first read, by make(member), and kept."""
-
-    def __init__(self, make: Callable[[str], tuple[int, ...]]):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, member: str) -> tuple[int, ...]:
-        row = self[member] = self.make(member)
-        return row
-
-
 def table_rows(
     lat: SubobjectLattice, delta: RatPoly | None = None, twisted: Collection[str] = ()
-) -> tuple[list[int], int, tuple[int, ...], Mapping[str, tuple[int, ...]]]:
+) -> tuple[list[int], int, tuple[int, ...], dict[str, tuple[int, ...]]]:
     """delta laid over the lattice's integer table: the exponents 0..d and
     delta's, lowest first; E, the lcm of delta's denominators; the twist
     row D * E * delta; and each member's row E * N_G, the twist added for
     the members in twisted.  When E = 1 and delta lies in 0..d, the
     table's own tuples are handed on, and only twisted members take new
-    rows (none at delta = 0).  Otherwise, with no member twisted, each row
-    is made on its first read, so a step table pays for the members on
-    its chains alone; the pair test, which twists, reads every row."""
+    rows (none at delta = 0)."""
     terms = {} if delta is None else delta._coeffs
     d, scale = lat.dim, lcm(*(c.denominator for c in terms.values()))
     exponents = sorted({*range(d + 1), *terms})
     twist = tuple(int(lat.denominator * scale * terms.get(e, 0)) for e in exponents)
-    rows, twisting = lat.numerators, bool(terms and twisted)
+    rows = lat.numerators
     if scale != 1 or len(exponents) > d + 1:  # pad with delta's exponents below 0 and above d
         low, high = (0,) * exponents.index(0), (0,) * (len(exponents) - exponents.index(d) - 1)
-        if not twisting:
-            return exponents, scale, twist, _Rows(lambda m: low + tuple([scale * n for n in rows[m]]) + high)
         rows = {m: low + tuple([scale * n for n in row]) + high for m, row in rows.items()}
-    elif twisting:
-        rows = dict(rows)
-    for m in twisted if twisting else ():
-        rows[m] = tuple(map(add, rows[m], twist))
+    if terms and twisted:
+        rows = {**rows, **{m: tuple(map(add, rows[m], twist)) for m in twisted}}
     return exponents, scale, twist, rows
 
 

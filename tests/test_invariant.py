@@ -21,7 +21,6 @@ from thetastab import (
     weight_graded,
     weight_subobject,
 )
-from thetastab import invariant as invariant_mod
 from thetastab import lattice as lattice_mod
 from thetastab import ratpoly as ratpoly_mod
 from thetastab.canonical import hn_filtration
@@ -245,30 +244,3 @@ class TestStepTableReadsTheIntegerTable:
                 assert len(ranks) == len(contribs) == len(ids)
                 entries += len(ids)
         assert entries > 500, entries
-
-    @pytest.mark.parametrize("delta", [P({0: F(1, 2)}), P({-1: 1}), P({3: F(-2, 3), 0: 1})], ids=["half", "Laurent", "high"])
-    def test_a_chain_makes_the_rows_of_its_own_members(self, monkeypatch, delta):
-        # delta pads or rescales every row here, yet nu_delta of a
-        # two-member chain on the 1024-member k = 10 lattice makes three
-        # rows: the top's, the chain's member's and the zero's, each the
-        # row a table made whole holds (L0's less the twist it is given there)
-        lat = coordinate_lattice({f"L{i}": (i * 7) % 5 - 2 + i for i in range(10)})
-        made = []
-        real = invariant_mod.table_rows
-
-        def spied(*args):
-            answer = real(*args)
-            made.append(answer[3])
-            return answer
-
-        monkeypatch.setattr(invariant_mod, "table_rows", spied)
-        f = make_filtration(lat, (lat.top_id, "L0"), (0, 1))
-        value = nu_delta(f, delta)
-        assert set(made[0]) == {lat.top_id, "L0", lat.zero_id}
-        eager = real(lat, delta, ("L0",))[3]
-        assert len(eager) == len(lat.ids())
-        assert made[0][lat.top_id] == eager[lat.top_id] and made[0][lat.zero_id] == eager[lat.zero_id]
-        assert tuple(a - t for a, t in zip(eager["L0"], real(lat, delta)[2])) == made[0]["L0"]
-        # and the value is the direct expansion P(L0) - rank(L0) * tau, b = rank(L0) = 1
-        top, member = lat.top.stats, lat.member("L0").stats
-        assert value == NuValue(member.poly - (top.reduced + delta * F(1, 10)), 1)

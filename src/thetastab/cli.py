@@ -5,7 +5,9 @@ pair-canonical, sweep, oracle.  Exit status 0 on success, 1 on domain
 errors (printing the owning module's error name, or IntegerTooLong for an
 integer too long to print), 2 on parse errors.  pair-canonical refuses an
 unstable pair on a lattice of more than CHAIN_BUDGET saturated chains
-(WorkBudgetExceeded, exit 1) before walking them.  Structured output
+(WorkBudgetExceeded, exit 1) before walking them.  oracle --dry-run
+prints the candidate count and whether it is within --max-candidates,
+and exits 0 without scoring.  Structured output
 (--format structured) is a single JSON document that is a pure function
 of the input file and flags.
 """
@@ -154,27 +156,32 @@ def _oracle_limits(args) -> tuple[int, int]:
     return _at_least(args.bound, "--bound", 1), _at_least(args.max_candidates, "--max-candidates", 0)
 
 
-def _over_budget(count: int, budget: int) -> str:
-    """The count of a refusal (count > budget), of candidates or of chains,
-    as text: the count itself where str prints it (at most
-    sys.get_int_max_str_digits() digits), else "more than {budget}"."""
+def _over_budget(count: int | None, budget: int) -> str:
+    """A count, of candidates or of chains, as text: the count itself
+    where str prints it (at most sys.get_int_max_str_digits() digits),
+    else, as for a count not made (None), "more than {budget}"."""
     limit = sys.get_int_max_str_digits()
-    return str(count) if not limit or count < 10**limit else f"more than {budget}"
+    printable = count is not None and (not limit or count < 10**limit)
+    return str(count) if printable else f"more than {budget}"
+
+
+def _candidate_count(lat: SubobjectLattice, pair: PairObject | None, bound: int) -> int | None:
+    """The oracle's candidate count at W = bound, or None where it is not
+    made.  The count is at least W + p * C(W + 1, 2) for p proper nonzero
+    members: the top alone carries W candidates and each chain (top, m)
+    at least C(W + 1, 2).  When that has more digits than str prints, the
+    count is past any budget (read under the same limit) and is not
+    computed."""
+    limit = sys.get_int_max_str_digits()
+    least = bound + len(lat.proper_nonzero_ids()) * (bound * (bound + 1) // 2)
+    return None if limit and least >= 10**limit else oracle.candidate_count(lat, pair, bound)
 
 
 def _refusal(lat: SubobjectLattice, pair: PairObject | None, bound: int, budget: int) -> str | None:
     """The oracle's candidate count at W = bound as _over_budget words it,
-    or None within the budget.  The count is at least W + p * C(W + 1, 2)
-    for p proper nonzero members: the top alone carries W candidates and
-    each chain (top, m) at least C(W + 1, 2).  When that has more digits
-    than str prints, the count is past the budget (read under the same
-    limit) and is not computed."""
-    limit = sys.get_int_max_str_digits()
-    least = bound + len(lat.proper_nonzero_ids()) * (bound * (bound + 1) // 2)
-    if limit and least >= 10**limit:
-        return f"more than {budget}"
-    count = oracle.candidate_count(lat, pair, bound)
-    return _over_budget(count, budget) if count > budget else None
+    or None within the budget."""
+    count = _candidate_count(lat, pair, bound)
+    return None if count is not None and count <= budget else _over_budget(count, budget)
 
 
 def _require_pair(pair: PairObject | None) -> PairObject:
@@ -279,10 +286,25 @@ def _dumped(candidates, writer, lat):
         yield chain, weights, terms, b
 
 
+def _dry_run(lat: SubobjectLattice, pair: PairObject | None, bound: int, budget: int) -> tuple[dict, list[str]]:
+    """oracle --dry-run: the candidate count at W = bound, worded as a
+    refusal words it, and whether it is within the budget; nothing is
+    scored."""
+    count = _candidate_count(lat, pair, bound)
+    within = count is not None and count <= budget
+    text = _over_budget(count, budget)
+    payload = {"command": "oracle", "dry_run": True, "bound": bound, "candidates": text,
+               "max_candidates": budget, "within_budget": within}
+    return payload, [f"candidates at W={bound}: {text}",
+                     f"{'within' if within else 'over'} the budget of {budget}"]
+
+
 def _cmd_oracle(args) -> tuple[dict, list[str]]:
     lat, pair = load_lattice(args.input)
     delta = parse_delta(args.delta) if args.delta is not None else None
     bound, budget = _oracle_limits(args)
+    if args.dry_run:
+        return _dry_run(lat, pair, bound, budget)
     refused = _refusal(lat, pair, bound, budget)
     if refused is not None:
         raise WorkBudgetExceeded(f"{refused} candidates at W={bound} exceed the budget of {budget}")
@@ -367,8 +389,11 @@ def build_parser() -> argparse.ArgumentParser:
         if sweep:
             cmd.add_argument("--sweep-deltas", default=None,
                              help="comma-separated constant delta values")
-        if csv_flag:
-            cmd.add_argument("--csv", default=None, help="dump all candidates to this CSV file")
+        if csv_flag:  # a dry run scores nothing, so it has nothing to dump
+            either = cmd.add_mutually_exclusive_group()
+            either.add_argument("--csv", default=None, help="dump all candidates to this CSV file")
+            either.add_argument("--dry-run", action="store_true",
+                                help="print the candidate count and whether it is within --max-candidates; score none")
         cmd.add_argument("--format", choices=("text", "structured"), default="text")
         return cmd
 

@@ -21,14 +21,17 @@ with the column, over K; its norm b, an int on the table's scale, is one
 with the ranks N_sup[d] - N_sub[d].
 
 The judge compares candidates by a rule of its own, not through
-ratpoly's: sum_e x_e n^e / sqrt(b_x) is compared with sum_e y_e n^e /
-sqrt(b_y) from the highest exponent down, each coefficient's sign read
-off its numerator, and, where the signs agree and are nonzero, by
-x_e^2 * b_y against y_e^2 * b_x.  The incumbent y's side, its sign and
-y_e^2 at each exponent, is formed once each time the incumbent changes,
-so a candidate costs three Fraction products at an exponent where the
-signs do not decide, and none where they do.  Only the result is built
-as a NuValue, by invariant.reported_nu from its own terms.
+ratpoly's, and on ints: sum_e x_e n^e / sqrt(b_x) is compared with
+sum_e y_e n^e / sqrt(b_y) from the highest exponent down.  Each
+coefficient, a normalized n/d with d > 0, has the sign of its numerator,
+and where the signs agree and are nonzero x_e^2 * b_y is weighed against
+y_e^2 * b_x as n_x^2 * (d_y^2 * b_y) against n_y^2 * d_x^2 * b_x: both
+sides times d_x^2 * d_y^2 > 0, so the order is exact.  The incumbent y's
+side, its sign, n_y^2 and d_y^2 * b_y at each exponent, is formed once
+each time the incumbent changes, so a candidate costs a few int products
+at an exponent where the signs do not decide, none where they do, and
+no Fraction arithmetic at all.  Only the result is built as a NuValue,
+by invariant.reported_nu from its own terms.
 
 Since nu is scale invariant, proportional weight vectors represent the same
 candidate; the argmax is always reported in primitive form (weights divided
@@ -209,52 +212,58 @@ def argmax(
     incumbent's own terms and b: those of its primitive representative
     (both over g, g^2 for g the gcd of its weights) for a positive
     maximum, which is nu_delta of best, and as scored otherwise."""
-    best = best_key = side = side_b = None
+    best = best_key = side = None
     explored = 0
     for candidate in candidates:
         chain, weights, terms, b = candidate
         explored += 1
-        verdict = GREATER if best is None else _compare(terms, b, side, side_b)
+        verdict = GREATER if best is None else _compare(terms, b, side)
         if verdict == LESS:
             continue
         key = (len(chain), chain, primitive_weights(weights))
         if verdict == GREATER or key < best_key:
-            best, best_key, side, side_b = candidate, key, _side(terms), b
+            best, best_key, side = candidate, key, _side(terms, b)
 
     if best is None:
         return OracleResult(best=None, value=NuValue.zero(), explored=0)
     chain, weights, terms, b = best
-    if _compare(terms, b, {}, 1) != GREATER:
+    if _compare(terms, b, {}) != GREATER:  # against the zero value
         return OracleResult(None, reported_nu(lat, RatPoly(terms), b), explored)
     g = gcd(*weights)
     value = reported_nu(lat, RatPoly({e: t / g for e, t in terms.items()}), b // (g * g))
     return OracleResult(make_filtration(lat, chain, best_key[2], pair), value, explored)
 
 
-#: An exponent a side does not hold: coefficient zero.
-_ABSENT = (0, None)
+#: An exponent a side does not hold, or holds a zero coefficient.
+_ABSENT = (0, 0, 0)
 
 
-def _side(terms: dict[int, Fraction]) -> dict[int, tuple[int, Fraction | None]]:
-    """The incumbent's side of every comparison: at each exponent the sign
-    of its coefficient, read off the numerator, and the coefficient's
-    square where it is nonzero."""
-    return {e: (1, c * c) if c.numerator > 0 else (-1, c * c) if c.numerator else _ABSENT
-            for e, c in terms.items()}
+def _side(terms: dict[int, Fraction], b: int) -> dict[int, tuple[int, int, int]]:
+    """The incumbent's side of every comparison: at each exponent where
+    its coefficient n/d is nonzero, the sign of n, n^2 and d^2 * b."""
+    side = {}
+    for e, c in terms.items():
+        n = c.numerator
+        if n:
+            d = c.denominator
+            side[e] = (1 if n > 0 else -1, n * n, d * d * b)
+    return side
 
 
-def _compare(terms: dict[int, Fraction], b: int, side: dict, side_b: int) -> int:
-    """The candidate (terms, b) against the incumbent of side and norm
-    side_b, by the rule of the module docstring."""
+def _compare(terms: dict[int, Fraction], b: int, side: dict[int, tuple[int, int, int]]) -> int:
+    """The candidate (terms, b) against the incumbent of side, by the
+    rule of the module docstring; against the empty side, the sign of
+    the candidate's value."""
     for e in sorted(terms.keys() | side.keys(), reverse=True):
         c = terms.get(e)
         n = 0 if c is None else c.numerator
         sign = (n > 0) - (n < 0)
-        their_sign, square = side.get(e, _ABSENT)
+        their_sign, their_square, their_scale = side.get(e, _ABSENT)
         if sign != their_sign:
             return GREATER if sign > their_sign else LESS
         if sign:
-            lhs, rhs = c * c * side_b, square * b
+            d = c.denominator
+            lhs, rhs = n * n * their_scale, their_square * d * d * b
             if lhs != rhs:
                 return sign if lhs > rhs else -sign
     return EQUAL

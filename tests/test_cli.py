@@ -641,6 +641,67 @@ class TestCountsOverBudget:
             sys.set_int_max_str_digits(limit)
 
 
+class TestDryRun:
+    """oracle --dry-run prints the candidate count and whether it is within
+    --max-candidates, worded as a refusal words it, and exits 0 without
+    scoring a candidate."""
+
+    NONCONVEX = FIXTURES / "example_nonconvex.lattice"
+
+    @pytest.fixture
+    def no_search(self, monkeypatch):
+        from thetastab import oracle
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a dry run scores no candidate")
+
+        monkeypatch.setattr(oracle, "iter_terms", fail)
+        monkeypatch.setattr(oracle, "argmax", fail)
+
+    def test_prints_the_count_and_scores_nothing(self, capsys, no_search):
+        code, out, err = run(capsys, "oracle", self.NONCONVEX, "--dry-run")
+        assert (code, out, err) == (0, "candidates at W=6: 1182\nwithin the budget of 100000\n", "")
+        code, out, err = run(capsys, "oracle", self.NONCONVEX, "--dry-run", "--max-candidates", "1181")
+        assert (code, out, err) == (0, "candidates at W=6: 1182\nover the budget of 1181\n", "")
+        code, payload, _ = run_json(capsys, "oracle", self.NONCONVEX, "--dry-run", "--delta", "1/2", "--bound", "3")
+        assert code == 0
+        assert payload == {"command": "oracle", "dry_run": True, "bound": 3, "candidates": "195",
+                           "max_candidates": 100000, "within_budget": True}
+
+    def test_the_count_is_a_runs_explored(self, capsys):
+        seen = 0
+        for path in sorted(FIXTURES.glob("*.lattice")):
+            for bound in ("2", "3", "4"):
+                code, counted, _ = run_json(capsys, "oracle", path, "--bound", bound, "--dry-run")
+                assert code == 0 and counted["within_budget"] is True, (path, bound)
+                code, scored, _ = run_json(capsys, "oracle", path, "--bound", bound)
+                assert code == 0 and counted["candidates"] == str(scored["explored"]), (path, bound)
+                seen += 1
+        assert seen == 21
+
+    def test_a_huge_bound_answers_at_once(self, capsys, tmp_path, no_search):
+        # on 160 nonzero members the count's lower bound is already too long
+        # to print, and on 23 the count is made but too long: both are "more
+        # than" the budget, never IntegerTooLong
+        bound = "9" * 2201
+        start = time.perf_counter()
+        code, out, err = run(capsys, "oracle", _total_order(tmp_path / "total161.lattice", 161),
+                             "--bound", bound, "--dry-run")
+        assert time.perf_counter() - start < 5.0
+        assert (code, out, err) == (0, f"candidates at W={bound}: more than 100000\nover the budget of 100000\n", "")
+        code, payload, err = run_json(capsys, "oracle", _total_order(tmp_path / "total24.lattice", 24),
+                                      "--bound", bound, "--dry-run", "--max-candidates", "7")
+        assert (code, err) == (0, "")
+        assert (payload["candidates"], payload["within_budget"]) == ("more than 7", False)
+
+    def test_with_csv_is_a_parse_error(self, capsys, tmp_path, no_search):
+        target = tmp_path / "dump.csv"
+        for flags in (("--dry-run", "--csv", target), ("--csv", target, "--dry-run")):
+            code, out, err = run(capsys, "oracle", self.NONCONVEX, *flags)
+            assert (code, out) == (2, "") and err.startswith("error: ParseError: ") and len(err.splitlines()) == 1
+        assert not target.exists()
+
+
 class TestOneTablePerSearch:
     """Each search values its answer on what it read: the closed form and
     the leading term on their one step table, the oracle on its member

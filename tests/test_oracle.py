@@ -137,12 +137,19 @@ class TestTheJudgeComparesOnItsOwn:
 
     def candidate(self, rng, chains):
         """A quadruple for argmax on one of chains: random weights of gcd
-        g and random terms over exponents -2..2, zero coefficients among
-        them, and b, as a candidate of those weights has them: terms a
-        multiple of g, b of g^2."""
+        g and random terms over exponents -2..2, and b, as a candidate of
+        those weights has them: terms a multiple of g, b of g^2.  The
+        terms are small, zero coefficients among them, or in one draw of
+        four long: numerators of 30 to 40 digits, each exponent over a
+        denominator of its own."""
         chain, g = rng.choice(chains), rng.choice((1, 1, 2, 3))
         exponents = rng.sample(range(-2, 3), rng.randint(0, 3))
-        terms = {e: g * Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for e in exponents}
+        if rng.random() < 0.25:
+            denominators = rng.sample(range(2, 90), len(exponents))
+            terms = {e: g * Fraction(rng.choice((-1, 1)) * rng.randrange(10**29, 10**40), q)
+                     for e, q in zip(exponents, denominators)}
+        else:
+            terms = {e: g * Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for e in exponents}
         return chain, self.weights(rng, chain, g), terms, g * g * rng.randint(1, 12)
 
     def test_each_winner_of_two_is_nu_compares(self, lat_b3):
@@ -178,7 +185,10 @@ class TestTheJudgeComparesOnItsOwn:
             seen["Laurent"] += any(e < 0 and c for _, _, terms, _ in (first, second) for e, c in terms.items())
             seen["zero"] += any(c == 0 for _, _, terms, _ in (first, second) for c in terms.values())
             seen["positive"] += result.best is not None
+            seen["long", order] += any(abs(c.numerator) >= 10**29 for _, _, terms, _ in (first, second)
+                                       for c in terms.values())
         assert seen["Laurent"] and seen["zero"] and seen["positive"], seen
+        assert seen["long", EQUAL] and seen["long", LESS] and seen["long", GREATER], seen
         assert seen["scaled", EQUAL] and seen["padded", EQUAL] and seen["drawn", LESS] and seen["drawn", GREATER], seen
 
 
@@ -538,6 +548,39 @@ class TestWorkCounts:
             counts.append(len(calls))
         assert explored == [3644, 15378]
         assert counts == [0, 0], counts
+
+    def test_a_whole_search_does_fraction_arithmetic_for_its_result_alone(self, monkeypatch):
+        # argmax weighs every candidate on ints, the positivity test on
+        # its result too: across one whole brute_force_max call on the k = 4
+        # pair, Fraction arithmetic and rich comparisons are the result's
+        # alone, t / g at its one exponent and reported_nu's NuValue (b times
+        # the rank scale, and its checks), as many against 3644 candidates
+        # as against 15 378
+        calls = Counter()
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",
+                     "__rtruediv__", "__floordiv__", "__rfloordiv__", "__mod__", "__rmod__", "__pow__",
+                     "__rpow__", "__neg__", "__abs__", "__lt__", "__le__", "__gt__", "__ge__", "__eq__"):
+            def counting(*args, real=getattr(Fraction, name), name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(Fraction, name, counting)
+        lat = coordinate_lattice({f"L{i}": (i * 7) % 5 - 2 + i for i in range(4)})
+        pair, delta = PairObject(lattice=lat, beta_image="L0"), P({0: Fraction(1, 2)})
+        answers, counts = [], []
+        for bound in (4, 6):
+            calls.clear()
+            result = brute_force_max(lat, pair, delta, bound)
+            counts.append(dict(calls))
+            answers.append((result.explored, result.best.chain, result.best.weights, result.value))
+        monkeypatch.undo()
+        chain = ("F", "L2+L3+L0", "L2+L3", "L2")
+        assert answers == [
+            (3644, chain, (-1, 0, 1, 4), NuValue(P({0: Fraction(23, 2)}), Fraction(18))),
+            (15378, chain, (-1, 0, 1, 5), NuValue(P({0: Fraction(113, 8)}), Fraction(27))),
+        ]
+        assert counts[0] == counts[1] and sum(counts[0].values()) <= 4, counts
+        assert counts[0]["__truediv__"] == 1, counts
 
 
     @pytest.mark.parametrize(

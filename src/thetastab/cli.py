@@ -276,11 +276,11 @@ def _cmd_sweep(args) -> tuple[dict, list[str]]:
     return payload, lines
 
 
-def _dumped(candidates, writer, lat):
-    """The oracle's candidates, each written as a CSV row on its way by, valued as reported."""
+def _dumped(candidates, writer, lat, den):
+    """The oracle's candidates, terms over den, each written as a CSV row on its way by, valued as reported."""
     writer.writerow(["chain", "weights", "L", "b", f"value_at_{APPROX_POINT}"])
     for chain, weights, terms, b in candidates:
-        value = invariant.reported_nu(lat, RatPoly(terms), b)
+        value = invariant.reported_nu(lat, oracle.poly(terms, den), b)
         writer.writerow(["|".join(chain), "|".join(str(w) for w in weights), str(value.L),
                          format_rational(value.b), f"{value.approx(APPROX_POINT):.6g}"])
         yield chain, weights, terms, b
@@ -308,15 +308,15 @@ def _cmd_oracle(args) -> tuple[dict, list[str]]:
     refused = _refusal(lat, pair, bound, budget)
     if refused is not None:
         raise WorkBudgetExceeded(f"{refused} candidates at W={bound} exceed the budget of {budget}")
-    candidates = oracle.iter_terms(lat, pair, delta, bound)
+    candidates, den = oracle.iter_terms(lat, pair, delta, bound), oracle.denominator(lat, delta)
     if args.csv:  # opened before the search, so an unwritable path fails at once
         try:
             with open(args.csv, "w", newline="") as handle:
-                result = oracle.argmax(lat, _dumped(candidates, csv.writer(handle), lat), pair)
+                result = oracle.argmax(lat, _dumped(candidates, csv.writer(handle), lat, den), den, pair)
         except OSError as exc:
             raise ParseError(f"cannot write {args.csv}: {exc}") from exc
     else:
-        result = oracle.argmax(lat, candidates, pair)
+        result = oracle.argmax(lat, candidates, den, pair)
     payload = {
         "command": "oracle",
         "bound": bound,

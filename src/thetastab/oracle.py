@@ -21,17 +21,15 @@ with the column, over K; its norm b, an int on the table's scale, is one
 with the ranks N_sup[d] - N_sub[d].
 
 The judge compares candidates by a rule of its own, not through
-ratpoly's, and on ints: sum_e x_e n^e / sqrt(b_x) is compared with
-sum_e y_e n^e / sqrt(b_y) from the highest exponent down.  Each
-coefficient, a normalized n/d with d > 0, has the sign of its numerator,
-and where the signs agree and are nonzero x_e^2 * b_y is weighed against
-y_e^2 * b_x as n_x^2 * (d_y^2 * b_y) against n_y^2 * d_x^2 * b_x: both
-sides times d_x^2 * d_y^2 > 0, so the order is exact.  The incumbent y's
-side, its sign, n_y^2 and d_y^2 * b_y at each exponent, is formed once
-each time the incumbent changes, so a candidate costs a few int products
-at an exponent where the signs do not decide, none where they do, and
-no Fraction arithmetic at all.  Only the result is built as a NuValue,
-by invariant.reported_nu from its own terms.
+ratpoly's, and on ints: sum_e x_e n^e / sqrt(b_x) against
+sum_e y_e n^e / sqrt(b_y), from the highest exponent down.  Each
+coefficient is an int numerator over the query's one K, so where the
+signs of two agree and are nonzero, x_e^2 * b_y is weighed against
+y_e^2 * b_x as n_x^2 * b_y against n_y^2 * b_x: one K per query cancels,
+so the order is exact.  The incumbent's signs and n_y^2 are formed once
+each time it changes, so a candidate costs two int products at an
+exponent where the signs do not decide, none where they do, and no
+Fraction at all; only the result becomes a NuValue, by reported_nu.
 
 Since nu is scale invariant, proportional weight vectors represent the same
 candidate; the argmax is always reported in primitive form (weights divided
@@ -144,17 +142,29 @@ def candidate_count(lat: SubobjectLattice, pair: PairObject | None = None, bound
     ) - 1
 
 
+def denominator(lat: SubobjectLattice, delta: RatPoly | None = None) -> int:
+    """K = D * E * N_F[d], the one denominator of a query's coefficients."""
+    terms = {} if delta is None else delta._coeffs
+    return lat.denominator * lcm(*(c.denominator for c in terms.values())) * lat.numerators[lat.top_id][lat.dim]
+
+
 def member_rows(lat: SubobjectLattice, delta: RatPoly | None = None) -> tuple[list[int], int, dict]:
     """The members' and delta's exponents, highest first, K and each
     member's row A_G = K * a(G) over them; the zero member's is zero."""
     terms = {} if delta is None else delta._coeffs
-    scale = lcm(*(c.denominator for c in terms.values()))
     rows, d, top = lat.numerators, lat.dim, lat.numerators[lat.top_id]
+    den = denominator(lat, delta)
+    scale = den // (lat.denominator * top[d])
     exponents = sorted({e for row in rows.values() for e, n in enumerate(row) if n} | terms.keys(), reverse=True)
     twist = {e: lat.denominator * c.numerator * (scale // c.denominator) for e, c in terms.items()}
-    return exponents, lat.denominator * scale * top[d], {member: [
+    return exponents, den, {member: [
         (scale * (top[d] * n[e] - n[d] * top[e]) if 0 <= e <= d else 0) - n[d] * twist.get(e, 0) for e in exponents
     ] for member, n in rows.items()}
+
+
+def poly(terms: dict[int, int], den: int) -> RatPoly:
+    """The numerator <w, c> of a candidate whose terms are over den."""
+    return RatPoly({e: Fraction(n, den) for e, n in terms.items()})
 
 
 def iter_terms(
@@ -162,17 +172,17 @@ def iter_terms(
     pair: PairObject | None = None,
     delta: RatPoly | None = None,
     bound: int = 4,
-) -> Iterator[tuple[tuple[str, ...], tuple[int, ...], dict[int, Fraction], int]]:
+) -> Iterator[tuple[tuple[str, ...], tuple[int, ...], dict[int, int], int]]:
     """Yield (chain ids, weights, terms, b) over all feasible nondegenerate
-    candidates, chains in canonical order, weights lexicographic: the value
-    of a candidate is reported_nu(lat, RatPoly(terms), b), with terms[e],
-    a Fraction over K, at each exponent e of the chain's columns (zero
-    coefficients kept) and the int b read off its ranks."""
+    candidates, chains in canonical order, weights lexicographic, each of
+    value reported_nu(lat, poly(terms, K), b) for K = denominator(lat,
+    delta): terms[e] an int numerator at each exponent e of the chain's
+    columns (zero ones kept), b an int read off its ranks."""
     if bound < 1:
         raise ValueError(f"weight bound must be >= 1, got {bound}")
     beta = pair.beta_image if pair is not None else None
 
-    exponents, den, rows = member_rows(lat, delta)
+    exponents, _, rows = member_rows(lat, delta)
     nums, d = lat.numerators, lat.dim
     for chain in enumerate_chains(lat, bound, beta):
         ids = chain.chain
@@ -188,7 +198,7 @@ def iter_terms(
             b = sum(map(mul, ranks, (w * w for w in weights)))
             if b == 0:  # the trivial chain with weight 0
                 continue
-            yield ids, weights, {e: Fraction(sum(map(mul, weights, col)), den) for e, col in table}, b
+            yield ids, weights, {e: sum(map(mul, weights, col)) for e, col in table}, b
 
 
 def brute_force_max(
@@ -198,72 +208,61 @@ def brute_force_max(
     bound: int = 4,
 ) -> OracleResult:
     """Exact maximum of nu (or nu_delta) over bounded integer weights."""
-    return argmax(lat, iter_terms(lat, pair, delta, bound), pair)
+    return argmax(lat, iter_terms(lat, pair, delta, bound), denominator(lat, delta), pair)
 
 
 def argmax(
     lat: SubobjectLattice,
-    candidates: Iterable[tuple[tuple[str, ...], tuple[int, ...], dict[int, Fraction], int]],
+    candidates: Iterable[tuple[tuple[str, ...], tuple[int, ...], dict[int, int], int]],
+    den: int,
     pair: PairObject | None = None,
 ) -> OracleResult:
     """The best of a stream of iter_terms(lat, pair, delta, W) quadruples,
-    each compared with the incumbent once as it arrives, by the rule of the
-    module docstring.  The one NuValue built is the result's, from the
-    incumbent's own terms and b: those of its primitive representative
-    (both over g, g^2 for g the gcd of its weights) for a positive
-    maximum, which is nu_delta of best, and as scored otherwise."""
-    best = best_key = side = None
+    terms over den = denominator(lat, delta), each compared with the
+    incumbent once as it arrives, by the rule of the module docstring.
+    The one NuValue built is the result's, from the incumbent's terms and
+    b: for a positive maximum its primitive representative's, over den * g
+    and g^2 for g the gcd of its weights (nu_delta of best), and as scored
+    otherwise."""
+    best = best_key = side = their_b = None
     explored = 0
     for candidate in candidates:
         chain, weights, terms, b = candidate
         explored += 1
-        verdict = GREATER if best is None else _compare(terms, b, side)
+        verdict = GREATER if best is None else _compare(terms, b, side, their_b)
         if verdict == LESS:
             continue
         key = (len(chain), chain, primitive_weights(weights))
         if verdict == GREATER or key < best_key:
-            best, best_key, side = candidate, key, _side(terms, b)
+            best, best_key, side, their_b = candidate, key, _side(terms), b
 
     if best is None:
         return OracleResult(best=None, value=NuValue.zero(), explored=0)
     chain, weights, terms, b = best
-    if _compare(terms, b, {}) != GREATER:  # against the zero value
-        return OracleResult(None, reported_nu(lat, RatPoly(terms), b), explored)
+    if _compare(terms, b, {}, 0) != GREATER:  # against the zero value
+        return OracleResult(None, reported_nu(lat, poly(terms, den), b), explored)
     g = gcd(*weights)
-    value = reported_nu(lat, RatPoly({e: t / g for e, t in terms.items()}), b // (g * g))
+    value = reported_nu(lat, poly(terms, den * g), b // (g * g))
     return OracleResult(make_filtration(lat, chain, best_key[2], pair), value, explored)
 
 
-#: An exponent a side does not hold, or holds a zero coefficient.
-_ABSENT = (0, 0, 0)
+def _side(terms: dict[int, int]) -> dict[int, tuple[int, int]]:
+    """The incumbent's side of every comparison but its b: at each
+    exponent where its numerator n is nonzero, the sign of n and n^2."""
+    return {e: (1 if n > 0 else -1, n * n) for e, n in terms.items() if n}
 
 
-def _side(terms: dict[int, Fraction], b: int) -> dict[int, tuple[int, int, int]]:
-    """The incumbent's side of every comparison: at each exponent where
-    its coefficient n/d is nonzero, the sign of n, n^2 and d^2 * b."""
-    side = {}
-    for e, c in terms.items():
-        n = c.numerator
-        if n:
-            d = c.denominator
-            side[e] = (1 if n > 0 else -1, n * n, d * d * b)
-    return side
-
-
-def _compare(terms: dict[int, Fraction], b: int, side: dict[int, tuple[int, int, int]]) -> int:
-    """The candidate (terms, b) against the incumbent of side, by the
-    rule of the module docstring; against the empty side, the sign of
-    the candidate's value."""
+def _compare(terms: dict[int, int], b: int, side: dict[int, tuple[int, int]], their_b: int) -> int:
+    """The candidate (terms, b) against the incumbent (side, their_b) by the
+    module docstring's rule; against the empty side, its value's sign."""
     for e in sorted(terms.keys() | side.keys(), reverse=True):
-        c = terms.get(e)
-        n = 0 if c is None else c.numerator
+        n = terms.get(e, 0)
         sign = (n > 0) - (n < 0)
-        their_sign, their_square, their_scale = side.get(e, _ABSENT)
+        their_sign, their_square = side.get(e, (0, 0))  # absent, or a zero coefficient
         if sign != their_sign:
             return GREATER if sign > their_sign else LESS
         if sign:
-            d = c.denominator
-            lhs, rhs = n * n * their_scale, their_square * d * d * b
+            lhs, rhs = n * n * their_b, their_square * b
             if lhs != rhs:
                 return sign if lhs > rhs else -sign
     return EQUAL

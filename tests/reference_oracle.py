@@ -18,13 +18,16 @@ primitive weights) and the same report of a nonpositive maximum.
 
 lcm_terms is the stream iter_terms yielded before it read member rows:
 each chain's contributions laid out as one column per exponent e, integer
-numerators over D_e, the lcm of the column's denominators.
+numerators over D_e, the lcm of the column's denominators, and each
+coefficient a Fraction; iter_terms now yields its numerator over the
+query's one denominator K instead.
 
 iter_candidates, formerly thetastab.oracle.iter_candidates, is the stream
-brute_force_max scores, each candidate's terms built into a NuValue.  The
-stream's b is an int on the lattice's integer table, sum N_gr[d] * w^2,
-the graded norm over lat.rank_scale; iter_candidates multiplies it back,
-so its values are nu itself, as scored_candidates builds them.
+brute_force_max scores, each candidate's terms read over K and built into
+a NuValue.  The stream's b is an int on the lattice's integer table,
+sum N_gr[d] * w^2, the graded norm over lat.rank_scale; iter_candidates
+multiplies it back, so its values are nu itself, as scored_candidates
+builds them.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from thetastab import (
     primitive_weights,
 )
 from thetastab.lattice import UnweightedFiltration, WeightedFiltration, pair_pivot_index
-from thetastab.oracle import iter_terms
+from thetastab.oracle import denominator, iter_terms
 
 
 @dataclass(frozen=True)
@@ -64,9 +67,10 @@ class ReferenceResult:
 def iter_candidates(lat, pair=None, delta=None, bound=4):
     """Yield (chain ids, weights, value) over the candidates of
     thetastab.oracle.iter_terms, in its order, each value on the graded
-    ranks' scale."""
+    ranks' scale, each int numerator n of its terms read as n / K."""
+    den = denominator(lat, delta)
     for chain, weights, terms, b in iter_terms(lat, pair, delta, bound):
-        yield chain, weights, NuValue(RatPoly(terms), b * lat.rank_scale)
+        yield chain, weights, NuValue(RatPoly({e: Fraction(n, den) for e, n in terms.items()}), b * lat.rank_scale)
 
 
 def graded_steps(lat, ids, delta=None):

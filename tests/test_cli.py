@@ -23,7 +23,7 @@ from thetastab.latfile import format_poly, load_lattice, nu_json, parse_delta
 from thetastab.lattice import MAX_DIMENSION
 
 from conftest import FIXTURES, coordinate_lattice
-from randgen import random_delta, random_lambda_lattice, random_subposet_lattice
+from randgen import random_coprime_lattice, random_delta, random_lambda_lattice, random_subposet_lattice
 from reference_oracle import reference_max
 
 
@@ -255,6 +255,37 @@ class TestOracleCommand:
         lines = target.read_text().strip().splitlines()
         assert lines[0].startswith("chain,weights,L,b")
         assert len(lines) == 1 + 4  # weights -2,-1,1,2 on the trivial chain
+
+    def test_csv_rows_are_nu_delta_of_their_filtrations(self, capsys, tmp_path):
+        # each row's L and b, the candidate's int numerators read over the
+        # query's one K, are nu_delta of the row's (chain, weights)
+        # filtration, read off a step table: on every fixture and on a
+        # coprime lattice, whose rank_scale is not 1, at deltas whose lcm
+        # of denominators E is 1, 2, 2 and 3
+        from thetastab.invariant import nu_delta
+        from thetastab.latfile import format_rational
+        from thetastab.lattice import make_filtration
+
+        coprime = random_coprime_lattice(random.Random(20261123), 3, 2)
+        assert coprime.rank_scale != 1
+        written = tmp_path / "coprime.lattice"
+        written.write_text(json.dumps({**coprime.as_dict(), "pair": {"beta_image": "S1"}}))
+        target, checked = tmp_path / "dump.csv", {}
+        for path in (*sorted(FIXTURES.glob("*.lattice")), written):
+            lat, _ = load_lattice(path)
+            for literal in (None, "1/2", "1/2 - 3n^-1", "2/3*n"):
+                flags = [] if literal is None else [f"--delta={literal}"]
+                code, _, _ = run(capsys, "oracle", path, "--bound", "2", "--csv", target, *flags)
+                assert code == 0, (path.name, literal)
+                delta = None if literal is None else parse_delta(literal)
+                with open(target, newline="") as handle:
+                    rows = list(csv.reader(handle))[1:]
+                for chain, weights, L, b, _ in rows:
+                    f = make_filtration(lat, chain.split("|"), [int(w) for w in weights.split("|")])
+                    value = nu_delta(f, delta)
+                    assert (L, b) == (str(value.L), format_rational(value.b)), (path.name, literal, chain, weights)
+                checked[path.name, literal] = len(rows)
+        assert len(checked) == 4 * 8 and min(checked.values()) >= 4, checked
 
     def test_csv_dump_scores_each_candidate_once(self, capsys, tmp_path, monkeypatch):
         from thetastab import oracle

@@ -49,6 +49,16 @@ def total_order(m):
     return build_lattice(1, polys, list(zip(ids, ids[1:])))
 
 
+def fraction_stream(lat, pair, delta, bound):
+    """iter_terms' stream, each of its int numerators n read as
+    Fraction(n, K) for the query's one denominator K, member_rows' own."""
+    den = oracle.denominator(lat, delta)
+    assert oracle.member_rows(lat, delta)[1] == den
+    stream = list(oracle.iter_terms(lat, pair, delta, bound))
+    assert all(type(n) is int for *_, terms, _ in stream for n in terms.values())
+    return [(c, w, {e: Fraction(n, den) for e, n in terms.items()}, b) for c, w, terms, b in stream]
+
+
 def package_imports(path: Path) -> set[str]:
     """The thetastab modules the source file at path imports, by their
     names in the package, relative imports and any inside a function
@@ -135,21 +145,18 @@ class TestTheJudgeComparesOnItsOwn:
             if gcd(*weights) == 1:
                 return tuple(g * w for w in weights)
 
-    def candidate(self, rng, chains):
+    def candidate(self, rng, chains, long):
         """A quadruple for argmax on one of chains: random weights of gcd
-        g and random terms over exponents -2..2, and b, as a candidate of
-        those weights has them: terms a multiple of g, b of g^2.  The
-        terms are small, zero coefficients among them, or in one draw of
-        four long: numerators of 30 to 40 digits, each exponent over a
-        denominator of its own."""
+        g and random int terms over exponents -2..2, numerators over the
+        stream's one denominator, and b, as a candidate of those weights
+        has them: terms a multiple of g, b of g^2.  The terms are small,
+        zero among them, or when long numerators of 30 to 40 digits."""
         chain, g = rng.choice(chains), rng.choice((1, 1, 2, 3))
         exponents = rng.sample(range(-2, 3), rng.randint(0, 3))
-        if rng.random() < 0.25:
-            denominators = rng.sample(range(2, 90), len(exponents))
-            terms = {e: g * Fraction(rng.choice((-1, 1)) * rng.randrange(10**29, 10**40), q)
-                     for e, q in zip(exponents, denominators)}
+        if long:
+            terms = {e: g * rng.choice((-1, 1)) * rng.randrange(10**29, 10**40) for e in exponents}
         else:
-            terms = {e: g * Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for e in exponents}
+            terms = {e: g * rng.randint(-6, 6) for e in exponents}
         return chain, self.weights(rng, chain, g), terms, g * g * rng.randint(1, 12)
 
     def test_each_winner_of_two_is_nu_compares(self, lat_b3):
@@ -157,24 +164,29 @@ class TestTheJudgeComparesOnItsOwn:
         chains = [c.chain for c in enumerate_chains(lat_b3)]
         seen = Counter()
         for _ in range(1500):
-            first = self.candidate(rng, chains)
+            # one denominator per stream, as one query has; in one stream
+            # of four it and the numerators are long
+            long = rng.random() < 0.25
+            den = rng.randrange(10**20, 10**30) if long else rng.randint(1, 12)
+            first = self.candidate(rng, chains, long)
             _, _, terms, b = first
             chain = rng.choice(chains)
             kind = rng.choice(("drawn", "scaled", "padded"))
             if kind == "drawn":
-                second = self.candidate(rng, chains)
+                second = self.candidate(rng, chains, long)
             elif kind == "scaled":  # the same value: terms times h, b times h^2
                 h = rng.randint(2, 3)
                 second = chain, self.weights(rng, chain, 1), {e: h * c for e, c in terms.items()}, h * h * b
             else:  # the same value with one zero coefficient more, or fewer
                 padded = {e: c for e, c in terms.items() if c}
-                padded.setdefault(rng.randint(-2, 2), Fraction(0))
+                padded.setdefault(rng.randint(-2, 2), 0)
                 second = chain, self.weights(rng, chain, 1), padded, b
-            values = [reported_nu(lat_b3, RatPoly(terms), b) for _, _, terms, b in (first, second)]
+            values = [reported_nu(lat_b3, RatPoly({e: Fraction(n, den) for e, n in terms.items()}), b)
+                      for _, _, terms, b in (first, second)]
             keys = [(len(c), c, primitive_weights(w)) for c, w, _, _ in (first, second)]
             order = nu_compare(values[1], values[0])
             won = 1 if order == GREATER or order == EQUAL and keys[1] < keys[0] else 0
-            result = oracle.argmax(lat_b3, iter([first, second]))
+            result = oracle.argmax(lat_b3, iter([first, second]), den)
             assert result.explored == 2
             if nu_compare(values[won], NuValue.zero()) == GREATER:
                 assert (result.best.chain, result.best.weights) == keys[won][1:], (first, second)
@@ -185,8 +197,7 @@ class TestTheJudgeComparesOnItsOwn:
             seen["Laurent"] += any(e < 0 and c for _, _, terms, _ in (first, second) for e, c in terms.items())
             seen["zero"] += any(c == 0 for _, _, terms, _ in (first, second) for c in terms.values())
             seen["positive"] += result.best is not None
-            seen["long", order] += any(abs(c.numerator) >= 10**29 for _, _, terms, _ in (first, second)
-                                       for c in terms.values())
+            seen["long", order] += any(abs(n) >= 10**29 for _, _, terms, _ in (first, second) for n in terms.values())
         assert seen["Laurent"] and seen["zero"] and seen["positive"], seen
         assert seen["long", EQUAL] and seen["long", LESS] and seen["long", GREATER], seen
         assert seen["scaled", EQUAL] and seen["padded", EQUAL] and seen["drawn", LESS] and seen["drawn", GREATER], seen
@@ -383,10 +394,10 @@ class TestAgainstReferenceOracle:
         assert seen["pair"] and seen["no pair"] and seen["semistable"], seen
 
     def test_iter_candidates_matches_reference_stream(self, lat_b3, pair_b3):
-        # each coefficient is one integer dot product over its column's
-        # common denominator, and the stream is still the per-candidate
-        # scorer's, candidate for candidate, on every family and delta
-        # form, with terms in lowest terms.  iter_terms' b is on the integer
+        # each coefficient is one integer dot product, an int numerator
+        # over the query's one denominator K, and read over K the stream is
+        # still the per-candidate scorer's, candidate for candidate, on
+        # every family and delta form.  iter_terms' b is on the integer
         # table's scale, the graded norm over rank_scale (1 on lat_b3, 1/105
         # on the first coprime lattice, 2 on the doubled fixture)
         rng = random.Random(20261020)
@@ -413,9 +424,8 @@ class TestAgainstReferenceOracle:
                 deltas = [random_delta(rng, lat.dim, form) for form in self.FORMS]
                 for delta in (P({0: Fraction(1, 2), -1: -3}), *deltas):
                     for pair in (None, PairObject(lattice=lat, beta_image=beta)):
-                        stream = list(oracle.iter_terms(lat, pair, delta, bound))
-                        assert stream and all(type(t) is Fraction for *_, terms, _ in stream for t in terms.values())
-                        assert [(c, w, RatPoly(t), b * lat.rank_scale) for c, w, t, b in stream] == [
+                        stream = fraction_stream(lat, pair, delta, bound)
+                        assert stream and [(c, w, RatPoly(t), b * lat.rank_scale) for c, w, t, b in stream] == [
                             (c, w, v.L, v.b) for c, w, v in scored_candidates(lat, pair, delta, bound)
                         ], (family, lat, beta, delta)
 
@@ -438,9 +448,10 @@ class TestTwoKernelsOneAnswer:
     table's entry, (A_sup - A_sub) / K for the integer member rows
     A_G = K * a(G), a(G) = P(G) - rank(G) * tau, is the quotient's
     P(gr) - rank(gr) * tau (reference_oracle.graded_steps), and iter_terms'
-    stream, read off integer member rows over one denominator, is the
-    stream laid out over per-column lcms from the quotients'
-    contributions, terms dicts and their keys included."""
+    stream, int numerators read off integer member rows over one
+    denominator K, is, read over K, the stream laid out over per-column
+    lcms from the quotients' contributions, terms dicts and their keys
+    included."""
 
     KINDS = ("coordinate", "sub-poset", "coprime", "lambda", "twice", "d2000")
     # random_delta's forms, and a delta past both ends of 0..d at once:
@@ -498,7 +509,7 @@ class TestTwoKernelsOneAnswer:
         seen = dict.fromkeys(self.KINDS, 0)
         for kind, lat, pair, delta in self.cases(20261027):
             bound = 3 if len(lat.ids()) <= 8 else 2
-            stream = list(oracle.iter_terms(lat, pair, delta, bound))
+            stream = fraction_stream(lat, pair, delta, bound)
             expected = list(lcm_terms(lat, pair, delta, bound))
             assert stream == expected, (kind, lat, pair, delta)
             assert [terms.keys() for *_, terms, _ in stream] == [terms.keys() for *_, terms, _ in expected]
@@ -528,10 +539,18 @@ class TestWorkCounts:
 
     def test_fraction_arithmetic_does_not_grow_with_the_candidates(self, monkeypatch):
         # the member rows are integers and each coefficient is one integer
-        # dot product over their common denominator, so the search does no
-        # Fraction arithmetic at W = 4 or at W = 6, where every chain of the
-        # k = 4 pair is walked, against 3644 and 15 378 candidates
+        # dot product, an int numerator over their common denominator, so
+        # the stream makes no Fraction and does no Fraction arithmetic at
+        # W = 4 or at W = 6, where every chain of the k = 4 pair is walked,
+        # against 3644 and 15 378 candidates
         calls = []
+        real_new = Fraction.__new__
+
+        def constructing(cls, *args, **kwargs):
+            calls.append(real_new)
+            return real_new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(constructing))
         for name in ("__add__", "__radd__", "__mul__", "__rmul__", "__sub__", "__truediv__"):
             def counting(self, other, real=getattr(Fraction, name)):
                 calls.append(real)
@@ -544,8 +563,11 @@ class TestWorkCounts:
             pair = PairObject(lattice=lat, beta_image="L0")
             delta = P({0: Fraction(1, 2)})
             calls.clear()
-            explored.append(len(list(oracle.iter_terms(lat, pair, delta, bound))))
+            stream = list(oracle.iter_terms(lat, pair, delta, bound))
             counts.append(len(calls))
+            explored.append(len(stream))
+            assert all(type(n) is int for *_, terms, _ in stream for n in terms.values())
+        monkeypatch.undo()
         assert explored == [3644, 15378]
         assert counts == [0, 0], counts
 
@@ -553,9 +575,9 @@ class TestWorkCounts:
         # argmax weighs every candidate on ints, the positivity test on
         # its result too: across one whole brute_force_max call on the k = 4
         # pair, Fraction arithmetic and rich comparisons are the result's
-        # alone, t / g at its one exponent and reported_nu's NuValue (b times
-        # the rank scale, and its checks), as many against 3644 candidates
-        # as against 15 378
+        # alone, reported_nu's NuValue (b times the rank scale, and its
+        # checks), as many against 3644 candidates as against 15 378; its
+        # division by g is Fraction(n, K * g), no arithmetic
         calls = Counter()
         for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",
                      "__rtruediv__", "__floordiv__", "__rfloordiv__", "__mod__", "__rmod__", "__pow__",
@@ -580,7 +602,33 @@ class TestWorkCounts:
             (15378, chain, (-1, 0, 1, 5), NuValue(P({0: Fraction(113, 8)}), Fraction(27))),
         ]
         assert counts[0] == counts[1] and sum(counts[0].values()) <= 4, counts
-        assert counts[0]["__truediv__"] == 1, counts
+        assert "__truediv__" not in counts[0], counts
+
+    def test_a_whole_search_makes_fractions_for_its_result_alone(self, monkeypatch):
+        # iter_terms yields int numerators over the query's one K and
+        # argmax weighs them as ints: across one whole brute_force_max call
+        # on the k = 4 pair a Fraction is made only for the result,
+        # Fraction(n, K * g) at its one exponent and reported_nu's NuValue,
+        # as many against 3644 candidates as against 15 378
+        made = []
+        real = Fraction.__new__
+
+        def constructing(cls, *args, **kwargs):
+            made.append(args)
+            return real(cls, *args, **kwargs)
+
+        lat = coordinate_lattice({f"L{i}": (i * 7) % 5 - 2 + i for i in range(4)})
+        pair, delta = PairObject(lattice=lat, beta_image="L0"), P({0: Fraction(1, 2)})
+        assert lat.rank_scale == 1  # made on first read, before the count
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(constructing))
+        explored, counts = [], []
+        for bound in (4, 6):
+            made.clear()
+            explored.append(brute_force_max(lat, pair, delta, bound).explored)
+            counts.append(len(made))
+        monkeypatch.undo()
+        assert explored == [3644, 15378]
+        assert counts[0] == counts[1] <= 8, counts
 
 
     @pytest.mark.parametrize(
@@ -626,7 +674,7 @@ class TestWorkCounts:
         cases = ((None, [2000, 0]), (P({0: Fraction(1, 2)}), [2000, 0]), (P({7: 3, -2: -1}), [2000, 7, 0, -2]))
         for delta, exponents in cases:
             assert oracle.member_rows(lat, delta)[0] == exponents
-            assert list(oracle.iter_terms(lat, pair, delta, 3)) == list(lcm_terms(lat, pair, delta, 3)), delta
+            assert fraction_stream(lat, pair, delta, 3) == list(lcm_terms(lat, pair, delta, 3)), delta
 
 
 class TestCandidateCount:

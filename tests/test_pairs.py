@@ -1459,7 +1459,7 @@ class TestAgainstOracleOnSubposets:
                     terms[bound] = list(oracle.iter_terms(lat, pair, delta, bound))
                 members = set(ids)
                 own = (t for t in terms[bound] if members.issuperset(t[0]))
-                check = oracle.argmax(lat, own, pair)
+                check = oracle.argmax(lat, own, oracle.denominator(lat, delta), pair)
                 if wm is None:
                     assert check.best is None, (ids, delta)
                     seen["none"] += 1
